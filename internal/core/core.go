@@ -16,6 +16,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"wavelethist/internal/cluster"
@@ -148,47 +149,55 @@ func transformWork(nk int, u int64) float64 {
 	return float64(nk) * float64(wavelet.Log2(u)+1)
 }
 
-// coefTransform turns a split's (or the reducer's) aggregated frequency
-// map into non-zero wavelet coefficients, charging work to the task. It
-// abstracts over dimensionality: by linearity, everything downstream
-// (partial sums, thresholds, sampling estimators) is dimension-agnostic.
-type coefTransform func(ctx *mapred.TaskContext, freq map[int64]float64) []wavelet.Coef
+// coefTransform turns a split's (or the reducer's) aggregated
+// frequencies — distinct keys in ascending order with their counts — into
+// non-zero wavelet coefficients in ascending index order, appended to
+// dst, charging work to the task. It abstracts over dimensionality: by
+// linearity, everything downstream (partial sums, thresholds, sampling
+// estimators) is dimension-agnostic.
+type coefTransform func(ctx *mapred.TaskContext, dst []wavelet.Coef, keys []int64, counts []float64) []wavelet.Coef
 
-// transform1D is the O(|v_j| log u) sorted-streaming transform of
-// Appendix A. The sorted (keys, counts) scratch is pooled: with many
-// mapper goroutines transforming splits concurrently, per-call slices
-// were a dominant allocation.
+// transform1D is the O(|v_j| log u) streaming transform of Appendix A,
+// emitting in index order without a sort.
 func transform1D(u int64) coefTransform {
-	return func(ctx *mapred.TaskContext, freq map[int64]float64) []wavelet.Coef {
-		buf := wavelet.GetFreqBuffers()
-		defer wavelet.PutFreqBuffers(buf)
-		keys, counts := buf.Load(freq)
-		ctx.AddWork(transformWork(len(freq), u))
-		return wavelet.SparseTransformSorted(keys, counts, u)
+	return func(ctx *mapred.TaskContext, dst []wavelet.Coef, keys []int64, counts []float64) []wavelet.Coef {
+		ctx.AddWork(transformWork(len(keys), u))
+		return wavelet.AppendSparseTransformSorted(dst, keys, counts, u)
 	}
 }
 
 // transform2D computes packed 2D coefficients over [0,u)²; each cell
 // contributes to (log2(u)+1)² tensor-path coefficients.
 func transform2D(u int64) coefTransform {
-	return func(ctx *mapred.TaskContext, freq map[int64]float64) []wavelet.Coef {
+	return func(ctx *mapred.TaskContext, dst []wavelet.Coef, keys []int64, counts []float64) []wavelet.Coef {
 		logu := float64(wavelet.Log2(u) + 1)
-		ctx.AddWork(float64(len(freq)) * logu * logu)
-		w := wavelet.SparseTransform2D(freq, u)
+		ctx.AddWork(float64(len(keys)) * logu * logu)
+		w := wavelet.SparseTransform2DSorted(keys, counts, u)
 		buf := wavelet.GetFreqBuffers()
 		defer wavelet.PutFreqBuffers(buf)
-		keys, vals := buf.Load(w)
-		coefs := make([]wavelet.Coef, len(keys))
-		for i := range keys {
-			coefs[i] = wavelet.Coef{Index: keys[i], Value: vals[i]}
+		idx, vals := buf.Load(w)
+		dst = slices.Grow(dst, len(idx))
+		for i := range idx {
+			dst = append(dst, wavelet.Coef{Index: idx[i], Value: vals[i]})
 		}
-		return coefs
+		return dst
 	}
 }
 
-// localCoefficients computes a split's non-zero 1D wavelet coefficients.
+// transformFreq applies tf to a frequency map, sorting it through pooled
+// scratch: with many reducers and mappers transforming concurrently,
+// per-call (keys, counts) slices were a dominant allocation.
+func transformFreq(tf coefTransform, ctx *mapred.TaskContext, freq map[int64]float64) []wavelet.Coef {
+	buf := wavelet.GetFreqBuffers()
+	defer wavelet.PutFreqBuffers(buf)
+	keys, counts := buf.Load(freq)
+	return tf(ctx, nil, keys, counts)
+}
+
+// localCoefficients computes a frequency map's non-zero 1D wavelet
+// coefficients.
 func localCoefficients(ctx *mapred.TaskContext, freq map[int64]float64, u int64) []wavelet.Coef {
-	return transform1D(u)(ctx, freq)
+	return transformFreq(transform1D(u), ctx, freq)
 }
 
 // checkDomain validates a record key against [0, U).

@@ -2,10 +2,13 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
+	"sync"
 	"time"
 
 	"wavelethist/internal/hdfs"
@@ -58,15 +61,50 @@ func hwStateR2(split int) int { return 2*split + 1 }
 
 // ---------- Round 1 ----------
 
+// splitScratch is a round-1 mapper's working memory: the split's raw
+// keys (aggregated in place into distinct keys with counts), its local
+// coefficients and the ids it shipped. All of it dies with the task, and
+// the coefficient list alone is ~16·|v_j|·log u bytes, so it is pooled
+// the way wavelet.FreqBuffers is.
+type splitScratch struct {
+	keys   []int64
+	counts []float64
+	coefs  []wavelet.Coef
+	sent   []int64
+}
+
+var splitScratchPool = sync.Pool{New: func() any { return new(splitScratch) }}
+
+// aggregate sorts the collected keys and run-length encodes them in
+// place: the split's frequency vector v_j as (distinct keys, counts).
+// It holds one int64 per record rather than one map entry per distinct
+// key, which a sort and a scan beat for split-sized inputs.
+func (sc *splitScratch) aggregate() (keys []int64, counts []float64) {
+	slices.Sort(sc.keys)
+	keys, counts = sc.keys[:0], sc.counts[:0]
+	for lo := 0; lo < len(sc.keys); {
+		hi := lo + 1
+		for hi < len(sc.keys) && sc.keys[hi] == sc.keys[lo] {
+			hi++
+		}
+		keys = append(keys, sc.keys[lo])
+		counts = append(counts, float64(hi-lo))
+		lo = hi
+	}
+	sc.counts = counts
+	return keys, counts
+}
+
 type hwRound1Mapper struct {
 	domain    int64 // key-domain bound (u in 1D, u² packed in 2D)
 	k         int
 	transform coefTransform
-	freq      map[int64]float64
+	sc        *splitScratch
 }
 
 func (m *hwRound1Mapper) Setup(*mapred.TaskContext) error {
-	m.freq = make(map[int64]float64)
+	m.sc = splitScratchPool.Get().(*splitScratch)
+	m.sc.keys = m.sc.keys[:0]
 	return nil
 }
 
@@ -74,12 +112,18 @@ func (m *hwRound1Mapper) Map(ctx *mapred.TaskContext, rec hdfs.Record, _ *mapred
 	if err := checkDomain(rec.Key, m.domain); err != nil {
 		return err
 	}
-	m.freq[rec.Key]++
+	m.sc.keys = append(m.sc.keys, rec.Key)
 	return nil
 }
 
 func (m *hwRound1Mapper) Close(ctx *mapred.TaskContext, out *mapred.Emitter) error {
-	coefs := m.transform(ctx, m.freq)
+	sc := m.sc
+	m.sc = nil
+	defer splitScratchPool.Put(sc)
+
+	keys, counts := sc.aggregate()
+	coefs := m.transform(ctx, sc.coefs[:0], keys, counts)
+	sc.coefs = coefs
 	j := int32(ctx.SplitID)
 
 	hi := heap.NewTopK(m.k)
@@ -90,18 +134,16 @@ func (m *hwRound1Mapper) Close(ctx *mapred.TaskContext, out *mapred.Emitter) err
 	}
 	ctx.AddWork(float64(len(coefs)) * 2)
 
-	sent := make(map[int64]bool, 2*m.k)
-	hiItems := hi.Sorted()
-	for rank, it := range hiItems {
+	sent := sc.sent[:0]
+	for rank, it := range hi.Sorted() {
 		tag := mapred.TagNone
 		if rank == m.k-1 {
 			tag = mapred.TagMarkHigh // the k-th highest coefficient
 		}
 		out.Emit(mapred.KV{Key: it.ID, Val: it.Score, Src: j, Tag: tag})
-		sent[it.ID] = true
+		sent = append(sent, it.ID)
 	}
-	loItems := lo.Sorted()
-	for rank, it := range loItems {
+	for rank, it := range lo.Sorted() {
 		tag := mapred.TagNone
 		if rank == m.k-1 {
 			tag = mapred.TagMarkLow // the k-th lowest coefficient
@@ -110,18 +152,16 @@ func (m *hwRound1Mapper) Close(ctx *mapred.TaskContext, out *mapred.Emitter) err
 		// item in both is emitted twice (the reducer's F_i bits dedupe
 		// the partial-sum contribution).
 		out.Emit(mapred.KV{Key: it.ID, Val: it.Score, Src: j, Tag: tag})
-		sent[it.ID] = true
+		sent = append(sent, it.ID)
 	}
+	slices.Sort(sent)
+	sent = slices.Compact(sent)
+	sc.sent = sent
 
-	// Persist unsent coefficients as the split's state file.
-	unsent := make([]wavelet.Coef, 0, len(coefs))
-	for _, c := range coefs {
-		if !sent[c.Index] {
-			unsent = append(unsent, c)
-		}
-	}
-	state := encodeCoefs(unsent)
-	ctx.State.Put(hwStateR1(ctx.SplitID), state)
+	// Persist unsent coefficients as the split's state file: the <= 2k
+	// sent ids merge against the index-ordered coefficients.
+	state := encodeCoefs(coefs, sent)
+	ctx.State.Adopt(hwStateR1(ctx.SplitID), state)
 	ctx.AddIOBytes(int64(len(state))) // local HDFS write (no network)
 	return nil
 }
@@ -213,21 +253,26 @@ func (hwRound2Mapper) Close(ctx *mapred.TaskContext, out *mapred.Emitter) error 
 		return fmt.Errorf("hwtopk: missing %s: %w", confT1OverM, err)
 	}
 	state := ctx.State.Get(hwStateR1(ctx.SplitID))
-	coefs, err := decodeCoefs(state)
+	st, err := openCoefState(state)
 	if err != nil {
 		return err
 	}
 	ctx.AddIOBytes(int64(len(state))) // local state-file read
-	keep := make([]wavelet.Coef, 0, len(coefs))
-	for _, c := range coefs {
-		if math.Abs(c.Value) > thresh {
-			out.Emit(mapred.KV{Key: c.Index, Val: c.Value, Src: int32(ctx.SplitID)})
-		} else {
-			keep = append(keep, c)
+	// Few coefficients clear T1/m, so the remainder is copied as the
+	// runs of records between them, never decoded.
+	keep := make([]byte, coefStateHeader, coefStateHeader+len(st.b))
+	run := 0
+	for i := 0; i < st.n; i++ {
+		if v := st.value(i); math.Abs(v) > thresh {
+			out.Emit(mapred.KV{Key: st.index(i), Val: v, Src: int32(ctx.SplitID)})
+			keep = append(keep, st.b[run:coefRecordBytes*i]...)
+			run = coefRecordBytes * (i + 1)
 		}
 	}
-	ctx.AddWork(float64(len(coefs)))
-	ctx.State.Put(hwStateR2(ctx.SplitID), encodeCoefs(keep))
+	keep = append(keep, st.b[run:]...)
+	binary.LittleEndian.PutUint64(keep, uint64((len(keep)-coefStateHeader)/coefRecordBytes))
+	ctx.AddWork(float64(st.n))
+	ctx.State.Adopt(hwStateR2(ctx.SplitID), keep)
 	return nil
 }
 
@@ -318,24 +363,29 @@ func (hwRound3Mapper) Map(*mapred.TaskContext, hdfs.Record, *mapred.Emitter) err
 }
 
 func (hwRound3Mapper) Close(ctx *mapred.TaskContext, out *mapred.Emitter) error {
-	rSet, err := decodeIndexSet(ctx.Cache.Get(cacheRName))
+	r, err := decodeIndexSet(ctx.Cache.Get(cacheRName))
 	if err != nil {
 		return err
 	}
 	state := ctx.State.Get(hwStateR2(ctx.SplitID))
-	coefs, err := decodeCoefs(state)
+	st, err := openCoefState(state)
 	if err != nil {
 		return err
 	}
 	ctx.AddIOBytes(int64(len(state)))
-	for _, c := range coefs {
-		// Everything left in state was never communicated (rounds 1-2
-		// removed sent coefficients), so emit iff it is a candidate.
-		if rSet[c.Index] {
-			out.Emit(mapred.KV{Key: c.Index, Val: c.Value, Src: int32(ctx.SplitID)})
+	// Everything left in state was never communicated (rounds 1-2
+	// removed sent coefficients), so emit iff it is a candidate: a
+	// merge-join of the sorted R against the index-ordered state.
+	for i := 0; i < st.n && len(r) > 0; i++ {
+		idx := st.index(i)
+		for len(r) > 0 && r[0] < idx {
+			r = r[1:]
+		}
+		if len(r) > 0 && r[0] == idx {
+			out.Emit(mapred.KV{Key: idx, Val: st.value(i), Src: int32(ctx.SplitID)})
 		}
 	}
-	ctx.AddWork(float64(len(coefs)))
+	ctx.AddWork(float64(st.n))
 	return nil
 }
 

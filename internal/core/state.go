@@ -1,7 +1,10 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
+	"slices"
 
 	"wavelethist/internal/mapred"
 	"wavelethist/internal/wavelet"
@@ -11,32 +14,60 @@ import (
 // HDFS state files and the coordinator's local file) and for the
 // candidate-set R payload placed in the Distributed Cache.
 
-// encodeCoefs serializes a coefficient list: [count][idx f64][val f64]...
-func encodeCoefs(coefs []wavelet.Coef) []byte {
-	b := mapred.AppendInt64(nil, int64(len(coefs)))
+// A coefficient list is [count int64] then count fixed 16-byte records
+// [index int64][value float64], little-endian. The mappers write it in
+// ascending index order and rounds 2 and 3 read it where it lies.
+const (
+	coefStateHeader = 8
+	coefRecordBytes = 16
+)
+
+// encodeCoefs serializes coefs, leaving out those whose index is in skip,
+// into one exactly-sized buffer. Both lists are index-ascending and every
+// id in skip is the index of one coefficient, so a single merge pass
+// writes each surviving record once.
+func encodeCoefs(coefs []wavelet.Coef, skip []int64) []byte {
+	b := make([]byte, coefStateHeader+coefRecordBytes*(len(coefs)-len(skip)))
+	binary.LittleEndian.PutUint64(b, uint64(len(coefs)-len(skip)))
+	off := coefStateHeader
 	for _, c := range coefs {
-		b = mapred.AppendInt64(b, c.Index)
-		b = mapred.AppendFloat64(b, c.Value)
+		if len(skip) > 0 && skip[0] == c.Index {
+			skip = skip[1:]
+			continue
+		}
+		binary.LittleEndian.PutUint64(b[off:], uint64(c.Index))
+		binary.LittleEndian.PutUint64(b[off+8:], math.Float64bits(c.Value))
+		off += coefRecordBytes
 	}
 	return b
 }
 
-func decodeCoefs(b []byte) ([]wavelet.Coef, error) {
-	if len(b) < 8 {
-		return nil, fmt.Errorf("core: truncated coefficient state")
+// coefState is a validated read-only view of an encoded coefficient list.
+type coefState struct {
+	b []byte // the n records, header stripped
+	n int
+}
+
+// openCoefState validates the count against the buffer length.
+func openCoefState(b []byte) (coefState, error) {
+	if len(b) < coefStateHeader {
+		return coefState{}, fmt.Errorf("core: truncated coefficient state")
 	}
-	n, off := mapred.ReadInt64(b, 0)
+	n := int64(binary.LittleEndian.Uint64(b))
 	// Overflow-safe bound: compare against the entry capacity of the
 	// buffer instead of multiplying the untrusted count.
-	if n < 0 || n > int64(len(b)-8)/16 {
-		return nil, fmt.Errorf("core: corrupt coefficient state (n=%d, len=%d)", n, len(b))
+	if n < 0 || n > int64(len(b)-coefStateHeader)/coefRecordBytes {
+		return coefState{}, fmt.Errorf("core: corrupt coefficient state (n=%d, len=%d)", n, len(b))
 	}
-	coefs := make([]wavelet.Coef, n)
-	for i := range coefs {
-		coefs[i].Index, off = mapred.ReadInt64(b, off)
-		coefs[i].Value, off = mapred.ReadFloat64(b, off)
-	}
-	return coefs, nil
+	return coefState{b: b[coefStateHeader : coefStateHeader+coefRecordBytes*int(n)], n: int(n)}, nil
+}
+
+func (s coefState) index(i int) int64 {
+	return int64(binary.LittleEndian.Uint64(s.b[coefRecordBytes*i:]))
+}
+
+func (s coefState) value(i int) float64 {
+	return math.Float64frombits(binary.LittleEndian.Uint64(s.b[coefRecordBytes*i+8:]))
 }
 
 // bitset is a fixed-size bitset over split ids (the paper's F_i vectors,
@@ -177,7 +208,10 @@ func indexSetBytes(ids []int64) int64 {
 	return width * int64(len(ids))
 }
 
-func decodeIndexSet(b []byte) (map[int64]bool, error) {
+// decodeIndexSet returns the candidate ids in ascending order, the form
+// round 3 merge-joins against its index-sorted state. The coordinator
+// ships R sorted; any other order is accepted and normalized.
+func decodeIndexSet(b []byte) ([]int64, error) {
 	if len(b) < 9 {
 		return nil, fmt.Errorf("core: truncated index set")
 	}
@@ -187,17 +221,17 @@ func decodeIndexSet(b []byte) (map[int64]bool, error) {
 	if n < 0 || (width != 4 && width != 8) || n > int64(len(b)-off)/int64(width) {
 		return nil, fmt.Errorf("core: corrupt index set")
 	}
-	out := make(map[int64]bool, n)
-	for i := int64(0); i < n; i++ {
+	out := make([]int64, n)
+	for i := range out {
 		if width == 4 {
-			v := uint32(b[off]) | uint32(b[off+1])<<8 | uint32(b[off+2])<<16 | uint32(b[off+3])<<24
-			out[int64(v)] = true
-			off += 4
+			out[i] = int64(binary.LittleEndian.Uint32(b[off:]))
 		} else {
-			var v int64
-			v, off = mapred.ReadInt64(b, off)
-			out[v] = true
+			out[i] = int64(binary.LittleEndian.Uint64(b[off:]))
 		}
+		off += width
+	}
+	if !slices.IsSorted(out) {
+		slices.Sort(out)
 	}
 	return out, nil
 }

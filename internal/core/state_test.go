@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -13,9 +14,23 @@ func newTestFS(chunk int64) *hdfs.FileSystem {
 	return hdfs.NewFileSystem(4, chunk)
 }
 
+// decodeCoefs materializes an encoded coefficient list through the view
+// rounds 2 and 3 read in place.
+func decodeCoefs(b []byte) ([]wavelet.Coef, error) {
+	st, err := openCoefState(b)
+	if err != nil {
+		return nil, err
+	}
+	coefs := make([]wavelet.Coef, st.n)
+	for i := range coefs {
+		coefs[i] = wavelet.Coef{Index: st.index(i), Value: st.value(i)}
+	}
+	return coefs, nil
+}
+
 func TestCoefsRoundTrip(t *testing.T) {
-	coefs := []wavelet.Coef{{Index: 0, Value: 1.5}, {Index: 1 << 30, Value: -2.25}, {Index: 7, Value: 0}}
-	got, err := decodeCoefs(encodeCoefs(coefs))
+	coefs := []wavelet.Coef{{Index: 0, Value: 1.5}, {Index: 7, Value: 0}, {Index: 1 << 30, Value: -2.25}}
+	got, err := decodeCoefs(encodeCoefs(coefs, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +45,7 @@ func TestCoefsRoundTrip(t *testing.T) {
 }
 
 func TestCoefsRoundTripEmpty(t *testing.T) {
-	got, err := decodeCoefs(encodeCoefs(nil))
+	got, err := decodeCoefs(encodeCoefs(nil, nil))
 	if err != nil || len(got) != 0 {
 		t.Fatalf("empty round trip: %v, %v", got, err)
 	}
@@ -42,10 +57,10 @@ func TestDecodeCoefsCorrupt(t *testing.T) {
 	cases := [][]byte{
 		nil,
 		{1, 2, 3},
-		encodeCoefs([]wavelet.Coef{{Index: 1, Value: 2}})[:12], // truncated body
+		encodeCoefs([]wavelet.Coef{{Index: 1, Value: 2}}, nil)[:12], // truncated body
 	}
 	// Length field claiming more entries than present.
-	big := encodeCoefs(nil)
+	big := encodeCoefs(nil, nil)
 	big[0] = 200
 	cases = append(cases, big)
 	for i, b := range cases {
@@ -121,12 +136,31 @@ func TestIndexSetRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(ids) {
-		t.Fatalf("len = %d", len(got))
+	if !slices.Equal(got, ids) {
+		t.Fatalf("round trip = %v, want %v", got, ids)
 	}
-	for _, id := range ids {
-		if !got[id] {
-			t.Errorf("id %d lost", id)
+}
+
+// TestEncodeCoefsSkipsSent: the round-1 state file is the coefficient
+// list minus the shipped ids, merged out in one pass.
+func TestEncodeCoefsSkipsSent(t *testing.T) {
+	coefs := []wavelet.Coef{{Index: 0, Value: 1}, {Index: 3, Value: -2}, {Index: 9, Value: 4}, {Index: 12, Value: 0.5}}
+	for _, tc := range []struct {
+		skip []int64
+		want []wavelet.Coef
+	}{
+		{nil, coefs},
+		{[]int64{0}, coefs[1:]},
+		{[]int64{3, 12}, []wavelet.Coef{coefs[0], coefs[2]}},
+		{[]int64{0, 3, 9, 12}, nil},
+	} {
+		b := encodeCoefs(coefs, tc.skip)
+		if len(b) != 8+16*len(tc.want) {
+			t.Errorf("skip %v: %d bytes, want %d", tc.skip, len(b), 8+16*len(tc.want))
+		}
+		got, err := decodeCoefs(b)
+		if err != nil || !slices.Equal(got, tc.want) {
+			t.Errorf("skip %v: decoded %v (%v), want %v", tc.skip, got, err, tc.want)
 		}
 	}
 }

@@ -104,7 +104,7 @@ func (r *coefAggReducer) Reduce(_ *mapred.TaskContext, key int64, vals []mapred.
 }
 
 func (r *coefAggReducer) Close(ctx *mapred.TaskContext) error {
-	coefs := r.transform(ctx, r.freq)
+	coefs := transformFreq(r.transform, ctx, r.freq)
 	ctx.AddWork(float64(len(coefs)))
 	r.top = wavelet.SelectTopK(coefs, r.k)
 	return nil
@@ -196,7 +196,7 @@ func (r *twoLevel2DReducer) Close(ctx *mapred.TaskContext) error {
 	for x := range vHat {
 		vHat[x] /= r.p
 	}
-	coefs := transform2D(r.u)(ctx, vHat)
+	coefs := transformFreq(transform2D(r.u), ctx, vHat)
 	ctx.AddWork(float64(len(coefs)))
 	r.top = wavelet.SelectTopK(coefs, r.k)
 	return nil

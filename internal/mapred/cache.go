@@ -82,6 +82,15 @@ func (s *StateStore) Put(splitID int, data []byte) {
 	s.state[splitID] = cp
 }
 
+// Adopt saves state like Put without copying it: the store takes
+// ownership of data, which the caller must not modify afterwards. For
+// mappers that encode a state file once into its own buffer.
+func (s *StateStore) Adopt(splitID int, data []byte) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.state[splitID] = data
+}
+
 // Get restores state (nil if none).
 func (s *StateStore) Get(splitID int) []byte {
 	s.mu.RLock()

@@ -67,6 +67,18 @@ func TestStateStorePutCopies(t *testing.T) {
 	}
 }
 
+func TestStateStoreAdoptSharesBuffer(t *testing.T) {
+	s := NewStateStore()
+	src := []byte{1, 2, 3}
+	s.Adopt(4, src)
+	if got := s.Get(4); &got[0] != &src[0] {
+		t.Error("Adopt copied the buffer it was given")
+	}
+	if s.Len() != 1 || s.TotalBytes() != 3 {
+		t.Errorf("after Adopt: %d keys, %d bytes", s.Len(), s.TotalBytes())
+	}
+}
+
 func TestBinaryHelpers(t *testing.T) {
 	var b []byte
 	b = AppendUint64(b, 42)

@@ -2,7 +2,6 @@ package wavelet
 
 import (
 	"math"
-	"sort"
 )
 
 // The 2D extension (Section 2.1 / "Multi-dimensional wavelets"): a standard
@@ -89,20 +88,22 @@ func SplitKey2D(key, u int64) (x, y int64) { return key / u, key % u }
 // independent of map iteration order, which the distributed engine's
 // bit-identical parity (and replay after worker loss) relies on.
 func SparseTransform2D(freq map[int64]float64, u int64) map[int64]float64 {
+	keys, counts := SortFreq(freq)
+	return SparseTransform2DSorted(keys, counts, u)
+}
+
+// SparseTransform2DSorted is SparseTransform2D over cells already
+// aggregated into sorted packed keys with their counts.
+func SparseTransform2DSorted(keys []int64, counts []float64, u int64) map[int64]float64 {
 	logu := Log2(u)
 	type pathEntry struct {
 		idx int64
 		val float64
 	}
-	keys := make([]int64, 0, len(freq))
-	for key := range freq {
-		keys = append(keys, key)
-	}
-	sort.Slice(keys, func(a, b int) bool { return keys[a] < keys[b] })
 	path := make([]pathEntry, 0, logu+1)
 	w := make(map[int64]float64)
-	for _, key := range keys {
-		c := freq[key]
+	for i, key := range keys {
+		c := counts[i]
 		if c == 0 {
 			continue
 		}

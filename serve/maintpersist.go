@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"log"
 	"os"
 	"path/filepath"
 	"strings"
@@ -27,7 +28,8 @@ import (
 const extMaint = ".wmnt"
 
 // persistMaint writes name's maintainer state. Best-effort: an error
-// costs restart freshness, never a request.
+// costs restart freshness, never a request. It never leaves a .tmp
+// behind, and says so once per name rather than on every republish.
 func (s *Server) persistMaint(name string, mh *wavelethist.MaintainedHistogram) {
 	if s.cfg.SnapshotDir == "" {
 		return
@@ -38,11 +40,16 @@ func (s *Server) persistMaint(name string, mh *wavelethist.MaintainedHistogram) 
 	}
 	final := filepath.Join(s.cfg.SnapshotDir, name+extMaint)
 	tmp := final + ".tmp"
-	if err := os.WriteFile(tmp, b, 0o644); err != nil {
-		os.Remove(tmp)
-		return
+	err = os.WriteFile(tmp, b, 0o644)
+	if err == nil {
+		err = os.Rename(tmp, final)
 	}
-	_ = os.Rename(tmp, final)
+	if err != nil {
+		os.Remove(tmp)
+		if _, warned := s.persistWarned.LoadOrStore(name, struct{}{}); !warned {
+			log.Printf("serve: maintainer snapshot for %q not saved (a restart re-seeds it from the published histogram): %v", name, err)
+		}
+	}
 }
 
 // removeMaintFile deletes name's maintainer snapshot (its lineage was

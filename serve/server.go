@@ -184,6 +184,10 @@ type Server struct {
 	mu       sync.Mutex
 	datasets map[string]*wavelethist.Dataset
 	maints   map[string]*maintained
+
+	// persistWarned holds the names whose maintainer snapshot failure
+	// has been logged (persistMaint runs under differing locks).
+	persistWarned sync.Map
 }
 
 // NewServer builds a Server, loading SnapshotDir if configured.
