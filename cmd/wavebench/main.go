@@ -919,7 +919,8 @@ func clusterPass(records, domain int64, alpha float64, seed uint64, k int, qpsLe
 		}
 	}
 
-	client := &http.Client{Timeout: 30 * time.Second}
+	client := newBenchClient(30 * time.Second)
+	defer client.CloseIdleConnections()
 	get := func(url string) error {
 		resp, err := client.Get(url)
 		if err != nil {
@@ -1176,7 +1177,8 @@ func mttrPass(records, domain int64, alpha float64, seed uint64, k int) (*Cluste
 	rtTS := httptest.NewServer(router)
 	defer rtTS.Close()
 
-	client := &http.Client{Timeout: 5 * time.Second}
+	client := newBenchClient(5 * time.Second)
+	defer client.CloseIdleConnections()
 	readURL := rtTS.URL + "/v1/hist/mttr/point?key=1"
 	tryRead := func() bool {
 		resp, err := client.Get(readURL)
@@ -1236,6 +1238,17 @@ func mttrPass(records, domain int64, alpha float64, seed uint64, k int) (*Cluste
 		MTTRWriteMillis: float64(mttrWrite.Microseconds()) / 1e3,
 		ProbeMillis:     float64(probeEvery.Milliseconds()),
 	}, nil
+}
+
+// newBenchClient is the cluster passes' load-generator client on a
+// transport of its own: sharing http.DefaultTransport would cap the
+// bench at two idle connections per host, so a -qps-workers level above
+// two would time redials, not the router.
+func newBenchClient(timeout time.Duration) *http.Client {
+	tr := http.DefaultTransport.(*http.Transport).Clone()
+	tr.MaxIdleConns = 0
+	tr.MaxIdleConnsPerHost = 256
+	return &http.Client{Timeout: timeout, Transport: tr}
 }
 
 // serverQuantiles reads one histogram's server-side point-query p50/p99

@@ -79,6 +79,8 @@ const (
 	msgReplPullRequest  // replication catch-up pull (replcodec.go)
 	msgReplPullResponse //
 	msgCheckpoint       // coordinator round-barrier checkpoint (checkpoint.go)
+	msgQueryBatch       // router→shard batch hop (querycodec.go)
+	msgResultBatch      //
 )
 
 const (
@@ -131,6 +133,25 @@ func encodeFrame(msg byte, body []byte) []byte {
 		out = binary.LittleEndian.AppendUint32(out, uint32(len(body)))
 	}
 	return append(out, payload...)
+}
+
+// frameHeaderLen is the size of an uncompressed frame's header.
+const frameHeaderLen = 10
+
+// beginFrame appends the header of an uncompressed frame to dst, its
+// length field still zero; the caller appends the body and hands the
+// result to endFrame with the offset beginFrame was called at. This is
+// the append-in-place form for small latency-bound messages, which
+// never take encodeFrame's deflate pass.
+func beginFrame(dst []byte, msg byte) []byte {
+	dst = append(dst, frameMagic...)
+	return append(dst, msg, 0, 0, 0, 0, 0)
+}
+
+// endFrame patches the payload length of the frame begun at dst[start:].
+func endFrame(dst []byte, start int) []byte {
+	binary.LittleEndian.PutUint32(dst[start+6:], uint32(len(dst)-start-frameHeaderLen))
+	return dst
 }
 
 // decodeFrame validates a frame and returns its (decompressed) body.
@@ -278,18 +299,26 @@ func (r *breader) i64() int64 {
 
 func (r *breader) f64() float64 { return math.Float64frombits(uint64(r.i64())) }
 
-func (r *breader) boolean() bool {
+// varint reads a zig-zag signed varint (binary.AppendVarint's encoding).
+func (r *breader) varint() int64 {
+	v := r.uvarint()
+	return int64(v>>1) ^ -int64(v&1)
+}
+
+func (r *breader) u8() byte {
 	if r.err != nil {
-		return false
+		return 0
 	}
 	if len(r.b)-r.off < 1 {
-		r.fail("truncated bool at offset %d", r.off)
-		return false
+		r.fail("truncated byte at offset %d", r.off)
+		return 0
 	}
 	v := r.b[r.off]
 	r.off++
-	return v != 0
+	return v
 }
+
+func (r *breader) boolean() bool { return r.u8() != 0 }
 
 // length reads a list/blob length prefix, rejecting counts that cannot fit
 // in the remaining bytes at elemSize bytes per element.

@@ -81,3 +81,71 @@ func FuzzDecodeFrame(f *testing.F) {
 		_, _ = DecodeReleaseResponse(b)
 	})
 }
+
+// The query-frame targets additionally hold the decoder to its size
+// promise: it never keeps more elements than the frame's own bytes
+// could encode.
+
+func FuzzDecodeQueryFrame(f *testing.F) {
+	f.Add([]byte{})
+	f.Add(AppendQueryFrame(nil, nil))
+	good := AppendQueryFrame(nil, []QueryGroup{
+		{Name: "h0", Queries: []Query{{Op: "point", Key: 5}, {Op: "range", Lo: -3, Hi: 1 << 40}}},
+		{Name: "empty", Coalesced: 3},
+		{Name: "grid", Queries: []Query{{Op: "sum", X: 1, Y: 2}, {Op: "range", XLo: 1, XHi: 2, YLo: 3, YHi: 4}}},
+	})
+	f.Add(good)
+	for i := 0; i < len(good); i += 3 {
+		mut := append([]byte{}, good...)
+		mut[i] ^= 0x5a
+		f.Add(mut)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		groups, queries, err := DecodeQueryFrame(b, nil, nil)
+		if err != nil {
+			return
+		}
+		if len(queries)*minQueryBytes > len(b) || len(groups)*minQueryGroupBytes > len(b) {
+			t.Fatalf("%d groups / %d queries decoded from %d bytes", len(groups), len(queries), len(b))
+		}
+		again, _, err := DecodeQueryFrame(AppendQueryFrame(nil, groups), nil, nil)
+		if err != nil {
+			t.Fatalf("re-encode of decoded frame failed: %v", err)
+		}
+		if !sameQueryGroups(again, groups) {
+			t.Fatalf("re-encode changed frame: %+v vs %+v", again, groups)
+		}
+	})
+}
+
+func FuzzDecodeResultFrame(f *testing.F) {
+	f.Add([]byte{})
+	f.Add(AppendResultFrame(nil, nil))
+	good := AppendResultFrame(nil, []ResultGroup{
+		{Status: 200, Version: 9, Results: []QueryResult{{Estimate: 1.5}, {Error: "serve: key 9 outside domain [0, 8)"}}},
+		{Status: 404, Error: `no histogram "x"`},
+		{Status: 200, Version: 1 << 50},
+	})
+	f.Add(good)
+	for i := 0; i < len(good); i += 3 {
+		mut := append([]byte{}, good...)
+		mut[i] ^= 0x5a
+		f.Add(mut)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		groups, results, err := DecodeResultFrame(b, nil, nil)
+		if err != nil {
+			return
+		}
+		if len(results)*minResultBytes > len(b) || len(groups)*minResultGroupBytes > len(b) {
+			t.Fatalf("%d groups / %d results decoded from %d bytes", len(groups), len(results), len(b))
+		}
+		again, _, err := DecodeResultFrame(AppendResultFrame(nil, groups), nil, nil)
+		if err != nil {
+			t.Fatalf("re-encode of decoded frame failed: %v", err)
+		}
+		if !sameResultGroups(again, groups) {
+			t.Fatalf("re-encode changed frame: %+v vs %+v", again, groups)
+		}
+	})
+}

@@ -119,17 +119,12 @@ func DecodeReplPullResponse(frame []byte) (*ReplPullResponse, error) {
 	nEnts := r.length(4)
 	for i := 0; i < nEnts && r.err == nil; i++ {
 		e := ReplEntry{Name: r.str()}
+		e.Kind = r.u8()
+		e.Version = r.uvarint()
+		e.Blob = r.blob()
 		if r.err != nil {
 			break
 		}
-		if len(r.b)-r.off < 1 {
-			r.fail("repl entry kind: truncated")
-			break
-		}
-		e.Kind = r.b[r.off]
-		r.off++
-		e.Version = r.uvarint()
-		e.Blob = r.blob()
 		if e.Kind != ReplKind1D && e.Kind != ReplKind2D {
 			r.fail("repl entry %q: unknown kind %d", e.Name, e.Kind)
 			break

@@ -70,14 +70,14 @@ func TestReplCodecLegacyFramesDecode(t *testing.T) {
 	}
 
 	// Legacy response: version, names, entries — no trailing epoch/since.
-	b := appendUvarint(nil, 9)          // version
-	b = appendUvarint(b, 1)             // 1 name
-	b = appendStr(b, "a")               //
-	b = appendUvarint(b, 1)             // 1 entry
-	b = appendStr(b, "a")               //
-	b = append(b, ReplKind1D)           //
-	b = appendUvarint(b, 9)             // entry version
-	b = appendBlob(b, []byte{4, 5, 6})  //
+	b := appendUvarint(nil, 9)         // version
+	b = appendUvarint(b, 1)            // 1 name
+	b = appendStr(b, "a")              //
+	b = appendUvarint(b, 1)            // 1 entry
+	b = appendStr(b, "a")              //
+	b = append(b, ReplKind1D)          //
+	b = appendUvarint(b, 9)            // entry version
+	b = appendBlob(b, []byte{4, 5, 6}) //
 	resp, err := DecodeReplPullResponse(encodeFrame(msgReplPullResponse, b))
 	if err != nil {
 		t.Fatalf("legacy response: %v", err)

@@ -2,21 +2,22 @@ package ha
 
 import (
 	"context"
-	"encoding/json"
 	"net/http"
 	"net/url"
 	"strconv"
 	"sync"
 	"time"
 
+	"wavelethist/dist"
 	"wavelethist/serve"
 )
 
 // Router-side query coalescing: single-query GETs (point, range) that
 // arrive for the same histogram within a short window are merged into
-// one POST /v1/hist/{name}/query batch — so the shard answers them with
-// its vectorized shared-walk executors instead of one tree walk per
-// request — and the estimates are scattered back to the waiting
+// one batch — a single-group query frame on the router's batch hop
+// (crossbatch.go), so the shard answers them with its vectorized
+// shared-walk executors instead of one tree walk per request — and the
+// estimates are scattered back to the waiting
 // requests in arrival order. Responses are byte-identical to the
 // shard's own single-query endpoints (serve.AppendEstimate renders
 // both), so clients cannot tell whether their GET was coalesced.
@@ -50,12 +51,16 @@ type pendingBatch struct {
 }
 
 // coalesceResult is what dispatch hands each waiter: exactly one of the
-// four outcome fields is meaningful.
+// four outcomes is meaningful.
 type coalesceResult struct {
-	est     float64 // estimate, when errMsg == "" and raw == nil and netErr == nil
+	est     float64 // estimate, when status == 0 and raw == nil and netErr == nil
 	version uint64
-	errMsg  string    // per-query error from the shard's batch result
-	raw     *upstream // non-200 shard response, passed through verbatim
+	// status and errMsg are the shard's verdict on the query (400) or on
+	// its whole group (404 unknown name, …), rendered as the same
+	// {"error":…} body the shard's own endpoints send.
+	status  int
+	errMsg  string
+	raw     *upstream // shard answered something other than a result frame; passed through verbatim
 	netErr  error     // shard unreachable (primary and all replicas)
 	shardID string
 }
@@ -117,37 +122,37 @@ func (c *coalescer) dispatch(name string, b *pendingBatch) {
 	c.rt.coalesced.Add(int64(n))
 	c.rt.coalesceSize.ObserveNanos(int64(n))
 
-	payload, _ := json.Marshal(struct {
-		Queries []serve.BatchQuery `json:"queries"`
-	}{b.queries})
 	sh := c.rt.Shard(name)
-	resp, err := c.rt.readShard(context.Background(), sh, http.MethodPost,
-		"/v1/hist/"+url.PathEscape(name)+"/query", "application/json", payload,
-		"X-Wavehist-Coalesced", strconv.Itoa(n))
+	var hb hopBuffers
+	resp, err := c.rt.batchHop(context.Background(), sh, &hb,
+		[]dist.QueryGroup{{Name: name, Coalesced: n, Queries: b.queries}})
 	if err != nil {
 		for _, ch := range b.waiters {
 			ch <- coalesceResult{netErr: err, shardID: sh.ID}
 		}
 		return
 	}
-	var out struct {
-		Version uint64              `json:"version"`
-		Results []serve.BatchResult `json:"results"`
-	}
-	if resp.status != http.StatusOK || json.Unmarshal(resp.body, &out) != nil || len(out.Results) != n {
-		// The shard's verdict (404 for an unknown name, 400 for a
-		// malformed batch, …) passes through verbatim to every waiter.
+	if len(hb.groups) == 0 {
 		for _, ch := range b.waiters {
 			ch <- coalesceResult{raw: resp, shardID: sh.ID}
 		}
 		return
 	}
+	g := &hb.groups[0]
+	if g.Status != http.StatusOK {
+		// The shard's verdict on the group (404 for an unknown name, …)
+		// is every waiter's answer.
+		for _, ch := range b.waiters {
+			ch <- coalesceResult{status: g.Status, errMsg: g.Error, shardID: sh.ID}
+		}
+		return
+	}
 	for i, ch := range b.waiters {
-		r := out.Results[i]
+		r := g.Results[i]
 		if r.Error != "" {
-			ch <- coalesceResult{errMsg: r.Error, shardID: sh.ID}
+			ch <- coalesceResult{status: http.StatusBadRequest, errMsg: r.Error, shardID: sh.ID}
 		} else {
-			ch <- coalesceResult{est: r.Estimate, version: out.Version, shardID: sh.ID}
+			ch <- coalesceResult{est: r.Estimate, version: g.Version, shardID: sh.ID}
 		}
 	}
 }
@@ -174,8 +179,8 @@ func (rt *Router) maybeCoalesce(route string, fallback http.HandlerFunc) http.Ha
 				writeErr(w, http.StatusBadGateway, "shard %q unreachable: %v", res.shardID, res.netErr)
 			case res.raw != nil:
 				writeUpstream(w, res.raw)
-			case res.errMsg != "":
-				writeErr(w, http.StatusBadRequest, "%s", res.errMsg)
+			case res.status != 0:
+				writeErr(w, res.status, "%s", res.errMsg)
 			default:
 				b := serve.AppendEstimate(nil, name, res.version, res.est, fields...)
 				w.Header().Set("Content-Type", "application/json")

@@ -45,7 +45,6 @@ type healthChecker struct {
 	timeout      time.Duration
 	failN        int
 	autoFailover bool
-	client       *http.Client
 
 	mu      sync.Mutex
 	targets map[string]*targetHealth
@@ -96,7 +95,6 @@ func newHealthChecker(rt *Router, cfg RouterConfig) *healthChecker {
 		timeout:      timeout,
 		failN:        failN,
 		autoFailover: !cfg.NoAutoFailover,
-		client:       &http.Client{},
 		targets:      map[string]*targetHealth{},
 		fences:       map[string]uint64{},
 	}
@@ -209,7 +207,7 @@ func (h *healthChecker) probe(url string) (healthzBody, error) {
 	if err != nil {
 		return body, err
 	}
-	res, err := h.client.Do(req)
+	res, err := h.rt.client.Do(req)
 	if err != nil {
 		return body, err
 	}
@@ -371,7 +369,7 @@ func (h *healthChecker) fencePost(target, path string, token uint64) error {
 		return err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	res, err := h.client.Do(req)
+	res, err := h.rt.client.Do(req)
 	if err != nil {
 		return err
 	}

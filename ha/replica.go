@@ -54,7 +54,7 @@ func NewReplica(srv *serve.Server, primaryURL string, interval time.Duration) *R
 	return &Replica{
 		srv:      srv,
 		primary:  trimSlash(primaryURL),
-		client:   &http.Client{Timeout: 30 * time.Second},
+		client:   &http.Client{Timeout: 30 * time.Second, Transport: newUpstreamTransport()},
 		interval: interval,
 	}
 }
@@ -255,6 +255,7 @@ func (r *Replica) Stop() {
 		close(stop)
 		<-done
 	}
+	r.client.CloseIdleConnections()
 }
 
 // Promote stops following the (presumably dead) primary and flips the

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"wavelethist/internal/obs"
-	"wavelethist/serve"
 )
 
 // Shard is one shard's endpoints: the writable primary plus zero or more
@@ -36,8 +35,9 @@ type Shard struct {
 //     over, because a replica cannot accept writes.
 //   - GET /v1/hist and /v1/stats fan out to every shard and merge.
 //   - POST /v1/query is the cross-shard batch endpoint: queries naming
-//     different histograms are grouped per name, dispatched to their
-//     shards concurrently, and reassembled in request order.
+//     different histograms are grouped per shard, sent as one query
+//     frame per shard concurrently, and reassembled in request order
+//     (crossbatch.go).
 //   - POST /v1/datasets broadcasts to every primary, so a later build
 //     can land on whichever shard owns the histogram name.
 type Router struct {
@@ -48,6 +48,8 @@ type Router struct {
 	// half-updated topology; topoMu serializes writers only.
 	topo   atomic.Pointer[topology]
 	topoMu sync.Mutex
+	// client is the one upstream HTTP client — proxying, the batch hop,
+	// the coalescer and the health prober all share its connection pool.
 	client *http.Client
 	mux    *http.ServeMux
 
@@ -155,7 +157,7 @@ func NewRouterConfig(shards []Shard, cfg RouterConfig) (*Router, error) {
 		// No client-level timeout: deadlines are per request class via
 		// context (doTarget), so a slow build proxy cannot be killed by
 		// a read ceiling nor a read stalled for the mutation one.
-		client:      &http.Client{},
+		client:      &http.Client{Transport: newUpstreamTransport()},
 		mux:         http.NewServeMux(),
 		maxBody:     8 << 20,
 		readTimeout: cfg.ReadTimeout,
@@ -181,12 +183,34 @@ func NewRouterConfig(shards []Shard, cfg RouterConfig) (*Router, error) {
 	return rt, nil
 }
 
-// Close stops the router's background loops (health checker). Safe to
-// call on routers created without one.
+// Close stops the router's background loops (health checker) and drops
+// its idle upstream connections. Safe to call on routers created
+// without a checker.
 func (rt *Router) Close() {
 	if rt.health != nil {
 		rt.health.stop()
 	}
+	rt.client.CloseIdleConnections()
+}
+
+// upstreamIdleConnsPerHost is how many kept-alive connections the router
+// holds per shard target. It is sized for fan-out, not tuned: the pool
+// must cover the upstream calls in flight to one host, or every call
+// past it dials. http.DefaultTransport keeps 2, and with it a 256-query
+// dashboard plan cost ha.router.upstream_conns_per_kreq = 5 900 new TCP
+// connections per 1000 requests (benchmark/README.md, routed_batch);
+// with the pool covering the concurrency that is ~0. An idle connection
+// costs a descriptor and two small buffers.
+const upstreamIdleConnsPerHost = 64
+
+// newUpstreamTransport is http.DefaultTransport's configuration with a
+// connection pool the router owns: per-host idle limit as above, no
+// global idle cap (targets are few and fixed).
+func newUpstreamTransport() *http.Transport {
+	tr := http.DefaultTransport.(*http.Transport).Clone()
+	tr.MaxIdleConns = 0
+	tr.MaxIdleConnsPerHost = upstreamIdleConnsPerHost
+	return tr
 }
 
 // ServeHTTP implements http.Handler.
@@ -271,7 +295,7 @@ func (rt *Router) timeoutFor(class reqClass) time.Duration {
 // doMethod sends one request to a specific upstream target, honoring
 // its circuit breaker and the request class's deadline. Network errors
 // and 5xx answers count against the breaker; everything else closes it.
-func (rt *Router) doMethod(ctx context.Context, class reqClass, method, target, pathAndQuery, contentType string, body []byte, hdr ...string) (*upstream, error) {
+func (rt *Router) doMethod(ctx context.Context, class reqClass, method, target, pathAndQuery, contentType string, body []byte) (*upstream, error) {
 	if !rt.breakers.Allow(target) {
 		return nil, fmt.Errorf("%w for %s", errBreakerOpen, target)
 	}
@@ -286,17 +310,20 @@ func (rt *Router) doMethod(ctx context.Context, class reqClass, method, target, 
 	if contentType != "" {
 		req.Header.Set("Content-Type", contentType)
 	}
-	for i := 0; i+1 < len(hdr); i += 2 {
-		req.Header.Set(hdr[i], hdr[i+1])
-	}
 	res, err := rt.client.Do(req)
 	if err != nil {
 		rt.breakers.Failure(target)
 		return nil, err
 	}
 	defer res.Body.Close()
-	b, err := io.ReadAll(res.Body)
-	if err != nil {
+	// One buffer sized from Content-Length (plus the slack ReadFrom wants
+	// to see EOF without growing), not io.ReadAll's doubling. A length
+	// over the request-body limit is not trusted with a preallocation.
+	var buf bytes.Buffer
+	if n := res.ContentLength; n > 0 && n <= rt.maxBody {
+		buf.Grow(int(n) + bytes.MinRead)
+	}
+	if _, err := buf.ReadFrom(res.Body); err != nil {
 		rt.breakers.Failure(target)
 		return nil, err
 	}
@@ -305,7 +332,7 @@ func (rt *Router) doMethod(ctx context.Context, class reqClass, method, target, 
 	} else {
 		rt.breakers.Success(target)
 	}
-	return &upstream{status: res.StatusCode, contentType: res.Header.Get("Content-Type"), body: b}, nil
+	return &upstream{status: res.StatusCode, contentType: res.Header.Get("Content-Type"), body: buf.Bytes()}, nil
 }
 
 // readShard sends a read to the shard, retrying replicas when the
@@ -315,7 +342,7 @@ func (rt *Router) doMethod(ctx context.Context, class reqClass, method, target, 
 // make the router refuse a request that would have succeeded. 4xx
 // answers are returned as-is — they are the shard's verdict, not its
 // health.
-func (rt *Router) readShard(ctx context.Context, sh *Shard, method, pathAndQuery, contentType string, body []byte, hdr ...string) (*upstream, error) {
+func (rt *Router) readShard(ctx context.Context, sh *Shard, method, pathAndQuery, contentType string, body []byte) (*upstream, error) {
 	targets := make([]string, 0, 1+len(sh.Replicas))
 	targets = append(targets, sh.Primary)
 	targets = append(targets, sh.Replicas...)
@@ -330,7 +357,7 @@ func (rt *Router) readShard(ctx context.Context, sh *Shard, method, pathAndQuery
 		if i > 0 {
 			rt.failovers.Add(1)
 		}
-		resp, err := rt.doMethod(ctx, classRead, method, target, pathAndQuery, contentType, body, hdr...)
+		resp, err := rt.doMethod(ctx, classRead, method, target, pathAndQuery, contentType, body)
 		if err != nil {
 			lastErr = err
 			continue
@@ -623,89 +650,4 @@ func (rt *Router) handleJob(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeErr(w, http.StatusNotFound, "no shard knows job %q", r.PathValue("id"))
-}
-
-// NamedQuery is one entry of the cross-shard batch endpoint
-// POST /v1/query: a histogram name plus a standard batch query.
-type NamedQuery struct {
-	Name string `json:"name"`
-	serve.BatchQuery
-}
-
-// handleCrossBatch groups a mixed-name batch by histogram, dispatches
-// each group to its owning shard concurrently (with replica failover),
-// and reassembles per-query results in request order — the scatter-
-// gather a dashboard issuing one round trip for many histograms needs.
-func (rt *Router) handleCrossBatch(w http.ResponseWriter, r *http.Request) {
-	body, ok := rt.readBody(w, r)
-	if !ok {
-		return
-	}
-	var req struct {
-		Queries []NamedQuery `json:"queries"`
-	}
-	if err := json.Unmarshal(body, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
-		return
-	}
-	if len(req.Queries) == 0 {
-		writeErr(w, http.StatusBadRequest, "empty batch")
-		return
-	}
-	// Group query indexes by name; one upstream call per distinct name.
-	groups := map[string][]int{}
-	for i, q := range req.Queries {
-		if q.Name == "" {
-			writeErr(w, http.StatusBadRequest, "query %d has no histogram name", i)
-			return
-		}
-		groups[q.Name] = append(groups[q.Name], i)
-	}
-	results := make([]serve.BatchResult, len(req.Queries))
-	var wg sync.WaitGroup
-	for name, idxs := range groups {
-		wg.Add(1)
-		go func(name string, idxs []int) {
-			defer wg.Done()
-			sub := struct {
-				Queries []serve.BatchQuery `json:"queries"`
-			}{Queries: make([]serve.BatchQuery, len(idxs))}
-			for j, i := range idxs {
-				sub.Queries[j] = req.Queries[i].BatchQuery
-			}
-			payload, _ := json.Marshal(&sub)
-			sh := rt.Shard(name)
-			resp, err := rt.readShard(r.Context(), sh, http.MethodPost,
-				"/v1/hist/"+name+"/query", "application/json", payload)
-			if err != nil {
-				for _, i := range idxs {
-					results[i] = serve.BatchResult{Error: fmt.Sprintf("shard %q unreachable: %v", sh.ID, err)}
-				}
-				return
-			}
-			var out struct {
-				Results []serve.BatchResult `json:"results"`
-				Error   string              `json:"error"`
-			}
-			if jerr := json.Unmarshal(resp.body, &out); jerr != nil || (resp.status != http.StatusOK && out.Error == "") {
-				for _, i := range idxs {
-					results[i] = serve.BatchResult{Error: fmt.Sprintf("shard %q: HTTP %d", sh.ID, resp.status)}
-				}
-				return
-			}
-			if out.Error != "" {
-				for _, i := range idxs {
-					results[i] = serve.BatchResult{Error: out.Error}
-				}
-				return
-			}
-			for j, i := range idxs {
-				if j < len(out.Results) {
-					results[i] = out.Results[j]
-				}
-			}
-		}(name, idxs)
-	}
-	wg.Wait()
-	writeJSON(w, http.StatusOK, map[string]any{"results": results})
 }

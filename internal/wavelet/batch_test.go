@@ -159,6 +159,9 @@ func TestBatchScalarFallback(t *testing.T) {
 // pooled scratch arena exists for: batch queries allocate nothing once
 // the pool is warm.
 func TestBatchAllocationFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation makes sync.Pool allocate")
+	}
 	r := zipf.NewRNG(24)
 	const u = 1 << 20
 	rep := randomRep(r, u, 2048)

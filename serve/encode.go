@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"encoding/json"
 	"net/http"
 	"strconv"
 	"sync"
@@ -50,6 +51,43 @@ func AppendEstimate(b []byte, name string, version uint64, est float64, fields .
 	b = appendJSONFloat(b, est)
 	b = append(b, '}', '\n')
 	return b
+}
+
+// AppendBatchResults builds {"results":[{"estimate":…},{"estimate":0,
+// "error":"…"},…]} plus a newline — byte for byte what json.Encoder
+// writes for map[string]any{"results": results} with a non-empty
+// slice — so the router can answer POST /v1/query from a pooled buffer.
+func AppendBatchResults(b []byte, results []BatchResult) []byte {
+	b = append(b, `{"results":[`...)
+	for i := range results {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, `{"estimate":`...)
+		b = appendJSONFloat(b, results[i].Estimate)
+		if msg := results[i].Error; msg != "" {
+			b = append(b, `,"error":`...)
+			b = appendJSONString(b, msg)
+		}
+		b = append(b, '}')
+	}
+	return append(b, ']', '}', '\n')
+}
+
+// appendJSONString appends s as encoding/json quotes it, HTML escaping
+// included. Error messages are nearly always plain printable ASCII,
+// which needs only the quotes; anything else goes through json.Marshal
+// itself so the escaping rules live in one place.
+func appendJSONString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always marshals
+			return append(b, q...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
 }
 
 // appendJSONFloat appends a float byte-for-byte the way encoding/json

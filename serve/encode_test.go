@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
 	"net/http"
@@ -39,6 +40,31 @@ func TestEstimateEncodingMatchesJSON(t *testing.T) {
 	var m map[string]any
 	if err := json.Unmarshal(b, &m); err != nil || len(m) != 4 || m["key"].(float64) != 7 {
 		t.Fatalf("point form: %s (%v)", b, err)
+	}
+}
+
+// TestBatchResultsEncodingMatchesJSON: the append encoder's bytes equal
+// json.Encoder's for the same results — fixed and scientific floats,
+// and error strings that need every kind of escaping json applies
+// (quotes, control characters, HTML, U+2028, invalid UTF-8).
+func TestBatchResultsEncodingMatchesJSON(t *testing.T) {
+	results := []BatchResult{
+		{Estimate: 0}, {Estimate: -0.5}, {Estimate: 1234567.25}, {Estimate: 1e-9}, {Estimate: -2.5e-7},
+		{Estimate: 4.9e21}, {Estimate: 999999999999999868928}, {Estimate: math.MaxFloat64},
+		{Error: "serve: key 4096 outside domain [0, 4096)"},
+		{Error: `no histogram "x"`},
+		{Error: "a<b>&c \\ back\nline\ttab\x01\x7f"},
+		{Error: "sep\u2028arator \xff bad utf8 é"},
+		{Estimate: 2.5, Error: "both set"},
+	}
+	for n := 1; n <= len(results); n++ {
+		var want bytes.Buffer
+		if err := json.NewEncoder(&want).Encode(map[string]any{"results": results[:n]}); err != nil {
+			t.Fatal(err)
+		}
+		if got := AppendBatchResults(nil, results[:n]); !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("first %d results:\n got %s\nwant %s", n, got, want.Bytes())
+		}
 	}
 }
 

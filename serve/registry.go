@@ -24,6 +24,7 @@ import (
 	"unsafe"
 
 	"wavelethist"
+	"wavelethist/dist"
 )
 
 // Snapshot file extensions, matching the two wire formats of the
@@ -96,28 +97,13 @@ func (e *Entry) Range2D(xlo, xhi, ylo, yhi int64) (float64, error) {
 	return e.batchRange2D(xlo, xhi, ylo, yhi)
 }
 
-// BatchQuery is one query in a batch request (POST /v1/hist/{name}/query).
-// Point queries address 1D histograms by Key and 2D ones by (X, Y); range
-// queries address 1D histograms by [Lo, Hi] and 2D ones by the rectangle
-// [XLo, XHi] × [YLo, YHi].
-type BatchQuery struct {
-	Op  string `json:"op"` // "point" | "range"
-	Key int64  `json:"key,omitempty"`
-	X   int64  `json:"x,omitempty"`
-	Y   int64  `json:"y,omitempty"`
-	Lo  int64  `json:"lo,omitempty"`
-	Hi  int64  `json:"hi,omitempty"`
-	XLo int64  `json:"xlo,omitempty"`
-	XHi int64  `json:"xhi,omitempty"`
-	YLo int64  `json:"ylo,omitempty"`
-	YHi int64  `json:"yhi,omitempty"`
-}
-
-// BatchResult is one per-query outcome.
-type BatchResult struct {
-	Estimate float64 `json:"estimate"`
-	Error    string  `json:"error,omitempty"`
-}
+// BatchQuery is one query in a batch request (POST /v1/hist/{name}/query);
+// BatchResult is one per-query outcome. Both are the wire types of the
+// router→shard query frames, so a decoded frame executes without copying.
+type (
+	BatchQuery  = dist.Query
+	BatchResult = dist.QueryResult
+)
 
 // batchTuning selects a batch execution strategy. The zero-config
 // defaultTuning matches the historical behaviour: vectorize at

@@ -280,6 +280,7 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("GET /v1/hist/{name}/range", s.handleRange)
 	s.mux.HandleFunc("POST /v1/hist/{name}/query", s.handleBatch)
 	s.mux.HandleFunc("POST /v1/hist/{name}/updates", s.handleUpdates)
+	s.mux.HandleFunc("POST /v1/query", s.handleQueryFrame)
 	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
 	s.mux.Handle("GET /metrics", s.metrics.Handler())
 	s.mux.HandleFunc("GET /v1/jobs/{id}/trace", s.handleJobTrace)
@@ -334,10 +335,25 @@ func (s *Server) entry(w http.ResponseWriter, r *http.Request) (*Entry, bool) {
 	name := r.PathValue("name")
 	e, ok := s.reg.Lookup(name)
 	if !ok {
-		writeErr(w, http.StatusNotFound, "no histogram %q", name)
+		writeErr(w, http.StatusNotFound, "%s", noHistogram(name))
 		return nil, false
 	}
 	return e, true
+}
+
+func noHistogram(name string) string { return fmt.Sprintf("no histogram %q", name) }
+
+// batchSizeErr is the 400 message for a batch of n queries the server
+// will not run ("" = acceptable) — one wording for the JSON endpoint and
+// the query-frame groups.
+func (s *Server) batchSizeErr(n int) string {
+	switch {
+	case n == 0:
+		return "empty batch"
+	case n > s.cfg.MaxBatch:
+		return fmt.Sprintf("batch of %d exceeds limit %d", n, s.cfg.MaxBatch)
+	}
+	return ""
 }
 
 // --- handlers ---
@@ -509,12 +525,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	n := len(bb.Req.Queries)
-	if n == 0 {
-		writeErr(w, http.StatusBadRequest, "empty batch")
-		return
-	}
-	if n > s.cfg.MaxBatch {
-		writeErr(w, http.StatusBadRequest, "batch of %d exceeds limit %d", n, s.cfg.MaxBatch)
+	if msg := s.batchSizeErr(n); msg != "" {
+		writeErr(w, http.StatusBadRequest, "%s", msg)
 		return
 	}
 	if cap(bb.Resp.Results) < n {
@@ -529,9 +541,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	bb.Resp.Name = e.Name
 	bb.Resp.Version = e.Version
 	writeJSON(w, http.StatusOK, &bb.Resp)
-	// The router's coalescer stamps merged batches with how many
-	// original client queries it folded in, so slow-query records can
-	// tell organic large batches from coalesced ones.
+	// A caller that merged single client queries into this batch says
+	// how many in a header (the router's own coalescer carries the count
+	// in its query frame instead), so slow-query records can tell
+	// organic large batches from coalesced ones.
 	coalesced, _ := strconv.Atoi(r.Header.Get("X-Wavehist-Coalesced"))
 	s.slowQuery("batch", e.Name, n, coalesced, time.Since(t0))
 }
