@@ -20,10 +20,11 @@
 package main
 
 import (
+	"bytes"
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"net/http"
@@ -124,7 +125,7 @@ func outboundIP() string {
 // restarted). Returns when ctx is canceled; a non-nil error means
 // registration never succeeded and ctx ended some other way.
 func keepRegistered(ctx context.Context, coordinator string, req dist.RegisterRequest) error {
-	client := &dist.NegotiatingClient{Client: &http.Client{Timeout: 5 * time.Second}}
+	client := &http.Client{Timeout: 5 * time.Second}
 	interval, err := register(ctx, client, coordinator, req)
 	for err != nil {
 		log.Printf("waveworker %s: register: %v (retrying)", req.ID, err)
@@ -158,36 +159,36 @@ func keepRegistered(ctx context.Context, coordinator string, req dist.RegisterRe
 	}
 }
 
-// register announces the worker via dist.NegotiatingClient, which
-// handles the binary-first wire format with sticky JSON fallback for old
-// coordinators.
-func register(ctx context.Context, c *dist.NegotiatingClient, coordinator string, req dist.RegisterRequest) (time.Duration, error) {
-	jsonBody, err := json.Marshal(req)
+// postFrame posts one binary protocol frame to the coordinator and
+// returns the status and the raw reply.
+func postFrame(ctx context.Context, c *http.Client, url string, frame []byte) (int, []byte, error) {
+	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(frame))
 	if err != nil {
-		return 0, err
+		return 0, nil, err
 	}
-	code, raw, usedJSON, err := c.Post(ctx, coordinator+dist.PathRegister,
-		dist.EncodeRegisterRequest(&req), jsonBody, func(b []byte) bool {
-			_, derr := dist.DecodeRegisterResponse(b)
-			return derr == nil
-		})
+	hreq.Header.Set("Content-Type", dist.ContentTypeBinary)
+	hres, err := c.Do(hreq)
+	if err != nil {
+		return 0, nil, err
+	}
+	defer hres.Body.Close()
+	raw, err := io.ReadAll(hres.Body)
+	return hres.StatusCode, raw, err
+}
+
+// register announces the worker and returns the heartbeat interval the
+// coordinator asked for.
+func register(ctx context.Context, c *http.Client, coordinator string, req dist.RegisterRequest) (time.Duration, error) {
+	code, raw, err := postFrame(ctx, c, coordinator+dist.PathRegister, dist.EncodeRegisterRequest(&req))
 	if err != nil {
 		return 0, err
 	}
 	if code != http.StatusOK {
-		return 0, fmt.Errorf("register rejected (HTTP %d)", code)
+		return 0, fmt.Errorf("register rejected (HTTP %d %s)", code, http.StatusText(code))
 	}
-	var resp dist.RegisterResponse
-	if usedJSON {
-		if err := json.Unmarshal(raw, &resp); err != nil {
-			return 0, fmt.Errorf("bad response: %w", err)
-		}
-	} else {
-		pr, derr := dist.DecodeRegisterResponse(raw)
-		if derr != nil {
-			return 0, derr
-		}
-		resp = *pr
+	resp, err := dist.DecodeRegisterResponse(raw)
+	if err != nil {
+		return 0, err
 	}
 	if !resp.OK {
 		return 0, fmt.Errorf("register rejected")
@@ -199,31 +200,14 @@ func register(ctx context.Context, c *dist.NegotiatingClient, coordinator string
 	return interval, nil
 }
 
-func heartbeat(ctx context.Context, c *dist.NegotiatingClient, coordinator, id string) (known bool, err error) {
-	hb := dist.HeartbeatRequest{ID: id}
-	jsonBody, err := json.Marshal(hb)
+func heartbeat(ctx context.Context, c *http.Client, coordinator, id string) (known bool, err error) {
+	code, raw, err := postFrame(ctx, c, coordinator+dist.PathHeartbeat, dist.EncodeHeartbeatRequest(&dist.HeartbeatRequest{ID: id}))
 	if err != nil {
 		return false, err
 	}
-	code, raw, usedJSON, err := c.Post(ctx, coordinator+dist.PathHeartbeat,
-		dist.EncodeHeartbeatRequest(&hb), jsonBody, func(b []byte) bool {
-			_, derr := dist.DecodeHeartbeatResponse(b)
-			return derr == nil
-		})
+	resp, err := dist.DecodeHeartbeatResponse(raw)
 	if err != nil {
-		return false, err
-	}
-	var resp dist.HeartbeatResponse
-	if usedJSON {
-		if err := json.Unmarshal(raw, &resp); err != nil {
-			return false, fmt.Errorf("bad response: %w", err)
-		}
-	} else {
-		pr, derr := dist.DecodeHeartbeatResponse(raw)
-		if derr != nil {
-			return false, derr
-		}
-		resp = *pr
+		return false, fmt.Errorf("HTTP %d: %w", code, err)
 	}
 	return code == http.StatusOK && resp.OK, nil
 }

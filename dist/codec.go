@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"net/http"
 	"sync"
 
 	"wavelethist/internal/core"
@@ -33,32 +32,11 @@ import (
 // compressible (sorted keys, small-integer floats), which is what pulls
 // measured wire bytes down to the modeled communication.
 //
-// Negotiation is by HTTP Content-Type: a new worker answers in the
-// encoding it was asked in (ContentTypeBinary or JSON), and the
-// coordinator's HTTPTransport falls back to JSON — stickily, per address —
-// when a worker rejects a binary body, so old JSON-only workers keep
-// serving in a mixed fleet.
+// The POST routes that carry these frames take ContentTypeBinary and
+// nothing else: any other Content-Type is answered 415.
 
-// Content types of the dist protocol.
-const (
-	ContentTypeBinary = "application/x-wavehist-binary"
-	ContentTypeJSON   = "application/json"
-)
-
-// DowngradeToJSON is the one negotiation rule both sides of the protocol
-// apply after a failed binary attempt: fall back to JSON only when the
-// status says "not understood" (400/415 — what a JSON-only peer's
-// decoder answers a binary frame with) AND the error body is not itself
-// a valid binary frame. A binary-capable peer answers errors with binary
-// frames, and downgrading on those would pin the address to the
-// ~3.5×-larger JSON encoding over a single bad request. decodesBinary
-// reports whether body parses as the expected binary response type.
-func DowngradeToJSON(status int, body []byte, decodesBinary func([]byte) bool) bool {
-	if status != http.StatusBadRequest && status != http.StatusUnsupportedMediaType {
-		return false
-	}
-	return decodesBinary == nil || !decodesBinary(body)
-}
+// ContentTypeBinary is the Content-Type of a WDF1 frame.
+const ContentTypeBinary = "application/x-wavehist-binary"
 
 const frameMagic = "WDF1"
 

@@ -5,9 +5,7 @@ import (
 	"crypto/rand"
 	"encoding/binary"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
 	"sort"
@@ -1132,73 +1130,44 @@ func checkCoverage(parts []core.SplitPartial, assigned []int) error {
 
 // Handler returns the coordinator's HTTP surface: worker registration,
 // heartbeats, fleet listing and saturation stats, mounted by wavehistd
-// under /dist/v1/. Registration and heartbeats negotiate by Content-Type
-// like the worker endpoints: binary frames answered with binary frames,
-// JSON with JSON.
+// under /dist/v1/. Registration and heartbeats take binary frames only,
+// like the worker endpoints.
 func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST "+PathRegister, func(rw http.ResponseWriter, r *http.Request) {
-		var req RegisterRequest
-		if isBinary(r) {
-			frame, err := io.ReadAll(r.Body)
-			if err == nil {
-				var preq *RegisterRequest
-				if preq, err = DecodeRegisterRequest(frame); err == nil {
-					req = *preq
-				}
-			}
-			if err != nil || req.ID == "" || req.Addr == "" {
-				writeFrame(rw, http.StatusBadRequest, EncodeRegisterResponse(&RegisterResponse{}))
-				return
-			}
-			c.Register(req.ID, req.Addr, req.Capacity)
-			writeFrame(rw, http.StatusOK, EncodeRegisterResponse(&RegisterResponse{
-				OK:              true,
-				HeartbeatMillis: c.cfg.HeartbeatEvery.Milliseconds(),
-			}))
+		frame, status, err := readFrame(rw, r, maxControlBody)
+		if err != nil {
+			writeFrame(rw, status, EncodeRegisterResponse(&RegisterResponse{}))
 			return
 		}
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.ID == "" || req.Addr == "" {
-			writeJSON(rw, http.StatusBadRequest, map[string]string{"error": "register needs id and addr"})
+		req, err := DecodeRegisterRequest(frame)
+		if err != nil || req.ID == "" || req.Addr == "" {
+			writeFrame(rw, http.StatusBadRequest, EncodeRegisterResponse(&RegisterResponse{}))
 			return
 		}
 		c.Register(req.ID, req.Addr, req.Capacity)
-		writeJSON(rw, http.StatusOK, &RegisterResponse{
+		writeFrame(rw, http.StatusOK, EncodeRegisterResponse(&RegisterResponse{
 			OK:              true,
 			HeartbeatMillis: c.cfg.HeartbeatEvery.Milliseconds(),
-		})
+		}))
 	})
 	mux.HandleFunc("POST "+PathHeartbeat, func(rw http.ResponseWriter, r *http.Request) {
-		var req HeartbeatRequest
-		if isBinary(r) {
-			frame, err := io.ReadAll(r.Body)
-			if err == nil {
-				var preq *HeartbeatRequest
-				if preq, err = DecodeHeartbeatRequest(frame); err == nil {
-					req = *preq
-				}
-			}
-			if err != nil || req.ID == "" {
-				writeFrame(rw, http.StatusBadRequest, EncodeHeartbeatResponse(&HeartbeatResponse{}))
-				return
-			}
-			code := http.StatusOK
-			ok := c.Heartbeat(req.ID)
-			if !ok {
-				code = http.StatusNotFound
-			}
-			writeFrame(rw, code, EncodeHeartbeatResponse(&HeartbeatResponse{OK: ok}))
+		frame, status, err := readFrame(rw, r, maxControlBody)
+		if err != nil {
+			writeFrame(rw, status, EncodeHeartbeatResponse(&HeartbeatResponse{}))
 			return
 		}
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.ID == "" {
-			writeJSON(rw, http.StatusBadRequest, map[string]string{"error": "heartbeat needs id"})
+		req, err := DecodeHeartbeatRequest(frame)
+		if err != nil || req.ID == "" {
+			writeFrame(rw, http.StatusBadRequest, EncodeHeartbeatResponse(&HeartbeatResponse{}))
 			return
 		}
-		if !c.Heartbeat(req.ID) {
-			writeJSON(rw, http.StatusNotFound, &HeartbeatResponse{OK: false})
-			return
+		code := http.StatusOK
+		ok := c.Heartbeat(req.ID)
+		if !ok {
+			code = http.StatusNotFound
 		}
-		writeJSON(rw, http.StatusOK, &HeartbeatResponse{OK: true})
+		writeFrame(rw, code, EncodeHeartbeatResponse(&HeartbeatResponse{OK: ok}))
 	})
 	mux.HandleFunc("GET "+PathWorkers, func(rw http.ResponseWriter, r *http.Request) {
 		writeJSON(rw, http.StatusOK, &WorkersResponse{Workers: c.Workers()})

@@ -4,32 +4,57 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"wavelethist"
 	"wavelethist/dist"
 )
 
-// postJSON is a minimal client for the coordinator endpoints.
-func postJSON(t *testing.T, url string, req, resp any) int {
+// postBody posts one body and returns the status and the raw reply.
+func postBody(t *testing.T, url, contentType string, body io.Reader) (int, []byte) {
 	t.Helper()
-	body, err := json.Marshal(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hres, err := http.Post(url, "application/json", bytes.NewReader(body))
+	hres, err := http.Post(url, contentType, body)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer hres.Body.Close()
-	if resp != nil {
-		if err := json.NewDecoder(hres.Body).Decode(resp); err != nil {
-			t.Fatal(err)
-		}
+	raw, err := io.ReadAll(hres.Body)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return hres.StatusCode
+	return hres.StatusCode, raw
+}
+
+// postFrame is a minimal client for the coordinator endpoints.
+func postFrame(t *testing.T, url string, frame []byte) (int, []byte) {
+	t.Helper()
+	return postBody(t, url, dist.ContentTypeBinary, bytes.NewReader(frame))
+}
+
+// registerWorker registers over HTTP and returns the decoded ack.
+func registerWorker(t *testing.T, coordURL string, req dist.RegisterRequest) (int, *dist.RegisterResponse) {
+	t.Helper()
+	code, raw := postFrame(t, coordURL+dist.PathRegister, dist.EncodeRegisterRequest(&req))
+	reg, err := dist.DecodeRegisterResponse(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return code, reg
+}
+
+// heartbeatWorker heartbeats over HTTP and returns the decoded ack.
+func heartbeatWorker(t *testing.T, coordURL, id string) (int, *dist.HeartbeatResponse) {
+	t.Helper()
+	code, raw := postFrame(t, coordURL+dist.PathHeartbeat, dist.EncodeHeartbeatRequest(&dist.HeartbeatRequest{ID: id}))
+	hb, err := dist.DecodeHeartbeatResponse(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return code, hb
 }
 
 // TestHTTPFleet runs a distributed build over real sockets: two worker
@@ -44,20 +69,16 @@ func TestHTTPFleet(t *testing.T) {
 		w := dist.NewWorker(id, 2)
 		wsrv := httptest.NewServer(w.Handler())
 		defer wsrv.Close()
-		var reg dist.RegisterResponse
-		code := postJSON(t, coordSrv.URL+dist.PathRegister,
-			dist.RegisterRequest{ID: id, Addr: wsrv.URL, Capacity: 2}, &reg)
+		code, reg := registerWorker(t, coordSrv.URL, dist.RegisterRequest{ID: id, Addr: wsrv.URL, Capacity: 2})
 		if code != http.StatusOK || !reg.OK || reg.HeartbeatMillis <= 0 {
 			t.Fatalf("register %s: code=%d resp=%+v", id, code, reg)
 		}
-		var hb dist.HeartbeatResponse
-		if code := postJSON(t, coordSrv.URL+dist.PathHeartbeat, dist.HeartbeatRequest{ID: id}, &hb); code != http.StatusOK || !hb.OK {
+		if code, hb := heartbeatWorker(t, coordSrv.URL, id); code != http.StatusOK || !hb.OK {
 			t.Fatalf("heartbeat %s: code=%d resp=%+v", id, code, hb)
 		}
 	}
 	// Unknown workers are told to re-register.
-	var hb dist.HeartbeatResponse
-	if code := postJSON(t, coordSrv.URL+dist.PathHeartbeat, dist.HeartbeatRequest{ID: "ghost"}, &hb); code != http.StatusNotFound || hb.OK {
+	if code, hb := heartbeatWorker(t, coordSrv.URL, "ghost"); code != http.StatusNotFound || hb.OK {
 		t.Fatalf("ghost heartbeat: code=%d resp=%+v", code, hb)
 	}
 	if got := coord.AliveWorkers(); got != 2 {
@@ -99,91 +120,142 @@ func TestHTTPFleet(t *testing.T) {
 	}
 }
 
-// legacyJSONHandler replicates the PR-3 worker HTTP surface: JSON only,
-// with a 400 for anything its JSON decoder cannot parse — which is what a
-// binary frame looks like to an old worker. The mixed-fleet test drives
-// it next to a current binary worker.
-func legacyJSONHandler(w *dist.Worker) http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST "+dist.PathMap, func(rw http.ResponseWriter, r *http.Request) {
-		var req dist.MapRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			rw.Header().Set("Content-Type", "application/json")
-			rw.WriteHeader(http.StatusBadRequest)
-			json.NewEncoder(rw).Encode(&dist.MapResponse{Error: "bad map request"})
-			return
-		}
-		resp, err := w.HandleMap(r.Context(), &req)
-		if err != nil {
-			resp = &dist.MapResponse{JobID: req.JobID, Error: err.Error()}
-		}
-		rw.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(rw).Encode(resp)
-	})
-	mux.HandleFunc("POST "+dist.PathRelease, func(rw http.ResponseWriter, r *http.Request) {
-		var req dist.ReleaseRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.JobID == "" {
-			rw.WriteHeader(http.StatusBadRequest)
-			return
-		}
-		json.NewEncoder(rw).Encode(&dist.ReleaseResponse{OK: true, Released: w.Release(req.JobID)})
-	})
-	mux.HandleFunc("GET "+dist.PathPing, func(rw http.ResponseWriter, r *http.Request) {
-		rw.Write([]byte(`{"ok":true}`))
-	})
-	return mux
+// zeros is an endless stream of zero bytes: an oversize body that costs
+// the test no memory.
+type zeros struct{}
+
+func (zeros) Read(p []byte) (int, error) {
+	clear(p)
+	return len(p), nil
 }
 
-// TestHTTPMixedFleet: one JSON-only legacy worker and one binary worker
-// serve the same build. The transport probes binary, downgrades the
-// legacy address stickily, and the merged result still matches the
-// simulated build bit-for-bit.
-func TestHTTPMixedFleet(t *testing.T) {
-	coord := dist.NewCoordinator(dist.NewHTTPTransport(), dist.Config{SplitsPerCall: 2})
-	coordSrv := httptest.NewServer(coord.Handler())
+// TestHTTPPostRoutesRejectBadBodies pins the input contract of the four
+// POST routes: a body that is not declared as a binary frame is a 415, one
+// over the route's limit a 413, one that does not decode (or decodes to a
+// request missing its id) a 400 — and every refusal is itself a frame of
+// the route's response type, so a client decodes errors the way it
+// decodes answers. The map route's frame carries the reason as text,
+// which HTTPTransport puts in the error it returns.
+func TestHTTPPostRoutesRejectBadBodies(t *testing.T) {
+	coordSrv := httptest.NewServer(dist.NewCoordinator(dist.NewHTTPTransport(), dist.Config{}).Handler())
 	defer coordSrv.Close()
+	workerSrv := httptest.NewServer(dist.NewWorker("w", 1).Handler())
+	defer workerSrv.Close()
 
-	modern := dist.NewWorker("modern", 2)
-	modernSrv := httptest.NewServer(modern.Handler())
-	defer modernSrv.Close()
-	legacy := dist.NewWorker("legacy", 2)
-	legacySrv := httptest.NewServer(legacyJSONHandler(legacy))
-	defer legacySrv.Close()
+	const (
+		mapLimit     = 64 << 20
+		controlLimit = 64 << 10
+	)
+	routes := []struct {
+		url     string
+		limit   int64
+		valid   []byte // a well-formed frame the route would accept
+		noID    []byte // decodes, but names nobody
+		refusal func([]byte) (okFlag bool, msg string, err error)
+	}{
+		{
+			url: workerSrv.URL + dist.PathMap, limit: mapLimit,
+			valid: dist.EncodeMapRequest(&dist.MapRequest{JobID: "j", Method: "Send-V"}),
+			refusal: func(b []byte) (bool, string, error) {
+				r, err := dist.DecodeMapResponse(b)
+				if err != nil {
+					return false, "", err
+				}
+				return r.Error == "", r.Error, nil
+			},
+		},
+		{
+			url: workerSrv.URL + dist.PathRelease, limit: controlLimit,
+			valid: dist.EncodeReleaseRequest(&dist.ReleaseRequest{JobID: "j"}),
+			noID:  dist.EncodeReleaseRequest(&dist.ReleaseRequest{}),
+			refusal: func(b []byte) (bool, string, error) {
+				r, err := dist.DecodeReleaseResponse(b)
+				if err != nil {
+					return false, "", err
+				}
+				return r.OK, "", nil
+			},
+		},
+		{
+			url: coordSrv.URL + dist.PathRegister, limit: controlLimit,
+			valid: dist.EncodeRegisterRequest(&dist.RegisterRequest{ID: "w", Addr: "http://x"}),
+			noID:  dist.EncodeRegisterRequest(&dist.RegisterRequest{Addr: "http://x"}),
+			refusal: func(b []byte) (bool, string, error) {
+				r, err := dist.DecodeRegisterResponse(b)
+				if err != nil {
+					return false, "", err
+				}
+				return r.OK, "", nil
+			},
+		},
+		{
+			url: coordSrv.URL + dist.PathHeartbeat, limit: controlLimit,
+			valid: dist.EncodeHeartbeatRequest(&dist.HeartbeatRequest{ID: "w"}),
+			noID:  dist.EncodeHeartbeatRequest(&dist.HeartbeatRequest{}),
+			refusal: func(b []byte) (bool, string, error) {
+				r, err := dist.DecodeHeartbeatResponse(b)
+				if err != nil {
+					return false, "", err
+				}
+				return r.OK, "", nil
+			},
+		},
+	}
+	type refused struct {
+		name        string
+		contentType string
+		body        io.Reader
+		want        int
+		wantMsg     string // substring of the map route's framed reason
+	}
+	for _, rt := range routes {
+		cases := []refused{
+			{"json content type", "application/json", bytes.NewReader(rt.valid), http.StatusUnsupportedMediaType, dist.ContentTypeBinary},
+			{"no content type", "", bytes.NewReader(rt.valid), http.StatusUnsupportedMediaType, dist.ContentTypeBinary},
+			{"oversize", dist.ContentTypeBinary, io.LimitReader(zeros{}, rt.limit+1), http.StatusRequestEntityTooLarge, "exceeds"},
+			{"truncated frame", dist.ContentTypeBinary, bytes.NewReader(rt.valid[:len(rt.valid)-1]), http.StatusBadRequest, "bad map request"},
+			{"not a frame", dist.ContentTypeBinary, strings.NewReader(`{"id":"w"}`), http.StatusBadRequest, "bad map request"},
+		}
+		if rt.noID != nil {
+			cases = append(cases, refused{"missing id", dist.ContentTypeBinary, bytes.NewReader(rt.noID), http.StatusBadRequest, ""})
+		}
+		for _, c := range cases {
+			code, raw := postBody(t, rt.url, c.contentType, c.body)
+			if code != c.want {
+				t.Errorf("%s, %s: HTTP %d, want %d", rt.url, c.name, code, c.want)
+				continue
+			}
+			ok, msg, err := rt.refusal(raw)
+			if err != nil {
+				t.Errorf("%s, %s: refusal is not a response frame: %v", rt.url, c.name, err)
+				continue
+			}
+			if ok {
+				t.Errorf("%s, %s: refusal frame reports success", rt.url, c.name)
+			}
+			if rt.limit == mapLimit && !strings.Contains(msg, c.wantMsg) {
+				t.Errorf("%s, %s: framed reason %q, want it to mention %q", rt.url, c.name, msg, c.wantMsg)
+			}
+		}
+	}
 
-	coord.Register("modern", modernSrv.URL, 2)
-	coord.Register("legacy", legacySrv.URL, 2)
-
-	ds, err := wavelethist.NewZipfDataset(wavelethist.ZipfOptions{
-		Records: 1 << 14, Domain: 1 << 10, Alpha: 1.1, Seed: 3, ChunkSize: 4 << 10,
-	})
-	if err != nil {
-		t.Fatal(err)
+	// The transport surfaces a refusal as text: the framed reason on the
+	// map route, the status on release. A hop that drops the Content-Type
+	// stands in for a peer that does not speak the protocol.
+	worker := dist.NewWorker("w2", 1).Handler()
+	stripped := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		r.Header.Del("Content-Type")
+		worker.ServeHTTP(rw, r)
+	}))
+	defer stripped.Close()
+	tr := dist.NewHTTPTransport()
+	_, _, _, err := tr.MapSplits(context.Background(), stripped.URL, &dist.MapRequest{JobID: "j", Method: "Send-V"})
+	if err == nil || !strings.Contains(err.Error(), "HTTP 415") || !strings.Contains(err.Error(), "takes "+dist.ContentTypeBinary) {
+		t.Errorf("refused MapSplits error = %v, want HTTP 415 with the framed reason", err)
 	}
-	opts := wavelethist.Options{K: 20, Seed: 3}
-	want, err := wavelethist.Build(ds, wavelethist.SendV, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := wavelethist.BuildDistributed(context.Background(), ds, wavelethist.SendV, opts, coord)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameHistogram(t, want, got)
-	// Multi-round across the mixed fleet too: broadcasts and releases
-	// take both encodings.
-	wantHW, err := wavelethist.Build(ds, wavelethist.HWTopk, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotHW, err := wavelethist.BuildDistributed(context.Background(), ds, wavelethist.HWTopk, opts, coord)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameHistogram(t, wantHW, gotHW)
-	// Both workers must actually have served splits for the downgrade
-	// path to have been exercised.
-	if modern.CacheStats().Misses == 0 || legacy.CacheStats().Misses == 0 {
-		t.Errorf("fleet imbalance: modern=%v legacy=%v", modern.CacheStats(), legacy.CacheStats())
+	err = tr.Release(context.Background(), stripped.URL, &dist.ReleaseRequest{JobID: "j"})
+	if err == nil || !strings.Contains(err.Error(), "HTTP 415 Unsupported Media Type") {
+		t.Errorf("refused Release error = %v, want HTTP 415 Unsupported Media Type", err)
 	}
 }
 
@@ -242,9 +314,7 @@ func TestHTTPFleetMultiRound(t *testing.T) {
 		wsrv := httptest.NewServer(w.Handler())
 		defer wsrv.Close()
 		workerSrvs = append(workerSrvs, wsrv)
-		var reg dist.RegisterResponse
-		if code := postJSON(t, coordSrv.URL+dist.PathRegister,
-			dist.RegisterRequest{ID: id, Addr: wsrv.URL, Capacity: 2}, &reg); code != http.StatusOK {
+		if code, _ := registerWorker(t, coordSrv.URL, dist.RegisterRequest{ID: id, Addr: wsrv.URL, Capacity: 2}); code != http.StatusOK {
 			t.Fatalf("register %s: %d", id, code)
 		}
 	}

@@ -1,8 +1,7 @@
 // Package dist executes wavelet-histogram builds across real processes:
 // a coordinator partitions a dataset into splits, assigns them to a fleet
 // of worker processes over a stdlib-only HTTP protocol — length-prefixed
-// binary frames by default (codec.go), with JSON retained as a negotiated
-// fallback for old workers — and merges the workers' mergeable partial
+// binary frames (codec.go) — and merges the workers' mergeable partial
 // summaries (internal/core.SplitPartial) into the final histogram: the
 // paper's Map/Shuffle/Reduce made multi-process, with communication
 // measured on the actual request and response payloads instead of
@@ -39,27 +38,27 @@ const (
 // the coordinator dials back for map RPCs ("http://host:port", or
 // "loopback://name" for in-process workers).
 type RegisterRequest struct {
-	ID       string `json:"id"`
-	Addr     string `json:"addr"`
-	Capacity int    `json:"capacity"`
+	ID       string
+	Addr     string
+	Capacity int
 }
 
 // RegisterResponse acknowledges registration and tells the worker how
 // often to heartbeat.
 type RegisterResponse struct {
-	OK              bool  `json:"ok"`
-	HeartbeatMillis int64 `json:"heartbeat_millis"`
+	OK              bool
+	HeartbeatMillis int64
 }
 
 // HeartbeatRequest keeps a registered worker alive.
 type HeartbeatRequest struct {
-	ID string `json:"id"`
+	ID string
 }
 
 // HeartbeatResponse reports whether the coordinator still knows the
 // worker; on !OK the worker re-registers (coordinator restart).
 type HeartbeatResponse struct {
-	OK bool `json:"ok"`
+	OK bool
 }
 
 // MapRequest assigns a batch of splits to a worker: the dataset recipe,
@@ -67,47 +66,46 @@ type HeartbeatResponse struct {
 // multi-round methods it additionally names the round, the job's total
 // round count (the worker's cue to open a per-job state lease), and the
 // coordinator's broadcast blob for the round — round 2 ships T1/m, round 3
-// ships T1/m plus the candidate set R (core's binary codec, base64 in
-// JSON). Round 0 means a one-round method (back-compat with the PR-2 wire
-// format).
+// ships T1/m plus the candidate set R (core's binary codec). Round 0
+// means a one-round method.
 type MapRequest struct {
-	JobID   string      `json:"job_id"`
-	Method  string      `json:"method"`
-	Params  core.Params `json:"params"`
-	Dataset DatasetSpec `json:"dataset"`
-	Splits  []int       `json:"splits"`
+	JobID   string
+	Method  string
+	Params  core.Params
+	Dataset DatasetSpec
+	Splits  []int
 
-	Round     int    `json:"round,omitempty"`
-	Rounds    int    `json:"rounds,omitempty"`
-	Broadcast []byte `json:"broadcast,omitempty"`
+	Round     int
+	Rounds    int
+	Broadcast []byte
 }
 
 // MapResponse returns the batch's mergeable partials
-// (core.EncodePartials, base64 in JSON) or an application error. Replayed
+// (core.EncodePartials) or an application error. Replayed
 // lists assigned splits whose earlier-round state this worker did not hold
 // (lost lease or new owner) and had to rebuild by replaying earlier
 // rounds locally. Cached lists assigned splits served from the worker's
 // partial cache — re-shipped without recomputation.
 type MapResponse struct {
-	JobID    string `json:"job_id"`
-	Partials []byte `json:"partials,omitempty"`
-	Replayed []int  `json:"replayed,omitempty"`
-	Cached   []int  `json:"cached,omitempty"`
-	Error    string `json:"error,omitempty"`
+	JobID    string
+	Partials []byte
+	Replayed []int
+	Cached   []int
+	Error    string
 }
 
 // ReleaseRequest drops a worker's state lease for a finished (or
 // canceled/failed) multi-round job.
 type ReleaseRequest struct {
-	JobID string `json:"job_id"`
+	JobID string
 }
 
 // ReleaseResponse acknowledges a release; Released reports whether a
 // lease actually existed (false is normal: the worker never served the
 // job, or its lease already expired).
 type ReleaseResponse struct {
-	OK       bool `json:"ok"`
-	Released bool `json:"released"`
+	OK       bool
+	Released bool
 }
 
 // WorkersResponse is the observability payload of GET /dist/v1/workers.

@@ -11,8 +11,7 @@ package dist
 // materialized log tail.
 //
 // The frames ride the same WDF1 envelope as the job wire (deflate over
-// threshold, crc-free length-prefixed body) so replicas and primaries
-// reuse the transport's content negotiation unchanged.
+// threshold, crc-free length-prefixed body).
 
 // Replication entry kinds.
 const (

@@ -3,7 +3,6 @@ package dist
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -21,22 +20,12 @@ type Transport interface {
 	Ping(ctx context.Context, addr string) error
 }
 
-// HTTPTransport dials workers over real sockets. It speaks the binary
-// wire format by default and negotiates per worker: an address that
-// rejects a binary body (an old JSON-only worker answering 400/415) is
-// stickily downgraded to JSON, so mixed fleets keep working. Map requests
-// are deterministic and idempotent, which is what makes the one-time
-// downgrade retry safe.
+// HTTPTransport dials workers over real sockets, speaking the binary
+// wire format (codec.go) and nothing else.
 type HTTPTransport struct {
 	// Client is the HTTP client (nil = http.DefaultClient); per-RPC
 	// deadlines come from the caller's context.
 	Client *http.Client
-	// ForceJSON disables the binary wire format entirely (legacy mode;
-	// also the benchmark's JSON-baseline knob).
-	ForceJSON bool
-
-	mu       sync.Mutex
-	jsonOnly map[string]bool
 }
 
 // NewHTTPTransport returns a Transport over http.DefaultClient.
@@ -49,186 +38,53 @@ func (t *HTTPTransport) client() *http.Client {
 	return http.DefaultClient
 }
 
-func (t *HTTPTransport) useJSON(addr string) bool {
-	if t.ForceJSON {
-		return true
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.jsonOnly[addr]
-}
-
-func (t *HTTPTransport) markJSONOnly(addr string) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.jsonOnly == nil {
-		t.jsonOnly = make(map[string]bool)
-	}
-	t.jsonOnly[addr] = true
-}
-
-// post sends one body and returns the raw response body.
-func (t *HTTPTransport) post(ctx context.Context, url, contentType string, body []byte) (status int, respBody []byte, err error) {
-	return postBody(ctx, t.client(), url, contentType, body)
-}
-
-func postBody(ctx context.Context, client *http.Client, url, contentType string, body []byte) (status int, respBody []byte, err error) {
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
+// post sends one binary frame and returns the raw response body.
+func (t *HTTPTransport) post(ctx context.Context, url string, frame []byte) (status int, respBody []byte, err error) {
+	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(frame))
 	if err != nil {
 		return 0, nil, err
 	}
-	hreq.Header.Set("Content-Type", contentType)
-	hres, err := client.Do(hreq)
+	hreq.Header.Set("Content-Type", ContentTypeBinary)
+	hres, err := t.client().Do(hreq)
 	if err != nil {
 		return 0, nil, err
 	}
 	defer hres.Body.Close()
 	rb, err := io.ReadAll(hres.Body)
-	if err != nil {
-		return hres.StatusCode, rb, err
-	}
-	return hres.StatusCode, rb, nil
-}
-
-// NegotiatingClient is the client half of the wire-format negotiation
-// for peers outside the coordinator's Transport — waveworker's
-// registration/heartbeat loop against a possibly-old coordinator. It
-// posts binary frames and downgrades, stickily, to a caller-supplied
-// JSON body when the peer is JSON-only, applying the same
-// DowngradeToJSON rule as HTTPTransport. (HTTPTransport.MapSplits keeps
-// its own inline flow only because it must fold probe and retry bytes
-// into the build's wire measurements.)
-type NegotiatingClient struct {
-	// Client is the HTTP client (nil = http.DefaultClient).
-	Client *http.Client
-
-	mu       sync.Mutex
-	jsonOnly bool
-}
-
-func (n *NegotiatingClient) client() *http.Client {
-	if n.Client != nil {
-		return n.Client
-	}
-	return http.DefaultClient
-}
-
-// Post sends frame (binary) or jsonBody, per the negotiated encoding,
-// and returns the final status and body plus which encoding the
-// response is in. decodesBinary reports whether a body parses as the
-// expected binary response frame — the guard that keeps a
-// binary-speaking peer's framed error from triggering a downgrade.
-func (n *NegotiatingClient) Post(ctx context.Context, url string, frame, jsonBody []byte, decodesBinary func([]byte) bool) (status int, body []byte, usedJSON bool, err error) {
-	n.mu.Lock()
-	jsonOnly := n.jsonOnly
-	n.mu.Unlock()
-	if !jsonOnly {
-		status, body, err = postBody(ctx, n.client(), url, ContentTypeBinary, frame)
-		if err != nil {
-			return status, body, false, err
-		}
-		if !DowngradeToJSON(status, body, decodesBinary) {
-			return status, body, false, nil
-		}
-		n.mu.Lock()
-		n.jsonOnly = true
-		n.mu.Unlock()
-	}
-	status, body, err = postBody(ctx, n.client(), url, ContentTypeJSON, jsonBody)
-	return status, body, true, err
+	return hres.StatusCode, rb, err
 }
 
 // MapSplits implements Transport.
 func (t *HTTPTransport) MapSplits(ctx context.Context, addr string, req *MapRequest) (*MapResponse, int64, int64, error) {
-	if t.useJSON(addr) {
-		return t.mapSplitsJSON(ctx, addr, req, 0)
-	}
 	body := EncodeMapRequest(req)
-	status, rb, err := t.post(ctx, addr+PathMap, ContentTypeBinary, body)
+	status, rb, err := t.post(ctx, addr+PathMap, body)
 	if err != nil {
 		return nil, int64(len(body)), int64(len(rb)), err
 	}
+	resp, derr := DecodeMapResponse(rb)
 	if status != http.StatusOK {
-		if DowngradeToJSON(status, rb, mapRespDecodes) {
-			// A JSON-only worker can't parse binary frames: downgrade
-			// this address and re-send as JSON (the probe's bytes still
-			// count — they crossed the wire).
-			t.markJSONOnly(addr)
-			return t.mapSplitsJSON(ctx, addr, req, int64(len(body)+len(rb)))
+		// Workers frame their errors; anything else (a proxy's HTML, a
+		// panic page) is shown raw.
+		msg := truncate(rb)
+		if derr == nil {
+			msg = resp.Error
 		}
-		if resp, derr := DecodeMapResponse(rb); derr == nil {
-			// A binary-framed error: the peer speaks the protocol and
-			// rejected this request for real.
-			return nil, int64(len(body)), int64(len(rb)), fmt.Errorf("dist: worker %s: HTTP %d: %s", addr, status, resp.Error)
-		}
-		return nil, int64(len(body)), int64(len(rb)), fmt.Errorf("dist: worker %s: HTTP %d: %s", addr, status, truncate(rb))
+		return nil, int64(len(body)), int64(len(rb)), fmt.Errorf("dist: worker %s: HTTP %d: %s", addr, status, msg)
 	}
-	resp, err := DecodeMapResponse(rb)
-	if err != nil {
-		return nil, int64(len(body)), int64(len(rb)), fmt.Errorf("dist: worker %s: bad response: %w", addr, err)
+	if derr != nil {
+		return nil, int64(len(body)), int64(len(rb)), fmt.Errorf("dist: worker %s: bad response: %w", addr, derr)
 	}
 	return resp, int64(len(body)), int64(len(rb)), nil
 }
 
-func mapRespDecodes(b []byte) bool {
-	_, err := DecodeMapResponse(b)
-	return err == nil
-}
-
-func releaseRespDecodes(b []byte) bool {
-	_, err := DecodeReleaseResponse(b)
-	return err == nil
-}
-
-// mapSplitsJSON is the legacy JSON map RPC; probeBytes carries the wire
-// cost of a failed binary negotiation probe so accounting stays honest.
-func (t *HTTPTransport) mapSplitsJSON(ctx context.Context, addr string, req *MapRequest, probeBytes int64) (*MapResponse, int64, int64, error) {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return nil, probeBytes, 0, err
-	}
-	reqB := probeBytes + int64(len(body))
-	status, rb, err := t.post(ctx, addr+PathMap, ContentTypeJSON, body)
-	if err != nil {
-		return nil, reqB, int64(len(rb)), err
-	}
-	if status != http.StatusOK {
-		return nil, reqB, int64(len(rb)), fmt.Errorf("dist: worker %s: HTTP %d: %s", addr, status, truncate(rb))
-	}
-	var resp MapResponse
-	if err := json.Unmarshal(rb, &resp); err != nil {
-		return nil, reqB, int64(len(rb)), fmt.Errorf("dist: worker %s: bad response: %w", addr, err)
-	}
-	return &resp, reqB, int64(len(rb)), nil
-}
-
 // Release implements Transport.
 func (t *HTTPTransport) Release(ctx context.Context, addr string, req *ReleaseRequest) error {
-	if !t.useJSON(addr) {
-		status, rb, err := t.post(ctx, addr+PathRelease, ContentTypeBinary, EncodeReleaseRequest(req))
-		if err != nil {
-			return err
-		}
-		if status == http.StatusOK {
-			return nil
-		}
-		if !DowngradeToJSON(status, rb, releaseRespDecodes) {
-			// Binary-framed error or a non-negotiation status: a real
-			// failure from a binary-speaking peer.
-			return fmt.Errorf("dist: worker %s: HTTP %d", addr, status)
-		}
-		t.markJSONOnly(addr)
-	}
-	body, err := json.Marshal(req)
-	if err != nil {
-		return err
-	}
-	status, _, err := t.post(ctx, addr+PathRelease, ContentTypeJSON, body)
+	status, _, err := t.post(ctx, addr+PathRelease, EncodeReleaseRequest(req))
 	if err != nil {
 		return err
 	}
 	if status != http.StatusOK {
-		return fmt.Errorf("dist: worker %s: HTTP %d", addr, status)
+		return fmt.Errorf("dist: worker %s: HTTP %d %s", addr, status, http.StatusText(status))
 	}
 	return nil
 }
@@ -263,19 +119,14 @@ func truncate(b []byte) string {
 const LoopbackScheme = "loopback://"
 
 // Loopback is an in-process Transport: worker handlers are invoked
-// directly, with request/response sizes measured on the encodings that
-// would cross the wire — the binary frames by default, or JSON when
-// JSONWire is set — so loopback builds report the same communication a
-// socketed fleet would. Non-loopback addresses are delegated to Fallback,
-// letting one coordinator drive a mixed fleet of in-process and remote
-// workers.
+// directly, with request/response sizes measured on the binary frames
+// that would cross the wire, so loopback builds report the same
+// communication a socketed fleet would. Non-loopback addresses are
+// delegated to Fallback, letting one coordinator drive a mixed fleet of
+// in-process and remote workers.
 type Loopback struct {
 	// Fallback handles non-loopback:// addresses (nil = reject them).
 	Fallback Transport
-	// JSONWire accounts request/response sizes on the legacy JSON
-	// encoding instead of the binary frames (the benchmark's baseline
-	// knob; it does not change results, only measured bytes).
-	JSONWire bool
 
 	mu      sync.Mutex
 	workers map[string]*Worker
@@ -349,16 +200,6 @@ func (l *Loopback) take(addr string, req *MapRequest) (*Worker, error) {
 	return w, nil
 }
 
-// wireSize measures what a value would cost on the wire under the
-// configured encoding.
-func (l *Loopback) wireSize(binFrame func() []byte, jsonVal any) (int64, error) {
-	if l.JSONWire {
-		b, err := json.Marshal(jsonVal)
-		return int64(len(b)), err
-	}
-	return int64(len(binFrame())), nil
-}
-
 // MapSplits implements Transport.
 func (l *Loopback) MapSplits(ctx context.Context, addr string, req *MapRequest) (*MapResponse, int64, int64, error) {
 	if !strings.HasPrefix(addr, LoopbackScheme) {
@@ -367,10 +208,7 @@ func (l *Loopback) MapSplits(ctx context.Context, addr string, req *MapRequest) 
 		}
 		return l.Fallback.MapSplits(ctx, addr, req)
 	}
-	reqBytes, err := l.wireSize(func() []byte { return EncodeMapRequest(req) }, req)
-	if err != nil {
-		return nil, 0, 0, err
-	}
+	reqBytes := int64(len(EncodeMapRequest(req)))
 	w, err := l.take(addr, req)
 	if err != nil {
 		return nil, reqBytes, 0, err
@@ -379,11 +217,7 @@ func (l *Loopback) MapSplits(ctx context.Context, addr string, req *MapRequest) 
 	if err != nil {
 		return nil, reqBytes, 0, err
 	}
-	respBytes, err := l.wireSize(func() []byte { return EncodeMapResponse(resp) }, resp)
-	if err != nil {
-		return nil, reqBytes, 0, err
-	}
-	return resp, reqBytes, respBytes, nil
+	return resp, reqBytes, int64(len(EncodeMapResponse(resp))), nil
 }
 
 // Release implements Transport.

@@ -3,6 +3,7 @@ package dist
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -348,69 +349,42 @@ func (w *Worker) dataset(spec DatasetSpec) (*hdfs.File, error) {
 
 // Handler returns the worker's HTTP surface: POST /dist/v1/map,
 // POST /dist/v1/release, GET /dist/v1/state and GET /dist/v1/ping. The
-// POST endpoints negotiate by Content-Type — binary frames are answered
-// with binary frames, JSON with JSON — so one worker serves new binary
-// coordinators and old JSON ones alike.
+// POST endpoints take binary frames only and answer every outcome,
+// errors included, with a frame of the route's response type.
 func (w *Worker) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST "+PathMap, func(rw http.ResponseWriter, r *http.Request) {
-		if isBinary(r) {
-			frame, err := io.ReadAll(r.Body)
-			if err != nil {
-				writeFrame(rw, http.StatusBadRequest, EncodeMapResponse(&MapResponse{Error: err.Error()}))
-				return
-			}
-			req, err := DecodeMapRequest(frame)
-			if err != nil {
-				writeFrame(rw, http.StatusBadRequest, EncodeMapResponse(&MapResponse{Error: fmt.Sprintf("bad map request: %v", err)}))
-				return
-			}
-			w.wireIn.Add(int64(len(frame)))
-			resp, err := w.HandleMap(r.Context(), req)
-			if err != nil {
-				resp = &MapResponse{JobID: req.JobID, Error: err.Error()}
-			}
-			out := EncodeMapResponse(resp)
-			w.wireOut.Add(int64(len(out)))
-			writeFrame(rw, http.StatusOK, out)
-			return
-		}
-		if r.ContentLength > 0 {
-			w.wireIn.Add(r.ContentLength)
-		}
-		var req MapRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeJSON(rw, http.StatusBadRequest, &MapResponse{Error: fmt.Sprintf("bad map request: %v", err)})
-			return
-		}
-		resp, err := w.HandleMap(r.Context(), &req)
+		frame, status, err := readFrame(rw, r, maxMapBody)
 		if err != nil {
-			writeJSON(rw, http.StatusOK, &MapResponse{JobID: req.JobID, Error: err.Error()})
+			writeFrame(rw, status, EncodeMapResponse(&MapResponse{Error: err.Error()}))
 			return
 		}
-		writeJSON(rw, http.StatusOK, resp)
+		req, err := DecodeMapRequest(frame)
+		if err != nil {
+			writeFrame(rw, http.StatusBadRequest, EncodeMapResponse(&MapResponse{Error: fmt.Sprintf("bad map request: %v", err)}))
+			return
+		}
+		w.wireIn.Add(int64(len(frame)))
+		resp, err := w.HandleMap(r.Context(), req)
+		if err != nil {
+			resp = &MapResponse{JobID: req.JobID, Error: err.Error()}
+		}
+		out := EncodeMapResponse(resp)
+		w.wireOut.Add(int64(len(out)))
+		writeFrame(rw, http.StatusOK, out)
 	})
 	mux.HandleFunc("POST "+PathRelease, func(rw http.ResponseWriter, r *http.Request) {
-		if isBinary(r) {
-			frame, err := io.ReadAll(r.Body)
-			if err != nil {
-				writeFrame(rw, http.StatusBadRequest, EncodeReleaseResponse(&ReleaseResponse{}))
-				return
-			}
-			req, err := DecodeReleaseRequest(frame)
-			if err != nil || req.JobID == "" {
-				writeFrame(rw, http.StatusBadRequest, EncodeReleaseResponse(&ReleaseResponse{}))
-				return
-			}
-			writeFrame(rw, http.StatusOK, EncodeReleaseResponse(&ReleaseResponse{OK: true, Released: w.Release(req.JobID)}))
+		frame, status, err := readFrame(rw, r, maxControlBody)
+		if err != nil {
+			writeFrame(rw, status, EncodeReleaseResponse(&ReleaseResponse{}))
 			return
 		}
-		var req ReleaseRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.JobID == "" {
-			writeJSON(rw, http.StatusBadRequest, &ReleaseResponse{})
+		req, err := DecodeReleaseRequest(frame)
+		if err != nil || req.JobID == "" {
+			writeFrame(rw, http.StatusBadRequest, EncodeReleaseResponse(&ReleaseResponse{}))
 			return
 		}
-		writeJSON(rw, http.StatusOK, &ReleaseResponse{OK: true, Released: w.Release(req.JobID)})
+		writeFrame(rw, http.StatusOK, EncodeReleaseResponse(&ReleaseResponse{OK: true, Released: w.Release(req.JobID)}))
 	})
 	mux.HandleFunc("GET "+PathState, func(rw http.ResponseWriter, r *http.Request) {
 		w.mu.Lock()
@@ -431,9 +405,35 @@ func (w *Worker) Handler() http.Handler {
 	return mux
 }
 
-// isBinary reports whether a request carries a binary protocol frame.
-func isBinary(r *http.Request) bool {
-	return r.Header.Get("Content-Type") == ContentTypeBinary
+// Body limits of the dist POST routes, which read unauthenticated input.
+// A map request carries the dataset recipe — for kind "keys" the key list
+// itself — and the round's broadcast blob. The largest the test suite
+// sends is 3 528 bytes and the benchmark's build_exact 383; 64 MiB is
+// four orders of magnitude above both and twice what the serve layer's
+// dataset limit admits (4 Mi keys × 8 bytes, before deflate). The
+// control messages (release, register, heartbeat) are an id, an address
+// and a few scalars.
+const (
+	maxMapBody     = 64 << 20
+	maxControlBody = 64 << 10
+)
+
+// readFrame reads a POST body that must be one binary frame of at most
+// limit bytes. On failure it returns the status to answer with: 415 for
+// any other Content-Type, 413 for an oversize body, 400 for a failed read.
+func readFrame(rw http.ResponseWriter, r *http.Request, limit int64) (frame []byte, status int, err error) {
+	if r.Header.Get("Content-Type") != ContentTypeBinary {
+		return nil, http.StatusUnsupportedMediaType, fmt.Errorf("POST %s takes %s frames", r.URL.Path, ContentTypeBinary)
+	}
+	frame, err = io.ReadAll(http.MaxBytesReader(rw, r.Body, limit))
+	var tooBig *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooBig):
+		return nil, http.StatusRequestEntityTooLarge, fmt.Errorf("request body exceeds %d bytes", limit)
+	case err != nil:
+		return nil, http.StatusBadRequest, err
+	}
+	return frame, http.StatusOK, nil
 }
 
 func writeJSON(rw http.ResponseWriter, code int, v any) {

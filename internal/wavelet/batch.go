@@ -30,11 +30,10 @@ import (
 // x axis and probe each matched row's y-axis boundary candidates.
 //
 // Every level sweep parks its cursor with one binary search at the first
-// query's target instead of scanning from the level start. For a
-// full-batch sweep that changes nothing (the linear scan would stop at
-// the same place); it exists so a sweep over any contiguous segment of
-// the sorted queries costs only its own share of the level — the
-// property the parallel executors in parallel.go split batches on.
+// query's target instead of scanning from the level start, so a sweep
+// costs only the share of the level its queries span — also what lets
+// the measured-only fan-out in parallel.go sweep contiguous segments of
+// the sorted batch independently.
 //
 // # Bit-identical to the scalar path
 //
@@ -56,9 +55,8 @@ import (
 // allocate nothing.
 
 // batchScratch is one batch's reusable state: the sorted query order,
-// the flat term arena and its per-query offset table, clamped range
-// bounds, and the legacy linked-list columns kept for the arena
-// benchmark baseline. Pooled; every slice is length-reset per use.
+// the flat term arena and its per-query offset table, and clamped range
+// bounds. Pooled; every slice is length-reset per use.
 type batchScratch struct {
 	qord  []int32   // in-domain query indexes, sorted by key
 	word  []int32   // range boundary walkers (query<<1 | isHi), sorted by boundary
@@ -71,11 +69,6 @@ type batchScratch struct {
 	khi   []int64   // clamped range highs (x axis in 2D), indexed by query
 	kylo  []int64   // clamped 2D range lows, y axis
 	kyhi  []int64   // clamped 2D range highs, y axis
-
-	// Linked-arena baseline state (BatchPointsLinkedArena only).
-	head []int32   // per-query list head, -1 = no terms
-	next []int32   // linked-list next pointers, parallel to terms
-	buf  []posTerm // per-query collection buffer for sumByPos
 }
 
 var batchScratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
@@ -103,8 +96,8 @@ func (sc *batchScratch) push(qi int32, p int32, term float64) {
 // finishFlat groups the arena by query with one counting-sort scatter —
 // count into qoff, prefix-sum, then one sequential pass moving each term
 // into its query's contiguous run in flat — and sums each active query's
-// run in scan order into out. Two branch-free sequential passes over the
-// arena replace the linked list's per-term pointer chase.
+// run in scan order into out: two branch-free sequential passes over the
+// arena, no per-term pointer chase.
 func (sc *batchScratch) finishFlat(active []int32, out []float64) {
 	qoff := sc.qoff
 	for _, qi := range sc.tq {
@@ -130,42 +123,6 @@ func (sc *batchScratch) finishFlat(active []int32, out []float64) {
 			s = qoff[qi-1]
 		}
 		out[qi] = sumByPos(flat[s:qoff[qi]])
-	}
-}
-
-// resetHeads sizes head to n and fills it with -1.
-func (sc *batchScratch) resetHeads(n int) {
-	if cap(sc.head) < n {
-		sc.head = make([]int32, n)
-	}
-	sc.head = sc.head[:n]
-	for i := range sc.head {
-		sc.head[i] = -1
-	}
-}
-
-// finishLinked is the pre-flat-arena finisher kept as a benchmark
-// baseline: it threads the arena into per-query linked lists and sums
-// each list with a pointer chase — the data-dependent loads finishFlat's
-// counting sort eliminates.
-func (sc *batchScratch) finishLinked(n int, active []int32, out []float64) {
-	sc.resetHeads(n)
-	if cap(sc.next) < len(sc.tq) {
-		sc.next = make([]int32, len(sc.tq))
-	}
-	next := sc.next[:len(sc.tq)]
-	for i, qi := range sc.tq {
-		next[i] = sc.head[qi]
-		sc.head[qi] = int32(i)
-	}
-	sc.next = next
-	for _, qi := range active {
-		buf := sc.buf[:0]
-		for li := sc.head[qi]; li >= 0; li = next[li] {
-			buf = append(buf, sc.terms[li])
-		}
-		sc.buf = buf
-		out[qi] = sumByPos(buf)
 	}
 }
 
@@ -304,31 +261,6 @@ func (t *errTree) batchPoints(coefs []Coef, xs []int64, out []float64) {
 	batchScratchPool.Put(sc)
 }
 
-// BatchPointsLinkedArena is BatchPoints finished through the linked-list
-// term arena the executor used before the flat structure-of-arrays
-// layout. Results are bit-identical; it exists so wavebench can measure
-// the flat arena's win and will go away once that comparison stops being
-// interesting.
-func (r *Representation) BatchPointsLinkedArena(xs []int64, out []float64) {
-	if len(out) != len(xs) {
-		panic("wavelet: BatchPointsLinkedArena slice length mismatch")
-	}
-	if r.tree == nil {
-		r.BatchPoints(xs, out)
-		return
-	}
-	n := len(xs)
-	if n == 0 {
-		return
-	}
-	sc := batchScratchPool.Get().(*batchScratch)
-	qord := r.tree.sortPointQueries(sc, xs, out)
-	sc.resetArena(n)
-	r.tree.sweepPoints(sc, r.Coefs, xs, qord)
-	sc.finishLinked(n, qord, out)
-	batchScratchPool.Put(sc)
-}
-
 // clampRangeQueries zeroes out, clamps each [los[i], his[i]] to [0, u)
 // into sc.klo/sc.khi, and returns the non-empty query indexes in input
 // order (stored in sc.qord).
@@ -403,8 +335,7 @@ func buildBoundaryWalkers(sc *batchScratch, qis []int32, klo, khi []int64, packe
 
 // sweepRangeLevels runs the per-level merge joins for a set of clamped
 // range queries (qis) and their sorted boundary walkers (word), pushing
-// every matched term into sc's arena. Like sweepPoints it accepts any
-// contiguous segment of a klo-sorted batch; each level's cursor is
+// every matched term into sc's arena. Each level's cursor is
 // binary-searched to the first walker's target.
 func (t *errTree) sweepRangeLevels(sc *batchScratch, coefs []Coef, qis, word []int32, klo, khi []int64) {
 	if len(word) == 0 {
@@ -541,14 +472,13 @@ func (t *errTree2D) sortPointQueries2D(sc *batchScratch, xs, ys []int64, out []f
 }
 
 // sweepPoints2D runs the row-group merge joins for an (x, y)-sorted
-// slice of 2D point queries. Like the 1D sweeps it accepts any
-// contiguous segment of a sorted batch: each x-level's row cursor is
-// lazily binary-searched to its first row target instead of scanning
-// the row table from the start.
+// slice of 2D point queries. Each x-level's row cursor is lazily
+// binary-searched to its first row target instead of scanning the row
+// table from the start.
 func (t *errTree2D) sweepPoints2D(sc *batchScratch, coefs []Coef, xs, ys []int64, qord []int32) {
 	// Per-x-level cursors into the row-group table: for a fixed x-level a,
 	// the row index xi[a] is non-decreasing as x increases, so each
-	// cursor only moves forward across the whole segment. -1 = unparked.
+	// cursor only moves forward across the whole batch. -1 = unparked.
 	var gcur [66]int
 	for i := range gcur {
 		gcur[i] = -1
@@ -733,9 +663,8 @@ func (t *errTree2D) pushRangeRow(sc *batchScratch, coefs []Coef, qi int32, glo, 
 // sweepRanges2D runs the x-axis walker sweep over the row-group table
 // for a set of clamped 2D range queries: the x average row and, per
 // x-level, each walker's boundary row; every matched row probes the
-// query's y-axis candidates within that row group. Accepts any
-// contiguous segment of an x-lo-sorted batch (walkers are rebuilt and
-// cursors binary-parked per segment).
+// query's y-axis candidates within that row group. Each level's row
+// cursor is binary-parked at the first walker's target.
 func (t *errTree2D) sweepRanges2D(sc *batchScratch, coefs []Coef, qis, word []int32, xlo, xhi, ylo, yhi []int64) {
 	if len(word) == 0 {
 		return

@@ -2,32 +2,26 @@ package wavelet
 
 import (
 	"runtime"
-	"slices"
 	"sync"
 )
 
-// Parallel batch executors.
+// BatchPointsParallel is measured-only: no serving code reaches it. On
+// two cores the fan-out ran 1.04× the serial shared walk at n=4096 and
+// 0.75× at n=1024, so Entry.Batch always runs the serial BatchPoints.
+// The method stays because benchmark/layers_serve.go calls it for the
+// wavelet.batch_points_par_ns_per_q.n4096 row; the row and the method go
+// together.
 //
-// The vectorized sweeps in batch.go are embarrassingly parallel across
-// contiguous segments of the sorted query order: a level's forward
-// cursor depends only on the monotone targets it has already passed, so
-// a sweep restricted to queries [a, b) of the sorted batch — with its
-// cursor binary-searched to query a's target — matches exactly the runs
-// the full sweep matches for those queries. The parallel executors
-// exploit that: sort (or clamp) once on the calling goroutine, split the
-// active queries into per-worker contiguous segments, and run the
-// ordinary segment sweep on each worker with its own pooled arena.
-//
-// Bit-identity is inherited, not re-argued: every worker runs the same
-// sweep code over the same sorted sub-slice it would occupy in the
-// serial order, pushes into a private arena, and finishes its own
-// queries with the same position-ordered sumByPos. Workers write
-// disjoint out[i] slots (a query lives in exactly one segment), so the
-// fan-out is race-free by construction.
-//
-// Range batches are segmented by query (sorted by clamped lo bound), not
-// by walker: both of a query's boundary walkers must land in the same
-// worker, which rebuilds and sorts its segment's walker list privately.
+// The sweep in batch.go is embarrassingly parallel across contiguous
+// segments of the sorted query order: a level's forward cursor depends
+// only on the monotone targets it has already passed, so a sweep
+// restricted to queries [a, b) of the sorted batch — with its cursor
+// binary-searched to query a's target — matches exactly the runs the
+// full sweep matches for those queries. Every worker runs the same sweep
+// code over the sub-slice it would occupy in the serial order, pushes
+// into a private arena and finishes its own queries with the same
+// position-ordered sumByPos, so bit-identity is inherited; workers write
+// disjoint out[i] slots, so the fan-out is race-free by construction.
 
 // parMinPerWorker is the minimum sorted-segment size worth a goroutine;
 // below it the fan-out overhead (scratch reset is O(n) per worker)
@@ -76,34 +70,6 @@ func fanOut(workers int, qord []int32, sweep func(seg []int32)) {
 	wg.Wait()
 }
 
-// sortActiveByLo reorders qis by each query's clamped lo bound so
-// contiguous segments cover contiguous key ranges, using the same
-// comparator-free packed sort as the point path when the domain permits.
-func sortActiveByLo(sc *batchScratch, qis []int32, klo []int64, packed bool) {
-	if packed {
-		pk := sc.pk[:0]
-		for _, qi := range qis {
-			pk = append(pk, klo[qi]<<31|int64(qi))
-		}
-		slices.Sort(pk)
-		for i, v := range pk {
-			qis[i] = int32(v & (1<<31 - 1))
-		}
-		sc.pk = pk
-		return
-	}
-	slices.SortFunc(qis, func(a, b int32) int {
-		ka, kb := klo[a], klo[b]
-		switch {
-		case ka < kb:
-			return -1
-		case ka > kb:
-			return 1
-		}
-		return 0
-	})
-}
-
 // BatchPointsParallel is BatchPoints fanned across a bounded worker
 // pool: the batch is sorted once, split into per-worker contiguous key
 // segments, and each segment swept independently. out is bit-identical
@@ -131,103 +97,6 @@ func (t *errTree) batchPointsParallel(coefs []Coef, xs []int64, out []float64, w
 		sc := batchScratchPool.Get().(*batchScratch)
 		sc.resetArena(n)
 		t.sweepPoints(sc, coefs, xs, seg)
-		sc.finishFlat(seg, out)
-		batchScratchPool.Put(sc)
-	})
-	batchScratchPool.Put(psc)
-}
-
-// BatchRangesParallel is BatchRanges fanned across a bounded worker
-// pool. Segmentation is per query (sorted by clamped lo bound) so both
-// of a query's boundary walkers stay on one worker; results are
-// bit-identical to BatchRanges for every worker count.
-func (r *Representation) BatchRangesParallel(los, his []int64, out []float64, workers int) {
-	if len(his) != len(los) || len(out) != len(los) {
-		panic("wavelet: BatchRangesParallel slice length mismatch")
-	}
-	workers = resolveWorkers(workers, len(los))
-	if r.tree == nil || workers <= 1 {
-		r.BatchRanges(los, his, out)
-		return
-	}
-	r.tree.batchRangesParallel(r.Coefs, los, his, out, workers)
-}
-
-func (t *errTree) batchRangesParallel(coefs []Coef, los, his []int64, out []float64, workers int) {
-	n := len(los)
-	psc := batchScratchPool.Get().(*batchScratch)
-	qis := clampRangeQueries(psc, t.u, los, his, out)
-	packed := t.u <= 1<<31
-	sortActiveByLo(psc, qis, psc.klo, packed)
-	klo, khi := psc.klo, psc.khi
-	fanOut(workers, qis, func(seg []int32) {
-		sc := batchScratchPool.Get().(*batchScratch)
-		sc.resetArena(n)
-		word := buildBoundaryWalkers(sc, seg, klo, khi, packed)
-		t.sweepRangeLevels(sc, coefs, seg, word, klo, khi)
-		sc.finishFlat(seg, out)
-		batchScratchPool.Put(sc)
-	})
-	batchScratchPool.Put(psc)
-}
-
-// BatchPointsParallel is the 2D BatchPoints fanned across a bounded
-// worker pool over contiguous (x, y)-sorted segments; bit-identical to
-// the serial path for every worker count.
-func (r *Representation2D) BatchPointsParallel(xs, ys []int64, out []float64, workers int) {
-	if len(ys) != len(xs) || len(out) != len(xs) {
-		panic("wavelet: BatchPointsParallel slice length mismatch")
-	}
-	workers = resolveWorkers(workers, len(xs))
-	if r.tree == nil || workers <= 1 {
-		r.BatchPoints(xs, ys, out)
-		return
-	}
-	r.tree.batchPointsParallel(r.Coefs, xs, ys, out, workers)
-}
-
-func (t *errTree2D) batchPointsParallel(coefs []Coef, xs, ys []int64, out []float64, workers int) {
-	n := len(xs)
-	psc := batchScratchPool.Get().(*batchScratch)
-	qord := t.sortPointQueries2D(psc, xs, ys, out)
-	fanOut(workers, qord, func(seg []int32) {
-		sc := batchScratchPool.Get().(*batchScratch)
-		sc.resetArena(n)
-		t.sweepPoints2D(sc, coefs, xs, ys, seg)
-		sc.finishFlat(seg, out)
-		batchScratchPool.Put(sc)
-	})
-	batchScratchPool.Put(psc)
-}
-
-// BatchRangesParallel is the 2D BatchRanges fanned across a bounded
-// worker pool over x-lo-sorted query segments; bit-identical to the
-// serial path for every worker count.
-func (r *Representation2D) BatchRangesParallel(xlos, xhis, ylos, yhis []int64, out []float64, workers int) {
-	n := len(xlos)
-	if len(xhis) != n || len(ylos) != n || len(yhis) != n || len(out) != n {
-		panic("wavelet: BatchRangesParallel slice length mismatch")
-	}
-	workers = resolveWorkers(workers, n)
-	if r.tree == nil || workers <= 1 {
-		r.BatchRanges(xlos, xhis, ylos, yhis, out)
-		return
-	}
-	r.tree.batchRangesParallel(r.Coefs, xlos, xhis, ylos, yhis, out, workers)
-}
-
-func (t *errTree2D) batchRangesParallel(coefs []Coef, xlos, xhis, ylos, yhis []int64, out []float64, workers int) {
-	n := len(xlos)
-	psc := batchScratchPool.Get().(*batchScratch)
-	qis := t.clampRangeQueries2D(psc, xlos, xhis, ylos, yhis, out)
-	packed := t.u <= 1<<31
-	sortActiveByLo(psc, qis, psc.klo, packed)
-	klo, khi, kylo, kyhi := psc.klo, psc.khi, psc.kylo, psc.kyhi
-	fanOut(workers, qis, func(seg []int32) {
-		sc := batchScratchPool.Get().(*batchScratch)
-		sc.resetArena(n)
-		word := buildBoundaryWalkers(sc, seg, klo, khi, packed)
-		t.sweepRanges2D(sc, coefs, seg, word, klo, khi, kylo, kyhi)
 		sc.finishFlat(seg, out)
 		batchScratchPool.Put(sc)
 	})

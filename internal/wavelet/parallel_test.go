@@ -25,13 +25,13 @@ func randomRep2D(r *zipf.RNG, u int64, k int) *Representation2D {
 	return NewRepresentation2D(u, coefs)
 }
 
-// workerGrid is the worker counts every parallel equivalence property
+// workerGrid is the worker counts the parallel equivalence property
 // runs at: serial, small fan-outs that leave segment boundaries inside
 // duplicate runs, and more workers than most batches have queries.
 var workerGrid = []int{1, 2, 3, 8}
 
-// TestBatchPointsParallelMatchesScalar is the parallel half of the
-// tentpole equivalence property: for every worker count, a batch of
+// TestBatchPointsParallelMatchesScalar pins the one surviving parallel
+// executor (measured-only, see parallel.go): for every worker count, a batch of
 // duplicated / unsorted / partly out-of-domain keys must answer
 // bit-identically to both the serial vectorized walk and the scalar
 // oracle.
@@ -80,55 +80,6 @@ func TestBatchPointsParallelMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestBatchRangesParallelMatchesScalar covers per-query segmentation of
-// the two-walker range sweep: both walkers of a query must travel
-// together, for every worker count, under clamped / inverted / empty
-// bounds.
-func TestBatchRangesParallelMatchesScalar(t *testing.T) {
-	r := zipf.NewRNG(32)
-	for _, u := range []int64{1, 2, 64, 1 << 12, 1 << 20} {
-		for _, k := range []int{0, 1, 64, 512} {
-			rep := randomRep(r, u, k)
-			n := 300
-			los := make([]int64, n)
-			his := make([]int64, n)
-			for i := 0; i < n; i++ {
-				switch {
-				case i < 8:
-					edge := [][2]int64{
-						{0, u - 1}, {0, 0}, {u - 1, u - 1}, {5, 2},
-						{-100, u + 50}, {-10, -5}, {u, u + 100},
-						{math.MinInt64, math.MaxInt64},
-					}[i]
-					los[i], his[i] = edge[0], edge[1]
-				case r.Bernoulli(0.3):
-					lo := r.Int63n(u)
-					los[i], his[i] = lo, lo+r.Int63n(4)
-				default:
-					los[i] = r.Int63n(3*u) - u
-					his[i] = r.Int63n(3*u) - u
-				}
-			}
-			serial := make([]float64, n)
-			rep.BatchRanges(los, his, serial)
-			out := make([]float64, n)
-			for _, w := range workerGrid {
-				rep.BatchRangesParallel(los, his, out, w)
-				for i := range los {
-					if !bitEq(out[i], serial[i]) {
-						t.Fatalf("u=%d k=%d w=%d: parallel[%d] (%d,%d) = %x, serial %x",
-							u, k, w, i, los[i], his[i], math.Float64bits(out[i]), math.Float64bits(serial[i]))
-					}
-					if want := rep.RangeSum(los[i], his[i]); !bitEq(out[i], want) {
-						t.Fatalf("u=%d k=%d w=%d: parallel[%d] (%d,%d) = %x, scalar %x",
-							u, k, w, i, los[i], his[i], math.Float64bits(out[i]), math.Float64bits(want))
-					}
-				}
-			}
-		}
-	}
-}
-
 // TestBatch2DRangeSumMatchesScan pins the new scalar 2D range engine:
 // the tensor-candidate walk must reproduce the O(k) scan bit for bit,
 // including clamped, inverted, single-cell, and full-grid rectangles.
@@ -167,8 +118,8 @@ func TestBatch2DRangeSumMatchesScan(t *testing.T) {
 }
 
 // TestBatch2DRangesMatchesScalar covers the vectorized 2D range sweep
-// (x-axis walkers over the row table, y candidates per matched row) and
-// its parallel fan-out against the scalar engine.
+// (x-axis walkers over the row table, y candidates per matched row)
+// against the scalar engine.
 func TestBatch2DRangesMatchesScalar(t *testing.T) {
 	r := zipf.NewRNG(34)
 	for _, u := range []int64{1, 2, 16, 256, 1 << 10} {
@@ -198,72 +149,6 @@ func TestBatch2DRangesMatchesScalar(t *testing.T) {
 					t.Fatalf("u=%d k=%d: BatchRanges[%d] = %x, scalar %x",
 						u, k, i, math.Float64bits(out[i]), math.Float64bits(want))
 				}
-			}
-			par := make([]float64, n)
-			for _, w := range workerGrid {
-				rep.BatchRangesParallel(xlos, xhis, ylos, yhis, par, w)
-				for i := range xlos {
-					if !bitEq(par[i], out[i]) {
-						t.Fatalf("u=%d k=%d w=%d: parallel 2D BatchRanges[%d] = %x, serial %x",
-							u, k, w, i, math.Float64bits(par[i]), math.Float64bits(out[i]))
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestBatchPoints2DParallelMatchesSerial covers segment boundaries that
-// split shared-x runs: every worker count must reproduce the serial 2D
-// point sweep bit for bit.
-func TestBatchPoints2DParallelMatchesSerial(t *testing.T) {
-	r := zipf.NewRNG(35)
-	for _, u := range []int64{1, 16, 256, 1 << 10} {
-		rep := randomRep2D(r, u, 200)
-		n := 500
-		xs := make([]int64, n)
-		ys := make([]int64, n)
-		for i := 0; i < n; i++ {
-			xs[i] = r.Int63n(3*u) - u
-			ys[i] = r.Int63n(3*u) - u
-			if i > 0 && r.Bernoulli(0.4) {
-				xs[i] = xs[r.Int63n(int64(i))] // long shared-x runs
-			}
-		}
-		serial := make([]float64, n)
-		rep.BatchPoints(xs, ys, serial)
-		out := make([]float64, n)
-		for _, w := range workerGrid {
-			rep.BatchPointsParallel(xs, ys, out, w)
-			for i := range xs {
-				if !bitEq(out[i], serial[i]) {
-					t.Fatalf("u=%d w=%d: parallel 2D BatchPoints[%d] = %x, serial %x",
-						u, w, i, math.Float64bits(out[i]), math.Float64bits(serial[i]))
-				}
-			}
-		}
-	}
-}
-
-// TestBatchPointsLinkedArenaMatches pins the benchmark baseline: the
-// retained linked-list finisher must still agree with the flat arena.
-func TestBatchPointsLinkedArenaMatches(t *testing.T) {
-	r := zipf.NewRNG(36)
-	for _, u := range []int64{1, 64, 1 << 16} {
-		rep := randomRep(r, u, 512)
-		n := 300
-		xs := make([]int64, n)
-		for i := range xs {
-			xs[i] = r.Int63n(3*u) - u
-		}
-		flat := make([]float64, n)
-		linked := make([]float64, n)
-		rep.BatchPoints(xs, flat)
-		rep.BatchPointsLinkedArena(xs, linked)
-		for i := range xs {
-			if !bitEq(flat[i], linked[i]) {
-				t.Fatalf("u=%d: linked arena [%d] = %x, flat %x",
-					u, i, math.Float64bits(linked[i]), math.Float64bits(flat[i]))
 			}
 		}
 	}
@@ -381,22 +266,5 @@ func BenchmarkBatchPointsParallel(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rep.BatchPointsParallel(xs, out, 0)
-	}
-}
-
-func BenchmarkBatchPointsLinkedArena(b *testing.B) {
-	rep := benchRep(b, 1<<20, 2048)
-	r := zipf.NewRNG(41)
-	n := 4096
-	xs := make([]int64, n)
-	for i := range xs {
-		xs[i] = r.Int63n(1 << 20)
-	}
-	out := make([]float64, n)
-	rep.BatchPointsLinkedArena(xs, out)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rep.BatchPointsLinkedArena(xs, out)
 	}
 }

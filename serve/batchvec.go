@@ -15,19 +15,14 @@ import (
 // and malformed queries are validated (with the scalar path's exact
 // error strings) before anything reaches an executor. Scratch lives in
 // a pool so the steady state stays allocation-free on the handler's
-// reused slices. Classes that gather parBatchMin or more queries
-// additionally fan across the wavelet layer's parallel segment
-// executors (bit-identical by construction).
+// reused slices.
 
-// vecBatchMin is the default dispatch threshold: below it, per-query
-// sort and sweep setup costs more than the scalar walks it saves.
-// Config.VecBatchMin overrides it per server.
+// vecBatchMin is the dispatch threshold: below it, per-query sort and
+// sweep setup costs more than the scalar walks it saves. Chosen by the
+// benchmark's rows, not a knob: at n=16 the shared walk costs 414 ns per
+// query (wavelet.batch_points_ns_per_q.n16) against 540 ns for a scalar
+// walk (wavelet.point_ns), and the gap only widens above.
 const vecBatchMin = 16
-
-// parBatchMin is the per-class size at which the vectorized executors
-// fan out across the parallel worker pool: below it, goroutine
-// scheduling costs more than the sweep it splits.
-const parBatchMin = 1024
 
 type vecScratch struct {
 	keys  []int64 // 1D point keys
@@ -59,9 +54,8 @@ func (sc *vecScratch) ensureOut(n int) []float64 {
 // batchVectorized is Batch's body for large batches. Phase 1 validates
 // every query — reusing the scalar helpers so error strings match bit
 // for bit — and gathers the valid ones per op class; phase 2 runs one
-// shared-walk executor per class (parallel once the class reaches
-// parBatchMin, unless workers pins it to 1) and scatters results.
-func (e *Entry) batchVectorized(queries []BatchQuery, results []BatchResult, workers int) {
+// shared-walk executor per class and scatters results.
+func (e *Entry) batchVectorized(queries []BatchQuery, results []BatchResult) {
 	sc := vecScratchPool.Get().(*vecScratch)
 	keys, kidx := sc.keys[:0], sc.kidx[:0]
 	rlo, rhi, ridx := sc.rlo[:0], sc.rhi[:0], sc.ridx[:0]
@@ -110,49 +104,30 @@ func (e *Entry) batchVectorized(queries []BatchQuery, results []BatchResult, wor
 			results[i] = BatchResult{Error: fmt.Sprintf("unknown op %q (want point or range)", q.Op)}
 		}
 	}
-	// parallelOK gates each class on size: the segment executors are
-	// bit-identical at any worker count, so this is purely a cost call.
-	parallelOK := func(n int) bool { return workers != 1 && n >= parBatchMin }
 	if len(keys) > 0 {
 		out := sc.ensureOut(len(keys))
-		if parallelOK(len(keys)) {
-			e.H.BatchPointsParallel(keys, out, workers)
-		} else {
-			e.H.BatchPoints(keys, out)
-		}
+		e.H.BatchPoints(keys, out)
 		for m, i := range kidx {
 			results[i] = BatchResult{Estimate: out[m]}
 		}
 	}
 	if len(rlo) > 0 {
 		out := sc.ensureOut(len(rlo))
-		if parallelOK(len(rlo)) {
-			e.H.BatchRangesParallel(rlo, rhi, out, workers)
-		} else {
-			e.H.BatchRanges(rlo, rhi, out)
-		}
+		e.H.BatchRanges(rlo, rhi, out)
 		for m, i := range ridx {
 			results[i] = BatchResult{Estimate: out[m]}
 		}
 	}
 	if len(x2) > 0 {
 		out := sc.ensureOut(len(x2))
-		if parallelOK(len(x2)) {
-			e.H2D.BatchPointsParallel(x2, y2, out, workers)
-		} else {
-			e.H2D.BatchPoints(x2, y2, out)
-		}
+		e.H2D.BatchPoints(x2, y2, out)
 		for m, i := range gidx {
 			results[i] = BatchResult{Estimate: out[m]}
 		}
 	}
 	if len(rx2lo) > 0 {
 		out := sc.ensureOut(len(rx2lo))
-		if parallelOK(len(rx2lo)) {
-			e.H2D.BatchRangesParallel(rx2lo, rx2hi, ry2lo, ry2hi, out, workers)
-		} else {
-			e.H2D.BatchRanges(rx2lo, rx2hi, ry2lo, ry2hi, out)
-		}
+		e.H2D.BatchRanges(rx2lo, rx2hi, ry2lo, ry2hi, out)
 		for m, i := range r2idx {
 			results[i] = BatchResult{Estimate: out[m]}
 		}

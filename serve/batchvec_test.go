@@ -47,6 +47,24 @@ func requireBatchEq(t *testing.T, e *Entry, queries []BatchQuery) {
 	}
 }
 
+// batchSizes are the batch sizes the dispatch-equivalence tests run at: a
+// few hundred (what the routed workloads send) and the sizes around 1024
+// and at 4096 where a parallel fan-out once took over, so the whole range
+// a client can send stays pinned to the scalar loop. batchMixes cross
+// them with query-class mixes — classes 0, 2 and 4 are point queries, 1
+// and 3 ranges — so each executor also sees those sizes alone.
+var (
+	batchSizes = []int{300, 1023, 1024, 1025, 4096}
+	batchMixes = []struct {
+		name    string
+		classes []int
+	}{
+		{"all", []int{0, 1, 2, 3, 4}},
+		{"points", []int{0, 2, 4}},
+		{"ranges", []int{1, 3}},
+	}
+)
+
 // TestBatchVectorizedMatchesScalar pins the serve-layer dispatch contract:
 // above the vecBatchMin threshold, Entry.Batch routes through the
 // shared-walk executors and every result — estimate or error string —
@@ -64,23 +82,32 @@ func TestBatchVectorizedMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 
 	t.Run("mixed", func(t *testing.T) {
-		queries := make([]BatchQuery, 300)
-		for i := range queries {
-			switch i % 5 {
+		mk := func(class, i int) BatchQuery {
+			switch class {
 			case 0:
-				queries[i] = BatchQuery{Op: "point", Key: rng.Int63n(dom)}
+				return BatchQuery{Op: "point", Key: rng.Int63n(dom)}
 			case 1:
 				lo := rng.Int63n(dom)
-				queries[i] = BatchQuery{Op: "range", Lo: lo, Hi: lo + rng.Int63n(2000)}
+				return BatchQuery{Op: "range", Lo: lo, Hi: lo + rng.Int63n(2000)}
 			case 2: // duplicates and boundary keys
-				queries[i] = BatchQuery{Op: "point", Key: []int64{0, dom - 1, 42, 42}[i%4]}
+				return BatchQuery{Op: "point", Key: []int64{0, dom - 1, 42, 42}[i%4]}
 			case 3: // degenerate / clamped ranges
-				queries[i] = BatchQuery{Op: "range", Lo: int64(10 - i), Hi: int64(3 - i%7)}
+				return BatchQuery{Op: "range", Lo: int64(10 - i), Hi: int64(3 - i%7)}
 			default:
-				queries[i] = BatchQuery{Op: "point", Key: rng.Int63n(3*dom) - dom} // often off-domain
+				return BatchQuery{Op: "point", Key: rng.Int63n(3*dom) - dom} // often off-domain
 			}
 		}
-		requireBatchEq(t, e, queries)
+		for _, mix := range batchMixes {
+			for _, n := range batchSizes {
+				t.Run(fmt.Sprintf("%s/n=%d", mix.name, n), func(t *testing.T) {
+					queries := make([]BatchQuery, n)
+					for i := range queries {
+						queries[i] = mk(mix.classes[i%len(mix.classes)], i)
+					}
+					requireBatchEq(t, e, queries)
+				})
+			}
+		}
 	})
 
 	t.Run("errors", func(t *testing.T) {
@@ -117,32 +144,43 @@ func TestBatchVectorizedMatchesScalar2D(t *testing.T) {
 	}
 	s := h.Side()
 	rng := rand.New(rand.NewSource(13))
-	queries := make([]BatchQuery, 200)
-	for i := range queries {
-		switch i % 4 {
+	mk := func(class, i int) BatchQuery {
+		switch class {
 		case 0:
-			queries[i] = BatchQuery{Op: "point", X: rng.Int63n(s), Y: rng.Int63n(s)}
-		case 1: // shared-x runs and exact duplicates
-			queries[i] = BatchQuery{Op: "point", X: 7, Y: int64(i % 5)}
-		case 2: // off-grid
-			queries[i] = BatchQuery{Op: "point", X: rng.Int63n(2*s) - s/2, Y: rng.Int63n(2*s) - s/2}
-		default: // rectangles, incl. inverted / clamped bounds
-			queries[i] = BatchQuery{
+			return BatchQuery{Op: "point", X: rng.Int63n(s), Y: rng.Int63n(s)}
+		case 1: // rectangles, incl. inverted / clamped bounds
+			return BatchQuery{
 				Op:  "range",
 				XLo: rng.Int63n(2*s) - s/2, XHi: rng.Int63n(2*s) - s/2,
 				YLo: int64(5 - i%9), YHi: rng.Int63n(s),
 			}
+		case 2: // shared-x runs and exact duplicates
+			return BatchQuery{Op: "point", X: 7, Y: int64(i % 5)}
+		case 3: // narrow rectangles, many of them identical
+			x, y := int64(i%11), int64(i%3)
+			return BatchQuery{Op: "range", XLo: x, XHi: x + 2, YLo: y, YHi: y + 1}
+		default: // off-grid
+			return BatchQuery{Op: "point", X: rng.Int63n(2*s) - s/2, Y: rng.Int63n(2*s) - s/2}
 		}
 	}
-	requireBatchEq(t, e, queries)
+	for _, mix := range batchMixes {
+		for _, n := range batchSizes {
+			t.Run(fmt.Sprintf("%s/n=%d", mix.name, n), func(t *testing.T) {
+				queries := make([]BatchQuery, n)
+				for i := range queries {
+					queries[i] = mk(mix.classes[i%len(mix.classes)], i)
+				}
+				requireBatchEq(t, e, queries)
+			})
+		}
+	}
 }
 
 // TestConcurrentVectorBatchUnderUpdateLoad is the vectorized-path race
 // smoke CI runs with -race: querier goroutines drive large (vectorized)
-// batches straight through Entry.Batch and the registry's striped
-// snapshot reads while a writer republishes patched histograms, so the
-// detector sees the pooled scratch, the per-core snapshot slots, and
-// snapshot swaps all interleaving.
+// batches straight through Entry.Batch and the registry's snapshot
+// reads while a writer republishes patched histograms, so the detector
+// sees the pooled scratch and snapshot swaps interleaving.
 func TestConcurrentVectorBatchUnderUpdateLoad(t *testing.T) {
 	r := NewRegistry()
 	base := buildHist(t, 100000, 1<<12, 128, 17)
@@ -204,53 +242,33 @@ func TestConcurrentVectorBatchUnderUpdateLoad(t *testing.T) {
 	}
 }
 
-// TestRegistryStripesConsistency pins the striping contracts: a writer
-// reads its own publish immediately afterwards (all stripes refreshed
-// before Publish returns), every stripe count is usable, and the n<=1
-// constructor degrades to the single-pointer registry.
-func TestRegistryStripesConsistency(t *testing.T) {
-	for _, stripes := range []int{0, 1, 2, 3, 8} {
-		t.Run(fmt.Sprintf("stripes=%d", stripes), func(t *testing.T) {
-			r := NewRegistryStripes(stripes)
-			if stripes <= 1 && r.stripes != nil {
-				t.Fatal("n<=1 should select single-pointer mode")
-			}
-			if stripes > 1 && len(r.stripes)&(len(r.stripes)-1) != 0 {
-				t.Fatalf("stripe count %d is not a power of two", len(r.stripes))
-			}
-			h := buildHist(t, 20000, 1<<10, 16, 19)
-			for v := 1; v <= 5; v++ {
-				if _, err := r.Publish("a", h); err != nil {
-					t.Fatal(err)
-				}
-				// Read-your-writes through every surface.
-				if got := r.Snapshot().Version(); got != uint64(v) {
-					t.Fatalf("Snapshot after publish %d reads version %d", v, got)
-				}
-				if got := r.Version(); got != uint64(v) {
-					t.Fatalf("Version after publish %d = %d", v, got)
-				}
-				if _, ok := r.Lookup("a"); !ok {
-					t.Fatal("Lookup missed own publish")
-				}
-				// Every stripe slot carries the fresh snapshot.
-				for i := range r.stripes {
-					if sv := r.stripes[i].p.Load().Version(); sv != uint64(v) {
-						t.Fatalf("stripe %d at version %d after publish %d", i, sv, v)
-					}
-				}
-			}
-			if !r.Drop("a") {
-				t.Fatal("drop failed")
-			}
-			if _, ok := r.Lookup("a"); ok {
-				t.Fatal("Lookup sees dropped entry")
-			}
-			for i := range r.stripes {
-				if _, ok := r.stripes[i].p.Load().Lookup("a"); ok {
-					t.Fatalf("stripe %d still sees dropped entry", i)
-				}
-			}
-		})
+// TestRegistryReadYourWrites pins the registry's single-pointer contract:
+// a writer reads its own publish or drop immediately afterwards through
+// every read surface, and the version advances by exactly one per write.
+func TestRegistryReadYourWrites(t *testing.T) {
+	r := NewRegistry()
+	h := buildHist(t, 20000, 1<<10, 16, 19)
+	for v := 1; v <= 5; v++ {
+		if _, err := r.Publish("a", h); err != nil {
+			t.Fatal(err)
+		}
+		if got := r.Snapshot().Version(); got != uint64(v) {
+			t.Fatalf("Snapshot after publish %d reads version %d", v, got)
+		}
+		if got := r.Version(); got != uint64(v) {
+			t.Fatalf("Version after publish %d = %d", v, got)
+		}
+		if e, ok := r.Lookup("a"); !ok || e.Version != uint64(v) {
+			t.Fatalf("Lookup after publish %d = %+v, %v", v, e, ok)
+		}
+	}
+	if !r.Drop("a") {
+		t.Fatal("drop failed")
+	}
+	if _, ok := r.Lookup("a"); ok {
+		t.Fatal("Lookup sees dropped entry")
+	}
+	if got := r.Version(); got != 6 {
+		t.Fatalf("Version after drop = %d, want 6", got)
 	}
 }

@@ -1,8 +1,10 @@
 package serve
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"log"
 	"net/http"
@@ -249,6 +251,76 @@ func TestSlowQuerySinkJSONL(t *testing.T) {
 	getJSON(t, srv2.URL+"/v1/hist/x/point?key=3", http.StatusOK)
 	if s2.slowLog != nil {
 		t.Fatal("sink constructed without SlowQueryDir")
+	}
+}
+
+// TestSlowLogCoalescedField: slow batch records carry the router's
+// coalesced count — present when the X-Wavehist-Coalesced header marked
+// the batch as merged, omitted from the JSON otherwise.
+func TestSlowLogCoalescedField(t *testing.T) {
+	dir := t.TempDir()
+	s, ts := newTestServer(t, Config{
+		SlowQueryThreshold: time.Nanosecond, // everything is slow
+		SlowQueryDir:       dir,
+	})
+	h := buildHist(t, 20000, 1<<10, 30, 41)
+	if _, err := s.Registry().Publish("p", h); err != nil {
+		t.Fatal(err)
+	}
+	var queries []string
+	for i := 0; i < 20; i++ {
+		queries = append(queries, fmt.Sprintf(`{"op":"point","key":%d}`, i))
+	}
+	body := `{"queries":[` + strings.Join(queries, ",") + `]}`
+	post := func(coalesced string) {
+		req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/hist/p/query", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Content-Type", "application/json")
+		if coalesced != "" {
+			req.Header.Set("X-Wavehist-Coalesced", coalesced)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("batch POST = %d", resp.StatusCode)
+		}
+	}
+	post("")
+	post("17")
+	s.Close() // flush and close the sink
+
+	f, err := os.Open(filepath.Join(dir, "slow-queries.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var recs []map[string]any
+	scan := bufio.NewScanner(f)
+	for scan.Scan() {
+		var m map[string]any
+		if err := json.Unmarshal(scan.Bytes(), &m); err != nil {
+			t.Fatalf("bad JSONL line %q: %v", scan.Text(), err)
+		}
+		if m["op"] == "batch" {
+			recs = append(recs, m)
+		}
+	}
+	if len(recs) != 2 {
+		t.Fatalf("got %d batch records, want 2", len(recs))
+	}
+	if _, present := recs[0]["coalesced"]; present {
+		t.Fatalf("direct batch record has coalesced field: %v", recs[0])
+	}
+	if recs[1]["coalesced"].(float64) != 17 {
+		t.Fatalf("coalesced batch record: %v", recs[1])
+	}
+	if recs[0]["batch"].(float64) != 20 || recs[1]["batch"].(float64) != 20 {
+		t.Fatalf("batch sizes: %v / %v", recs[0], recs[1])
 	}
 }
 

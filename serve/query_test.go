@@ -106,6 +106,31 @@ func TestRangeClampContract(t *testing.T) {
 	}
 }
 
+// TestRange2DEndpoint: GET /v1/hist/{name}/range on a 2D entry takes
+// xlo/xhi/ylo/yhi, echoes them, and returns RangeCount; missing
+// parameters and 1D-style lo/hi are a 400.
+func TestRange2DEndpoint(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	h := buildHist2D(t, 64, 128, 37)
+	e, err := s.Registry().Publish2D("grid", h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rg := getJSON(t, ts.URL+"/v1/hist/grid/range?xlo=3&xhi=40&ylo=0&yhi=63", http.StatusOK)
+	if rg["xlo"].(float64) != 3 || rg["xhi"].(float64) != 40 ||
+		rg["ylo"].(float64) != 0 || rg["yhi"].(float64) != 63 {
+		t.Fatalf("2D range response: %v", rg)
+	}
+	if uint64(rg["version"].(float64)) != e.Version {
+		t.Fatalf("version %v, want %d", rg["version"], e.Version)
+	}
+	if rg["estimate"].(float64) != h.RangeCount(3, 40, 0, 63) {
+		t.Fatalf("estimate %v, want %v", rg["estimate"], h.RangeCount(3, 40, 0, 63))
+	}
+	getJSON(t, ts.URL+"/v1/hist/grid/range?lo=1&hi=5", http.StatusBadRequest)
+	getJSON(t, ts.URL+"/v1/hist/grid/range?xlo=1&xhi=5&ylo=2", http.StatusBadRequest)
+}
+
 // TestConcurrentQueriesUnderUpdateLoad is the query-plane race smoke CI
 // promotes to a dedicated step: many goroutines hammer point/range/batch
 // queries (exercising the shared error-tree index of each published

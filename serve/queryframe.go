@@ -67,7 +67,7 @@ func (s *Server) handleQueryFrame(w http.ResponseWriter, r *http.Request) {
 			fb.out = append(fb.out, dist.ResultGroup{Status: http.StatusBadRequest, Error: msg})
 			continue
 		}
-		e.batch(g.Queries, res, s.cfg.tuning())
+		e.Batch(g.Queries, res)
 		fb.out = append(fb.out, dist.ResultGroup{Status: http.StatusOK, Version: e.Version, Results: res})
 		s.slowQuery("batch", e.Name, n, g.Coalesced, time.Since(t0))
 	}

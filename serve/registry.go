@@ -15,13 +15,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
-	"unsafe"
 
 	"wavelethist"
 	"wavelethist/dist"
@@ -105,45 +103,23 @@ type (
 	BatchResult = dist.QueryResult
 )
 
-// batchTuning selects a batch execution strategy. The zero-config
-// defaultTuning matches the historical behaviour: vectorize at
-// vecBatchMin queries and size the parallel pool automatically.
-type batchTuning struct {
-	// vecMin is the batch size at which the vectorized shared-walk
-	// executor takes over from the scalar loop; negative disables
-	// vectorization entirely (scalar-only, for baselining).
-	vecMin int
-	// workers bounds the parallel executor's pool once a gathered query
-	// class reaches parBatchMin: 0 = automatic (GOMAXPROCS-capped),
-	// 1 = always serial vectorized.
-	workers int
-}
-
-var defaultTuning = batchTuning{vecMin: vecBatchMin}
-
 // Batch answers queries[i] into results[i] (the slices must have equal
 // length), recording one Batch stat for the whole call. Every sub-query
 // resolves against this entry's immutable histogram snapshot, off its
 // shared error-tree index. Batches of vecBatchMin or more dispatch to
 // the vectorized shared-walk executor (batchvec.go) — one sorted sweep
 // per tree level instead of one walk per query, bit-identical results —
-// and smaller ones run the scalar loop; gathered classes of parBatchMin
-// or more additionally fan across the parallel segment executors.
-// Either way the steady state (well-formed queries) performs no
-// allocations, so callers that reuse their slices — the HTTP batch
-// handler's pooled buffers, benchmark loops — serve batches
-// allocation-free.
+// and smaller ones run the scalar loop. Either way the steady state
+// (well-formed queries) performs no allocations, so callers that reuse
+// their slices — the HTTP batch handler's pooled buffers, benchmark
+// loops — serve batches allocation-free.
 func (e *Entry) Batch(queries []BatchQuery, results []BatchResult) {
-	e.batch(queries, results, defaultTuning)
-}
-
-func (e *Entry) batch(queries []BatchQuery, results []BatchResult, tn batchTuning) {
 	if len(results) != len(queries) {
 		panic("serve: Batch slice length mismatch")
 	}
 	t0 := time.Now()
-	if tn.vecMin >= 0 && len(queries) >= tn.vecMin {
-		e.batchVectorized(queries, results, tn.workers)
+	if len(queries) >= vecBatchMin {
+		e.batchVectorized(queries, results)
 	} else {
 		e.batchScalar(queries, results)
 	}
@@ -275,16 +251,6 @@ func (s *Snapshot) EntriesSince(since uint64) []*Entry {
 // lock-free; writes (Publish, Drop) serialize on an internal mutex,
 // copy the entry map, and swap in the new snapshot atomically.
 //
-// Snapshot reads are striped: instead of every query goroutine loading
-// one shared atomic pointer — a single cache line bouncing between all
-// cores under load — the current snapshot is mirrored into GOMAXPROCS
-// padded slots, and each reader picks a slot from a cheap per-goroutine
-// hash. Writers refresh every slot (after the authoritative pointer)
-// before returning, so a publisher still reads its own write; a
-// concurrent reader can observe the previous snapshot only during the
-// same window in which it could have loaded the old pointer anyway, and
-// each slot moves strictly forward because writers are serialized.
-//
 // With a snapshot directory, every publish persists the histogram
 // through the binary wire format (atomic tmp+rename), and OpenRegistry
 // reloads the directory at startup — a restart serves the same summaries
@@ -292,58 +258,14 @@ func (s *Snapshot) EntriesSince(since uint64) []*Entry {
 type Registry struct {
 	mu   sync.Mutex // serializes writers
 	snap atomic.Pointer[Snapshot]
-	// stripes are the padded per-core read slots; nil = single-pointer
-	// mode (reads fall back to snap). Length is a power of two.
-	stripes []snapSlot
-	dir     string // "" = in-memory only
+	dir  string // "" = in-memory only
 }
 
-// snapSlot is one padded snapshot mirror: the pointer plus enough
-// padding that adjacent slots never share a cache line (128 bytes covers
-// the adjacent-line prefetcher on current x86 parts too).
-type snapSlot struct {
-	p atomic.Pointer[Snapshot]
-	_ [120]byte
-}
-
-// NewRegistry returns an empty in-memory registry with one read stripe
-// per core.
+// NewRegistry returns an empty in-memory registry.
 func NewRegistry() *Registry {
-	return NewRegistryStripes(runtime.GOMAXPROCS(0))
-}
-
-// NewRegistryStripes returns an empty in-memory registry with the given
-// number of read stripes (rounded up to a power of two). n <= 1 selects
-// single-pointer mode — every reader loads the one authoritative
-// pointer — which exists so benchmarks can measure what the striping
-// buys; serving callers should use NewRegistry.
-func NewRegistryStripes(n int) *Registry {
 	r := &Registry{}
-	empty := &Snapshot{entries: map[string]*Entry{}}
-	r.snap.Store(empty)
-	if n > 1 {
-		size := 1
-		for size < n {
-			size <<= 1
-		}
-		r.stripes = make([]snapSlot, size)
-		for i := range r.stripes {
-			r.stripes[i].p.Store(empty)
-		}
-	}
+	r.snap.Store(&Snapshot{entries: map[string]*Entry{}})
 	return r
-}
-
-// stripeIdx spreads readers across the stripe slots using the address of
-// a stack local: goroutine stacks are distinct allocations, so the mixed
-// high bits of a frame address approximate a per-goroutine (≈ per-core)
-// id without any shared state. Any distribution is correct — a collision
-// only costs sharing a slot's cache line.
-func stripeIdx(mask uintptr) uintptr {
-	var b byte
-	h := uintptr(unsafe.Pointer(&b))
-	h ^= h >> 16
-	return (h >> 6) & mask
 }
 
 // OpenRegistry returns a registry persisted under dir, loading every
@@ -425,34 +347,16 @@ func ValidName(name string) error {
 	return nil
 }
 
-// Snapshot returns the current immutable view. One atomic load from a
-// per-core stripe; never blocks, even mid-publish.
-func (r *Registry) Snapshot() *Snapshot {
-	if r.stripes == nil {
-		return r.snap.Load()
-	}
-	return r.stripes[stripeIdx(uintptr(len(r.stripes)-1))].p.Load()
-}
+// Snapshot returns the current immutable view. One atomic load; never
+// blocks, even mid-publish.
+func (r *Registry) Snapshot() *Snapshot { return r.snap.Load() }
 
-// Version returns the current registry version. Writers and replication
-// read the authoritative pointer, not a stripe, so version checks are
-// never behind a concurrent publish that already returned.
+// Version returns the current registry version.
 func (r *Registry) Version() uint64 { return r.snap.Load().version }
 
 // Lookup returns the current entry for name.
 func (r *Registry) Lookup(name string) (*Entry, bool) {
-	return r.Snapshot().Lookup(name)
-}
-
-// install makes next the current snapshot: the authoritative pointer
-// first (writers, Version, replication), then every read stripe. Called
-// with r.mu held, so slot values move strictly forward and a writer
-// always reads its own install afterwards.
-func (r *Registry) install(next *Snapshot) {
-	r.snap.Store(next)
-	for i := range r.stripes {
-		r.stripes[i].p.Store(next)
-	}
+	return r.snap.Load().Lookup(name)
 }
 
 // Publish installs (or replaces) the named 1D histogram and returns its
@@ -501,7 +405,7 @@ func (r *Registry) publish(name string, e *Entry) (*Entry, error) {
 	}
 	e.Version = next.version
 	next.entries[name] = e
-	r.install(next)
+	r.snap.Store(next)
 	return e, nil
 }
 
@@ -527,7 +431,7 @@ func (r *Registry) Drop(name string) bool {
 			next.entries[n] = oe
 		}
 	}
-	r.install(next)
+	r.snap.Store(next)
 	return true
 }
 

@@ -14,8 +14,8 @@ import (
 // back every entry published after it (full histogram blobs — summaries
 // are kilobytes, so "log shipping" degenerates to shipping the changed
 // snapshots) plus the complete live name set for drop detection. The
-// endpoint negotiates by Content-Type exactly like the worker wire:
-// binary WDF1 frames in → frames out, JSON in → JSON out.
+// endpoint answers in the encoding it was asked in: binary WDF1 frames
+// in → frames out, JSON in → JSON out.
 //
 // A server started read-only (Config.ReadOnly, the -replica-of mode)
 // rejects every mutating endpoint with 403 until POST /v1/promote flips

@@ -78,17 +78,6 @@ type Config struct {
 	// the same pattern as the build tracer's trace dir. Empty disables
 	// the structured sink; the log line and counter are unaffected.
 	SlowQueryDir string
-	// VecBatchMin overrides the batch size at which POST /v1/hist/{name}/
-	// query switches from the scalar per-query loop to the vectorized
-	// shared-walk executors. 0 = default (16); negative disables
-	// vectorization entirely (scalar-only, for baselining). Results are
-	// bit-identical either way — this knob only trades setup cost against
-	// shared-walk savings.
-	VecBatchMin int
-	// BatchWorkers bounds the parallel batch executors' worker pool once
-	// a gathered query class reaches the parallel threshold. 0 = automatic
-	// (GOMAXPROCS-capped); 1 pins batches to the serial vectorized sweep.
-	BatchWorkers int
 }
 
 func (c Config) withDefaults() Config {
@@ -116,20 +105,7 @@ func (c Config) withDefaults() Config {
 	if c.MaxPendingPerWorker == 0 {
 		c.MaxPendingPerWorker = 64
 	}
-	if c.VecBatchMin == 0 {
-		c.VecBatchMin = vecBatchMin
-	}
 	return c
-}
-
-// tuning resolves the batch-execution knobs into the form Entry.batch
-// consumes (vecMin < 0 = scalar-only).
-func (c Config) tuning() batchTuning {
-	tn := batchTuning{vecMin: c.VecBatchMin, workers: c.BatchWorkers}
-	if tn.vecMin < 0 {
-		tn.vecMin = -1
-	}
-	return tn
 }
 
 // maintained pairs a published name with its live maintainer. The
@@ -537,7 +513,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// allocations for the whole batch — the amortization the endpoint
 	// exists for. Every sub-query resolves off the entry's shared
 	// error-tree index.
-	e.batch(bb.Req.Queries, bb.Resp.Results, s.cfg.tuning())
+	e.Batch(bb.Req.Queries, bb.Resp.Results)
 	bb.Resp.Name = e.Name
 	bb.Resp.Version = e.Version
 	writeJSON(w, http.StatusOK, &bb.Resp)

@@ -185,20 +185,6 @@ func (h *Histogram2D) BatchRanges(xlos, xhis, ylos, yhis []int64, out []float64)
 	h.rep.BatchRanges(xlos, xhis, ylos, yhis, out)
 }
 
-// BatchPointsParallel is BatchPoints fanned across a bounded worker pool
-// over contiguous (x, y)-sorted segments — bit-identical for every
-// worker count. workers <= 0 selects an automatic GOMAXPROCS-bounded
-// pool; workers == 1 runs the serial sweep.
-func (h *Histogram2D) BatchPointsParallel(xs, ys []int64, out []float64, workers int) {
-	h.rep.BatchPointsParallel(xs, ys, out, workers)
-}
-
-// BatchRangesParallel is BatchRanges fanned across a bounded worker pool
-// (see BatchPointsParallel); bit-identical for every worker count.
-func (h *Histogram2D) BatchRangesParallel(xlos, xhis, ylos, yhis []int64, out []float64, workers int) {
-	h.rep.BatchRangesParallel(xlos, xhis, ylos, yhis, out, workers)
-}
-
 // Reconstruct materializes the estimated grid (O(k·u²)).
 func (h *Histogram2D) Reconstruct() [][]float64 { return h.rep.Reconstruct() }
 

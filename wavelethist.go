@@ -160,20 +160,6 @@ func (h *Histogram) BatchPoints(xs []int64, out []float64) { h.rep.BatchPoints(x
 // including the bound-clamp contract. Slice lengths must match.
 func (h *Histogram) BatchRanges(los, his []int64, out []float64) { h.rep.BatchRanges(los, his, out) }
 
-// BatchPointsParallel is BatchPoints fanned across a bounded worker pool
-// over contiguous key segments of the sorted batch — bit-identical for
-// every worker count. workers <= 0 selects GOMAXPROCS capped so each
-// worker keeps a useful segment; workers == 1 runs the serial sweep.
-func (h *Histogram) BatchPointsParallel(xs []int64, out []float64, workers int) {
-	h.rep.BatchPointsParallel(xs, out, workers)
-}
-
-// BatchRangesParallel is BatchRanges fanned across a bounded worker pool
-// (see BatchPointsParallel); bit-identical for every worker count.
-func (h *Histogram) BatchRangesParallel(los, his []int64, out []float64, workers int) {
-	h.rep.BatchRangesParallel(los, his, out, workers)
-}
-
 // Reconstruct materializes the full estimated frequency vector (O(k·u)).
 func (h *Histogram) Reconstruct() []float64 { return h.rep.Reconstruct() }
 
