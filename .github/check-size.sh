@@ -1,0 +1,13 @@
+#!/usr/bin/env bash
+# Fails when the non-test source tree outgrows CEILING lines. The count is
+# ROADMAP's size tracker; the ceiling is the count of the last PR that
+# moved it, so the tree can only shrink without an explicit edit here.
+set -euo pipefail
+cd "$(dirname "${BASH_SOURCE[0]}")/.."
+CEILING=22320
+lines=$(find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path './.bench_build/*' | xargs cat | wc -l)
+echo "non-test source: $lines lines (ceiling $CEILING)"
+if [ "$lines" -gt "$CEILING" ]; then
+  echo "check-size: $((lines - CEILING)) lines over; delete something or raise CEILING in .github/check-size.sh and say why" >&2
+  exit 1
+fi

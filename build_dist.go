@@ -8,9 +8,9 @@ import (
 	"wavelethist/internal/core"
 )
 
-// ErrUnsupportedMethod reports a method that cannot run on the
-// distributed worker fleet; the error text lists the supported methods.
-// Match with errors.Is.
+// ErrUnsupportedMethod reports a method name no build can run — unknown
+// (the error text lists the known ones) or a 1D name given to a 2D build
+// and vice versa. Match with errors.Is.
 var ErrUnsupportedMethod = core.ErrUnsupportedMethod
 
 // distRoundStats aliases the coordinator's per-round profile for the
@@ -27,8 +27,9 @@ type distRoundStats = dist.RoundStats
 // coordinator↔worker RPCs and Result.ModelCommBytes the paper's modeled
 // metric for comparison against simulated builds.
 //
-// All seven methods are supported. The one-round methods fan out once;
-// the three-round H-WTopk runs the full two-sided-TPUT round barrier:
+// All seven methods run through the same plan and coordinator loop. The
+// one-round methods fan out once; the three-round H-WTopk runs the full
+// two-sided-TPUT round barrier:
 // workers hold per-job state leases with the unsent coefficients, the
 // coordinator broadcasts T1/m before round 2 and the candidate set R
 // before round 3, and splits whose worker died mid-protocol are replayed

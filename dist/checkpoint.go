@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"wavelethist/internal/atomicfile"
 	"wavelethist/internal/core"
 )
 
@@ -89,12 +90,7 @@ func saveCheckpoint(dir string, ck *checkpoint) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	path := checkpointPath(dir, ck.Key)
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, encodeCheckpoint(ck), 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
+	return atomicfile.WriteFile(atomicfile.OS, checkpointPath(dir, ck.Key), encodeCheckpoint(ck))
 }
 
 // loadCheckpoint returns the stored checkpoint for a build shape, or nil

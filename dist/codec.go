@@ -357,13 +357,6 @@ func (r *breader) int64s() []int64 {
 	return out
 }
 
-// remaining reports whether undecoded bytes are left — the hook that
-// lets messages grow optional trailing fields (older frames simply end
-// early and the new fields decode as zero).
-func (r *breader) remaining() bool {
-	return r.err == nil && r.off < len(r.b)
-}
-
 func (r *breader) done() error {
 	if r.err != nil {
 		return r.err

@@ -511,156 +511,56 @@ func (c *Coordinator) untrackBuild(jobID string) {
 	c.mu.Unlock()
 }
 
-// Build runs one distributed build and merges the result; it is
-// bit-identical to a single-process run of the same method, params and
-// seed. One-round methods fan out once; multi-round methods (H-WTopk) run
-// the full round barrier with per-job worker state leases. 2D methods go
-// through Build2D.
+// Build runs one distributed 1D build; it is bit-identical to a
+// single-process run of the same method, params and seed.
 func (c *Coordinator) Build(ctx context.Context, spec DatasetSpec, file *hdfs.File, method string, p core.Params) (*core.Output, *BuildStats, error) {
-	if file == nil {
-		return nil, nil, fmt.Errorf("dist: nil file")
+	plan, stats, err := c.runPlan(ctx, spec, file, method, p, 1)
+	if err != nil {
+		return nil, stats, err
 	}
-	if method == core.MethodHWTopk2D || core.OneRound2D(method) {
-		return nil, nil, fmt.Errorf("%w: %s is 2D-only (use Build2D)", ErrUnsupportedMethod, method)
-	}
-	switch core.Rounds(method) {
-	case 0:
-		if _, err := core.ByName(method); err != nil {
-			return nil, nil, err
-		}
-		return nil, nil, core.UnsupportedMethodError(method)
-	case 1:
-		return c.buildOneRound(ctx, spec, file, method, p)
-	default:
-		plan, stats, err := c.runMultiRound(ctx, spec, file, method, p)
-		if err != nil {
-			return nil, stats, err
-		}
-		out, err := plan.Output()
-		if err != nil {
-			return nil, stats, err
-		}
-		return out, stats, nil
-	}
+	out, err := plan.Output()
+	return out, stats, err
 }
 
-// Build2D runs a distributed 2D build: the one-round baselines
-// (Send-V-2D, TwoLevel-S-2D) through the single fan-out + merge path,
-// H-WTopk-2D through the multi-round engine.
+// Build2D is Build for the 2D methods.
 func (c *Coordinator) Build2D(ctx context.Context, spec DatasetSpec, file *hdfs.File, method string, p core.Params) (*core.Output2D, *BuildStats, error) {
+	plan, stats, err := c.runPlan(ctx, spec, file, method, p, 2)
+	if err != nil {
+		return nil, stats, err
+	}
+	out, err := plan.Output2D()
+	return out, stats, err
+}
+
+// runPlan is the one build loop, for every method: fan out round r,
+// reduce it on the coordinator, compute the next round's broadcast,
+// repeat — once for a one-round method, three times for H-WTopk. Splits
+// prefer the worker that served them in the last build of the same shape
+// (its partial cache holds their results, so repeat builds re-ship instead
+// of recomputing) and then stick to the worker that ran them in earlier
+// rounds (it holds their state); splits whose owner died are re-assigned,
+// and the new owner replays the earlier rounds locally. What only a
+// multi-round build has — worker state leases, released on every exit
+// path, and checkpoints at the round barriers — is skipped for one round,
+// so a one-round build is a single fan-out and nothing else.
+func (c *Coordinator) runPlan(ctx context.Context, spec DatasetSpec, file *hdfs.File, method string, p core.Params, dim int) (_ *core.RoundPlan, _ *BuildStats, retErr error) {
 	if file == nil {
 		return nil, nil, fmt.Errorf("dist: nil file")
 	}
-	switch {
-	case core.OneRound2D(method):
-		return c.buildOneRound2D(ctx, spec, file, method, p)
-	case method == core.MethodHWTopk2D:
-		plan, stats, err := c.runMultiRound(ctx, spec, file, method, p)
-		if err != nil {
-			return nil, stats, err
-		}
-		out, err := plan.Output2D()
-		if err != nil {
-			return nil, stats, err
-		}
-		return out, stats, nil
-	default:
-		return nil, nil, fmt.Errorf("%w: %q (2D distributed builds support: %s, %s, %s)",
-			ErrUnsupportedMethod, method, core.MethodSendV2D, core.MethodTwoLevelS2D, core.MethodHWTopk2D)
-	}
-}
-
-// oneRoundPartials is the single fan-out of a one-round build (1D or 2D):
-// splits prefer the worker that served them in the last build of the same
-// shape (cache affinity): its partial cache holds their results, so
-// repeat builds re-ship instead of recomputing.
-func (c *Coordinator) oneRoundPartials(ctx context.Context, spec DatasetSpec, file *hdfs.File, method string, p core.Params) (_ []core.SplitPartial, _ *BuildStats, retErr error) {
-	m := core.NumSplits(file, p)
-	jobID := c.newJobID()
-	notifyJobID(ctx, jobID)
-	stats := &BuildStats{Splits: m, Rounds: 1, JobID: jobID}
-	track := c.trackBuild(jobID, 1)
-	defer c.untrackBuild(jobID)
-	c.beginTrace(jobID, method, m, 1)
-	c.buildsStarted.Inc()
-	defer func() {
-		c.endTrace(jobID, retErr)
-		if retErr != nil {
-			c.buildsFailed.Inc()
-		} else {
-			c.buildsDone.Inc()
-		}
-	}()
-	affKey := partialCacheKey(spec.Fingerprint(), method, p, 0, nil)
-	owners, seeded := c.affinityOwners(affKey, m)
-	responded := make(map[string]bool)
-	rc := &roundCall{
-		jobID: jobID, method: method, params: p, spec: spec,
-		round: 1, rounds: 1, m: m, owners: owners,
-		track: track, touched: make(map[string]string), responded: responded,
-	}
-	parts, err := c.runRound(ctx, rc, stats)
-	if err != nil {
-		return nil, stats, err
-	}
-	// Remember ownership only for completed rounds: a canceled or failed
-	// build has zero (or partial) hits for reasons other than cold
-	// caches, and must neither drop a valid entry nor overwrite a
-	// complete map with a partially-filled one.
-	c.storeAffinity(affKey, owners, seeded, stats.CachedSplits)
-	stats.WorkersUsed = len(responded)
-	return parts, stats, nil
-}
-
-// buildOneRound is the single fan-out + merge path of PR 2.
-func (c *Coordinator) buildOneRound(ctx context.Context, spec DatasetSpec, file *hdfs.File, method string, p core.Params) (*core.Output, *BuildStats, error) {
-	start := time.Now()
-	parts, stats, err := c.oneRoundPartials(ctx, spec, file, method, p)
-	if err != nil {
-		return nil, stats, err
-	}
-	out, err := core.MergePartials(ctx, file, method, p, parts)
-	if err != nil {
-		return nil, stats, err
-	}
-	// The merge only times itself; report the whole fan-out + merge.
-	out.Metrics.WallTime = time.Since(start)
-	return out, stats, nil
-}
-
-// buildOneRound2D is buildOneRound with the 2D merge.
-func (c *Coordinator) buildOneRound2D(ctx context.Context, spec DatasetSpec, file *hdfs.File, method string, p core.Params) (*core.Output2D, *BuildStats, error) {
-	start := time.Now()
-	parts, stats, err := c.oneRoundPartials(ctx, spec, file, method, p)
-	if err != nil {
-		return nil, stats, err
-	}
-	out, err := core.MergePartials2D(ctx, file, method, p, parts)
-	if err != nil {
-		return nil, stats, err
-	}
-	out.Metrics.WallTime = time.Since(start)
-	return out, stats, nil
-}
-
-// runMultiRound drives the round barrier: fan out round r, reduce it on
-// the coordinator, compute the next round's broadcast, repeat. Splits
-// stick to the worker that ran them in earlier rounds (it holds their
-// state); splits whose owner died are re-assigned, and the new owner
-// replays the earlier rounds locally. Worker state leases are released on
-// every exit path.
-func (c *Coordinator) runMultiRound(ctx context.Context, spec DatasetSpec, file *hdfs.File, method string, p core.Params) (_ *core.RoundPlan, _ *BuildStats, retErr error) {
 	plan, err := core.NewRoundPlan(file, method, p)
 	if err != nil {
 		return nil, nil, err
 	}
-	m := plan.NumSplits()
+	if err := plan.WantDim(dim); err != nil {
+		return nil, nil, err
+	}
+	m, rounds := plan.NumSplits(), plan.NumRounds()
 	jobID := c.newJobID()
 	notifyJobID(ctx, jobID)
-	stats := &BuildStats{Splits: m, Rounds: plan.NumRounds(), JobID: jobID}
-	track := c.trackBuild(jobID, plan.NumRounds())
+	stats := &BuildStats{Splits: m, Rounds: rounds, JobID: jobID}
+	track := c.trackBuild(jobID, rounds)
 	defer c.untrackBuild(jobID)
-	c.beginTrace(jobID, method, m, plan.NumRounds())
+	c.beginTrace(jobID, method, m, rounds)
 	c.buildsStarted.Inc()
 	defer func() {
 		c.endTrace(jobID, retErr)
@@ -674,22 +574,26 @@ func (c *Coordinator) runMultiRound(ctx context.Context, spec DatasetSpec, file 
 	// Seed round-1 stickiness from the last build of the same shape: the
 	// prior owner's cache holds every round's partials, so a repeat build
 	// hits in all rounds; within a build, ownership then follows the
-	// round barrier's state-lease stickiness as before.
+	// round barrier's state-lease stickiness.
 	affKey := partialCacheKey(spec.Fingerprint(), method, p, 0, nil)
 	owners, seeded := c.affinityOwners(affKey, m)
 	touched := make(map[string]string)
 	responded := make(map[string]bool)
-	defer func() { c.releaseLeases(jobID, touched) }()
+	ckDir := c.cfg.CheckpointDir
+	if rounds == 1 {
+		ckDir = "" // nothing to resume: the only barrier is the end
+	} else {
+		defer func() { c.releaseLeases(jobID, touched) }()
+	}
 
 	// Resume from a checkpoint when one matches this build shape: replay
 	// each checkpointed round's partials through the reducer — the exact
 	// state the crashed coordinator held at the barrier, reconstructed
 	// with zero map RPCs — then fan out only the remaining rounds.
-	ckDir := c.cfg.CheckpointDir
 	var ckRounds [][]core.SplitPartial
 	startRound := 1
 	if ckDir != "" {
-		if ck := loadCheckpoint(ckDir, affKey, method, m, plan.NumRounds()); ck != nil {
+		if ck := loadCheckpoint(ckDir, affKey, method, m, rounds); ck != nil {
 			replayed := true
 			for r := 1; r <= len(ck.Rounds); r++ {
 				track.round.Store(int32(r))
@@ -717,11 +621,11 @@ func (c *Coordinator) runMultiRound(ctx context.Context, spec DatasetSpec, file 
 		}
 	}
 
-	for r := startRound; r <= plan.NumRounds(); r++ {
+	for r := startRound; r <= rounds; r++ {
 		track.round.Store(int32(r))
 		rc := &roundCall{
 			jobID: jobID, method: method, params: p, spec: spec,
-			round: r, rounds: plan.NumRounds(), bcast: plan.Broadcast(r), m: m,
+			round: r, rounds: rounds, bcast: plan.Broadcast(r), m: m,
 			owners: owners, track: track, touched: touched, responded: responded,
 		}
 		parts, err := c.runRound(ctx, rc, stats)
@@ -731,7 +635,7 @@ func (c *Coordinator) runMultiRound(ctx context.Context, spec DatasetSpec, file 
 		if err := plan.ReduceRound(ctx, r, parts); err != nil {
 			return nil, stats, err
 		}
-		if ckDir != "" && r < plan.NumRounds() {
+		if ckDir != "" && r < rounds {
 			// Persist the barrier (best-effort: a failed write only costs
 			// re-running rounds after a crash, never the build).
 			ckRounds = append(ckRounds, parts)
@@ -740,9 +644,10 @@ func (c *Coordinator) runMultiRound(ctx context.Context, spec DatasetSpec, file 
 			})
 		}
 	}
-	// Only a build that completed every round records its ownership map
-	// (see buildOneRound: failures and cancellations prove nothing about
-	// the workers' caches).
+	// Remember ownership only for builds that completed every round: a
+	// canceled or failed build has zero (or partial) hits for reasons
+	// other than cold caches, and must neither drop a valid entry nor
+	// overwrite a complete map with a partially-filled one.
 	c.storeAffinity(affKey, owners, seeded, stats.CachedSplits)
 	stats.WorkersUsed = len(responded)
 	stats.CandidateSetSize = plan.Candidates()
@@ -800,8 +705,7 @@ type roundCall struct {
 	// non-owner must replay, and for cache affinity a spill turns a
 	// cheap hit into a recompute. The pathological pin — every split
 	// owned by one worker whose cache turns out cold — is healed by the
-	// zero-hit affinity drop in buildOneRound/runMultiRound, not by
-	// spilling here.
+	// zero-hit affinity drop in runPlan, not by spilling here.
 	owners    []string
 	track     *buildTrack
 	touched   map[string]string

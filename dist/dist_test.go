@@ -4,6 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"os"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -595,5 +598,109 @@ func TestWaitForWorkers(t *testing.T) {
 	defer cancel()
 	if err := coord.WaitForWorkers(ctx, 1); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// countingTransport counts the RPCs a build issues, and the map requests
+// that carry any multi-round field.
+type countingTransport struct {
+	dist.Transport
+	maps, roundFields, releases atomic.Int64
+}
+
+func (c *countingTransport) MapSplits(ctx context.Context, addr string, req *dist.MapRequest) (*dist.MapResponse, int64, int64, error) {
+	c.maps.Add(1)
+	if req.Round != 0 || req.Rounds != 0 || req.Broadcast != nil {
+		c.roundFields.Add(1)
+	}
+	return c.Transport.MapSplits(ctx, addr, req)
+}
+
+func (c *countingTransport) Release(ctx context.Context, addr string, req *dist.ReleaseRequest) error {
+	c.releases.Add(1)
+	return c.Transport.Release(ctx, addr, req)
+}
+
+// TestOneRoundBuildIsOneFanOut: a one-round method runs through the same
+// build loop as H-WTopk yet pays for none of the multi-round machinery —
+// no release RPC, no worker lease, no checkpoint file, no round fields in
+// its requests — and issues the map RPCs and wire bytes captured before
+// the loops were merged. (Frames are deflated and carry a random job id,
+// so a build's wire bytes wander by a byte or two per RPC; the bound is 4.)
+// H-WTopk on the same fleet is the contrast: three fan-outs, one release.
+func TestOneRoundBuildIsOneFanOut(t *testing.T) {
+	ds := zipfDS(t)
+	for _, tc := range []struct {
+		method         wavelethist.Method
+		maps, releases int64
+		wire           int64
+	}{
+		{wavelethist.SendV, 8, 0, 75641},
+		{wavelethist.TwoLevelS, 8, 0, 4854},
+		{wavelethist.HWTopk, 24, 1, 24121},
+	} {
+		t.Run(string(tc.method), func(t *testing.T) {
+			dir := t.TempDir()
+			lb := dist.NewLoopback()
+			ct := &countingTransport{Transport: lb}
+			coord := dist.NewCoordinator(ct, dist.Config{CheckpointDir: dir})
+			w := dist.NewWorker("w0", 1)
+			coord.Register(w.ID(), lb.Add(w), w.Capacity())
+			got, err := wavelethist.BuildDistributed(context.Background(), ds, tc.method, wavelethist.Options{K: 25, Seed: 7}, coord)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ct.maps.Load() != tc.maps || ct.releases.Load() != tc.releases {
+				t.Errorf("RPCs: %d map + %d release, want %d + %d", ct.maps.Load(), ct.releases.Load(), tc.maps, tc.releases)
+			}
+			if d := got.WireBytes - tc.wire; d < -4*tc.maps || d > 4*tc.maps {
+				t.Errorf("wire bytes = %d, want %d ± %d", got.WireBytes, tc.wire, 4*tc.maps)
+			}
+			if n := ct.roundFields.Load(); (n != 0) != (tc.releases != 0) {
+				t.Errorf("%d map requests carried round fields", n)
+			}
+			if ents, _ := os.ReadDir(dir); len(ents) != 0 {
+				t.Errorf("%d checkpoint files left behind", len(ents))
+			}
+			if n := len(w.Leases()); n != 0 {
+				t.Errorf("%d worker leases left behind", n)
+			}
+		})
+	}
+}
+
+// TestExactMethodsAgreeOnFleet is core's TestExactMethodsAgree through a
+// 3-worker loopback fleet: Send-V, Send-Coef and H-WTopk select the
+// identical coefficient set there too.
+func TestExactMethodsAgreeOnFleet(t *testing.T) {
+	ds, err := wavelethist.NewZipfDataset(wavelethist.ZipfOptions{
+		Records: 20000, Domain: 1 << 12, Alpha: 1.1, Seed: 7, ChunkSize: 1024,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord, _ := dist.NewLoopbackCluster(3, 2, dist.Config{})
+	build := func(m wavelethist.Method) map[int64]float64 {
+		res, err := wavelethist.BuildDistributed(context.Background(), ds, m, wavelethist.Options{K: 10, Seed: 3}, coord)
+		if err != nil {
+			t.Fatalf("%s: %v", m, err)
+		}
+		out := make(map[int64]float64)
+		for _, c := range res.Histogram.Coefficients() {
+			out[c.Index] = c.Value
+		}
+		return out
+	}
+	want := build(wavelethist.SendV)
+	for _, m := range []wavelethist.Method{wavelethist.SendCoef, wavelethist.HWTopk} {
+		got := build(m)
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d coefficients, want %d", m, len(got), len(want))
+		}
+		for i, v := range got {
+			if w, ok := want[i]; !ok || math.Abs(v-w) > 1e-9*(1+math.Abs(w)) {
+				t.Errorf("%s: coefficient %d = %v, Send-V has %v (selected: %v)", m, i, v, w, ok)
+			}
+		}
 	}
 }

@@ -11,7 +11,8 @@ package dist
 // materialized log tail.
 //
 // The frames ride the same WDF1 envelope as the job wire (deflate over
-// threshold, crc-free length-prefixed body).
+// threshold, crc-free length-prefixed body). Both carry the fencing
+// epoch; a frame that ends before it is malformed.
 
 // Replication entry kinds.
 const (
@@ -25,37 +26,35 @@ const (
 // differs answers with a full snapshot so the replica re-bases instead
 // of trusting a cursor minted under a dead lineage.
 type ReplPullRequest struct {
-	Since uint64 `json:"since"`
-	Epoch uint64 `json:"epoch,omitempty"`
+	Since uint64
+	Epoch uint64
 }
 
 // ReplEntry is one histogram the replica must (re)install: the wire-format
 // blob plus the registry version to advance the cursor to.
 type ReplEntry struct {
-	Name    string `json:"name"`
-	Kind    byte   `json:"kind"` // ReplKind1D | ReplKind2D
-	Version uint64 `json:"version"`
-	Blob    []byte `json:"blob"`
+	Name    string
+	Kind    byte // ReplKind1D | ReplKind2D
+	Version uint64
+	Blob    []byte
 }
 
 // ReplPullResponse carries the primary's current registry version, the
 // complete set of live names (for drop detection), and the entries newer
 // than the request's Since, in version order. Epoch is the primary's
-// registry epoch (0 = primary predates epochs); Since echoes the cursor
+// registry epoch; Since echoes the cursor
 // the primary actually answered from — 0 means the response is a full
 // snapshot, which a primary forces when the request's epoch does not
 // match its own.
 type ReplPullResponse struct {
-	Version uint64      `json:"version"`
-	Epoch   uint64      `json:"epoch,omitempty"`
-	Since   uint64      `json:"since"`
-	Names   []string    `json:"names"`
-	Entries []ReplEntry `json:"entries"`
+	Version uint64
+	Epoch   uint64
+	Since   uint64
+	Names   []string
+	Entries []ReplEntry
 }
 
 // EncodeReplPullRequest serializes a pull request as one WDF1 frame.
-// The epoch is appended after the original body so frames from
-// pre-epoch replicas still decode (epoch 0 = unknown).
 func EncodeReplPullRequest(req *ReplPullRequest) []byte {
 	b := appendUvarint(nil, req.Since)
 	b = appendUvarint(b, req.Epoch)
@@ -69,10 +68,7 @@ func DecodeReplPullRequest(frame []byte) (*ReplPullRequest, error) {
 		return nil, err
 	}
 	r := &breader{b: body}
-	req := &ReplPullRequest{Since: r.uvarint()}
-	if r.remaining() {
-		req.Epoch = r.uvarint()
-	}
+	req := &ReplPullRequest{Since: r.uvarint(), Epoch: r.uvarint()}
 	if err := r.done(); err != nil {
 		return nil, err
 	}
@@ -96,8 +92,6 @@ func EncodeReplPullResponse(resp *ReplPullResponse) []byte {
 		b = appendUvarint(b, e.Version)
 		b = appendBlob(b, e.Blob)
 	}
-	// Epoch fields ride after the original body: pre-epoch decoders never
-	// see them and post-epoch decoders treat their absence as epoch 0.
 	b = appendUvarint(b, resp.Epoch)
 	b = appendUvarint(b, resp.Since)
 	return encodeFrame(msgReplPullResponse, b)
@@ -130,12 +124,8 @@ func DecodeReplPullResponse(frame []byte) (*ReplPullResponse, error) {
 		}
 		resp.Entries = append(resp.Entries, e)
 	}
-	if r.remaining() {
-		resp.Epoch = r.uvarint()
-	}
-	if r.remaining() {
-		resp.Since = r.uvarint()
-	}
+	resp.Epoch = r.uvarint()
+	resp.Since = r.uvarint()
 	if err := r.done(); err != nil {
 		return nil, err
 	}

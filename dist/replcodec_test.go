@@ -54,22 +54,21 @@ func TestReplCodecEpochRoundTrip(t *testing.T) {
 	}
 }
 
-// TestReplCodecLegacyFramesDecode: frames built by a pre-epoch peer end
-// exactly where the original body ended. The decoders must accept them
-// and report epoch 0 ("unknown") — upgrading one side of a replication
-// pair must not break the wire.
-func TestReplCodecLegacyFramesDecode(t *testing.T) {
-	// Legacy request: just the uvarint cursor.
-	legacyReq := encodeFrame(msgReplPullRequest, appendUvarint(nil, 42))
-	req, err := DecodeReplPullRequest(legacyReq)
-	if err != nil {
-		t.Fatalf("legacy request: %v", err)
+// TestReplCodecPreEpochFramesRejected: a frame that ends where the
+// pre-epoch body ended — or anywhere else short of the fencing fields —
+// is malformed, not "epoch unknown". Unknown is an explicit epoch 0.
+func TestReplCodecPreEpochFramesRejected(t *testing.T) {
+	// Request without the epoch: just the uvarint cursor.
+	if req, err := DecodeReplPullRequest(encodeFrame(msgReplPullRequest, appendUvarint(nil, 42))); err == nil {
+		t.Fatalf("epoch-less request decoded as %+v", req)
 	}
-	if req.Since != 42 || req.Epoch != 0 {
-		t.Fatalf("legacy request decoded as %+v, want since=42 epoch=0", req)
+	req, err := DecodeReplPullRequest(EncodeReplPullRequest(&ReplPullRequest{Since: 42}))
+	if err != nil || req.Since != 42 || req.Epoch != 0 {
+		t.Fatalf("explicit epoch 0: %+v, %v", req, err)
 	}
 
-	// Legacy response: version, names, entries — no trailing epoch/since.
+	// Response: version, names, entries, then epoch and since. Every
+	// proper prefix of the body fails; so does trailing garbage.
 	b := appendUvarint(nil, 9)         // version
 	b = appendUvarint(b, 1)            // 1 name
 	b = appendStr(b, "a")              //
@@ -78,14 +77,19 @@ func TestReplCodecLegacyFramesDecode(t *testing.T) {
 	b = append(b, ReplKind1D)          //
 	b = appendUvarint(b, 9)            // entry version
 	b = appendBlob(b, []byte{4, 5, 6}) //
+	preEpoch := len(b)
+	b = appendUvarint(b, 3) // epoch
+	b = appendUvarint(b, 0) // since
 	resp, err := DecodeReplPullResponse(encodeFrame(msgReplPullResponse, b))
-	if err != nil {
-		t.Fatalf("legacy response: %v", err)
+	if err != nil || resp.Version != 9 || resp.Epoch != 3 || len(resp.Entries) != 1 {
+		t.Fatalf("full response: %+v, %v", resp, err)
 	}
-	if resp.Version != 9 || resp.Epoch != 0 || resp.Since != 0 {
-		t.Fatalf("legacy response decoded as %+v, want version=9 epoch=0 since=0", resp)
+	for n := 0; n < len(b); n++ {
+		if _, err := DecodeReplPullResponse(encodeFrame(msgReplPullResponse, b[:n])); err == nil {
+			t.Errorf("response truncated to %d of %d bytes (pre-epoch body ends at %d) decoded", n, len(b), preEpoch)
+		}
 	}
-	if len(resp.Entries) != 1 || resp.Entries[0].Name != "a" {
-		t.Fatalf("legacy response entries: %+v", resp.Entries)
+	if _, err := DecodeReplPullResponse(encodeFrame(msgReplPullResponse, append(b, 0))); err == nil {
+		t.Error("response with a trailing byte decoded")
 	}
 }

@@ -12,9 +12,9 @@ import (
 	"wavelethist/internal/wavelet"
 )
 
-// ErrUnsupportedMethod reports a method that cannot run on the
-// distributed fleet; the error text lists the supported methods. Match
-// with errors.Is.
+// ErrUnsupportedMethod reports a method name no build can run — unknown
+// (the error text lists the known ones) or asked of the wrong
+// dimensionality's Build. Match with errors.Is.
 var ErrUnsupportedMethod = core.ErrUnsupportedMethod
 
 // DatasetSpec is the wire-shippable recipe for a dataset: everything a

@@ -31,7 +31,7 @@ const DefaultLeaseTTL = 5 * time.Minute
 // Worker executes map assignments: it materializes the dataset named by
 // the request's recipe (cached across requests), runs the method's map
 // side over the assigned splits — fanned across GOMAXPROCS goroutines by
-// core.MapSplits — and returns the encoded partials. Computed partials
+// core.MapRoundSplits — and returns the encoded partials. Computed partials
 // are kept in a fingerprint-keyed LRU (cache.go), so a repeat build of
 // the same (dataset, method, params) re-ships them without recomputing;
 // the response's Cached field tells the coordinator which splits hit. For
@@ -208,15 +208,17 @@ func (w *Worker) handleMap(ctx context.Context, req *MapRequest) (*MapResponse, 
 		if err != nil {
 			return nil, err
 		}
-		var computed []core.SplitPartial
-		if req.Rounds <= 1 && req.Round <= 1 {
-			// One-round method: stateless mergeable partials, no lease.
-			computed, err = core.MapSplits(ctx, file, req.Method, req.Params, missing)
-		} else {
-			state, done := w.acquireLease(req.JobID)
-			computed, resp.Replayed, err = core.MapRoundSplits(ctx, file, req.Method, req.Params, req.Round, req.Broadcast, missing, state)
-			done()
+		// A one-round build's request leaves Round and Rounds unset: its
+		// partials are stateless, so it takes no lease (and nothing would
+		// release one).
+		var state *core.WorkerState
+		if req.Rounds > 1 || req.Round > 1 {
+			var done func()
+			state, done = w.acquireLease(req.JobID)
+			defer done()
 		}
+		var computed []core.SplitPartial
+		computed, resp.Replayed, err = core.MapRoundSplits(ctx, file, req.Method, req.Params, max(req.Round, 1), req.Broadcast, missing, state)
 		if err != nil {
 			return nil, err
 		}

@@ -11,16 +11,20 @@
 // (best or approximate) k-term wavelet representation of the global
 // key-frequency vector, along with exact communication accounting and the
 // per-round work profiles the cluster cost model turns into running time.
+//
+// A method is a row of the method table (method.go): its rounds, its
+// dimensionality and one stage — input, mapper, reducer, pair encoding,
+// broadcast — per round. RoundPlan (plan.go) turns a row into a build and
+// runs each round on one of two executors: in-process (RunRound) or
+// split by split on a worker fleet (MapRoundSplits + ReduceRound).
 package core
 
 import (
-	"context"
 	"fmt"
 	"slices"
 	"time"
 
 	"wavelethist/internal/cluster"
-	"wavelethist/internal/hdfs"
 	"wavelethist/internal/mapred"
 	"wavelethist/internal/wavelet"
 )
@@ -110,13 +114,10 @@ type Output struct {
 	Metrics Metrics
 }
 
-// Algorithm is a wavelet-histogram construction method.
-type Algorithm interface {
-	// Name returns the paper's name for the method (e.g. "TwoLevel-S").
-	Name() string
-	// Run builds the k-term representation of file's key frequencies.
-	// Cancellation of ctx aborts the build with ctx.Err().
-	Run(ctx context.Context, file *hdfs.File, p Params) (*Output, error)
+// Output2D is the result of a 2D algorithm.
+type Output2D struct {
+	Rep     *wavelet.Representation2D
+	Metrics Metrics
 }
 
 // addRound folds one MapReduce round's result into the metrics.
@@ -194,39 +195,10 @@ func transformFreq(tf coefTransform, ctx *mapred.TaskContext, freq map[int64]flo
 	return tf(ctx, nil, keys, counts)
 }
 
-// localCoefficients computes a frequency map's non-zero 1D wavelet
-// coefficients.
-func localCoefficients(ctx *mapred.TaskContext, freq map[int64]float64, u int64) []wavelet.Coef {
-	return transformFreq(transform1D(u), ctx, freq)
-}
-
 // checkDomain validates a record key against [0, U).
 func checkDomain(key, u int64) error {
 	if key < 0 || key >= u {
 		return fmt.Errorf("core: key %d outside domain [0, %d)", key, u)
 	}
 	return nil
-}
-
-// All seven algorithms, in the paper's naming.
-func Algorithms() []Algorithm {
-	return []Algorithm{
-		NewSendV(),
-		NewSendCoef(),
-		NewHWTopk(),
-		NewBasicS(),
-		NewImprovedS(),
-		NewTwoLevelS(),
-		NewSendSketch(),
-	}
-}
-
-// ByName returns the algorithm with the given paper name.
-func ByName(name string) (Algorithm, error) {
-	for _, a := range Algorithms() {
-		if a.Name() == name {
-			return a, nil
-		}
-	}
-	return nil, fmt.Errorf("core: unknown algorithm %q", name)
 }

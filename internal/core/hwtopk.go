@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -9,7 +8,6 @@ import (
 	"sort"
 	"strconv"
 	"sync"
-	"time"
 
 	"wavelethist/internal/hdfs"
 	"wavelethist/internal/heap"
@@ -18,7 +16,7 @@ import (
 	"wavelethist/internal/wavelet"
 )
 
-// HWTopk ("Hadoop wavelet top-k") is the paper's exact algorithm
+// H-WTopk ("Hadoop wavelet top-k") is the paper's exact algorithm
 // (Section 3 + Appendix A): the two-sided modified TPUT instantiated as
 // three MapReduce rounds.
 //
@@ -35,29 +33,101 @@ import (
 //	         the driver places R in the Distributed Cache.
 //	Round 3: mappers emit unsent scores for items in R; the reducer
 //	         finalizes exact sums and selects the top-k by magnitude.
-type HWTopk struct{}
-
-// NewHWTopk returns the H-WTopk algorithm.
-func NewHWTopk() *HWTopk { return &HWTopk{} }
-
-// Name implements Algorithm.
-func (*HWTopk) Name() string { return "H-WTopk" }
+//
+// H-WTopk-2D is the identical protocol over packed 2D coefficient indices:
+// any 2D coefficient is the sum of the corresponding coefficients of all
+// splits, so the modified TPUT runs unchanged.
+func hwTopkStages(e *env) []stage {
+	red1 := &hwRound1Reducer{k: e.p.K}
+	red2 := &hwRound2Reducer{k: e.p.K}
+	pairBytes := fixedBytes(16) // (i, (j, w)): 4+4+8
+	var t1OverM float64         // set by round 2's broadcast, shipped again with round 3's
+	return []stage{{
+		input: mapred.SequentialInput{},
+		mapper: func() mapred.Mapper {
+			return &hwRound1Mapper{domain: e.domain, k: e.p.K, transform: e.tf}
+		},
+		reducer:   red1,
+		pairBytes: pairBytes,
+	}, {
+		input:     mapred.NoInput{},
+		mapper:    func() mapred.Mapper { return hwRound2Mapper{} },
+		reducer:   red2,
+		pairBytes: pairBytes,
+		// Coordinator -> mappers: T1/m via the Job Configuration (8
+		// modeled bytes).
+		broadcast: func(rp *RoundPlan) ([]byte, int64) {
+			t1OverM = red1.T1 / float64(e.m)
+			rp.setThreshold(t1OverM)
+			return encodeHWBroadcast(2, t1OverM, nil), 8
+		},
+		receive: hwReceive(2),
+	}, {
+		input:     mapred.NoInput{},
+		mapper:    func() mapred.Mapper { return hwRound3Mapper{} },
+		reducer:   &hwRound3Reducer{k: e.p.K},
+		pairBytes: pairBytes,
+		// Coordinator -> mappers: R via the Distributed Cache.
+		broadcast: func(rp *RoundPlan) ([]byte, int64) {
+			rp.metrics.CandidateSetSize = len(red2.R)
+			rp.cache.Put(cacheRName, encodeIndexSet(red2.R))
+			return encodeHWBroadcast(3, t1OverM, red2.R), indexSetBytes(red2.R)
+		},
+		receive: hwReceive(3),
+	}}
+}
 
 const (
 	confT1OverM = "hwtopk.t1.over.m"
 	cacheRName  = "hwtopk.candidates"
 )
 
-// Per-split state is round-versioned: round 1 writes its unsent
-// coefficients under hwStateR1, round 2 writes the post-filter remainder
-// under hwStateR2 and leaves the round-1 file intact. Re-running any
-// round's mapper is therefore idempotent — the property the distributed
-// engine relies on when an RPC fails after a worker already processed it,
-// and what lets a fresh worker replay earlier rounds for a split whose
-// original owner died. (Split ids are >= 0, so the keys 2i and 2i+1 never
-// collide with the reducer's mapred.ReducerState key.)
-func hwStateR1(split int) int { return 2 * split }
-func hwStateR2(split int) int { return 2*split + 1 }
+// Per-split state is round-versioned (splitStateKey): round 1 writes its
+// unsent coefficients, round 2 writes the post-filter remainder and leaves
+// the round-1 file intact.
+func hwStateR1(split int) int { return splitStateKey(1, split) }
+func hwStateR2(split int) int { return splitStateKey(2, split) }
+
+// setThreshold installs T1/m into the Job Configuration.
+func (rp *RoundPlan) setThreshold(t1OverM float64) {
+	rp.conf[confT1OverM] = strconv.FormatFloat(t1OverM, 'g', -1, 64)
+}
+
+// Round broadcasts are binary blobs shipped inside map RPCs: round 2
+// carries T1/m, round 3 carries T1/m plus the candidate set R. T1/m rides
+// along in round 3 (though the paper's drivers only ship it once) so a
+// fresh worker can replay round 2 for an orphaned split without any other
+// context — recovery is self-contained in the request.
+func encodeHWBroadcast(round int, t1OverM float64, r []int64) []byte {
+	b := mapred.AppendInt64(nil, int64(round))
+	b = mapred.AppendFloat64(b, t1OverM)
+	if round >= 3 {
+		b = append(b, encodeIndexSet(r)...)
+	}
+	return b
+}
+
+// hwReceive installs round's broadcast blob on a worker.
+func hwReceive(round int) func(*RoundPlan, []byte) error {
+	return func(rp *RoundPlan, b []byte) error {
+		if len(b) < 16 {
+			return fmt.Errorf("core: truncated round-%d broadcast", round)
+		}
+		tag, off := mapred.ReadInt64(b, 0)
+		if int(tag) != round {
+			return fmt.Errorf("core: broadcast is for round %d, want %d", tag, round)
+		}
+		t1OverM, off := mapred.ReadFloat64(b, off)
+		rp.setThreshold(t1OverM)
+		if round >= 3 {
+			if len(b) <= off {
+				return fmt.Errorf("core: round-3 broadcast missing candidate set")
+			}
+			rp.cache.Put(cacheRName, b[off:])
+		}
+		return nil
+	}
+}
 
 // ---------- Round 1 ----------
 
@@ -393,9 +463,9 @@ func (hwRound3Mapper) Close(ctx *mapred.TaskContext, out *mapred.Emitter) error 
 // (dimension-agnostic: it yields raw coefficients; the driver wraps them
 // into a 1D or 2D representation).
 type hwRound3Reducer struct {
-	k   int
-	cs  *coordState
-	top []wavelet.Coef
+	k     int
+	cs    *coordState
+	coefs []wavelet.Coef
 }
 
 func (r *hwRound3Reducer) Setup(ctx *mapred.TaskContext) error {
@@ -439,158 +509,8 @@ func (r *hwRound3Reducer) Close(ctx *mapred.TaskContext) error {
 		coefs = append(coefs, wavelet.Coef{Index: id, Value: e.wHat})
 	}
 	ctx.AddWork(float64(len(coefs)))
-	r.top = wavelet.SelectTopK(coefs, r.k)
+	r.coefs = wavelet.SelectTopK(coefs, r.k)
 	return nil
 }
 
-// ---------- Plan ----------
-
-// hwPlan holds the shared machinery of one H-WTopk execution: the three
-// round jobs over one Conf/Cache/State triple. Both the simulated driver
-// (runHWTopkRounds) and the distributed engine (RoundPlan / MapRoundSplits
-// in multiround.go) are built on it, so the in-process and fleet code
-// paths run the exact same mappers and reducers.
-type hwPlan struct {
-	splits []hdfs.Split
-	p      Params
-	domain int64
-	tf     coefTransform
-
-	conf  mapred.Conf
-	cache *mapred.DistCache
-	state *mapred.StateStore
-
-	red1 *hwRound1Reducer
-	red2 *hwRound2Reducer
-	red3 *hwRound3Reducer
-}
-
-// newHWPlan wires the plan. state is the split-state store: the simulated
-// runtime and the coordinator pass a fresh one; workers pass their per-job
-// lease store.
-func newHWPlan(file *hdfs.File, p Params, domain int64, tf coefTransform, state *mapred.StateStore) *hwPlan {
-	return &hwPlan{
-		splits: file.Splits(p.SplitSize),
-		p:      p,
-		domain: domain,
-		tf:     tf,
-		conf:   mapred.Conf{},
-		cache:  mapred.NewDistCache(),
-		state:  state,
-		red1:   &hwRound1Reducer{k: p.K},
-		red2:   &hwRound2Reducer{k: p.K},
-		red3:   &hwRound3Reducer{k: p.K},
-	}
-}
-
-// job builds round r's (1-based) mapred job.
-func (pl *hwPlan) job(r int) *mapred.Job {
-	j := &mapred.Job{
-		Name:      fmt.Sprintf("hwtopk-round%d", r),
-		Splits:    pl.splits,
-		PairBytes: func(mapred.KV) int { return 16 }, // (i, (j, w)): 4+4+8
-		Streaming: true,
-		Conf:      pl.conf, Cache: pl.cache, State: pl.state,
-		Seed:        pl.p.Seed,
-		Parallelism: pl.p.Parallelism,
-	}
-	switch r {
-	case 1:
-		j.Input = mapred.SequentialInput{}
-		j.NewMapper = func(hdfs.Split) mapred.Mapper {
-			return &hwRound1Mapper{domain: pl.domain, k: pl.p.K, transform: pl.tf}
-		}
-		j.Reducer = pl.red1
-	case 2:
-		j.Input = mapred.NoInput{}
-		j.NewMapper = func(hdfs.Split) mapred.Mapper { return hwRound2Mapper{} }
-		j.Reducer = pl.red2
-	case 3:
-		j.Input = mapred.NoInput{}
-		j.NewMapper = func(hdfs.Split) mapred.Mapper { return hwRound3Mapper{} }
-		j.Reducer = pl.red3
-	default:
-		panic(fmt.Sprintf("hwtopk: no round %d", r))
-	}
-	return j
-}
-
-// setThreshold installs T1/m into the Job Configuration (what the paper's
-// driver broadcasts before round 2; 8 modeled bytes).
-func (pl *hwPlan) setThreshold(t1OverM float64) {
-	pl.conf[confT1OverM] = strconv.FormatFloat(t1OverM, 'g', -1, 64)
-}
-
-// threshold reads T1/m back from the Job Configuration.
-func (pl *hwPlan) threshold() (float64, error) {
-	v, err := strconv.ParseFloat(pl.conf[confT1OverM], 64)
-	if err != nil {
-		return 0, fmt.Errorf("hwtopk: missing %s: %w", confT1OverM, err)
-	}
-	return v, nil
-}
-
-// publishR places the candidate set in the Distributed Cache and returns
-// its modeled broadcast byte count.
-func (pl *hwPlan) publishR(r []int64) int64 {
-	pl.cache.Put(cacheRName, encodeIndexSet(r))
-	return indexSetBytes(r)
-}
-
-// ---------- Driver ----------
-
-// Run implements Algorithm: three MapReduce rounds sharing Conf, Cache and
-// State, with the coordinator's T1/m shipped via the Job Configuration and
-// R via the Distributed Cache (both accounted as broadcast bytes).
-func (a *HWTopk) Run(ctx context.Context, file *hdfs.File, p Params) (*Output, error) {
-	p = p.Defaults()
-	if err := p.validate(); err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	top, metrics, err := runHWTopkRounds(ctx, file, p, p.U, transform1D(p.U))
-	if err != nil {
-		return nil, err
-	}
-	metrics.WallTime = time.Since(start)
-	return &Output{
-		Rep:     wavelet.NewRepresentation(p.U, top),
-		Metrics: metrics,
-	}, nil
-}
-
-// runHWTopkRounds executes the three rounds for any dimensionality.
-func runHWTopkRounds(ctx context.Context, file *hdfs.File, p Params, domain int64, tf coefTransform) ([]wavelet.Coef, Metrics, error) {
-	var metrics Metrics
-	pl := newHWPlan(file, p, domain, tf, mapred.NewStateStore())
-	m := len(pl.splits)
-
-	// Round 1.
-	res1, err := mapred.RunContext(ctx, pl.job(1))
-	if err != nil {
-		return nil, metrics, err
-	}
-	metrics.addRound(res1, 0)
-
-	// Coordinator -> mappers: T1/m via the Job Configuration (8 bytes).
-	pl.setThreshold(pl.red1.T1 / float64(m))
-
-	// Round 2.
-	res2, err := mapred.RunContext(ctx, pl.job(2))
-	if err != nil {
-		return nil, metrics, err
-	}
-	metrics.addRound(res2, 8) // the T1/m conf value
-
-	// Coordinator -> mappers: R via the Distributed Cache.
-	rBytes := pl.publishR(pl.red2.R)
-	metrics.CandidateSetSize = len(pl.red2.R)
-
-	// Round 3.
-	res3, err := mapred.RunContext(ctx, pl.job(3))
-	if err != nil {
-		return nil, metrics, err
-	}
-	metrics.addRound(res3, rBytes)
-	return pl.red3.top, metrics, nil
-}
+func (r *hwRound3Reducer) top() []wavelet.Coef { return r.coefs }

@@ -14,11 +14,14 @@ func round1Split(tb testing.TB) *mapred.Job {
 	const n, u = 4096, 1 << 20
 	f, _ := testDataset(tb, n, u, 1.1, 4*n, 7)
 	p := Params{U: u, K: 30, Seed: 1}.Defaults()
-	pl := newHWPlan(f, p, p.U, transform1D(p.U), mapred.NewStateStore())
-	if len(pl.splits) != 1 {
-		tb.Fatalf("want one split, have %d", len(pl.splits))
+	plan, err := NewRoundPlan(f, MethodHWTopk, p)
+	if err != nil {
+		tb.Fatal(err)
 	}
-	job := pl.job(1)
+	if plan.NumSplits() != 1 {
+		tb.Fatalf("want one split, have %d", plan.NumSplits())
+	}
+	job := plan.job(1)
 	if err := job.Prepare(); err != nil {
 		tb.Fatal(err)
 	}

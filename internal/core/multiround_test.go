@@ -162,11 +162,21 @@ func TestRoundsAndUnsupported(t *testing.T) {
 	if got := Rounds("nope"); got != 0 {
 		t.Errorf("Rounds(nope) = %d, want 0", got)
 	}
-	if !Distributable("H-WTopk") {
-		t.Error("H-WTopk must be distributable")
+	for _, spec := range methods {
+		plan, err := NewRoundPlan(partialTestFile(t), spec.name, Params{U: 1 << 5})
+		if err != nil {
+			t.Fatalf("%s: %v", spec.name, err)
+		}
+		if plan.NumRounds() != spec.rounds {
+			t.Errorf("%s: plan has %d rounds, table says %d", spec.name, plan.NumRounds(), spec.rounds)
+		}
 	}
-	if _, err := NewRoundPlan(partialTestFile(t), "Send-V", Params{U: 1 << 10}); !errors.Is(err, ErrUnsupportedMethod) {
+	if _, err := NewRoundPlan(partialTestFile(t), "nope", Params{U: 1 << 10}); !errors.Is(err, ErrUnsupportedMethod) {
 		t.Errorf("want ErrUnsupportedMethod, got %v", err)
+	}
+	plan, err := NewRoundPlan(partialTestFile(t), "Send-V", Params{U: 1 << 10})
+	if err != nil || plan.NumRounds() != 1 || plan.Broadcast(1) != nil || plan.Broadcast(2) != nil {
+		t.Errorf("Send-V must plan as one round with no broadcast (plan %+v, err %v)", plan, err)
 	}
 }
 

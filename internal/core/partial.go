@@ -4,19 +4,15 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
-	"wavelethist/internal/cluster"
-	"wavelethist/internal/hdfs"
 	"wavelethist/internal/mapred"
 )
 
-// Mergeable partial state for distributed builds. A SplitPartial is the
-// map side's summary of one input split — exactly the pairs that split
-// would shuffle in the simulated cluster, which per method family is:
+// SplitPartial is the map side's summary of one input split in one
+// round — exactly the pairs that split would shuffle in the simulated
+// cluster, which per method family is:
 //
 //	Send-V:       the split's local frequency vector (x, v_j(x))
 //	Send-Coef:    the split's non-zero local wavelet coefficients
@@ -24,20 +20,11 @@ import (
 //	Improved-S /
 //	TwoLevel-S:   the split's (filtered / importance-sampled) samples
 //	Send-Sketch:  the split's non-zero GCS sketch entries
+//	H-WTopk:      per round, the coefficients the split ships that round
 //
-// Partials are produced on workers by MapSplits, shipped over the wire
-// with EncodePartials / DecodePartials, and merged on the coordinator by
-// MergePartials, which reproduces the single-process result bit-for-bit
-// when every split is covered exactly once (per-split RNGs are derived
-// from (seed, split id), and merging consumes partials in split order).
-//
-// H-WTopk is a three-round protocol with coordinator feedback between
-// rounds and is not expressible as one-shot mergeable partials; it runs
-// distributed through the multi-round engine instead (multiround.go:
-// MapRoundSplits + RoundPlan), which reuses SplitPartial as the per-round
-// wire unit.
-
-// SplitPartial is one split's mergeable map-side summary.
+// Partials are produced on workers by MapRoundSplits, shipped over the
+// wire with EncodePartials / DecodePartials, and merged on the coordinator
+// by RoundPlan.ReduceRound (plan.go).
 type SplitPartial struct {
 	SplitID int
 	// Node is the DataNode holding the split (locality for the cost model).
@@ -50,94 +37,6 @@ type SplitPartial struct {
 	// InputBytes / CPUUnits feed the cluster cost model.
 	InputBytes int64
 	CPUUnits   float64
-}
-
-// DistributableMethods lists every method supporting distributed
-// execution: the six one-round 1D methods, the one-round 2D baselines,
-// and the multi-round H-WTopk (1D via Build, 2D via the packed-domain
-// variant).
-func DistributableMethods() []string {
-	var out []string
-	for _, a := range Algorithms() {
-		if _, ok := a.(oneRounder); ok {
-			out = append(out, a.Name())
-		}
-	}
-	return append(out, MethodHWTopk, MethodSendV2D, MethodTwoLevelS2D, MethodHWTopk2D)
-}
-
-// Distributable reports whether the named method supports distributed
-// execution.
-func Distributable(name string) bool { return Rounds(name) >= 1 }
-
-// oneRoundByName resolves a method to its one-round decomposition.
-func oneRoundByName(name string) (oneRounder, error) {
-	a, err := ByName(name)
-	if err != nil {
-		return nil, err
-	}
-	or, ok := a.(oneRounder)
-	if !ok {
-		return nil, fmt.Errorf("core: %s is multi-round; use MapRoundSplits/RoundPlan, not one-shot partials", name)
-	}
-	return or, nil
-}
-
-// MapSplits runs method's map side over the given split indices of file,
-// returning one mergeable partial per split. This is the worker half of a
-// distributed build. Splits are mapped concurrently across up to
-// p.Parallelism goroutines (0 = GOMAXPROCS); the result order matches
-// splitIDs and every per-split output is bit-identical to a serial run
-// (per-split RNG derivation makes tasks independent of scheduling).
-func MapSplits(ctx context.Context, file *hdfs.File, method string, p Params, splitIDs []int) ([]SplitPartial, error) {
-	if or2, err := oneRound2DByName(method); err == nil {
-		return mapSplits2D(ctx, file, or2, p, splitIDs)
-	}
-	or, err := oneRoundByName(method)
-	if err != nil {
-		return nil, err
-	}
-	p = p.Defaults()
-	if err := p.validate(); err != nil {
-		return nil, err
-	}
-	job, _ := or.makeJob(file, p)
-	return mapJobSplits(ctx, job, method, p, splitIDs)
-}
-
-// mapJobSplits runs a prepared-one-round job's map side over splitIDs —
-// the shared body of the 1D and 2D worker halves.
-func mapJobSplits(ctx context.Context, job *mapred.Job, method string, p Params, splitIDs []int) ([]SplitPartial, error) {
-	if err := job.Prepare(); err != nil {
-		return nil, err
-	}
-	m := len(job.Splits)
-	for _, id := range splitIDs {
-		if id < 0 || id >= m {
-			return nil, fmt.Errorf("core: %s: split %d out of range [0, %d)", method, id, m)
-		}
-	}
-	parts := make([]SplitPartial, len(splitIDs))
-	err := forEachSplit(ctx, p, len(splitIDs), func(ctx context.Context, i int) error {
-		r, err := mapred.RunMapSplit(ctx, job, splitIDs[i])
-		if err != nil {
-			return err
-		}
-		parts[i] = SplitPartial{
-			SplitID:     splitIDs[i],
-			Node:        r.Metrics.Node,
-			Pairs:       r.Pairs,
-			RecordsRead: r.RecordsRead,
-			BytesRead:   r.BytesRead,
-			InputBytes:  r.Metrics.InputBytes,
-			CPUUnits:    r.Metrics.CPUUnits,
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return parts, nil
 }
 
 // forEachSplit fans fn(i) for i in [0, n) out across a bounded goroutine
@@ -192,82 +91,6 @@ func forEachSplit(ctx context.Context, p Params, n int, fn func(ctx context.Cont
 	}
 	return ctx.Err()
 }
-
-// MergePartials runs method's reduce side over partials covering every
-// split of file exactly once, producing the same Output a single-process
-// run with the same seed would. This is the coordinator half of a
-// distributed build.
-func MergePartials(ctx context.Context, file *hdfs.File, method string, p Params, parts []SplitPartial) (*Output, error) {
-	or, err := oneRoundByName(method)
-	if err != nil {
-		return nil, err
-	}
-	p = p.Defaults()
-	if err := p.validate(); err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	job, red := or.makeJob(file, p)
-	res, err := reducePartials(ctx, job, method, parts)
-	if err != nil {
-		return nil, err
-	}
-	out := &Output{Rep: red.representation()}
-	out.Metrics.addRound(res, 0)
-	out.Metrics.WallTime = time.Since(start)
-	return out, nil
-}
-
-// reducePartials checks one-per-split coverage and runs a one-round job's
-// reduce side over the partials in split order — the shared body of
-// MergePartials and MergePartials2D.
-func reducePartials(ctx context.Context, job *mapred.Job, method string, parts []SplitPartial) (*mapred.Result, error) {
-	m := len(job.Splits)
-	if len(parts) != m {
-		return nil, fmt.Errorf("core: %s: have %d partials, want one per split (%d)", method, len(parts), m)
-	}
-	ordered := make([]SplitPartial, len(parts))
-	copy(ordered, parts)
-	sort.Slice(ordered, func(a, b int) bool { return ordered[a].SplitID < ordered[b].SplitID })
-	for i, part := range ordered {
-		if part.SplitID != i {
-			return nil, fmt.Errorf("core: %s: partials do not cover split %d exactly once", method, i)
-		}
-	}
-
-	batches := make([][]mapred.KV, m)
-	res := &mapred.Result{MapTasks: make([]mapred.TaskMetrics, m)}
-	for i, part := range ordered {
-		batches[i] = part.Pairs
-		res.MapTasks[i] = mapred.TaskMetrics{
-			SplitID:    part.SplitID,
-			Node:       part.Node,
-			InputBytes: part.InputBytes,
-			CPUUnits:   part.CPUUnits,
-		}
-		res.Counters.MapRecordsRead += part.RecordsRead
-		res.Counters.MapBytesRead += part.BytesRead
-	}
-	rres, err := mapred.RunReduce(ctx, job, batches)
-	if err != nil {
-		return nil, err
-	}
-	res.ShuffleBytes = rres.ShuffleBytes
-	res.PairsShuffled = rres.PairsShuffled
-	res.ReduceCPU = rres.ReduceCPU
-	res.ReduceCalls = rres.ReduceCalls
-	return res, nil
-}
-
-// NumSplits reports how many splits a build of file at the given params
-// would process — the unit of distributed assignment.
-func NumSplits(file *hdfs.File, p Params) int {
-	return len(file.Splits(p.Defaults().SplitSize))
-}
-
-// SimulatedSecondsOn exposes the cluster cost model for a merged output
-// (used by serve's uniform job metrics).
-func SimulatedSecondsOn(m Metrics, c *cluster.Cluster) float64 { return m.SimulatedSeconds(c) }
 
 // ---------- wire encoding ----------
 

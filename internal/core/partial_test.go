@@ -25,16 +25,13 @@ func partialTestFile(t testing.TB) *hdfs.File {
 func TestMapMergeMatchesRun(t *testing.T) {
 	f := partialTestFile(t)
 	ctx := context.Background()
-	for _, name := range DistributableMethods() {
-		if Rounds(name) != 1 || OneRound2D(name) {
-			continue // multi-round: multiround_test.go; 2D: round2d_test.go
+	for _, alg := range Algorithms() {
+		name := alg.Name()
+		if Rounds(name) != 1 {
+			continue // multi-round: multiround_test.go
 		}
 		t.Run(name, func(t *testing.T) {
 			p := Params{U: 1 << 10, K: 15, Epsilon: 0.01, Seed: 5}
-			alg, err := ByName(name)
-			if err != nil {
-				t.Fatal(err)
-			}
 			want, err := alg.Run(ctx, f, p)
 			if err != nil {
 				t.Fatal(err)

@@ -1,0 +1,400 @@
+package core
+
+import (
+	"context"
+	"fmt"
+	"sort"
+	"time"
+
+	"wavelethist/internal/hdfs"
+	"wavelethist/internal/mapred"
+	"wavelethist/internal/wavelet"
+)
+
+// RoundPlan is the single description of a build, for every method: r
+// rounds of (map over splits → one reducer → an optional coordinator
+// broadcast), r = 3 for H-WTopk and 1 for everything else. The plan owns
+// the per-round jobs over one Conf/Cache/State triple, the reducers, the
+// between-round broadcast, the metric accumulation and the output; a
+// one-round method is simply a plan whose NumRounds is 1 and whose
+// Broadcast is always nil.
+//
+// A round has exactly two executors of the same mapred.Job:
+//
+//   - local: RunRound drives a round through the pipelined in-process
+//     engine (mapred.RunContext) — the simulated cluster;
+//
+//   - split-granular: MapRoundSplits runs the map side of any subset of
+//     splits on any worker, ReduceRound merges one partial per split on
+//     the coordinator. Per round r = 1..NumRounds:
+//
+//     blob := plan.Broadcast(r)            // nil for round 1
+//     parts := <fan r out to the fleet with blob>
+//     plan.ReduceRound(ctx, r, parts)
+//
+// Every task derives its RNG from (seed, split id) and the reducer
+// consumes splits in split order, so both executors produce the same
+// floats, the same state files and the same cost accounting, whichever
+// worker ran which split. Not safe for concurrent use.
+type RoundPlan struct {
+	spec   *methodSpec
+	p      Params
+	splits []hdfs.Split
+	stages []stage
+
+	conf  mapred.Conf
+	cache *mapred.DistCache
+	state *mapred.StateStore
+
+	start            time.Time
+	round            int // last reduced round
+	metrics          Metrics
+	pendingBroadcast int64 // modeled bytes charged to the next round
+	top              []wavelet.Coef
+}
+
+// NewRoundPlan prepares a build of method over file. Unknown methods
+// return ErrUnsupportedMethod (wrapped).
+func NewRoundPlan(file *hdfs.File, method string, p Params) (*RoundPlan, error) {
+	return newRoundPlan(file, method, p, mapred.NewStateStore())
+}
+
+// newRoundPlan wires the plan over a split-state store: the local executor
+// and the coordinator pass a fresh one, workers their per-job lease.
+func newRoundPlan(file *hdfs.File, method string, p Params, state *mapred.StateStore) (*RoundPlan, error) {
+	spec, err := lookup(method)
+	if err != nil {
+		return nil, err
+	}
+	p = p.Defaults()
+	if err := p.validate(); err != nil {
+		return nil, err
+	}
+	rp := &RoundPlan{
+		spec:   spec,
+		p:      p,
+		splits: file.Splits(p.SplitSize),
+		conf:   mapred.Conf{},
+		cache:  mapred.NewDistCache(),
+		state:  state,
+		start:  time.Now(),
+	}
+	e := &env{p: p, dim: spec.dim, domain: p.U, tf: transform1D(p.U), m: len(rp.splits), prob: sampleProb(p.Epsilon, file.NumRecords)}
+	if spec.dim == 2 {
+		e.domain, e.tf = p.U*p.U, transform2D(p.U)
+	}
+	rp.stages = spec.stages(e)
+	return rp, nil
+}
+
+// NumRounds reports the method's round count.
+func (rp *RoundPlan) NumRounds() int { return len(rp.stages) }
+
+// NumSplits reports the per-round assignment unit count.
+func (rp *RoundPlan) NumSplits() int { return len(rp.splits) }
+
+// Candidates reports |R| — the candidate set H-WTopk broadcasts before
+// round 3 (0 until then, and for one-round methods).
+func (rp *RoundPlan) Candidates() int { return rp.metrics.CandidateSetSize }
+
+// Metrics returns the accumulated modeled metrics (valid after the final
+// round).
+func (rp *RoundPlan) Metrics() Metrics { return rp.metrics }
+
+// job builds round r's (1-based) mapred job.
+func (rp *RoundPlan) job(r int) *mapred.Job {
+	st := rp.stages[r-1]
+	name := rp.spec.job
+	if len(rp.stages) > 1 {
+		name = fmt.Sprintf("%s-round%d", name, r)
+	}
+	return &mapred.Job{
+		Name:      name,
+		Splits:    rp.splits,
+		Input:     st.input,
+		NewMapper: func(hdfs.Split) mapred.Mapper { return st.mapper() },
+		Combiner:  st.combiner,
+		Reducer:   st.reducer,
+		PairBytes: st.pairBytes,
+		Streaming: true,
+		Conf:      rp.conf, Cache: rp.cache, State: rp.state,
+		Seed:        rp.p.Seed,
+		Parallelism: rp.p.Parallelism,
+	}
+}
+
+// Broadcast returns the blob workers need for round r (nil for round 1
+// and for one-round methods) and records its modeled broadcast cost
+// against that round. Call after round r-1 has been reduced.
+func (rp *RoundPlan) Broadcast(round int) []byte {
+	if round < 2 || round > len(rp.stages) {
+		return nil
+	}
+	blob, modeled := rp.stages[round-1].broadcast(rp)
+	rp.pendingBroadcast = modeled
+	return blob
+}
+
+// RunRound is the local executor: the round's broadcast, map side and
+// reduce in-process through the pipelined engine, which bounds resident
+// map outputs at 2×parallelism.
+func (rp *RoundPlan) RunRound(ctx context.Context, round int) error {
+	if err := rp.nextRound(round); err != nil {
+		return err
+	}
+	rp.Broadcast(round)
+	res, err := mapred.RunContext(ctx, rp.job(round))
+	if err != nil {
+		return err
+	}
+	rp.endRound(res)
+	return nil
+}
+
+// nextRound rejects running rounds out of order.
+func (rp *RoundPlan) nextRound(round int) error {
+	if round != rp.round+1 || round > rp.NumRounds() {
+		return fmt.Errorf("core: %s: round %d after round %d of %d", rp.spec.name, round, rp.round, rp.NumRounds())
+	}
+	return nil
+}
+
+// ReduceRound is the coordinator half of the split-granular executor: it
+// merges one round's partials — which must cover every split exactly
+// once, in any order — through the round's reducer, exactly as the local
+// executor would (batches consumed in split order, so float accumulation
+// is bit-identical).
+func (rp *RoundPlan) ReduceRound(ctx context.Context, round int, parts []SplitPartial) error {
+	method, m := rp.spec.name, len(rp.splits)
+	if err := rp.nextRound(round); err != nil {
+		return err
+	}
+	if len(parts) != m {
+		return fmt.Errorf("core: %s round %d: have %d partials, want one per split (%d)", method, round, len(parts), m)
+	}
+	ordered := make([]SplitPartial, m)
+	copy(ordered, parts)
+	sort.Slice(ordered, func(a, b int) bool { return ordered[a].SplitID < ordered[b].SplitID })
+
+	batches := make([][]mapred.KV, m)
+	tasks := make([]mapred.TaskMetrics, m)
+	var records, bytesRead int64
+	for i, part := range ordered {
+		if part.SplitID != i {
+			return fmt.Errorf("core: %s round %d: partials do not cover split %d exactly once", method, round, i)
+		}
+		batches[i] = part.Pairs
+		tasks[i] = mapred.TaskMetrics{SplitID: i, Node: part.Node, InputBytes: part.InputBytes, CPUUnits: part.CPUUnits}
+		records += part.RecordsRead
+		bytesRead += part.BytesRead
+	}
+	res, err := mapred.RunReduce(ctx, rp.job(round), batches)
+	if err != nil {
+		return err
+	}
+	res.MapTasks = tasks
+	res.Counters.MapRecordsRead, res.Counters.MapBytesRead = records, bytesRead
+	rp.endRound(res)
+	return nil
+}
+
+// endRound folds a finished round into the metrics, whichever executor
+// ran it.
+func (rp *RoundPlan) endRound(res *mapred.Result) {
+	rp.metrics.addRound(res, rp.pendingBroadcast)
+	rp.pendingBroadcast = 0
+	rp.round++
+	if rp.round == rp.NumRounds() {
+		rp.top = rp.stages[rp.round-1].reducer.(topReducer).top()
+		rp.metrics.WallTime = time.Since(rp.start)
+	}
+}
+
+// Output wraps a finished 1D build.
+func (rp *RoundPlan) Output() (*Output, error) {
+	if err := rp.finished(1); err != nil {
+		return nil, err
+	}
+	return &Output{Rep: wavelet.NewRepresentation(rp.p.U, rp.top), Metrics: rp.metrics}, nil
+}
+
+// Output2D wraps a finished 2D build.
+func (rp *RoundPlan) Output2D() (*Output2D, error) {
+	if err := rp.finished(2); err != nil {
+		return nil, err
+	}
+	return &Output2D{Rep: wavelet.NewRepresentation2D(rp.p.U, rp.top), Metrics: rp.metrics}, nil
+}
+
+func (rp *RoundPlan) finished(dim int) error {
+	if err := rp.WantDim(dim); err != nil {
+		return err
+	}
+	if rp.round != rp.NumRounds() {
+		return fmt.Errorf("core: %s: only %d of %d rounds reduced", rp.spec.name, rp.round, rp.NumRounds())
+	}
+	return nil
+}
+
+// WantDim rejects using the plan's method at the wrong dimensionality: 1
+// for Output, 2 for Output2D.
+func (rp *RoundPlan) WantDim(dim int) error {
+	if rp.spec.dim != dim {
+		return fmt.Errorf("core: %w: %s is a %dD method, not %dD", ErrUnsupportedMethod, rp.spec.name, rp.spec.dim, dim)
+	}
+	return nil
+}
+
+// ---------- worker half ----------
+
+// WorkerState is a worker's per-job state lease: the round-versioned
+// per-split state files a multi-round method persists between rounds.
+// Safe for concurrent use (assignments for one job may run in parallel on
+// disjoint splits).
+type WorkerState struct {
+	store *mapred.StateStore
+}
+
+// NewWorkerState returns an empty lease store.
+func NewWorkerState() *WorkerState {
+	return &WorkerState{store: mapred.NewStateStore()}
+}
+
+// Entries reports how many state files the lease holds.
+func (ws *WorkerState) Entries() int { return ws.store.Len() }
+
+// Bytes reports the lease's total payload size.
+func (ws *WorkerState) Bytes() int64 { return ws.store.TotalBytes() }
+
+// splitStateKey is where round r's mapper persists split's state file for
+// round r+1 to read. Files are round-versioned — a round never overwrites
+// an earlier round's — so re-running any round's mapper is idempotent: the
+// property the fleet relies on when an RPC fails after a worker already
+// processed it, and what lets a fresh worker replay earlier rounds for a
+// split whose original owner died. (Split ids are >= 0, so the keys never
+// collide with the reducer's mapred.ReducerState key.)
+func splitStateKey(round, split int) int { return 2*split + round - 1 }
+
+// MapRoundSplits is the worker half of the split-granular executor: one
+// round's map side over the given splits, one mergeable partial per split
+// in splitIDs order. Splits are mapped concurrently across up to
+// p.Parallelism goroutines (0 = GOMAXPROCS) and every per-split output is
+// bit-identical to a serial run.
+//
+// bcast is the coordinator's broadcast blob for this round (nil for round
+// 1). A multi-round method reads the state earlier rounds produced from
+// (and writes new state to) the lease ws; a one-round method has no state
+// and may pass nil. Splits whose earlier-round state is missing — the
+// worker never ran them, or its lease expired — are recovered by
+// replaying the earlier rounds' map side locally (pairs discarded;
+// determinism makes the replayed state byte-identical to the lost
+// original); their ids are returned in replayed.
+func MapRoundSplits(ctx context.Context, file *hdfs.File, method string, p Params, round int, bcast []byte, splitIDs []int, ws *WorkerState) (parts []SplitPartial, replayed []int, err error) {
+	store := mapred.NewStateStore() // a one-round method leaves nothing in it
+	if ws != nil {
+		store = ws.store
+	}
+	rp, err := newRoundPlan(file, method, p, store)
+	if err != nil {
+		return nil, nil, err
+	}
+	if round < 1 || round > rp.NumRounds() {
+		return nil, nil, fmt.Errorf("core: %s has no round %d", method, round)
+	}
+	if rp.NumRounds() > 1 && ws == nil {
+		return nil, nil, fmt.Errorf("core: %s round %d needs a worker state lease", method, round)
+	}
+	if round >= 2 {
+		if err := rp.stages[round-1].receive(rp, bcast); err != nil {
+			return nil, nil, err
+		}
+	}
+	m := len(rp.splits)
+	for _, id := range splitIDs {
+		if id < 0 || id >= m {
+			return nil, nil, fmt.Errorf("core: %s: split %d out of range [0, %d)", method, id, m)
+		}
+	}
+	// The goroutines share one job per round (its Conf/Cache/State triple
+	// is set, so nothing is lazily created under them); results land in
+	// position-indexed slots and per-split state writes are disjoint.
+	jobs := make([]*mapred.Job, round+1)
+	for r := 1; r <= round; r++ {
+		jobs[r] = rp.job(r)
+	}
+	parts = make([]SplitPartial, len(splitIDs))
+	rep := make([]bool, len(splitIDs))
+	err = forEachSplit(ctx, rp.p, len(splitIDs), func(ctx context.Context, i int) error {
+		id := splitIDs[i]
+		var rerr error
+		if rep[i], rerr = rp.ensureSplitState(ctx, jobs, round, id); rerr != nil {
+			return rerr
+		}
+		r, rerr := mapred.RunMapSplit(ctx, jobs[round], id)
+		if rerr != nil {
+			return rerr
+		}
+		parts[i] = SplitPartial{
+			SplitID:     id,
+			Node:        r.Metrics.Node,
+			Pairs:       r.Pairs,
+			RecordsRead: r.RecordsRead,
+			BytesRead:   r.BytesRead,
+			InputBytes:  r.Metrics.InputBytes,
+			CPUUnits:    r.Metrics.CPUUnits,
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	for i, id := range splitIDs {
+		if rep[i] {
+			replayed = append(replayed, id)
+		}
+	}
+	return parts, replayed, nil
+}
+
+// ensureSplitState replays earlier rounds' map side for a split whose
+// state this worker does not hold, oldest missing round first. Replay
+// emissions are discarded — the coordinator already received them from the
+// split's original owner (the round barrier guarantees every earlier round
+// completed over all splits).
+func (rp *RoundPlan) ensureSplitState(ctx context.Context, jobs []*mapred.Job, round, id int) (replayed bool, err error) {
+	if round < 2 || rp.state.Get(splitStateKey(round-1, id)) != nil {
+		return false, nil
+	}
+	if _, err := rp.ensureSplitState(ctx, jobs, round-1, id); err != nil {
+		return false, err
+	}
+	if _, err := mapred.RunMapSplit(ctx, jobs[round-1], id); err != nil {
+		return false, fmt.Errorf("replaying round %d for split %d: %w", round-1, id, err)
+	}
+	return true, nil
+}
+
+// MapSplits is MapRoundSplits for a one-round method.
+func MapSplits(ctx context.Context, file *hdfs.File, method string, p Params, splitIDs []int) ([]SplitPartial, error) {
+	parts, _, err := MapRoundSplits(ctx, file, method, p, 1, nil, splitIDs, nil)
+	return parts, err
+}
+
+// MergePartials is ReduceRound + Output for a one-round 1D method: parts
+// must cover every split of file exactly once.
+func MergePartials(ctx context.Context, file *hdfs.File, method string, p Params, parts []SplitPartial) (*Output, error) {
+	rp, err := NewRoundPlan(file, method, p)
+	if err != nil {
+		return nil, err
+	}
+	if err := rp.ReduceRound(ctx, 1, parts); err != nil {
+		return nil, err
+	}
+	return rp.Output()
+}
+
+// NumSplits reports how many splits a build of file at the given params
+// would process — the unit of distributed assignment.
+func NumSplits(file *hdfs.File, p Params) int {
+	return len(file.Splits(p.Defaults().SplitSize))
+}

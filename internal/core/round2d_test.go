@@ -22,7 +22,19 @@ func twoDTestFile(t testing.TB, side int64) *hdfs.File {
 	return w.Close()
 }
 
-// TestMapMerge2DMatchesRun: MapSplits + MergePartials2D reproduces the
+// mergePartials2D is MergePartials for a one-round 2D method.
+func mergePartials2D(ctx context.Context, f *hdfs.File, method string, p Params, parts []SplitPartial) (*Output2D, error) {
+	plan, err := NewRoundPlan(f, method, p)
+	if err != nil {
+		return nil, err
+	}
+	if err := plan.ReduceRound(ctx, 1, parts); err != nil {
+		return nil, err
+	}
+	return plan.Output2D()
+}
+
+// TestMapMerge2DMatchesRun: MapSplits + ReduceRound reproduces the
 // one-round 2D methods' Run bit-for-bit, in any partial arrival order.
 func TestMapMerge2DMatchesRun(t *testing.T) {
 	const side = 1 << 5
@@ -30,15 +42,15 @@ func TestMapMerge2DMatchesRun(t *testing.T) {
 	ctx := context.Background()
 	for _, name := range []string{MethodSendV2D, MethodTwoLevelS2D} {
 		t.Run(name, func(t *testing.T) {
-			if Rounds(name) != 1 || !OneRound2D(name) {
+			if Rounds(name) != 1 {
 				t.Fatalf("%s should be a one-round 2D method (rounds=%d)", name, Rounds(name))
 			}
 			p := Params{U: side, K: 12, Epsilon: 0.05, Seed: 7}
-			or, err := oneRound2DByName(name)
+			alg, err := ByName2D(name)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := runOneRound2D(ctx, or, f, p)
+			want, err := alg.Run(ctx, f, p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -57,7 +69,7 @@ func TestMapMerge2DMatchesRun(t *testing.T) {
 			for i, j := 0, len(parts)-1; i < j; i, j = i+1, j-1 {
 				parts[i], parts[j] = parts[j], parts[i]
 			}
-			got, err := MergePartials2D(ctx, f, name, p, parts)
+			got, err := mergePartials2D(ctx, f, name, p, parts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -77,19 +89,19 @@ func TestMapMerge2DMatchesRun(t *testing.T) {
 	}
 }
 
-// TestDistributable2DOneRound: the 2D baselines advertise distributed
-// support and MergePartials2D rejects a 1D or multi-round method name.
+// TestDistributable2DOneRound: the 2D baselines are one-round plans, and a
+// one-round 2D merge rejects a 1D or multi-round method name.
 func TestDistributable2DOneRound(t *testing.T) {
 	for _, name := range []string{MethodSendV2D, MethodTwoLevelS2D} {
-		if !Distributable(name) {
-			t.Errorf("%s should be distributable", name)
+		if Rounds(name) != 1 {
+			t.Errorf("%s should be a one-round method", name)
 		}
 	}
 	f := twoDTestFile(t, 1<<4)
-	if _, err := MergePartials2D(context.Background(), f, MethodHWTopk2D, Params{U: 1 << 4, K: 4}, nil); err == nil {
-		t.Error("MergePartials2D accepted the multi-round H-WTopk-2D")
+	if _, err := mergePartials2D(context.Background(), f, MethodHWTopk2D, Params{U: 1 << 4, K: 4}, nil); err == nil {
+		t.Error("one-round merge accepted the multi-round H-WTopk-2D")
 	}
-	if _, err := MergePartials2D(context.Background(), f, "Send-V", Params{U: 1 << 4, K: 4}, nil); err == nil {
-		t.Error("MergePartials2D accepted a 1D method")
+	if _, err := mergePartials2D(context.Background(), f, "Send-V", Params{U: 1 << 4, K: 4}, nil); err == nil {
+		t.Error("2D merge accepted a 1D method")
 	}
 }

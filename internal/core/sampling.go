@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"math"
 
 	"wavelethist/internal/hdfs"
@@ -26,16 +25,27 @@ func sampleProb(eps float64, n int64) float64 {
 
 // ---------- Basic-S ----------
 
-// BasicS emits every sampled key: (x, 1) pairs aggregated by the Combine
+// Basic-S emits every sampled key: (x, 1) pairs aggregated by the Combine
 // function when enabled (the paper's "straightforward improvement", whose
 // effectiveness depends entirely on the data distribution).
-type BasicS struct{}
+func basicSStages(e *env) []stage {
+	st := sampledStage(e, func() mapred.Mapper { return basicSMapper{u: e.domain} })
+	if e.p.CombineEnabled {
+		st.combiner = sumCombiner
+	}
+	return []stage{st}
+}
 
-// NewBasicS returns the Basic-S algorithm.
-func NewBasicS() *BasicS { return &BasicS{} }
-
-// Name implements Algorithm.
-func (*BasicS) Name() string { return "Basic-S" }
+// sampledStage is the round Basic-S and Improved-S share: level-1 sampled
+// input, (x, count) pairs of 4+4 bytes, and the v̂ = ŝ/p estimator.
+func sampledStage(e *env, mapper func() mapred.Mapper) stage {
+	return stage{
+		input:     mapred.RandomSampleInput{P: e.prob},
+		mapper:    mapper,
+		reducer:   &estimateReducer{k: e.p.K, p: e.prob, tf: e.tf},
+		pairBytes: fixedBytes(8),
+	}
+}
 
 type basicSMapper struct {
 	u int64
@@ -53,42 +63,6 @@ func (m basicSMapper) Map(ctx *mapred.TaskContext, rec hdfs.Record, out *mapred.
 
 func (basicSMapper) Close(*mapred.TaskContext, *mapred.Emitter) error { return nil }
 
-// scaleReducer accumulates sampled counts ŝ(x) and, at Close, rescales to
-// v̂ = ŝ/p, transforms, and selects the top-k. Shared by Basic-S and
-// Improved-S.
-type scaleReducer struct {
-	u    int64
-	k    int
-	p    float64
-	sHat map[int64]float64
-	rep  *wavelet.Representation
-}
-
-func (r *scaleReducer) Setup(*mapred.TaskContext) error {
-	r.sHat = make(map[int64]float64)
-	return nil
-}
-
-func (r *scaleReducer) Reduce(_ *mapred.TaskContext, key int64, vals []mapred.KV) error {
-	for _, kv := range vals {
-		r.sHat[key] += kv.Val
-	}
-	return nil
-}
-
-func (r *scaleReducer) Close(ctx *mapred.TaskContext) error {
-	vHat := make(map[int64]float64, len(r.sHat))
-	for x, s := range r.sHat {
-		vHat[x] = s / r.p
-	}
-	coefs := localCoefficients(ctx, vHat, r.u)
-	ctx.AddWork(float64(len(coefs)))
-	r.rep = wavelet.NewRepresentation(r.u, wavelet.SelectTopK(coefs, r.k))
-	return nil
-}
-
-func (r *scaleReducer) representation() *wavelet.Representation { return r.rep }
-
 func sumCombiner(key int64, vals []mapred.KV) []mapred.KV {
 	var s float64
 	for _, kv := range vals {
@@ -97,47 +71,16 @@ func sumCombiner(key int64, vals []mapred.KV) []mapred.KV {
 	return []mapred.KV{{Key: key, Val: s, Src: vals[0].Src}}
 }
 
-// Run implements Algorithm.
-func (a *BasicS) Run(ctx context.Context, file *hdfs.File, p Params) (*Output, error) {
-	return runOneRound(ctx, a, file, p)
-}
-
-// makeJob implements oneRounder.
-func (a *BasicS) makeJob(file *hdfs.File, p Params) (*mapred.Job, repReducer) {
-	prob := sampleProb(p.Epsilon, file.NumRecords)
-	red := &scaleReducer{u: p.U, k: p.K, p: prob}
-	var comb mapred.Combiner
-	if p.CombineEnabled {
-		comb = sumCombiner
-	}
-	job := &mapred.Job{
-		Name:      "basic-s",
-		Splits:    file.Splits(p.SplitSize),
-		Input:     mapred.RandomSampleInput{P: prob},
-		NewMapper: func(hdfs.Split) mapred.Mapper { return basicSMapper{u: p.U} },
-		Combiner:  comb,
-		Reducer:   red,
-		// (x, count): 4-byte key + 4-byte count.
-		PairBytes:   func(mapred.KV) int { return 8 },
-		Streaming:   true,
-		Seed:        p.Seed,
-		Parallelism: p.Parallelism,
-	}
-	return job, red
-}
-
 // ---------- Improved-S ----------
 
-// ImprovedS drops sampled keys with small local counts: split j emits
+// Improved-S drops sampled keys with small local counts: split j emits
 // (x, s_j(x)) only when s_j(x) >= ε·t_j, capping per-split communication
 // at 1/ε pairs — but biasing the estimator by up to εn (Section 4).
-type ImprovedS struct{}
-
-// NewImprovedS returns the Improved-S algorithm.
-func NewImprovedS() *ImprovedS { return &ImprovedS{} }
-
-// Name implements Algorithm.
-func (*ImprovedS) Name() string { return "Improved-S" }
+func improvedSStages(e *env) []stage {
+	return []stage{sampledStage(e, func() mapred.Mapper {
+		return &improvedSMapper{u: e.domain, eps: e.p.Epsilon}
+	})}
+}
 
 type improvedSMapper struct {
 	u       int64
@@ -171,47 +114,38 @@ func (m *improvedSMapper) Close(ctx *mapred.TaskContext, out *mapred.Emitter) er
 	return nil
 }
 
-// Run implements Algorithm.
-func (a *ImprovedS) Run(ctx context.Context, file *hdfs.File, p Params) (*Output, error) {
-	return runOneRound(ctx, a, file, p)
-}
-
-// makeJob implements oneRounder.
-func (a *ImprovedS) makeJob(file *hdfs.File, p Params) (*mapred.Job, repReducer) {
-	prob := sampleProb(p.Epsilon, file.NumRecords)
-	red := &scaleReducer{u: p.U, k: p.K, p: prob}
-	job := &mapred.Job{
-		Name:   "improved-s",
-		Splits: file.Splits(p.SplitSize),
-		Input:  mapred.RandomSampleInput{P: prob},
-		NewMapper: func(hdfs.Split) mapred.Mapper {
-			return &improvedSMapper{u: p.U, eps: p.Epsilon}
-		},
-		Reducer:     red,
-		PairBytes:   func(mapred.KV) int { return 8 },
-		Streaming:   true,
-		Seed:        p.Seed,
-		Parallelism: p.Parallelism,
-	}
-	return job, red
-}
-
 // ---------- TwoLevel-S ----------
 
-// TwoLevelS is the paper's new two-level sampling algorithm (Section 4,
+// TwoLevel-S is the paper's new two-level sampling algorithm (Section 4,
 // Figures 3-4): after level-1 sampling, split j emits (x, s_j(x)) when
 // s_j(x) >= 1/(ε√m) and otherwise emits (x, NULL) with probability
 // ε√m·s_j(x) — importance sampling proportional to frequency. The reducer
 // reconstructs the unbiased estimator ŝ(x) = ρ(x) + M(x)/(ε√m) with
 // standard deviation <= 1/ε (Theorem 1), for O(√m/ε) expected
-// communication (Theorem 3).
-type TwoLevelS struct{}
-
-// NewTwoLevelS returns the TwoLevel-S algorithm.
-func NewTwoLevelS() *TwoLevelS { return &TwoLevelS{} }
-
-// Name implements Algorithm.
-func (*TwoLevelS) Name() string { return "TwoLevel-S" }
+// communication (Theorem 3). TwoLevel-S-2D is the same job over packed
+// keys (with the caveat the paper notes about sparsity hurting relative
+// error).
+func twoLevelSStages(e *env) []stage {
+	kb := e.keyBytes()
+	return []stage{{
+		input: mapred.RandomSampleInput{P: e.prob},
+		mapper: func() mapred.Mapper {
+			return &twoLevelSMapper{u: e.domain, eps: e.p.Epsilon, m: e.m}
+		},
+		reducer: &estimateReducer{
+			k: e.p.K, p: e.prob, tf: e.tf,
+			epsSqrtM: e.p.Epsilon * math.Sqrt(float64(e.m)),
+		},
+		// (x, s_j(x)) ships key + 4-byte count; (x, NULL) ships the key
+		// only (the paper's communication analysis counts keys).
+		pairBytes: func(kv mapred.KV) int {
+			if kv.Tag == mapred.TagNull {
+				return kb
+			}
+			return kb + 4
+		},
+	}}
+}
 
 type twoLevelSMapper struct {
 	u      int64
@@ -249,88 +183,4 @@ func (t *twoLevelSMapper) Close(ctx *mapred.TaskContext, out *mapred.Emitter) er
 	}
 	ctx.AddWork(float64(len(t.counts)))
 	return nil
-}
-
-// twoLevelSReducer reconstructs ŝ(x) = ρ(x) + M(x)/(ε√m) (Figure 4).
-type twoLevelSReducer struct {
-	u        int64
-	k        int
-	p        float64
-	epsSqrtM float64
-	rho      map[int64]float64
-	nulls    map[int64]int64
-	rep      *wavelet.Representation
-}
-
-func (r *twoLevelSReducer) Setup(*mapred.TaskContext) error {
-	r.rho = make(map[int64]float64)
-	r.nulls = make(map[int64]int64)
-	return nil
-}
-
-func (r *twoLevelSReducer) Reduce(_ *mapred.TaskContext, key int64, vals []mapred.KV) error {
-	for _, kv := range vals {
-		if kv.Tag == mapred.TagNull {
-			r.nulls[key]++
-		} else {
-			r.rho[key] += kv.Val
-		}
-	}
-	return nil
-}
-
-func (r *twoLevelSReducer) Close(ctx *mapred.TaskContext) error {
-	vHat := make(map[int64]float64, len(r.rho)+len(r.nulls))
-	for x, rho := range r.rho {
-		vHat[x] += rho
-	}
-	for x, m := range r.nulls {
-		vHat[x] += float64(m) / r.epsSqrtM
-	}
-	for x := range vHat {
-		vHat[x] /= r.p
-	}
-	coefs := localCoefficients(ctx, vHat, r.u)
-	ctx.AddWork(float64(len(coefs)))
-	r.rep = wavelet.NewRepresentation(r.u, wavelet.SelectTopK(coefs, r.k))
-	return nil
-}
-
-func (r *twoLevelSReducer) representation() *wavelet.Representation { return r.rep }
-
-// Run implements Algorithm.
-func (a *TwoLevelS) Run(ctx context.Context, file *hdfs.File, p Params) (*Output, error) {
-	return runOneRound(ctx, a, file, p)
-}
-
-// makeJob implements oneRounder.
-func (a *TwoLevelS) makeJob(file *hdfs.File, p Params) (*mapred.Job, repReducer) {
-	splits := file.Splits(p.SplitSize)
-	m := len(splits)
-	prob := sampleProb(p.Epsilon, file.NumRecords)
-	red := &twoLevelSReducer{
-		u: p.U, k: p.K, p: prob,
-		epsSqrtM: p.Epsilon * math.Sqrt(float64(m)),
-	}
-	job := &mapred.Job{
-		Name:   "twolevel-s",
-		Splits: splits,
-		Input:  mapred.RandomSampleInput{P: prob},
-		NewMapper: func(hdfs.Split) mapred.Mapper {
-			return &twoLevelSMapper{u: p.U, eps: p.Epsilon, m: m}
-		},
-		Reducer: red,
-		// (x, s_j(x)) ships 4+4 bytes; (x, NULL) ships the 4-byte key
-		// only (the paper's communication analysis counts keys).
-		PairBytes: func(kv mapred.KV) int {
-			if kv.Tag == mapred.TagNull {
-				return 4
-			}
-			return 8
-		},
-		Streaming:   true,
-		Seed:        p.Seed,
-		Parallelism: p.Parallelism,
-	}
-	return job, red
 }

@@ -1,30 +1,31 @@
 package core
 
 import (
-	"context"
-
 	"wavelethist/internal/hdfs"
 	"wavelethist/internal/mapred"
 	"wavelethist/internal/wavelet"
 )
 
-// SendCoef is the second exact baseline (Section 3): each split computes
+// Send-Coef is the second exact baseline (Section 3): each split computes
 // its local wavelet coefficients w_{i,j} = <v_j, ψ_i> and emits every
 // non-zero one; by linearity w_i = Σ_j w_{i,j}, so the reducer sums per
 // index and selects the top-k. The paper shows it performs strictly worse
 // than Send-V because each split's non-zero coefficient count
 // (≈ |v_j|·log u, capped at u) exceeds its distinct-key count and grows
 // with the domain size (Figure 12).
-type SendCoef struct{}
-
-// NewSendCoef returns the Send-Coef algorithm.
-func NewSendCoef() *SendCoef { return &SendCoef{} }
-
-// Name implements Algorithm.
-func (*SendCoef) Name() string { return "Send-Coef" }
+func sendCoefStages(e *env) []stage {
+	return []stage{{
+		input:   mapred.SequentialInput{},
+		mapper:  func() mapred.Mapper { return &sendCoefMapper{u: e.domain, tf: e.tf} },
+		reducer: &sendCoefReducer{k: e.p.K},
+		// Wire format: 4-byte coefficient index + 8-byte double.
+		pairBytes: fixedBytes(12),
+	}}
+}
 
 type sendCoefMapper struct {
 	u    int64
+	tf   coefTransform
 	freq map[int64]float64
 }
 
@@ -42,58 +43,34 @@ func (m *sendCoefMapper) Map(ctx *mapred.TaskContext, rec hdfs.Record, _ *mapred
 }
 
 func (m *sendCoefMapper) Close(ctx *mapred.TaskContext, out *mapred.Emitter) error {
-	for _, c := range localCoefficients(ctx, m.freq, m.u) {
+	for _, c := range transformFreq(m.tf, ctx, m.freq) {
 		out.Emit(mapred.KV{Key: c.Index, Val: c.Value, Src: int32(ctx.SplitID)})
 	}
 	return nil
 }
 
 type sendCoefReducer struct {
-	u     int64
 	k     int
-	coefs map[int64]float64
-	rep   *wavelet.Representation
+	sums  map[int64]float64
+	coefs []wavelet.Coef
 }
 
 func (r *sendCoefReducer) Setup(*mapred.TaskContext) error {
-	r.coefs = make(map[int64]float64)
+	r.sums = make(map[int64]float64)
 	return nil
 }
 
 func (r *sendCoefReducer) Reduce(_ *mapred.TaskContext, key int64, vals []mapred.KV) error {
 	for _, kv := range vals {
-		r.coefs[key] += kv.Val
+		r.sums[key] += kv.Val
 	}
 	return nil
 }
 
 func (r *sendCoefReducer) Close(ctx *mapred.TaskContext) error {
-	ctx.AddWork(float64(len(r.coefs)))
-	r.rep = wavelet.NewRepresentation(r.u, wavelet.SelectTopKMap(r.coefs, r.k))
+	ctx.AddWork(float64(len(r.sums)))
+	r.coefs = wavelet.SelectTopKMap(r.sums, r.k)
 	return nil
 }
 
-func (r *sendCoefReducer) representation() *wavelet.Representation { return r.rep }
-
-// Run implements Algorithm.
-func (a *SendCoef) Run(ctx context.Context, file *hdfs.File, p Params) (*Output, error) {
-	return runOneRound(ctx, a, file, p)
-}
-
-// makeJob implements oneRounder.
-func (a *SendCoef) makeJob(file *hdfs.File, p Params) (*mapred.Job, repReducer) {
-	red := &sendCoefReducer{u: p.U, k: p.K}
-	job := &mapred.Job{
-		Name:      "send-coef",
-		Splits:    file.Splits(p.SplitSize),
-		Input:     mapred.SequentialInput{},
-		NewMapper: func(hdfs.Split) mapred.Mapper { return &sendCoefMapper{u: p.U} },
-		Reducer:   red,
-		// Wire format: 4-byte coefficient index + 8-byte double.
-		PairBytes:   func(mapred.KV) int { return 12 },
-		Streaming:   true,
-		Seed:        p.Seed,
-		Parallelism: p.Parallelism,
-	}
-	return job, red
-}
+func (r *sendCoefReducer) top() []wavelet.Coef { return r.coefs }

@@ -1,15 +1,13 @@
 package core
 
 import (
-	"context"
-
 	"wavelethist/internal/hdfs"
 	"wavelethist/internal/mapred"
 	"wavelethist/internal/sketch"
 	"wavelethist/internal/wavelet"
 )
 
-// SendSketch is the sketch-based approximation (Section 4, "System
+// Send-Sketch is the sketch-based approximation (Section 4, "System
 // issues"): one mapper per split builds a local GCS of the split's wavelet
 // coefficients and emits the sketch's non-zero entries; the reducer merges
 // the m sketches (linearity) and recovers the top-k coefficients by the
@@ -23,13 +21,16 @@ import (
 // the paper (≈10 hours on 50 GB) — is the per-item update cost: every
 // distinct key touches log2(u)+1 coefficients, each updating
 // levels×depth sketch cells.
-type SendSketch struct{}
-
-// NewSendSketch returns the Send-Sketch algorithm.
-func NewSendSketch() *SendSketch { return &SendSketch{} }
-
-// Name implements Algorithm.
-func (*SendSketch) Name() string { return "Send-Sketch" }
+func sendSketchStages(e *env) []stage {
+	return []stage{{
+		input:   mapred.SequentialInput{},
+		mapper:  func() mapred.Mapper { return &sendSketchMapper{p: e.p} },
+		reducer: &sendSketchReducer{p: e.p},
+		// Sketch entries: 4-byte cell index + 8-byte double (Section 5's
+		// stated widths).
+		pairBytes: fixedBytes(12),
+	}}
+}
 
 // sketchBudget returns the per-split sketch bytes: the paper's
 // 20KB·log2(u) unless overridden.
@@ -123,9 +124,9 @@ func (m *sendSketchMapper) Close(ctx *mapred.TaskContext, out *mapred.Emitter) e
 }
 
 type sendSketchReducer struct {
-	p   Params
-	g   *sketch.GCS
-	rep *wavelet.Representation
+	p     Params
+	g     *sketch.GCS
+	coefs []wavelet.Coef
 }
 
 func (r *sendSketchReducer) Setup(*mapred.TaskContext) error {
@@ -140,40 +141,15 @@ func (r *sendSketchReducer) Reduce(_ *mapred.TaskContext, key int64, vals []mapr
 	return nil
 }
 
-func (r *sendSketchReducer) representation() *wavelet.Representation { return r.rep }
+func (r *sendSketchReducer) top() []wavelet.Coef { return r.coefs }
 
 func (r *sendSketchReducer) Close(ctx *mapred.TaskContext) error {
 	top := r.g.TopK(r.p.K, 0)
 	// Charge the hierarchical search: beam × levels × group-energy cost.
 	ctx.AddWork(float64(r.g.Levels() * 64 * r.p.K))
-	coefs := make([]wavelet.Coef, len(top))
+	r.coefs = make([]wavelet.Coef, len(top))
 	for i, c := range top {
-		coefs[i] = wavelet.Coef{Index: c.Index, Value: c.Value}
+		r.coefs[i] = wavelet.Coef{Index: c.Index, Value: c.Value}
 	}
-	r.rep = wavelet.NewRepresentation(r.p.U, coefs)
 	return nil
-}
-
-// Run implements Algorithm.
-func (a *SendSketch) Run(ctx context.Context, file *hdfs.File, p Params) (*Output, error) {
-	return runOneRound(ctx, a, file, p)
-}
-
-// makeJob implements oneRounder.
-func (a *SendSketch) makeJob(file *hdfs.File, p Params) (*mapred.Job, repReducer) {
-	red := &sendSketchReducer{p: p}
-	job := &mapred.Job{
-		Name:      "send-sketch",
-		Splits:    file.Splits(p.SplitSize),
-		Input:     mapred.SequentialInput{},
-		NewMapper: func(hdfs.Split) mapred.Mapper { return &sendSketchMapper{p: p} },
-		Reducer:   red,
-		// Sketch entries: 4-byte cell index + 8-byte double (Section 5's
-		// stated widths).
-		PairBytes:   func(mapred.KV) int { return 12 },
-		Streaming:   true,
-		Seed:        p.Seed,
-		Parallelism: p.Parallelism,
-	}
-	return job, red
 }

@@ -1,25 +1,27 @@
 package core
 
 import (
-	"context"
-
 	"wavelethist/internal/hdfs"
 	"wavelethist/internal/mapred"
 	"wavelethist/internal/wavelet"
 )
 
-// SendV is the first exact baseline (Section 3): each split emits its
+// Send-V is the first exact baseline (Section 3): each split emits its
 // entire local frequency vector v_j as (x, v_j(x)) pairs; the single
 // reducer aggregates v = Σ v_j and runs the centralized best-k-term
 // selection. Communication is O(m·u) in the worst case — the paper's
-// motivation for everything that follows.
-type SendV struct{}
-
-// NewSendV returns the Send-V algorithm.
-func NewSendV() *SendV { return &SendV{} }
-
-// Name implements Algorithm.
-func (*SendV) Name() string { return "Send-V" }
+// motivation for everything that follows. Send-V-2D is the same job over
+// packed keys.
+func sendVStages(e *env) []stage {
+	return []stage{{
+		input:   mapred.SequentialInput{},
+		mapper:  func() mapred.Mapper { return &sendVMapper{u: e.domain} },
+		reducer: &estimateReducer{k: e.p.K, p: 1, tf: e.tf},
+		// Wire format: key + 4-byte count ("we use 4-byte integers to
+		// represent v(x) in a Mapper", Section 5).
+		pairBytes: fixedBytes(e.keyBytes() + 4),
+	}}
+}
 
 // sendVMapper aggregates its split's frequency vector in memory (the
 // hashmap of Appendix A) and emits one (x, count) pair per distinct key.
@@ -48,56 +50,50 @@ func (m *sendVMapper) Close(ctx *mapred.TaskContext, out *mapred.Emitter) error 
 	return nil
 }
 
-// sendVReducer aggregates the global frequency vector and selects the
-// best k-term representation at Close.
-type sendVReducer struct {
-	u    int64
-	k    int
-	freq map[int64]float64
-	rep  *wavelet.Representation
+// estimateReducer is the reducer of every method that ships key counts:
+// it accumulates ρ(x) = Σ_j s_j(x) and the NULL-pair counts M(x),
+// reconstructs ŝ(x) = ρ(x) + M(x)/(ε√m) (Figure 4; only TwoLevel-S sends
+// NULL pairs), rescales to v̂ = ŝ/p, transforms, and selects the top-k.
+// Send-V is the case p = 1 of exact counts.
+type estimateReducer struct {
+	k        int
+	p        float64 // level-1 sampling probability
+	epsSqrtM float64 // ε√m, the weight of one NULL pair (TwoLevel-S)
+	tf       coefTransform
+	rho      map[int64]float64
+	nulls    map[int64]int64
+	coefs    []wavelet.Coef
 }
 
-func (r *sendVReducer) Setup(*mapred.TaskContext) error {
-	r.freq = make(map[int64]float64)
+func (r *estimateReducer) Setup(*mapred.TaskContext) error {
+	r.rho = make(map[int64]float64)
+	r.nulls = make(map[int64]int64)
 	return nil
 }
 
-func (r *sendVReducer) Reduce(_ *mapred.TaskContext, key int64, vals []mapred.KV) error {
+func (r *estimateReducer) Reduce(_ *mapred.TaskContext, key int64, vals []mapred.KV) error {
 	for _, kv := range vals {
-		r.freq[key] += kv.Val
+		if kv.Tag == mapred.TagNull {
+			r.nulls[key]++
+		} else {
+			r.rho[key] += kv.Val
+		}
 	}
 	return nil
 }
 
-func (r *sendVReducer) Close(ctx *mapred.TaskContext) error {
-	coefs := localCoefficients(ctx, r.freq, r.u)
+func (r *estimateReducer) Close(ctx *mapred.TaskContext) error {
+	vHat := r.rho
+	for x, m := range r.nulls {
+		vHat[x] += float64(m) / r.epsSqrtM
+	}
+	for x := range vHat {
+		vHat[x] /= r.p
+	}
+	coefs := transformFreq(r.tf, ctx, vHat)
 	ctx.AddWork(float64(len(coefs))) // top-k heap pass
-	r.rep = wavelet.NewRepresentation(r.u, wavelet.SelectTopK(coefs, r.k))
+	r.coefs = wavelet.SelectTopK(coefs, r.k)
 	return nil
 }
 
-func (r *sendVReducer) representation() *wavelet.Representation { return r.rep }
-
-// Run implements Algorithm.
-func (a *SendV) Run(ctx context.Context, file *hdfs.File, p Params) (*Output, error) {
-	return runOneRound(ctx, a, file, p)
-}
-
-// makeJob implements oneRounder.
-func (a *SendV) makeJob(file *hdfs.File, p Params) (*mapred.Job, repReducer) {
-	red := &sendVReducer{u: p.U, k: p.K}
-	job := &mapred.Job{
-		Name:      "send-v",
-		Splits:    file.Splits(p.SplitSize),
-		Input:     mapred.SequentialInput{},
-		NewMapper: func(hdfs.Split) mapred.Mapper { return &sendVMapper{u: p.U} },
-		Reducer:   red,
-		// Wire format: 4-byte key + 4-byte count ("we use 4-byte integers
-		// to represent v(x) in a Mapper", Section 5).
-		PairBytes:   func(mapred.KV) int { return 8 },
-		Streaming:   true,
-		Seed:        p.Seed,
-		Parallelism: p.Parallelism,
-	}
-	return job, red
-}
+func (r *estimateReducer) top() []wavelet.Coef { return r.coefs }

@@ -108,37 +108,6 @@ func TestConfClone(t *testing.T) {
 	}
 }
 
-func TestRunRoundsBetweenError(t *testing.T) {
-	fs := hdfs.NewFileSystem(2, 64)
-	w, _ := fs.Create("x", 4)
-	w.Append(1)
-	splits := w.Close().Splits(0)
-	mk := func() *Job {
-		return &Job{
-			Name: "j", Splits: splits, Input: SequentialInput{},
-			NewMapper: func(hdfs.Split) Mapper { return countMapper{} },
-			Reducer:   &sumReducer{}, Streaming: true, Seed: 1,
-		}
-	}
-	calls := 0
-	_, err := RunRounds([]*Job{mk(), mk()}, func(round int, res *Result) error {
-		calls++
-		return errTest
-	})
-	if err == nil {
-		t.Fatal("between error not propagated")
-	}
-	if calls != 1 {
-		t.Errorf("between called %d times, want 1 (abort after round 1)", calls)
-	}
-}
-
-var errTest = errFixed("test failure")
-
-type errFixed string
-
-func (e errFixed) Error() string { return string(e) }
-
 func TestEstimateVarRecords(t *testing.T) {
 	fs := hdfs.NewFileSystem(2, 1<<20)
 	w, _ := fs.CreateVar("v")

@@ -39,6 +39,10 @@ func RunContext(ctx context.Context, job *Job) (*Result, error) {
 	job.fillDefaults()
 	counters := &Counters{}
 	m := len(job.Splits)
+	rt, err := startReduce(job, counters)
+	if err != nil {
+		return nil, err
+	}
 
 	parallelism := job.Parallelism
 	if parallelism <= 0 {
@@ -78,37 +82,10 @@ func RunContext(ctx context.Context, job *Job) (*Result, error) {
 		}()
 	}
 
-	// Reduce phase: r reducer tasks, each consuming its partition of the
-	// mapper outputs in split order. The paper's jobs use r = 1 (their
-	// coordinator is necessarily a single task); the engine supports the
-	// general Hadoop configuration.
-	r := job.numReducers()
-	reducers := make([]Reducer, r)
-	rctxs := make([]*TaskContext, r)
-	for p := 0; p < r; p++ {
-		if r == 1 {
-			reducers[p] = job.Reducer
-		} else {
-			reducers[p] = job.NewReducer(p)
-		}
-		rctxs[p] = &TaskContext{
-			JobName:   job.Name,
-			SplitID:   ReducerState - p, // ReducerState, ReducerState-1, ...
-			NumSplits: m,
-			Conf:      job.Conf,
-			Cache:     job.Cache,
-			State:     job.State,
-			RNG:       taskRNG(job.Seed, ReducerState-p),
-			counters:  counters,
-		}
-		if err := reducers[p].Setup(rctxs[p]); err != nil {
-			return nil, fmt.Errorf("mapred: %s: reducer %d setup: %w", job.Name, p, err)
-		}
-	}
-
+	// Reduce phase: the single reduce task consumes the mapper outputs in
+	// split order.
 	res := &Result{MapTasks: make([]TaskMetrics, m)}
 	var reduceErr error
-	grouped := make([][]KV, r) // only in grouped mode
 	for i := 0; i < m; i++ {
 		<-done[i]
 		out := outputs[i]
@@ -122,65 +99,79 @@ func RunContext(ctx context.Context, job *Job) (*Result, error) {
 			continue
 		}
 		res.MapTasks[i] = out.metrics
-		if reduceErr != nil {
-			continue
-		}
-		for p := 0; p < r && reduceErr == nil; p++ {
-			pairs := out.pairs
-			if r > 1 {
-				pairs = filterPartition(job, pairs, p, r)
-			}
-			if job.Streaming {
-				reduceErr = feedGroups(rctxs[p], reducers[p], pairs, counters)
-			} else {
-				grouped[p] = append(grouped[p], pairs...)
-			}
+		if reduceErr == nil {
+			reduceErr = rt.feed(out.pairs)
 		}
 	}
 	wg.Wait()
 	if reduceErr != nil {
 		return nil, fmt.Errorf("mapred: %s: %w", job.Name, reduceErr)
 	}
-
-	if !job.Streaming {
-		// Hadoop semantics: per-partition sort by key (stable keeps split
-		// order within a key), then one Reduce call per distinct key.
-		for p := 0; p < r; p++ {
-			g := grouped[p]
-			sort.SliceStable(g, func(a, b int) bool { return g[a].Key < g[b].Key })
-			if err := feedGroups(rctxs[p], reducers[p], g, counters); err != nil {
-				return nil, fmt.Errorf("mapred: %s: %w", job.Name, err)
-			}
-		}
+	if err := rt.finish(res); err != nil {
+		return nil, err
 	}
-	for p := 0; p < r; p++ {
-		if err := reducers[p].Close(rctxs[p]); err != nil {
-			return nil, fmt.Errorf("mapred: %s: reducer %d close: %w", job.Name, p, err)
-		}
-	}
-
 	res.Counters = *counters
 	res.Counters.MapCPUUnits = atomic.LoadInt64(&counters.MapCPUUnits)
-	for p := 0; p < r; p++ {
-		res.ReduceCPU += rctxs[p].cpuUnits
-	}
-	res.ReduceCPU += float64(counters.ReduceCalls)
-	res.ReduceCalls = counters.ReduceCalls
 	res.ShuffleBytes = counters.ShuffleBytes
 	res.PairsShuffled = counters.PairsShuffled
 	return res, nil
 }
 
-// filterPartition extracts the pairs routed to reducer p, preserving key
-// order (a subsequence of a key-sorted list stays key-sorted).
-func filterPartition(job *Job, pairs []KV, p, r int) []KV {
-	var out []KV
-	for _, kv := range pairs {
-		if job.partition(kv.Key, r) == p {
-			out = append(out, kv)
+// reduceTask is a round's single reduce task, shared by the pipelined
+// engine (RunContext) and the split-granular one (RunReduce): setup, then
+// one feed per split in split order, then finish.
+type reduceTask struct {
+	job      *Job
+	ctx      *TaskContext
+	counters *Counters
+	grouped  []KV // grouped mode only: the materialized shuffle
+}
+
+func startReduce(job *Job, counters *Counters) (*reduceTask, error) {
+	rt := &reduceTask{job: job, counters: counters, ctx: &TaskContext{
+		JobName:   job.Name,
+		SplitID:   ReducerState,
+		NumSplits: len(job.Splits),
+		Conf:      job.Conf,
+		Cache:     job.Cache,
+		State:     job.State,
+		RNG:       taskRNG(job.Seed, ReducerState),
+		counters:  counters,
+	}}
+	if err := job.Reducer.Setup(rt.ctx); err != nil {
+		return nil, fmt.Errorf("mapred: %s: reducer setup: %w", job.Name, err)
+	}
+	return rt, nil
+}
+
+// feed consumes one split's key-sorted pairs: reduced at once in streaming
+// mode, held for the global sort in grouped mode.
+func (rt *reduceTask) feed(pairs []KV) error {
+	if !rt.job.Streaming {
+		rt.grouped = append(rt.grouped, pairs...)
+		return nil
+	}
+	return feedGroups(rt.ctx, rt.job.Reducer, pairs, rt.counters)
+}
+
+// finish runs grouped mode's single pass, closes the reducer and records
+// the reduce-side costs in res.
+func (rt *reduceTask) finish(res *Result) error {
+	if !rt.job.Streaming {
+		// Hadoop semantics: sort by key (stable keeps split order within
+		// a key), then one Reduce call per distinct key.
+		g := rt.grouped
+		sort.SliceStable(g, func(a, b int) bool { return g[a].Key < g[b].Key })
+		if err := feedGroups(rt.ctx, rt.job.Reducer, g, rt.counters); err != nil {
+			return fmt.Errorf("mapred: %s: %w", rt.job.Name, err)
 		}
 	}
-	return out
+	if err := rt.job.Reducer.Close(rt.ctx); err != nil {
+		return fmt.Errorf("mapred: %s: reducer close: %w", rt.job.Name, err)
+	}
+	res.ReduceCPU = rt.ctx.cpuUnits + float64(rt.counters.ReduceCalls)
+	res.ReduceCalls = rt.counters.ReduceCalls
+	return nil
 }
 
 // feedGroups groups consecutive pairs with equal keys (input is sorted by
@@ -310,26 +301,4 @@ func sortAndCombine(job *Job, pairs []KV) []KV {
 		lo = hi
 	}
 	return combined
-}
-
-// RunRounds executes a multi-round job (e.g. H-WTopk's three rounds),
-// sharing Conf, Cache and State across rounds, and returns per-round
-// results. The between-rounds callback lets the coordinator update the
-// job configuration / distributed cache, like the paper's driver does
-// between Hadoop job submissions.
-func RunRounds(jobs []*Job, between func(round int, res *Result) error) ([]*Result, error) {
-	var results []*Result
-	for i, j := range jobs {
-		res, err := Run(j)
-		if err != nil {
-			return results, err
-		}
-		results = append(results, res)
-		if between != nil {
-			if err := between(i, res); err != nil {
-				return results, err
-			}
-		}
-	}
-	return results, nil
 }

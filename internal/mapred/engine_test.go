@@ -240,17 +240,15 @@ func TestMultiRoundStateAndConf(t *testing.T) {
 		NewMapper: func(hdfs.Split) Mapper { return stateMapper{round: 2} },
 		Reducer:   red2, Streaming: true, State: state, Cache: cache, Seed: 3,
 	}
-	results, err := RunRounds([]*Job{round1, round2}, func(round int, res *Result) error {
-		if round == 0 {
-			cache.Put("threshold", AppendFloat64(nil, 42.5))
+	var results []*Result
+	for _, j := range []*Job{round1, round2} {
+		res, err := Run(j)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 2 {
-		t.Fatalf("results = %d", len(results))
+		results = append(results, res)
+		// Between rounds the driver updates the distributed cache.
+		cache.Put("threshold", AppendFloat64(nil, 42.5))
 	}
 	// Round 2 reads no input records.
 	if results[1].Counters.MapRecordsRead != 0 {
@@ -371,5 +369,54 @@ func TestGroupedModeGroupsAllValues(t *testing.T) {
 	res, totals := wordCountJob(t, splits, false, nil)
 	if res.ReduceCalls != int64(len(totals)) {
 		t.Errorf("reduce calls = %d, want one per key = %d", res.ReduceCalls, len(totals))
+	}
+}
+
+func TestSpillsPreserveResults(t *testing.T) {
+	keys := repeatKeys(8000, 31)
+	splits := makeDataset(t, keys, 2048)
+	run := func(threshold int) (*Result, map[int64]float64) {
+		red := &sumReducer{}
+		job := &Job{
+			Name: "spill", Splits: splits, Input: SequentialInput{},
+			NewMapper:      func(hdfs.Split) Mapper { return countMapper{} },
+			Combiner:       sumCombiner,
+			Reducer:        red,
+			Streaming:      true,
+			Seed:           2,
+			SpillThreshold: threshold,
+		}
+		res, err := Run(job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, red.totals
+	}
+	resNo, totalsNo := run(0)
+	resSpill, totalsSpill := run(64)
+	for k, v := range totalsNo {
+		if totalsSpill[k] != v {
+			t.Errorf("spilling changed key %d: %v vs %v", k, totalsSpill[k], v)
+		}
+	}
+	// Spills cost extra local IO but identical shuffle bytes.
+	if resSpill.ShuffleBytes != resNo.ShuffleBytes {
+		t.Errorf("spilling changed shuffle bytes: %d vs %d",
+			resSpill.ShuffleBytes, resNo.ShuffleBytes)
+	}
+	var ioNo, ioSpill int64
+	for i := range resNo.MapTasks {
+		ioNo += resNo.MapTasks[i].InputBytes
+		ioSpill += resSpill.MapTasks[i].InputBytes
+	}
+	if ioSpill <= ioNo {
+		t.Errorf("spilling should add local IO: %d vs %d", ioSpill, ioNo)
+	}
+	if _, err := Run(&Job{
+		Name: "neg", Splits: splits, Input: SequentialInput{},
+		NewMapper: func(hdfs.Split) Mapper { return countMapper{} },
+		Reducer:   &sumReducer{}, SpillThreshold: -1,
+	}); err == nil {
+		t.Error("accepted negative spill threshold")
 	}
 }

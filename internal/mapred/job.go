@@ -167,18 +167,9 @@ type Job struct {
 	// and per-split).
 	NewMapper func(split hdfs.Split) Mapper
 	Combiner  Combiner // optional
-	Reducer   Reducer
-
-	// NumReducers is r, the reducer-task count. 0 or 1 runs the single
-	// Reducer above (the paper's configuration — its coordinator is
-	// necessarily one task). With r > 1, NewReducer must be set and keys
-	// are routed by Partitioner.
-	NumReducers int
-	// NewReducer creates the reducer for one partition (r > 1 only).
-	NewReducer func(partition int) Reducer
-	// Partitioner routes an intermediate key to a reducer in [0, r);
-	// nil uses Hadoop's default hash(k2) mod r.
-	Partitioner func(key int64, r int) int
+	// Reducer is the round's single reduce task: the paper's jobs use
+	// r = 1 (their coordinator is necessarily one task).
+	Reducer Reducer
 
 	// SpillThreshold simulates the mapper's in-memory buffer: when more
 	// than this many pairs accumulate, they are sorted, combined and
@@ -234,13 +225,8 @@ func (j *Job) validate() error {
 	if j.NewMapper == nil {
 		return fmt.Errorf("mapred: job %q has no mapper factory", j.Name)
 	}
-	if j.numReducers() == 1 {
-		if j.Reducer == nil {
-			return fmt.Errorf("mapred: job %q has no reducer", j.Name)
-		}
-	} else if j.NewReducer == nil {
-		return fmt.Errorf("mapred: job %q has %d reducers but no reducer factory",
-			j.Name, j.numReducers())
+	if j.Reducer == nil {
+		return fmt.Errorf("mapred: job %q has no reducer", j.Name)
 	}
 	if j.Input == nil {
 		return fmt.Errorf("mapred: job %q has no input format", j.Name)
@@ -277,28 +263,6 @@ func (j *Job) Prepare() error {
 	}
 	j.fillDefaults()
 	return nil
-}
-
-func (j *Job) numReducers() int {
-	if j.NumReducers <= 1 {
-		return 1
-	}
-	return j.NumReducers
-}
-
-// partition routes a key to its reducer.
-func (j *Job) partition(key int64, r int) int {
-	if j.Partitioner != nil {
-		p := j.Partitioner(key, r)
-		if p < 0 || p >= r {
-			return 0
-		}
-		return p
-	}
-	// Hadoop's default: hash(k2) mod r, with a cheap integer mix so
-	// adjacent keys spread.
-	h := uint64(key) * 0x9e3779b97f4a7c15
-	return int(h % uint64(r))
 }
 
 func (j *Job) pairBytes(kv KV) int {

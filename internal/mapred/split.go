@@ -3,7 +3,6 @@ package mapred
 import (
 	"context"
 	"fmt"
-	"sort"
 )
 
 // Split-granular execution: the dist subsystem runs a job's map side one
@@ -50,50 +49,25 @@ func RunMapSplit(ctx context.Context, job *Job, idx int) (*MapSplitResult, error
 	}, nil
 }
 
-// RunReduce executes only the reduce side of a single-reducer job over
-// externally supplied per-split pair batches (each sorted by key), fed in
+// RunReduce executes only the reduce side of a job over externally supplied per-split pair batches (each sorted by key), fed in
 // the order given. The returned Result carries reduce-side and shuffle
 // metrics; map-task profiles come from the workers' MapSplitResults.
 func RunReduce(ctx context.Context, job *Job, batches [][]KV) (*Result, error) {
 	if err := job.validate(); err != nil {
 		return nil, err
 	}
-	if job.numReducers() != 1 {
-		return nil, fmt.Errorf("mapred: %s: RunReduce supports single-reducer jobs only", job.Name)
-	}
 	job.fillDefaults()
 	counters := &Counters{}
-	rctx := &TaskContext{
-		JobName:   job.Name,
-		SplitID:   ReducerState,
-		NumSplits: len(job.Splits),
-		Conf:      job.Conf,
-		Cache:     job.Cache,
-		State:     job.State,
-		RNG:       taskRNG(job.Seed, ReducerState),
-		counters:  counters,
-	}
-	red := job.Reducer
-	if err := red.Setup(rctx); err != nil {
-		return nil, fmt.Errorf("mapred: %s: reducer setup: %w", job.Name, err)
+	rt, err := startReduce(job, counters)
+	if err != nil {
+		return nil, err
 	}
 	res := &Result{}
-	feed := batches
-	if !job.Streaming {
-		// Grouped semantics: one globally key-sorted pass, stable so split
-		// order is preserved within a key — exactly what Run produces.
-		var all []KV
-		for _, b := range batches {
-			all = append(all, b...)
-		}
-		sort.SliceStable(all, func(a, b int) bool { return all[a].Key < all[b].Key })
-		feed = [][]KV{all}
-	}
-	for _, batch := range feed {
+	for _, batch := range batches {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("mapred: %s: %w", job.Name, err)
 		}
-		if err := feedGroups(rctx, red, batch, counters); err != nil {
+		if err := rt.feed(batch); err != nil {
 			return nil, fmt.Errorf("mapred: %s: %w", job.Name, err)
 		}
 		for i := range batch {
@@ -101,11 +75,9 @@ func RunReduce(ctx context.Context, job *Job, batches [][]KV) (*Result, error) {
 		}
 		res.PairsShuffled += int64(len(batch))
 	}
-	if err := red.Close(rctx); err != nil {
-		return nil, fmt.Errorf("mapred: %s: reducer close: %w", job.Name, err)
+	if err := rt.finish(res); err != nil {
+		return nil, err
 	}
-	res.ReduceCPU = rctx.cpuUnits + float64(counters.ReduceCalls)
-	res.ReduceCalls = counters.ReduceCalls
 	res.Counters = *counters
 	res.Counters.ShuffleBytes = res.ShuffleBytes
 	res.Counters.PairsShuffled = res.PairsShuffled

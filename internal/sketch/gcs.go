@@ -3,6 +3,7 @@ package sketch
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"wavelethist/internal/heap"
 )
@@ -264,4 +265,13 @@ func (g *GCS) AddEntry(idx int64, v float64) {
 	l := int(idx >> 40)
 	cell := idx & ((1 << 40) - 1)
 	g.levels[l].cells[cell] += v
+}
+
+func median(xs []float64) float64 {
+	sort.Float64s(xs)
+	n := len(xs)
+	if n%2 == 1 {
+		return xs[n/2]
+	}
+	return (xs[n/2-1] + xs[n/2]) / 2
 }

@@ -1,9 +1,7 @@
-// Package sketch implements the linear sketches the paper's Send-Sketch
-// baseline builds on: the AMS/CountSketch point-query sketch (Alon, Matias,
-// Szegedy [4]; used by Gilbert et al. [20] for streaming wavelets) and the
-// Group-Count Sketch of Cormode, Garofalakis, Sacharidis [13], the
-// state-of-the-art wavelet sketch the paper selects. Both are linear, so
-// per-split sketches merge at the reducer by addition.
+// Package sketch implements the linear sketch the paper's Send-Sketch
+// baseline builds on: the Group-Count Sketch of Cormode, Garofalakis,
+// Sacharidis [13], the state-of-the-art wavelet sketch the paper selects.
+// It is linear, so per-split sketches merge at the reducer by addition.
 package sketch
 
 import "math/bits"

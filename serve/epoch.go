@@ -9,6 +9,8 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+
+	"wavelethist/internal/atomicfile"
 )
 
 // Registry epochs. A server's epoch names its write lineage: it is
@@ -96,16 +98,10 @@ func readEpochFile(dir string) (uint64, error) {
 	return v, nil
 }
 
-// writeEpochFile persists the counter via the same tmp+rename dance the
-// registry uses for snapshots, so a crash mid-write never truncates it.
+// writeEpochFile persists the counter durably: a power loss must not roll
+// back an epoch bump, or two lineages could share an epoch.
 func writeEpochFile(dir string, v uint64) error {
-	path := filepath.Join(dir, epochFile)
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, []byte(strconv.FormatUint(v, 10)+"\n"), 0o644); err != nil {
-		return fmt.Errorf("serve: write epoch: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
+	if err := atomicfile.WriteFile(atomicfile.OS, filepath.Join(dir, epochFile), []byte(strconv.FormatUint(v, 10)+"\n")); err != nil {
 		return fmt.Errorf("serve: write epoch: %w", err)
 	}
 	return nil

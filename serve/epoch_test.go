@@ -123,8 +123,8 @@ func TestDemoteFencing(t *testing.T) {
 // TestPullEpochMismatchForcesFullSnapshot: a cursor minted under a
 // different epoch is meaningless (the primary's version counter may
 // have restarted), so the primary answers from zero with the complete
-// state. Matching and legacy (epoch-less) pulls keep the incremental
-// path.
+// state. Matching and unknown (epoch 0, a first pull) epochs keep the
+// incremental path: 0 forces nothing.
 func TestPullEpochMismatchForcesFullSnapshot(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	if _, err := s.Registry().Publish("a", buildHist(t, 10000, 1<<10, 20, 1)); err != nil {
@@ -145,9 +145,27 @@ func TestPullEpochMismatchForcesFullSnapshot(t *testing.T) {
 		t.Fatalf("mismatched-epoch pull: since=%d entries=%d, want full snapshot", mismatch.Since, len(mismatch.Entries))
 	}
 
-	legacy := pullEpoch(t, ts.URL, cur, 0)
-	if legacy.Since != cur || len(legacy.Entries) != 0 {
-		t.Fatalf("legacy pull: since=%d entries=%d, want incremental", legacy.Since, len(legacy.Entries))
+	unknown := pullEpoch(t, ts.URL, cur, 0)
+	if unknown.Since != cur || len(unknown.Entries) != 0 {
+		t.Fatalf("epoch-0 pull: since=%d entries=%d, want incremental", unknown.Since, len(unknown.Entries))
+	}
+}
+
+// TestPullMalformedFrameIs400: a pull frame cut short — including the
+// pre-epoch form that ends after the cursor — is refused with 400, not
+// read as "epoch unknown".
+func TestPullMalformedFrameIs400(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	frame := dist.EncodeReplPullRequest(&dist.ReplPullRequest{Since: 5, Epoch: 1 << 40})
+	for _, n := range []int{0, 4, len(frame) - 6, len(frame) - 1} {
+		resp, err := http.Post(ts.URL+"/v1/repl/pull", dist.ContentTypeBinary, bytes.NewReader(frame[:n]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("pull frame cut to %d of %d bytes: HTTP %d, want 400", n, len(frame), resp.StatusCode)
+		}
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"wavelethist"
+	"wavelethist/internal/atomicfile"
 )
 
 // Maintainer persistence. A maintained histogram's full state — the
@@ -38,14 +39,7 @@ func (s *Server) persistMaint(name string, mh *wavelethist.MaintainedHistogram) 
 	if err != nil {
 		return
 	}
-	final := filepath.Join(s.cfg.SnapshotDir, name+extMaint)
-	tmp := final + ".tmp"
-	err = os.WriteFile(tmp, b, 0o644)
-	if err == nil {
-		err = os.Rename(tmp, final)
-	}
-	if err != nil {
-		os.Remove(tmp)
+	if err := atomicfile.WriteFile(atomicfile.OS, filepath.Join(s.cfg.SnapshotDir, name+extMaint), b); err != nil {
 		if _, warned := s.persistWarned.LoadOrStore(name, struct{}{}); !warned {
 			log.Printf("serve: maintainer snapshot for %q not saved (a restart re-seeds it from the published histogram): %v", name, err)
 		}

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"io"
 	"log"
 	"net/http"
@@ -14,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"wavelethist/dist"
 	"wavelethist/internal/obs"
 )
 
@@ -255,8 +255,8 @@ func TestSlowQuerySinkJSONL(t *testing.T) {
 }
 
 // TestSlowLogCoalescedField: slow batch records carry the router's
-// coalesced count — present when the X-Wavehist-Coalesced header marked
-// the batch as merged, omitted from the JSON otherwise.
+// coalesced count — present when the query frame's group marked the batch
+// as merged, omitted from the JSON otherwise.
 func TestSlowLogCoalescedField(t *testing.T) {
 	dir := t.TempDir()
 	s, ts := newTestServer(t, Config{
@@ -267,31 +267,18 @@ func TestSlowLogCoalescedField(t *testing.T) {
 	if _, err := s.Registry().Publish("p", h); err != nil {
 		t.Fatal(err)
 	}
-	var queries []string
-	for i := 0; i < 20; i++ {
-		queries = append(queries, fmt.Sprintf(`{"op":"point","key":%d}`, i))
+	queries := make([]BatchQuery, 20)
+	for i := range queries {
+		queries[i] = BatchQuery{Op: "point", Key: int64(i)}
 	}
-	body := `{"queries":[` + strings.Join(queries, ",") + `]}`
-	post := func(coalesced string) {
-		req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/hist/p/query", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		req.Header.Set("Content-Type", "application/json")
-		if coalesced != "" {
-			req.Header.Set("X-Wavehist-Coalesced", coalesced)
-		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("batch POST = %d", resp.StatusCode)
+	post := func(coalesced int) {
+		code, body := postFrame(t, ts.URL, []dist.QueryGroup{{Name: "p", Coalesced: coalesced, Queries: queries}})
+		if code != http.StatusOK {
+			t.Fatalf("query frame = %d: %s", code, body)
 		}
 	}
-	post("")
-	post("17")
+	post(0)
+	post(17)
 	s.Close() // flush and close the sink
 
 	f, err := os.Open(filepath.Join(dir, "slow-queries.jsonl"))

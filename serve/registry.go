@@ -23,6 +23,7 @@ import (
 
 	"wavelethist"
 	"wavelethist/dist"
+	"wavelethist/internal/atomicfile"
 )
 
 // Snapshot file extensions, matching the two wire formats of the
@@ -457,22 +458,7 @@ func (r *Registry) persist(e *Entry) error {
 	if err != nil {
 		return fmt.Errorf("serve: marshal %q: %w", e.Name, err)
 	}
-	final := filepath.Join(r.dir, e.Name+entryExt(e))
-	tmp, err := os.CreateTemp(r.dir, e.Name+".tmp*")
-	if err != nil {
-		return fmt.Errorf("serve: persist %q: %w", e.Name, err)
-	}
-	if _, err := tmp.Write(b); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("serve: persist %q: %w", e.Name, err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("serve: persist %q: %w", e.Name, err)
-	}
-	if err := os.Rename(tmp.Name(), final); err != nil {
-		os.Remove(tmp.Name())
+	if err := atomicfile.WriteFile(atomicfile.OS, filepath.Join(r.dir, e.Name+entryExt(e)), b); err != nil {
 		return fmt.Errorf("serve: persist %q: %w", e.Name, err)
 	}
 	return nil

@@ -13,9 +13,9 @@ import (
 // replicas send the highest registry version they have applied and get
 // back every entry published after it (full histogram blobs — summaries
 // are kilobytes, so "log shipping" degenerates to shipping the changed
-// snapshots) plus the complete live name set for drop detection. The
-// endpoint answers in the encoding it was asked in: binary WDF1 frames
-// in → frames out, JSON in → JSON out.
+// snapshots) plus the complete live name set for drop detection. Request
+// and response are WDF1 frames (dist/replcodec.go); any other
+// Content-Type is a 415.
 //
 // A server started read-only (Config.ReadOnly, the -replica-of mode)
 // rejects every mutating endpoint with 403 until POST /v1/promote flips
@@ -136,28 +136,22 @@ func (s *Server) pullResponse(since, reqEpoch uint64) *dist.ReplPullResponse {
 }
 
 func (s *Server) handleReplPull(w http.ResponseWriter, r *http.Request) {
-	if r.Header.Get("Content-Type") == dist.ContentTypeBinary {
-		frame, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, "read body: %v", err)
-			return
-		}
-		req, err := dist.DecodeReplPullRequest(frame)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, "bad pull request: %v", err)
-			return
-		}
-		w.Header().Set("Content-Type", dist.ContentTypeBinary)
-		w.WriteHeader(http.StatusOK)
-		w.Write(dist.EncodeReplPullResponse(s.pullResponse(req.Since, req.Epoch)))
+	if r.Header.Get("Content-Type") != dist.ContentTypeBinary {
+		writeErr(w, http.StatusUnsupportedMediaType, "POST /v1/repl/pull takes %s pull frames", dist.ContentTypeBinary)
 		return
 	}
-	var req dist.ReplPullRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)).Decode(&req); err != nil {
+	frame, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, "read body: %v", err)
+		return
+	}
+	req, err := dist.DecodeReplPullRequest(frame)
+	if err != nil {
 		writeErr(w, http.StatusBadRequest, "bad pull request: %v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, s.pullResponse(req.Since, req.Epoch))
+	w.Header().Set("Content-Type", dist.ContentTypeBinary)
+	w.Write(dist.EncodeReplPullResponse(s.pullResponse(req.Since, req.Epoch)))
 }
 
 // fenceRequest is the optional JSON body of /v1/promote and /v1/demote:

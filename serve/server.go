@@ -517,12 +517,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	bb.Resp.Name = e.Name
 	bb.Resp.Version = e.Version
 	writeJSON(w, http.StatusOK, &bb.Resp)
-	// A caller that merged single client queries into this batch says
-	// how many in a header (the router's own coalescer carries the count
-	// in its query frame instead), so slow-query records can tell
-	// organic large batches from coalesced ones.
-	coalesced, _ := strconv.Atoi(r.Header.Get("X-Wavehist-Coalesced"))
-	s.slowQuery("batch", e.Name, n, coalesced, time.Since(t0))
+	// A JSON batch is never a coalesced one: the router's coalescer sends
+	// query frames, which carry the merged count (queryframe.go).
+	s.slowQuery("batch", e.Name, n, 0, time.Since(t0))
 }
 
 // KeyUpdate is one insertion/deletion in POST /v1/hist/{name}/updates.

@@ -212,19 +212,11 @@ func Build2DContext(ctx context.Context, d *Dataset2D, method Method2D, opts Opt
 	if d == nil || d.file == nil {
 		return nil, fmt.Errorf("wavelethist: nil dataset")
 	}
-	p := opts.toParams(d.side)
-	var out *core.Output2D
-	var err error
-	switch method {
-	case SendV2D:
-		out, err = core.NewSendV2D().Run(ctx, d.file, p)
-	case HWTopk2D:
-		out, err = core.NewHWTopk2D().Run(ctx, d.file, p)
-	case TwoLevelS2D:
-		out, err = core.NewTwoLevelS2D().Run(ctx, d.file, p)
-	default:
-		return nil, fmt.Errorf("wavelethist: unknown 2D method %q", method)
+	alg, err := core.ByName2D(string(method))
+	if err != nil {
+		return nil, err
 	}
+	out, err := alg.Run(ctx, d.file, opts.toParams(d.side))
 	if err != nil {
 		return nil, err
 	}
