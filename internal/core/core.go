@@ -16,7 +16,9 @@
 // dimensionality and one stage — input, mapper, reducer, pair encoding,
 // broadcast — per round. RoundPlan (plan.go) turns a row into a build and
 // runs each round on one of two executors: in-process (RunRound) or
-// split by split on a worker fleet (MapRoundSplits + ReduceRound).
+// split by split on a worker fleet (MapRoundSplits + ReduceRound). Every
+// mapper that needs its split's frequency vector v_j builds it one way
+// (aggregate.go): keep the keys, radix sort, run-length encode.
 package core
 
 import (
@@ -183,16 +185,6 @@ func transform2D(u int64) coefTransform {
 		}
 		return dst
 	}
-}
-
-// transformFreq applies tf to a frequency map, sorting it through pooled
-// scratch: with many reducers and mappers transforming concurrently,
-// per-call (keys, counts) slices were a dominant allocation.
-func transformFreq(tf coefTransform, ctx *mapred.TaskContext, freq map[int64]float64) []wavelet.Coef {
-	buf := wavelet.GetFreqBuffers()
-	defer wavelet.PutFreqBuffers(buf)
-	keys, counts := buf.Load(freq)
-	return tf(ctx, nil, keys, counts)
 }
 
 // checkDomain validates a record key against [0, U).

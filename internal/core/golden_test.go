@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"wavelethist/internal/cluster"
+	"wavelethist/internal/datagen"
 	"wavelethist/internal/hdfs"
 	"wavelethist/internal/mapred"
 	"wavelethist/internal/wavelet"
@@ -289,16 +290,62 @@ func TestHWTopkGoldenAccounting(t *testing.T) {
 	}
 }
 
+// figureDatasets are the seed datasets the Figs 5-18 drivers build in
+// Quick mode (exper.Quick: n = 2^16, u = 2^12, 4 KiB splits, 15 nodes,
+// k = 30, the paper's seed): the default, the α sweep (Figs 14-15), the n
+// sweep's ends (Fig 10), the u sweep's small end (Fig 12), padded records
+// at n/32 (Fig 11) and the WorldCup-like log (Figs 17-18).
+type seedDataset struct {
+	name string
+	file *hdfs.File
+	p    Params
+}
+
+func figureDatasets(t *testing.T) (sets []seedDataset) {
+	t.Helper()
+	const n, u, seed = 1 << 16, 1 << 12, 20111030
+	add := func(name string, u int64, gen func(*hdfs.FileSystem) (*hdfs.File, error)) {
+		f, err := gen(hdfs.NewFileSystem(15, 4<<10))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sets = append(sets, seedDataset{name, f, Params{U: u, K: 30, Seed: seed}})
+	}
+	zipf := func(n, u int64, alpha float64, recordSize int) func(*hdfs.FileSystem) (*hdfs.File, error) {
+		spec := datagen.NewZipfSpec(n, u, alpha, seed)
+		spec.RecordSize = recordSize
+		return func(fs *hdfs.FileSystem) (*hdfs.File, error) { return datagen.GenerateZipf(fs, "zipf", spec) }
+	}
+	add("default", u, zipf(n, u, 1.1, 4))
+	add("alpha=0.8", u, zipf(n, u, 0.8, 4))
+	add("alpha=1.4", u, zipf(n, u, 1.4, 4))
+	add("n/8", u, zipf(n/8, u, 1.1, 4))
+	add("2n", u, zipf(2*n, u, 1.1, 4))
+	add("u=2^6", 1<<6, zipf(n, 1<<6, 1.1, 4))
+	add("512B records", u, zipf(n/32, u, 1.1, 512))
+	add("worldcup", u, func(fs *hdfs.FileSystem) (*hdfs.File, error) {
+		spec := datagen.NewWorldCupSpec(n, seed)
+		spec.ClientBits, spec.ObjectBits = 6, 6
+		return datagen.GenerateWorldCup(fs, "worldcup", spec)
+	})
+	return sets
+}
+
 // TestExactMethodsAgree is the paper-fidelity invariant behind the shape
 // tests of Figs 5-18: Send-V, Send-Coef and H-WTopk are three routes to
-// the same best k-term representation, so on the golden dataset they must
-// select the identical coefficient set (values equal up to summation
-// order).
+// the same best k-term representation, so on the golden dataset and on
+// every seed dataset the figures use they must select the identical
+// coefficient set (values equal up to summation order). All three build
+// v_j through the one split aggregator; with 1024-record splits these
+// datasets take its radix path, the golden's 256-record splits the
+// comparison-sort one.
 func TestExactMethodsAgree(t *testing.T) {
 	f, p := goldenDataset(t, MethodSendV)
-	want := run(t, NewSendV(), f, p).Rep.Coefs
-	for _, a := range []Algorithm{NewSendCoef(), NewHWTopk()} {
-		assertSameCoefSet(t, a.Name(), run(t, a, f, p).Rep.Coefs, want)
+	for _, d := range append(figureDatasets(t), seedDataset{"golden", f, p}) {
+		want := run(t, NewSendV(), d.file, d.p).Rep.Coefs
+		for _, a := range []Algorithm{NewSendCoef(), NewHWTopk()} {
+			assertSameCoefSet(t, d.name+"/"+a.Name(), run(t, a, d.file, d.p).Rep.Coefs, want)
+		}
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"slices"
 	"sort"
 	"strconv"
-	"sync"
 
 	"wavelethist/internal/hdfs"
 	"wavelethist/internal/heap"
@@ -45,7 +44,7 @@ func hwTopkStages(e *env) []stage {
 	return []stage{{
 		input: mapred.SequentialInput{},
 		mapper: func() mapred.Mapper {
-			return &hwRound1Mapper{domain: e.domain, k: e.p.K, transform: e.tf}
+			return &hwRound1Mapper{splitCollector: splitCollector{domain: e.domain}, k: e.p.K, transform: e.tf}
 		},
 		reducer:   red1,
 		pairBytes: pairBytes,
@@ -131,67 +130,15 @@ func hwReceive(round int) func(*RoundPlan, []byte) error {
 
 // ---------- Round 1 ----------
 
-// splitScratch is a round-1 mapper's working memory: the split's raw
-// keys (aggregated in place into distinct keys with counts), its local
-// coefficients and the ids it shipped. All of it dies with the task, and
-// the coefficient list alone is ~16·|v_j|·log u bytes, so it is pooled
-// the way wavelet.FreqBuffers is.
-type splitScratch struct {
-	keys   []int64
-	counts []float64
-	coefs  []wavelet.Coef
-	sent   []int64
-}
-
-var splitScratchPool = sync.Pool{New: func() any { return new(splitScratch) }}
-
-// aggregate sorts the collected keys and run-length encodes them in
-// place: the split's frequency vector v_j as (distinct keys, counts).
-// It holds one int64 per record rather than one map entry per distinct
-// key, which a sort and a scan beat for split-sized inputs.
-func (sc *splitScratch) aggregate() (keys []int64, counts []float64) {
-	slices.Sort(sc.keys)
-	keys, counts = sc.keys[:0], sc.counts[:0]
-	for lo := 0; lo < len(sc.keys); {
-		hi := lo + 1
-		for hi < len(sc.keys) && sc.keys[hi] == sc.keys[lo] {
-			hi++
-		}
-		keys = append(keys, sc.keys[lo])
-		counts = append(counts, float64(hi-lo))
-		lo = hi
-	}
-	sc.counts = counts
-	return keys, counts
-}
-
 type hwRound1Mapper struct {
-	domain    int64 // key-domain bound (u in 1D, u² packed in 2D)
+	splitCollector
 	k         int
 	transform coefTransform
-	sc        *splitScratch
-}
-
-func (m *hwRound1Mapper) Setup(*mapred.TaskContext) error {
-	m.sc = splitScratchPool.Get().(*splitScratch)
-	m.sc.keys = m.sc.keys[:0]
-	return nil
-}
-
-func (m *hwRound1Mapper) Map(ctx *mapred.TaskContext, rec hdfs.Record, _ *mapred.Emitter) error {
-	if err := checkDomain(rec.Key, m.domain); err != nil {
-		return err
-	}
-	m.sc.keys = append(m.sc.keys, rec.Key)
-	return nil
 }
 
 func (m *hwRound1Mapper) Close(ctx *mapred.TaskContext, out *mapred.Emitter) error {
-	sc := m.sc
-	m.sc = nil
+	sc, keys, counts := m.aggregate()
 	defer splitScratchPool.Put(sc)
-
-	keys, counts := sc.aggregate()
 	coefs := m.transform(ctx, sc.coefs[:0], keys, counts)
 	sc.coefs = coefs
 	j := int32(ctx.SplitID)

@@ -7,14 +7,14 @@ import (
 	"wavelethist/internal/mapred"
 )
 
-// round1Split is one 4096-record split over u = 2^20 — the shape of a
-// build_exact split — wired to the round-1 job every runtime runs.
-func round1Split(tb testing.TB) *mapred.Job {
+// oneSplitJob is method's round-1 job over a single split of n records,
+// u = 2^20 — the job every runtime runs for that split.
+func oneSplitJob(tb testing.TB, method string, n int64, p Params) *mapred.Job {
 	tb.Helper()
-	const n, u = 4096, 1 << 20
+	const u = 1 << 20
 	f, _ := testDataset(tb, n, u, 1.1, 4*n, 7)
-	p := Params{U: u, K: 30, Seed: 1}.Defaults()
-	plan, err := NewRoundPlan(f, MethodHWTopk, p)
+	p.U = u
+	plan, err := NewRoundPlan(f, method, p.Defaults())
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -28,10 +28,12 @@ func round1Split(tb testing.TB) *mapred.Job {
 	return job
 }
 
-// BenchmarkHWTopkMapRound1 times H-WTopk's round-1 map task end to end:
-// scan, aggregate, transform, top/bottom-k, state file.
-func BenchmarkHWTopkMapRound1(b *testing.B) {
-	job := round1Split(b)
+// round1Split is one 4096-record split — the shape of a build_exact split.
+func round1Split(tb testing.TB) *mapred.Job {
+	return oneSplitJob(tb, MethodHWTopk, 4096, Params{K: 30, Seed: 1})
+}
+
+func benchMapSplit(b *testing.B, job *mapred.Job) {
 	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -40,6 +42,18 @@ func BenchmarkHWTopkMapRound1(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkHWTopkMapRound1 times H-WTopk's round-1 map task end to end:
+// scan, aggregate, transform, top/bottom-k, state file.
+func BenchmarkHWTopkMapRound1(b *testing.B) { benchMapSplit(b, round1Split(b)) }
+
+// BenchmarkSampledMapSplit times one TwoLevel-S map task at build_sampled's
+// shape: a 16384-record split sampling 3906 of them (p = 1/(ε²n)), with
+// ε√m = 0.016 as at ε = 1e-3 over 256 splits. Sample, read, aggregate,
+// second-level draws, emit.
+func BenchmarkSampledMapSplit(b *testing.B) {
+	benchMapSplit(b, oneSplitJob(b, MethodTwoLevelS, 16384, Params{K: 30, Epsilon: 0.016, Seed: 1}))
 }
 
 // TestHWRound1MapperAllocs keeps the round-1 map task's allocation count

@@ -5,7 +5,6 @@ import (
 
 	"wavelethist/internal/hdfs"
 	"wavelethist/internal/mapred"
-	"wavelethist/internal/wavelet"
 )
 
 // The three sampling algorithms of Section 4. All use the paper's
@@ -78,39 +77,25 @@ func sumCombiner(key int64, vals []mapred.KV) []mapred.KV {
 // at 1/ε pairs — but biasing the estimator by up to εn (Section 4).
 func improvedSStages(e *env) []stage {
 	return []stage{sampledStage(e, func() mapred.Mapper {
-		return &improvedSMapper{u: e.domain, eps: e.p.Epsilon}
+		return &improvedSMapper{splitCollector{domain: e.domain}, e.p.Epsilon}
 	})}
 }
 
 type improvedSMapper struct {
-	u       int64
-	eps     float64
-	sampled int64
-	counts  map[int64]float64
-}
-
-func (m *improvedSMapper) Setup(*mapred.TaskContext) error {
-	m.counts = make(map[int64]float64)
-	return nil
-}
-
-func (m *improvedSMapper) Map(ctx *mapred.TaskContext, rec hdfs.Record, _ *mapred.Emitter) error {
-	if err := checkDomain(rec.Key, m.u); err != nil {
-		return err
-	}
-	m.sampled++
-	m.counts[rec.Key]++
-	return nil
+	splitCollector
+	eps float64
 }
 
 func (m *improvedSMapper) Close(ctx *mapred.TaskContext, out *mapred.Emitter) error {
-	threshold := m.eps * float64(m.sampled) // ε·t_j
-	for x, s := range m.counts {
-		if s >= threshold {
-			out.Emit(mapred.KV{Key: x, Val: s, Src: int32(ctx.SplitID)})
+	threshold := m.eps * float64(len(m.sc.keys)) // ε·t_j
+	sc, keys, counts := m.aggregate()
+	defer splitScratchPool.Put(sc)
+	for i, x := range keys {
+		if counts[i] >= threshold {
+			out.Emit(mapred.KV{Key: x, Val: counts[i], Src: int32(ctx.SplitID)})
 		}
 	}
-	ctx.AddWork(float64(len(m.counts)))
+	ctx.AddWork(float64(len(keys)))
 	return nil
 }
 
@@ -130,7 +115,7 @@ func twoLevelSStages(e *env) []stage {
 	return []stage{{
 		input: mapred.RandomSampleInput{P: e.prob},
 		mapper: func() mapred.Mapper {
-			return &twoLevelSMapper{u: e.domain, eps: e.p.Epsilon, m: e.m}
+			return &twoLevelSMapper{splitCollector{domain: e.domain}, e.p.Epsilon, e.m}
 		},
 		reducer: &estimateReducer{
 			k: e.p.K, p: e.prob, tf: e.tf,
@@ -148,31 +133,18 @@ func twoLevelSStages(e *env) []stage {
 }
 
 type twoLevelSMapper struct {
-	u      int64
-	eps    float64
-	m      int
-	counts map[int64]float64
-}
-
-func (t *twoLevelSMapper) Setup(*mapred.TaskContext) error {
-	t.counts = make(map[int64]float64)
-	return nil
-}
-
-func (t *twoLevelSMapper) Map(ctx *mapred.TaskContext, rec hdfs.Record, _ *mapred.Emitter) error {
-	if err := checkDomain(rec.Key, t.u); err != nil {
-		return err
-	}
-	t.counts[rec.Key]++
-	return nil
+	splitCollector
+	eps float64
+	m   int
 }
 
 func (t *twoLevelSMapper) Close(ctx *mapred.TaskContext, out *mapred.Emitter) error {
 	epsSqrtM := t.eps * math.Sqrt(float64(t.m))
 	threshold := 1 / epsSqrtM
-	// Iterate keys in sorted order: the Bernoulli draws consume the
-	// task's RNG stream, so the iteration order must be deterministic.
-	keys, counts := wavelet.SortFreq(t.counts)
+	// Keys come back ascending, so the Bernoulli draws consume the task's
+	// RNG stream in a deterministic order.
+	sc, keys, counts := t.aggregate()
+	defer splitScratchPool.Put(sc)
 	for i, x := range keys {
 		s := counts[i]
 		if s >= threshold {
@@ -181,6 +153,6 @@ func (t *twoLevelSMapper) Close(ctx *mapred.TaskContext, out *mapred.Emitter) er
 			out.Emit(mapred.KV{Key: x, Src: int32(ctx.SplitID), Tag: mapred.TagNull})
 		}
 	}
-	ctx.AddWork(float64(len(t.counts)))
+	ctx.AddWork(float64(len(keys)))
 	return nil
 }

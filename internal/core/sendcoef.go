@@ -1,7 +1,6 @@
 package core
 
 import (
-	"wavelethist/internal/hdfs"
 	"wavelethist/internal/mapred"
 	"wavelethist/internal/wavelet"
 )
@@ -16,7 +15,7 @@ import (
 func sendCoefStages(e *env) []stage {
 	return []stage{{
 		input:   mapred.SequentialInput{},
-		mapper:  func() mapred.Mapper { return &sendCoefMapper{u: e.domain, tf: e.tf} },
+		mapper:  func() mapred.Mapper { return &sendCoefMapper{splitCollector{domain: e.domain}, e.tf} },
 		reducer: &sendCoefReducer{k: e.p.K},
 		// Wire format: 4-byte coefficient index + 8-byte double.
 		pairBytes: fixedBytes(12),
@@ -24,26 +23,15 @@ func sendCoefStages(e *env) []stage {
 }
 
 type sendCoefMapper struct {
-	u    int64
-	tf   coefTransform
-	freq map[int64]float64
-}
-
-func (m *sendCoefMapper) Setup(*mapred.TaskContext) error {
-	m.freq = make(map[int64]float64)
-	return nil
-}
-
-func (m *sendCoefMapper) Map(ctx *mapred.TaskContext, rec hdfs.Record, _ *mapred.Emitter) error {
-	if err := checkDomain(rec.Key, m.u); err != nil {
-		return err
-	}
-	m.freq[rec.Key]++
-	return nil
+	splitCollector
+	tf coefTransform
 }
 
 func (m *sendCoefMapper) Close(ctx *mapred.TaskContext, out *mapred.Emitter) error {
-	for _, c := range transformFreq(m.tf, ctx, m.freq) {
+	sc, keys, counts := m.aggregate()
+	defer splitScratchPool.Put(sc)
+	sc.coefs = m.tf(ctx, sc.coefs[:0], keys, counts)
+	for _, c := range sc.coefs {
 		out.Emit(mapred.KV{Key: c.Index, Val: c.Value, Src: int32(ctx.SplitID)})
 	}
 	return nil

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"wavelethist/internal/hdfs"
 	"wavelethist/internal/mapred"
 	"wavelethist/internal/sketch"
 	"wavelethist/internal/wavelet"
@@ -24,7 +23,7 @@ import (
 func sendSketchStages(e *env) []stage {
 	return []stage{{
 		input:   mapred.SequentialInput{},
-		mapper:  func() mapred.Mapper { return &sendSketchMapper{p: e.p} },
+		mapper:  func() mapred.Mapper { return &sendSketchMapper{splitCollector{domain: e.p.U}, e.p} },
 		reducer: &sendSketchReducer{p: e.p},
 		// Sketch entries: 4-byte cell index + 8-byte double (Section 5's
 		// stated widths).
@@ -44,41 +43,13 @@ func sketchBudget(p Params) int64 {
 // sketchSeed must be shared by all splits so local sketches merge.
 func sketchSeed(p Params) uint64 { return p.Seed ^ 0x5ce7c4b5ce7c4b13 }
 
-// denseFreqMax gates the mapper's dense frequency accumulator: domains at
-// or under it use a flat []float64 (one add per record, naturally sorted
-// iteration, no per-record map hashing); larger domains keep the map.
-const denseFreqMax = 1 << 20
-
 type sendSketchMapper struct {
-	p     Params
-	freq  map[int64]float64
-	dense []float64 // non-nil iff p.U <= denseFreqMax
-}
-
-func (m *sendSketchMapper) Setup(*mapred.TaskContext) error {
-	if m.p.U <= denseFreqMax {
-		m.dense = make([]float64, m.p.U)
-	} else {
-		m.freq = make(map[int64]float64)
-	}
-	return nil
-}
-
-func (m *sendSketchMapper) Map(ctx *mapred.TaskContext, rec hdfs.Record, _ *mapred.Emitter) error {
-	if err := checkDomain(rec.Key, m.p.U); err != nil {
-		return err
-	}
-	if m.dense != nil {
-		m.dense[rec.Key]++
-	} else {
-		m.freq[rec.Key]++
-	}
-	return nil
+	splitCollector
+	p Params
 }
 
 func (m *sendSketchMapper) Close(ctx *mapred.TaskContext, out *mapred.Emitter) error {
 	g := sketch.NewGCSWithBudget(m.p.U, m.p.SketchDegree, sketchBudget(m.p), sketchSeed(m.p))
-	u := m.p.U
 	// Aggregate the split's sparse coefficient vector first (the same
 	// O(|v_j| log u) streaming transform the exact methods use), then
 	// sketch each distinct non-zero coefficient once. The sketch is linear,
@@ -89,31 +60,14 @@ func (m *sendSketchMapper) Close(ctx *mapred.TaskContext, out *mapred.Emitter) e
 	// nodes — far fewer under skew, where paths share prefixes.
 	// Sorted feeding keeps coefficient accumulation order, and therefore
 	// the shipped float bits, deterministic.
-	var (
-		keys   []int64
-		counts []float64
-		nk     int
-	)
-	buf := wavelet.GetFreqBuffers()
-	defer wavelet.PutFreqBuffers(buf)
-	if m.dense != nil {
-		for x, c := range m.dense {
-			if c != 0 {
-				buf.Keys = append(buf.Keys, int64(x))
-				buf.Counts = append(buf.Counts, c)
-			}
-		}
-		keys, counts = buf.Keys, buf.Counts
-	} else {
-		keys, counts = buf.Load(m.freq)
-	}
-	nk = len(keys)
-	coefs := wavelet.SparseTransformSorted(keys, counts, u)
-	ctx.AddWork(transformWork(nk, u))
-	for _, c := range coefs {
+	sc, keys, counts := m.aggregate()
+	defer splitScratchPool.Put(sc)
+	sc.coefs = wavelet.AppendSparseTransformSorted(sc.coefs[:0], keys, counts, m.p.U)
+	ctx.AddWork(transformWork(len(keys), m.p.U))
+	for _, c := range sc.coefs {
 		g.Update(c.Index, c.Value)
 	}
-	ctx.AddWork(float64(len(coefs) * g.UpdateCost()))
+	ctx.AddWork(float64(len(sc.coefs) * g.UpdateCost()))
 	n := 0
 	g.NonZeroEntries(func(idx int64, v float64) {
 		out.Emit(mapred.KV{Key: idx, Val: v, Src: int32(ctx.SplitID)})

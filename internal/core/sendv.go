@@ -1,7 +1,6 @@
 package core
 
 import (
-	"wavelethist/internal/hdfs"
 	"wavelethist/internal/mapred"
 	"wavelethist/internal/wavelet"
 )
@@ -15,7 +14,7 @@ import (
 func sendVStages(e *env) []stage {
 	return []stage{{
 		input:   mapred.SequentialInput{},
-		mapper:  func() mapred.Mapper { return &sendVMapper{u: e.domain} },
+		mapper:  func() mapred.Mapper { return &sendVMapper{splitCollector{domain: e.domain}} },
 		reducer: &estimateReducer{k: e.p.K, p: 1, tf: e.tf},
 		// Wire format: key + 4-byte count ("we use 4-byte integers to
 		// represent v(x) in a Mapper", Section 5).
@@ -23,29 +22,16 @@ func sendVStages(e *env) []stage {
 	}}
 }
 
-// sendVMapper aggregates its split's frequency vector in memory (the
-// hashmap of Appendix A) and emits one (x, count) pair per distinct key.
-type sendVMapper struct {
-	u    int64
-	freq map[int64]float64
-}
-
-func (m *sendVMapper) Setup(*mapred.TaskContext) error {
-	m.freq = make(map[int64]float64)
-	return nil
-}
-
-func (m *sendVMapper) Map(ctx *mapred.TaskContext, rec hdfs.Record, _ *mapred.Emitter) error {
-	if err := checkDomain(rec.Key, m.u); err != nil {
-		return err
-	}
-	m.freq[rec.Key]++
-	return nil
-}
+// sendVMapper aggregates its split's frequency vector (the hashmap of
+// Appendix A, here the shared sort-and-count) and emits one (x, count)
+// pair per distinct key.
+type sendVMapper struct{ splitCollector }
 
 func (m *sendVMapper) Close(ctx *mapred.TaskContext, out *mapred.Emitter) error {
-	for x, c := range m.freq {
-		out.Emit(mapred.KV{Key: x, Val: c, Src: int32(ctx.SplitID)})
+	sc, keys, counts := m.aggregate()
+	defer splitScratchPool.Put(sc)
+	for i, x := range keys {
+		out.Emit(mapred.KV{Key: x, Val: counts[i], Src: int32(ctx.SplitID)})
 	}
 	return nil
 }
@@ -90,7 +76,13 @@ func (r *estimateReducer) Close(ctx *mapred.TaskContext) error {
 	for x := range vHat {
 		vHat[x] /= r.p
 	}
-	coefs := transformFreq(r.tf, ctx, vHat)
+	// The reducer alone sorts a map: its input is m splits' pairs, not
+	// one split's keys. Pooled scratch keeps concurrent builds from
+	// allocating a (keys, counts) pair each.
+	buf := wavelet.GetFreqBuffers()
+	defer wavelet.PutFreqBuffers(buf)
+	keys, counts := buf.Load(vHat)
+	coefs := r.tf(ctx, nil, keys, counts)
 	ctx.AddWork(float64(len(coefs))) // top-k heap pass
 	r.coefs = wavelet.SelectTopK(coefs, r.k)
 	return nil

@@ -62,6 +62,7 @@ func GenerateZipf(fs *hdfs.FileSystem, name string, spec ZipfSpec) (*hdfs.File, 
 	if err != nil {
 		return nil, err
 	}
+	w.Reserve(spec.N)
 	z := zipf.NewZipf(spec.U, spec.Alpha)
 	rng := zipf.NewRNG(spec.Seed)
 	var perm *zipf.Perm

@@ -3,12 +3,15 @@
 // chunks placed on DataNodes by a NameNode (replication 1, as in the paper's
 // setup), MapReduce splits correspond to chunks, and record readers provide
 // sequential scans plus the paper's RandomRecordReader (Appendix B) for the
-// sampling algorithms, including the variable-length record scheme.
+// sampling algorithms (Floyd's algorithm over a bitmap of the split's
+// records), including the variable-length record scheme. A reader that
+// cannot read what its split claims says so through Err.
 package hdfs
 
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -241,8 +244,14 @@ func encodeKey(b []byte, key int64, recordSize int) {
 // Writer appends fixed-size records to a file being created.
 type Writer struct {
 	f      *File
-	buf    []byte
+	zero   []byte // one record of padding
 	sealed bool
+}
+
+// Reserve sizes the payload for records more appends at once, for a
+// caller that knows its record count; appending past it still works.
+func (w *Writer) Reserve(records int64) {
+	w.f.data = slices.Grow(w.f.data, int(records)*w.f.RecordSize)
 }
 
 // Append writes one record with the given key; the rest of the record is
@@ -252,15 +261,12 @@ func (w *Writer) Append(key int64) {
 		panic("hdfs: append after Close")
 	}
 	rs := w.f.RecordSize
-	if cap(w.buf) < rs {
-		w.buf = make([]byte, rs)
+	if w.zero == nil {
+		w.zero = make([]byte, rs)
 	}
-	rec := w.buf[:rs]
-	for i := range rec {
-		rec[i] = 0
-	}
-	encodeKey(rec, key, rs)
-	w.f.data = append(w.f.data, rec...)
+	n := len(w.f.data)
+	w.f.data = append(w.f.data, w.zero...)
+	encodeKey(w.f.data[n:], key, rs)
 	w.f.NumRecords++
 }
 

@@ -1,6 +1,7 @@
 package hdfs
 
 import (
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -367,5 +368,139 @@ func TestBytesReadAccounting(t *testing.T) {
 	}
 	if r.BytesRead() != 80 {
 		t.Errorf("BytesRead = %d, want 80", r.BytesRead())
+	}
+}
+
+// floydMapReference is the sampler NewRandomReader used before the
+// bitmap: Floyd's algorithm over a hash set, then a sort. Kept as the
+// reference the bitmap reader must match draw for draw.
+func floydMapReference(nj, sampleCount int64, rng *zipf.RNG) []int64 {
+	if sampleCount > nj {
+		sampleCount = nj
+	}
+	if sampleCount < 0 {
+		sampleCount = 0
+	}
+	chosen := make(map[int64]bool, sampleCount)
+	for j := nj - sampleCount; j < nj; j++ {
+		t := rng.Int63n(j + 1)
+		if chosen[t] {
+			chosen[j] = true
+		} else {
+			chosen[t] = true
+		}
+	}
+	offsets := make([]int64, 0, len(chosen))
+	for idx := range chosen {
+		offsets = append(offsets, idx)
+	}
+	sort.Slice(offsets, func(i, j int) bool { return offsets[i] < offsets[j] })
+	return offsets
+}
+
+// checkAgainstMapFloyd asserts the bitmap sampler delivers the
+// reference's offsets in the same order and leaves the RNG in the same
+// state: TwoLevel-S draws its second-level Bernoullis from the task RNG
+// after Open.
+func checkAgainstMapFloyd(t *testing.T, nj, sample int64, seed uint64) {
+	t.Helper()
+	const recordSize = 8
+	fs := NewFileSystem(1, 1<<20)
+	keys := make([]int64, nj+3) // the split stops short of the file's end
+	for i := range keys {
+		keys[i] = int64(i)
+	}
+	f := writeFixed(t, fs, "f", recordSize, keys)
+	split := Split{File: f, Offset: recordSize, Length: nj * recordSize}
+	refRNG, rng := zipf.NewRNG(seed), zipf.NewRNG(seed)
+	want := floydMapReference(nj, sample, refRNG)
+	r := NewRandomReader(split, sample, rng)
+	if rng.Uint64() != refRNG.Uint64() {
+		t.Fatalf("nj=%d sample=%d seed=%d: RNG state diverged after sampling", nj, sample, seed)
+	}
+	if r.SampleSize() != int64(len(want)) {
+		t.Fatalf("nj=%d sample=%d seed=%d: SampleSize %d, want %d", nj, sample, seed, r.SampleSize(), len(want))
+	}
+	for i, off := range want {
+		rec, ok := r.Next()
+		if !ok || rec.Pos != split.Offset+off*recordSize || rec.Key != off+1 {
+			t.Fatalf("nj=%d sample=%d seed=%d: record %d = %+v (ok=%v), want offset %d", nj, sample, seed, i, rec, ok, off)
+		}
+	}
+	if rec, ok := r.Next(); ok {
+		t.Fatalf("nj=%d sample=%d seed=%d: extra record %+v", nj, sample, seed, rec)
+	}
+	if r.Err() != nil || r.BytesRead() != int64(len(want))*recordSize {
+		t.Fatalf("nj=%d sample=%d seed=%d: err %v, read %d bytes", nj, sample, seed, r.Err(), r.BytesRead())
+	}
+}
+
+func TestRandomReaderMatchesMapFloyd(t *testing.T) {
+	cases := []struct{ nj, sample int64 }{
+		{0, 0}, {0, 5}, {1, 0}, {1, 1}, {1, 2}, {64, 64}, {64, 63}, {65, 1},
+		{100, -3}, {100, 0}, {100, 1}, {100, 37}, {100, 99}, {100, 100}, {100, 1000},
+		{127, 64}, {128, 127}, {129, 129}, {1000, 250}, {4099, 977},
+	}
+	for _, c := range cases {
+		for seed := uint64(0); seed < 60; seed++ {
+			checkAgainstMapFloyd(t, c.nj, c.sample, seed)
+		}
+	}
+}
+
+func FuzzRandomReaderMatchesMapFloyd(f *testing.F) {
+	f.Add(uint16(0), int16(0), uint64(0))
+	f.Add(uint16(16384), int16(3906), uint64(7))
+	f.Add(uint16(191), int16(-1), uint64(1<<63))
+	f.Fuzz(func(t *testing.T, nj uint16, sample int16, seed uint64) {
+		checkAgainstMapFloyd(t, int64(nj), int64(sample), seed)
+	})
+}
+
+// A split that claims more bytes than its file holds must surface as
+// Err, not as a shorter split, on every reader.
+func TestReadersReportShortReads(t *testing.T) {
+	fs := NewFileSystem(1, 1<<20)
+	fixed := writeFixed(t, fs, "fixed", 4, []int64{1, 2, 3, 4, 5, 6, 7, 8})
+	vw, err := fs.CreateVar("var")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(0); i < 8; i++ {
+		vw.Append(i, 5)
+	}
+	variable := vw.Close()
+	drain := func(r RecordReader) (n int) {
+		for {
+			if _, ok := r.Next(); !ok {
+				return n
+			}
+			n++
+		}
+	}
+	for _, over := range []int64{0, 16} {
+		fsplit := Split{File: fixed, Length: fixed.Size() + over}
+		vsplit := Split{File: variable, Length: variable.Size() + over}
+		readers := map[string]RecordReader{
+			"sequential":     NewSequentialReader(fsplit),
+			"random":         NewRandomReader(fsplit, fsplit.NumRecords(), zipf.NewRNG(1)),
+			"sequential-var": NewSequentialVarReader(vsplit),
+			"random-var":     NewRandomVarReader(vsplit, 4, zipf.NewRNG(1)),
+		}
+		for name, r := range readers {
+			n := drain(r)
+			if over == 0 && (r.Err() != nil || n == 0) {
+				t.Errorf("%s: exact split read %d records, err %v", name, n, r.Err())
+			}
+			if over > 0 && r.Err() == nil {
+				t.Errorf("%s: split overrunning its file by %d bytes read %d records and reported no error", name, over, n)
+			}
+		}
+	}
+	// A variable-length file cut mid-record has no closing delimiter.
+	variable.data = variable.data[:len(variable.data)-3]
+	r := NewSequentialVarReader(Split{File: variable, Length: variable.Size()})
+	if n := drain(r); n != 7 || r.Err() == nil {
+		t.Errorf("truncated var file: read %d records, err %v; want 7 and an error", n, r.Err())
 	}
 }

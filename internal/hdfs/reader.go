@@ -1,7 +1,7 @@
 package hdfs
 
 import (
-	"sort"
+	"math/bits"
 
 	"wavelethist/internal/zipf"
 )
@@ -14,9 +14,12 @@ type Record struct {
 }
 
 // RecordReader iterates over a split's records. It mirrors the Hadoop
-// RecordReader contract: Next returns false at end of split.
+// RecordReader contract: Next returns false at end of split — or at a
+// failed read, which Err then reports; callers check it once after the
+// loop, so a truncated split fails its task instead of shortening it.
 type RecordReader interface {
 	Next() (Record, bool)
+	Err() error
 	// BytesRead reports the bytes this reader has pulled from the split's
 	// DataNode so far (IO accounting for the cost model).
 	BytesRead() int64
@@ -29,6 +32,7 @@ type SequentialReader struct {
 	pos   int64
 	read  int64
 	buf   []byte
+	err   error
 }
 
 // NewSequentialReader creates a reader over the split. The split's file
@@ -51,6 +55,7 @@ func (r *SequentialReader) Next() (Record, bool) {
 		return Record{}, false
 	}
 	if _, err := r.split.File.ReadAt(r.buf, r.pos); err != nil {
+		r.err = err
 		return Record{}, false
 	}
 	rec := Record{
@@ -66,18 +71,25 @@ func (r *SequentialReader) Next() (Record, bool) {
 // BytesRead implements RecordReader.
 func (r *SequentialReader) BytesRead() int64 { return r.read }
 
+// Err implements RecordReader.
+func (r *SequentialReader) Err() error { return r.err }
+
 // RandomReader is the paper's RandomRecordReader for fixed-size records
-// (Appendix B): on initialization it draws the sample's record offsets,
-// sorts them ascending in a priority queue, and then seeks monotonically
-// forward, so each sampled record costs one seek + one record read instead
-// of a full split scan. Sampling is without replacement, which the paper
+// (Appendix B): on initialization it draws the sample's record offsets
+// and then seeks monotonically forward through them, so each sampled
+// record costs one seek + one record read instead of a full split scan.
+// The paper keeps the offsets in a priority queue; here they are the set
+// bits of a bitmap over the split's records (n_j bits), which is already
+// in ascending order. Sampling is without replacement, which the paper
 // notes behaves like coin-flip sampling for these methods.
 type RandomReader struct {
-	split   Split
-	offsets []int64 // ascending record indices within the split
-	next    int
-	read    int64
-	buf     []byte
+	split  Split
+	sample []uint64 // bit i set: record i of the split is sampled and unread
+	word   int      // sample[:word] is exhausted
+	size   int64
+	read   int64
+	buf    []byte
+	err    error
 }
 
 // NewRandomReader samples sampleCount records (capped at the split's record
@@ -93,41 +105,42 @@ func NewRandomReader(split Split, sampleCount int64, rng *zipf.RNG) *RandomReade
 	if sampleCount < 0 {
 		sampleCount = 0
 	}
-	// Floyd's algorithm: uniform sample of sampleCount distinct indices
-	// from [0, nj) in O(sampleCount) expected time and space.
-	chosen := make(map[int64]bool, sampleCount)
+	// Floyd's algorithm: a uniform sample of sampleCount distinct indices
+	// from [0, nj) in sampleCount draws. The draws, not the container,
+	// fix the sample and the state rng is left in.
+	sample := make([]uint64, (nj+63)/64)
 	for j := nj - sampleCount; j < nj; j++ {
 		t := rng.Int63n(j + 1)
-		if chosen[t] {
-			chosen[j] = true
-		} else {
-			chosen[t] = true
+		if sample[t>>6]&(1<<(t&63)) != 0 {
+			t = j
 		}
+		sample[t>>6] |= 1 << (t & 63)
 	}
-	offsets := make([]int64, 0, len(chosen))
-	for idx := range chosen {
-		offsets = append(offsets, idx)
-	}
-	sort.Slice(offsets, func(i, j int) bool { return offsets[i] < offsets[j] })
 	return &RandomReader{
-		split:   split,
-		offsets: offsets,
-		buf:     make([]byte, split.File.RecordSize),
+		split:  split,
+		sample: sample,
+		size:   sampleCount,
+		buf:    make([]byte, split.File.RecordSize),
 	}
 }
 
 // SampleSize returns the number of records this reader will deliver.
-func (r *RandomReader) SampleSize() int64 { return int64(len(r.offsets)) }
+func (r *RandomReader) SampleSize() int64 { return r.size }
 
 // Next returns the next sampled record (ascending file position).
 func (r *RandomReader) Next() (Record, bool) {
-	if r.next >= len(r.offsets) {
+	for r.word < len(r.sample) && r.sample[r.word] == 0 {
+		r.word++
+	}
+	if r.word == len(r.sample) {
 		return Record{}, false
 	}
+	w := r.sample[r.word]
+	r.sample[r.word] = w & (w - 1)
 	rs := int64(r.split.File.RecordSize)
-	pos := r.split.Offset + r.offsets[r.next]*rs
-	r.next++
+	pos := r.split.Offset + int64(r.word<<6+bits.TrailingZeros64(w))*rs
 	if _, err := r.split.File.ReadAt(r.buf, pos); err != nil {
+		r.err = err
 		return Record{}, false
 	}
 	r.read += rs
@@ -140,3 +153,6 @@ func (r *RandomReader) Next() (Record, bool) {
 
 // BytesRead implements RecordReader.
 func (r *RandomReader) BytesRead() int64 { return r.read }
+
+// Err implements RecordReader.
+func (r *RandomReader) Err() error { return r.err }

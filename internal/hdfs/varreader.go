@@ -85,6 +85,17 @@ type SequentialVarReader struct {
 	split Split
 	pos   int64
 	read  int64
+	err   error
+}
+
+// overrun is the variable-length readers' short-read check (they index
+// the payload directly, so no ReadAt fails for them): a split may not
+// extend past its file.
+func (s Split) overrun() error {
+	if end := s.Offset + s.Length; end > s.File.Size() {
+		return fmt.Errorf("hdfs: split [%d, %d) beyond EOF %d", s.Offset, end, s.File.Size())
+	}
+	return nil
 }
 
 // NewSequentialVarReader creates the reader.
@@ -92,7 +103,7 @@ func NewSequentialVarReader(split Split) *SequentialVarReader {
 	if split.File.RecordSize != 0 {
 		panic("hdfs: variable reader on fixed-size file")
 	}
-	r := &SequentialVarReader{split: split, pos: split.Offset}
+	r := &SequentialVarReader{split: split, pos: split.Offset, err: split.overrun()}
 	if split.Offset > 0 {
 		// Skip the partial record: advance past the first delimiter.
 		d := split.File.scanDelim(split.Offset)
@@ -109,11 +120,12 @@ func NewSequentialVarReader(split Split) *SequentialVarReader {
 // Next returns the next record owned by the split.
 func (r *SequentialVarReader) Next() (Record, bool) {
 	f := r.split.File
-	if r.pos >= r.split.Offset+r.split.Length || r.pos >= f.Size() {
+	if r.err != nil || r.pos >= r.split.Offset+r.split.Length || r.pos >= f.Size() {
 		return Record{}, false
 	}
 	d := f.scanDelim(r.pos)
 	if d < 0 {
+		r.err = fmt.Errorf("hdfs: unterminated variable record at %d", r.pos)
 		return Record{}, false
 	}
 	total := int64(d - r.pos + 1)
@@ -129,6 +141,9 @@ func (r *SequentialVarReader) Next() (Record, bool) {
 
 // BytesRead implements RecordReader.
 func (r *SequentialVarReader) BytesRead() int64 { return r.read }
+
+// Err implements RecordReader.
+func (r *SequentialVarReader) Err() error { return r.err }
 
 // scanDelim returns the position of the first delimiter at or after pos,
 // or -1 if none.
@@ -153,6 +168,7 @@ type RandomVarReader struct {
 	records []Record // claimed records sorted by start offset
 	next    int
 	read    int64
+	err     error
 }
 
 // NewRandomVarReader samples sampleCount distinct records.
@@ -160,9 +176,9 @@ func NewRandomVarReader(split Split, sampleCount int64, rng *zipf.RNG) *RandomVa
 	if split.File.RecordSize != 0 {
 		panic("hdfs: variable random reader on fixed-size file")
 	}
-	r := &RandomVarReader{split: split}
+	r := &RandomVarReader{split: split, err: split.overrun()}
 	f := split.File
-	if split.Length <= 0 || sampleCount <= 0 {
+	if r.err != nil || split.Length <= 0 || sampleCount <= 0 {
 		return r
 	}
 
@@ -253,3 +269,6 @@ func (r *RandomVarReader) Next() (Record, bool) {
 
 // BytesRead implements RecordReader.
 func (r *RandomVarReader) BytesRead() int64 { return r.read }
+
+// Err implements RecordReader.
+func (r *RandomVarReader) Err() error { return r.err }

@@ -237,6 +237,9 @@ func runMapTask(ctx context.Context, job *Job, idx int, counters *Counters) *map
 				return &mapOutput{err: fmt.Errorf("split %d map: %w", idx, err)}
 			}
 		}
+		if err := reader.Err(); err != nil {
+			return &mapOutput{err: fmt.Errorf("split %d read: %w", idx, err)}
+		}
 		bytesRead = reader.BytesRead()
 	}
 	if err := mapper.Close(tctx, out); err != nil {

@@ -3,6 +3,7 @@ package mapred
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -318,6 +319,28 @@ func TestMapperErrorPropagates(t *testing.T) {
 	}
 	if _, err := Run(job); err == nil {
 		t.Fatal("expected error")
+	}
+}
+
+// A split whose Length overruns its file is a failed read, and a failed
+// read fails the task: it must not pass for a shorter split (an exact
+// build dropping the tail, a sampled build using fewer records).
+func TestShortReadFailsTask(t *testing.T) {
+	for name, input := range map[string]InputFormat{
+		"sequential": SequentialInput{},
+		"sampled":    RandomSampleInput{P: 1},
+	} {
+		splits := makeDataset(t, repeatKeys(1000, 10), 256)
+		splits[len(splits)-1].Length += 64
+		job := &Job{
+			Name: "short", Splits: splits, Input: input,
+			NewMapper: func(hdfs.Split) Mapper { return countMapper{} },
+			Reducer:   &sumReducer{}, Streaming: true, Seed: 1,
+		}
+		want := fmt.Sprintf("split %d read:", len(splits)-1)
+		if _, err := Run(job); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: err = %v, want one containing %q", name, err, want)
+		}
 	}
 }
 

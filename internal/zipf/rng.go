@@ -67,9 +67,10 @@ func (r *RNG) Int63n(n int64) int64 {
 	// Lemire's nearly-divisionless bounded generation would be fine, but a
 	// simple rejection loop on the top 63 bits is plenty for our workloads.
 	maxv := uint64(n)
+	limit := (1 << 63) - (1<<63)%maxv // v < 2^63, so a zero remainder accepts all
 	for {
 		v := r.Uint64() >> 1
-		if v < (1<<63)-((1<<63)%maxv) || (1<<63)%maxv == 0 {
+		if v < limit {
 			return int64(v % maxv)
 		}
 	}
