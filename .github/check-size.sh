@@ -4,7 +4,8 @@
 # moved it, so the tree can only shrink without an explicit edit here.
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
-CEILING=22320
+# 22320 -> 22634 (PR 21): dist/queryjson.go, the batch-body scanner and its strict fallback (274 lines, +40 at its call sites and counter); nothing else grew.
+CEILING=22634
 lines=$(find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path './.bench_build/*' | xargs cat | wc -l)
 echo "non-test source: $lines lines (ceiling $CEILING)"
 if [ "$lines" -gt "$CEILING" ]; then

@@ -91,6 +91,7 @@ func TestRouterMetricsEndpoint(t *testing.T) {
 	if err := obs.RequireFamilies(fams,
 		"waverouter_request_duration_seconds", "waverouter_requests_total",
 		"waverouter_proxied_total", "waverouter_failovers_total", "waverouter_shards",
+		"wavehist_batch_decode_total",
 	); err != nil {
 		t.Fatal(err)
 	}

@@ -46,6 +46,12 @@ type Query struct {
 	YHi int64  `json:"yhi,omitempty"`
 }
 
+// bounds is the nine bounds in field order: the order a query frame
+// carries them in and queryKeys names them in.
+func (q *Query) bounds() [9]*int64 {
+	return [...]*int64{&q.Key, &q.X, &q.Y, &q.Lo, &q.Hi, &q.XLo, &q.XHi, &q.YLo, &q.YHi}
+}
+
 // QueryResult is one per-query outcome (serve.BatchResult is this type).
 type QueryResult struct {
 	Estimate float64 `json:"estimate"`
@@ -118,8 +124,8 @@ func AppendQueryFrame(dst []byte, groups []QueryGroup) []byte {
 				dst = append(dst, opOther)
 				dst = appendStr(dst, q.Op)
 			}
-			for _, v := range [...]int64{q.Key, q.X, q.Y, q.Lo, q.Hi, q.XLo, q.XHi, q.YLo, q.YHi} {
-				dst = binary.AppendVarint(dst, v)
+			for _, p := range q.bounds() {
+				dst = binary.AppendVarint(dst, *p)
 			}
 		}
 	}
@@ -176,7 +182,7 @@ func (r *breader) query() Query {
 	default:
 		r.fail("unknown op code %d at offset %d", op, r.off-1)
 	}
-	for _, p := range [...]*int64{&q.Key, &q.X, &q.Y, &q.Lo, &q.Hi, &q.XLo, &q.XHi, &q.YLo, &q.YHi} {
+	for _, p := range q.bounds() {
 		*p = r.varint()
 	}
 	return q

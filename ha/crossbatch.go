@@ -3,7 +3,6 @@ package ha
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"slices"
@@ -64,20 +63,19 @@ func (rt *Router) batchHop(ctx context.Context, sh *Shard, hb *hopBuffers, req [
 }
 
 // NamedQuery is one entry of the cross-shard batch endpoint
-// POST /v1/query: a histogram name plus a standard batch query.
+// POST /v1/query: a histogram name plus a standard batch query. It is
+// the shape clients marshal; the handler scans bodies into a
+// dist.QueryBatch and never builds one.
 type NamedQuery struct {
 	Name string `json:"name"`
 	serve.BatchQuery
 }
 
 // crossBatch is one POST /v1/query's reusable state, pooled so the
-// steady state allocates for the client's JSON and the upstream calls
-// only.
+// steady state allocates for the upstream calls only.
 type crossBatch struct {
-	body bytes.Buffer
-	req  struct {
-		Queries []NamedQuery `json:"queries"`
-	}
+	body    bytes.Buffer
+	in      dist.QueryBatch    // the decoded body: queries and their names
 	byName  map[string]int     // name → index into groups
 	groups  []nameGroup        // first-seen order
 	shards  []shardCall        // first-seen order
@@ -117,21 +115,18 @@ func (rt *Router) handleCrossBatch(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "read body: %v", err)
 		return
 	}
-	// Zeroed before decoding for the reason serve.handleBatch gives:
-	// encoding/json reuses slice elements without clearing them, and
-	// omitted fields must not inherit the previous request's.
-	clear(cb.req.Queries[:cap(cb.req.Queries)])
-	cb.req.Queries = cb.req.Queries[:0]
-	if err := json.Unmarshal(cb.body.Bytes(), &cb.req); err != nil {
+	scanned, err := cb.in.DecodeJSON(cb.body.Bytes(), true)
+	rt.batchDecoded(scanned)
+	if err != nil {
 		writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
-	queries := cb.req.Queries
+	queries := cb.in.Queries
 	if len(queries) == 0 {
 		writeErr(w, http.StatusBadRequest, "empty batch")
 		return
 	}
-	if !cb.group(rt, queries, w) {
+	if !cb.group(rt, cb.in.Names, w) {
 		return
 	}
 
@@ -145,7 +140,7 @@ func (rt *Router) handleCrossBatch(w http.ResponseWriter, r *http.Request) {
 			g := &cb.groups[gi]
 			first := len(cb.flat)
 			for _, i := range g.idxs {
-				cb.flat = append(cb.flat, queries[i].BatchQuery)
+				cb.flat = append(cb.flat, queries[i])
 			}
 			sc.req = append(sc.req, dist.QueryGroup{Name: g.name, Queries: cb.flat[first:]})
 		}
@@ -173,12 +168,11 @@ func (rt *Router) handleCrossBatch(w http.ResponseWriter, r *http.Request) {
 // group fills cb.groups and cb.shards from the request, in first-seen
 // order, reusing last request's backing arrays. It answers 400 itself
 // and returns false on a query with no histogram name.
-func (cb *crossBatch) group(rt *Router, queries []NamedQuery, w http.ResponseWriter) bool {
+func (cb *crossBatch) group(rt *Router, names []string, w http.ResponseWriter) bool {
 	clear(cb.byName)
 	cb.groups, cb.shards = cb.groups[:0], cb.shards[:0]
 	topo := rt.topo.Load()
-	for i := range queries {
-		name := queries[i].Name
+	for i, name := range names {
 		if name == "" {
 			writeErr(w, http.StatusBadRequest, "query %d has no histogram name", i)
 			return false

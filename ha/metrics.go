@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"wavelethist/internal/obs"
+	"wavelethist/serve"
 )
 
 // Router observability: every route is wrapped in a latency histogram and
@@ -26,6 +27,7 @@ func (rt *Router) initMetrics() {
 		"Single-query GETs merged into shard batches by the router-side coalescer.")
 	rt.coalesceSize = m.Histogram("waverouter_coalesce_batch_size",
 		"Coalesced batch sizes, recorded as size in nanoseconds: a bucket boundary of s seconds covers batches up to s*1e9 queries.")
+	rt.batchDecoded = serve.NewBatchDecodeCounter(m)
 	m.Collect(func(w *obs.Writer) {
 		w.Counter("waverouter_proxied_total", "Requests forwarded to an upstream daemon.", float64(rt.proxied.Load()))
 		w.Counter("waverouter_failovers_total", "Read retries against a replica after a primary failed.", float64(rt.failovers.Load()))

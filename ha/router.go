@@ -76,6 +76,7 @@ type Router struct {
 	coalesceDepth atomic.Int64
 	coalesced     *obs.Counter
 	coalesceSize  *obs.Histogram
+	batchDecoded  func(scanned bool)
 }
 
 // topology is one immutable view of the shard map. Shards and their

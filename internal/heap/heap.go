@@ -39,21 +39,23 @@ func (h *TopK) K() int { return h.k }
 // Len returns the number of retained items (<= k).
 func (h *TopK) Len() int { return len(h.data) }
 
-// Push offers an item. It is retained iff it is among the k largest seen.
-func (h *TopK) Push(it Item) {
+// Push offers an item and reports whether it was admitted: it is
+// retained iff it is among the k largest seen.
+func (h *TopK) Push(it Item) bool {
 	if h.k == 0 {
-		return
+		return false
 	}
 	if len(h.data) < h.k {
 		h.data = append(h.data, it)
 		h.siftUp(len(h.data) - 1)
-		return
+		return true
 	}
 	if !weakerItem(h.data[0], it) {
-		return
+		return false
 	}
 	h.data[0] = it
 	h.siftDown(0)
+	return true
 }
 
 // weakerItem reports whether a sorts strictly after b under the total

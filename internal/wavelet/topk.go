@@ -10,13 +10,17 @@ import (
 // SelectTopK returns the k coefficients of largest magnitude, sorted by
 // decreasing |Value| with ties broken by ascending Index (deterministic).
 // This is the paper's "best k-term wavelet representation" selection,
-// done with a size-k priority queue in one pass (Section 2.1).
+// done with a size-k priority queue in one pass (Section 2.1). Indexes
+// must be distinct. The heap carries magnitudes; the signed value is
+// remembered only for the coefficients it admits — about k·ln(n/k) of n,
+// not all n.
 func SelectTopK(coefs []Coef, k int) []Coef {
 	h := heap.NewTopK(k)
-	vals := make(map[int64]float64, len(coefs))
+	vals := make(map[int64]float64, min(k, len(coefs)))
 	for _, c := range coefs {
-		vals[c.Index] = c.Value
-		h.Push(heap.Item{ID: c.Index, Score: math.Abs(c.Value)})
+		if h.Push(heap.Item{ID: c.Index, Score: math.Abs(c.Value)}) {
+			vals[c.Index] = c.Value
+		}
 	}
 	items := h.Sorted()
 	out := make([]Coef, len(items))

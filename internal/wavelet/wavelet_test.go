@@ -284,6 +284,54 @@ func TestSelectTopK(t *testing.T) {
 	}
 }
 
+// selectTopKCoefs is the benchmark's input: n coefficients with distinct
+// indexes, heavy ties (magnitudes drawn from 1 000 values) and both signs.
+func selectTopKCoefs(n int) []Coef {
+	r := zipf.NewRNG(11)
+	coefs := make([]Coef, n)
+	for i := range coefs {
+		v := float64(r.Int63n(1000))
+		if r.Int63n(2) == 0 {
+			v = -v
+		}
+		coefs[i] = Coef{Index: int64(n - i), Value: v}
+	}
+	return coefs
+}
+
+// TestSelectTopKMatchesFullSort pins the selection to its definition —
+// sort everything by (|value| desc, index asc), keep k — with ties
+// straddling the admission boundary and signs that must survive.
+func TestSelectTopKMatchesFullSort(t *testing.T) {
+	coefs := selectTopKCoefs(5000)
+	want := append([]Coef(nil), coefs...)
+	SortCoefsByMagnitude(want)
+	for _, k := range []int{0, 1, 30, 999, 5000, 6000} {
+		got := SelectTopK(coefs, k)
+		if len(got) != min(k, len(coefs)) {
+			t.Fatalf("k=%d: %d coefficients", k, len(got))
+		}
+		for i := range got {
+			if got[i] != want[i] || math.Signbit(got[i].Value) != math.Signbit(want[i].Value) {
+				t.Fatalf("k=%d: [%d] = %+v, want %+v", k, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+var sinkCoefs []Coef
+
+// BenchmarkSelectTopK is the reducer's selection at the size a one-round
+// build hands it: 65 536 coefficients, k = 30.
+func BenchmarkSelectTopK(b *testing.B) {
+	coefs := selectTopKCoefs(65536)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkCoefs = SelectTopK(coefs, 30)
+	}
+}
+
 func TestSelectTopKDenseMatchesMap(t *testing.T) {
 	r := zipf.NewRNG(7)
 	w := make([]float64, 256)

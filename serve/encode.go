@@ -58,7 +58,27 @@ func AppendEstimate(b []byte, name string, version uint64, est float64, fields .
 // writes for map[string]any{"results": results} with a non-empty
 // slice — so the router can answer POST /v1/query from a pooled buffer.
 func AppendBatchResults(b []byte, results []BatchResult) []byte {
-	b = append(b, `{"results":[`...)
+	b = append(b, '{')
+	b = appendResults(b, results)
+	return append(b, '}', '\n')
+}
+
+// appendBatchResponse builds the envelope of POST /v1/hist/{name}/query,
+// {"name":…,"version":…,"results":[…]} plus a newline, byte for byte
+// what json.Encoder wrote for it when it was a struct.
+func appendBatchResponse(b []byte, name string, version uint64, results []BatchResult) []byte {
+	b = append(b, `{"name":`...)
+	b = appendJSONString(b, name)
+	b = append(b, `,"version":`...)
+	b = strconv.AppendUint(b, version, 10)
+	b = append(b, ',')
+	b = appendResults(b, results)
+	return append(b, '}', '\n')
+}
+
+// appendResults appends the "results":[…] member both replies share.
+func appendResults(b []byte, results []BatchResult) []byte {
+	b = append(b, `"results":[`...)
 	for i := range results {
 		if i > 0 {
 			b = append(b, ',')
@@ -71,7 +91,7 @@ func AppendBatchResults(b []byte, results []BatchResult) []byte {
 		}
 		b = append(b, '}')
 	}
-	return append(b, ']', '}', '\n')
+	return append(b, ']')
 }
 
 // appendJSONString appends s as encoding/json quotes it, HTML escaping

@@ -68,6 +68,57 @@ func TestBatchResultsEncodingMatchesJSON(t *testing.T) {
 	}
 }
 
+// TestBatchResponseEncodingMatchesJSON: the envelope POST
+// /v1/hist/{name}/query appends is byte for byte what json.Encoder wrote
+// for the struct it replaced — estimates that are negative, ≥1e21, <1e-6
+// and 0, per-query errors needing quote and HTML escaping — and the
+// handler serves those bytes.
+func TestBatchResponseEncodingMatchesJSON(t *testing.T) {
+	type batchResponse struct {
+		Name    string        `json:"name"`
+		Version uint64        `json:"version"`
+		Results []BatchResult `json:"results"`
+	}
+	results := []BatchResult{
+		{Estimate: -0.5}, {Estimate: 4.9e21}, {Estimate: 1e21}, {Estimate: -2.5e-7}, {Estimate: 9.99e-7}, {Estimate: 0},
+		{Estimate: 1234567.25}, {Estimate: math.MaxFloat64},
+		{Error: `no histogram "x"`},
+		{Error: "a<b>&c \\ back\nline\ttab\x01\x7f"},
+		{Error: "sep\u2028arator \xff bad utf8 é"},
+	}
+	for n := 0; n <= len(results); n++ {
+		for _, name := range []string{"my.hist-1", `odd"<name>`} {
+			var want bytes.Buffer
+			if err := json.NewEncoder(&want).Encode(&batchResponse{Name: name, Version: uint64(n) << 40, Results: results[:n]}); err != nil {
+				t.Fatal(err)
+			}
+			if got := appendBatchResponse(nil, name, uint64(n)<<40, results[:n]); !bytes.Equal(got, want.Bytes()) {
+				t.Fatalf("first %d results:\n got %s\nwant %s", n, got, want.Bytes())
+			}
+		}
+	}
+
+	s, err := NewServer(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := s.Registry().Publish("h", buildHist(t, 20000, 1<<12, 20, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries := []BatchQuery{{Op: "point", Key: 7}, {Op: "range", Lo: 3, Hi: 900}, {Op: "point", Key: 1 << 12}, {Op: "<sum>"}}
+	served := make([]BatchResult, len(queries))
+	e.Batch(queries, served)
+	var want bytes.Buffer
+	json.NewEncoder(&want).Encode(&batchResponse{Name: "h", Version: e.Version, Results: served})
+	body, _ := json.Marshal(map[string]any{"queries": queries})
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/hist/h/query", bytes.NewReader(body)))
+	if rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), want.Bytes()) || rec.Header().Get("Content-Type") != "application/json" {
+		t.Fatalf("HTTP %d (%s):\n got %s\nwant %s", rec.Code, rec.Header().Get("Content-Type"), rec.Body.Bytes(), want.Bytes())
+	}
+}
+
 // TestPointRangeEndpointsStillServe: the rewritten handlers answer with
 // the same fields the JSON-encoder versions did.
 func TestPointRangeEndpoints(t *testing.T) {

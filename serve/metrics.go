@@ -22,9 +22,29 @@ func (s *Server) initMetrics() {
 	s.buildsCanceled = m.Counter("wavehist_builds_total", buildHelp, obs.L("state", "canceled"))
 	s.buildDur = m.Histogram("wavehist_build_duration_seconds", "Wall time of finished build jobs (all outcomes).")
 	s.slowQueries = m.Counter("wavehist_slow_queries_total", "Queries over Config.SlowQueryThreshold.")
+	s.batchDecoded = NewBatchDecodeCounter(m)
 	m.Collect(s.collectMetrics)
 	if s.cfg.Coordinator != nil {
 		m.Collect(s.cfg.Coordinator.Collect)
+	}
+}
+
+// NewBatchDecodeCounter registers wavehist_batch_decode_total, one family
+// on the shard and on the router, and returns the function that counts
+// one JSON batch body by the decoder that served it. A client whose
+// bodies keep landing on "std" — escaped strings, floats, unknown or
+// duplicate keys — pays several times the parse cost of one the scanner
+// takes (dist/queryjson.go).
+func NewBatchDecodeCounter(m *obs.Registry) func(scanned bool) {
+	const help = "JSON batch bodies decoded, by decoder: scan = the canonical-body scanner, std = encoding/json (everything the scanner declines, rejected bodies included)."
+	scan := m.Counter("wavehist_batch_decode_total", help, obs.L("decoder", "scan"))
+	std := m.Counter("wavehist_batch_decode_total", help, obs.L("decoder", "std"))
+	return func(scanned bool) {
+		if scanned {
+			scan.Inc()
+		} else {
+			std.Inc()
+		}
 	}
 }
 

@@ -1,11 +1,13 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"log"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -155,6 +157,7 @@ type Server struct {
 	buildsCanceled *obs.Counter
 	buildDur       *obs.Histogram
 	slowQueries    *obs.Counter
+	batchDecoded   func(scanned bool)
 	slowLog        *slowLogSink // nil unless Config.SlowQueryDir is set
 
 	mu       sync.Mutex
@@ -290,9 +293,7 @@ func writeErr(w http.ResponseWriter, code int, format string, args ...any) {
 }
 
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	if err := dist.DecodeJSONStrict(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), v); err != nil {
 		writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
 		return false
 	}
@@ -461,24 +462,15 @@ func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
 		EstimateField{"lo", lo}, EstimateField{"hi", hi})
 }
 
-// batchBuffers is one batch request's reusable state: the decoded query
-// slice, the result slice, and the JSON response envelope. Pooled so the
+// batchBuffers is one batch request's reusable state: the body, the
+// decoded queries, the result slice and the encoded reply. Pooled so the
 // steady-state batch path — the server's hottest endpoint — re-serves
-// requests out of recycled buffers instead of per-request garbage
-// (encoding/json reuses the backing arrays of non-nil slices it decodes
-// into).
+// requests out of recycled buffers instead of per-request garbage.
 type batchBuffers struct {
-	Req struct {
-		Queries []BatchQuery `json:"queries"`
-	}
-	Resp batchResponse
-}
-
-// batchResponse is the JSON envelope of POST /v1/hist/{name}/query.
-type batchResponse struct {
-	Name    string        `json:"name"`
-	Version uint64        `json:"version"`
-	Results []BatchResult `json:"results"`
+	body    bytes.Buffer
+	in      dist.QueryBatch
+	results []BatchResult
+	reply   []byte
 }
 
 var batchPool = sync.Pool{New: func() any { return new(batchBuffers) }}
@@ -491,32 +483,31 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	bb := batchPool.Get().(*batchBuffers)
 	defer batchPool.Put(bb)
-	// Zero the recycled backing array before decoding into it:
-	// encoding/json reuses slice elements without clearing them, so a
-	// field omitted from this request (omitempty zero values) would
-	// otherwise inherit whatever a previous request left in that slot.
-	clear(bb.Req.Queries[:cap(bb.Req.Queries)])
-	bb.Req.Queries = bb.Req.Queries[:0]
-	if !s.decode(w, r, &bb.Req) {
+	bb.body.Reset()
+	_, err := bb.body.ReadFrom(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	if err == nil {
+		var scanned bool
+		scanned, err = bb.in.DecodeJSON(bb.body.Bytes(), false)
+		s.batchDecoded(scanned)
+	}
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
-	n := len(bb.Req.Queries)
+	n := len(bb.in.Queries)
 	if msg := s.batchSizeErr(n); msg != "" {
 		writeErr(w, http.StatusBadRequest, "%s", msg)
 		return
 	}
-	if cap(bb.Resp.Results) < n {
-		bb.Resp.Results = make([]BatchResult, n)
-	}
-	bb.Resp.Results = bb.Resp.Results[:n]
+	bb.results = slices.Grow(bb.results[:0], n)[:n]
 	// One snapshot resolution, one timestamp pair, and zero per-query
 	// allocations for the whole batch — the amortization the endpoint
 	// exists for. Every sub-query resolves off the entry's shared
 	// error-tree index.
-	e.Batch(bb.Req.Queries, bb.Resp.Results)
-	bb.Resp.Name = e.Name
-	bb.Resp.Version = e.Version
-	writeJSON(w, http.StatusOK, &bb.Resp)
+	e.Batch(bb.in.Queries, bb.results)
+	bb.reply = appendBatchResponse(bb.reply[:0], e.Name, e.Version, bb.results)
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(bb.reply)
 	// A JSON batch is never a coalesced one: the router's coalescer sends
 	// query frames, which carry the merged count (queryframe.go).
 	s.slowQuery("batch", e.Name, n, 0, time.Since(t0))
