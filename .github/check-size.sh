@@ -5,7 +5,8 @@
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 # 22320 -> 22634 (PR 21): dist/queryjson.go, the batch-body scanner and its strict fallback (274 lines, +40 at its call sites and counter); nothing else grew.
-CEILING=22634
+# 22634 -> 22621 (PR 25): heap.Indexed (161 lines) deleted for the maintainer's own slab-indexed heaps, plus two dead functions.
+CEILING=22621
 lines=$(find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path './.bench_build/*' | xargs cat | wc -l)
 echo "non-test source: $lines lines (ceiling $CEILING)"
 if [ "$lines" -gt "$CEILING" ]; then

@@ -224,7 +224,7 @@ func TestDaemonMetricsEndpoint(t *testing.T) {
 		"wavehist_builds_total", "wavehist_registry_version",
 		"wavehist_read_only", "wavehist_repl_lag_versions",
 		"wavehist_dist_alive_workers", "wavehist_dist_builds_total",
-		"wavehist_batch_decode_total",
+		"wavehist_batch_decode_total", "wavehist_maintainer_seeds_total",
 	); err != nil {
 		t.Fatal(err)
 	}

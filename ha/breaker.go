@@ -169,24 +169,3 @@ func (s *breakerSet) open(b *breaker) {
 	b.openUntil = time.Now().Add(jittered)
 	s.trips.Add(1)
 }
-
-// state returns the target's breaker state for the topology endpoint.
-func (s *breakerSet) stateOf(target string) string {
-	if s == nil || s.cfg.FailThreshold < 0 {
-		return "disabled"
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	b := s.m[target]
-	if b == nil {
-		return "closed"
-	}
-	switch b.state {
-	case breakerOpen:
-		return "open"
-	case breakerHalfOpen:
-		return "half-open"
-	default:
-		return "closed"
-	}
-}

@@ -112,7 +112,7 @@ func (rt *Router) handleCrossBatch(w http.ResponseWriter, r *http.Request) {
 	defer crossBatchPool.Put(cb)
 	cb.body.Reset()
 	if _, err := cb.body.ReadFrom(http.MaxBytesReader(w, r.Body, rt.maxBody)); err != nil {
-		writeErr(w, http.StatusBadRequest, "read body: %v", err)
+		writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
 	scanned, err := cb.in.DecodeJSON(cb.body.Bytes(), true)

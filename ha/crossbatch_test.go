@@ -138,6 +138,7 @@ func TestBatchBodyStrictnessSharedByRouterAndShard(t *testing.T) {
 		}
 		return rec.Code, reply.Error
 	}
+	const maxBody = 8 << 20 // the router's and serve.Config's default
 	// N stands for the element's `"name":"h",` member.
 	rows := []struct {
 		why, body string
@@ -162,6 +163,9 @@ func TestBatchBodyStrictnessSharedByRouterAndShard(t *testing.T) {
 		{"truncated", `{"queries":[{N"op":"point","key":1}`, 400, false},
 		{"empty body", ``, 400, false},
 		{"not an object", `[{N"op":"point","key":1}]`, 400, false},
+		// Over both tiers' 8 MiB body limit: refused while reading, so
+		// neither decoder counts it.
+		{"oversize", `{"queries":[{N"op":"point","key":1}]}` + strings.Repeat(" ", maxBody), 400, false},
 	}
 	var scans, stds int64
 	for _, row := range rows {
@@ -180,9 +184,11 @@ func TestBatchBodyStrictnessSharedByRouterAndShard(t *testing.T) {
 		if row.status == 400 && sMsg != "empty batch" && !strings.HasPrefix(sMsg, "bad request body: ") {
 			t.Errorf("%s: error %q", row.why, sMsg)
 		}
-		if row.scanned {
+		switch {
+		case len(row.body) > maxBody:
+		case row.scanned:
 			scans++
-		} else {
+		default:
 			stds++
 		}
 		{

@@ -396,7 +396,7 @@ func writeErr(w http.ResponseWriter, code int, format string, args ...any) {
 func (rt *Router) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 	b, err := io.ReadAll(http.MaxBytesReader(w, r.Body, rt.maxBody))
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, "read body: %v", err)
+		writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
 		return nil, false
 	}
 	return b, true

@@ -57,8 +57,7 @@ type Counters struct {
 	ReduceCPUUnits int64
 }
 
-func (c *Counters) addMapCPU(units float64)    { atomic.AddInt64(&c.MapCPUUnits, int64(units*1e3)) }
-func (c *Counters) addReduceCPU(units float64) { atomic.AddInt64(&c.ReduceCPUUnits, int64(units*1e3)) }
+func (c *Counters) addMapCPU(units float64) { atomic.AddInt64(&c.MapCPUUnits, int64(units*1e3)) }
 
 // MapCPU returns total map-side abstract work units.
 func (c *Counters) MapCPU() float64 { return float64(atomic.LoadInt64(&c.MapCPUUnits)) / 1e3 }

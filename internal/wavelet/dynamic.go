@@ -2,9 +2,8 @@ package wavelet
 
 import (
 	"math"
-	"sort"
-
-	"wavelethist/internal/heap"
+	"math/bits"
+	"slices"
 )
 
 // Dynamic maintenance of a wavelet histogram under updates — the paper's
@@ -21,60 +20,90 @@ import (
 // threshold between rebuilds, which the shadow margin makes unlikely for
 // skewed workloads (the same argument as [27]).
 //
-// The retained/shadow partition is maintained *incrementally*: the
-// retained set lives in a weakest-at-root indexed heap, the shadow set in
-// a strongest-at-root one, and each update repairs only the ≤ log2(u)+1
-// coefficients on the touched path (O(log u · log(k+shadow)) heap moves).
-// Reads never re-select top-k over the whole tracked set: while retained
-// membership is unchanged, Representation snapshots copy the previous
-// coefficient array, patch just the values that moved, and share the
-// previous snapshot's error-tree index.
+// The retained/shadow partition is maintained *incrementally*: tracked
+// coefficients are nodes in a slab behind one index map, the retained set
+// a weakest-at-root heap of node numbers and the shadow set a
+// strongest-at-root one, whose sifts write positions into the nodes. An
+// update costs one map lookup per path coefficient and repairs only those
+// ≤ log2(u)+1 coefficients (O(log u · log(k+shadow)) heap moves). While
+// retained membership is unchanged, a read copies the previous snapshot's
+// coefficient array, patches the values that moved, and shares its
+// error-tree index.
+
+// node is one tracked coefficient.
+type node struct {
+	Coef       // index and exact tracked value, never 0
+	pos  int32 // position in its heap
+	slot int32 // position in rep.Coefs as of the last rebuild (retained nodes)
+	ret  bool  // in the retained heap (else the shadow heap)
+}
 
 // stronger is the total order the partition lives under: larger magnitude
 // first, ties broken by ascending coefficient index — the same order
 // SelectTopK and SortCoefsByMagnitude use, so the incremental partition
 // selects exactly the coefficients a full re-selection would.
-func stronger(a, b heap.Item) bool {
-	if a.Score != b.Score {
-		return a.Score > b.Score
+func stronger(a, b Coef) bool {
+	if sa, sb := math.Abs(a.Value), math.Abs(b.Value); sa != sb {
+		return sa > sb
 	}
-	return a.ID < b.ID
+	return a.Index < b.Index
 }
 
-func weaker(a, b heap.Item) bool { return stronger(b, a) }
+// ranked is a node's coefficient copied beside its number, so sorting and
+// selection compare contiguous values instead of chasing node numbers.
+type ranked struct {
+	Coef
+	n int32
+}
+
+// byStrength is `stronger` as a three-way comparison, strongest first.
+func byStrength(a, b ranked) int {
+	switch {
+	case a.Index == b.Index:
+		return 0
+	case stronger(a.Coef, b.Coef):
+		return -1
+	}
+	return 1
+}
+
+// side is one heap of the partition: node numbers, the weakest member at
+// the root when weak is set (retained), the strongest otherwise (shadow).
+type side struct {
+	at   []int32
+	weak bool
+}
 
 // Maintainer incrementally maintains a k-term representation.
 type Maintainer struct {
-	u      int64
-	logu   uint
-	k      int
-	shadow int // tracked coefficients beyond k
-
-	coefs map[int64]float64 // tracked coefficient values (exact)
+	u       int64
+	logu    uint
+	k       int
+	shadow  int       // tracked coefficients beyond k
+	sqrtLen []float64 // sqrtLen[j] = √(u>>j), j = 0..logu; [0] divides the average's share
 
 	// The incrementally maintained partition. Invariant: ret holds the
-	// top-min(k, tracked) coefficients under the `stronger` order (its
-	// root is the weakest retained one), sha holds the rest (its root is
-	// the strongest shadow one), and every retained coefficient is
-	// stronger than every shadow one.
-	ret *heap.Indexed
-	sha *heap.Indexed
+	// top-min(k, tracked) coefficients under the `stronger` order, sha
+	// holds the rest, and every retained coefficient is stronger than
+	// every shadow one — so sha is non-empty only while ret is full.
+	index map[int64]int32 // coefficient index -> node
+	nodes []node
+	free  []int32 // node numbers released by drops and compaction
+	ret   side
+	sha   side
+	moves int64    // heap moves, for RepairOps
+	order []ranked // scratch for rebuildRep and compact
 
-	// Snapshot machinery. rep is the last representation handed out and
-	// is immutable from that moment on (registry snapshots may hold it
-	// forever). While retained membership is unchanged, the next read
-	// copies rep's coefficient array, patches only the slots listed in
-	// dirtyIdx (or all of them once the list would outgrow k), and
-	// shares rep's error-tree index — the index stores positions, not
-	// values. A membership change invalidates slots and forces a full
-	// rebuild on the next read.
+	// Snapshot machinery. rep is the last representation handed out, and
+	// immutable from then on (registry snapshots may hold it forever). The
+	// next read patches the slots of the nodes listed in dirty (of every
+	// retained node once the list would outgrow k) into a copy sharing
+	// rep's error-tree index, which stores positions, not values; a
+	// membership change forces a full rebuild instead.
 	rep         *Representation
-	slots       map[int64]int32 // coefficient index -> slot in rep.Coefs
-	dirtyIdx    []int64         // retained coefficients whose values moved
+	dirty       []int32 // retained nodes whose values moved
 	patchAll    bool
 	memberDirty bool
-
-	opsBase int64 // heap moves accumulated before a shadow-heap rebuild
 }
 
 // NewMaintainer starts maintenance from a full coefficient set (e.g. the
@@ -94,10 +123,12 @@ func NewMaintainer(u int64, initial []Coef, k, shadow int) *Maintainer {
 		logu:        Log2(u),
 		k:           k,
 		shadow:      shadow,
-		coefs:       make(map[int64]float64),
-		ret:         heap.NewIndexed(weaker),
-		sha:         heap.NewIndexed(stronger),
+		index:       make(map[int64]int32),
+		ret:         side{weak: true},
 		memberDirty: true,
+	}
+	for j := uint(0); j <= m.logu; j++ {
+		m.sqrtLen = append(m.sqrtLen, math.Sqrt(float64(u>>j)))
 	}
 	// Track the top (k + shadow) initial coefficients; SelectTopK returns
 	// them strongest-first, so the first k seed the retained set.
@@ -122,15 +153,8 @@ func RestoreMaintainer(u int64, tracked []Coef, k, shadow int) *Maintainer {
 // partition: the first k retained, the rest shadow.
 func (m *Maintainer) seed(coefs []Coef) {
 	for _, c := range coefs {
-		if _, dup := m.coefs[c.Index]; dup || c.Value == 0 {
-			continue
-		}
-		m.coefs[c.Index] = c.Value
-		it := heap.Item{ID: c.Index, Score: math.Abs(c.Value)}
-		if m.ret.Len() < m.k {
-			m.ret.Push(it)
-		} else {
-			m.sha.Push(it)
+		if _, dup := m.index[c.Index]; !dup && c.Value != 0 {
+			m.adopt(m.track(c.Index, c.Value))
 		}
 	}
 }
@@ -145,26 +169,26 @@ func (m *Maintainer) Domain() int64 { return m.u }
 func (m *Maintainer) Shadow() int { return m.shadow }
 
 // Tracked returns the number of tracked (retained + shadow) coefficients.
-func (m *Maintainer) Tracked() int { return len(m.coefs) }
+func (m *Maintainer) Tracked() int { return len(m.index) }
 
 // TrackedCoefs returns a copy of the tracked coefficient set (retained
 // and shadow, unspecified order) — the state a caller would persist or
 // re-seed a maintainer from.
 func (m *Maintainer) TrackedCoefs() []Coef {
-	out := make([]Coef, 0, len(m.coefs))
-	for idx, v := range m.coefs {
-		out = append(out, Coef{Index: idx, Value: v})
+	out := make([]Coef, 0, len(m.index))
+	for _, h := range [2][]int32{m.ret.at, m.sha.at} {
+		for _, n := range h {
+			out = append(out, m.nodes[n].Coef)
+		}
 	}
 	return out
 }
 
-// RepairOps returns the cumulative number of heap item moves performed by
+// RepairOps returns the cumulative number of heap moves performed by
 // incremental partition repairs. Regression tests bound its growth per
 // update to O(log u · log(k+shadow)) — independent of the tracked-set
 // size — to prove updates never re-heapify the whole tracked set.
-func (m *Maintainer) RepairOps() int64 {
-	return m.opsBase + m.ret.Moves() + m.sha.Moves()
-}
+func (m *Maintainer) RepairOps() int64 { return m.moves }
 
 // Update applies delta occurrences of key x (delta may be negative for
 // deletions). O(log u) path coefficients touched, each repaired with
@@ -180,19 +204,19 @@ func (m *Maintainer) Update(x int64, delta float64) {
 	if delta == 0 {
 		return
 	}
-	m.applyCoef(0, delta/math.Sqrt(float64(m.u)))
+	m.applyCoef(0, delta/m.sqrtLen[0])
 	for j := uint(0); j < m.logu; j++ {
-		rangeLen := m.u >> j
-		k := x / rangeLen
-		contrib := delta / math.Sqrt(float64(rangeLen))
-		if x-k*rangeLen < rangeLen/2 {
+		// Level j splits x's dyadic range of length u>>j in two halves;
+		// the bit below the range's prefix says which half x is in.
+		contrib := delta / m.sqrtLen[j]
+		if x>>(m.logu-1-j)&1 == 0 {
 			contrib = -contrib
 		}
-		m.applyCoef(int64(1)<<j+k, contrib)
+		m.applyCoef(int64(1)<<j+x>>(m.logu-j), contrib)
 	}
 	// Bound memory: when tracking grows well past k+shadow, drop the
 	// weakest shadow tail.
-	if len(m.coefs) > 2*(m.k+m.shadow) {
+	if len(m.index) > 2*(m.k+m.shadow) {
 		m.compact()
 	}
 }
@@ -200,117 +224,261 @@ func (m *Maintainer) Update(x int64, delta float64) {
 // applyCoef adds contrib to one tracked-or-adopted coefficient and
 // repairs the retained/shadow partition around it.
 func (m *Maintainer) applyCoef(idx int64, contrib float64) {
-	old, tracked := m.coefs[idx]
-	nv := old + contrib
-	if nv == 0 {
-		if !tracked {
-			return
-		}
-		delete(m.coefs, idx)
-		if _, ok := m.ret.Remove(idx); ok {
-			m.markMemberDirty()
-			// Refill the freed retained slot with the strongest shadow.
-			if it, ok := m.sha.PopRoot(); ok {
-				m.ret.Push(it)
-			}
-		} else {
-			m.sha.Remove(idx)
+	n, tracked := m.index[idx]
+	if !tracked {
+		if contrib != 0 {
+			m.adopt(m.track(idx, contrib))
 		}
 		return
 	}
-	m.coefs[idx] = nv
-	it := heap.Item{ID: idx, Score: math.Abs(nv)}
-	switch {
-	case m.ret.Has(idx):
-		m.ret.Fix(idx, it.Score)
-		m.markValueDirty(idx)
+	nd := &m.nodes[n]
+	if nd.Value += contrib; nd.Value == 0 {
+		m.drop(n)
+		return
+	}
+	if nd.ret {
+		m.fix(&m.ret, int(nd.pos))
+		m.markValueDirty(n)
 		// The changed coefficient may now be weaker than the strongest
 		// shadow; swap across the boundary until the invariant holds.
-		for {
-			rr, _ := m.ret.Root()
-			sr, ok := m.sha.Root()
-			if !ok || !stronger(sr, rr) {
-				break
-			}
-			m.sha.PopRoot()
-			m.ret.PopRoot()
-			m.ret.Push(sr)
-			m.sha.Push(rr)
+		for len(m.sha.at) > 0 && stronger(m.nodes[m.sha.at[0]].Coef, m.nodes[m.ret.at[0]].Coef) {
+			m.replaceRoot(&m.sha, m.replaceRoot(&m.ret, m.sha.at[0]))
 			m.markMemberDirty()
 		}
-	case m.sha.Has(idx):
-		// Decide promotion on the new score first; Remove works off the
-		// position map, so a promoted coefficient never pays a Fix sift
-		// it is about to undo.
-		if m.ret.Len() < m.k {
-			m.sha.Remove(idx)
-			m.ret.Push(it)
-			m.markMemberDirty()
-		} else if rr, _ := m.ret.Root(); stronger(it, rr) {
-			m.sha.Remove(idx)
-			m.ret.PopRoot()
-			m.ret.Push(it)
-			m.sha.Push(rr)
-			m.markMemberDirty()
-		} else {
-			m.sha.Fix(idx, it.Score)
-		}
+		return
+	}
+	// A shadow node implies a full retained set: promote it over the
+	// weakest retained node, or leave it in the shadow heap.
+	if stronger(nd.Coef, m.nodes[m.ret.at[0]].Coef) {
+		m.remove(n)
+		m.adopt(n)
+	} else {
+		m.fix(&m.sha, int(nd.pos))
+	}
+}
+
+// adopt places a node that is in neither heap: a newly tracked one (the
+// [27] rule), a seed, or a promoted shadow node.
+func (m *Maintainer) adopt(n int32) {
+	switch {
+	case len(m.ret.at) < m.k:
+		m.push(&m.ret, n)
+		m.markMemberDirty()
+	case stronger(m.nodes[n].Coef, m.nodes[m.ret.at[0]].Coef):
+		m.push(&m.sha, m.replaceRoot(&m.ret, n))
+		m.markMemberDirty()
 	default:
-		// Untracked path coefficient: adopt it (the [27] rule).
-		if m.ret.Len() < m.k {
-			m.ret.Push(it)
-			m.markMemberDirty()
-		} else if rr, _ := m.ret.Root(); stronger(it, rr) {
-			m.ret.PopRoot()
-			m.ret.Push(it)
-			m.sha.Push(rr)
-			m.markMemberDirty()
-		} else {
-			m.sha.Push(it)
+		m.push(&m.sha, n)
+	}
+}
+
+// drop untracks a node whose value reached exactly zero, refilling a freed
+// retained slot with the strongest shadow node.
+func (m *Maintainer) drop(n int32) {
+	retained := m.nodes[n].ret
+	m.remove(n)
+	m.release(n)
+	if retained {
+		m.markMemberDirty()
+		if len(m.sha.at) > 0 {
+			top := m.sha.at[0]
+			m.remove(top)
+			m.push(&m.ret, top)
 		}
 	}
+}
+
+// track allocates a node for coefficient idx and indexes it.
+func (m *Maintainer) track(idx int64, v float64) int32 {
+	var n int32
+	if last := len(m.free) - 1; last >= 0 {
+		n, m.free = m.free[last], m.free[:last]
+		m.nodes[n] = node{Coef: Coef{Index: idx, Value: v}}
+	} else {
+		n = int32(len(m.nodes))
+		m.nodes = append(m.nodes, node{Coef: Coef{Index: idx, Value: v}})
+	}
+	m.index[idx] = n
+	return n
+}
+
+// release untracks a node that is in no heap.
+func (m *Maintainer) release(n int32) {
+	delete(m.index, m.nodes[n].Index)
+	m.free = append(m.free, n)
 }
 
 func (m *Maintainer) markMemberDirty() {
-	m.memberDirty = true
-	m.dirtyIdx = m.dirtyIdx[:0]
-	m.patchAll = false
+	m.memberDirty, m.dirty, m.patchAll = true, m.dirty[:0], false
 }
 
-func (m *Maintainer) markValueDirty(idx int64) {
+func (m *Maintainer) markValueDirty(n int32) {
 	if m.memberDirty || m.rep == nil || m.patchAll {
 		return
 	}
-	if len(m.dirtyIdx) >= m.k {
-		m.patchAll = true
-		m.dirtyIdx = m.dirtyIdx[:0]
+	if len(m.dirty) >= m.k {
+		m.patchAll, m.dirty = true, m.dirty[:0]
 		return
 	}
-	m.dirtyIdx = append(m.dirtyIdx, idx)
+	m.dirty = append(m.dirty, n)
 }
 
 // compact trims the shadow set back so tracked coefficients total
-// k+shadow, dropping the weakest. Amortized: it runs at most once per
-// ~(k+shadow)/log2(u) updates, since each update adopts at most
-// log2(u)+1 new coefficients.
+// k+shadow, dropping the weakest: an expected O(T) selection of the
+// strongest shadow nodes, an O(k+shadow) heapify of the kept ones. It
+// runs at most once per ~(k+shadow)/log2(u) updates, since each update
+// adopts at most log2(u)+1 new coefficients.
 func (m *Maintainer) compact() {
-	keep := m.k + m.shadow - m.ret.Len()
-	if keep < 0 {
-		keep = 0
-	}
-	items := m.sha.Items()
-	if len(items) <= keep {
+	keep := max(m.k+m.shadow-len(m.ret.at), 0)
+	if len(m.sha.at) <= keep {
 		return
 	}
-	sort.Slice(items, func(i, j int) bool { return stronger(items[i], items[j]) })
-	m.opsBase += m.sha.Moves()
-	m.sha = heap.NewIndexed(stronger)
-	for _, it := range items[:keep] {
-		m.sha.Push(it)
+	ord := m.rank(m.sha.at)
+	selectStrongest(ord, keep)
+	for _, r := range ord[keep:] {
+		m.release(r.n)
 	}
-	for _, it := range items[keep:] {
-		delete(m.coefs, it.ID)
+	m.sha.at = m.sha.at[:keep]
+	for i, r := range ord[:keep] {
+		m.sha.at[i], m.nodes[r.n].pos = r.n, int32(i)
 	}
+	for i := keep/2 - 1; i >= 0; i-- {
+		m.siftDown(&m.sha, i)
+	}
+}
+
+// rank copies the nodes ns into the scratch slice.
+func (m *Maintainer) rank(ns []int32) []ranked {
+	m.order = m.order[:0]
+	for _, n := range ns {
+		m.order = append(m.order, ranked{m.nodes[n].Coef, n})
+	}
+	return m.order
+}
+
+// selectStrongest reorders rs so that its first keep entries are the keep
+// strongest (the order is strict, so that set is unique), in no
+// particular order: quickselect, handing a range still unresolved after
+// 2·log2(len) rounds, or a short one, to a full sort.
+func selectStrongest(rs []ranked, keep int) {
+	lo, hi := 0, len(rs)
+	for rounds := 2 * bits.Len(uint(len(rs))); hi-lo > 16 && rounds > 0; rounds-- {
+		p := lo + partition(rs[lo:hi])
+		switch {
+		case p == keep:
+			return
+		case p < keep:
+			lo = p + 1
+		default:
+			hi = p
+		}
+	}
+	slices.SortFunc(rs[lo:hi], byStrength)
+}
+
+// partition moves rs's middle entry to its final position p, stronger
+// entries before it and weaker after, and returns p.
+func partition(rs []ranked) int {
+	last := len(rs) - 1
+	rs[len(rs)/2], rs[last] = rs[last], rs[len(rs)/2]
+	pivot, p := rs[last].Coef, 0
+	for j := range rs[:last] {
+		if stronger(rs[j].Coef, pivot) {
+			rs[p], rs[j] = rs[j], rs[p]
+			p++
+		}
+	}
+	rs[p], rs[last] = rs[last], rs[p]
+	return p
+}
+
+// above reports whether node a belongs nearer s's root than node b.
+func (m *Maintainer) above(s *side, a, b int32) bool {
+	return stronger(m.nodes[a].Coef, m.nodes[b].Coef) != s.weak
+}
+
+func (m *Maintainer) push(s *side, n int32) {
+	m.nodes[n].ret = s.weak
+	s.at = append(s.at, n)
+	m.moves++
+	m.siftUp(s, len(s.at)-1, n)
+}
+
+// replaceRoot puts n at s's root in place of the root node, which it
+// returns detached from both heaps.
+func (m *Maintainer) replaceRoot(s *side, n int32) int32 {
+	old := s.at[0]
+	m.nodes[n].ret = s.weak
+	s.at[0] = n
+	m.moves++
+	m.siftDown(s, 0)
+	return old
+}
+
+// remove detaches node n from its heap.
+func (m *Maintainer) remove(n int32) {
+	s := &m.sha
+	if m.nodes[n].ret {
+		s = &m.ret
+	}
+	i, last := int(m.nodes[n].pos), len(s.at)-1
+	moved := s.at[last]
+	s.at = s.at[:last]
+	m.moves++
+	if i < last {
+		s.at[i] = moved
+		m.nodes[moved].pos = int32(i)
+		m.fix(s, i)
+	}
+}
+
+// fix restores heap order around position i after its node's value moved.
+func (m *Maintainer) fix(s *side, i int) {
+	m.moves++
+	if !m.siftDown(s, i) {
+		m.siftUp(s, i, s.at[i])
+	}
+}
+
+// siftUp moves node n, sitting at position i, toward the root.
+func (m *Maintainer) siftUp(s *side, i int, n int32) {
+	for i > 0 {
+		p := (i - 1) / 2
+		if !m.above(s, n, s.at[p]) {
+			break
+		}
+		s.at[i] = s.at[p]
+		m.nodes[s.at[i]].pos = int32(i)
+		i = p
+		m.moves++
+	}
+	s.at[i] = n
+	m.nodes[n].pos = int32(i)
+}
+
+// siftDown moves the node at position i away from the root, reporting
+// whether it moved.
+func (m *Maintainer) siftDown(s *side, i int) bool {
+	n, start := s.at[i], i
+	for {
+		c := 2*i + 1
+		if c >= len(s.at) {
+			break
+		}
+		if r := c + 1; r < len(s.at) && m.above(s, s.at[r], s.at[c]) {
+			c = r
+		}
+		if !m.above(s, s.at[c], n) {
+			break
+		}
+		s.at[i] = s.at[c]
+		m.nodes[s.at[i]].pos = int32(i)
+		i = c
+		m.moves++
+	}
+	s.at[i] = n
+	m.nodes[n].pos = int32(i)
+	return i != start
 }
 
 // Representation returns the current k-term representation (the retained
@@ -321,41 +489,33 @@ func (m *Maintainer) compact() {
 func (m *Maintainer) Representation() *Representation {
 	if m.rep == nil || m.memberDirty {
 		m.rebuildRep()
-	} else if m.patchAll || len(m.dirtyIdx) > 0 {
+	} else if m.patchAll || len(m.dirty) > 0 {
 		m.patchRep()
 	}
 	return m.rep
 }
 
 func (m *Maintainer) rebuildRep() {
-	items := m.ret.Items()
-	sort.Slice(items, func(i, j int) bool { return stronger(items[i], items[j]) })
-	cs := make([]Coef, len(items))
-	slots := make(map[int64]int32, len(items))
-	for i, it := range items {
-		cs[i] = Coef{Index: it.ID, Value: m.coefs[it.ID]}
-		slots[it.ID] = int32(i)
+	ord := m.rank(m.ret.at)
+	slices.SortFunc(ord, byStrength)
+	cs := make([]Coef, len(ord))
+	for i, r := range ord {
+		cs[i] = r.Coef
+		m.nodes[r.n].slot = int32(i)
 	}
 	m.rep = &Representation{U: m.u, Coefs: cs, tree: newErrTree(m.u, cs)}
-	m.slots = slots
-	m.memberDirty = false
-	m.dirtyIdx = m.dirtyIdx[:0]
-	m.patchAll = false
+	m.memberDirty, m.dirty, m.patchAll = false, m.dirty[:0], false
 }
 
 func (m *Maintainer) patchRep() {
-	cs := make([]Coef, len(m.rep.Coefs))
-	copy(cs, m.rep.Coefs)
+	cs := slices.Clone(m.rep.Coefs)
+	moved := m.dirty
 	if m.patchAll {
-		for i := range cs {
-			cs[i].Value = m.coefs[cs[i].Index]
-		}
-	} else {
-		for _, idx := range m.dirtyIdx {
-			cs[m.slots[idx]].Value = m.coefs[idx]
-		}
+		moved = m.ret.at // membership is unchanged: the retained nodes are rep's
+	}
+	for _, n := range moved {
+		cs[m.nodes[n].slot].Value = m.nodes[n].Value
 	}
 	m.rep = &Representation{U: m.u, Coefs: cs, tree: m.rep.tree}
-	m.dirtyIdx = m.dirtyIdx[:0]
-	m.patchAll = false
+	m.dirty, m.patchAll = m.dirty[:0], false
 }

@@ -1,7 +1,9 @@
 package wavelet
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -94,39 +96,39 @@ func newErrTree(u int64, coefs []Coef) *errTree {
 	logu := Log2(u)
 	t := &errTree{u: u, logu: logu}
 	n := len(coefs)
-	t.ord = make([]int32, n)
-	for i := range t.ord {
-		t.ord[i] = int32(i)
+	type entry struct {
+		index int64
+		level int32
+		pos   int32
 	}
-	sort.Slice(t.ord, func(a, b int) bool {
-		pa, pb := t.ord[a], t.ord[b]
-		ia, ib := coefs[pa].Index, coefs[pb].Index
-		la, lb := errTreeLevel(ia, u, logu), errTreeLevel(ib, u, logu)
-		if la != lb {
-			return la < lb
+	es := make([]entry, n)
+	for i, c := range coefs {
+		es[i] = entry{c.Index, int32(errTreeLevel(c.Index, u, logu)), int32(i)}
+	}
+	slices.SortFunc(es, func(a, b entry) int {
+		if c := cmp.Compare(a.level, b.level); c != 0 {
+			return c
 		}
-		if ia != ib {
-			return ia < ib
+		if c := cmp.Compare(a.index, b.index); c != 0 {
+			return c
 		}
-		return pa < pb
+		return cmp.Compare(a.pos, b.pos)
 	})
+	t.ord = make([]int32, n)
+	t.idxs = make([]int64, n)
 	t.off = make([]int32, int(logu)+3)
 	for i := range t.off {
 		t.off[i] = int32(n)
 	}
 	cur := -1
-	for i, p := range t.ord {
-		l := errTreeLevel(coefs[p].Index, u, logu)
-		if l != cur {
+	for i, e := range es {
+		t.ord[i], t.idxs[i] = e.pos, e.index
+		if l := int(e.level); l != cur {
 			for j := cur + 1; j <= l; j++ {
 				t.off[j] = int32(i)
 			}
 			cur = l
 		}
-	}
-	t.idxs = make([]int64, n)
-	for i, p := range t.ord {
-		t.idxs[i] = coefs[p].Index
 	}
 	t.sqrtU = math.Sqrt(float64(u))
 	t.invSqrtU = 1 / t.sqrtU

@@ -21,6 +21,7 @@ package wavelet
 import (
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // Coef is a single wavelet coefficient: its index in [0, u) and its value
@@ -109,11 +110,7 @@ func coefLevel(i int64) uint {
 	if i < 1 {
 		panic("wavelet: coefLevel of average coefficient")
 	}
-	var j uint
-	for int64(1)<<(j+1) <= i {
-		j++
-	}
-	return j
+	return uint(bits.Len64(uint64(i))) - 1
 }
 
 // BasisAt evaluates ψ_i(x) for coefficient index i over domain size u.

@@ -139,6 +139,34 @@ func TestLog2(t *testing.T) {
 	}
 }
 
+// TestCoefLevelMatchesLoop pins coefLevel's bits.Len64 form to the loop it
+// replaced — with an unsigned shift, so the reference also terminates for
+// i ≥ 2^62, where the old signed loop never did.
+func TestCoefLevelMatchesLoop(t *testing.T) {
+	loop := func(i int64) uint {
+		var j uint
+		for uint64(1)<<(j+1) <= uint64(i) {
+			j++
+		}
+		return j
+	}
+	check := func(i int64) {
+		if got, want := coefLevel(i), loop(i); got != want {
+			t.Fatalf("coefLevel(%d) = %d, loop %d", i, got, want)
+		}
+	}
+	for i := int64(1); i < 1<<16; i++ {
+		check(i)
+	}
+	for j := 0; j < 63; j++ {
+		for _, i := range []int64{1<<j - 1, 1 << j, 1<<j + 1} {
+			if i >= 1 {
+				check(i)
+			}
+		}
+	}
+}
+
 func TestBasisOrthonormality(t *testing.T) {
 	const u = 32
 	for i := int64(0); i < u; i++ {

@@ -88,5 +88,6 @@ func (s *Server) loadMaints() {
 			continue
 		}
 		s.maints[name] = &maintained{mh: mh, base: cur.Version}
+		s.seeds["snapshot"].Inc()
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"testing"
+	"time"
 
 	"wavelethist/dist"
 )
@@ -170,4 +171,69 @@ func TestMaintainerPersistence(t *testing.T) {
 		"updates": []map[string]any{{"key": 42, "delta": 1}},
 		"flush":   true,
 	}, http.StatusOK)
+}
+
+// TestMaintainerSeedsCounted: wavehist_maintainer_seeds_total says what
+// every live maintainer was seeded from. A promoted replica has no .wmnt
+// state, so its first update seeds from the published top-k and loses the
+// shadow set (published +1); a restart over a snapshot dir reloads the
+// saved tracked set instead (snapshot +1, published 0); a build with
+// "maintain" seeds from the build (build +1).
+func TestMaintainerSeedsCounted(t *testing.T) {
+	seeds := func(base string) map[string]float64 {
+		t.Helper()
+		out := map[string]float64{}
+		for _, sm := range scrape(t, base)["wavehist_maintainer_seeds_total"].Samples {
+			out[sm.Labels["source"]] = sm.Value
+		}
+		return out
+	}
+	update := func(base string) {
+		t.Helper()
+		postJSON(t, base+"/v1/hist/m/updates", map[string]any{
+			"updates": []map[string]any{{"key": 42, "delta": 7}, {"key": 9, "delta": -1}},
+			"flush":   true,
+		}, http.StatusOK)
+	}
+	h := buildHist(t, 20000, 1<<12, 30, 6)
+
+	r, rts := newTestServer(t, Config{ReadOnly: true})
+	if _, err := r.Registry().Publish("m", h); err != nil {
+		t.Fatal(err)
+	}
+	if got := seeds(rts.URL); got["build"]+got["snapshot"]+got["published"] != 0 {
+		t.Fatalf("replica before promotion: %v", got)
+	}
+	postJSON(t, rts.URL+"/v1/promote", nil, http.StatusOK)
+	update(rts.URL)
+	update(rts.URL) // the same maintainer: no second seed
+	if got := seeds(rts.URL); got["published"] != 1 || got["build"] != 0 || got["snapshot"] != 0 {
+		t.Fatalf("promoted replica after updates: %v", got)
+	}
+
+	dir := t.TempDir()
+	s1, ts1 := newTestServer(t, Config{SnapshotDir: dir})
+	if _, err := s1.Registry().Publish("m", h); err != nil {
+		t.Fatal(err)
+	}
+	update(ts1.URL) // seeds from the published top-k, then persists .wmnt
+	_, ts2 := newTestServer(t, Config{SnapshotDir: dir})
+	update(ts2.URL)
+	if got := seeds(ts2.URL); got["snapshot"] != 1 || got["published"] != 0 || got["build"] != 0 {
+		t.Fatalf("restarted over a snapshot dir: %v", got)
+	}
+
+	postJSON(t, ts2.URL+"/v1/datasets", map[string]any{
+		"name": "z", "kind": "zipf", "records": 5000, "domain": 1024,
+	}, http.StatusCreated)
+	id := postBuild(t, ts2.URL, `{"name":"b","dataset":"z","method":"Send-V","k":10,"maintain":true}`)
+	for i := 0; getJSON(t, ts2.URL+"/v1/jobs/"+id, http.StatusOK)["state"] != "done"; i++ {
+		if i > 500 {
+			t.Fatal("build did not finish")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if got := seeds(ts2.URL); got["build"] != 1 || got["snapshot"] != 1 || got["published"] != 0 {
+		t.Fatalf("after a maintained build: %v", got)
+	}
 }

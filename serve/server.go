@@ -158,7 +158,8 @@ type Server struct {
 	buildDur       *obs.Histogram
 	slowQueries    *obs.Counter
 	batchDecoded   func(scanned bool)
-	slowLog        *slowLogSink // nil unless Config.SlowQueryDir is set
+	seeds          map[string]*obs.Counter // wavehist_maintainer_seeds_total by source
+	slowLog        *slowLogSink            // nil unless Config.SlowQueryDir is set
 
 	mu       sync.Mutex
 	datasets map[string]*wavelethist.Dataset
@@ -195,6 +196,7 @@ func NewServer(cfg Config) (*Server, error) {
 		baseCancel: baseCancel,
 		datasets:   map[string]*wavelethist.Dataset{},
 		maints:     map[string]*maintained{},
+		seeds:      map[string]*obs.Counter{},
 	}
 	s.readOnly.Store(cfg.ReadOnly)
 	if err := s.initEpoch(); err != nil {
@@ -624,7 +626,9 @@ func (s *Server) handleUpdates(w http.ResponseWriter, r *http.Request) {
 // registry entry is re-resolved under s.mu: the caller's entry may be
 // stale if a rebuild published (and invalidated the old maintainer)
 // between the caller's lookup and this call — seeding from it would
-// let a later republish silently overwrite the fresh build.
+// let a later republish silently overwrite the fresh build. The seed is
+// the top-k only, without the shadow set a .wmnt would have kept, and is
+// counted as wavehist_maintainer_seeds_total{source="published"}.
 func (s *Server) maintainer(e *Entry) (*maintained, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -641,6 +645,7 @@ func (s *Server) maintainer(e *Entry) (*maintained, error) {
 	}
 	m := &maintained{mh: mh, base: cur.Version}
 	s.maints[e.Name] = m
+	s.seeds["published"].Inc()
 	s.persistMaint(e.Name, mh)
 	return m, nil
 }
@@ -940,6 +945,7 @@ func (s *Server) runBuild(ctx context.Context, cancel context.CancelFunc, job *J
 		s.mu.Lock()
 		s.maints[req.Name] = &maintained{mh: mh, base: e.Version}
 		s.mu.Unlock()
+		s.seeds["build"].Inc()
 		s.persistMaint(req.Name, mh)
 	}
 	s.jobs.finish(job, e, res.Histogram.K(), res)
