@@ -155,13 +155,10 @@ func BenchmarkAblationSparseVsDense(b *testing.B) {
 			_ = wavelet.Transform(dense)
 		}
 	})
-	b.Run("sparse_O(v_logu)", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_ = wavelet.SparseTransform(freq, u)
-		}
-	})
 	b.Run("streaming_O(logu)_mem", func(b *testing.B) {
-		keys, counts := wavelet.SortFreq(freq)
+		fb := wavelet.GetFreqBuffers()
+		defer wavelet.PutFreqBuffers(fb)
+		keys, counts := fb.Load(freq)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			_ = wavelet.SparseTransformSorted(keys, counts, u)

@@ -143,12 +143,8 @@ func (m *hwRound1Mapper) Close(ctx *mapred.TaskContext, out *mapred.Emitter) err
 	sc.coefs = coefs
 	j := int32(ctx.SplitID)
 
-	hi := heap.NewTopK(m.k)
-	lo := heap.NewBottomK(m.k)
-	for _, c := range coefs {
-		hi.Push(heap.Item{ID: c.Index, Score: c.Value})
-		lo.Push(heap.Item{ID: c.Index, Score: c.Value})
-	}
+	hi, lo := heap.NewTopK(m.k), heap.NewBottomK(m.k)
+	selectTwoSided(coefs, hi, lo)
 	ctx.AddWork(float64(len(coefs)) * 2)
 
 	sent := sc.sent[:0]
@@ -181,6 +177,25 @@ func (m *hwRound1Mapper) Close(ctx *mapred.TaskContext, out *mapred.Emitter) err
 	ctx.State.Adopt(hwStateR1(ctx.SplitID), state)
 	ctx.AddIOBytes(int64(len(state))) // local HDFS write (no network)
 	return nil
+}
+
+// selectTwoSided offers coefs to the empty heaps hi and lo. A full heap
+// refuses an item strictly weaker than its boundary, so such offers are
+// skipped: the heaps end as if offered everything. The tests are negated
+// comparisons so that a NaN is still offered.
+func selectTwoSided(coefs []wavelet.Coef, hi *heap.TopK, lo *heap.BottomK) {
+	hiMin, loMax := math.Inf(-1), math.Inf(1)
+	for _, c := range coefs {
+		it := heap.Item{ID: c.Index, Score: c.Value}
+		if !(c.Value < hiMin) && hi.Push(it) && hi.Full() {
+			b, _ := hi.Min()
+			hiMin = b.Score
+		}
+		if !(c.Value > loMax) && lo.Push(it) && lo.Full() {
+			b, _ := lo.Max()
+			loMax = b.Score
+		}
+	}
 }
 
 // hwRound1Reducer builds ŵ_i and F_i, computes T1, persists state.
@@ -277,17 +292,28 @@ func (hwRound2Mapper) Close(ctx *mapred.TaskContext, out *mapred.Emitter) error 
 	ctx.AddIOBytes(int64(len(state))) // local state-file read
 	// Few coefficients clear T1/m, so the remainder is copied as the
 	// runs of records between them, never decoded.
-	keep := make([]byte, coefStateHeader, coefStateHeader+len(st.b))
+	var keep []byte
 	run := 0
 	for i := 0; i < st.n; i++ {
 		if v := st.value(i); math.Abs(v) > thresh {
 			out.Emit(mapred.KV{Key: st.index(i), Val: v, Src: int32(ctx.SplitID)})
+			if keep == nil {
+				keep = make([]byte, coefStateHeader, coefStateHeader+len(st.b))
+			}
 			keep = append(keep, st.b[run:coefRecordBytes*i]...)
 			run = coefRecordBytes * (i + 1)
 		}
 	}
-	keep = append(keep, st.b[run:]...)
-	binary.LittleEndian.PutUint64(keep, uint64((len(keep)-coefStateHeader)/coefRecordBytes))
+	if keep == nil {
+		// Often none clears: the remainder is the round-1 file's header
+		// and n records, adopted under a second key (no round writes a
+		// state buffer after adopting it).
+		end := coefStateHeader + len(st.b)
+		keep = state[:end:end]
+	} else {
+		keep = append(keep, st.b[run:]...)
+		binary.LittleEndian.PutUint64(keep, uint64((len(keep)-coefStateHeader)/coefRecordBytes))
+	}
 	ctx.AddWork(float64(st.n))
 	ctx.State.Adopt(hwStateR2(ctx.SplitID), keep)
 	return nil
@@ -363,7 +389,7 @@ func (r *hwRound2Reducer) Close(ctx *mapred.TaskContext) error {
 	// make the round-3 broadcast bytes vary run to run — breaking both
 	// broadcast-size determinism and the workers' broadcast-hashed
 	// partial-cache keys.
-	sort.Slice(r.R, func(a, b int) bool { return r.R[a] < r.R[b] })
+	slices.Sort(r.R)
 	ctx.State.Put(mapred.ReducerState, r.cs.encode())
 	return nil
 }
@@ -391,17 +417,21 @@ func (hwRound3Mapper) Close(ctx *mapred.TaskContext, out *mapred.Emitter) error 
 	}
 	ctx.AddIOBytes(int64(len(state)))
 	// Everything left in state was never communicated (rounds 1-2
-	// removed sent coefficients), so emit iff it is a candidate: a
-	// merge-join of the sorted R against the index-ordered state.
-	for i := 0; i < st.n && len(r) > 0; i++ {
-		idx := st.index(i)
-		for len(r) > 0 && r[0] < idx {
-			r = r[1:]
+	// removed sent coefficients), so emit iff it is a candidate: each id
+	// of the sorted R is binary-searched in the index-ordered state past
+	// the previous hit, O(|R| log n) rather than a scan of all n.
+	lo := 0
+	for _, idx := range r {
+		lo += sort.Search(st.n-lo, func(i int) bool { return st.index(lo+i) >= idx })
+		if lo == st.n {
+			break
 		}
-		if len(r) > 0 && r[0] == idx {
-			out.Emit(mapred.KV{Key: idx, Val: st.value(i), Src: int32(ctx.SplitID)})
+		if st.index(lo) == idx {
+			out.Emit(mapred.KV{Key: idx, Val: st.value(lo), Src: int32(ctx.SplitID)})
+			lo++
 		}
 	}
+	// The cost model charges the paper's scan of the state file.
 	ctx.AddWork(float64(st.n))
 	return nil
 }

@@ -48,6 +48,36 @@ func benchMapSplit(b *testing.B, job *mapred.Job) {
 // scan, aggregate, transform, top/bottom-k, state file.
 func BenchmarkHWTopkMapRound1(b *testing.B) { benchMapSplit(b, round1Split(b)) }
 
+// exactPlanJob is round's job of a finished H-WTopk build at build_exact's
+// shape — 2^19 records in 128 splits of 4096, u = 2^20, k = 30 — so its
+// state files, T1/m and R are those a real round 1 and 2 produced.
+func exactPlanJob(b *testing.B, round int) *mapred.Job {
+	const u = 1 << 20
+	f, _ := testDataset(b, 1<<19, u, 1.1, 4*4096, 7)
+	plan, err := NewRoundPlan(f, MethodHWTopk, Params{U: u, K: 30, Seed: 7})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for r := 1; r <= plan.NumRounds(); r++ {
+		if err := plan.RunRound(context.Background(), r); err != nil {
+			b.Fatal(err)
+		}
+	}
+	job := plan.job(round)
+	if err := job.Prepare(); err != nil {
+		b.Fatal(err)
+	}
+	return job
+}
+
+// BenchmarkHWTopkMapRound2 times one split's round-2 map task: read the
+// round-1 file, emit what clears T1/m, persist the rest.
+func BenchmarkHWTopkMapRound2(b *testing.B) { benchMapSplit(b, exactPlanJob(b, 2)) }
+
+// BenchmarkHWTopkMapRound3 times one split's round-3 map task: find the
+// candidates R in the round-2 file and emit them.
+func BenchmarkHWTopkMapRound3(b *testing.B) { benchMapSplit(b, exactPlanJob(b, 3)) }
+
 // BenchmarkSampledMapSplit times one TwoLevel-S map task at build_sampled's
 // shape: a 16384-record split sampling 3906 of them (p = 1/(ε²n)), with
 // ε√m = 0.016 as at ε = 1e-3 over 256 splits. Sample, read, aggregate,

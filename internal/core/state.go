@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 
 	"wavelethist/internal/mapred"
@@ -86,9 +87,7 @@ func (b *bitset) Get(i int) bool { return b.words[i/64]&(1<<(uint(i)%64)) != 0 }
 func (b *bitset) Count() int {
 	c := 0
 	for _, w := range b.words {
-		for ; w != 0; w &= w - 1 {
-			c++
-		}
+		c += bits.OnesCount64(w)
 	}
 	return c
 }
@@ -96,14 +95,8 @@ func (b *bitset) Count() int {
 // ForEachSet calls f for every set bit.
 func (b *bitset) ForEachSet(f func(i int)) {
 	for wi, w := range b.words {
-		for w != 0 {
-			bit := w & (-w)
-			idx := wi * 64
-			for t := bit >> 1; t != 0; t >>= 1 {
-				idx++
-			}
-			f(idx)
-			w &= w - 1
+		for ; w != 0; w &= w - 1 {
+			f(wi*64 + bits.TrailingZeros64(w))
 		}
 	}
 }
@@ -208,9 +201,9 @@ func indexSetBytes(ids []int64) int64 {
 	return width * int64(len(ids))
 }
 
-// decodeIndexSet returns the candidate ids in ascending order, the form
-// round 3 merge-joins against its index-sorted state. The coordinator
-// ships R sorted; any other order is accepted and normalized.
+// decodeIndexSet returns the candidate ids in ascending order, the order
+// round 3 probes its index-sorted state in. The coordinator ships R
+// sorted; any other order is accepted and normalized.
 func decodeIndexSet(b []byte) ([]int64, error) {
 	if len(b) < 9 {
 		return nil, fmt.Errorf("core: truncated index set")

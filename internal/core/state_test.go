@@ -179,19 +179,27 @@ func TestDecodeIndexSetCorrupt(t *testing.T) {
 }
 
 func TestBitsetForEachSet(t *testing.T) {
-	b := newBitset(130)
-	want := []int{0, 1, 64, 65, 127, 129}
-	for _, i := range want {
-		b.Set(i)
-	}
-	var got []int
-	b.ForEachSet(func(i int) { got = append(got, i) })
-	if len(got) != len(want) {
-		t.Fatalf("got %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("got[%d] = %d, want %d", i, got[i], want[i])
+	for _, tc := range []struct {
+		m    int
+		want []int
+	}{
+		{130, []int{0, 1, 64, 65, 127, 129}},
+		{128, []int{0, 63, 64, 127}}, // bits 0 and 63 of both words
+		{1, []int{0}},
+		{1, nil},
+		{64, []int{0, 63}},
+		{64, []int{63}},
+		{65, []int{0, 63, 64}},
+		{65, []int{64}},
+	} {
+		b := newBitset(tc.m)
+		for _, i := range tc.want {
+			b.Set(i)
+		}
+		var got []int
+		b.ForEachSet(func(i int) { got = append(got, i) })
+		if !slices.Equal(got, tc.want) || b.Count() != len(tc.want) {
+			t.Errorf("m=%d: ForEachSet %v, Count %d; want %v", tc.m, got, b.Count(), tc.want)
 		}
 	}
 }

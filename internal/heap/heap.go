@@ -145,9 +145,10 @@ func (h *BottomK) Len() int { return h.inner.Len() }
 // Full reports whether k items are retained.
 func (h *BottomK) Full() bool { return h.inner.Full() }
 
-// Push offers an item; retained iff among the k smallest seen.
-func (h *BottomK) Push(it Item) {
-	h.inner.Push(Item{ID: it.ID, Score: -it.Score})
+// Push offers an item and reports whether it was admitted: it is
+// retained iff among the k smallest seen.
+func (h *BottomK) Push(it Item) bool {
+	return h.inner.Push(Item{ID: it.ID, Score: -it.Score})
 }
 
 // Max returns the largest retained score (the admission threshold when full).

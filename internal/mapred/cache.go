@@ -84,7 +84,9 @@ func (s *StateStore) Put(splitID int, data []byte) {
 
 // Adopt saves state like Put without copying it: the store takes
 // ownership of data, which the caller must not modify afterwards. For
-// mappers that encode a state file once into its own buffer.
+// mappers that encode a state file once into its own buffer. Since no
+// one writes an adopted buffer, one buffer may sit under two keys (a
+// later round adopting an earlier round's file unchanged).
 func (s *StateStore) Adopt(splitID int, data []byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -113,7 +115,8 @@ func (s *StateStore) Len() int {
 }
 
 // TotalBytes reports the stored payload size across all keys (worker
-// state-lease observability).
+// state-lease observability). The size is logical: a buffer adopted
+// under two keys counts once per key, and so in GET /dist/v1/state.
 func (s *StateStore) TotalBytes() int64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()

@@ -7,50 +7,6 @@ import (
 	"sync"
 )
 
-// SparseTransform computes all non-zero Haar coefficients of the sparse
-// frequency vector freq (key -> count) over domain [0, u). It runs in
-// O(|v| log u) time — the bound the paper's mappers need instead of the
-// O(u) dense transform, because a 256 MB split has far fewer distinct keys
-// than u = 2^29.
-//
-// Each key contributes to exactly log2(u)+1 coefficients (its root-to-leaf
-// path), so the output has at most |v|·(log2(u)+1) entries.
-func SparseTransform(freq map[int64]float64, u int64) map[int64]float64 {
-	logu := Log2(u)
-	w := make(map[int64]float64, len(freq)*int(logu+1)/2)
-	sqrtU := math.Sqrt(float64(u))
-	for x, c := range freq {
-		if x < 0 || x >= u {
-			panic("wavelet: key out of domain")
-		}
-		if c == 0 {
-			continue
-		}
-		w[0] += c / sqrtU
-		// Walk levels top-down; at level j the covering detail
-		// coefficient is 2^j + x/(u/2^j), with sign by half.
-		for j := uint(0); j < logu; j++ {
-			rangeLen := u >> j
-			k := x / rangeLen
-			idx := int64(1)<<j + k
-			contrib := c / math.Sqrt(float64(rangeLen))
-			if x-k*rangeLen < rangeLen/2 {
-				contrib = -contrib
-			}
-			nv := w[idx] + contrib
-			if nv == 0 {
-				delete(w, idx)
-			} else {
-				w[idx] = nv
-			}
-		}
-	}
-	if w[0] == 0 {
-		delete(w, 0)
-	}
-	return w
-}
-
 // maxLevels bounds log2(u) for an int64 domain.
 const maxLevels = 63
 
@@ -228,21 +184,6 @@ func AppendSparseTransformSorted(dst []Coef, keys []int64, counts []float64, u i
 	return t.win[:w]
 }
 
-// SortFreq converts a frequency map into parallel sorted slices, the form
-// SparseTransformSorted consumes.
-func SortFreq(freq map[int64]float64) (keys []int64, counts []float64) {
-	keys = make([]int64, 0, len(freq))
-	for x := range freq {
-		keys = append(keys, x)
-	}
-	slices.Sort(keys)
-	counts = make([]float64, len(keys))
-	for i, x := range keys {
-		counts[i] = freq[x]
-	}
-	return keys, counts
-}
-
 // FreqBuffers is a reusable (keys, counts) scratch pair for transforms
 // that sort a frequency map, convert it, and discard the sorted form.
 // Acquire with GetFreqBuffers, return with PutFreqBuffers; the slices
@@ -264,8 +205,9 @@ func PutFreqBuffers(b *FreqBuffers) {
 	freqPool.Put(b)
 }
 
-// Load fills the buffers with freq's sorted (key, count) pairs — the same
-// output as SortFreq, without allocating when the buffers have capacity.
+// Load fills the buffers with freq's sorted (key, count) pairs, the form
+// SparseTransformSorted consumes, without allocating when the buffers
+// have capacity.
 func (b *FreqBuffers) Load(freq map[int64]float64) (keys []int64, counts []float64) {
 	b.Keys = b.Keys[:0]
 	for x := range freq {

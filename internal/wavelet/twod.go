@@ -80,20 +80,13 @@ func Key2D(x, y, u int64) int64 { return x*u + y }
 // SplitKey2D unpacks a packed 2D key.
 func SplitKey2D(key, u int64) (x, y int64) { return key / u, key % u }
 
-// SparseTransform2D computes non-zero 2D coefficients of a sparse 2D
-// frequency map (packed keys). Each cell contributes to (log2(u)+1)²
-// coefficients — its tensor path. Output is keyed by packed (i, j).
-// Cells are consumed in sorted key order so the floating-point
-// accumulation — and therefore every coefficient's exact bit pattern — is
-// independent of map iteration order, which the distributed engine's
-// bit-identical parity (and replay after worker loss) relies on.
-func SparseTransform2D(freq map[int64]float64, u int64) map[int64]float64 {
-	keys, counts := SortFreq(freq)
-	return SparseTransform2DSorted(keys, counts, u)
-}
-
-// SparseTransform2DSorted is SparseTransform2D over cells already
-// aggregated into sorted packed keys with their counts.
+// SparseTransform2DSorted computes the non-zero 2D coefficients of cells
+// aggregated into sorted packed keys with their counts. Each cell
+// contributes to (log2(u)+1)² coefficients — its tensor path. Output is
+// keyed by packed (i, j). Cells are consumed in key order so the
+// floating-point accumulation — and therefore every coefficient's exact
+// bit pattern — is fixed, which the distributed engine's bit-identical
+// parity (and replay after worker loss) relies on.
 func SparseTransform2DSorted(keys []int64, counts []float64, u int64) map[int64]float64 {
 	logu := Log2(u)
 	type pathEntry struct {
