@@ -12,7 +12,6 @@ import (
 // Dataset is a keyed record file stored in the simulated HDFS, ready to be
 // processed by the construction methods.
 type Dataset struct {
-	fs     *hdfs.FileSystem
 	file   *hdfs.File
 	domain int64
 	// spec is the deterministic generation recipe, kept so distributed
@@ -61,37 +60,25 @@ type ZipfOptions struct {
 	Seed  uint64
 }
 
-func fillDatasetDefaults(chunk int64, nodes int) (int64, int) {
-	if chunk == 0 {
-		chunk = hdfs.DefaultChunkSize
-	}
-	if nodes == 0 {
-		nodes = 15
-	}
-	return chunk, nodes
-}
-
 // NewZipfDataset generates a Zipfian dataset.
 func NewZipfDataset(o ZipfOptions) (*Dataset, error) {
-	if o.Alpha == 0 {
-		o.Alpha = 1.1
-	}
-	if o.RecordSize == 0 {
-		o.RecordSize = 4
-	}
-	chunk, nodes := fillDatasetDefaults(o.ChunkSize, o.Nodes)
-	fs := hdfs.NewFileSystem(nodes, chunk)
-	spec := datagen.NewZipfSpec(o.Records, o.Domain, o.Alpha, o.Seed)
-	spec.RecordSize = o.RecordSize
-	f, err := datagen.GenerateZipf(fs, "zipf", spec)
-	if err != nil {
-		return nil, err
-	}
-	ds := dist.DatasetSpec{
+	return newDataset(dist.DatasetSpec{
 		Kind: "zipf", Records: o.Records, Domain: o.Domain, Alpha: o.Alpha,
-		RecordSize: o.RecordSize, ChunkSize: chunk, Nodes: nodes, Seed: o.Seed,
-	}.Normalize()
-	return &Dataset{fs: fs, file: f, domain: o.Domain, spec: &ds}, nil
+		RecordSize: o.RecordSize, ChunkSize: o.ChunkSize, Nodes: o.Nodes, Seed: o.Seed,
+	})
+}
+
+// newDataset materializes a dataset through its distributable spec — the
+// one recipe workers also run — so the local file and every worker's copy
+// are identical by construction. Unset fields take DatasetSpec.Normalize's
+// defaults.
+func newDataset(spec dist.DatasetSpec) (*Dataset, error) {
+	spec = spec.Normalize()
+	file, u, err := spec.Materialize()
+	if err != nil {
+		return nil, fmt.Errorf("wavelethist: %w", err)
+	}
+	return &Dataset{file: file, domain: u, spec: &spec}, nil
 }
 
 // WorldCupOptions configures the WorldCup-like access-log dataset (the
@@ -109,28 +96,10 @@ type WorldCupOptions struct {
 // NewWorldCupDataset generates the access-log dataset keyed by the packed
 // clientobject attribute.
 func NewWorldCupDataset(o WorldCupOptions) (*Dataset, error) {
-	spec := datagen.NewWorldCupSpec(o.Records, o.Seed)
-	if o.ClientBits != 0 {
-		spec.ClientBits = o.ClientBits
-	}
-	if o.ObjectBits != 0 {
-		spec.ObjectBits = o.ObjectBits
-	}
-	if spec.ClientBits+spec.ObjectBits > 32 {
-		spec.RecordSize = 8
-	}
-	chunk, nodes := fillDatasetDefaults(o.ChunkSize, o.Nodes)
-	fs := hdfs.NewFileSystem(nodes, chunk)
-	f, err := datagen.GenerateWorldCup(fs, "worldcup", spec)
-	if err != nil {
-		return nil, err
-	}
-	ds := dist.DatasetSpec{
-		Kind: "worldcup", Records: o.Records, ClientBits: spec.ClientBits,
-		ObjectBits: spec.ObjectBits, RecordSize: spec.RecordSize,
-		ChunkSize: chunk, Nodes: nodes, Seed: o.Seed,
-	}.Normalize()
-	return &Dataset{fs: fs, file: f, domain: spec.U(), spec: &ds}, nil
+	return newDataset(dist.DatasetSpec{
+		Kind: "worldcup", Records: o.Records, ClientBits: o.ClientBits, ObjectBits: o.ObjectBits,
+		ChunkSize: o.ChunkSize, Nodes: o.Nodes, Seed: o.Seed,
+	})
 }
 
 // KeysOptions configures a dataset built from caller-provided keys.
@@ -152,27 +121,13 @@ func NewDatasetFromKeys(keys []int64, o KeysOptions) (*Dataset, error) {
 	if !wavelet.IsPowerOfTwo(o.Domain) {
 		return nil, fmt.Errorf("wavelethist: domain %d is not a power of two", o.Domain)
 	}
-	if o.RecordSize == 0 {
-		o.RecordSize = 4
-		if o.Domain > 1<<32 {
-			o.RecordSize = 8
-		}
-	}
-	chunk, nodes := fillDatasetDefaults(o.ChunkSize, o.Nodes)
-	fs := hdfs.NewFileSystem(nodes, chunk)
-	w, err := fs.Create("user", o.RecordSize)
-	if err != nil {
-		return nil, err
-	}
 	for _, k := range keys {
 		if k < 0 || k >= o.Domain {
 			return nil, fmt.Errorf("wavelethist: key %d outside domain [0, %d)", k, o.Domain)
 		}
-		w.Append(k)
 	}
-	ds := dist.DatasetSpec{
+	return newDataset(dist.DatasetSpec{
 		Kind: "keys", Domain: o.Domain, RecordSize: o.RecordSize,
-		ChunkSize: chunk, Nodes: nodes, Keys: append([]int64(nil), keys...),
-	}.Normalize()
-	return &Dataset{fs: fs, file: w.Close(), domain: o.Domain, spec: &ds}, nil
+		ChunkSize: o.ChunkSize, Nodes: o.Nodes, Keys: append([]int64(nil), keys...),
+	})
 }

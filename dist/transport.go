@@ -17,7 +17,6 @@ import (
 type Transport interface {
 	MapSplits(ctx context.Context, addr string, req *MapRequest) (resp *MapResponse, reqBytes, respBytes int64, err error)
 	Release(ctx context.Context, addr string, req *ReleaseRequest) error
-	Ping(ctx context.Context, addr string) error
 }
 
 // HTTPTransport dials workers over real sockets, speaking the binary
@@ -85,24 +84,6 @@ func (t *HTTPTransport) Release(ctx context.Context, addr string, req *ReleaseRe
 	}
 	if status != http.StatusOK {
 		return fmt.Errorf("dist: worker %s: HTTP %d %s", addr, status, http.StatusText(status))
-	}
-	return nil
-}
-
-// Ping implements Transport.
-func (t *HTTPTransport) Ping(ctx context.Context, addr string) error {
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, addr+PathPing, nil)
-	if err != nil {
-		return err
-	}
-	hres, err := t.client().Do(hreq)
-	if err != nil {
-		return err
-	}
-	io.Copy(io.Discard, hres.Body)
-	hres.Body.Close()
-	if hres.StatusCode != http.StatusOK {
-		return fmt.Errorf("dist: worker %s: HTTP %d", addr, hres.StatusCode)
 	}
 	return nil
 }
@@ -234,16 +215,4 @@ func (l *Loopback) Release(ctx context.Context, addr string, req *ReleaseRequest
 	}
 	w.Release(req.JobID)
 	return nil
-}
-
-// Ping implements Transport.
-func (l *Loopback) Ping(ctx context.Context, addr string) error {
-	if !strings.HasPrefix(addr, LoopbackScheme) {
-		if l.Fallback == nil {
-			return fmt.Errorf("dist: no transport for %s", addr)
-		}
-		return l.Fallback.Ping(ctx, addr)
-	}
-	_, err := l.take(addr, nil)
-	return err
 }

@@ -146,10 +146,6 @@ func (r *Replica) failStatus(err error) {
 	r.srv.SetReplStatus(st)
 }
 
-// EpochResets reports how many times an epoch mismatch forced a full
-// re-snapshot.
-func (r *Replica) EpochResets() uint64 { return r.epochResets.Load() }
-
 // pull posts one binary ReplPullRequest to the primary.
 func (r *Replica) pull(ctx context.Context, since, epoch uint64) (*dist.ReplPullResponse, error) {
 	frame := dist.EncodeReplPullRequest(&dist.ReplPullRequest{Since: since, Epoch: epoch})

@@ -80,9 +80,6 @@ func Paper() *Cluster {
 	return c
 }
 
-// NumNodes returns the number of slave nodes.
-func (c *Cluster) NumNodes() int { return len(c.Nodes) }
-
 // Validate checks the configuration.
 func (c *Cluster) Validate() error {
 	if len(c.Nodes) == 0 {

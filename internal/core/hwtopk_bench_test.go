@@ -21,11 +21,7 @@ func oneSplitJob(tb testing.TB, method string, n int64, p Params) *mapred.Job {
 	if plan.NumSplits() != 1 {
 		tb.Fatalf("want one split, have %d", plan.NumSplits())
 	}
-	job := plan.job(1)
-	if err := job.Prepare(); err != nil {
-		tb.Fatal(err)
-	}
-	return job
+	return plan.job(1)
 }
 
 // round1Split is one 4096-record split — the shape of a build_exact split.
@@ -63,11 +59,7 @@ func exactPlanJob(b *testing.B, round int) *mapred.Job {
 			b.Fatal(err)
 		}
 	}
-	job := plan.job(round)
-	if err := job.Prepare(); err != nil {
-		b.Fatal(err)
-	}
-	return job
+	return plan.job(round)
 }
 
 // BenchmarkHWTopkMapRound2 times one split's round-2 map task: read the

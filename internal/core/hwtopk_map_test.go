@@ -129,22 +129,16 @@ func encodeStateRef(coefs []wavelet.Coef) []byte {
 // stateMapJob is a one-split job whose mapper reads only conf, cache and
 // store: the round-2 or round-3 map task of split 0. RunMapSplit never
 // runs the reducer; the job only needs one to be valid.
-func stateMapJob(tb testing.TB, mapper mapred.Mapper, conf mapred.Conf, cache *mapred.DistCache, store *mapred.StateStore) *mapred.Job {
-	tb.Helper()
-	job := &mapred.Job{
+func stateMapJob(mapper mapred.Mapper, conf mapred.Conf, cache *mapred.DistCache, store *mapred.StateStore) *mapred.Job {
+	return &mapred.Job{
 		Name:      "hwtopk-state",
 		Splits:    []hdfs.Split{{}},
 		Input:     mapred.NoInput{},
 		NewMapper: func(hdfs.Split) mapred.Mapper { return mapper },
 		Reducer:   &hwRound3Reducer{},
 		PairBytes: fixedBytes(16),
-		Streaming: true,
 		Conf:      conf, Cache: cache, State: store,
 	}
-	if err := job.Prepare(); err != nil {
-		tb.Fatal(err)
-	}
-	return job
 }
 
 // round2Job is split 0's round-2 map task over round-1 file r1 at T1/m.
@@ -152,7 +146,7 @@ func round2Job(tb testing.TB, r1 []byte, t1OverM float64) (*mapred.Job, *mapred.
 	store := mapred.NewStateStore()
 	store.Adopt(hwStateR1(0), r1)
 	conf := mapred.Conf{confT1OverM: strconv.FormatFloat(t1OverM, 'g', -1, 64)}
-	return stateMapJob(tb, hwRound2Mapper{}, conf, mapred.NewDistCache(), store), store
+	return stateMapJob(hwRound2Mapper{}, conf, mapred.NewDistCache(), store), store
 }
 
 func TestHWRound2StateBytes(t *testing.T) {
@@ -306,7 +300,7 @@ func TestHWRound3ProbeMatchesMergeJoin(t *testing.T) {
 		store.Adopt(hwStateR2(0), r2)
 		cache := mapred.NewDistCache()
 		cache.Put(cacheRName, encodeIndexSet(tc.r))
-		res, err := mapred.RunMapSplit(context.Background(), stateMapJob(t, hwRound3Mapper{}, mapred.Conf{}, cache, store), 0)
+		res, err := mapred.RunMapSplit(context.Background(), stateMapJob(hwRound3Mapper{}, mapred.Conf{}, cache, store), 0)
 		if err != nil {
 			t.Fatal(err)
 		}

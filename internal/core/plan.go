@@ -116,7 +116,6 @@ func (rp *RoundPlan) job(r int) *mapred.Job {
 		Combiner:  st.combiner,
 		Reducer:   st.reducer,
 		PairBytes: st.pairBytes,
-		Streaming: true,
 		Conf:      rp.conf, Cache: rp.cache, State: rp.state,
 		Seed:        rp.p.Seed,
 		Parallelism: rp.p.Parallelism,

@@ -45,12 +45,6 @@ func NewFileSystem(numNodes int, chunkSize int64) *FileSystem {
 	}
 }
 
-// NumNodes returns the number of DataNodes.
-func (fs *FileSystem) NumNodes() int { return fs.numNodes }
-
-// ChunkSize returns the chunk size in bytes.
-func (fs *FileSystem) ChunkSize() int64 { return fs.chunkSize }
-
 // File is a simulated HDFS file: a byte payload plus chunk placement and
 // record-format metadata.
 type File struct {

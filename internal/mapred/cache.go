@@ -8,8 +8,7 @@ import (
 
 // DistCache simulates Hadoop's Distributed Cache: files submitted to the
 // master are replicated to all slaves during job initialization. Content
-// is read-only for tasks; TotalBytes feeds broadcast-cost accounting
-// (bytes × (#slaves − 1) cross the switch).
+// is read-only for tasks.
 type DistCache struct {
 	mu    sync.RWMutex
 	files map[string][]byte
@@ -34,24 +33,6 @@ func (d *DistCache) Get(name string) []byte {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	return d.files[name]
-}
-
-// Delete removes a file.
-func (d *DistCache) Delete(name string) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	delete(d.files, name)
-}
-
-// TotalBytes returns the current cache payload size.
-func (d *DistCache) TotalBytes() int64 {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	var n int64
-	for _, b := range d.files {
-		n += int64(len(b))
-	}
-	return n
 }
 
 // StateStore simulates the paper's persistent per-split state: at the end
@@ -98,13 +79,6 @@ func (s *StateStore) Get(splitID int) []byte {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.state[splitID]
-}
-
-// Clear drops all state.
-func (s *StateStore) Clear() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.state = make(map[int][]byte)
 }
 
 // Len reports how many keys hold state.

@@ -24,11 +24,6 @@ type mapOutput struct {
 	err     error
 }
 
-// Run executes one MapReduce round.
-func Run(job *Job) (*Result, error) {
-	return RunContext(context.Background(), job)
-}
-
 // RunContext executes one MapReduce round, aborting early (with ctx.Err())
 // when the context is canceled. Cancellation is checked between reducer
 // batches and periodically inside map-side record scans.
@@ -124,7 +119,6 @@ type reduceTask struct {
 	job      *Job
 	ctx      *TaskContext
 	counters *Counters
-	grouped  []KV // grouped mode only: the materialized shuffle
 }
 
 func startReduce(job *Job, counters *Counters) (*reduceTask, error) {
@@ -144,28 +138,13 @@ func startReduce(job *Job, counters *Counters) (*reduceTask, error) {
 	return rt, nil
 }
 
-// feed consumes one split's key-sorted pairs: reduced at once in streaming
-// mode, held for the global sort in grouped mode.
+// feed reduces one split's key-sorted pairs.
 func (rt *reduceTask) feed(pairs []KV) error {
-	if !rt.job.Streaming {
-		rt.grouped = append(rt.grouped, pairs...)
-		return nil
-	}
 	return feedGroups(rt.ctx, rt.job.Reducer, pairs, rt.counters)
 }
 
-// finish runs grouped mode's single pass, closes the reducer and records
-// the reduce-side costs in res.
+// finish closes the reducer and records the reduce-side costs in res.
 func (rt *reduceTask) finish(res *Result) error {
-	if !rt.job.Streaming {
-		// Hadoop semantics: sort by key (stable keeps split order within
-		// a key), then one Reduce call per distinct key.
-		g := rt.grouped
-		sort.SliceStable(g, func(a, b int) bool { return g[a].Key < g[b].Key })
-		if err := feedGroups(rt.ctx, rt.job.Reducer, g, rt.counters); err != nil {
-			return fmt.Errorf("mapred: %s: %w", rt.job.Name, err)
-		}
-	}
 	if err := rt.job.Reducer.Close(rt.ctx); err != nil {
 		return fmt.Errorf("mapred: %s: reducer close: %w", rt.job.Name, err)
 	}
@@ -216,7 +195,7 @@ func runMapTask(ctx context.Context, job *Job, idx int, counters *Counters) *map
 		counters:  counters,
 	}
 	mapper := job.NewMapper(split)
-	out := &Emitter{counters: counters, job: job, ctx: tctx}
+	out := &Emitter{}
 	if err := mapper.Setup(tctx); err != nil {
 		return &mapOutput{err: fmt.Errorf("split %d setup: %w", idx, err)}
 	}
@@ -248,20 +227,7 @@ func runMapTask(ctx context.Context, job *Job, idx int, counters *Counters) *map
 
 	atomic.AddInt64(&counters.MapRecordsRead, records)
 	atomic.AddInt64(&counters.MapBytesRead, bytesRead)
-	atomic.AddInt64(&counters.PairsEmitted, out.emitted)
-
-	// Merge spilled runs with the in-memory tail and combine once more
-	// (combiners must be associative/commutative, as Hadoop requires).
-	all := out.pairs
-	if len(out.spills) > 0 {
-		merged := make([]KV, 0, out.spilledPairs+len(out.pairs))
-		for _, sp := range out.spills {
-			merged = append(merged, sp...)
-		}
-		merged = append(merged, all...)
-		all = merged
-	}
-	pairs := sortAndCombine(job, all)
+	pairs := sortAndCombine(job, out.pairs)
 
 	var shuffleBytes int64
 	for i := range pairs {

@@ -1,6 +1,7 @@
 package mapred
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -20,7 +21,7 @@ func (countMapper) Map(ctx *TaskContext, rec hdfs.Record, out *Emitter) error {
 }
 func (countMapper) Close(*TaskContext, *Emitter) error { return nil }
 
-// sumReducer accumulates per-key totals; safe in streaming mode.
+// sumReducer accumulates per-key totals.
 type sumReducer struct {
 	mu     sync.Mutex
 	totals map[int64]float64
@@ -74,7 +75,7 @@ func repeatKeys(n int, mod int64) []int64 {
 	return keys
 }
 
-func wordCountJob(t *testing.T, splits []hdfs.Split, streaming bool, combiner Combiner) (*Result, map[int64]float64) {
+func wordCountJob(t *testing.T, splits []hdfs.Split, combiner Combiner) (*Result, map[int64]float64) {
 	t.Helper()
 	red := &sumReducer{}
 	job := &Job{
@@ -84,10 +85,9 @@ func wordCountJob(t *testing.T, splits []hdfs.Split, streaming bool, combiner Co
 		NewMapper: func(hdfs.Split) Mapper { return countMapper{} },
 		Combiner:  combiner,
 		Reducer:   red,
-		Streaming: streaming,
 		Seed:      1,
 	}
-	res, err := Run(job)
+	res, err := RunContext(context.Background(), job)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,15 +107,13 @@ func TestWordCountCorrect(t *testing.T) {
 	if len(splits) < 10 {
 		t.Fatalf("want many splits, got %d", len(splits))
 	}
-	for _, streaming := range []bool{true, false} {
-		_, got := wordCountJob(t, splits, streaming, nil)
-		if len(got) != len(want) {
-			t.Fatalf("streaming=%v: %d keys, want %d", streaming, len(got), len(want))
-		}
-		for k, v := range want {
-			if got[k] != v {
-				t.Errorf("streaming=%v key %d = %v, want %v", streaming, k, got[k], v)
-			}
+	_, got := wordCountJob(t, splits, nil)
+	if len(got) != len(want) {
+		t.Fatalf("%d keys, want %d", len(got), len(want))
+	}
+	for k, v := range want {
+		if got[k] != v {
+			t.Errorf("key %d = %v, want %v", k, got[k], v)
 		}
 	}
 }
@@ -123,8 +121,8 @@ func TestWordCountCorrect(t *testing.T) {
 func TestCombinerReducesShuffle(t *testing.T) {
 	keys := repeatKeys(5000, 13) // heavy duplication
 	splits := makeDataset(t, keys, 1024)
-	resNo, totalsNo := wordCountJob(t, splits, true, nil)
-	resYes, totalsYes := wordCountJob(t, splits, true, sumCombiner)
+	resNo, totalsNo := wordCountJob(t, splits, nil)
+	resYes, totalsYes := wordCountJob(t, splits, sumCombiner)
 	for k, v := range totalsNo {
 		if totalsYes[k] != v {
 			t.Errorf("combiner changed result for key %d: %v vs %v", k, totalsYes[k], v)
@@ -154,11 +152,10 @@ func TestDeterministicAcrossParallelism(t *testing.T) {
 			Input:       SequentialInput{},
 			NewMapper:   func(hdfs.Split) Mapper { return countMapper{} },
 			Reducer:     red,
-			Streaming:   true,
 			Seed:        7,
 			Parallelism: par,
 		}
-		res, err := Run(job)
+		res, err := RunContext(context.Background(), job)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -188,10 +185,9 @@ func TestPairBytesAccounting(t *testing.T) {
 		NewMapper: func(hdfs.Split) Mapper { return countMapper{} },
 		Reducer:   red,
 		PairBytes: func(KV) int { return 8 }, // 4-byte key + 4-byte count
-		Streaming: true,
 		Seed:      1,
 	}
-	res, err := Run(job)
+	res, err := RunContext(context.Background(), job)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,16 +230,16 @@ func TestMultiRoundStateAndConf(t *testing.T) {
 	round1 := &Job{
 		Name: "r1", Splits: splits, Input: SequentialInput{},
 		NewMapper: func(hdfs.Split) Mapper { return stateMapper{round: 1} },
-		Reducer:   red1, Streaming: true, State: state, Cache: cache, Seed: 3,
+		Reducer:   red1, State: state, Cache: cache, Seed: 3,
 	}
 	round2 := &Job{
 		Name: "r2", Splits: splits, Input: NoInput{},
 		NewMapper: func(hdfs.Split) Mapper { return stateMapper{round: 2} },
-		Reducer:   red2, Streaming: true, State: state, Cache: cache, Seed: 3,
+		Reducer:   red2, State: state, Cache: cache, Seed: 3,
 	}
 	var results []*Result
 	for _, j := range []*Job{round1, round2} {
-		res, err := Run(j)
+		res, err := RunContext(context.Background(), j)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -261,8 +257,8 @@ func TestMultiRoundStateAndConf(t *testing.T) {
 	if red2.totals[0] != want {
 		t.Errorf("round-2 total = %v, want %v", red2.totals[0], want)
 	}
-	if cache.TotalBytes() != 8 {
-		t.Errorf("cache bytes = %d", cache.TotalBytes())
+	if got := cache.Get("threshold"); len(got) != 8 {
+		t.Errorf("cache file = %v", got)
 	}
 }
 
@@ -276,10 +272,9 @@ func TestRandomSampleInput(t *testing.T) {
 		Input:     RandomSampleInput{P: 0.1},
 		NewMapper: func(hdfs.Split) Mapper { return countMapper{} },
 		Reducer:   red,
-		Streaming: true,
 		Seed:      11,
 	}
-	res, err := Run(job)
+	res, err := RunContext(context.Background(), job)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,9 +310,9 @@ func TestMapperErrorPropagates(t *testing.T) {
 	job := &Job{
 		Name: "fail", Splits: splits, Input: SequentialInput{},
 		NewMapper: func(hdfs.Split) Mapper { return failingMapper{} },
-		Reducer:   &sumReducer{}, Streaming: true, Seed: 1,
+		Reducer:   &sumReducer{}, Seed: 1,
 	}
-	if _, err := Run(job); err == nil {
+	if _, err := RunContext(context.Background(), job); err == nil {
 		t.Fatal("expected error")
 	}
 }
@@ -335,10 +330,10 @@ func TestShortReadFailsTask(t *testing.T) {
 		job := &Job{
 			Name: "short", Splits: splits, Input: input,
 			NewMapper: func(hdfs.Split) Mapper { return countMapper{} },
-			Reducer:   &sumReducer{}, Streaming: true, Seed: 1,
+			Reducer:   &sumReducer{}, Seed: 1,
 		}
 		want := fmt.Sprintf("split %d read:", len(splits)-1)
-		if _, err := Run(job); err == nil || !strings.Contains(err.Error(), want) {
+		if _, err := RunContext(context.Background(), job); err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("%s: err = %v, want one containing %q", name, err, want)
 		}
 	}
@@ -353,7 +348,7 @@ func TestValidation(t *testing.T) {
 		{Input: SequentialInput{}, NewMapper: func(hdfs.Split) Mapper { return countMapper{} }, Reducer: &sumReducer{}},
 	}
 	for i, j := range bad {
-		if _, err := Run(j); err == nil {
+		if _, err := RunContext(context.Background(), j); err == nil {
 			t.Errorf("job %d: expected validation error", i)
 		}
 	}
@@ -362,15 +357,15 @@ func TestValidation(t *testing.T) {
 func TestCountersSanity(t *testing.T) {
 	keys := repeatKeys(2000, 100)
 	splits := makeDataset(t, keys, 512)
-	res, _ := wordCountJob(t, splits, true, nil)
+	res, _ := wordCountJob(t, splits, nil)
 	if res.Counters.MapRecordsRead != int64(len(keys)) {
 		t.Errorf("records read = %d, want %d", res.Counters.MapRecordsRead, len(keys))
 	}
 	if res.Counters.MapBytesRead != int64(len(keys)*4) {
 		t.Errorf("bytes read = %d, want %d", res.Counters.MapBytesRead, len(keys)*4)
 	}
-	if res.Counters.PairsEmitted != int64(len(keys)) {
-		t.Errorf("pairs emitted = %d", res.Counters.PairsEmitted)
+	if res.Counters.PairsShuffled != int64(len(keys)) {
+		t.Errorf("pairs shuffled = %d", res.Counters.PairsShuffled)
 	}
 	if res.Counters.MapCPU() <= 0 || res.ReduceCPU <= 0 {
 		t.Error("CPU accounting missing")
@@ -382,64 +377,5 @@ func TestCountersSanity(t *testing.T) {
 		if tm.InputBytes <= 0 {
 			t.Errorf("task %d read nothing", tm.SplitID)
 		}
-	}
-}
-
-func TestGroupedModeGroupsAllValues(t *testing.T) {
-	// In grouped mode each key is Reduced exactly once.
-	keys := repeatKeys(1000, 7)
-	splits := makeDataset(t, keys, 128)
-	res, totals := wordCountJob(t, splits, false, nil)
-	if res.ReduceCalls != int64(len(totals)) {
-		t.Errorf("reduce calls = %d, want one per key = %d", res.ReduceCalls, len(totals))
-	}
-}
-
-func TestSpillsPreserveResults(t *testing.T) {
-	keys := repeatKeys(8000, 31)
-	splits := makeDataset(t, keys, 2048)
-	run := func(threshold int) (*Result, map[int64]float64) {
-		red := &sumReducer{}
-		job := &Job{
-			Name: "spill", Splits: splits, Input: SequentialInput{},
-			NewMapper:      func(hdfs.Split) Mapper { return countMapper{} },
-			Combiner:       sumCombiner,
-			Reducer:        red,
-			Streaming:      true,
-			Seed:           2,
-			SpillThreshold: threshold,
-		}
-		res, err := Run(job)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res, red.totals
-	}
-	resNo, totalsNo := run(0)
-	resSpill, totalsSpill := run(64)
-	for k, v := range totalsNo {
-		if totalsSpill[k] != v {
-			t.Errorf("spilling changed key %d: %v vs %v", k, totalsSpill[k], v)
-		}
-	}
-	// Spills cost extra local IO but identical shuffle bytes.
-	if resSpill.ShuffleBytes != resNo.ShuffleBytes {
-		t.Errorf("spilling changed shuffle bytes: %d vs %d",
-			resSpill.ShuffleBytes, resNo.ShuffleBytes)
-	}
-	var ioNo, ioSpill int64
-	for i := range resNo.MapTasks {
-		ioNo += resNo.MapTasks[i].InputBytes
-		ioSpill += resSpill.MapTasks[i].InputBytes
-	}
-	if ioSpill <= ioNo {
-		t.Errorf("spilling should add local IO: %d vs %d", ioSpill, ioNo)
-	}
-	if _, err := Run(&Job{
-		Name: "neg", Splits: splits, Input: SequentialInput{},
-		NewMapper: func(hdfs.Split) Mapper { return countMapper{} },
-		Reducer:   &sumReducer{}, SpillThreshold: -1,
-	}); err == nil {
-		t.Error("accepted negative spill threshold")
 	}
 }

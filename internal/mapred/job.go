@@ -37,43 +37,15 @@ func (ctx *TaskContext) AddIOBytes(n int64) {
 	ctx.ioBytes += n
 }
 
-// Emitter collects a mapper's intermediate pairs, simulating Hadoop's
-// in-memory buffer: when Job.SpillThreshold pairs accumulate, the buffer
-// is sorted, combined, and spilled to local disk (charged as task IO).
+// Emitter collects a mapper's intermediate pairs in memory; the runtime
+// simulates no spills.
 type Emitter struct {
-	pairs    []KV
-	counters *Counters
-	job      *Job
-	ctx      *TaskContext
-
-	emitted      int64
-	spills       [][]KV
-	spilledPairs int
+	pairs []KV
 }
 
 // Emit outputs one intermediate pair.
 func (e *Emitter) Emit(kv KV) {
 	e.pairs = append(e.pairs, kv)
-	e.emitted++
-	if t := e.job.SpillThreshold; t > 0 && len(e.pairs) >= t {
-		e.spill()
-	}
-}
-
-// spill sorts + combines the buffer and writes it to (simulated) local
-// disk: the spill is read back at merge time, so both directions count as
-// task IO.
-func (e *Emitter) spill() {
-	run := sortAndCombine(e.job, e.pairs)
-	var bytes int64
-	for i := range run {
-		bytes += int64(e.job.pairBytes(run[i]))
-	}
-	e.ctx.AddIOBytes(2 * bytes) // write + read-back at merge
-	e.ctx.AddWork(float64(len(run)))
-	e.spills = append(e.spills, run)
-	e.spilledPairs += len(run)
-	e.pairs = nil
 }
 
 // Mapper is the Hadoop mapper contract: Map is invoked per record, Close
@@ -88,11 +60,11 @@ type Mapper interface {
 	Close(ctx *TaskContext, out *Emitter) error
 }
 
-// Reducer is the Hadoop reducer contract. In grouped mode (Job.Streaming
-// false) Reduce is called once per distinct key with all its values; in
-// streaming mode it may be called many times per key with value batches
-// (all our reducers are commutative aggregations, which Hadoop's combiner
-// contract already requires). Close runs after all keys.
+// Reducer is the Hadoop reducer contract, fed as a stream: Reduce is
+// called once per distinct key of each split's key-sorted batch, so many
+// times per key across splits (all our reducers are commutative
+// aggregations, which Hadoop's combiner contract already requires).
+// Close runs after all keys.
 type Reducer interface {
 	Setup(ctx *TaskContext) error
 	Reduce(ctx *TaskContext, key int64, vals []KV) error
@@ -157,7 +129,9 @@ type NoInput struct{}
 // Open implements InputFormat.
 func (NoInput) Open(hdfs.Split, *TaskContext) hdfs.RecordReader { return nil }
 
-// Job describes one MapReduce round.
+// Job describes one MapReduce round: mappers buffer their pairs in memory
+// (no spills) and the single reducer consumes them as a stream, one
+// key-sorted batch per split in split order.
 type Job struct {
 	Name   string
 	Splits []hdfs.Split
@@ -171,21 +145,10 @@ type Job struct {
 	// r = 1 (their coordinator is necessarily one task).
 	Reducer Reducer
 
-	// SpillThreshold simulates the mapper's in-memory buffer: when more
-	// than this many pairs accumulate, they are sorted, combined and
-	// spilled to local disk (costed as task IO), as Hadoop does. 0 means
-	// unbounded (no spills).
-	SpillThreshold int
-
 	// PairBytes gives the wire size of one shuffled pair. Algorithms set
 	// it to the paper's encodings (4-byte keys, 4-byte counts, 8-byte
 	// doubles). Defaults to 12 bytes (4-byte key + 8-byte double).
 	PairBytes func(KV) int
-
-	// Streaming feeds reducer input per-batch without global grouping;
-	// reducers must be commutative aggregators (all of ours are). Grouped
-	// mode (false) materializes and sorts the full shuffle like Hadoop.
-	Streaming bool
 
 	Conf  Conf
 	Cache *DistCache
@@ -234,9 +197,6 @@ func (j *Job) validate() error {
 	if len(j.Splits) == 0 {
 		return fmt.Errorf("mapred: job %q has no splits", j.Name)
 	}
-	if j.SpillThreshold < 0 {
-		return fmt.Errorf("mapred: job %q has negative spill threshold", j.Name)
-	}
 	return nil
 }
 
@@ -251,18 +211,6 @@ func (j *Job) fillDefaults() {
 	if j.State == nil {
 		j.State = NewStateStore()
 	}
-}
-
-// Prepare validates the job and materializes its lazily created shared
-// stores (Conf, Cache, State). Callers that fan RunMapSplit out across
-// goroutines must Prepare the job once up front: the per-call
-// fillDefaults would otherwise race on the nil fields.
-func (j *Job) Prepare() error {
-	if err := j.validate(); err != nil {
-		return err
-	}
-	j.fillDefaults()
-	return nil
 }
 
 func (j *Job) pairBytes(kv KV) int {

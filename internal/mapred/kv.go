@@ -1,8 +1,9 @@
 // Package mapred is an in-process MapReduce runtime with Hadoop's
 // programming model and the observability the paper's evaluation needs:
 // splits processed by per-split Mappers with Close hooks, an optional
-// Combiner, sort-and-shuffle with exact byte accounting per intermediate
-// pair, a single Reducer with Close, a Job Configuration and Distributed
+// Combiner, a per-split sort and shuffle with exact byte accounting per
+// intermediate pair, a single streaming Reducer with Close (one job shape:
+// no spills, no global grouping), a Job Configuration and Distributed
 // Cache for coordinator→mapper communication, and a per-split persistent
 // state store that stands in for the paper's "HDFS state files" across
 // multi-round jobs (Appendix A).
@@ -35,32 +36,18 @@ const (
 // to every task at initialization (the paper uses it for T1/m, n, ε, m).
 type Conf map[string]string
 
-// Clone returns a copy so rounds can evolve the conf independently.
-func (c Conf) Clone() Conf {
-	out := make(Conf, len(c))
-	for k, v := range c {
-		out[k] = v
-	}
-	return out
-}
-
 // Counters aggregates a job's observable work, in the spirit of Hadoop's
 // job counters. All fields are updated atomically by tasks.
 type Counters struct {
 	MapRecordsRead int64 // records delivered by record readers
 	MapBytesRead   int64 // bytes pulled from DataNodes by record readers
-	PairsEmitted   int64 // mapper emissions before combine
 	PairsShuffled  int64 // pairs crossing the network after combine
 	ShuffleBytes   int64 // exact encoded bytes of shuffled pairs
 	ReduceCalls    int64
 	MapCPUUnits    int64 // abstract work units (scaled by 1e3 for atomic math)
-	ReduceCPUUnits int64
 }
 
 func (c *Counters) addMapCPU(units float64) { atomic.AddInt64(&c.MapCPUUnits, int64(units*1e3)) }
 
 // MapCPU returns total map-side abstract work units.
 func (c *Counters) MapCPU() float64 { return float64(atomic.LoadInt64(&c.MapCPUUnits)) / 1e3 }
-
-// ReduceCPU returns total reduce-side abstract work units.
-func (c *Counters) ReduceCPU() float64 { return float64(atomic.LoadInt64(&c.ReduceCPUUnits)) / 1e3 }

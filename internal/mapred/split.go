@@ -10,8 +10,8 @@ import (
 // side once on the coordinator over the collected per-split batches
 // (RunReduce). Because every task derives its RNG from (job seed, split
 // id) and the reducer consumes batches in split order, the two halves
-// reproduce Run's output bit-for-bit regardless of which worker ran which
-// split — the property the distributed parity tests assert.
+// reproduce RunContext's output bit-for-bit regardless of which worker
+// ran which split — the property the distributed parity tests assert.
 
 // MapSplitResult is the outcome of one standalone map task: the split's
 // sorted, combined intermediate pairs plus its measured work profile.

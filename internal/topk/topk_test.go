@@ -8,6 +8,17 @@ import (
 	"wavelethist/internal/zipf"
 )
 
+// bruteForce is the oracle: the exact top-k by |aggregate score|.
+func bruteForce(nodes []Scores, k int) []Item {
+	agg := make(map[int64]float64)
+	for _, n := range nodes {
+		for id, v := range n {
+			agg[id] += v
+		}
+	}
+	return selectTop(agg, k, math.Abs)
+}
+
 func magnitudes(items []Item) []float64 {
 	out := make([]float64, len(items))
 	for i, it := range items {
@@ -21,7 +32,7 @@ func magnitudes(items []Item) []float64 {
 // item's exact aggregate must equal its reported score.
 func sameTopMagnitude(t *testing.T, nodes []Scores, got []Item, k int) {
 	t.Helper()
-	want := BruteForceTopMagnitude(nodes, k)
+	want := bruteForce(nodes, k)
 	if len(got) != len(want) {
 		t.Fatalf("got %d items, want %d", len(got), len(want))
 	}
@@ -41,60 +52,6 @@ func sameTopMagnitude(t *testing.T, nodes []Scores, got []Item, k int) {
 			t.Fatalf("item %d reported %v, true aggregate %v", it.ID, it.Score, s)
 		}
 	}
-}
-
-func TestTPUTSimple(t *testing.T) {
-	nodes := []Scores{
-		{1: 10, 2: 5, 3: 1},
-		{1: 10, 2: 1, 4: 8},
-		{2: 9, 4: 7, 5: 2},
-	}
-	got, st := TPUT(nodes, 2)
-	want := BruteForceTop(nodes, 2)
-	if len(got) != 2 || got[0].ID != want[0].ID || got[1].ID != want[1].ID {
-		t.Fatalf("got %v, want %v", got, want)
-	}
-	if st.Round1Items == 0 {
-		t.Error("no round-1 messages recorded")
-	}
-}
-
-func TestTPUTMatchesBruteForceQuick(t *testing.T) {
-	f := func(raw []uint16, mSel, kSel uint8) bool {
-		m := int(mSel%5) + 1
-		k := int(kSel%6) + 1
-		nodes := make([]Scores, m)
-		for j := range nodes {
-			nodes[j] = Scores{}
-		}
-		for i, rv := range raw {
-			id := int64(rv % 64)
-			nodes[i%m][id] += float64(rv%100) / 7
-		}
-		got, _ := TPUT(nodes, k)
-		want := BruteForceTop(nodes, k)
-		if len(got) != len(want) {
-			return false
-		}
-		for i := range got {
-			if math.Abs(got[i].Score-want[i].Score) > 1e-9 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestTPUTRejectsNegative(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic on negative score")
-		}
-	}()
-	TPUT([]Scores{{1: -1}}, 1)
 }
 
 func TestTwoSidedPaperMotivation(t *testing.T) {
@@ -197,7 +154,7 @@ func TestTwoSidedMatchesBruteForceQuick(t *testing.T) {
 			}
 		}
 		got, _ := TwoSided(nodes, k)
-		want := BruteForceTopMagnitude(nodes, k)
+		want := bruteForce(nodes, k)
 		if len(got) != len(want) {
 			return false
 		}

@@ -1,3 +1,13 @@
+// Package topk implements the paper's two-sided modification of TPUT
+// (Cao & Wang [7]; Section 3): exact top-k by aggregate *magnitude* over
+// positive and negative scores, which plain TPUT cannot provide because
+// unseen scores may be very negative.
+//
+// The protocol here is pure (in-memory score lists per node) with exact
+// per-round message accounting; internal/core instantiates the same logic
+// inside MapReduce rounds. Keeping a reference implementation lets us
+// property-test protocol correctness against brute force independently of
+// the MapReduce machinery.
 package topk
 
 import (
@@ -6,6 +16,28 @@ import (
 
 	"wavelethist/internal/heap"
 )
+
+// Scores holds one node's local item scores (absent = 0).
+type Scores map[int64]float64
+
+// Item is an (id, aggregate score) result.
+type Item struct {
+	ID    int64
+	Score float64
+}
+
+// Stats records protocol communication: the number of (item, score)
+// messages uploaded to the coordinator per round, and the candidate-set
+// broadcast size of round 3.
+type Stats struct {
+	Round1Items   int
+	Round2Items   int
+	Round3Items   int
+	CandidateSize int // |R| after round-2 pruning (broadcast to nodes)
+}
+
+// TotalItems is the total uploaded (item, score) messages.
+func (s Stats) TotalItems() int { return s.Round1Items + s.Round2Items + s.Round3Items }
 
 // MagnitudeLowerBound is the two-sided threshold τ(x): given the upper
 // bound τ⁺ and lower bound τ⁻ on an item's aggregate score, the provable
@@ -170,4 +202,24 @@ func TwoSided(nodes []Scores, k int) ([]Item, Stats) {
 		final[id] = s
 	}
 	return selectTop(final, k, math.Abs), st
+}
+
+// selectTop returns the k items of m with the largest rank(score),
+// ties by ascending id.
+func selectTop(m map[int64]float64, k int, rank func(float64) float64) []Item {
+	items := make([]Item, 0, len(m))
+	for id, v := range m {
+		items = append(items, Item{ID: id, Score: v})
+	}
+	sort.Slice(items, func(i, j int) bool {
+		ri, rj := rank(items[i].Score), rank(items[j].Score)
+		if ri != rj {
+			return ri > rj
+		}
+		return items[i].ID < items[j].ID
+	})
+	if len(items) > k {
+		items = items[:k]
+	}
+	return items
 }

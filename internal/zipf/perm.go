@@ -43,9 +43,6 @@ func NewPerm(n int64, seed uint64) *Perm {
 	return p
 }
 
-// N returns the domain size.
-func (p *Perm) N() int64 { return p.n }
-
 // Apply maps x in [0, n) to its permuted image in [0, n).
 func (p *Perm) Apply(x int64) int64 {
 	if x < 0 || x >= p.n {

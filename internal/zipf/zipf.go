@@ -36,12 +36,6 @@ func NewZipf(n int64, alpha float64) *Zipf {
 	return z
 }
 
-// N returns the domain size.
-func (z *Zipf) N() int64 { return z.n }
-
-// Alpha returns the skew exponent.
-func (z *Zipf) Alpha() float64 { return z.exponent }
-
 // Sample draws one rank in [1, N].
 func (z *Zipf) Sample(r *RNG) int64 {
 	for {

@@ -338,7 +338,6 @@ func (s *stallTransport) MapSplits(ctx context.Context, addr string, req *dist.M
 	return nil, 0, 0, ctx.Err()
 }
 func (s *stallTransport) Release(context.Context, string, *dist.ReleaseRequest) error { return nil }
-func (s *stallTransport) Ping(context.Context, string) error                          { return nil }
 
 // TestBuildBackpressure: distributed POST /v1/build is shed with 429 +
 // Retry-After once pending splits per alive worker cross the threshold.

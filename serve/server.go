@@ -214,10 +214,6 @@ func NewServer(cfg Config) (*Server, error) {
 // Registry exposes the underlying registry for embedding and tests.
 func (s *Server) Registry() *Registry { return s.reg }
 
-// Coordinator returns the configured distributed-build coordinator (nil
-// when running simulated-only).
-func (s *Server) Coordinator() *dist.Coordinator { return s.cfg.Coordinator }
-
 // Close cancels all running build jobs and waits for their goroutines to
 // drain — call it on daemon shutdown so no job outlives the server.
 func (s *Server) Close() {

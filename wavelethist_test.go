@@ -1,8 +1,13 @@
 package wavelethist
 
 import (
+	"bytes"
 	"math"
+	"reflect"
 	"testing"
+
+	"wavelethist/dist"
+	"wavelethist/internal/hdfs"
 )
 
 func zipfDS(t testing.TB, n, u int64) *Dataset {
@@ -197,6 +202,70 @@ func TestWorldCupDataset(t *testing.T) {
 	if res.Histogram.K() == 0 {
 		t.Error("empty histogram on WorldCup data")
 	}
+}
+
+// Every constructor's file is the one its spec materializes — the copy a
+// distributed build's workers scan — and its spec fingerprints like the
+// bare recipe the options spell, so workers' dataset caches agree.
+func TestDatasetIsSpecMaterialized(t *testing.T) {
+	keys := []int64{3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5}
+	cases := []struct {
+		build func() (*Dataset, error)
+		bare  dist.DatasetSpec
+	}{
+		{func() (*Dataset, error) {
+			return NewZipfDataset(ZipfOptions{Records: 3000, Domain: 1 << 10, ChunkSize: 1024, Seed: 5})
+		}, dist.DatasetSpec{Kind: "zipf", Records: 3000, Domain: 1 << 10, ChunkSize: 1024, Seed: 5}},
+		{func() (*Dataset, error) {
+			return NewWorldCupDataset(WorldCupOptions{Records: 3000, ClientBits: 16, ObjectBits: 17, ChunkSize: 1024, Seed: 5})
+		}, dist.DatasetSpec{Kind: "worldcup", Records: 3000, ClientBits: 16, ObjectBits: 17, ChunkSize: 1024, Seed: 5}},
+		{func() (*Dataset, error) {
+			return NewDatasetFromKeys(keys, KeysOptions{Domain: 16, ChunkSize: 16, Nodes: 3})
+		}, dist.DatasetSpec{Kind: "keys", Domain: 16, ChunkSize: 16, Nodes: 3, Keys: keys}},
+	}
+	for _, c := range cases {
+		ds, err := c.build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		kind := c.bare.Kind
+		if got, want := ds.Spec().Fingerprint(), c.bare.Fingerprint(); got != want {
+			t.Errorf("%s: fingerprint %s, bare recipe's %s", kind, got, want)
+		}
+		file, u, err := ds.Spec().Materialize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if u != ds.Domain() || file.RecordSize != ds.file.RecordSize || file.NumRecords != ds.NumRecords() {
+			t.Errorf("%s: materialized u=%d rs=%d n=%d, dataset u=%d rs=%d n=%d", kind,
+				u, file.RecordSize, file.NumRecords, ds.Domain(), ds.file.RecordSize, ds.NumRecords())
+		}
+		if !bytes.Equal(fileBytes(t, file), fileBytes(t, ds.file)) {
+			t.Errorf("%s: file bytes differ", kind)
+		}
+		if !reflect.DeepEqual(file.Chunks(), ds.file.Chunks()) {
+			t.Errorf("%s: chunks %v, dataset %v", kind, file.Chunks(), ds.file.Chunks())
+		}
+		want, got := file.Splits(0), ds.file.Splits(0)
+		if len(got) != len(want) || len(got) < 2 {
+			t.Fatalf("%s: %d splits, materialized %d (want several)", kind, len(got), len(want))
+		}
+		for i := range got {
+			got[i].File, want[i].File = nil, nil
+			if got[i] != want[i] {
+				t.Errorf("%s: split %d = %+v, materialized %+v", kind, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+func fileBytes(t *testing.T, f *hdfs.File) []byte {
+	t.Helper()
+	b := make([]byte, f.Size())
+	if _, err := f.ReadAt(b, 0); err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 func TestOptionsPassthrough(t *testing.T) {
