@@ -15,10 +15,10 @@
 // A method is a row of the method table (method.go): its rounds, its
 // dimensionality and one stage — input, mapper, reducer, pair encoding,
 // broadcast — per round. RoundPlan (plan.go) turns a row into a build and
-// runs each round on one of two executors: in-process (RunRound) or
-// split by split on a worker fleet (MapRoundSplits + ReduceRound). Every
-// mapper that needs its split's frequency vector v_j builds it one way
-// (aggregate.go): keep the keys, radix sort, run-length encode.
+// runs each round one way: the map side split by split (MapRoundSplits'
+// code, in-process via RunRound or on a worker fleet), then ReduceRound.
+// Every mapper that needs its split's frequency vector v_j builds it one
+// way (aggregate.go): keep the keys, radix sort, run-length encode.
 package core
 
 import (

@@ -69,8 +69,8 @@ func lookup(name string) (*methodSpec, error) {
 	return nil, fmt.Errorf("core: %w %q (supported: %s)", ErrUnsupportedMethod, name, strings.Join(Methods(), ", "))
 }
 
-// Methods lists every method name, 1D then 2D. All of them run on both
-// executors (see RoundPlan).
+// Methods lists every method name, 1D then 2D. All of them run in-process
+// and on a worker fleet (see RoundPlan).
 func Methods() []string {
 	out := make([]string, len(methods))
 	for i := range methods {
@@ -133,7 +133,7 @@ func (e *env) keyBytes() int { return 4 * e.dim }
 // fixedBytes is the pairBytes of a method whose pairs all weigh the same.
 func fixedBytes(n int) func(mapred.KV) int { return func(mapred.KV) int { return n } }
 
-// Algorithm is a 1D method bound to the local executor.
+// Algorithm is a 1D method built in-process.
 type Algorithm interface {
 	// Name returns the paper's name for the method (e.g. "TwoLevel-S").
 	Name() string
@@ -142,7 +142,7 @@ type Algorithm interface {
 	Run(ctx context.Context, file *hdfs.File, p Params) (*Output, error)
 }
 
-// Algorithm2D is a 2D method bound to the local executor.
+// Algorithm2D is a 2D method built in-process.
 type Algorithm2D interface {
 	Name() string
 	Run(ctx context.Context, file *hdfs.File, p Params) (*Output2D, error)
@@ -172,8 +172,8 @@ func (a algorithm2D) Run(ctx context.Context, file *hdfs.File, p Params) (*Outpu
 	return rp.Output2D()
 }
 
-// runLocal plans a dim-dimensional method and runs every round on the
-// local executor.
+// runLocal plans a dim-dimensional method and runs every round
+// in-process.
 func runLocal(ctx context.Context, file *hdfs.File, method string, p Params, dim int) (*RoundPlan, error) {
 	rp, err := NewRoundPlan(file, method, p)
 	if err != nil {

@@ -123,6 +123,53 @@ func TestMergePartialsCoverage(t *testing.T) {
 	}
 }
 
+// TestReduceRoundRejectsCorruptPartials: a partial whose pairs name
+// another split or break key order (a corrupt worker frame or checkpoint
+// file) fails the round with an error, rather than indexing a reducer's
+// per-split state out of range or silently changing its Reduce calls.
+func TestReduceRoundRejectsCorruptPartials(t *testing.T) {
+	f := partialTestFile(t)
+	ctx := context.Background()
+	p := Params{U: 1 << 10, K: 10, Seed: 5}
+	m := NumSplits(f, p)
+	all := make([]int, m)
+	for i := range all {
+		all[i] = i
+	}
+	for method, corrupt := range map[string]func(pairs []mapred.KV){
+		// Src = m on split 1's k-th-highest mark, which round 1's
+		// reducer records per source split.
+		MethodHWTopk: func(pairs []mapred.KV) {
+			for i := range pairs {
+				if pairs[i].Tag == mapred.TagMarkHigh {
+					pairs[i].Src = int32(m)
+					return
+				}
+			}
+			t.Fatal("split 1 shipped no k-th-highest mark")
+		},
+		MethodSendV: func(pairs []mapred.KV) { pairs[0], pairs[1] = pairs[1], pairs[0] },
+	} {
+		t.Run(method, func(t *testing.T) {
+			parts, _, err := MapRoundSplits(ctx, f, method, p, 1, nil, all, NewWorkerState())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(parts[1].Pairs) < 2 {
+				t.Fatalf("split 1 shipped %d pairs, want at least 2", len(parts[1].Pairs))
+			}
+			corrupt(parts[1].Pairs)
+			plan, err := NewRoundPlan(f, method, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := plan.ReduceRound(ctx, 1, parts); err == nil {
+				t.Fatal("reduced a corrupt partial")
+			}
+		})
+	}
+}
+
 // TestEncodeDecodePartials round-trips the wire encoding and rejects
 // corrupt payloads.
 func TestEncodeDecodePartials(t *testing.T) {
@@ -163,8 +210,8 @@ func TestEncodeDecodePartials(t *testing.T) {
 	}
 }
 
-// TestRunContextCancel: a canceled context aborts a simulated run.
-func TestRunContextCancel(t *testing.T) {
+// TestRunRoundCancel: a canceled context aborts an in-process build.
+func TestRunRoundCancel(t *testing.T) {
 	f := partialTestFile(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

@@ -19,23 +19,21 @@ import (
 // one-round method is simply a plan whose NumRounds is 1 and whose
 // Broadcast is always nil.
 //
-// A round has exactly two executors of the same mapred.Job:
+// A round runs one way, over one of two transports. Per round
+// r = 1..NumRounds:
 //
-//   - local: RunRound drives a round through the pipelined in-process
-//     engine (mapred.RunContext) — the simulated cluster;
+//	blob := plan.Broadcast(r)            // nil for round 1
+//	parts := <the map side of every split, with blob>
+//	plan.ReduceRound(ctx, r, parts)
 //
-//   - split-granular: MapRoundSplits runs the map side of any subset of
-//     splits on any worker, ReduceRound merges one partial per split on
-//     the coordinator. Per round r = 1..NumRounds:
-//
-//     blob := plan.Broadcast(r)            // nil for round 1
-//     parts := <fan r out to the fleet with blob>
-//     plan.ReduceRound(ctx, r, parts)
-//
-// Every task derives its RNG from (seed, split id) and the reducer
-// consumes splits in split order, so both executors produce the same
-// floats, the same state files and the same cost accounting, whichever
-// worker ran which split. Not safe for concurrent use.
+// The map side is MapRoundSplits' code on some subset of splits wherever
+// it runs: in this process over the plan's own state store (RunRound, the
+// simulated cluster), or on a worker fleet that ships the partials back
+// (package dist). ReduceRound is the only reduce. Every task derives its
+// RNG from (seed, split id) and the reducer consumes splits in split
+// order, so both transports produce the same floats, the same state files
+// and the same cost accounting, whichever worker ran which split. Not
+// safe for concurrent use.
 type RoundPlan struct {
 	spec   *methodSpec
 	p      Params
@@ -59,8 +57,8 @@ func NewRoundPlan(file *hdfs.File, method string, p Params) (*RoundPlan, error) 
 	return newRoundPlan(file, method, p, mapred.NewStateStore())
 }
 
-// newRoundPlan wires the plan over a split-state store: the local executor
-// and the coordinator pass a fresh one, workers their per-job lease.
+// newRoundPlan wires the plan over a split-state store: an in-process
+// build and the coordinator pass a fresh one, workers their per-job lease.
 func newRoundPlan(file *hdfs.File, method string, p Params, state *mapred.StateStore) (*RoundPlan, error) {
 	spec, err := lookup(method)
 	if err != nil {
@@ -116,9 +114,7 @@ func (rp *RoundPlan) job(r int) *mapred.Job {
 		Combiner:  st.combiner,
 		Reducer:   st.reducer,
 		PairBytes: st.pairBytes,
-		Conf:      rp.conf, Cache: rp.cache, State: rp.state,
-		Seed:        rp.p.Seed,
-		Parallelism: rp.p.Parallelism,
+		Conf:      rp.conf, Cache: rp.cache, State: rp.state, Seed: rp.p.Seed,
 	}
 }
 
@@ -134,20 +130,24 @@ func (rp *RoundPlan) Broadcast(round int) []byte {
 	return blob
 }
 
-// RunRound is the local executor: the round's broadcast, map side and
-// reduce in-process through the pipelined engine, which bounds resident
-// map outputs at 2×parallelism.
+// RunRound is the fleet protocol with a zero-hop transport: the round's
+// broadcast, the map side of every split in this process (the plan's own
+// state store is the lease), then ReduceRound. As on a coordinator, the
+// round's partials stay resident until its reduce.
 func (rp *RoundPlan) RunRound(ctx context.Context, round int) error {
 	if err := rp.nextRound(round); err != nil {
 		return err
 	}
 	rp.Broadcast(round)
-	res, err := mapred.RunContext(ctx, rp.job(round))
+	ids := make([]int, len(rp.splits))
+	for i := range ids {
+		ids[i] = i
+	}
+	parts, _, err := rp.mapSplits(ctx, round, ids)
 	if err != nil {
 		return err
 	}
-	rp.endRound(res)
-	return nil
+	return rp.ReduceRound(ctx, round, parts)
 }
 
 // nextRound rejects running rounds out of order.
@@ -158,11 +158,13 @@ func (rp *RoundPlan) nextRound(round int) error {
 	return nil
 }
 
-// ReduceRound is the coordinator half of the split-granular executor: it
-// merges one round's partials — which must cover every split exactly
-// once, in any order — through the round's reducer, exactly as the local
-// executor would (batches consumed in split order, so float accumulation
-// is bit-identical).
+// ReduceRound is a round's only reduce: it merges the round's partials —
+// which must cover every split exactly once, in any order — through the
+// round's reducer, batches consumed in split order so float accumulation
+// never depends on where or when a split was mapped. Partials arrive from
+// worker frames and checkpoint files, so each is held to what every
+// mapper emits — every pair's Src is its split id, keys ascend — before
+// any reaches a reducer.
 func (rp *RoundPlan) ReduceRound(ctx context.Context, round int, parts []SplitPartial) error {
 	method, m := rp.spec.name, len(rp.splits)
 	if err := rp.nextRound(round); err != nil {
@@ -182,6 +184,11 @@ func (rp *RoundPlan) ReduceRound(ctx context.Context, round int, parts []SplitPa
 		if part.SplitID != i {
 			return fmt.Errorf("core: %s round %d: partials do not cover split %d exactly once", method, round, i)
 		}
+		for j, kv := range part.Pairs {
+			if int(kv.Src) != i || (j > 0 && kv.Key < part.Pairs[j-1].Key) {
+				return fmt.Errorf("core: %s round %d: split %d pair %d (key %d, src %d) is out of order or from another split", method, round, i, j, kv.Key, kv.Src)
+			}
+		}
 		batches[i] = part.Pairs
 		tasks[i] = mapred.TaskMetrics{SplitID: i, Node: part.Node, InputBytes: part.InputBytes, CPUUnits: part.CPUUnits}
 		records += part.RecordsRead
@@ -193,13 +200,6 @@ func (rp *RoundPlan) ReduceRound(ctx context.Context, round int, parts []SplitPa
 	}
 	res.MapTasks = tasks
 	res.Counters.MapRecordsRead, res.Counters.MapBytesRead = records, bytesRead
-	rp.endRound(res)
-	return nil
-}
-
-// endRound folds a finished round into the metrics, whichever executor
-// ran it.
-func (rp *RoundPlan) endRound(res *mapred.Result) {
 	rp.metrics.addRound(res, rp.pendingBroadcast)
 	rp.pendingBroadcast = 0
 	rp.round++
@@ -207,6 +207,7 @@ func (rp *RoundPlan) endRound(res *mapred.Result) {
 		rp.top = rp.stages[rp.round-1].reducer.(topReducer).top()
 		rp.metrics.WallTime = time.Since(rp.start)
 	}
+	return nil
 }
 
 // Output wraps a finished 1D build.
@@ -274,11 +275,8 @@ func (ws *WorkerState) Bytes() int64 { return ws.store.TotalBytes() }
 // collide with the reducer's mapred.ReducerState key.)
 func splitStateKey(round, split int) int { return 2*split + round - 1 }
 
-// MapRoundSplits is the worker half of the split-granular executor: one
-// round's map side over the given splits, one mergeable partial per split
-// in splitIDs order. Splits are mapped concurrently across up to
-// p.Parallelism goroutines (0 = GOMAXPROCS) and every per-split output is
-// bit-identical to a serial run.
+// MapRoundSplits is a worker's half of a round: the round's map side over
+// the given splits, one mergeable partial per split in splitIDs order.
 //
 // bcast is the coordinator's broadcast blob for this round (nil for round
 // 1). A multi-round method reads the state earlier rounds produced from
@@ -308,10 +306,19 @@ func MapRoundSplits(ctx context.Context, file *hdfs.File, method string, p Param
 			return nil, nil, err
 		}
 	}
+	return rp.mapSplits(ctx, round, splitIDs)
+}
+
+// mapSplits runs round's map side over splitIDs once the round's
+// broadcast is installed, reading and writing split state in rp.state.
+// Splits are mapped concurrently across up to p.Parallelism goroutines
+// (0 = GOMAXPROCS) and every per-split output is bit-identical to a
+// serial run.
+func (rp *RoundPlan) mapSplits(ctx context.Context, round int, splitIDs []int) (parts []SplitPartial, replayed []int, err error) {
 	m := len(rp.splits)
 	for _, id := range splitIDs {
 		if id < 0 || id >= m {
-			return nil, nil, fmt.Errorf("core: %s: split %d out of range [0, %d)", method, id, m)
+			return nil, nil, fmt.Errorf("core: %s: split %d out of range [0, %d)", rp.spec.name, id, m)
 		}
 	}
 	// The goroutines share one job per round (its Conf/Cache/State triple

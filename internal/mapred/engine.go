@@ -3,184 +3,45 @@ package mapred
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"wavelethist/internal/zipf"
 )
 
-// Engine execution. Mappers run concurrently in a bounded worker pool but
-// the run is fully deterministic: every task derives its RNG from
-// (job seed, split id), and the reducer consumes mapper outputs in split
-// order, so float accumulation order never depends on scheduling.
+// A round is one map task per split (RunMapSplit), run in any process and
+// in any order, then one reduce task over the collected per-split batches
+// (RunReduce). Every task derives its RNG from (job seed, split id) and
+// the reducer consumes batches in the order given, so a caller that feeds
+// them in split order gets the same floats whichever process ran which
+// split. The package starts no goroutines: fanning the map tasks out is
+// the caller's business.
 
-// mapOutput is one completed map task: its sorted+combined pairs plus its
-// work profile.
-type mapOutput struct {
-	pairs   []KV
-	metrics TaskMetrics
-	err     error
+// MapSplitResult is the outcome of one map task: the split's sorted,
+// combined intermediate pairs plus its measured work profile.
+type MapSplitResult struct {
+	Pairs   []KV
+	Metrics TaskMetrics
+	// RecordsRead / BytesRead are the split's input-scan counters.
+	RecordsRead int64
+	BytesRead   int64
 }
 
-// RunContext executes one MapReduce round, aborting early (with ctx.Err())
-// when the context is canceled. Cancellation is checked between reducer
-// batches and periodically inside map-side record scans.
-func RunContext(ctx context.Context, job *Job) (*Result, error) {
+// RunMapSplit executes the map task of split idx: Setup, Map per record,
+// Close, then sort + combine. Cancellation is checked before the task and
+// periodically inside the record scan.
+func RunMapSplit(ctx context.Context, job *Job, idx int) (*MapSplitResult, error) {
 	if err := job.validate(); err != nil {
 		return nil, err
 	}
+	if idx < 0 || idx >= len(job.Splits) {
+		return nil, fmt.Errorf("mapred: %s: split %d out of range [0, %d)", job.Name, idx, len(job.Splits))
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("mapred: %s: %w", job.Name, err)
+	}
 	job.fillDefaults()
-	counters := &Counters{}
-	m := len(job.Splits)
-	rt, err := startReduce(job, counters)
-	if err != nil {
-		return nil, err
-	}
-
-	parallelism := job.Parallelism
-	if parallelism <= 0 {
-		parallelism = runtime.GOMAXPROCS(0)
-	}
-	if parallelism > m {
-		parallelism = m
-	}
-
-	outputs := make([]*mapOutput, m)
-	done := make([]chan struct{}, m)
-	for i := range done {
-		done[i] = make(chan struct{})
-	}
-	// Memory bound: at most 2×parallelism completed-but-unconsumed map
-	// outputs exist at once. Workers take split indices in ascending
-	// order, so the index the reducer is waiting for is always in flight.
-	tokens := make(chan struct{}, 2*parallelism)
-	indices := make(chan int)
-	go func() {
-		for i := 0; i < m; i++ {
-			tokens <- struct{}{}
-			indices <- i
-		}
-		close(indices)
-	}()
-
-	var wg sync.WaitGroup
-	for w := 0; w < parallelism; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for idx := range indices {
-				outputs[idx] = runMapTask(ctx, job, idx, counters)
-				close(done[idx])
-			}
-		}()
-	}
-
-	// Reduce phase: the single reduce task consumes the mapper outputs in
-	// split order.
-	res := &Result{MapTasks: make([]TaskMetrics, m)}
-	var reduceErr error
-	for i := 0; i < m; i++ {
-		<-done[i]
-		out := outputs[i]
-		outputs[i] = nil
-		<-tokens
-		if reduceErr == nil && ctx.Err() != nil {
-			reduceErr = ctx.Err()
-		}
-		if out.err != nil {
-			reduceErr = out.err
-			continue
-		}
-		res.MapTasks[i] = out.metrics
-		if reduceErr == nil {
-			reduceErr = rt.feed(out.pairs)
-		}
-	}
-	wg.Wait()
-	if reduceErr != nil {
-		return nil, fmt.Errorf("mapred: %s: %w", job.Name, reduceErr)
-	}
-	if err := rt.finish(res); err != nil {
-		return nil, err
-	}
-	res.Counters = *counters
-	res.Counters.MapCPUUnits = atomic.LoadInt64(&counters.MapCPUUnits)
-	res.ShuffleBytes = counters.ShuffleBytes
-	res.PairsShuffled = counters.PairsShuffled
-	return res, nil
-}
-
-// reduceTask is a round's single reduce task, shared by the pipelined
-// engine (RunContext) and the split-granular one (RunReduce): setup, then
-// one feed per split in split order, then finish.
-type reduceTask struct {
-	job      *Job
-	ctx      *TaskContext
-	counters *Counters
-}
-
-func startReduce(job *Job, counters *Counters) (*reduceTask, error) {
-	rt := &reduceTask{job: job, counters: counters, ctx: &TaskContext{
-		JobName:   job.Name,
-		SplitID:   ReducerState,
-		NumSplits: len(job.Splits),
-		Conf:      job.Conf,
-		Cache:     job.Cache,
-		State:     job.State,
-		RNG:       taskRNG(job.Seed, ReducerState),
-		counters:  counters,
-	}}
-	if err := job.Reducer.Setup(rt.ctx); err != nil {
-		return nil, fmt.Errorf("mapred: %s: reducer setup: %w", job.Name, err)
-	}
-	return rt, nil
-}
-
-// feed reduces one split's key-sorted pairs.
-func (rt *reduceTask) feed(pairs []KV) error {
-	return feedGroups(rt.ctx, rt.job.Reducer, pairs, rt.counters)
-}
-
-// finish closes the reducer and records the reduce-side costs in res.
-func (rt *reduceTask) finish(res *Result) error {
-	if err := rt.job.Reducer.Close(rt.ctx); err != nil {
-		return fmt.Errorf("mapred: %s: reducer close: %w", rt.job.Name, err)
-	}
-	res.ReduceCPU = rt.ctx.cpuUnits + float64(rt.counters.ReduceCalls)
-	res.ReduceCalls = rt.counters.ReduceCalls
-	return nil
-}
-
-// feedGroups groups consecutive pairs with equal keys (input is sorted by
-// key within each batch) and invokes Reduce per group.
-func feedGroups(ctx *TaskContext, red Reducer, pairs []KV, counters *Counters) error {
-	for lo := 0; lo < len(pairs); {
-		hi := lo + 1
-		for hi < len(pairs) && pairs[hi].Key == pairs[lo].Key {
-			hi++
-		}
-		atomic.AddInt64(&counters.ReduceCalls, 1)
-		ctx.AddWork(float64(hi - lo)) // one unit per consumed pair
-		if err := red.Reduce(ctx, pairs[lo].Key, pairs[lo:hi]); err != nil {
-			return err
-		}
-		lo = hi
-	}
-	return nil
-}
-
-// taskRNG derives a deterministic per-task RNG independent of scheduling.
-func taskRNG(seed uint64, splitID int) *zipf.RNG {
-	return zipf.NewRNG(seed ^ (uint64(splitID+2) * 0x9e3779b97f4a7c15))
-}
-
-// runMapTask executes one mapper over its split: Setup, Map per record,
-// Close, then sort + combine + byte accounting.
-func runMapTask(ctx context.Context, job *Job, idx int, counters *Counters) *mapOutput {
-	if ctx.Err() != nil {
-		return &mapOutput{err: ctx.Err()}
+	fail := func(step string, err error) (*MapSplitResult, error) {
+		return nil, fmt.Errorf("mapred: %s: split %d %s: %w", job.Name, idx, step, err)
 	}
 	split := job.Splits[idx]
 	tctx := &TaskContext{
@@ -192,65 +53,105 @@ func runMapTask(ctx context.Context, job *Job, idx int, counters *Counters) *map
 		Cache:     job.Cache,
 		State:     job.State,
 		RNG:       taskRNG(job.Seed, idx),
-		counters:  counters,
 	}
 	mapper := job.NewMapper(split)
 	out := &Emitter{}
 	if err := mapper.Setup(tctx); err != nil {
-		return &mapOutput{err: fmt.Errorf("split %d setup: %w", idx, err)}
+		return fail("setup", err)
 	}
 
-	var bytesRead int64
-	var records int64
+	res := &MapSplitResult{}
 	if reader := job.Input.Open(split, tctx); reader != nil {
 		for {
 			rec, ok := reader.Next()
 			if !ok {
 				break
 			}
-			records++
-			if records&8191 == 0 && ctx.Err() != nil {
-				return &mapOutput{err: ctx.Err()}
+			res.RecordsRead++
+			if res.RecordsRead&8191 == 0 && ctx.Err() != nil {
+				return nil, fmt.Errorf("mapred: %s: %w", job.Name, ctx.Err())
 			}
 			if err := mapper.Map(tctx, rec, out); err != nil {
-				return &mapOutput{err: fmt.Errorf("split %d map: %w", idx, err)}
+				return fail("map", err)
 			}
 		}
 		if err := reader.Err(); err != nil {
-			return &mapOutput{err: fmt.Errorf("split %d read: %w", idx, err)}
+			return fail("read", err)
 		}
-		bytesRead = reader.BytesRead()
+		res.BytesRead = reader.BytesRead()
 	}
 	if err := mapper.Close(tctx, out); err != nil {
-		return &mapOutput{err: fmt.Errorf("split %d close: %w", idx, err)}
+		return fail("close", err)
 	}
-
-	atomic.AddInt64(&counters.MapRecordsRead, records)
-	atomic.AddInt64(&counters.MapBytesRead, bytesRead)
-	pairs := sortAndCombine(job, out.pairs)
-
-	var shuffleBytes int64
-	for i := range pairs {
-		shuffleBytes += int64(job.pairBytes(pairs[i]))
-	}
-	atomic.AddInt64(&counters.PairsShuffled, int64(len(pairs)))
-	atomic.AddInt64(&counters.ShuffleBytes, shuffleBytes)
 
 	// Base CPU charges: one unit per record scanned, one per emitted pair
 	// (buffer/partition/sort amortized); algorithm-specific work arrives
 	// via ctx.AddWork.
-	cpu := tctx.cpuUnits + float64(records) + float64(len(out.pairs))
-	counters.addMapCPU(cpu)
-
-	return &mapOutput{
-		pairs: pairs,
-		metrics: TaskMetrics{
-			SplitID:    idx,
-			Node:       split.Node,
-			InputBytes: bytesRead + tctx.ioBytes,
-			CPUUnits:   cpu,
-		},
+	res.Metrics = TaskMetrics{
+		SplitID:    idx,
+		Node:       split.Node,
+		InputBytes: res.BytesRead + tctx.ioBytes,
+		CPUUnits:   tctx.cpuUnits + float64(res.RecordsRead) + float64(len(out.pairs)),
 	}
+	res.Pairs = sortAndCombine(job, out.pairs)
+	return res, nil
+}
+
+// RunReduce executes the reduce task of a job over per-split pair batches,
+// each sorted by key, fed in the order given: Setup, one Reduce per run of
+// equal keys within a batch, Close. The Result carries the reduce-side and
+// shuffle costs; the map-side ones (MapTasks, the scan counters) are the
+// caller's to fill from its MapSplitResults.
+func RunReduce(ctx context.Context, job *Job, batches [][]KV) (*Result, error) {
+	if err := job.validate(); err != nil {
+		return nil, err
+	}
+	job.fillDefaults()
+	tctx := &TaskContext{
+		JobName:   job.Name,
+		SplitID:   ReducerState,
+		NumSplits: len(job.Splits),
+		Conf:      job.Conf,
+		Cache:     job.Cache,
+		State:     job.State,
+		RNG:       taskRNG(job.Seed, ReducerState),
+	}
+	if err := job.Reducer.Setup(tctx); err != nil {
+		return nil, fmt.Errorf("mapred: %s: reducer setup: %w", job.Name, err)
+	}
+	res := &Result{}
+	for _, batch := range batches {
+		if err := ctx.Err(); err != nil {
+			return nil, fmt.Errorf("mapred: %s: %w", job.Name, err)
+		}
+		for lo := 0; lo < len(batch); {
+			hi := lo + 1
+			for hi < len(batch) && batch[hi].Key == batch[lo].Key {
+				hi++
+			}
+			res.ReduceCalls++
+			tctx.AddWork(float64(hi - lo)) // one unit per consumed pair
+			if err := job.Reducer.Reduce(tctx, batch[lo].Key, batch[lo:hi]); err != nil {
+				return nil, fmt.Errorf("mapred: %s: %w", job.Name, err)
+			}
+			lo = hi
+		}
+		for i := range batch {
+			res.ShuffleBytes += int64(job.pairBytes(batch[i]))
+		}
+		res.PairsShuffled += int64(len(batch))
+	}
+	if err := job.Reducer.Close(tctx); err != nil {
+		return nil, fmt.Errorf("mapred: %s: reducer close: %w", job.Name, err)
+	}
+	res.ReduceCPU = tctx.cpuUnits + float64(res.ReduceCalls)
+	res.Counters = Counters{PairsShuffled: res.PairsShuffled, ShuffleBytes: res.ShuffleBytes, ReduceCalls: res.ReduceCalls}
+	return res, nil
+}
+
+// taskRNG derives a deterministic per-task RNG independent of scheduling.
+func taskRNG(seed uint64, splitID int) *zipf.RNG {
+	return zipf.NewRNG(seed ^ (uint64(splitID+2) * 0x9e3779b97f4a7c15))
 }
 
 // sortAndCombine sorts a mapper's emissions by key (stable, preserving

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
 	"testing"
 
 	"wavelethist/internal/hdfs"
@@ -23,7 +22,6 @@ func (countMapper) Close(*TaskContext, *Emitter) error { return nil }
 
 // sumReducer accumulates per-key totals.
 type sumReducer struct {
-	mu     sync.Mutex
 	totals map[int64]float64
 	closed bool
 }
@@ -33,8 +31,6 @@ func (r *sumReducer) Setup(*TaskContext) error {
 	return nil
 }
 func (r *sumReducer) Reduce(_ *TaskContext, key int64, vals []KV) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	for _, v := range vals {
 		r.totals[key] += v.Val
 	}
@@ -52,6 +48,33 @@ func sumCombiner(key int64, vals []KV) []KV {
 		s += v.Val
 	}
 	return []KV{{Key: key, Val: s}}
+}
+
+// runJob runs a job the way every round runs: each split's map task, in
+// split order, then the reduce task over their batches, with the map
+// tasks' profiles and scan counters summed into the Result.
+func runJob(job *Job) (*Result, error) {
+	ctx := context.Background()
+	batches := make([][]KV, len(job.Splits))
+	var tasks []TaskMetrics
+	var records, bytesRead int64
+	for i := range job.Splits {
+		r, err := RunMapSplit(ctx, job, i)
+		if err != nil {
+			return nil, err
+		}
+		batches[i] = r.Pairs
+		tasks = append(tasks, r.Metrics)
+		records += r.RecordsRead
+		bytesRead += r.BytesRead
+	}
+	res, err := RunReduce(ctx, job, batches)
+	if err != nil {
+		return nil, err
+	}
+	res.MapTasks = tasks
+	res.Counters.MapRecordsRead, res.Counters.MapBytesRead = records, bytesRead
+	return res, nil
 }
 
 func makeDataset(t *testing.T, keys []int64, chunk int64) []hdfs.Split {
@@ -87,7 +110,7 @@ func wordCountJob(t *testing.T, splits []hdfs.Split, combiner Combiner) (*Result
 		Reducer:   red,
 		Seed:      1,
 	}
-	res, err := RunContext(context.Background(), job)
+	res, err := runJob(job)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,41 +162,6 @@ func TestCombinerReducesShuffle(t *testing.T) {
 	}
 }
 
-func TestDeterministicAcrossParallelism(t *testing.T) {
-	keys := repeatKeys(3000, 101)
-	splits := makeDataset(t, keys, 256)
-	var base *Result
-	var baseTotals map[int64]float64
-	for _, par := range []int{1, 2, 8} {
-		red := &sumReducer{}
-		job := &Job{
-			Name:        "det",
-			Splits:      splits,
-			Input:       SequentialInput{},
-			NewMapper:   func(hdfs.Split) Mapper { return countMapper{} },
-			Reducer:     red,
-			Seed:        7,
-			Parallelism: par,
-		}
-		res, err := RunContext(context.Background(), job)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if base == nil {
-			base, baseTotals = res, red.totals
-			continue
-		}
-		if res.ShuffleBytes != base.ShuffleBytes || res.PairsShuffled != base.PairsShuffled {
-			t.Errorf("par=%d: shuffle differs", par)
-		}
-		for k, v := range baseTotals {
-			if red.totals[k] != v {
-				t.Errorf("par=%d: key %d differs", par, k)
-			}
-		}
-	}
-}
-
 func TestPairBytesAccounting(t *testing.T) {
 	keys := repeatKeys(100, 1000) // all distinct-ish
 	splits := makeDataset(t, keys, 1<<20)
@@ -187,7 +175,7 @@ func TestPairBytesAccounting(t *testing.T) {
 		PairBytes: func(KV) int { return 8 }, // 4-byte key + 4-byte count
 		Seed:      1,
 	}
-	res, err := RunContext(context.Background(), job)
+	res, err := runJob(job)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +227,7 @@ func TestMultiRoundStateAndConf(t *testing.T) {
 	}
 	var results []*Result
 	for _, j := range []*Job{round1, round2} {
-		res, err := RunContext(context.Background(), j)
+		res, err := runJob(j)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -274,7 +262,7 @@ func TestRandomSampleInput(t *testing.T) {
 		Reducer:   red,
 		Seed:      11,
 	}
-	res, err := RunContext(context.Background(), job)
+	res, err := runJob(job)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +300,7 @@ func TestMapperErrorPropagates(t *testing.T) {
 		NewMapper: func(hdfs.Split) Mapper { return failingMapper{} },
 		Reducer:   &sumReducer{}, Seed: 1,
 	}
-	if _, err := RunContext(context.Background(), job); err == nil {
+	if _, err := runJob(job); err == nil {
 		t.Fatal("expected error")
 	}
 }
@@ -333,7 +321,7 @@ func TestShortReadFailsTask(t *testing.T) {
 			Reducer:   &sumReducer{}, Seed: 1,
 		}
 		want := fmt.Sprintf("split %d read:", len(splits)-1)
-		if _, err := RunContext(context.Background(), job); err == nil || !strings.Contains(err.Error(), want) {
+		if _, err := runJob(job); err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("%s: err = %v, want one containing %q", name, err, want)
 		}
 	}
@@ -348,7 +336,7 @@ func TestValidation(t *testing.T) {
 		{Input: SequentialInput{}, NewMapper: func(hdfs.Split) Mapper { return countMapper{} }, Reducer: &sumReducer{}},
 	}
 	for i, j := range bad {
-		if _, err := RunContext(context.Background(), j); err == nil {
+		if _, err := runJob(j); err == nil {
 			t.Errorf("job %d: expected validation error", i)
 		}
 	}
@@ -367,8 +355,8 @@ func TestCountersSanity(t *testing.T) {
 	if res.Counters.PairsShuffled != int64(len(keys)) {
 		t.Errorf("pairs shuffled = %d", res.Counters.PairsShuffled)
 	}
-	if res.Counters.MapCPU() <= 0 || res.ReduceCPU <= 0 {
-		t.Error("CPU accounting missing")
+	if res.ReduceCPU <= 0 {
+		t.Error("reduce CPU accounting missing")
 	}
 	if len(res.MapTasks) != len(splits) {
 		t.Errorf("task metrics = %d, want %d", len(res.MapTasks), len(splits))
@@ -376,6 +364,9 @@ func TestCountersSanity(t *testing.T) {
 	for _, tm := range res.MapTasks {
 		if tm.InputBytes <= 0 {
 			t.Errorf("task %d read nothing", tm.SplitID)
+		}
+		if tm.CPUUnits <= 0 {
+			t.Errorf("task %d charged no CPU", tm.SplitID)
 		}
 	}
 }

@@ -20,7 +20,6 @@ type TaskContext struct {
 	State     *StateStore
 	RNG       *zipf.RNG
 
-	counters *Counters
 	cpuUnits float64 // task-local abstract work
 	ioBytes  int64   // task-local input bytes (readers + explicit)
 }
@@ -157,9 +156,6 @@ type Job struct {
 	// Seed makes the whole job deterministic; each task derives its own
 	// RNG stream from it.
 	Seed uint64
-
-	// Parallelism bounds concurrent mappers (0 = GOMAXPROCS).
-	Parallelism int
 }
 
 // TaskMetrics is the deterministic work profile of one completed map task,

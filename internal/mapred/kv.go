@@ -9,8 +9,6 @@
 // multi-round jobs (Appendix A).
 package mapred
 
-import "sync/atomic"
-
 // KV is an intermediate key-value pair (k2, v2). Key is the intermediate
 // key (a key-domain value or a coefficient index); Val its numeric value.
 // Src carries the originating split id j for algorithms whose pairs are
@@ -36,18 +34,12 @@ const (
 // to every task at initialization (the paper uses it for T1/m, n, ε, m).
 type Conf map[string]string
 
-// Counters aggregates a job's observable work, in the spirit of Hadoop's
-// job counters. All fields are updated atomically by tasks.
+// Counters aggregates a round's observable work, in the spirit of Hadoop's
+// job counters.
 type Counters struct {
 	MapRecordsRead int64 // records delivered by record readers
 	MapBytesRead   int64 // bytes pulled from DataNodes by record readers
 	PairsShuffled  int64 // pairs crossing the network after combine
 	ShuffleBytes   int64 // exact encoded bytes of shuffled pairs
 	ReduceCalls    int64
-	MapCPUUnits    int64 // abstract work units (scaled by 1e3 for atomic math)
 }
-
-func (c *Counters) addMapCPU(units float64) { atomic.AddInt64(&c.MapCPUUnits, int64(units*1e3)) }
-
-// MapCPU returns total map-side abstract work units.
-func (c *Counters) MapCPU() float64 { return float64(atomic.LoadInt64(&c.MapCPUUnits)) / 1e3 }
