@@ -90,7 +90,7 @@ func (p Params) validate() error {
 type Metrics struct {
 	Rounds         int
 	ShuffleBytes   int64 // intermediate pairs crossing the network
-	BroadcastBytes int64 // job-conf / distributed-cache payloads
+	BroadcastBytes int64 // modeled coordinator broadcasts (T1/m, R)
 	PairsShuffled  int64
 	MapRecordsRead int64
 	MapBytesRead   int64
@@ -123,14 +123,14 @@ type Output2D struct {
 }
 
 // addRound folds one MapReduce round's result into the metrics.
-// broadcastBytes covers conf/cache payloads shipped to slaves this round.
+// broadcastBytes is the modeled broadcast shipped to the mappers this round.
 func (m *Metrics) addRound(res *mapred.Result, broadcastBytes int64) {
 	m.Rounds++
 	m.ShuffleBytes += res.ShuffleBytes
 	m.BroadcastBytes += broadcastBytes
 	m.PairsShuffled += res.PairsShuffled
-	m.MapRecordsRead += res.Counters.MapRecordsRead
-	m.MapBytesRead += res.Counters.MapBytesRead
+	m.MapRecordsRead += res.MapRecordsRead
+	m.MapBytesRead += res.MapBytesRead
 	rc := cluster.RoundCost{
 		ShuffleBytes:   res.ShuffleBytes,
 		BroadcastBytes: broadcastBytes,

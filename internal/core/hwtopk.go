@@ -6,7 +6,6 @@ import (
 	"math"
 	"slices"
 	"sort"
-	"strconv"
 
 	"wavelethist/internal/hdfs"
 	"wavelethist/internal/heap"
@@ -23,74 +22,82 @@ import (
 //	         the O(|v_j| log u) transform, emits its k highest and k
 //	         lowest (i, (j, w_ij)) pairs with the k-th ones marked, and
 //	         persists unsent coefficients to its state file. The reducer
-//	         forms partial sums ŵ_i with received-bit vectors F_i,
-//	         derives the magnitude threshold T1, and persists its state.
+//	         forms partial sums ŵ_i with received-bit vectors F_i and
+//	         derives the magnitude threshold T1.
 //	Round 2: mappers read no input; they restore state and emit every
-//	         unsent coefficient with |w_ij| > T1/m (shipped via the Job
-//	         Configuration). The reducer refines τ± bounds with the
-//	         T1/m guarantee, derives T2, prunes the candidate set R, and
-//	         the driver places R in the Distributed Cache.
+//	         unsent coefficient with |w_ij| > T1/m. The reducer refines
+//	         τ± bounds with the T1/m guarantee, derives T2 and prunes the
+//	         candidate set R.
 //	Round 3: mappers emit unsent scores for items in R; the reducer
 //	         finalizes exact sums and selects the top-k by magnitude.
+//
+// The paper's driver moves three values between rounds through Hadoop
+// side channels: T1/m through the Job Configuration, R through the
+// Distributed Cache, and the coordinator's partial sums through a local
+// state file. The cost model charges the two broadcasts (8 B for T1/m,
+// the encoded R) and no reducer reads its state back from disk, so here
+// the rounds of one plan hand each other the values (hwRounds); only a
+// worker process receives them, as the broadcast blob.
 //
 // H-WTopk-2D is the identical protocol over packed 2D coefficient indices:
 // any 2D coefficient is the sum of the corresponding coefficients of all
 // splits, so the modified TPUT runs unchanged.
 func hwTopkStages(e *env) []stage {
-	red1 := &hwRound1Reducer{k: e.p.K}
-	red2 := &hwRound2Reducer{k: e.p.K}
+	h := &hwRounds{}
 	pairBytes := fixedBytes(16) // (i, (j, w)): 4+4+8
-	var t1OverM float64         // set by round 2's broadcast, shipped again with round 3's
 	return []stage{{
 		input: mapred.SequentialInput{},
 		mapper: func() mapred.Mapper {
 			return &hwRound1Mapper{splitCollector: splitCollector{domain: e.domain}, k: e.p.K, transform: e.tf}
 		},
-		reducer:   red1,
+		reducer:   &hwRound1Reducer{k: e.p.K, h: h},
 		pairBytes: pairBytes,
+		keys:      e.domain,
+	}, {
+		input: mapred.NoInput{},
+		// Each map task copies T1/m when it starts, replays included.
+		mapper:    func() mapred.Mapper { return hwRound2Mapper{thresh: h.t1OverM} },
+		reducer:   &hwRound2Reducer{k: e.p.K, h: h},
+		pairBytes: pairBytes,
+		keys:      e.domain,
+		// The paper ships T1/m in the Job Configuration: the cost model
+		// charges its 8 bytes, the mapper factory reads the value.
+		broadcast: func(*RoundPlan) ([]byte, int64) {
+			h.t1OverM = h.cs.t1 / float64(e.m)
+			return encodeHWBroadcast(2, h.t1OverM, nil), 8
+		},
+		receive: h.receive(2),
 	}, {
 		input:     mapred.NoInput{},
-		mapper:    func() mapred.Mapper { return hwRound2Mapper{} },
-		reducer:   red2,
+		mapper:    func() mapred.Mapper { return hwRound3Mapper{r: h.r} },
+		reducer:   &hwRound3Reducer{k: e.p.K, h: h},
 		pairBytes: pairBytes,
-		// Coordinator -> mappers: T1/m via the Job Configuration (8
-		// modeled bytes).
+		keys:      e.domain,
+		// The paper ships R in the Distributed Cache: the cost model
+		// charges its encoded ids, the mapper factory reads the slice.
 		broadcast: func(rp *RoundPlan) ([]byte, int64) {
-			t1OverM = red1.T1 / float64(e.m)
-			rp.setThreshold(t1OverM)
-			return encodeHWBroadcast(2, t1OverM, nil), 8
+			rp.metrics.CandidateSetSize = len(h.r)
+			return encodeHWBroadcast(3, h.t1OverM, h.r), indexSetBytes(h.r)
 		},
-		receive: hwReceive(2),
-	}, {
-		input:     mapred.NoInput{},
-		mapper:    func() mapred.Mapper { return hwRound3Mapper{} },
-		reducer:   &hwRound3Reducer{k: e.p.K},
-		pairBytes: pairBytes,
-		// Coordinator -> mappers: R via the Distributed Cache.
-		broadcast: func(rp *RoundPlan) ([]byte, int64) {
-			rp.metrics.CandidateSetSize = len(red2.R)
-			rp.cache.Put(cacheRName, encodeIndexSet(red2.R))
-			return encodeHWBroadcast(3, t1OverM, red2.R), indexSetBytes(red2.R)
-		},
-		receive: hwReceive(3),
+		receive: h.receive(3),
 	}}
 }
 
-const (
-	confT1OverM = "hwtopk.t1.over.m"
-	cacheRName  = "hwtopk.candidates"
-)
+// hwRounds is what one plan's rounds hand each other: the coordinator's
+// candidate table, built by round 1's reducer and pruned in place by
+// round 2's, and what the mappers of rounds 2 and 3 read. On the
+// coordinator the broadcasts set t1OverM and r; on a worker receive does.
+type hwRounds struct {
+	cs      *coordState
+	t1OverM float64
+	r       []int64 // the candidate set R, ascending
+}
 
 // Per-split state is round-versioned (splitStateKey): round 1 writes its
 // unsent coefficients, round 2 writes the post-filter remainder and leaves
 // the round-1 file intact.
 func hwStateR1(split int) int { return splitStateKey(1, split) }
 func hwStateR2(split int) int { return splitStateKey(2, split) }
-
-// setThreshold installs T1/m into the Job Configuration.
-func (rp *RoundPlan) setThreshold(t1OverM float64) {
-	rp.conf[confT1OverM] = strconv.FormatFloat(t1OverM, 'g', -1, 64)
-}
 
 // Round broadcasts are binary blobs shipped inside map RPCs: round 2
 // carries T1/m, round 3 carries T1/m plus the candidate set R. T1/m rides
@@ -106,9 +113,10 @@ func encodeHWBroadcast(round int, t1OverM float64, r []int64) []byte {
 	return b
 }
 
-// hwReceive installs round's broadcast blob on a worker.
-func hwReceive(round int) func(*RoundPlan, []byte) error {
-	return func(rp *RoundPlan, b []byte) error {
+// receive decodes round's broadcast blob on a worker, once per call of
+// MapRoundSplits.
+func (h *hwRounds) receive(round int) func([]byte) error {
+	return func(b []byte) error {
 		if len(b) < 16 {
 			return fmt.Errorf("core: truncated round-%d broadcast", round)
 		}
@@ -116,15 +124,16 @@ func hwReceive(round int) func(*RoundPlan, []byte) error {
 		if int(tag) != round {
 			return fmt.Errorf("core: broadcast is for round %d, want %d", tag, round)
 		}
-		t1OverM, off := mapred.ReadFloat64(b, off)
-		rp.setThreshold(t1OverM)
-		if round >= 3 {
-			if len(b) <= off {
-				return fmt.Errorf("core: round-3 broadcast missing candidate set")
-			}
-			rp.cache.Put(cacheRName, b[off:])
+		h.t1OverM, off = mapred.ReadFloat64(b, off)
+		if round < 3 {
+			return nil
 		}
-		return nil
+		if len(b) <= off {
+			return fmt.Errorf("core: round-3 broadcast missing candidate set")
+		}
+		r, err := decodeIndexSet(b[off:])
+		h.r = r
+		return err
 	}
 }
 
@@ -198,44 +207,35 @@ func selectTwoSided(coefs []wavelet.Coef, hi *heap.TopK, lo *heap.BottomK) {
 	}
 }
 
-// hwRound1Reducer builds ŵ_i and F_i, computes T1, persists state.
+// hwRound1Reducer builds ŵ_i and F_i and computes T1, then hands the
+// candidate table to round 2.
 type hwRound1Reducer struct {
 	k         int
-	m         int
-	entries   map[int64]*coordEntry
+	h         *hwRounds
+	cs        *coordState
 	tildeHigh []float64 // w̃⁺_j floored at 0 (zeros pad sparse splits)
 	tildeLow  []float64 // w̃⁻_j capped at 0
-	T1        float64
 }
 
 func (r *hwRound1Reducer) Setup(ctx *mapred.TaskContext) error {
-	r.m = ctx.NumSplits
-	r.entries = make(map[int64]*coordEntry)
-	r.tildeHigh = make([]float64, r.m)
-	r.tildeLow = make([]float64, r.m)
+	r.cs = &coordState{m: ctx.NumSplits, entries: make(map[int64]*coordEntry)}
+	r.tildeHigh = make([]float64, ctx.NumSplits)
+	r.tildeLow = make([]float64, ctx.NumSplits)
 	return nil
 }
 
 func (r *hwRound1Reducer) Reduce(_ *mapred.TaskContext, key int64, vals []mapred.KV) error {
-	e := r.entries[key]
-	if e == nil {
-		e = &coordEntry{recv: newBitset(r.m)}
-		r.entries[key] = e
-	}
 	for _, kv := range vals {
-		j := int(kv.Src)
 		switch kv.Tag {
 		case mapred.TagMarkHigh:
-			r.tildeHigh[j] = math.Max(kv.Val, 0)
+			r.tildeHigh[kv.Src] = math.Max(kv.Val, 0)
 		case mapred.TagMarkLow:
-			r.tildeLow[j] = math.Min(kv.Val, 0)
+			r.tildeLow[kv.Src] = math.Min(kv.Val, 0)
 		}
-		if e.recv.Get(j) {
-			continue // duplicate: item was in both the top-k and bottom-k sets
-		}
-		e.recv.Set(j)
-		e.wHat += kv.Val
 	}
+	// An item in both the top-k and bottom-k sets arrives twice from its
+	// split; add counts it once.
+	r.cs.entry(key).add(vals)
 	return nil
 }
 
@@ -243,12 +243,12 @@ func (r *hwRound1Reducer) Close(ctx *mapred.TaskContext) error {
 	// τ⁺(x) = ŵ_x + Σ_{j not received} w̃⁺_j (and symmetrically τ⁻);
 	// computed as total minus the received splits' contributions.
 	var totalHigh, totalLow float64
-	for j := 0; j < r.m; j++ {
+	for j := range r.tildeHigh {
 		totalHigh += r.tildeHigh[j]
 		totalLow += r.tildeLow[j]
 	}
 	t1h := heap.NewTopK(r.k)
-	for id, e := range r.entries {
+	for id, e := range r.cs.entries {
 		hiMiss, loMiss := totalHigh, totalLow
 		e.recv.ForEachSet(func(j int) {
 			hiMiss -= r.tildeHigh[j]
@@ -257,33 +257,28 @@ func (r *hwRound1Reducer) Close(ctx *mapred.TaskContext) error {
 		tauPlus := e.wHat + hiMiss
 		tauMinus := e.wHat + loMiss
 		t1h.Push(heap.Item{ID: id, Score: topk.MagnitudeLowerBound(tauPlus, tauMinus)})
-		ctx.AddWork(float64(r.m) / 8)
+		ctx.AddWork(float64(r.cs.m) / 8)
 	}
 	if t1h.Full() {
 		it, _ := t1h.Min()
-		r.T1 = it.Score
+		r.cs.t1 = it.Score
 	}
-	cs := &coordState{m: r.m, t1: r.T1, entries: r.entries}
-	ctx.State.Put(mapred.ReducerState, cs.encode())
+	r.h.cs = r.cs
 	return nil
 }
 
 // ---------- Round 2 ----------
 
 // hwRound2Mapper reads no input; it emits round-1 state coefficients above
-// T1/m and writes the remainder as its round-2 state.
-type hwRound2Mapper struct{}
+// thresh = T1/m and writes the remainder as its round-2 state.
+type hwRound2Mapper struct{ thresh float64 }
 
 func (hwRound2Mapper) Setup(*mapred.TaskContext) error { return nil }
 func (hwRound2Mapper) Map(*mapred.TaskContext, hdfs.Record, *mapred.Emitter) error {
 	return nil
 }
 
-func (hwRound2Mapper) Close(ctx *mapred.TaskContext, out *mapred.Emitter) error {
-	thresh, err := strconv.ParseFloat(ctx.Conf[confT1OverM], 64)
-	if err != nil {
-		return fmt.Errorf("hwtopk: missing %s: %w", confT1OverM, err)
-	}
+func (m hwRound2Mapper) Close(ctx *mapred.TaskContext, out *mapred.Emitter) error {
 	state := ctx.State.Get(hwStateR1(ctx.SplitID))
 	st, err := openCoefState(state)
 	if err != nil {
@@ -295,7 +290,7 @@ func (hwRound2Mapper) Close(ctx *mapred.TaskContext, out *mapred.Emitter) error 
 	var keep []byte
 	run := 0
 	for i := 0; i < st.n; i++ {
-		if v := st.value(i); math.Abs(v) > thresh {
+		if v := st.value(i); math.Abs(v) > m.thresh {
 			out.Emit(mapred.KV{Key: st.index(i), Val: v, Src: int32(ctx.SplitID)})
 			if keep == nil {
 				keep = make([]byte, coefStateHeader, coefStateHeader+len(st.b))
@@ -319,53 +314,32 @@ func (hwRound2Mapper) Close(ctx *mapred.TaskContext, out *mapred.Emitter) error 
 	return nil
 }
 
-// hwRound2Reducer refines bounds, computes T2, prunes R.
+// hwRound2Reducer adds the pairs that cleared T1/m to round 1's table,
+// refines bounds, computes T2 and prunes the table to the candidate set R.
 type hwRound2Reducer struct {
-	k  int
-	cs *coordState
-	// R is the surviving candidate set (read by the driver after the
-	// round to populate the Distributed Cache).
-	R []int64
+	k int
+	h *hwRounds
 }
 
-func (r *hwRound2Reducer) Setup(ctx *mapred.TaskContext) error {
-	cs, err := decodeCoordState(ctx.State.Get(mapred.ReducerState))
-	if err != nil {
-		return err
-	}
-	r.cs = cs
-	return nil
-}
+func (*hwRound2Reducer) Setup(*mapred.TaskContext) error { return nil }
 
 func (r *hwRound2Reducer) Reduce(_ *mapred.TaskContext, key int64, vals []mapred.KV) error {
-	e := r.cs.entries[key]
-	if e == nil {
-		e = &coordEntry{recv: newBitset(r.cs.m)}
-		r.cs.entries[key] = e
-	}
-	for _, kv := range vals {
-		j := int(kv.Src)
-		if e.recv.Get(j) {
-			continue
-		}
-		e.recv.Set(j)
-		e.wHat += kv.Val
-	}
+	r.h.cs.entry(key).add(vals)
 	return nil
 }
 
 func (r *hwRound2Reducer) Close(ctx *mapred.TaskContext) error {
-	m := float64(r.cs.m)
-	thresh := r.cs.t1 / m
+	cs := r.h.cs
+	thresh := cs.t1 / float64(cs.m)
 	// Refined bounds: unsent (j, x) now guarantees |w_xj| <= T1/m, so
 	// τ± = ŵ_x ± ‖F_x‖·T1/m (Appendix A).
 	type refined struct {
 		plus, minus float64
 	}
-	bounds := make(map[int64]refined, len(r.cs.entries))
+	bounds := make(map[int64]refined, len(cs.entries))
 	t2h := heap.NewTopK(r.k)
-	for id, e := range r.cs.entries {
-		missing := float64(r.cs.m - e.recv.Count())
+	for id, e := range cs.entries {
+		missing := float64(cs.m - e.recv.Count())
 		tp := e.wHat + missing*thresh
 		tm := e.wHat - missing*thresh
 		bounds[id] = refined{tp, tm}
@@ -378,38 +352,35 @@ func (r *hwRound2Reducer) Close(ctx *mapred.TaskContext) error {
 		t2 = it.Score
 	}
 	// Prune: drop x when even max(|τ⁺|, |τ⁻|) cannot reach T2.
+	var cands []int64
 	for id, b := range bounds {
 		if topk.MagnitudeUpperBound(b.plus, b.minus) < t2 {
-			delete(r.cs.entries, id)
+			delete(cs.entries, id)
 		} else {
-			r.R = append(r.R, id)
+			cands = append(cands, id)
 		}
 	}
 	// Canonical order: bounds is a map, and an iteration-ordered R would
 	// make the round-3 broadcast bytes vary run to run — breaking both
 	// broadcast-size determinism and the workers' broadcast-hashed
 	// partial-cache keys.
-	slices.Sort(r.R)
-	ctx.State.Put(mapred.ReducerState, r.cs.encode())
+	slices.Sort(cands)
+	r.h.r = cands
 	return nil
 }
 
 // ---------- Round 3 ----------
 
-// hwRound3Mapper emits unsent coefficients for candidate indices in R
-// (read from the Distributed Cache).
-type hwRound3Mapper struct{}
+// hwRound3Mapper emits unsent coefficients for the candidate indices r
+// (R, ascending).
+type hwRound3Mapper struct{ r []int64 }
 
 func (hwRound3Mapper) Setup(*mapred.TaskContext) error { return nil }
 func (hwRound3Mapper) Map(*mapred.TaskContext, hdfs.Record, *mapred.Emitter) error {
 	return nil
 }
 
-func (hwRound3Mapper) Close(ctx *mapred.TaskContext, out *mapred.Emitter) error {
-	r, err := decodeIndexSet(ctx.Cache.Get(cacheRName))
-	if err != nil {
-		return err
-	}
+func (m hwRound3Mapper) Close(ctx *mapred.TaskContext, out *mapred.Emitter) error {
 	state := ctx.State.Get(hwStateR2(ctx.SplitID))
 	st, err := openCoefState(state)
 	if err != nil {
@@ -421,7 +392,7 @@ func (hwRound3Mapper) Close(ctx *mapred.TaskContext, out *mapred.Emitter) error 
 	// of the sorted R is binary-searched in the index-ordered state past
 	// the previous hit, O(|R| log n) rather than a scan of all n.
 	lo := 0
-	for _, idx := range r {
+	for _, idx := range m.r {
 		lo += sort.Search(st.n-lo, func(i int) bool { return st.index(lo+i) >= idx })
 		if lo == st.n {
 			break
@@ -441,39 +412,25 @@ func (hwRound3Mapper) Close(ctx *mapred.TaskContext, out *mapred.Emitter) error 
 // into a 1D or 2D representation).
 type hwRound3Reducer struct {
 	k     int
-	cs    *coordState
+	h     *hwRounds
 	coefs []wavelet.Coef
 }
 
-func (r *hwRound3Reducer) Setup(ctx *mapred.TaskContext) error {
-	cs, err := decodeCoordState(ctx.State.Get(mapred.ReducerState))
-	if err != nil {
-		return err
-	}
-	r.cs = cs
-	return nil
-}
+func (*hwRound3Reducer) Setup(*mapred.TaskContext) error { return nil }
 
 func (r *hwRound3Reducer) Reduce(_ *mapred.TaskContext, key int64, vals []mapred.KV) error {
-	e := r.cs.entries[key]
+	e := r.h.cs.entries[key]
 	if e == nil {
-		// Cannot happen: round-3 mappers only emit candidates.
+		// Round-3 mappers only emit candidates: the partial is corrupt.
 		return fmt.Errorf("hwtopk: round-3 pair for non-candidate %d", key)
 	}
-	for _, kv := range vals {
-		j := int(kv.Src)
-		if e.recv.Get(j) {
-			continue
-		}
-		e.recv.Set(j)
-		e.wHat += kv.Val
-	}
+	e.add(vals)
 	return nil
 }
 
 func (r *hwRound3Reducer) Close(ctx *mapred.TaskContext) error {
-	coefs := make([]wavelet.Coef, 0, len(r.cs.entries))
-	for id, e := range r.cs.entries {
+	coefs := make([]wavelet.Coef, 0, len(r.h.cs.entries))
+	for id, e := range r.h.cs.entries {
 		// Round 3 made candidate sums exact (every split's score was
 		// either shipped in rounds 1-3 or is zero), so ŵ = 0 is a true
 		// zero coefficient. Drop it: Send-V's sparse transform never

@@ -7,7 +7,6 @@ import (
 	"math"
 	"runtime"
 	"slices"
-	"strconv"
 	"testing"
 
 	"wavelethist/internal/hdfs"
@@ -126,10 +125,10 @@ func encodeStateRef(coefs []wavelet.Coef) []byte {
 	return b
 }
 
-// stateMapJob is a one-split job whose mapper reads only conf, cache and
-// store: the round-2 or round-3 map task of split 0. RunMapSplit never
+// stateMapJob is a one-split job whose mapper reads only its own fields
+// and store: the round-2 or round-3 map task of split 0. RunMapSplit never
 // runs the reducer; the job only needs one to be valid.
-func stateMapJob(mapper mapred.Mapper, conf mapred.Conf, cache *mapred.DistCache, store *mapred.StateStore) *mapred.Job {
+func stateMapJob(mapper mapred.Mapper, store *mapred.StateStore) *mapred.Job {
 	return &mapred.Job{
 		Name:      "hwtopk-state",
 		Splits:    []hdfs.Split{{}},
@@ -137,7 +136,7 @@ func stateMapJob(mapper mapred.Mapper, conf mapred.Conf, cache *mapred.DistCache
 		NewMapper: func(hdfs.Split) mapred.Mapper { return mapper },
 		Reducer:   &hwRound3Reducer{},
 		PairBytes: fixedBytes(16),
-		Conf:      conf, Cache: cache, State: store,
+		State:     store,
 	}
 }
 
@@ -145,8 +144,7 @@ func stateMapJob(mapper mapred.Mapper, conf mapred.Conf, cache *mapred.DistCache
 func round2Job(tb testing.TB, r1 []byte, t1OverM float64) (*mapred.Job, *mapred.StateStore) {
 	store := mapred.NewStateStore()
 	store.Adopt(hwStateR1(0), r1)
-	conf := mapred.Conf{confT1OverM: strconv.FormatFloat(t1OverM, 'g', -1, 64)}
-	return stateMapJob(hwRound2Mapper{}, conf, mapred.NewDistCache(), store), store
+	return stateMapJob(hwRound2Mapper{thresh: t1OverM}, store), store
 }
 
 func TestHWRound2StateBytes(t *testing.T) {
@@ -298,9 +296,7 @@ func TestHWRound3ProbeMatchesMergeJoin(t *testing.T) {
 		r2 := encodeStateRef(state)
 		store := mapred.NewStateStore()
 		store.Adopt(hwStateR2(0), r2)
-		cache := mapred.NewDistCache()
-		cache.Put(cacheRName, encodeIndexSet(tc.r))
-		res, err := mapred.RunMapSplit(context.Background(), stateMapJob(hwRound3Mapper{}, mapred.Conf{}, cache, store), 0)
+		res, err := mapred.RunMapSplit(context.Background(), stateMapJob(hwRound3Mapper{r: tc.r}, store), 0)
 		if err != nil {
 			t.Fatal(err)
 		}

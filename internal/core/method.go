@@ -99,13 +99,16 @@ type stage struct {
 	reducer  mapred.Reducer
 	// pairBytes is the paper's encoding of one shuffled pair.
 	pairBytes func(mapred.KV) int
+	// keys bounds every shuffled pair's key to [0, keys): ReduceRound
+	// refuses a partial holding any other.
+	keys int64
 	// broadcast (nil in round 1 and for one-round methods) runs on the
-	// coordinator after the previous round's reduce: it installs what this
-	// round's mappers need into the plan's Conf/Cache and returns the same
-	// as a blob for remote workers plus its modeled byte cost.
+	// coordinator after the previous round's reduce: it hands what this
+	// round's mappers need to the stage's mapper factory and returns the
+	// same as a blob for remote workers plus its modeled byte cost.
 	broadcast func(rp *RoundPlan) (blob []byte, modeled int64)
-	// receive installs a broadcast blob on a worker.
-	receive func(rp *RoundPlan, blob []byte) error
+	// receive decodes a broadcast blob on a worker, for the mapper factory.
+	receive func(blob []byte) error
 }
 
 // topReducer is the last round's reducer: it yields the selected

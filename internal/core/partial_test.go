@@ -1,7 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"context"
+	"slices"
+	"strings"
 	"testing"
 
 	"wavelethist/internal/datagen"
@@ -124,9 +127,11 @@ func TestMergePartialsCoverage(t *testing.T) {
 }
 
 // TestReduceRoundRejectsCorruptPartials: a partial whose pairs name
-// another split or break key order (a corrupt worker frame or checkpoint
-// file) fails the round with an error, rather than indexing a reducer's
-// per-split state out of range or silently changing its Reduce calls.
+// another split, break key order or hold a key outside the stage's domain
+// (a corrupt worker frame or checkpoint file) fails the round with an
+// error, rather than indexing a reducer's per-split state or a sketch out
+// of range, publishing a coefficient outside [0, u), or silently changing
+// the reducer's Reduce calls.
 func TestReduceRoundRejectsCorruptPartials(t *testing.T) {
 	f := partialTestFile(t)
 	ctx := context.Background()
@@ -136,10 +141,14 @@ func TestReduceRoundRejectsCorruptPartials(t *testing.T) {
 	for i := range all {
 		all[i] = i
 	}
-	for method, corrupt := range map[string]func(pairs []mapred.KV){
+	type row struct {
+		name, method string
+		corrupt      func(pairs []mapred.KV)
+	}
+	rows := []row{{
 		// Src = m on split 1's k-th-highest mark, which round 1's
 		// reducer records per source split.
-		MethodHWTopk: func(pairs []mapred.KV) {
+		MethodHWTopk, MethodHWTopk, func(pairs []mapred.KV) {
 			for i := range pairs {
 				if pairs[i].Tag == mapred.TagMarkHigh {
 					pairs[i].Src = int32(m)
@@ -148,15 +157,25 @@ func TestReduceRoundRejectsCorruptPartials(t *testing.T) {
 			}
 			t.Fatal("split 1 shipped no k-th-highest mark")
 		},
-		MethodSendV: func(pairs []mapred.KV) { pairs[0], pairs[1] = pairs[1], pairs[0] },
-	} {
-		t.Run(method, func(t *testing.T) {
+	}, {
+		MethodSendV, MethodSendV, func(pairs []mapred.KV) { pairs[0], pairs[1] = pairs[1], pairs[0] },
+	}}
+	// Out-of-domain keys that keep key order: u past the last key, and -1
+	// for the first.
+	for _, alg := range Algorithms() {
+		rows = append(rows,
+			row{alg.Name() + "/u+key", alg.Name(), func(pairs []mapred.KV) { pairs[len(pairs)-1].Key += p.U }},
+			row{alg.Name() + "/-1", alg.Name(), func(pairs []mapred.KV) { pairs[0].Key = -1 }})
+	}
+	for _, tc := range rows {
+		method, corrupt := tc.method, tc.corrupt
+		t.Run(tc.name, func(t *testing.T) {
 			parts, _, err := MapRoundSplits(ctx, f, method, p, 1, nil, all, NewWorkerState())
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(parts[1].Pairs) < 2 {
-				t.Fatalf("split 1 shipped %d pairs, want at least 2", len(parts[1].Pairs))
+			if len(parts[1].Pairs) == 0 {
+				t.Fatal("split 1 shipped no pairs")
 			}
 			corrupt(parts[1].Pairs)
 			plan, err := NewRoundPlan(f, method, p)
@@ -167,6 +186,65 @@ func TestReduceRoundRejectsCorruptPartials(t *testing.T) {
 				t.Fatal("reduced a corrupt partial")
 			}
 		})
+	}
+}
+
+// TestReduceRoundFailurePoisonsPlan: H-WTopk's later rounds add into the
+// candidate table round 1 built, so a round-3 reduce that fails after
+// summing some splits leaves the plan failed. Retrying it with the good
+// partials would count those splits twice; it must return an error, and
+// so must Output.
+func TestReduceRoundFailurePoisonsPlan(t *testing.T) {
+	f := partialTestFile(t)
+	ctx := context.Background()
+	p := Params{U: 1 << 10, K: 10, Seed: 5}
+	plan, err := NewRoundPlan(f, MethodHWTopk, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := plan.NumSplits()
+	all := make([]int, m)
+	for i := range all {
+		all[i] = i
+	}
+	ws := NewWorkerState()
+	var good []SplitPartial
+	for r := 1; r <= 3; r++ {
+		bcast := plan.Broadcast(r)
+		if good, _, err = MapRoundSplits(ctx, f, MethodHWTopk, p, r, bcast, all, ws); err != nil {
+			t.Fatal(err)
+		}
+		if r == 3 {
+			break
+		}
+		if err := plan.ReduceRound(ctx, r, good); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The last split also ships the smallest non-candidate, in key order.
+	r, err := decodeIndexSet(plan.Broadcast(3)[16:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var x int64
+	for _, c := range r {
+		if c != x {
+			break
+		}
+		x++
+	}
+	bad := slices.Clone(good)
+	last := &bad[m-1]
+	at, _ := slices.BinarySearchFunc(last.Pairs, x, func(kv mapred.KV, x int64) int { return cmp.Compare(kv.Key, x) })
+	last.Pairs = slices.Insert(slices.Clone(last.Pairs), at, mapred.KV{Key: x, Val: 1, Src: int32(m - 1)})
+	if err := plan.ReduceRound(ctx, 3, bad); err == nil || !strings.Contains(err.Error(), "non-candidate") {
+		t.Fatalf("round 3 with a non-candidate pair: err = %v", err)
+	}
+	if err := plan.ReduceRound(ctx, 3, good); err == nil {
+		t.Error("retried round 3 on a plan whose round-3 reduce failed")
+	}
+	if _, err := plan.Output(); err == nil {
+		t.Error("Output of a plan whose round-3 reduce failed")
 	}
 }
 

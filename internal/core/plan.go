@@ -14,7 +14,7 @@ import (
 // RoundPlan is the single description of a build, for every method: r
 // rounds of (map over splits → one reducer → an optional coordinator
 // broadcast), r = 3 for H-WTopk and 1 for everything else. The plan owns
-// the per-round jobs over one Conf/Cache/State triple, the reducers, the
+// the per-round jobs over one split-state store, the reducers, the
 // between-round broadcast, the metric accumulation and the output; a
 // one-round method is simply a plan whose NumRounds is 1 and whose
 // Broadcast is always nil.
@@ -32,20 +32,20 @@ import (
 // (package dist). ReduceRound is the only reduce. Every task derives its
 // RNG from (seed, split id) and the reducer consumes splits in split
 // order, so both transports produce the same floats, the same state files
-// and the same cost accounting, whichever worker ran which split. Not
-// safe for concurrent use.
+// and the same cost accounting, whichever worker ran which split. A round
+// whose reduce fails leaves the plan failed: a later round's reducer may
+// carry an earlier one's state forward (H-WTopk's candidate table), so a
+// retry could count a split twice. Not safe for concurrent use.
 type RoundPlan struct {
 	spec   *methodSpec
 	p      Params
 	splits []hdfs.Split
 	stages []stage
-
-	conf  mapred.Conf
-	cache *mapred.DistCache
-	state *mapred.StateStore
+	state  *mapred.StateStore
 
 	start            time.Time
-	round            int // last reduced round
+	round            int   // last reduced round
+	err              error // a failed reduce: every later call returns it
 	metrics          Metrics
 	pendingBroadcast int64 // modeled bytes charged to the next round
 	top              []wavelet.Coef
@@ -72,8 +72,6 @@ func newRoundPlan(file *hdfs.File, method string, p Params, state *mapred.StateS
 		spec:   spec,
 		p:      p,
 		splits: file.Splits(p.SplitSize),
-		conf:   mapred.Conf{},
-		cache:  mapred.NewDistCache(),
 		state:  state,
 		start:  time.Now(),
 	}
@@ -114,15 +112,16 @@ func (rp *RoundPlan) job(r int) *mapred.Job {
 		Combiner:  st.combiner,
 		Reducer:   st.reducer,
 		PairBytes: st.pairBytes,
-		Conf:      rp.conf, Cache: rp.cache, State: rp.state, Seed: rp.p.Seed,
+		State:     rp.state,
+		Seed:      rp.p.Seed,
 	}
 }
 
-// Broadcast returns the blob workers need for round r (nil for round 1
-// and for one-round methods) and records its modeled broadcast cost
-// against that round. Call after round r-1 has been reduced.
+// Broadcast returns the blob workers need for round r (nil for round 1,
+// for one-round methods, and unless round r-1 is the last reduced) and
+// records its modeled broadcast cost against that round.
 func (rp *RoundPlan) Broadcast(round int) []byte {
-	if round < 2 || round > len(rp.stages) {
+	if round < 2 || round > len(rp.stages) || round != rp.round+1 {
 		return nil
 	}
 	blob, modeled := rp.stages[round-1].broadcast(rp)
@@ -150,8 +149,11 @@ func (rp *RoundPlan) RunRound(ctx context.Context, round int) error {
 	return rp.ReduceRound(ctx, round, parts)
 }
 
-// nextRound rejects running rounds out of order.
+// nextRound rejects running rounds out of order, or on a failed plan.
 func (rp *RoundPlan) nextRound(round int) error {
+	if rp.err != nil {
+		return rp.err
+	}
 	if round != rp.round+1 || round > rp.NumRounds() {
 		return fmt.Errorf("core: %s: round %d after round %d of %d", rp.spec.name, round, rp.round, rp.NumRounds())
 	}
@@ -163,8 +165,8 @@ func (rp *RoundPlan) nextRound(round int) error {
 // round's reducer, batches consumed in split order so float accumulation
 // never depends on where or when a split was mapped. Partials arrive from
 // worker frames and checkpoint files, so each is held to what every
-// mapper emits — every pair's Src is its split id, keys ascend — before
-// any reaches a reducer.
+// mapper emits — every pair's Src is its split id, keys ascend inside the
+// stage's key bound — before any reaches a reducer.
 func (rp *RoundPlan) ReduceRound(ctx context.Context, round int, parts []SplitPartial) error {
 	method, m := rp.spec.name, len(rp.splits)
 	if err := rp.nextRound(round); err != nil {
@@ -177,6 +179,7 @@ func (rp *RoundPlan) ReduceRound(ctx context.Context, round int, parts []SplitPa
 	copy(ordered, parts)
 	sort.Slice(ordered, func(a, b int) bool { return ordered[a].SplitID < ordered[b].SplitID })
 
+	keys := rp.stages[round-1].keys
 	batches := make([][]mapred.KV, m)
 	tasks := make([]mapred.TaskMetrics, m)
 	var records, bytesRead int64
@@ -185,8 +188,8 @@ func (rp *RoundPlan) ReduceRound(ctx context.Context, round int, parts []SplitPa
 			return fmt.Errorf("core: %s round %d: partials do not cover split %d exactly once", method, round, i)
 		}
 		for j, kv := range part.Pairs {
-			if int(kv.Src) != i || (j > 0 && kv.Key < part.Pairs[j-1].Key) {
-				return fmt.Errorf("core: %s round %d: split %d pair %d (key %d, src %d) is out of order or from another split", method, round, i, j, kv.Key, kv.Src)
+			if int(kv.Src) != i || (j > 0 && kv.Key < part.Pairs[j-1].Key) || kv.Key < 0 || kv.Key >= keys {
+				return fmt.Errorf("core: %s round %d: split %d pair %d (key %d, src %d) is out of order, outside [0, %d) or from another split", method, round, i, j, kv.Key, kv.Src, keys)
 			}
 		}
 		batches[i] = part.Pairs
@@ -196,10 +199,11 @@ func (rp *RoundPlan) ReduceRound(ctx context.Context, round int, parts []SplitPa
 	}
 	res, err := mapred.RunReduce(ctx, rp.job(round), batches)
 	if err != nil {
+		rp.err = err
 		return err
 	}
 	res.MapTasks = tasks
-	res.Counters.MapRecordsRead, res.Counters.MapBytesRead = records, bytesRead
+	res.MapRecordsRead, res.MapBytesRead = records, bytesRead
 	rp.metrics.addRound(res, rp.pendingBroadcast)
 	rp.pendingBroadcast = 0
 	rp.round++
@@ -229,6 +233,9 @@ func (rp *RoundPlan) Output2D() (*Output2D, error) {
 func (rp *RoundPlan) finished(dim int) error {
 	if err := rp.WantDim(dim); err != nil {
 		return err
+	}
+	if rp.err != nil {
+		return rp.err
 	}
 	if rp.round != rp.NumRounds() {
 		return fmt.Errorf("core: %s: only %d of %d rounds reduced", rp.spec.name, rp.round, rp.NumRounds())
@@ -271,8 +278,7 @@ func (ws *WorkerState) Bytes() int64 { return ws.store.TotalBytes() }
 // an earlier round's — so re-running any round's mapper is idempotent: the
 // property the fleet relies on when an RPC fails after a worker already
 // processed it, and what lets a fresh worker replay earlier rounds for a
-// split whose original owner died. (Split ids are >= 0, so the keys never
-// collide with the reducer's mapred.ReducerState key.)
+// split whose original owner died.
 func splitStateKey(round, split int) int { return 2*split + round - 1 }
 
 // MapRoundSplits is a worker's half of a round: the round's map side over
@@ -302,7 +308,7 @@ func MapRoundSplits(ctx context.Context, file *hdfs.File, method string, p Param
 		return nil, nil, fmt.Errorf("core: %s round %d needs a worker state lease", method, round)
 	}
 	if round >= 2 {
-		if err := rp.stages[round-1].receive(rp, bcast); err != nil {
+		if err := rp.stages[round-1].receive(bcast); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -321,8 +327,8 @@ func (rp *RoundPlan) mapSplits(ctx context.Context, round int, splitIDs []int) (
 			return nil, nil, fmt.Errorf("core: %s: split %d out of range [0, %d)", rp.spec.name, id, m)
 		}
 	}
-	// The goroutines share one job per round (its Conf/Cache/State triple
-	// is set, so nothing is lazily created under them); results land in
+	// The goroutines share one job per round (its state store is set, so
+	// nothing is lazily created under them); results land in
 	// position-indexed slots and per-split state writes are disjoint.
 	jobs := make([]*mapred.Job, round+1)
 	for r := 1; r <= round; r++ {

@@ -43,6 +43,7 @@ func sampledStage(e *env, mapper func() mapred.Mapper) stage {
 		mapper:    mapper,
 		reducer:   &estimateReducer{k: e.p.K, p: e.prob, tf: e.tf},
 		pairBytes: fixedBytes(8),
+		keys:      e.domain,
 	}
 }
 
@@ -129,6 +130,7 @@ func twoLevelSStages(e *env) []stage {
 			}
 			return kb + 4
 		},
+		keys: e.domain,
 	}}
 }
 

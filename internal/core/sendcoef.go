@@ -19,6 +19,7 @@ func sendCoefStages(e *env) []stage {
 		reducer: &sendCoefReducer{k: e.p.K},
 		// Wire format: 4-byte coefficient index + 8-byte double.
 		pairBytes: fixedBytes(12),
+		keys:      e.domain,
 	}}
 }
 

@@ -21,6 +21,9 @@ import (
 // distinct key touches log2(u)+1 coefficients, each updating
 // levels×depth sketch cells.
 func sendSketchStages(e *env) []stage {
+	// The level count depends on u and the degree only, so a sketch of one
+	// cell per level has the budgeted sketch's levels.
+	levels := sketch.NewGCS(e.p.U, e.p.SketchDegree, 1, 1, 1, 0).Levels()
 	return []stage{{
 		input:   mapred.SequentialInput{},
 		mapper:  func() mapred.Mapper { return &sendSketchMapper{splitCollector{domain: e.p.U}, e.p} },
@@ -28,6 +31,9 @@ func sendSketchStages(e *env) []stage {
 		// Sketch entries: 4-byte cell index + 8-byte double (Section 5's
 		// stated widths).
 		pairBytes: fixedBytes(12),
+		// Keys pack level·2^40 + cell (GCS.NonZeroEntries); AddEntry
+		// refuses a cell past its level's end.
+		keys: int64(levels) << 40,
 	}}
 }
 
@@ -90,7 +96,9 @@ func (r *sendSketchReducer) Setup(*mapred.TaskContext) error {
 
 func (r *sendSketchReducer) Reduce(_ *mapred.TaskContext, key int64, vals []mapred.KV) error {
 	for _, kv := range vals {
-		r.g.AddEntry(key, kv.Val)
+		if err := r.g.AddEntry(key, kv.Val); err != nil {
+			return err
+		}
 	}
 	return nil
 }

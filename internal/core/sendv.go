@@ -19,6 +19,7 @@ func sendVStages(e *env) []stage {
 		// Wire format: key + 4-byte count ("we use 4-byte integers to
 		// represent v(x) in a Mapper", Section 5).
 		pairBytes: fixedBytes(e.keyBytes() + 4),
+		keys:      e.domain,
 	}}
 }
 

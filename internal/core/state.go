@@ -11,9 +11,9 @@ import (
 	"wavelethist/internal/wavelet"
 )
 
-// Binary encodings for H-WTopk's persistent state (the paper's per-split
-// HDFS state files and the coordinator's local file) and for the
-// candidate-set R payload placed in the Distributed Cache.
+// Binary encodings for H-WTopk's per-split state files (the paper's HDFS
+// state files) and for the candidate set R in the round-3 broadcast; and
+// the coordinator's in-memory candidate table.
 
 // A coefficient list is [count int64] then count fixed 16-byte records
 // [index int64][value float64], little-endian. The mappers write it in
@@ -108,64 +108,37 @@ type coordEntry struct {
 	recv *bitset
 }
 
-// coordState is the coordinator's persistent state between rounds.
+// add folds a split's pairs for this item into ŵ, once per split.
+func (e *coordEntry) add(vals []mapred.KV) {
+	for _, kv := range vals {
+		j := int(kv.Src)
+		if e.recv.Get(j) {
+			continue
+		}
+		e.recv.Set(j)
+		e.wHat += kv.Val
+	}
+}
+
+// coordState is the coordinator's candidate table: built by round 1's
+// reducer, extended and pruned by round 2's, finalized by round 3's.
 type coordState struct {
 	m       int
 	t1      float64
 	entries map[int64]*coordEntry
 }
 
-// encode serializes the coordinator state (t1 + entries with bitsets).
-func (cs *coordState) encode() []byte {
-	b := mapred.AppendInt64(nil, int64(cs.m))
-	b = mapred.AppendFloat64(b, cs.t1)
-	b = mapred.AppendInt64(b, int64(len(cs.entries)))
-	words := (cs.m + 63) / 64
-	for i, e := range cs.entries {
-		b = mapred.AppendInt64(b, i)
-		b = mapred.AppendFloat64(b, e.wHat)
-		for w := 0; w < words; w++ {
-			b = mapred.AppendUint64(b, e.recv.words[w])
-		}
+// entry returns item i's entry, creating an empty one.
+func (cs *coordState) entry(i int64) *coordEntry {
+	e := cs.entries[i]
+	if e == nil {
+		e = &coordEntry{recv: newBitset(cs.m)}
+		cs.entries[i] = e
 	}
-	return b
+	return e
 }
 
-func decodeCoordState(b []byte) (*coordState, error) {
-	if len(b) < 24 {
-		return nil, fmt.Errorf("core: truncated coordinator state")
-	}
-	var cs coordState
-	var m64, cnt int64
-	off := 0
-	m64, off = mapred.ReadInt64(b, off)
-	cs.m = int(m64)
-	cs.t1, off = mapred.ReadFloat64(b, off)
-	cnt, off = mapred.ReadInt64(b, off)
-	if cs.m < 0 || cs.m > len(b)*8 {
-		return nil, fmt.Errorf("core: corrupt coordinator state (m=%d)", cs.m)
-	}
-	words := (cs.m + 63) / 64
-	entryBytes := int64(16 + 8*words)
-	if cnt < 0 || cnt > int64(len(b)-off)/entryBytes {
-		return nil, fmt.Errorf("core: corrupt coordinator state")
-	}
-	cs.entries = make(map[int64]*coordEntry, cnt)
-	for c := int64(0); c < cnt; c++ {
-		var idx int64
-		var wh float64
-		idx, off = mapred.ReadInt64(b, off)
-		wh, off = mapred.ReadFloat64(b, off)
-		e := &coordEntry{wHat: wh, recv: newBitset(cs.m)}
-		for w := 0; w < words; w++ {
-			e.recv.words[w], off = mapred.ReadUint64(b, off)
-		}
-		cs.entries[idx] = e
-	}
-	return &cs, nil
-}
-
-// encodeIndexSet serializes the candidate set R for the Distributed Cache.
+// encodeIndexSet serializes the candidate set R for the round-3 broadcast.
 // Indices use 4 bytes (the paper's ids) unless any exceeds 32 bits — 2D
 // packed indices over large domains — in which case 8-byte ids are used.
 // indexSetBytes reports the same width for wire-cost accounting.

@@ -72,61 +72,12 @@ func TestDecodeCoefsCorrupt(t *testing.T) {
 
 func TestDecodersQuickNeverPanic(t *testing.T) {
 	f := func(b []byte) bool {
-		_, _ = decodeCoefs(b)      // must not panic
-		_, _ = decodeCoordState(b) // must not panic
-		_, _ = decodeIndexSet(b)   // must not panic
+		_, _ = decodeCoefs(b)    // must not panic
+		_, _ = decodeIndexSet(b) // must not panic
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestCoordStateRoundTrip(t *testing.T) {
-	cs := &coordState{m: 70, t1: 3.25, entries: map[int64]*coordEntry{}}
-	e1 := &coordEntry{wHat: -5.5, recv: newBitset(70)}
-	e1.recv.Set(0)
-	e1.recv.Set(63)
-	e1.recv.Set(69)
-	cs.entries[42] = e1
-	e2 := &coordEntry{wHat: 9, recv: newBitset(70)}
-	cs.entries[7] = e2
-
-	got, err := decodeCoordState(cs.encode())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.m != 70 || got.t1 != 3.25 || len(got.entries) != 2 {
-		t.Fatalf("header mismatch: %+v", got)
-	}
-	g1 := got.entries[42]
-	if g1 == nil || g1.wHat != -5.5 {
-		t.Fatalf("entry 42 = %+v", g1)
-	}
-	for _, bit := range []int{0, 63, 69} {
-		if !g1.recv.Get(bit) {
-			t.Errorf("bit %d lost", bit)
-		}
-	}
-	if g1.recv.Count() != 3 {
-		t.Errorf("count = %d", g1.recv.Count())
-	}
-	if got.entries[7].recv.Count() != 0 {
-		t.Error("entry 7 should have no received bits")
-	}
-}
-
-func TestDecodeCoordStateCorrupt(t *testing.T) {
-	cases := [][]byte{nil, {1}, make([]byte, 23)}
-	cs := &coordState{m: 4, t1: 1, entries: map[int64]*coordEntry{
-		1: {wHat: 2, recv: newBitset(4)},
-	}}
-	enc := cs.encode()
-	cases = append(cases, enc[:len(enc)-4]) // truncated entry
-	for i, b := range cases {
-		if _, err := decodeCoordState(b); err == nil {
-			t.Errorf("case %d: corrupt coordinator state accepted", i)
-		}
 	}
 }
 

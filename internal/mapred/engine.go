@@ -45,12 +45,8 @@ func RunMapSplit(ctx context.Context, job *Job, idx int) (*MapSplitResult, error
 	}
 	split := job.Splits[idx]
 	tctx := &TaskContext{
-		JobName:   job.Name,
-		Split:     split,
 		SplitID:   idx,
 		NumSplits: len(job.Splits),
-		Conf:      job.Conf,
-		Cache:     job.Cache,
 		State:     job.State,
 		RNG:       taskRNG(job.Seed, idx),
 	}
@@ -100,21 +96,18 @@ func RunMapSplit(ctx context.Context, job *Job, idx int) (*MapSplitResult, error
 // RunReduce executes the reduce task of a job over per-split pair batches,
 // each sorted by key, fed in the order given: Setup, one Reduce per run of
 // equal keys within a batch, Close. The Result carries the reduce-side and
-// shuffle costs; the map-side ones (MapTasks, the scan counters) are the
-// caller's to fill from its MapSplitResults.
+// shuffle costs; the map-side ones (MapTasks, MapRecordsRead,
+// MapBytesRead) are the caller's to fill from its MapSplitResults.
 func RunReduce(ctx context.Context, job *Job, batches [][]KV) (*Result, error) {
 	if err := job.validate(); err != nil {
 		return nil, err
 	}
 	job.fillDefaults()
 	tctx := &TaskContext{
-		JobName:   job.Name,
-		SplitID:   ReducerState,
+		SplitID:   -1,
 		NumSplits: len(job.Splits),
-		Conf:      job.Conf,
-		Cache:     job.Cache,
 		State:     job.State,
-		RNG:       taskRNG(job.Seed, ReducerState),
+		RNG:       taskRNG(job.Seed, -1),
 	}
 	if err := job.Reducer.Setup(tctx); err != nil {
 		return nil, fmt.Errorf("mapred: %s: reducer setup: %w", job.Name, err)
@@ -145,7 +138,6 @@ func RunReduce(ctx context.Context, job *Job, batches [][]KV) (*Result, error) {
 		return nil, fmt.Errorf("mapred: %s: reducer close: %w", job.Name, err)
 	}
 	res.ReduceCPU = tctx.cpuUnits + float64(res.ReduceCalls)
-	res.Counters = Counters{PairsShuffled: res.PairsShuffled, ShuffleBytes: res.ShuffleBytes, ReduceCalls: res.ReduceCalls}
 	return res, nil
 }
 

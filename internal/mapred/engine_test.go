@@ -73,7 +73,7 @@ func runJob(job *Job) (*Result, error) {
 		return nil, err
 	}
 	res.MapTasks = tasks
-	res.Counters.MapRecordsRead, res.Counters.MapBytesRead = records, bytesRead
+	res.MapRecordsRead, res.MapBytesRead = records, bytesRead
 	return res, nil
 }
 
@@ -197,7 +197,7 @@ func (sm stateMapper) Close(ctx *TaskContext, out *Emitter) error {
 	case 1:
 		var b []byte
 		b = AppendInt64(b, int64(ctx.SplitID)*100)
-		ctx.State.Put(ctx.SplitID, b)
+		ctx.State.Adopt(ctx.SplitID, b)
 	case 2:
 		b := ctx.State.Get(ctx.SplitID)
 		if b == nil {
@@ -209,21 +209,20 @@ func (sm stateMapper) Close(ctx *TaskContext, out *Emitter) error {
 	return nil
 }
 
-func TestMultiRoundStateAndConf(t *testing.T) {
+func TestMultiRoundState(t *testing.T) {
 	splits := makeDataset(t, repeatKeys(64, 50), 64)
 	state := NewStateStore()
-	cache := NewDistCache()
 	red1 := &sumReducer{}
 	red2 := &sumReducer{}
 	round1 := &Job{
 		Name: "r1", Splits: splits, Input: SequentialInput{},
 		NewMapper: func(hdfs.Split) Mapper { return stateMapper{round: 1} },
-		Reducer:   red1, State: state, Cache: cache, Seed: 3,
+		Reducer:   red1, State: state, Seed: 3,
 	}
 	round2 := &Job{
 		Name: "r2", Splits: splits, Input: NoInput{},
 		NewMapper: func(hdfs.Split) Mapper { return stateMapper{round: 2} },
-		Reducer:   red2, State: state, Cache: cache, Seed: 3,
+		Reducer:   red2, State: state, Seed: 3,
 	}
 	var results []*Result
 	for _, j := range []*Job{round1, round2} {
@@ -232,21 +231,16 @@ func TestMultiRoundStateAndConf(t *testing.T) {
 			t.Fatal(err)
 		}
 		results = append(results, res)
-		// Between rounds the driver updates the distributed cache.
-		cache.Put("threshold", AppendFloat64(nil, 42.5))
 	}
 	// Round 2 reads no input records.
-	if results[1].Counters.MapRecordsRead != 0 {
-		t.Errorf("round 2 read %d records, want 0", results[1].Counters.MapRecordsRead)
+	if results[1].MapRecordsRead != 0 {
+		t.Errorf("round 2 read %d records, want 0", results[1].MapRecordsRead)
 	}
 	// Sum over splits of splitID*100.
 	m := len(splits)
 	want := float64(100 * m * (m - 1) / 2)
 	if red2.totals[0] != want {
 		t.Errorf("round-2 total = %v, want %v", red2.totals[0], want)
-	}
-	if got := cache.Get("threshold"); len(got) != 8 {
-		t.Errorf("cache file = %v", got)
 	}
 }
 
@@ -273,12 +267,12 @@ func TestRandomSampleInput(t *testing.T) {
 	if sampled < 800 || sampled > 1200 {
 		t.Errorf("sampled %v records, want ~1000", sampled)
 	}
-	if res.Counters.MapRecordsRead != int64(sampled) {
-		t.Errorf("records read %d != sampled %v", res.Counters.MapRecordsRead, sampled)
+	if res.MapRecordsRead != int64(sampled) {
+		t.Errorf("records read %d != sampled %v", res.MapRecordsRead, sampled)
 	}
 	// Sampling reads only the sampled records' bytes.
-	if res.Counters.MapBytesRead >= int64(len(keys)*4) {
-		t.Errorf("sampling read the whole input: %d bytes", res.Counters.MapBytesRead)
+	if res.MapBytesRead >= int64(len(keys)*4) {
+		t.Errorf("sampling read the whole input: %d bytes", res.MapBytesRead)
 	}
 }
 
@@ -346,14 +340,14 @@ func TestCountersSanity(t *testing.T) {
 	keys := repeatKeys(2000, 100)
 	splits := makeDataset(t, keys, 512)
 	res, _ := wordCountJob(t, splits, nil)
-	if res.Counters.MapRecordsRead != int64(len(keys)) {
-		t.Errorf("records read = %d, want %d", res.Counters.MapRecordsRead, len(keys))
+	if res.MapRecordsRead != int64(len(keys)) {
+		t.Errorf("records read = %d, want %d", res.MapRecordsRead, len(keys))
 	}
-	if res.Counters.MapBytesRead != int64(len(keys)*4) {
-		t.Errorf("bytes read = %d, want %d", res.Counters.MapBytesRead, len(keys)*4)
+	if res.MapBytesRead != int64(len(keys)*4) {
+		t.Errorf("bytes read = %d, want %d", res.MapBytesRead, len(keys)*4)
 	}
-	if res.Counters.PairsShuffled != int64(len(keys)) {
-		t.Errorf("pairs shuffled = %d", res.Counters.PairsShuffled)
+	if res.PairsShuffled != int64(len(keys)) {
+		t.Errorf("pairs shuffled = %d", res.PairsShuffled)
 	}
 	if res.ReduceCPU <= 0 {
 		t.Error("reduce CPU accounting missing")

@@ -7,16 +7,11 @@ import (
 	"wavelethist/internal/zipf"
 )
 
-// TaskContext is the per-task environment: job configuration, distributed
-// cache, persistent state, a deterministic task-local RNG, and work
-// accounting for the cost model.
+// TaskContext is the per-task environment: persistent state, a
+// deterministic task-local RNG, and work accounting for the cost model.
 type TaskContext struct {
-	JobName   string
-	Split     hdfs.Split // zero value for the reducer
-	SplitID   int        // split index, or ReducerState for the reducer
+	SplitID   int // split index, or -1 for the reducer
 	NumSplits int
-	Conf      Conf
-	Cache     *DistCache
 	State     *StateStore
 	RNG       *zipf.RNG
 
@@ -149,8 +144,6 @@ type Job struct {
 	// doubles). Defaults to 12 bytes (4-byte key + 8-byte double).
 	PairBytes func(KV) int
 
-	Conf  Conf
-	Cache *DistCache
 	State *StateStore
 
 	// Seed makes the whole job deterministic; each task derives its own
@@ -167,12 +160,14 @@ type TaskMetrics struct {
 	CPUUnits   float64
 }
 
-// Result is the outcome of one round.
+// Result is the outcome of one round, in the spirit of Hadoop's job
+// counters.
 type Result struct {
-	Counters    Counters
-	MapTasks    []TaskMetrics
-	ReduceCPU   float64
-	ReduceCalls int64
+	MapTasks       []TaskMetrics
+	MapRecordsRead int64 // records delivered by record readers
+	MapBytesRead   int64 // bytes pulled from DataNodes by record readers
+	ReduceCPU      float64
+	ReduceCalls    int64
 	// ShuffleBytes is the exact communication of this round: encoded
 	// size of all pairs crossing mapper→reducer after combining.
 	ShuffleBytes int64
@@ -196,14 +191,8 @@ func (j *Job) validate() error {
 	return nil
 }
 
-// fillDefaults lazily creates the shared per-job stores.
+// fillDefaults lazily creates the job's state store.
 func (j *Job) fillDefaults() {
-	if j.Conf == nil {
-		j.Conf = Conf{}
-	}
-	if j.Cache == nil {
-		j.Cache = NewDistCache()
-	}
 	if j.State == nil {
 		j.State = NewStateStore()
 	}

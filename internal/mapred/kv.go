@@ -3,10 +3,11 @@
 // splits processed by per-split Mappers with Close hooks, an optional
 // Combiner, a per-split sort and shuffle with exact byte accounting per
 // intermediate pair, a single streaming Reducer with Close (one job shape:
-// no spills, no global grouping), a Job Configuration and Distributed
-// Cache for coordinator→mapper communication, and a per-split persistent
-// state store that stands in for the paper's "HDFS state files" across
-// multi-round jobs (Appendix A).
+// no spills, no global grouping), and a per-split persistent state store
+// that stands in for the paper's "HDFS state files" across multi-round
+// jobs (Appendix A). What a coordinator tells the mappers between rounds
+// — the paper's Job Configuration and Distributed Cache — is the caller's
+// to hand to its mapper factory.
 package mapred
 
 // KV is an intermediate key-value pair (k2, v2). Key is the intermediate
@@ -29,17 +30,3 @@ const (
 	TagMarkLow        // H-WTopk round 1: this is split Src's k-th lowest coefficient
 	TagNull           // TwoLevel-S: second-level sampled (x, NULL) pair
 )
-
-// Conf is the Job Configuration: a small set of global variables shipped
-// to every task at initialization (the paper uses it for T1/m, n, ε, m).
-type Conf map[string]string
-
-// Counters aggregates a round's observable work, in the spirit of Hadoop's
-// job counters.
-type Counters struct {
-	MapRecordsRead int64 // records delivered by record readers
-	MapBytesRead   int64 // bytes pulled from DataNodes by record readers
-	PairsShuffled  int64 // pairs crossing the network after combine
-	ShuffleBytes   int64 // exact encoded bytes of shuffled pairs
-	ReduceCalls    int64
-}

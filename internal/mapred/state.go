@@ -6,68 +6,26 @@ import (
 	"sync"
 )
 
-// DistCache simulates Hadoop's Distributed Cache: files submitted to the
-// master are replicated to all slaves during job initialization. Content
-// is read-only for tasks.
-type DistCache struct {
-	mu    sync.RWMutex
-	files map[string][]byte
-}
-
-// NewDistCache returns an empty cache.
-func NewDistCache() *DistCache {
-	return &DistCache{files: make(map[string][]byte)}
-}
-
-// Put submits a file for replication to all slaves before the next job.
-func (d *DistCache) Put(name string, data []byte) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	d.files[name] = cp
-}
-
-// Get returns a cached file's content (nil if absent).
-func (d *DistCache) Get(name string) []byte {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.files[name]
-}
-
 // StateStore simulates the paper's persistent per-split state: at the end
 // of a Mapper, state is written to an HDFS file named by the split id, and
 // restored when the split is reassigned in a later round. Because Hadoop
 // writes HDFS files locally when possible, this costs no communication
 // (Section 3, "System issues"); we therefore do not account these bytes.
-// Key -1 holds the coordinator's (Reducer's) local state.
 type StateStore struct {
 	mu    sync.RWMutex
 	state map[int][]byte
 }
-
-// ReducerState is the StateStore key of the coordinator's state.
-const ReducerState = -1
 
 // NewStateStore returns an empty store.
 func NewStateStore() *StateStore {
 	return &StateStore{state: make(map[int][]byte)}
 }
 
-// Put saves state for a split id (use ReducerState for the coordinator).
-func (s *StateStore) Put(splitID int, data []byte) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	s.state[splitID] = cp
-}
-
-// Adopt saves state like Put without copying it: the store takes
-// ownership of data, which the caller must not modify afterwards. For
-// mappers that encode a state file once into its own buffer. Since no
-// one writes an adopted buffer, one buffer may sit under two keys (a
-// later round adopting an earlier round's file unchanged).
+// Adopt saves state under a key without copying it: the store takes
+// ownership of data, which the caller must not modify afterwards. The
+// mappers encode a state file once into its own buffer. Since no one
+// writes an adopted buffer, one buffer may sit under two keys (a later
+// round adopting an earlier round's file unchanged).
 func (s *StateStore) Adopt(splitID int, data []byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -101,7 +59,7 @@ func (s *StateStore) TotalBytes() int64 {
 	return n
 }
 
-// Binary encoding helpers for state files and distributed-cache payloads.
+// Binary encoding helpers for state files and broadcast blobs.
 // Layout conventions: little-endian, fixed width.
 
 // AppendUint64 appends v.

@@ -6,50 +6,21 @@ import (
 	"wavelethist/internal/hdfs"
 )
 
-func TestDistCacheBasics(t *testing.T) {
-	d := NewDistCache()
-	d.Put("a", []byte{1, 2, 3})
-	d.Put("b", make([]byte, 10))
-	if got := d.Get("a"); len(got) != 3 || got[0] != 1 {
-		t.Errorf("Get(a) = %v", got)
-	}
-	if d.Get("missing") != nil {
-		t.Error("missing file returned data")
-	}
-}
-
-func TestDistCachePutCopies(t *testing.T) {
-	d := NewDistCache()
-	src := []byte{1, 2, 3}
-	d.Put("x", src)
-	src[0] = 99
-	if d.Get("x")[0] != 1 {
-		t.Error("cache aliases caller's slice")
-	}
-}
-
 func TestStateStoreBasics(t *testing.T) {
 	s := NewStateStore()
 	if s.Get(0) != nil {
 		t.Error("empty store returned data")
 	}
-	s.Put(3, []byte{7})
-	s.Put(ReducerState, []byte{8, 9})
+	s.Adopt(3, []byte{7})
+	s.Adopt(0, []byte{8, 9})
 	if got := s.Get(3); len(got) != 1 || got[0] != 7 {
 		t.Errorf("Get(3) = %v", got)
 	}
-	if got := s.Get(ReducerState); len(got) != 2 {
-		t.Errorf("reducer state = %v", got)
+	if got := s.Get(0); len(got) != 2 {
+		t.Errorf("Get(0) = %v", got)
 	}
-}
-
-func TestStateStorePutCopies(t *testing.T) {
-	s := NewStateStore()
-	src := []byte{1}
-	s.Put(0, src)
-	src[0] = 2
-	if s.Get(0)[0] != 1 {
-		t.Error("state store aliases caller's slice")
+	if s.Get(1) != nil {
+		t.Error("absent key returned data")
 	}
 }
 

@@ -260,11 +260,16 @@ func (g *GCS) NonZeroEntries(emit func(idx int64, v float64)) {
 	}
 }
 
-// AddEntry merges one shipped non-zero entry.
-func (g *GCS) AddEntry(idx int64, v float64) {
-	l := int(idx >> 40)
-	cell := idx & ((1 << 40) - 1)
+// AddEntry merges one shipped non-zero entry. An index NonZeroEntries
+// cannot produce — a negative one, or a cell past its level's end — is an
+// error.
+func (g *GCS) AddEntry(idx int64, v float64) error {
+	l, cell := idx>>40, idx&(1<<40-1)
+	if idx < 0 || l >= int64(len(g.levels)) || cell >= int64(len(g.levels[l].cells)) {
+		return fmt.Errorf("sketch: entry %d is outside the sketch (level %d, cell %d)", idx, l, cell)
+	}
 	g.levels[l].cells[cell] += v
+	return nil
 }
 
 func median(xs []float64) float64 {

@@ -182,8 +182,14 @@ func TestGCSLinearityAndEntryShipping(t *testing.T) {
 	// Merge via non-zero entry shipping (the MapReduce path).
 	merged := mk()
 	n := 0
-	a.NonZeroEntries(func(idx int64, v float64) { merged.AddEntry(idx, v); n++ })
-	b.NonZeroEntries(func(idx int64, v float64) { merged.AddEntry(idx, v); n++ })
+	ship := func(idx int64, v float64) {
+		if err := merged.AddEntry(idx, v); err != nil {
+			t.Fatal(err)
+		}
+		n++
+	}
+	a.NonZeroEntries(ship)
+	b.NonZeroEntries(ship)
 	if n == 0 {
 		t.Fatal("no entries shipped")
 	}
@@ -204,6 +210,29 @@ func TestGCSLinearityAndEntryShipping(t *testing.T) {
 				t.Fatalf("Merge: level %d cell %d differs", l, i)
 			}
 		}
+	}
+}
+
+// TestGCSAddEntryOutside: an entry NonZeroEntries cannot produce (a
+// corrupt shipped pair) is an error and changes no cell.
+func TestGCSAddEntryOutside(t *testing.T) {
+	g := NewGCS(1<<10, 4, 3, 128, 4, 99)
+	last := len(g.levels) - 1
+	cells := int64(len(g.levels[last].cells))
+	for _, idx := range []int64{-1, cells, int64(last)<<40 + cells, int64(last+1) << 40, math.MaxInt64} {
+		if err := g.AddEntry(idx, 1); err == nil {
+			t.Errorf("AddEntry(%d) accepted", idx)
+		}
+	}
+	for l := range g.levels {
+		for i, v := range g.levels[l].cells {
+			if v != 0 {
+				t.Fatalf("level %d cell %d = %v after refused entries", l, i, v)
+			}
+		}
+	}
+	if err := g.AddEntry(int64(last)<<40+cells-1, 1); err != nil {
+		t.Errorf("last cell refused: %v", err)
 	}
 }
 
