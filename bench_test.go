@@ -10,7 +10,10 @@ package wavelethist_test
 import (
 	"context"
 	"fmt"
+	"runtime"
+	"runtime/metrics"
 	"testing"
+	"time"
 
 	"wavelethist"
 	"wavelethist/dist"
@@ -96,6 +99,64 @@ func BenchmarkMethod(b *testing.B) {
 			b.ReportMetric(float64(res.CommBytes), "commBytes")
 			b.ReportMetric(res.SimulatedSeconds(), "simSeconds")
 		})
+	}
+}
+
+// BenchmarkBuildPeakHeap reports each 1D method's peak live heap over one
+// in-process build at build_exact's shape (n = 2^19 Zipf(1.1) records in
+// 128 splits, u = 2^20, k = 30): the maximum of the runtime's
+// /memory/classes/heap/objects:bytes, polled every 200µs, dataset
+// included. It is the ruler for a change to what a round holds.
+func BenchmarkBuildPeakHeap(b *testing.B) {
+	ds, err := wavelethist.NewZipfDataset(wavelethist.ZipfOptions{
+		Records: 1 << 19, Domain: 1 << 20, Alpha: 1.1, ChunkSize: 16 << 10, Seed: 7,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, m := range wavelethist.Methods() {
+		b.Run(string(m), func(b *testing.B) {
+			var peak uint64
+			for i := 0; i < b.N; i++ {
+				runtime.GC()
+				stop := pollHeapPeak(200 * time.Microsecond)
+				_, err := wavelethist.Build(ds, m, wavelethist.Options{K: 30, Seed: 7})
+				peak = max(peak, stop())
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(peak)/(1<<20), "peak-heap-MB")
+		})
+	}
+}
+
+// pollHeapPeak samples the live heap every interval until the returned
+// stop is called, which reports the largest sample.
+func pollHeapPeak(interval time.Duration) (stop func() uint64) {
+	sample := []metrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}}
+	read := func() uint64 {
+		metrics.Read(sample)
+		return sample[0].Value.Uint64()
+	}
+	done, peak := make(chan struct{}), make(chan uint64)
+	go func() {
+		p := read()
+		tick := time.NewTicker(interval)
+		defer tick.Stop()
+		for {
+			select {
+			case <-tick.C:
+				p = max(p, read())
+			case <-done:
+				peak <- max(p, read())
+				return
+			}
+		}
+	}()
+	return func() uint64 {
+		close(done)
+		return <-peak
 	}
 }
 

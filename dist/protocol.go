@@ -119,11 +119,13 @@ type WorkersResponse struct {
 // LeaseView describes one per-job state lease held by a worker
 // (GET /dist/v1/state on the worker).
 type LeaseView struct {
-	JobID      string `json:"job_id"`
-	Entries    int    `json:"entries"` // state files held (≈ splits × rounds)
-	Bytes      int64  `json:"bytes"`
-	AgeMillis  int64  `json:"age_millis"`
-	IdleMillis int64  `json:"idle_millis"`
+	JobID   string `json:"job_id"`
+	Entries int    `json:"entries"` // state files held (≈ splits × rounds)
+	// Bytes is the size of the paper's state files the lease stands for,
+	// not the (smaller) bytes the worker keeps to answer for them.
+	Bytes      int64 `json:"bytes"`
+	AgeMillis  int64 `json:"age_millis"`
+	IdleMillis int64 `json:"idle_millis"`
 }
 
 // WorkerStateResponse is the payload of GET /dist/v1/state: the worker's

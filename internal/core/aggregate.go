@@ -11,14 +11,13 @@ import (
 
 // splitScratch is a map task's working memory: the split's raw keys
 // (aggregated in place into distinct keys with counts), the radix sort's
-// second buffer, and where the map side transforms, the local coefficients
-// and the ids H-WTopk shipped. It dies with the task — 16 B per record for
+// second buffer, and where the map side transforms, the local
+// coefficients. It dies with the task — 16 B per record for
 // keys and tmp, ~16·|v_j|·log u for coefficients — so tasks share a pool.
 type splitScratch struct {
 	keys, tmp []int64
 	counts    []float64
 	coefs     []wavelet.Coef
-	sent      []int64
 }
 
 var splitScratchPool = sync.Pool{New: func() any { return new(splitScratch) }}

@@ -1,11 +1,9 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"wavelethist/internal/hdfs"
 	"wavelethist/internal/heap"
@@ -39,6 +37,11 @@ import (
 // the rounds of one plan hand each other the values (hwRounds); only a
 // worker process receives them, as the broadcast blob.
 //
+// The state file is kept as a value that can produce it (hwSplitState):
+// in 1D v_j plus the coefficients of ranges two keys share, every other
+// coefficient being one key's term in closed form. The cost model
+// charges the paper's write, read and scans of the file.
+//
 // H-WTopk-2D is the identical protocol over packed 2D coefficient indices:
 // any 2D coefficient is the sum of the corresponding coefficients of all
 // splits, so the modified TPUT runs unchanged.
@@ -48,11 +51,16 @@ func hwTopkStages(e *env) []stage {
 	return []stage{{
 		input: mapred.SequentialInput{},
 		mapper: func() mapred.Mapper {
-			return &hwRound1Mapper{splitCollector: splitCollector{domain: e.domain}, k: e.p.K, transform: e.tf}
+			m := &hwRound1Mapper{splitCollector: splitCollector{domain: e.domain}, k: e.p.K, transform: e.tf}
+			if e.dim == 1 {
+				m.u = e.p.U
+			}
+			return m
 		},
 		reducer:   &hwRound1Reducer{k: e.p.K, h: h},
 		pairBytes: pairBytes,
 		keys:      e.domain,
+		tags:      []uint8{mapred.TagMarkHigh, mapred.TagMarkLow},
 	}, {
 		input: mapred.NoInput{},
 		// Each map task copies T1/m when it starts, replays included.
@@ -139,25 +147,38 @@ func (h *hwRounds) receive(round int) func([]byte) error {
 
 // ---------- Round 1 ----------
 
+// hwRound1Mapper ships its split's k highest and k lowest local
+// coefficients and keeps the rest as the split's state. In 1D (u > 0) it
+// never materializes the coefficients: newHWSplitState1D offers them to
+// the heaps straight from v_j. In 2D it transforms and keeps them all.
 type hwRound1Mapper struct {
 	splitCollector
 	k         int
+	u         int64 // the 1D domain; 0 in 2D
 	transform coefTransform
 }
 
 func (m *hwRound1Mapper) Close(ctx *mapred.TaskContext, out *mapred.Emitter) error {
 	sc, keys, counts := m.aggregate()
 	defer splitScratchPool.Put(sc)
-	coefs := m.transform(ctx, sc.coefs[:0], keys, counts)
-	sc.coefs = coefs
 	j := int32(ctx.SplitID)
 
-	hi, lo := heap.NewTopK(m.k), heap.NewBottomK(m.k)
-	selectTwoSided(coefs, hi, lo)
-	ctx.AddWork(float64(len(coefs)) * 2)
+	var sel *twoSided
+	var st *hwSplitState
+	var total int
+	if m.u != 0 {
+		ctx.AddWork(transformWork(len(keys), m.u))
+		sel = newTwoSided(m.k)
+		st, total = newHWSplitState1D(keys, counts, m.u, sel)
+	} else {
+		sc.coefs = m.transform(ctx, sc.coefs[:0], keys, counts)
+		sel = selectTwoSided(sc.coefs, m.k)
+		st, total = &hwSplitState{coefs: slices.Clone(sc.coefs)}, len(sc.coefs)
+	}
+	ctx.AddWork(float64(total) * 2)
 
-	sent := sc.sent[:0]
-	for rank, it := range hi.Sorted() {
+	sent := make([]int64, 0, 2*m.k)
+	for rank, it := range sel.hi.Sorted() {
 		tag := mapred.TagNone
 		if rank == m.k-1 {
 			tag = mapred.TagMarkHigh // the k-th highest coefficient
@@ -165,7 +186,7 @@ func (m *hwRound1Mapper) Close(ctx *mapred.TaskContext, out *mapred.Emitter) err
 		out.Emit(mapred.KV{Key: it.ID, Val: it.Score, Src: j, Tag: tag})
 		sent = append(sent, it.ID)
 	}
-	for rank, it := range lo.Sorted() {
+	for rank, it := range sel.lo.Sorted() {
 		tag := mapred.TagNone
 		if rank == m.k-1 {
 			tag = mapred.TagMarkLow // the k-th lowest coefficient
@@ -177,35 +198,55 @@ func (m *hwRound1Mapper) Close(ctx *mapred.TaskContext, out *mapred.Emitter) err
 		sent = append(sent, it.ID)
 	}
 	slices.Sort(sent)
-	sent = slices.Compact(sent)
-	sc.sent = sent
+	st.out = slices.Compact(sent)
+	st.n = total - len(st.out)
 
-	// Persist unsent coefficients as the split's state file: the <= 2k
-	// sent ids merge against the index-ordered coefficients.
-	state := encodeCoefs(coefs, sent)
-	ctx.State.Adopt(hwStateR1(ctx.SplitID), state)
-	ctx.AddIOBytes(int64(len(state))) // local HDFS write (no network)
+	// The paper persists the unsent coefficients as the split's state
+	// file; the cost model charges its local HDFS write (no network).
+	ctx.State.Adopt(hwStateR1(ctx.SplitID), st)
+	ctx.AddIOBytes(st.Size())
 	return nil
 }
 
-// selectTwoSided offers coefs to the empty heaps hi and lo. A full heap
-// refuses an item strictly weaker than its boundary, so such offers are
-// skipped: the heaps end as if offered everything. The tests are negated
-// comparisons so that a NaN is still offered.
-func selectTwoSided(coefs []wavelet.Coef, hi *heap.TopK, lo *heap.BottomK) {
-	hiMin, loMax := math.Inf(-1), math.Inf(1)
-	for _, c := range coefs {
-		it := heap.Item{ID: c.Index, Score: c.Value}
-		if !(c.Value < hiMin) && hi.Push(it) && hi.Full() {
-			b, _ := hi.Min()
-			hiMin = b.Score
-		}
-		if !(c.Value > loMax) && lo.Push(it) && lo.Full() {
-			b, _ := lo.Max()
-			loMax = b.Score
-		}
+// twoSided is the mapper's pair of heaps, the k highest and k lowest
+// coefficients offered. A full heap refuses an item strictly weaker than
+// its boundary, so such offers are skipped: the heaps end as if offered
+// everything, in any order (ties go to the lower id). The tests are
+// negated comparisons so that a NaN is still offered.
+type twoSided struct {
+	hi           *heap.TopK
+	lo           *heap.BottomK
+	hiMin, loMax float64
+}
+
+func newTwoSided(k int) *twoSided {
+	return &twoSided{hi: heap.NewTopK(k), lo: heap.NewBottomK(k), hiMin: math.Inf(-1), loMax: math.Inf(1)}
+}
+
+func (s *twoSided) offer(id int64, v float64) {
+	it := heap.Item{ID: id, Score: v}
+	if !(v < s.hiMin) && s.hi.Push(it) && s.hi.Full() {
+		b, _ := s.hi.Min()
+		s.hiMin = b.Score
+	}
+	if !(v > s.loMax) && s.lo.Push(it) && s.lo.Full() {
+		b, _ := s.lo.Max()
+		s.loMax = b.Score
 	}
 }
+
+// selectTwoSided offers every coefficient to fresh heaps.
+func selectTwoSided(coefs []wavelet.Coef, k int) *twoSided {
+	s := newTwoSided(k)
+	for _, c := range coefs {
+		s.offer(c.Index, c.Value)
+	}
+	return s
+}
+
+// refuses reports whether both heaps would refuse a coefficient of
+// magnitude a, of either sign.
+func (s *twoSided) refuses(a float64) bool { return a < s.hiMin && -a > s.loMax }
 
 // hwRound1Reducer builds ŵ_i and F_i and computes T1, then hands the
 // candidate table to round 2.
@@ -270,7 +311,7 @@ func (r *hwRound1Reducer) Close(ctx *mapred.TaskContext) error {
 // ---------- Round 2 ----------
 
 // hwRound2Mapper reads no input; it emits round-1 state coefficients above
-// thresh = T1/m and writes the remainder as its round-2 state.
+// thresh = T1/m and keeps the remainder as its round-2 state.
 type hwRound2Mapper struct{ thresh float64 }
 
 func (hwRound2Mapper) Setup(*mapred.TaskContext) error { return nil }
@@ -279,39 +320,27 @@ func (hwRound2Mapper) Map(*mapred.TaskContext, hdfs.Record, *mapred.Emitter) err
 }
 
 func (m hwRound2Mapper) Close(ctx *mapred.TaskContext, out *mapred.Emitter) error {
-	state := ctx.State.Get(hwStateR1(ctx.SplitID))
-	st, err := openCoefState(state)
+	st, err := hwState(ctx, hwStateR1(ctx.SplitID))
 	if err != nil {
 		return err
 	}
-	ctx.AddIOBytes(int64(len(state))) // local state-file read
-	// Few coefficients clear T1/m, so the remainder is copied as the
-	// runs of records between them, never decoded.
-	var keep []byte
-	run := 0
-	for i := 0; i < st.n; i++ {
-		if v := st.value(i); math.Abs(v) > m.thresh {
-			out.Emit(mapred.KV{Key: st.index(i), Val: v, Src: int32(ctx.SplitID)})
-			if keep == nil {
-				keep = make([]byte, coefStateHeader, coefStateHeader+len(st.b))
-			}
-			keep = append(keep, st.b[run:coefRecordBytes*i]...)
-			run = coefRecordBytes * (i + 1)
-		}
-	}
-	if keep == nil {
-		// Often none clears: the remainder is the round-1 file's header
-		// and n records, adopted under a second key (no round writes a
-		// state buffer after adopting it).
-		end := coefStateHeader + len(st.b)
-		keep = state[:end:end]
-	} else {
-		keep = append(keep, st.b[run:]...)
-		binary.LittleEndian.PutUint64(keep, uint64((len(keep)-coefStateHeader)/coefRecordBytes))
-	}
+	// The cost model charges the paper's read and scan of the file.
+	ctx.AddIOBytes(st.Size())
 	ctx.AddWork(float64(st.n))
-	ctx.State.Adopt(hwStateR2(ctx.SplitID), keep)
+	rest := st.round2(m.thresh, func(id int64, v float64) {
+		out.Emit(mapred.KV{Key: id, Val: v, Src: int32(ctx.SplitID)})
+	})
+	ctx.State.Adopt(hwStateR2(ctx.SplitID), rest)
 	return nil
+}
+
+// hwState is the split state an earlier round kept under key.
+func hwState(ctx *mapred.TaskContext, key int) (*hwSplitState, error) {
+	st, ok := ctx.State.Value(key).(*hwSplitState)
+	if !ok {
+		return nil, fmt.Errorf("core: split %d has no H-WTopk state", ctx.SplitID)
+	}
+	return st, nil
 }
 
 // hwRound2Reducer adds the pairs that cleared T1/m to round 1's table,
@@ -381,28 +410,19 @@ func (hwRound3Mapper) Map(*mapred.TaskContext, hdfs.Record, *mapred.Emitter) err
 }
 
 func (m hwRound3Mapper) Close(ctx *mapred.TaskContext, out *mapred.Emitter) error {
-	state := ctx.State.Get(hwStateR2(ctx.SplitID))
-	st, err := openCoefState(state)
+	st, err := hwState(ctx, hwStateR2(ctx.SplitID))
 	if err != nil {
 		return err
 	}
-	ctx.AddIOBytes(int64(len(state)))
-	// Everything left in state was never communicated (rounds 1-2
-	// removed sent coefficients), so emit iff it is a candidate: each id
-	// of the sorted R is binary-searched in the index-ordered state past
-	// the previous hit, O(|R| log n) rather than a scan of all n.
-	lo := 0
-	for _, idx := range m.r {
-		lo += sort.Search(st.n-lo, func(i int) bool { return st.index(lo+i) >= idx })
-		if lo == st.n {
-			break
-		}
-		if st.index(lo) == idx {
-			out.Emit(mapred.KV{Key: idx, Val: st.value(lo), Src: int32(ctx.SplitID)})
-			lo++
+	// Everything left in the file was never communicated (rounds 1-2
+	// left sent coefficients out), so emit iff it is a candidate.
+	for _, id := range m.r {
+		if v, ok := st.lookup(id); ok {
+			out.Emit(mapred.KV{Key: id, Val: v, Src: int32(ctx.SplitID)})
 		}
 	}
-	// The cost model charges the paper's scan of the state file.
+	// The cost model charges the paper's read and scan of the file.
+	ctx.AddIOBytes(st.Size())
 	ctx.AddWork(float64(st.n))
 	return nil
 }

@@ -17,9 +17,10 @@ import (
 )
 
 // The three H-WTopk mappers skip work whose outcome is known: round 1
-// offers a heap only what can enter it, round 2 adopts the round-1 file
-// when nothing clears T1/m, round 3 probes the candidates. Each is pinned
-// here against the plain form it replaced.
+// offers a heap only what can enter it and keeps v_j instead of its
+// coefficients, round 2 keeps the round-1 value when nothing clears T1/m,
+// round 3 probes the candidates. Each is pinned here against the plain
+// form it replaced.
 
 // ---------- Round 1: two-sided selection ----------
 
@@ -60,8 +61,8 @@ func sameItems(a, b []heap.Item) bool {
 // plain heaps: the same sorted selections, and the same heap layouts.
 func checkTwoSided(t *testing.T, coefs []wavelet.Coef, k int) {
 	t.Helper()
-	hi, lo := heap.NewTopK(k), heap.NewBottomK(k)
-	selectTwoSided(coefs, hi, lo)
+	sel := selectTwoSided(coefs, k)
+	hi, lo := sel.hi, sel.lo
 	refHi, refLo := heap.NewTopK(k), heap.NewBottomK(k)
 	for _, c := range coefs {
 		refHi.Push(heap.Item{ID: c.Index, Score: c.Value})
@@ -140,8 +141,14 @@ func stateMapJob(mapper mapred.Mapper, store *mapred.StateStore) *mapred.Job {
 	}
 }
 
-// round2Job is split 0's round-2 map task over round-1 file r1 at T1/m.
-func round2Job(tb testing.TB, r1 []byte, t1OverM float64) (*mapred.Job, *mapred.StateStore) {
+// explicitState is a split state whose file is coefs, every coefficient
+// explicit (the 2D form).
+func explicitState(coefs []wavelet.Coef) *hwSplitState {
+	return &hwSplitState{coefs: coefs, n: len(coefs)}
+}
+
+// round2Job is split 0's round-2 map task over round-1 state r1 at T1/m.
+func round2Job(r1 *hwSplitState, t1OverM float64) (*mapred.Job, *mapred.StateStore) {
 	store := mapred.NewStateStore()
 	store.Adopt(hwStateR1(0), r1)
 	return stateMapJob(hwRound2Mapper{thresh: t1OverM}, store), store
@@ -160,19 +167,17 @@ func TestHWRound2StateBytes(t *testing.T) {
 		all[i] = i
 	}
 	for _, tc := range []struct {
-		name     string
-		coefs    []wavelet.Coef
-		clear    []int
-		trailing int
+		name  string
+		coefs []wavelet.Coef
+		clear []int
 	}{
-		{"empty state", nil, nil, 0},
-		{"none clears", base, nil, 0},
-		{"none clears, trailing bytes", base, nil, 11},
-		{"first clears", base, []int{0}, 0},
-		{"last clears", base, []int{n - 1}, 0},
-		{"middle clears", base, []int{n / 2}, 0},
-		{"first, middle and last clear, trailing bytes", base, []int{0, n / 2, n - 1}, 16},
-		{"all clear", base, all, 0},
+		{"empty state", nil, nil},
+		{"none clears", base, nil},
+		{"first clears", base, []int{0}},
+		{"last clears", base, []int{n - 1}},
+		{"middle clears", base, []int{n / 2}},
+		{"first, middle and last clear", base, []int{0, n / 2, n - 1}},
+		{"all clear", base, all},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			coefs := slices.Clone(tc.coefs)
@@ -187,12 +192,9 @@ func TestHWRound2StateBytes(t *testing.T) {
 					survivors = append(survivors, c)
 				}
 			}
-			r1 := encodeStateRef(coefs)
-			for i := 0; i < tc.trailing; i++ {
-				r1 = append(r1, 0xAB)
-			}
-			r1Before := slices.Clone(r1)
-			job, store := round2Job(t, r1, thresh)
+			r1 := explicitState(coefs)
+			r1Before := r1.File()
+			job, store := round2Job(r1, thresh)
 			res, err := mapred.RunMapSplit(context.Background(), job, 0)
 			if err != nil {
 				t.Fatal(err)
@@ -200,15 +202,21 @@ func TestHWRound2StateBytes(t *testing.T) {
 			if got, want := store.Get(hwStateR2(0)), encodeStateRef(survivors); !bytes.Equal(got, want) {
 				t.Errorf("round-2 state:\n got %x\nwant %x", got, want)
 			}
+			if got := store.Value(hwStateR2(0)).Size(); got != int64(8+16*len(survivors)) {
+				t.Errorf("round-2 state size %d, want %d", got, 8+16*len(survivors))
+			}
+			if len(tc.clear) == 0 && store.Value(hwStateR2(0)) != mapred.StateFile(r1) {
+				t.Error("round 2 replaced a state nothing cleared")
+			}
 			if !slices.Equal(res.Pairs, want) {
 				t.Errorf("pairs %v, want %v", res.Pairs, want)
 			}
-			if !bytes.Equal(store.Get(hwStateR1(0)), r1Before) {
-				t.Error("round 2 modified the round-1 file")
+			if !bytes.Equal(store.Get(hwStateR1(0)), r1Before) || !bytes.Equal(r1Before, encodeStateRef(coefs)) {
+				t.Error("round 2 modified the round-1 state")
 			}
 			// The scan of every record, plus the engine's unit per pair.
-			if res.Metrics.CPUUnits != float64(len(coefs)+len(want)) || res.Metrics.InputBytes != int64(len(r1)) {
-				t.Errorf("charged %v work, %d bytes; want %d, %d", res.Metrics.CPUUnits, res.Metrics.InputBytes, len(coefs)+len(want), len(r1))
+			if res.Metrics.CPUUnits != float64(len(coefs)+len(want)) || res.Metrics.InputBytes != int64(len(r1Before)) {
+				t.Errorf("charged %v work, %d bytes; want %d, %d", res.Metrics.CPUUnits, res.Metrics.InputBytes, len(coefs)+len(want), len(r1Before))
 			}
 		})
 	}
@@ -221,8 +229,8 @@ func TestHWRound2StateBytes(t *testing.T) {
 		for i := range coefs {
 			coefs[i] = wavelet.Coef{Index: int64(i), Value: 0.25}
 		}
-		r1 := encodeStateRef(coefs)
-		job, _ := round2Job(t, r1, thresh)
+		r1 := explicitState(coefs)
+		job, _ := round2Job(r1, thresh)
 		ctx := context.Background()
 		const runs = 20
 		var before, after runtime.MemStats
@@ -234,9 +242,9 @@ func TestHWRound2StateBytes(t *testing.T) {
 		})
 		runtime.ReadMemStats(&after)
 		perRun := (after.TotalAlloc - before.TotalAlloc) / (runs + 1) // AllocsPerRun warms up once
-		t.Logf("round-2 map task over a %d-byte file: %.0f allocs, %d bytes", len(r1), allocs, perRun)
-		if perRun >= uint64(len(r1))/8 {
-			t.Errorf("round-2 map task allocated %d bytes per run over a %d-byte file that nothing clears", perRun, len(r1))
+		t.Logf("round-2 map task over a %d-byte file: %.0f allocs, %d bytes", r1.Size(), allocs, perRun)
+		if perRun >= uint64(r1.Size())/8 {
+			t.Errorf("round-2 map task allocated %d bytes per run over a %d-byte file that nothing clears", perRun, r1.Size())
 		}
 	})
 }
@@ -293,7 +301,7 @@ func TestHWRound3ProbeMatchesMergeJoin(t *testing.T) {
 		for i, x := range tc.state {
 			state[i] = wavelet.Coef{Index: x, Value: float64(x) - 0.5}
 		}
-		r2 := encodeStateRef(state)
+		r2 := explicitState(state)
 		store := mapred.NewStateStore()
 		store.Adopt(hwStateR2(0), r2)
 		res, err := mapred.RunMapSplit(context.Background(), stateMapJob(hwRound3Mapper{r: tc.r}, store), 0)
@@ -305,8 +313,8 @@ func TestHWRound3ProbeMatchesMergeJoin(t *testing.T) {
 			t.Fatalf("%s: state %v, R %v: pairs %v, want %v", tc.name, tc.state, tc.r, res.Pairs, want)
 		}
 		// The paper's scan of every record, plus the engine's unit per pair.
-		if res.Metrics.CPUUnits != float64(len(state)+len(want)) || res.Metrics.InputBytes != int64(len(r2)) {
-			t.Errorf("%s: charged %v work, %d bytes; want %d, %d", tc.name, res.Metrics.CPUUnits, res.Metrics.InputBytes, len(state)+len(want), len(r2))
+		if res.Metrics.CPUUnits != float64(len(state)+len(want)) || res.Metrics.InputBytes != r2.Size() {
+			t.Errorf("%s: charged %v work, %d bytes; want %d, %d", tc.name, res.Metrics.CPUUnits, res.Metrics.InputBytes, len(state)+len(want), r2.Size())
 		}
 	}
 }

@@ -102,6 +102,9 @@ type stage struct {
 	// keys bounds every shuffled pair's key to [0, keys): ReduceRound
 	// refuses a partial holding any other.
 	keys int64
+	// tags are the pair tags the stage's mappers emit besides TagNone:
+	// ReduceRound refuses a partial holding any other.
+	tags []uint8
 	// broadcast (nil in round 1 and for one-round methods) runs on the
 	// coordinator after the previous round's reduce: it hands what this
 	// round's mappers need to the stage's mapper factory and returns the

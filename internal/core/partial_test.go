@@ -3,6 +3,7 @@ package core
 import (
 	"cmp"
 	"context"
+	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -127,11 +128,13 @@ func TestMergePartialsCoverage(t *testing.T) {
 }
 
 // TestReduceRoundRejectsCorruptPartials: a partial whose pairs name
-// another split, break key order or hold a key outside the stage's domain
-// (a corrupt worker frame or checkpoint file) fails the round with an
-// error, rather than indexing a reducer's per-split state or a sketch out
-// of range, publishing a coefficient outside [0, u), or silently changing
-// the reducer's Reduce calls.
+// another split, break key order, hold a key outside the stage's domain,
+// a non-finite value or a tag the stage does not emit, or whose split
+// sits on no DataNode or carries a negative or non-finite counter (a
+// corrupt worker frame or checkpoint file) fails the round with an error,
+// rather than indexing a reducer's per-split state or a sketch out of
+// range, publishing a coefficient outside [0, u) or one a snapshot cannot
+// hold, or silently changing the reducer's Reduce calls or the cost model.
 func TestReduceRoundRejectsCorruptPartials(t *testing.T) {
 	f := partialTestFile(t)
 	ctx := context.Background()
@@ -143,29 +146,55 @@ func TestReduceRoundRejectsCorruptPartials(t *testing.T) {
 	}
 	type row struct {
 		name, method string
-		corrupt      func(pairs []mapred.KV)
+		corrupt      func(part *SplitPartial)
 	}
 	rows := []row{{
 		// Src = m on split 1's k-th-highest mark, which round 1's
 		// reducer records per source split.
-		MethodHWTopk, MethodHWTopk, func(pairs []mapred.KV) {
-			for i := range pairs {
-				if pairs[i].Tag == mapred.TagMarkHigh {
-					pairs[i].Src = int32(m)
+		MethodHWTopk, MethodHWTopk, func(part *SplitPartial) {
+			for i := range part.Pairs {
+				if part.Pairs[i].Tag == mapred.TagMarkHigh {
+					part.Pairs[i].Src = int32(m)
 					return
 				}
 			}
 			t.Fatal("split 1 shipped no k-th-highest mark")
 		},
 	}, {
-		MethodSendV, MethodSendV, func(pairs []mapred.KV) { pairs[0], pairs[1] = pairs[1], pairs[0] },
+		MethodSendV, MethodSendV, func(part *SplitPartial) { part.Pairs[0], part.Pairs[1] = part.Pairs[1], part.Pairs[0] },
 	}}
 	// Out-of-domain keys that keep key order: u past the last key, and -1
 	// for the first.
 	for _, alg := range Algorithms() {
 		rows = append(rows,
-			row{alg.Name() + "/u+key", alg.Name(), func(pairs []mapred.KV) { pairs[len(pairs)-1].Key += p.U }},
-			row{alg.Name() + "/-1", alg.Name(), func(pairs []mapred.KV) { pairs[0].Key = -1 }})
+			row{alg.Name() + "/u+key", alg.Name(), func(part *SplitPartial) { part.Pairs[len(part.Pairs)-1].Key += p.U }},
+			row{alg.Name() + "/-1", alg.Name(), func(part *SplitPartial) { part.Pairs[0].Key = -1 }})
+	}
+	// Per field: values a reducer would sum into a coefficient, tags from
+	// another method or none at all, and the split's measured counters.
+	fields := []struct {
+		name    string
+		methods []string
+		corrupt func(part *SplitPartial)
+	}{
+		{"val=NaN", []string{MethodSendV, MethodBasicS, MethodImprovedS}, func(part *SplitPartial) { part.Pairs[0].Val = math.NaN() }},
+		{"val=+Inf", []string{MethodSendV, MethodBasicS, MethodImprovedS}, func(part *SplitPartial) { part.Pairs[0].Val = math.Inf(1) }},
+		{"tag=null", []string{MethodSendV, MethodBasicS, MethodImprovedS, MethodHWTopk}, func(part *SplitPartial) { part.Pairs[0].Tag = mapred.TagNull }},
+		{"tag=mark", []string{MethodSendV, MethodTwoLevelS}, func(part *SplitPartial) { part.Pairs[0].Tag = mapred.TagMarkHigh }},
+		{"tag=99", methodNames(), func(part *SplitPartial) { part.Pairs[0].Tag = 99 }},
+		{"node=2^40", methodNames(), func(part *SplitPartial) { part.Node = 1 << 40 }},
+		{"node=-1", []string{MethodSendV}, func(part *SplitPartial) { part.Node = -1 }},
+		{"cpu=NaN", methodNames(), func(part *SplitPartial) { part.CPUUnits = math.NaN() }},
+		{"cpu=+Inf", []string{MethodSendV}, func(part *SplitPartial) { part.CPUUnits = math.Inf(1) }},
+		{"cpu=-1", []string{MethodSendV}, func(part *SplitPartial) { part.CPUUnits = -1 }},
+		{"records=-1", []string{MethodSendV}, func(part *SplitPartial) { part.RecordsRead = -1 }},
+		{"bytes=-1", []string{MethodSendV}, func(part *SplitPartial) { part.BytesRead = -1 }},
+		{"input=-1", []string{MethodSendV}, func(part *SplitPartial) { part.InputBytes = -1 }},
+	}
+	for _, fd := range fields {
+		for _, method := range fd.methods {
+			rows = append(rows, row{method + "/" + fd.name, method, fd.corrupt})
+		}
 	}
 	for _, tc := range rows {
 		method, corrupt := tc.method, tc.corrupt
@@ -177,7 +206,7 @@ func TestReduceRoundRejectsCorruptPartials(t *testing.T) {
 			if len(parts[1].Pairs) == 0 {
 				t.Fatal("split 1 shipped no pairs")
 			}
-			corrupt(parts[1].Pairs)
+			corrupt(&parts[1])
 			plan, err := NewRoundPlan(f, method, p)
 			if err != nil {
 				t.Fatal(err)
@@ -187,6 +216,15 @@ func TestReduceRoundRejectsCorruptPartials(t *testing.T) {
 			}
 		})
 	}
+}
+
+// methodNames are the seven 1D methods.
+func methodNames() []string {
+	var out []string
+	for _, alg := range Algorithms() {
+		out = append(out, alg.Name())
+	}
+	return out
 }
 
 // TestReduceRoundFailurePoisonsPlan: H-WTopk's later rounds add into the

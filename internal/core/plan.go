@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -40,6 +42,7 @@ type RoundPlan struct {
 	spec   *methodSpec
 	p      Params
 	splits []hdfs.Split
+	nodes  int // DataNodes a split may sit on
 	stages []stage
 	state  *mapred.StateStore
 
@@ -72,6 +75,7 @@ func newRoundPlan(file *hdfs.File, method string, p Params, state *mapred.StateS
 		spec:   spec,
 		p:      p,
 		splits: file.Splits(p.SplitSize),
+		nodes:  file.Nodes(),
 		state:  state,
 		start:  time.Now(),
 	}
@@ -166,7 +170,9 @@ func (rp *RoundPlan) nextRound(round int) error {
 // never depends on where or when a split was mapped. Partials arrive from
 // worker frames and checkpoint files, so each is held to what every
 // mapper emits — every pair's Src is its split id, keys ascend inside the
-// stage's key bound — before any reaches a reducer.
+// stage's key bound, values are finite and tags are the stage's; the split
+// sits on a DataNode and its counters are finite and not negative —
+// before any reaches a reducer.
 func (rp *RoundPlan) ReduceRound(ctx context.Context, round int, parts []SplitPartial) error {
 	method, m := rp.spec.name, len(rp.splits)
 	if err := rp.nextRound(round); err != nil {
@@ -179,7 +185,7 @@ func (rp *RoundPlan) ReduceRound(ctx context.Context, round int, parts []SplitPa
 	copy(ordered, parts)
 	sort.Slice(ordered, func(a, b int) bool { return ordered[a].SplitID < ordered[b].SplitID })
 
-	keys := rp.stages[round-1].keys
+	keys, tags := rp.stages[round-1].keys, rp.stages[round-1].tags
 	batches := make([][]mapred.KV, m)
 	tasks := make([]mapred.TaskMetrics, m)
 	var records, bytesRead int64
@@ -187,9 +193,15 @@ func (rp *RoundPlan) ReduceRound(ctx context.Context, round int, parts []SplitPa
 		if part.SplitID != i {
 			return fmt.Errorf("core: %s round %d: partials do not cover split %d exactly once", method, round, i)
 		}
+		if part.Node < 0 || part.Node >= rp.nodes || part.RecordsRead < 0 || part.BytesRead < 0 || part.InputBytes < 0 || !(part.CPUUnits >= 0 && part.CPUUnits <= math.MaxFloat64) {
+			return fmt.Errorf("core: %s round %d: split %d (node %d, records %d, bytes %d, input %d, cpu %v) is on no DataNode of %d or has a negative or non-finite counter", method, round, i, part.Node, part.RecordsRead, part.BytesRead, part.InputBytes, part.CPUUnits, rp.nodes)
+		}
 		for j, kv := range part.Pairs {
 			if int(kv.Src) != i || (j > 0 && kv.Key < part.Pairs[j-1].Key) || kv.Key < 0 || kv.Key >= keys {
 				return fmt.Errorf("core: %s round %d: split %d pair %d (key %d, src %d) is out of order, outside [0, %d) or from another split", method, round, i, j, kv.Key, kv.Src, keys)
+			}
+			if math.IsNaN(kv.Val) || math.IsInf(kv.Val, 0) || (kv.Tag != mapred.TagNone && !slices.Contains(tags, kv.Tag)) {
+				return fmt.Errorf("core: %s round %d: split %d pair %d (key %d, value %v, tag %d) is not finite or has a tag the round does not emit", method, round, i, j, kv.Key, kv.Val, kv.Tag)
 			}
 		}
 		batches[i] = part.Pairs
@@ -270,7 +282,8 @@ func NewWorkerState() *WorkerState {
 // Entries reports how many state files the lease holds.
 func (ws *WorkerState) Entries() int { return ws.store.Len() }
 
-// Bytes reports the lease's total payload size.
+// Bytes reports the total size of the state files the lease stands for —
+// the paper's bytes (GET /dist/v1/state), not the bytes it holds.
 func (ws *WorkerState) Bytes() int64 { return ws.store.TotalBytes() }
 
 // splitStateKey is where round r's mapper persists split's state file for
@@ -374,7 +387,7 @@ func (rp *RoundPlan) mapSplits(ctx context.Context, round int, splitIDs []int) (
 // split's original owner (the round barrier guarantees every earlier round
 // completed over all splits).
 func (rp *RoundPlan) ensureSplitState(ctx context.Context, jobs []*mapred.Job, round, id int) (replayed bool, err error) {
-	if round < 2 || rp.state.Get(splitStateKey(round-1, id)) != nil {
+	if round < 2 || rp.state.Value(splitStateKey(round-1, id)) != nil {
 		return false, nil
 	}
 	if _, err := rp.ensureSplitState(ctx, jobs, round-1, id); err != nil {

@@ -131,6 +131,7 @@ func twoLevelSStages(e *env) []stage {
 			return kb + 4
 		},
 		keys: e.domain,
+		tags: []uint8{mapred.TagNull},
 	}}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -11,13 +12,13 @@ import (
 	"wavelethist/internal/wavelet"
 )
 
-// Binary encodings for H-WTopk's per-split state files (the paper's HDFS
-// state files) and for the candidate set R in the round-3 broadcast; and
-// the coordinator's in-memory candidate table.
+// H-WTopk's per-split state (the paper's HDFS state files), the binary
+// encoding of the candidate set R in the round-3 broadcast, and the
+// coordinator's in-memory candidate table.
 
-// A coefficient list is [count int64] then count fixed 16-byte records
-// [index int64][value float64], little-endian. The mappers write it in
-// ascending index order and rounds 2 and 3 read it where it lies.
+// A state file is [count int64] then count fixed 16-byte records
+// [index int64][value float64], little-endian, in ascending index order:
+// the split's local coefficients that earlier rounds did not ship.
 const (
 	coefStateHeader = 8
 	coefRecordBytes = 16
@@ -43,32 +44,254 @@ func encodeCoefs(coefs []wavelet.Coef, skip []int64) []byte {
 	return b
 }
 
-// coefState is a validated read-only view of an encoded coefficient list.
-type coefState struct {
-	b []byte // the n records, header stripped
-	n int
+// hwSplitState is one split's state between H-WTopk rounds: what its
+// state file holds — the split's local coefficients minus the ids already
+// shipped — kept as v_j plus the coefficients v_j does not give in closed
+// form. A dyadic range that holds one key x with count c has the
+// coefficient ±c/√(u>>j) (the streaming transform adds that one term to
+// 0.0), and most of a split's ranges hold one key; only the coefficients
+// of ranges two or more keys share are stored. The file itself is built
+// only on request (File). A value is never written once stored.
+type hwSplitState struct {
+	// u is the 1D domain, 0 when every coefficient is explicit (2D).
+	u    int64
+	logu uint
+	norm []float64 // norm[j] = √(u>>j), the streaming transform's table
+	// keys and counts are v_j (1D): ascending keys, record counts.
+	keys   []int64
+	counts []float64
+	// coefs are the explicit coefficients, index-ascending: in 1D those
+	// of the ranges two or more keys share, in 2D all of them.
+	coefs []wavelet.Coef
+	// out are the ids left out of the file, ascending: those round 1
+	// shipped, and in a round-2 state those round 2 shipped too.
+	out []int64
+	n   int // records in the file
 }
 
-// openCoefState validates the count against the buffer length.
-func openCoefState(b []byte) (coefState, error) {
-	if len(b) < coefStateHeader {
-		return coefState{}, fmt.Errorf("core: truncated coefficient state")
+// Size is the state file's length.
+func (s *hwSplitState) Size() int64 { return coefStateHeader + coefRecordBytes*int64(s.n) }
+
+// File builds the state file: the split's full transform minus out.
+func (s *hwSplitState) File() []byte {
+	all := s.coefs
+	if s.u != 0 {
+		all = wavelet.AppendSparseTransformSorted(nil, s.keys, s.counts, s.u)
 	}
-	n := int64(binary.LittleEndian.Uint64(b))
-	// Overflow-safe bound: compare against the entry capacity of the
-	// buffer instead of multiplying the untrusted count.
-	if n < 0 || n > int64(len(b)-coefStateHeader)/coefRecordBytes {
-		return coefState{}, fmt.Errorf("core: corrupt coefficient state (n=%d, len=%d)", n, len(b))
+	return encodeCoefs(all, s.out)
+}
+
+// newHWSplitState1D builds round 1's state of a split from v_j and returns
+// it with the split's coefficient count, offering every coefficient that
+// can enter them to the heaps of sel without materializing any: one pass
+// over the keys counts the shared ranges per level, a second sums them
+// as StreamingTransformer.Feed does (in key order, so they are its floats;
+// a zero sum is absent, as there) and offers everything. keys and counts
+// are copied (the caller's live in pooled scratch).
+func newHWSplitState1D(keys []int64, counts []float64, u int64, sel *twoSided) (*hwSplitState, int) {
+	s := &hwSplitState{u: u, logu: wavelet.Log2(u), keys: slices.Clone(keys), counts: slices.Clone(counts)}
+	s.norm = make([]float64, max(s.logu, 1))
+	s.norm[0] = math.Sqrt(float64(u))
+	for j := uint(1); j < s.logu; j++ {
+		s.norm[j] = math.Sqrt(float64(u >> j))
 	}
-	return coefState{b: b[coefStateHeader : coefStateHeader+coefRecordBytes*int(n)], n: int(n)}, nil
+	nk := len(keys)
+	if nk == 0 {
+		return s, 0
+	}
+	// First pass: how many shared ranges each level closes. After key i,
+	// the levels from closes(i) up close; those below shared(i) were
+	// shared, and the average (index 0) is shared when two keys exist.
+	var perLevel [64]int
+	for i := range keys {
+		for j, sh := s.closes(i), s.shared(i); j < sh; j++ {
+			perLevel[j]++
+		}
+	}
+	// Windows by level, index-ascending end to end (as in
+	// AppendSparseTransformSorted): the shared average first.
+	var next [64]int
+	w := min(nk-1, 1)
+	for j := uint(0); j < s.logu; j++ {
+		next[j], w = w, w+perLevel[j]
+	}
+	first := next
+	coefs := make([]wavelet.Coef, w)
+
+	var path [64]float64
+	var avg float64
+	total := 0
+	for i, x := range keys {
+		c, sh := counts[i], s.shared(i)
+		avg += c / s.norm[0]
+		for j := uint(0); j < sh; j++ {
+			path[j] += signed(c/s.norm[j], x, s.logu-j)
+		}
+		for j := s.closes(i); j < sh; j++ {
+			if v := path[j]; v != 0 {
+				id := int64(1)<<j + x>>(s.logu-j)
+				coefs[next[j]] = wavelet.Coef{Index: id, Value: v}
+				next[j]++
+				sel.offer(id, v)
+			}
+			path[j] = 0
+		}
+		total += int(s.logu - sh)
+		// Single-key coefficients shrink toward the root: offer them
+		// finest first and stop at the first neither heap can take.
+		s.singles(i, func(id int64, v float64) bool {
+			if sel.refuses(math.Abs(v)) {
+				return false
+			}
+			sel.offer(id, v)
+			return true
+		})
+	}
+	if nk == 1 {
+		total++ // the single key's average
+	} else if avg != 0 {
+		coefs[0] = wavelet.Coef{Index: 0, Value: avg}
+		sel.offer(0, avg)
+	}
+	// A shared range whose sum cancelled to exactly 0 was counted but not
+	// written: slide later windows down over the gaps.
+	w = 0
+	if nk > 1 && avg != 0 {
+		w = 1
+	}
+	for j := uint(0); j < s.logu; j++ {
+		w += copy(coefs[w:], coefs[first[j]:next[j]])
+	}
+	s.coefs = coefs[:w:w]
+	return s, total + w
 }
 
-func (s coefState) index(i int) int64 {
-	return int64(binary.LittleEndian.Uint64(s.b[coefRecordBytes*i:]))
+// shared is the number of levels, from the root, on which key i shares
+// its dyadic range with a neighbour: levels j < shared(i) hold another key
+// too, levels from it to logu-1 hold key i alone.
+func (s *hwSplitState) shared(i int) uint {
+	l := 64
+	if i > 0 {
+		l = bits.Len64(uint64(s.keys[i-1] ^ s.keys[i]))
+	}
+	if i+1 < len(s.keys) {
+		l = min(l, bits.Len64(uint64(s.keys[i]^s.keys[i+1])))
+	}
+	return s.logu + 1 - min(uint(l), s.logu+1)
 }
 
-func (s coefState) value(i int) float64 {
-	return math.Float64frombits(binary.LittleEndian.Uint64(s.b[coefRecordBytes*i+8:]))
+// closes is the first level whose range key i is the last key of: its
+// ranges on every level from there up close after it.
+func (s *hwSplitState) closes(i int) uint {
+	if i+1 == len(s.keys) {
+		return 0
+	}
+	return s.logu + 1 - uint(bits.Len64(uint64(s.keys[i]^s.keys[i+1])))
+}
+
+// term is key i's contribution to its level-j coefficient.
+func (s *hwSplitState) term(i int, j uint) float64 {
+	return signed(s.counts[i]/s.norm[j], s.keys[i], s.logu-j)
+}
+
+// signed negates v when key x sits in the left half of its range of
+// length 2^sh, as the streaming transform does: flipping the sign bit,
+// with no data-dependent branch.
+func signed(v float64, x int64, sh uint) float64 {
+	left := ^uint64(x>>(sh-1)) & 1
+	return math.Float64frombits(math.Float64bits(v) ^ left<<63)
+}
+
+// singles yields key i's single-key coefficients, finest level first,
+// until yield returns false: the levels it holds alone, then the average
+// when it is the split's only key. Magnitudes never grow along the way.
+func (s *hwSplitState) singles(i int, yield func(id int64, v float64) bool) {
+	x := s.keys[i]
+	sh := s.shared(i)
+	for j := s.logu; j > sh; j-- {
+		if !yield(int64(1)<<(j-1)+x>>(s.logu-j+1), s.term(i, j-1)) {
+			return
+		}
+	}
+	if len(s.keys) == 1 {
+		yield(0, s.counts[i]/s.norm[0])
+	}
+}
+
+// isOut reports whether id was left out of the file.
+func (s *hwSplitState) isOut(id int64) bool {
+	_, found := slices.BinarySearch(s.out, id)
+	return found
+}
+
+// round2 emits every coefficient of the file above thresh in magnitude
+// and returns the state of the remainder: s itself when none clears.
+func (s *hwSplitState) round2(thresh float64, emit func(id int64, v float64)) *hwSplitState {
+	var shipped []int64
+	ship := func(id int64, v float64) {
+		if !s.isOut(id) {
+			emit(id, v)
+			shipped = append(shipped, id)
+		}
+	}
+	for _, c := range s.coefs {
+		if math.Abs(c.Value) > thresh {
+			ship(c.Index, c.Value)
+		}
+	}
+	for i := range s.keys {
+		s.singles(i, func(id int64, v float64) bool {
+			if !(math.Abs(v) > thresh) {
+				return false
+			}
+			ship(id, v)
+			return true
+		})
+	}
+	if len(shipped) == 0 {
+		return s
+	}
+	r := *s
+	r.out = slices.Concat(s.out, shipped)
+	slices.Sort(r.out)
+	r.n -= len(shipped)
+	return &r
+}
+
+// lookup returns the file's coefficient id, if the file holds it: an id
+// left out is not there; in 1D an id whose range holds no key is absent,
+// one key gives it in closed form, two or more an explicit coefficient.
+func (s *hwSplitState) lookup(id int64) (float64, bool) {
+	if s.isOut(id) {
+		return 0, false
+	}
+	if s.u != 0 {
+		if id < 0 || id >= s.u {
+			return 0, false
+		}
+		lo, hi := int64(0), s.u
+		if id > 0 {
+			j := uint(bits.Len64(uint64(id))) - 1
+			lo = (id - 1<<j) << (s.logu - j)
+			hi = lo + s.u>>j
+		}
+		a, _ := slices.BinarySearch(s.keys, lo)
+		held, _ := slices.BinarySearch(s.keys[a:], hi)
+		switch held {
+		case 0:
+			return 0, false
+		case 1:
+			if id == 0 {
+				return s.counts[a] / s.norm[0], true
+			}
+			return s.term(a, uint(bits.Len64(uint64(id)))-1), true
+		}
+	}
+	at, found := slices.BinarySearchFunc(s.coefs, id, func(c wavelet.Coef, id int64) int { return cmp.Compare(c.Index, id) })
+	if !found {
+		return 0, false
+	}
+	return s.coefs[at].Value, true
 }
 
 // bitset is a fixed-size bitset over split ids (the paper's F_i vectors,

@@ -197,7 +197,7 @@ func (sm stateMapper) Close(ctx *TaskContext, out *Emitter) error {
 	case 1:
 		var b []byte
 		b = AppendInt64(b, int64(ctx.SplitID)*100)
-		ctx.State.Adopt(ctx.SplitID, b)
+		ctx.State.Adopt(ctx.SplitID, fileBytes(b))
 	case 2:
 		b := ctx.State.Get(ctx.SplitID)
 		if b == nil {

@@ -6,6 +6,17 @@ import (
 	"sync"
 )
 
+// StateFile is one split's persisted state: a value that can produce the
+// paper's state file, and that knows the file's size without building it.
+// A round keeps what it needs to answer later rounds' questions about the
+// file, which may be far less than the file.
+type StateFile interface {
+	// Size is the length of the file in bytes.
+	Size() int64
+	// File builds the file's bytes.
+	File() []byte
+}
+
 // StateStore simulates the paper's persistent per-split state: at the end
 // of a Mapper, state is written to an HDFS file named by the split id, and
 // restored when the split is reassigned in a later round. Because Hadoop
@@ -13,30 +24,37 @@ import (
 // (Section 3, "System issues"); we therefore do not account these bytes.
 type StateStore struct {
 	mu    sync.RWMutex
-	state map[int][]byte
+	state map[int]StateFile
 }
 
 // NewStateStore returns an empty store.
 func NewStateStore() *StateStore {
-	return &StateStore{state: make(map[int][]byte)}
+	return &StateStore{state: make(map[int]StateFile)}
 }
 
 // Adopt saves state under a key without copying it: the store takes
-// ownership of data, which the caller must not modify afterwards. The
-// mappers encode a state file once into its own buffer. Since no one
-// writes an adopted buffer, one buffer may sit under two keys (a later
-// round adopting an earlier round's file unchanged).
-func (s *StateStore) Adopt(splitID int, data []byte) {
+// ownership of v, which no one writes afterwards. So one value may sit
+// under two keys (a later round keeping an earlier round's state
+// unchanged).
+func (s *StateStore) Adopt(splitID int, v StateFile) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.state[splitID] = data
+	s.state[splitID] = v
 }
 
-// Get restores state (nil if none).
-func (s *StateStore) Get(splitID int) []byte {
+// Value restores state (nil if none) without building its file.
+func (s *StateStore) Value(splitID int) StateFile {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.state[splitID]
+}
+
+// Get builds the state file saved under a key (nil if none).
+func (s *StateStore) Get(splitID int) []byte {
+	if v := s.Value(splitID); v != nil {
+		return v.File()
+	}
+	return nil
 }
 
 // Len reports how many keys hold state.
@@ -46,15 +64,16 @@ func (s *StateStore) Len() int {
 	return len(s.state)
 }
 
-// TotalBytes reports the stored payload size across all keys (worker
-// state-lease observability). The size is logical: a buffer adopted
-// under two keys counts once per key, and so in GET /dist/v1/state.
+// TotalBytes reports the size of the stored files across all keys
+// (worker state-lease observability): the paper's bytes, not the bytes
+// held. A value saved under two keys counts once per key, and so in GET
+// /dist/v1/state.
 func (s *StateStore) TotalBytes() int64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	var n int64
-	for _, b := range s.state {
-		n += int64(len(b))
+	for _, v := range s.state {
+		n += v.Size()
 	}
 	return n
 }
