@@ -15,12 +15,15 @@ import (
 // state between round barriers is the sequence of per-round partial sets
 // the coordinator has already collected: the reducer state (ŵ/F entries,
 // T1, the candidate set R) is a deterministic function of those partials,
-// recomputed by replaying them through RoundPlan.Broadcast + ReduceRound.
-// So a checkpoint is just the completed rounds' partials, encoded with
-// the same partial codec the wire uses, wrapped in one WDF1 frame and
-// written atomically (tmp + rename) after each barrier. Restore costs
-// zero map RPCs and is bit-identical by the same determinism argument
-// that makes distributed merges bit-identical.
+// recomputed by running them through RoundPlan.Run with a side that
+// delivers the recorded partials. So a checkpoint is just the completed
+// rounds' partials, encoded with the same partial codec the wire uses
+// (one versioning point for frames and files), wrapped in one WDF1 frame
+// and written atomically (tmp + rename) after each barrier. Restoring is
+// bit-identical by the same determinism argument that makes distributed
+// merges bit-identical, and saves the restored rounds' map RPCs, frames
+// and fleet fan-out — not their map work: the fleet's next round finds no
+// state lease and replays those rounds' map side for every split.
 
 // checkpoint is the durable state of a partially-completed multi-round
 // build.
@@ -96,7 +99,9 @@ func saveCheckpoint(dir string, ck *checkpoint) error {
 // loadCheckpoint returns the stored checkpoint for a build shape, or nil
 // when none exists or the stored one does not match (different key after
 // a hash collision, wrong method, wrong split count, corrupt file — all
-// treated as "no checkpoint", never as a build failure).
+// treated as "no checkpoint", never as a build failure). A round the plan
+// refuses (a split missing or corrupt) is no checkpoint either: runPlan
+// drops it.
 func loadCheckpoint(dir, key, method string, splits, maxRounds int) *checkpoint {
 	raw, err := os.ReadFile(checkpointPath(dir, key))
 	if err != nil {
@@ -106,11 +111,6 @@ func loadCheckpoint(dir, key, method string, splits, maxRounds int) *checkpoint 
 	if err != nil || ck.Key != key || ck.Method != method ||
 		ck.Splits != splits || len(ck.Rounds) == 0 || len(ck.Rounds) >= maxRounds {
 		return nil
-	}
-	for _, parts := range ck.Rounds {
-		if len(parts) != splits {
-			return nil
-		}
 	}
 	return ck
 }

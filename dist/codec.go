@@ -62,8 +62,9 @@ const (
 )
 
 const (
-	// compressMin is the smallest body worth deflating.
-	compressMin = 1 << 10
+	// compressMin is the smallest body worth deflating: a map response
+	// of a few dozen pairs (0.5–1 KiB) already deflates to about half.
+	compressMin = 1 << 9
 	// maxFramePayload bounds both the compressed and the declared
 	// uncompressed payload size — a corrupt or hostile length prefix must
 	// not allocate unbounded memory. It is also the protocol's hard

@@ -33,14 +33,14 @@ func testMapRequest() *MapRequest {
 func testMapResponse() *MapResponse {
 	parts := []core.SplitPartial{
 		{
-			SplitID: 4, Node: 2, RecordsRead: 1000, BytesRead: 4000,
+			SplitID: 4, RecordsRead: 1000, BytesRead: 4000,
 			InputBytes: 4096, CPUUnits: 1234.5,
 			Pairs: []mapred.KV{
-				{Key: 1, Val: 2.5, Src: 4, Tag: 1},
-				{Key: 99, Val: -0.25, Src: 4, Tag: 0},
+				{Key: 1, Val: 2.5, Tag: 1},
+				{Key: 99, Val: -0.25, Tag: 0},
 			},
 		},
-		{SplitID: 5, Node: 0},
+		{SplitID: 5},
 	}
 	return &MapResponse{
 		JobID:    "build-abc-7",
@@ -107,7 +107,7 @@ func TestCodecRoundTrip(t *testing.T) {
 func TestCodecCompression(t *testing.T) {
 	var pairs []mapred.KV
 	for i := 0; i < 10000; i++ {
-		pairs = append(pairs, mapred.KV{Key: int64(i), Val: float64(i % 7), Src: 3})
+		pairs = append(pairs, mapred.KV{Key: int64(i), Val: float64(i % 7)})
 	}
 	resp := &MapResponse{
 		JobID:    "big",

@@ -46,10 +46,13 @@ type Config struct {
 	// CheckpointDir, when non-empty, persists multi-round build state
 	// after each round barrier (partials via the partial codec, atomically
 	// tmp+renamed), keyed by build shape. A coordinator restarted
-	// mid-build replays the checkpointed rounds through the reducer
-	// locally — zero map RPCs, bit-identical state — and resumes the
-	// fan-out at the first incomplete round. Checkpoints are removed when
-	// their build completes.
+	// mid-build feeds the checkpointed rounds' partials to the reducer
+	// locally — bit-identical state, with none of those rounds' map RPCs,
+	// frames or fleet fan-out — and resumes the fan-out at the first
+	// incomplete round. It does not save their map work: a fresh fleet
+	// holds no state lease, so that round's workers replay the earlier
+	// rounds' map side for every split. Checkpoints are removed when their
+	// build completes.
 	CheckpointDir string
 	// TraceDir, when non-empty, dumps every finished build's span trace
 	// as JSONL (<jobID>.jsonl) — the durable form of GET /dist/v1/trace.
@@ -532,9 +535,11 @@ func (c *Coordinator) Build2D(ctx context.Context, spec DatasetSpec, file *hdfs.
 	return out, stats, err
 }
 
-// runPlan is the one build loop, for every method: fan out round r,
-// reduce it on the coordinator, compute the next round's broadcast,
-// repeat — once for a one-round method, three times for H-WTopk. Splits
+// runPlan runs every distributed build through the plan's one round loop
+// (RoundPlan.Run): a checkpoint's rounds with the restore side, the rest
+// with the fleet side, which fans round r out, delivers its partials to
+// the plan's reduce on the coordinator and is then asked for round r+1 —
+// once for a one-round method, three times for H-WTopk. Splits
 // prefer the worker that served them in the last build of the same shape
 // (its partial cache holds their results, so repeat builds re-ship instead
 // of recomputing) and then stick to the worker that ran them in earlier
@@ -586,63 +591,65 @@ func (c *Coordinator) runPlan(ctx context.Context, spec DatasetSpec, file *hdfs.
 		defer func() { c.releaseLeases(jobID, touched) }()
 	}
 
-	// Resume from a checkpoint when one matches this build shape: replay
-	// each checkpointed round's partials through the reducer — the exact
-	// state the crashed coordinator held at the barrier, reconstructed
-	// with zero map RPCs — then fan out only the remaining rounds.
+	// Resume from a checkpoint when one matches this build shape: its
+	// rounds' partials go through the plan again — the reducer state the
+	// crashed coordinator held at the barrier, with none of the restored
+	// rounds' map RPCs or frames — and the fleet runs only the remaining
+	// rounds. Their workers hold no lease on a fresh fleet, so they replay
+	// the restored rounds' map side per split.
 	var ckRounds [][]core.SplitPartial
-	startRound := 1
 	if ckDir != "" {
 		if ck := loadCheckpoint(ckDir, affKey, method, m, rounds); ck != nil {
-			replayed := true
-			for r := 1; r <= len(ck.Rounds); r++ {
+			restore := func(_ context.Context, r int, _ []byte, deliver func([]core.SplitPartial) error) error {
 				track.round.Store(int32(r))
-				plan.Broadcast(r)
-				if err := plan.ReduceRound(ctx, r, ck.Rounds[r-1]); err != nil {
-					replayed = false
-					break
-				}
-				stats.PerRound = append(stats.PerRound, RoundStats{Round: r, Restored: true})
-				c.recordSpan(jobID, Span{Round: r, Restored: true,
-					StartUnixMicros: time.Now().UnixMicro()})
+				return deliver(ck.Rounds[r-1])
 			}
-			if replayed {
-				startRound = len(ck.Rounds) + 1
-				ckRounds = ck.Rounds
-			} else {
-				// A checkpoint the reducer rejects is stale or corrupt:
-				// drop it and run the build from scratch.
+			if err := plan.Run(ctx, len(ck.Rounds), restore); err != nil {
+				// A checkpoint the plan refuses is stale or corrupt: drop
+				// it and run the build from scratch.
 				removeCheckpoint(ckDir, affKey)
-				stats.PerRound = nil
 				if plan, err = core.NewRoundPlan(file, method, p); err != nil {
 					return nil, stats, err
+				}
+			} else {
+				ckRounds = ck.Rounds
+				for r := 1; r <= len(ck.Rounds); r++ {
+					stats.PerRound = append(stats.PerRound, RoundStats{Round: r, Restored: true})
+					c.recordSpan(jobID, Span{Round: r, Restored: true, StartUnixMicros: time.Now().UnixMicro()})
 				}
 			}
 		}
 	}
 
-	for r := startRound; r <= rounds; r++ {
-		track.round.Store(int32(r))
-		rc := &roundCall{
-			jobID: jobID, method: method, params: p, spec: spec,
-			round: r, rounds: rounds, bcast: plan.Broadcast(r), m: m,
-			owners: owners, track: track, touched: touched, responded: responded,
-		}
-		parts, err := c.runRound(ctx, rc, stats)
-		if err != nil {
-			return nil, stats, err
-		}
-		if err := plan.ReduceRound(ctx, r, parts); err != nil {
-			return nil, stats, err
-		}
-		if ckDir != "" && r < rounds {
-			// Persist the barrier (best-effort: a failed write only costs
-			// re-running rounds after a crash, never the build).
-			ckRounds = append(ckRounds, parts)
-			_ = saveCheckpoint(ckDir, &checkpoint{
-				Key: affKey, Method: method, Splits: m, Rounds: ckRounds,
+	tmpl := MapRequest{JobID: jobID, Method: method, Params: p, Dataset: spec}
+	if rounds > 1 {
+		tmpl.Rounds = rounds
+	}
+	side := c.fleetSide(tmpl, owners, track, touched, responded, stats)
+	if ckDir != "" {
+		// Round r's side runs only once round r-1 has reduced: that is
+		// the barrier to persist, best-effort (a failed write only costs
+		// re-running rounds after a crash, never the build).
+		fleet, prev := side, []core.SplitPartial(nil)
+		side = func(ctx context.Context, r int, bcast []byte, deliver func([]core.SplitPartial) error) error {
+			if prev != nil {
+				ckRounds = append(ckRounds, prev)
+				_ = saveCheckpoint(ckDir, &checkpoint{Key: affKey, Method: method, Splits: m, Rounds: ckRounds})
+			}
+			prev = make([]core.SplitPartial, m)
+			return fleet(ctx, r, bcast, func(parts []core.SplitPartial) error {
+				if err := deliver(parts); err != nil {
+					return err
+				}
+				for _, part := range parts {
+					prev[part.SplitID] = part
+				}
+				return nil
 			})
 		}
+	}
+	if err := plan.Run(ctx, rounds, side); err != nil {
+		return nil, stats, err
 	}
 	// Remember ownership only for builds that completed every round: a
 	// canceled or failed build has zero (or partial) hits for reasons
@@ -686,110 +693,95 @@ func (c *Coordinator) releaseLeases(jobID string, touched map[string]string) {
 	wg.Wait()
 }
 
-// roundCall describes one round's fan-out.
-type roundCall struct {
-	jobID  string
-	method string
-	params core.Params
-	spec   DatasetSpec
-	round  int
-	rounds int
-	bcast  []byte
-	m      int
-	// owners is the split→worker stickiness map: for multi-round builds
-	// it tracks which worker holds each split's state lease; for
-	// one-round builds it is seeded from cross-build cache affinity
-	// (the worker whose partial cache holds the split). Updated with
-	// whoever actually served each split this round. Splits wait for a
-	// live-but-busy owner rather than spilling: for multi-round state a
-	// non-owner must replay, and for cache affinity a spill turns a
-	// cheap hit into a recompute. The pathological pin — every split
-	// owned by one worker whose cache turns out cold — is healed by the
-	// zero-hit affinity drop in runPlan, not by spilling here.
-	owners    []string
-	track     *buildTrack
-	touched   map[string]string
-	responded map[string]bool
-}
-
-// runRound fans one round's splits out to the fleet, re-assigning on
-// worker failure, and returns one partial per split (in split order).
-func (c *Coordinator) runRound(ctx context.Context, rc *roundCall, stats *BuildStats) ([]core.SplitPartial, error) {
-	roundStart := time.Now()
-	defer func() { c.roundDur.Observe(time.Since(roundStart)) }()
-	m := rc.m
-	pending := make([]int, m)
-	for i := range pending {
-		pending[i] = i
-	}
-	retries := make([]int, m)
-	partials := make([]*core.SplitPartial, m)
-	remaining := m
-	inflight := 0
-	rstats := RoundStats{Round: rc.round, BroadcastBytes: int64(len(rc.bcast))}
-	c.bcastBytes.Add(int64(len(rc.bcast)))
-	results := make(chan rpcResult, c.cfg.MaxInFlight)
-	retry := time.NewTicker(25 * time.Millisecond)
-	defer retry.Stop()
-
-	updateTrack := func() {
-		if rc.track != nil {
-			rc.track.pending.Store(int32(len(pending)))
-			rc.track.inflight.Store(int32(inflight))
+// fleetSide is the map side on the worker fleet. Each round's splits fan
+// out as batched map RPCs — every request is tmpl plus its splits, and
+// from round 2 on the round and its broadcast — re-assigned on worker
+// failure, and each response's partials are delivered as it arrives. A
+// response that does not decode, does not cover its batch or that deliver
+// refuses is a worker fault: its splits are re-assigned under MaxRetries,
+// never delivered twice.
+//
+// owners is the split→worker stickiness map: for multi-round builds it
+// tracks which worker holds each split's state lease; for one-round
+// builds it is seeded from cross-build cache affinity (the worker whose
+// partial cache holds the split). It is updated with whoever actually
+// served each split. Splits wait for a live-but-busy owner rather than
+// spilling: for multi-round state a non-owner must replay, and for cache
+// affinity a spill turns a cheap hit into a recompute. The pathological
+// pin — every split owned by one worker whose cache turns out cold — is
+// healed by the zero-hit affinity drop in runPlan, not by spilling here.
+// touched and responded collect the workers the build dialed and the ones
+// that answered.
+func (c *Coordinator) fleetSide(tmpl MapRequest, owners []string, track *buildTrack, touched map[string]string, responded map[string]bool, stats *BuildStats) core.MapSide {
+	return func(ctx context.Context, round int, bcast []byte, deliver func([]core.SplitPartial) error) error {
+		track.round.Store(int32(round))
+		roundStart := time.Now()
+		defer func() { c.roundDur.Observe(time.Since(roundStart)) }()
+		m := len(owners)
+		pending := make([]int, m)
+		for i := range pending {
+			pending[i] = i
 		}
-	}
+		retries := make([]int, m)
+		var lastErr error // the last worker fault, for when no worker is left
+		remaining := m
+		inflight := 0
+		rstats := RoundStats{Round: round, BroadcastBytes: int64(len(bcast))}
+		c.bcastBytes.Add(int64(len(bcast)))
+		results := make(chan rpcResult, c.cfg.MaxInFlight)
+		retry := time.NewTicker(25 * time.Millisecond)
+		defer retry.Stop()
 
-	dispatch := func(w *workerState, batch []int) {
-		req := &MapRequest{
-			JobID:   rc.jobID,
-			Method:  rc.method,
-			Params:  rc.params,
-			Dataset: rc.spec,
-			Splits:  batch,
+		updateTrack := func() {
+			track.pending.Store(int32(len(pending)))
+			track.inflight.Store(int32(inflight))
 		}
-		if rc.rounds > 1 {
-			req.Round, req.Rounds, req.Broadcast = rc.round, rc.rounds, rc.bcast
-		}
-		rctx, cancel := context.WithTimeout(ctx, c.cfg.RPCTimeout)
-		defer cancel()
-		t0 := time.Now()
-		resp, reqB, respB, err := c.tr.MapSplits(rctx, w.addr, req)
-		results <- rpcResult{w: w, splits: batch, resp: resp, reqB: reqB, respB: respB, latency: time.Since(t0), err: err}
-	}
 
-	// pick selects the next (worker, batch) under c.mu: splits stick to
-	// the live worker that owns their state from earlier rounds; splits
-	// with a dead or unset owner go to the least-loaded live worker.
-	// Splits whose owner is alive but at capacity wait for it — stealing
-	// them would force a replay the owner can avoid by just finishing.
-	pick := func() (*workerState, []int) {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		now := time.Now()
-		take := func(w *workerState, ids []int) (*workerState, []int) {
-			n := c.cfg.SplitsPerCall
-			if n > len(ids) {
-				n = len(ids)
+		dispatch := func(w *workerState, batch []int) {
+			req := tmpl
+			req.Splits = batch
+			if req.Rounds > 1 {
+				req.Round, req.Broadcast = round, bcast
 			}
-			batch := append([]int(nil), ids[:n]...)
-			inBatch := make(map[int]bool, n)
-			for _, id := range batch {
-				inBatch[id] = true
-			}
-			keep := pending[:0]
-			for _, id := range pending {
-				if !inBatch[id] {
-					keep = append(keep, id)
+			rctx, cancel := context.WithTimeout(ctx, c.cfg.RPCTimeout)
+			defer cancel()
+			t0 := time.Now()
+			resp, reqB, respB, err := c.tr.MapSplits(rctx, w.addr, &req)
+			results <- rpcResult{w: w, splits: batch, resp: resp, reqB: reqB, respB: respB, latency: time.Since(t0), err: err}
+		}
+
+		// pick selects the next (worker, batch) under c.mu: splits stick to
+		// the live worker that owns their state from earlier rounds; splits
+		// with a dead or unset owner go to the least-loaded live worker.
+		// Splits whose owner is alive but at capacity wait for it — stealing
+		// them would force a replay the owner can avoid by just finishing.
+		pick := func() (*workerState, []int) {
+			c.mu.Lock()
+			defer c.mu.Unlock()
+			now := time.Now()
+			take := func(w *workerState, ids []int) (*workerState, []int) {
+				n := c.cfg.SplitsPerCall
+				if n > len(ids) {
+					n = len(ids)
 				}
+				batch := append([]int(nil), ids[:n]...)
+				inBatch := make(map[int]bool, n)
+				for _, id := range batch {
+					inBatch[id] = true
+				}
+				keep := pending[:0]
+				for _, id := range pending {
+					if !inBatch[id] {
+						keep = append(keep, id)
+					}
+				}
+				pending = keep
+				w.inflight++
+				return w, batch
 			}
-			pending = keep
-			w.inflight++
-			return w, batch
-		}
-		if rc.owners != nil {
 			byOwner := make(map[string][]int)
 			for _, id := range pending {
-				o := rc.owners[id]
+				o := owners[id]
 				if o == "" {
 					continue
 				}
@@ -807,210 +799,199 @@ func (c *Coordinator) runRound(ctx context.Context, rc *roundCall, stats *BuildS
 					return take(w, byOwner[o])
 				}
 			}
-		}
-		var free []int
-		for _, id := range pending {
-			if rc.owners != nil {
-				if o := rc.owners[id]; o != "" {
+			var free []int
+			for _, id := range pending {
+				if o := owners[id]; o != "" {
 					if w := c.workers[o]; w != nil && c.alive(w, now) {
 						continue // owned by a live (busy) worker: wait for it
 					}
 				}
+				free = append(free, id)
 			}
-			free = append(free, id)
-		}
-		if len(free) == 0 {
-			return nil, nil
-		}
-		var best *workerState
-		for _, w := range c.workers {
-			if !c.alive(w, now) || w.inflight >= w.capacity {
-				continue
+			if len(free) == 0 {
+				return nil, nil
 			}
-			if best == nil || w.inflight < best.inflight || (w.inflight == best.inflight && w.id < best.id) {
-				best = w
-			}
-		}
-		if best == nil {
-			return nil, nil
-		}
-		return take(best, free)
-	}
-
-	requeue := func(splits []int) error {
-		for _, id := range splits {
-			retries[id]++
-			stats.Retries++
-			rstats.Retries++
-			c.retriesTotal.Inc()
-			if retries[id] > c.cfg.MaxRetries {
-				return fmt.Errorf("dist: round %d: split %d failed %d times; giving up", rc.round, id, retries[id])
-			}
-			pending = append(pending, id)
-		}
-		return nil
-	}
-
-	// drain releases the worker slots of RPCs still in flight when the
-	// round returns early — the Coordinator and its workerStates outlive
-	// this build, so abandoning the results channel would leak inflight
-	// counts and permanently shrink fleet capacity. The results channel
-	// is buffered to MaxInFlight, so the dispatch goroutines never block.
-	drain := func(n int) {
-		if n <= 0 {
-			return
-		}
-		go func() {
-			for i := 0; i < n; i++ {
-				r := <-results
-				outcome := relOK
-				if r.err != nil {
-					// Don't blame workers for our own cancellation.
-					outcome = relFailed
-					if ctx.Err() != nil {
-						outcome = relNeutral
-					}
+			var best *workerState
+			for _, w := range c.workers {
+				if !c.alive(w, now) || w.inflight >= w.capacity {
+					continue
 				}
-				c.release(r.w, outcome, r.latency)
-			}
-		}()
-	}
-	finish := func(err error) ([]core.SplitPartial, error) {
-		drain(inflight)
-		updateTrack()
-		return nil, err
-	}
-
-	for remaining > 0 {
-		// Dispatch as much as fleet capacity and the in-flight bound allow.
-		for inflight < c.cfg.MaxInFlight {
-			w, batch := pick()
-			if w == nil {
-				break
-			}
-			rc.touched[w.id] = w.addr
-			inflight++
-			go dispatch(w, batch)
-		}
-		updateTrack()
-		if inflight == 0 && len(pending) > 0 && c.AliveWorkers() == 0 {
-			return nil, fmt.Errorf("dist: no alive workers (%d splits unassigned in round %d)", len(pending), rc.round)
-		}
-
-		select {
-		case r := <-results:
-			inflight--
-			stats.WireBytes += r.reqB + r.respB
-			rstats.WireBytes += r.reqB + r.respB
-			c.wireBytes.Add(r.reqB + r.respB)
-			c.rpcDur.Observe(r.latency)
-			// One span per split-batch RPC, whatever its outcome. Retry
-			// marks a batch carrying at least one re-dispatched split.
-			span := Span{
-				Round:           rc.round,
-				Worker:          r.w.id,
-				Splits:          append([]int(nil), r.splits...),
-				StartUnixMicros: time.Now().Add(-r.latency).UnixMicro(),
-				DurMicros:       r.latency.Microseconds(),
-				WireBytes:       r.reqB + r.respB,
-			}
-			for _, id := range r.splits {
-				if retries[id] > 0 {
-					span.Retry = true
-					break
+				if best == nil || w.inflight < best.inflight || (w.inflight == best.inflight && w.id < best.id) {
+					best = w
 				}
 			}
-			fail := func(err error) error {
-				stats.WorkerFailures++
-				c.failuresTotal.Inc()
-				c.release(r.w, relFailed, r.latency)
-				// Orphan the failed splits this worker owned: a failed RPC
-				// makes its state suspect, and keeping them sticky would
-				// burn every per-split retry on the same worker before it
-				// accrues MaxWorkerFailures (the two limits must not be
-				// coupled). Orphans go to any live worker, which replays.
-				if rc.owners != nil {
-					for _, id := range r.splits {
-						if rc.owners[id] == r.w.id {
-							rc.owners[id] = ""
+			if best == nil {
+				return nil, nil
+			}
+			return take(best, free)
+		}
+
+		requeue := func(splits []int) error {
+			for _, id := range splits {
+				retries[id]++
+				stats.Retries++
+				rstats.Retries++
+				c.retriesTotal.Inc()
+				if retries[id] > c.cfg.MaxRetries {
+					return fmt.Errorf("dist: round %d: split %d failed %d times; giving up", round, id, retries[id])
+				}
+				pending = append(pending, id)
+			}
+			return nil
+		}
+
+		// drain releases the worker slots of RPCs still in flight when the
+		// round returns early — the Coordinator and its workerStates outlive
+		// this build, so abandoning the results channel would leak inflight
+		// counts and permanently shrink fleet capacity. The results channel
+		// is buffered to MaxInFlight, so the dispatch goroutines never block.
+		drain := func(n int) {
+			if n <= 0 {
+				return
+			}
+			go func() {
+				for i := 0; i < n; i++ {
+					r := <-results
+					outcome := relOK
+					if r.err != nil {
+						// Don't blame workers for our own cancellation.
+						outcome = relFailed
+						if ctx.Err() != nil {
+							outcome = relNeutral
 						}
 					}
+					c.release(r.w, outcome, r.latency)
 				}
-				if rqErr := requeue(r.splits); rqErr != nil {
-					return fmt.Errorf("%v (last worker error: %v)", rqErr, err)
-				}
-				return nil
-			}
-			switch {
-			case r.err != nil:
-				if ctx.Err() != nil {
-					// Build canceled, not a worker fault.
-					c.release(r.w, relNeutral, 0)
-					return finish(ctx.Err())
-				}
-				span.Error = r.err.Error()
-				c.recordSpan(rc.jobID, span)
-				if err := fail(r.err); err != nil {
-					return finish(err)
-				}
-			case r.resp.Error != "":
-				// Application errors are deterministic (same request, same
-				// failure on any worker): fail the build, don't retry.
-				span.Error = r.resp.Error
-				c.recordSpan(rc.jobID, span)
-				c.release(r.w, relOK, r.latency)
-				return finish(fmt.Errorf("dist: worker %s: %s", r.w.id, r.resp.Error))
-			default:
-				parts, err := core.DecodePartials(r.resp.Partials)
-				if err == nil {
-					err = checkCoverage(parts, r.splits)
-				}
-				if err != nil {
-					span.Error = err.Error()
-					c.recordSpan(rc.jobID, span)
-					if ferr := fail(err); ferr != nil {
-						return finish(ferr)
-					}
+			}()
+		}
+		finish := func(err error) error {
+			drain(inflight)
+			updateTrack()
+			return err
+		}
+
+		for remaining > 0 {
+			// Dispatch as much as fleet capacity and the in-flight bound allow.
+			for inflight < c.cfg.MaxInFlight {
+				w, batch := pick()
+				if w == nil {
 					break
 				}
-				c.release(r.w, relOK, r.latency)
-				stats.RPCs++
-				rstats.RPCs++
-				c.rpcsTotal.Inc()
-				rstats.ReplayedSplits += len(r.resp.Replayed)
-				rstats.CachedSplits += len(r.resp.Cached)
-				stats.CachedSplits += len(r.resp.Cached)
-				c.cachedSplits.Add(int64(len(r.resp.Cached)))
-				span.Cached = append([]int(nil), r.resp.Cached...)
-				span.Replayed = append([]int(nil), r.resp.Replayed...)
-				c.recordSpan(rc.jobID, span)
-				rc.responded[r.w.id] = true
-				for i := range parts {
-					id := parts[i].SplitID
-					if partials[id] == nil {
-						remaining--
-					}
-					partials[id] = &parts[i]
-					if rc.owners != nil {
-						rc.owners[id] = r.w.id
+				touched[w.id] = w.addr
+				inflight++
+				go dispatch(w, batch)
+			}
+			updateTrack()
+			if inflight == 0 && len(pending) > 0 && c.AliveWorkers() == 0 {
+				return fmt.Errorf("dist: no alive workers (%d splits unassigned in round %d; last worker error: %v)", len(pending), round, lastErr)
+			}
+
+			select {
+			case r := <-results:
+				inflight--
+				stats.WireBytes += r.reqB + r.respB
+				rstats.WireBytes += r.reqB + r.respB
+				c.wireBytes.Add(r.reqB + r.respB)
+				c.rpcDur.Observe(r.latency)
+				// One span per split-batch RPC, whatever its outcome. Retry
+				// marks a batch carrying at least one re-dispatched split.
+				span := Span{
+					Round:           round,
+					Worker:          r.w.id,
+					Splits:          append([]int(nil), r.splits...),
+					StartUnixMicros: time.Now().Add(-r.latency).UnixMicro(),
+					DurMicros:       r.latency.Microseconds(),
+					WireBytes:       r.reqB + r.respB,
+				}
+				for _, id := range r.splits {
+					if retries[id] > 0 {
+						span.Retry = true
+						break
 					}
 				}
+				fail := func(err error) error {
+					lastErr = err
+					stats.WorkerFailures++
+					c.failuresTotal.Inc()
+					c.release(r.w, relFailed, r.latency)
+					// Orphan the failed splits this worker owned: a failed RPC
+					// makes its state suspect, and keeping them sticky would
+					// burn every per-split retry on the same worker before it
+					// accrues MaxWorkerFailures (the two limits must not be
+					// coupled). Orphans go to any live worker, which replays.
+					for _, id := range r.splits {
+						if owners[id] == r.w.id {
+							owners[id] = ""
+						}
+					}
+					if rqErr := requeue(r.splits); rqErr != nil {
+						return fmt.Errorf("%v (last worker error: %v)", rqErr, err)
+					}
+					return nil
+				}
+				switch {
+				case r.err != nil:
+					if ctx.Err() != nil {
+						// Build canceled, not a worker fault.
+						c.release(r.w, relNeutral, 0)
+						return finish(ctx.Err())
+					}
+					span.Error = r.err.Error()
+					c.recordSpan(tmpl.JobID, span)
+					if err := fail(r.err); err != nil {
+						return finish(err)
+					}
+				case r.resp.Error != "":
+					// Application errors are deterministic (same request, same
+					// failure on any worker): fail the build, don't retry.
+					span.Error = r.resp.Error
+					c.recordSpan(tmpl.JobID, span)
+					c.release(r.w, relOK, r.latency)
+					return finish(fmt.Errorf("dist: worker %s: %s", r.w.id, r.resp.Error))
+				default:
+					parts, err := core.DecodePartials(r.resp.Partials)
+					if err == nil {
+						err = checkCoverage(parts, r.splits)
+					}
+					if err == nil {
+						err = deliver(parts)
+					}
+					if err != nil {
+						span.Error = err.Error()
+						c.recordSpan(tmpl.JobID, span)
+						if ferr := fail(err); ferr != nil {
+							return finish(ferr)
+						}
+						break
+					}
+					c.release(r.w, relOK, r.latency)
+					stats.RPCs++
+					rstats.RPCs++
+					c.rpcsTotal.Inc()
+					rstats.ReplayedSplits += len(r.resp.Replayed)
+					rstats.CachedSplits += len(r.resp.Cached)
+					stats.CachedSplits += len(r.resp.Cached)
+					c.cachedSplits.Add(int64(len(r.resp.Cached)))
+					span.Cached = append([]int(nil), r.resp.Cached...)
+					span.Replayed = append([]int(nil), r.resp.Replayed...)
+					c.recordSpan(tmpl.JobID, span)
+					responded[r.w.id] = true
+					remaining -= len(parts)
+					for _, part := range parts {
+						owners[part.SplitID] = r.w.id
+					}
+				}
+			case <-retry.C:
+				// Re-check dispatchability: workers may have registered,
+				// recovered, or freed capacity held by a concurrent build.
+			case <-ctx.Done():
+				return finish(ctx.Err())
 			}
-		case <-retry.C:
-			// Re-check dispatchability: workers may have registered,
-			// recovered, or freed capacity held by a concurrent build.
-		case <-ctx.Done():
-			return finish(ctx.Err())
 		}
+		updateTrack()
+		stats.PerRound = append(stats.PerRound, rstats)
+		return nil
 	}
-	updateTrack()
-	stats.PerRound = append(stats.PerRound, rstats)
-
-	flat := make([]core.SplitPartial, m)
-	for i, part := range partials {
-		flat[i] = *part
-	}
-	return flat, nil
 }
 
 // checkCoverage verifies a response's partials are exactly the assigned

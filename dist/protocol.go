@@ -5,10 +5,11 @@
 // summaries (internal/core.SplitPartial) into the final histogram: the
 // paper's Map/Shuffle/Reduce made multi-process, with communication
 // measured on the actual request and response payloads instead of
-// modeled. The coordinator is a core.RoundPlan's RPC transport: one loop
-// (runPlan) fans each of the plan's rounds out as map RPCs, reduces it
-// with ReduceRound, and ships the plan's broadcast with the next — once
-// for the one-round methods, three times for H-WTopk.
+// modeled. The coordinator is a core.RoundPlan's RPC map side: the
+// plan's one loop (RoundPlan.Run) asks it for each round, and it fans the
+// round out as map RPCs that carry the plan's broadcast and delivers each
+// response's partials to the plan's reduce — once for the one-round
+// methods, three times for H-WTopk.
 //
 // The fleet is dynamic: workers register with the coordinator and keep a
 // heartbeat; splits assigned to a worker that crashes or goes silent are

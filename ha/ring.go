@@ -10,8 +10,9 @@
 // tiny (kilobytes), so replication is cheap enough to run everywhere,
 // and the expensive part — the distributed build — stays on the
 // coordinator, which checkpoints its round barriers (dist.Config.
-// CheckpointDir) so even mid-build coordinator crashes resume without
-// re-running completed rounds.
+// CheckpointDir) so a mid-build coordinator crash resumes at the last
+// barrier without the completed rounds' map RPCs (the fresh fleet still
+// replays their map side for every split).
 package ha
 
 import (

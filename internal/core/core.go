@@ -15,8 +15,9 @@
 // A method is a row of the method table (method.go): its rounds, its
 // dimensionality and one stage — input, mapper, reducer, pair encoding,
 // broadcast — per round. RoundPlan (plan.go) turns a row into a build and
-// runs each round one way: the map side split by split (MapRoundSplits'
-// code, in-process via RunRound or on a worker fleet), then ReduceRound.
+// runs every round through one loop (Run): the broadcast, a map side that
+// delivers each split's partial (MapRoundSplits' code, in-process via
+// RunRound or on a worker fleet), then the round's reduce.
 // Every mapper that needs its split's frequency vector v_j builds it one
 // way (aggregate.go): keep the keys, radix sort, run-length encode.
 package core
@@ -131,19 +132,12 @@ func (m *Metrics) addRound(res *mapred.Result, broadcastBytes int64) {
 	m.PairsShuffled += res.PairsShuffled
 	m.MapRecordsRead += res.MapRecordsRead
 	m.MapBytesRead += res.MapBytesRead
-	rc := cluster.RoundCost{
+	m.RoundCosts = append(m.RoundCosts, cluster.RoundCost{
+		MapTasks:       res.MapTasks,
 		ShuffleBytes:   res.ShuffleBytes,
 		BroadcastBytes: broadcastBytes,
 		ReduceCPUUnits: res.ReduceCPU,
-	}
-	for _, t := range res.MapTasks {
-		rc.MapTasks = append(rc.MapTasks, cluster.TaskCost{
-			PreferredNode: t.Node,
-			InputBytes:    t.InputBytes,
-			CPUUnits:      t.CPUUnits,
-		})
-	}
-	m.RoundCosts = append(m.RoundCosts, rc)
+	})
 }
 
 // transformWork is the abstract CPU charge of a sparse wavelet transform

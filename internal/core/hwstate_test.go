@@ -142,8 +142,8 @@ func checkSplitState(t *testing.T, u int64, keys []int64, counts []float64, k in
 	if !slices.Equal(res.Pairs, want2) {
 		t.Fatalf("u=%d, T1/m=%v: round-2 pairs %v, want %v", u, thresh, res.Pairs, want2)
 	}
-	if res.Metrics.CPUUnits != float64(st.n+len(want2)) || res.Metrics.InputBytes != int64(len(file1)) {
-		t.Errorf("round 2 charged %v work, %d bytes; want %d, %d", res.Metrics.CPUUnits, res.Metrics.InputBytes, st.n+len(want2), len(file1))
+	if res.CPUUnits != float64(st.n+len(want2)) || res.InputBytes != int64(len(file1)) {
+		t.Errorf("round 2 charged %v work, %d bytes; want %d, %d", res.CPUUnits, res.InputBytes, st.n+len(want2), len(file1))
 	}
 	left := slices.Concat(st.out, shipped)
 	slices.Sort(left)
@@ -172,8 +172,8 @@ func checkSplitState(t *testing.T, u int64, keys []int64, counts []float64, k in
 		t.Fatalf("u=%d, R %v: round-3 pairs %v, want %v", u, r, res.Pairs, want)
 	}
 	n2 := len(survivors)
-	if res.Metrics.CPUUnits != float64(n2+len(res.Pairs)) || res.Metrics.InputBytes != int64(len(file2)) {
-		t.Errorf("round 3 charged %v work, %d bytes; want %d, %d", res.Metrics.CPUUnits, res.Metrics.InputBytes, n2+len(res.Pairs), len(file2))
+	if res.CPUUnits != float64(n2+len(res.Pairs)) || res.InputBytes != int64(len(file2)) {
+		t.Errorf("round 3 charged %v work, %d bytes; want %d, %d", res.CPUUnits, res.InputBytes, n2+len(res.Pairs), len(file2))
 	}
 }
 

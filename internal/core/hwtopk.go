@@ -161,7 +161,6 @@ type hwRound1Mapper struct {
 func (m *hwRound1Mapper) Close(ctx *mapred.TaskContext, out *mapred.Emitter) error {
 	sc, keys, counts := m.aggregate()
 	defer splitScratchPool.Put(sc)
-	j := int32(ctx.SplitID)
 
 	var sel *twoSided
 	var st *hwSplitState
@@ -183,7 +182,7 @@ func (m *hwRound1Mapper) Close(ctx *mapred.TaskContext, out *mapred.Emitter) err
 		if rank == m.k-1 {
 			tag = mapred.TagMarkHigh // the k-th highest coefficient
 		}
-		out.Emit(mapred.KV{Key: it.ID, Val: it.Score, Src: j, Tag: tag})
+		out.Emit(mapred.KV{Key: it.ID, Val: it.Score, Tag: tag})
 		sent = append(sent, it.ID)
 	}
 	for rank, it := range sel.lo.Sorted() {
@@ -194,7 +193,7 @@ func (m *hwRound1Mapper) Close(ctx *mapred.TaskContext, out *mapred.Emitter) err
 		// The paper emits top-k and bottom-k as separate pair sets; an
 		// item in both is emitted twice (the reducer's F_i bits dedupe
 		// the partial-sum contribution).
-		out.Emit(mapred.KV{Key: it.ID, Val: it.Score, Src: j, Tag: tag})
+		out.Emit(mapred.KV{Key: it.ID, Val: it.Score, Tag: tag})
 		sent = append(sent, it.ID)
 	}
 	slices.Sort(sent)
@@ -265,18 +264,19 @@ func (r *hwRound1Reducer) Setup(ctx *mapred.TaskContext) error {
 	return nil
 }
 
-func (r *hwRound1Reducer) Reduce(_ *mapred.TaskContext, key int64, vals []mapred.KV) error {
+func (r *hwRound1Reducer) Reduce(ctx *mapred.TaskContext, key int64, vals []mapred.KV) error {
+	j := ctx.SplitID // the paper's (i, (j, w_ij)): the batch names j
 	for _, kv := range vals {
 		switch kv.Tag {
 		case mapred.TagMarkHigh:
-			r.tildeHigh[kv.Src] = math.Max(kv.Val, 0)
+			r.tildeHigh[j] = math.Max(kv.Val, 0)
 		case mapred.TagMarkLow:
-			r.tildeLow[kv.Src] = math.Min(kv.Val, 0)
+			r.tildeLow[j] = math.Min(kv.Val, 0)
 		}
 	}
 	// An item in both the top-k and bottom-k sets arrives twice from its
 	// split; add counts it once.
-	r.cs.entry(key).add(vals)
+	r.cs.entry(key).add(j, vals)
 	return nil
 }
 
@@ -328,7 +328,7 @@ func (m hwRound2Mapper) Close(ctx *mapred.TaskContext, out *mapred.Emitter) erro
 	ctx.AddIOBytes(st.Size())
 	ctx.AddWork(float64(st.n))
 	rest := st.round2(m.thresh, func(id int64, v float64) {
-		out.Emit(mapred.KV{Key: id, Val: v, Src: int32(ctx.SplitID)})
+		out.Emit(mapred.KV{Key: id, Val: v})
 	})
 	ctx.State.Adopt(hwStateR2(ctx.SplitID), rest)
 	return nil
@@ -352,8 +352,8 @@ type hwRound2Reducer struct {
 
 func (*hwRound2Reducer) Setup(*mapred.TaskContext) error { return nil }
 
-func (r *hwRound2Reducer) Reduce(_ *mapred.TaskContext, key int64, vals []mapred.KV) error {
-	r.h.cs.entry(key).add(vals)
+func (r *hwRound2Reducer) Reduce(ctx *mapred.TaskContext, key int64, vals []mapred.KV) error {
+	r.h.cs.entry(key).add(ctx.SplitID, vals)
 	return nil
 }
 
@@ -418,7 +418,7 @@ func (m hwRound3Mapper) Close(ctx *mapred.TaskContext, out *mapred.Emitter) erro
 	// left sent coefficients out), so emit iff it is a candidate.
 	for _, id := range m.r {
 		if v, ok := st.lookup(id); ok {
-			out.Emit(mapred.KV{Key: id, Val: v, Src: int32(ctx.SplitID)})
+			out.Emit(mapred.KV{Key: id, Val: v})
 		}
 	}
 	// The cost model charges the paper's read and scan of the file.
@@ -438,13 +438,13 @@ type hwRound3Reducer struct {
 
 func (*hwRound3Reducer) Setup(*mapred.TaskContext) error { return nil }
 
-func (r *hwRound3Reducer) Reduce(_ *mapred.TaskContext, key int64, vals []mapred.KV) error {
+func (r *hwRound3Reducer) Reduce(ctx *mapred.TaskContext, key int64, vals []mapred.KV) error {
 	e := r.h.cs.entries[key]
 	if e == nil {
 		// Round-3 mappers only emit candidates: the partial is corrupt.
 		return fmt.Errorf("hwtopk: round-3 pair for non-candidate %d", key)
 	}
-	e.add(vals)
+	e.add(ctx.SplitID, vals)
 	return nil
 }
 

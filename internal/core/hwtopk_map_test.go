@@ -215,8 +215,8 @@ func TestHWRound2StateBytes(t *testing.T) {
 				t.Error("round 2 modified the round-1 state")
 			}
 			// The scan of every record, plus the engine's unit per pair.
-			if res.Metrics.CPUUnits != float64(len(coefs)+len(want)) || res.Metrics.InputBytes != int64(len(r1Before)) {
-				t.Errorf("charged %v work, %d bytes; want %d, %d", res.Metrics.CPUUnits, res.Metrics.InputBytes, len(coefs)+len(want), len(r1Before))
+			if res.CPUUnits != float64(len(coefs)+len(want)) || res.InputBytes != int64(len(r1Before)) {
+				t.Errorf("charged %v work, %d bytes; want %d, %d", res.CPUUnits, res.InputBytes, len(coefs)+len(want), len(r1Before))
 			}
 		})
 	}
@@ -313,8 +313,8 @@ func TestHWRound3ProbeMatchesMergeJoin(t *testing.T) {
 			t.Fatalf("%s: state %v, R %v: pairs %v, want %v", tc.name, tc.state, tc.r, res.Pairs, want)
 		}
 		// The paper's scan of every record, plus the engine's unit per pair.
-		if res.Metrics.CPUUnits != float64(len(state)+len(want)) || res.Metrics.InputBytes != r2.Size() {
-			t.Errorf("%s: charged %v work, %d bytes; want %d, %d", tc.name, res.Metrics.CPUUnits, res.Metrics.InputBytes, len(state)+len(want), r2.Size())
+		if res.CPUUnits != float64(len(state)+len(want)) || res.InputBytes != r2.Size() {
+			t.Errorf("%s: charged %v work, %d bytes; want %d, %d", tc.name, res.CPUUnits, res.InputBytes, len(state)+len(want), r2.Size())
 		}
 	}
 }

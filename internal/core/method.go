@@ -99,11 +99,11 @@ type stage struct {
 	reducer  mapred.Reducer
 	// pairBytes is the paper's encoding of one shuffled pair.
 	pairBytes func(mapred.KV) int
-	// keys bounds every shuffled pair's key to [0, keys): ReduceRound
+	// keys bounds every shuffled pair's key to [0, keys): RoundPlan.Run
 	// refuses a partial holding any other.
 	keys int64
 	// tags are the pair tags the stage's mappers emit besides TagNone:
-	// ReduceRound refuses a partial holding any other.
+	// RoundPlan.Run refuses a partial holding any other.
 	tags []uint8
 	// broadcast (nil in round 1 and for one-round methods) runs on the
 	// coordinator after the previous round's reduce: it hands what this
@@ -159,7 +159,13 @@ type algorithm string
 func (a algorithm) Name() string { return string(a) }
 
 func (a algorithm) Run(ctx context.Context, file *hdfs.File, p Params) (*Output, error) {
-	rp, err := runLocal(ctx, file, string(a), p, 1)
+	rp, err := NewRoundPlan(file, string(a), p)
+	if err == nil {
+		err = rp.WantDim(1)
+	}
+	if err == nil {
+		err = rp.RunRound(ctx, rp.NumRounds())
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -171,29 +177,17 @@ type algorithm2D string
 func (a algorithm2D) Name() string { return string(a) }
 
 func (a algorithm2D) Run(ctx context.Context, file *hdfs.File, p Params) (*Output2D, error) {
-	rp, err := runLocal(ctx, file, string(a), p, 2)
+	rp, err := NewRoundPlan(file, string(a), p)
+	if err == nil {
+		err = rp.WantDim(2)
+	}
+	if err == nil {
+		err = rp.RunRound(ctx, rp.NumRounds())
+	}
 	if err != nil {
 		return nil, err
 	}
 	return rp.Output2D()
-}
-
-// runLocal plans a dim-dimensional method and runs every round
-// in-process.
-func runLocal(ctx context.Context, file *hdfs.File, method string, p Params, dim int) (*RoundPlan, error) {
-	rp, err := NewRoundPlan(file, method, p)
-	if err != nil {
-		return nil, err
-	}
-	if err := rp.WantDim(dim); err != nil {
-		return nil, err
-	}
-	for r := 1; r <= rp.NumRounds(); r++ {
-		if err := rp.RunRound(ctx, r); err != nil {
-			return nil, err
-		}
-	}
-	return rp, nil
 }
 
 // The ten methods as values.

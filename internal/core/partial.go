@@ -22,22 +22,11 @@ import (
 //	Send-Sketch:  the split's non-zero GCS sketch entries
 //	H-WTopk:      per round, the coefficients the split ships that round
 //
-// Partials are produced on workers by MapRoundSplits, shipped over the
-// wire with EncodePartials / DecodePartials, and merged on the coordinator
-// by RoundPlan.ReduceRound (plan.go).
-type SplitPartial struct {
-	SplitID int
-	// Node is the DataNode holding the split (locality for the cost model).
-	Node int
-	// Pairs are the split's sorted, combined intermediate pairs.
-	Pairs []mapred.KV
-	// RecordsRead / BytesRead are the split's input-scan counters.
-	RecordsRead int64
-	BytesRead   int64
-	// InputBytes / CPUUnits feed the cluster cost model.
-	InputBytes int64
-	CPUUnits   float64
-}
+// plus what its map task measured. Partials are produced on workers by
+// MapRoundSplits, shipped over the wire with EncodePartials /
+// DecodePartials, and merged on the coordinator by RoundPlan.Run or
+// ReduceRound (plan.go).
+type SplitPartial = mapred.Partial
 
 // forEachSplit fans fn(i) for i in [0, n) out across a bounded goroutine
 // pool: p.Parallelism workers (0 = GOMAXPROCS), context-cancellable, first
@@ -94,14 +83,22 @@ func forEachSplit(ctx context.Context, p Params, n int, fn func(ctx context.Cont
 
 // ---------- wire encoding ----------
 
+// partialsVersion opens every partials payload, in worker frames and in
+// checkpoint files alike. The layout before it began with the partial
+// count, which is never this large, so an old payload is refused instead
+// of misread; an old decoder reads this word as an impossible count.
+const partialsVersion uint64 = 0x5750_0000_0000_0002 // "WP", layout 2
+
 // EncodePartials serializes partials for the dist wire protocol:
-// [count] then per partial [splitID][node][recordsRead][bytesRead]
-// [inputBytes][cpuUnits][npairs] and per pair [key][val][src:4][tag:1].
+// [version][count] then per partial [splitID][recordsRead][bytesRead]
+// [inputBytes][cpuUnits][npairs] and per pair [key][val][tag:1]. A pair's
+// split is its partial's, and a split's node is the receiver's to know.
 // The output buffer is allocated once at its exact final size (the layout
 // is fixed-width), so encoding never re-grows or over-allocates — the hot
 // path of every map RPC response.
 func EncodePartials(parts []SplitPartial) []byte {
 	b := make([]byte, 0, PartialsWireBytes(parts))
+	b = mapred.AppendUint64(b, partialsVersion)
 	b = mapred.AppendInt64(b, int64(len(parts)))
 	for i := range parts {
 		b = appendPartial(b, &parts[i])
@@ -112,18 +109,17 @@ func EncodePartials(parts []SplitPartial) []byte {
 // PartialsWireBytes returns the exact encoded size of EncodePartials'
 // output without encoding.
 func PartialsWireBytes(parts []SplitPartial) int {
-	n := 8
+	n := 16
 	for i := range parts {
 		n += partialHeaderBytes + len(parts[i].Pairs)*pairWireBytes
 	}
 	return n
 }
 
-const partialHeaderBytes = 56 // 5 int64 + 1 float64 + npairs
+const partialHeaderBytes = 48 // 4 int64 + 1 float64 + npairs
 
 func appendPartial(b []byte, part *SplitPartial) []byte {
 	b = mapred.AppendInt64(b, int64(part.SplitID))
-	b = mapred.AppendInt64(b, int64(part.Node))
 	b = mapred.AppendInt64(b, part.RecordsRead)
 	b = mapred.AppendInt64(b, part.BytesRead)
 	b = mapred.AppendInt64(b, part.InputBytes)
@@ -132,34 +128,36 @@ func appendPartial(b []byte, part *SplitPartial) []byte {
 	for _, kv := range part.Pairs {
 		b = mapred.AppendInt64(b, kv.Key)
 		b = mapred.AppendFloat64(b, kv.Val)
-		b = append(b, byte(kv.Src), byte(kv.Src>>8), byte(kv.Src>>16), byte(kv.Src>>24), kv.Tag)
+		b = append(b, kv.Tag)
 	}
 	return b
 }
 
-const pairWireBytes = 21 // 8 key + 8 val + 4 src + 1 tag
+const pairWireBytes = 17 // 8 key + 8 val + 1 tag
 
 // DecodePartials is the inverse of EncodePartials, with bounds checks
-// against truncated or corrupt payloads.
+// against truncated or corrupt payloads and a version check against
+// payloads of another layout.
 func DecodePartials(b []byte) ([]SplitPartial, error) {
-	if len(b) < 8 {
+	if len(b) < 16 {
 		return nil, fmt.Errorf("core: truncated partials payload")
 	}
-	n, off := mapred.ReadInt64(b, 0)
-	if n < 0 || n > int64(len(b))/8 {
+	if v, _ := mapred.ReadUint64(b, 0); v != partialsVersion {
+		return nil, fmt.Errorf("core: partials payload has layout word %#x, want %#x", v, partialsVersion)
+	}
+	n, off := mapred.ReadInt64(b, 8)
+	if n < 0 || n > int64(len(b))/partialHeaderBytes {
 		return nil, fmt.Errorf("core: corrupt partials payload (n=%d)", n)
 	}
 	parts := make([]SplitPartial, 0, n)
 	for i := int64(0); i < n; i++ {
-		if len(b)-off < 56 {
+		if len(b)-off < partialHeaderBytes {
 			return nil, fmt.Errorf("core: truncated partial %d", i)
 		}
 		var part SplitPartial
 		var v int64
 		v, off = mapred.ReadInt64(b, off)
 		part.SplitID = int(v)
-		v, off = mapred.ReadInt64(b, off)
-		part.Node = int(v)
 		part.RecordsRead, off = mapred.ReadInt64(b, off)
 		part.BytesRead, off = mapred.ReadInt64(b, off)
 		part.InputBytes, off = mapred.ReadInt64(b, off)
@@ -173,10 +171,8 @@ func DecodePartials(b []byte) ([]SplitPartial, error) {
 		for j := range part.Pairs {
 			part.Pairs[j].Key, off = mapred.ReadInt64(b, off)
 			part.Pairs[j].Val, off = mapred.ReadFloat64(b, off)
-			src := uint32(b[off]) | uint32(b[off+1])<<8 | uint32(b[off+2])<<16 | uint32(b[off+3])<<24
-			part.Pairs[j].Src = int32(src)
-			part.Pairs[j].Tag = b[off+4]
-			off += 5
+			part.Pairs[j].Tag = b[off]
+			off++
 		}
 		parts = append(parts, part)
 	}

@@ -127,14 +127,14 @@ func TestMergePartialsCoverage(t *testing.T) {
 	}
 }
 
-// TestReduceRoundRejectsCorruptPartials: a partial whose pairs name
-// another split, break key order, hold a key outside the stage's domain,
-// a non-finite value or a tag the stage does not emit, or whose split
-// sits on no DataNode or carries a negative or non-finite counter (a
-// corrupt worker frame or checkpoint file) fails the round with an error,
-// rather than indexing a reducer's per-split state or a sketch out of
-// range, publishing a coefficient outside [0, u) or one a snapshot cannot
-// hold, or silently changing the reducer's Reduce calls or the cost model.
+// TestReduceRoundRejectsCorruptPartials: a partial that names a split
+// outside the plan, whose pairs break key order, hold a key outside the
+// stage's domain, a non-finite value or a tag the stage does not emit, or
+// that carries a negative or non-finite counter (a corrupt worker frame or
+// checkpoint file) fails the round with an error, rather than indexing a
+// reducer's per-split state or a sketch out of range, publishing a
+// coefficient outside [0, u) or one a snapshot cannot hold, or silently
+// changing the reducer's Reduce calls or the cost model.
 func TestReduceRoundRejectsCorruptPartials(t *testing.T) {
 	f := partialTestFile(t)
 	ctx := context.Background()
@@ -149,17 +149,9 @@ func TestReduceRoundRejectsCorruptPartials(t *testing.T) {
 		corrupt      func(part *SplitPartial)
 	}
 	rows := []row{{
-		// Src = m on split 1's k-th-highest mark, which round 1's
-		// reducer records per source split.
-		MethodHWTopk, MethodHWTopk, func(part *SplitPartial) {
-			for i := range part.Pairs {
-				if part.Pairs[i].Tag == mapred.TagMarkHigh {
-					part.Pairs[i].Src = int32(m)
-					return
-				}
-			}
-			t.Fatal("split 1 shipped no k-th-highest mark")
-		},
+		// Split 1's partial, k-th-highest mark included, claims split m:
+		// round 1's reducer records each mark under its batch's split.
+		MethodHWTopk, MethodHWTopk, func(part *SplitPartial) { part.SplitID = m },
 	}, {
 		MethodSendV, MethodSendV, func(part *SplitPartial) { part.Pairs[0], part.Pairs[1] = part.Pairs[1], part.Pairs[0] },
 	}}
@@ -182,8 +174,10 @@ func TestReduceRoundRejectsCorruptPartials(t *testing.T) {
 		{"tag=null", []string{MethodSendV, MethodBasicS, MethodImprovedS, MethodHWTopk}, func(part *SplitPartial) { part.Pairs[0].Tag = mapred.TagNull }},
 		{"tag=mark", []string{MethodSendV, MethodTwoLevelS}, func(part *SplitPartial) { part.Pairs[0].Tag = mapred.TagMarkHigh }},
 		{"tag=99", methodNames(), func(part *SplitPartial) { part.Pairs[0].Tag = 99 }},
-		{"node=2^40", methodNames(), func(part *SplitPartial) { part.Node = 1 << 40 }},
-		{"node=-1", []string{MethodSendV}, func(part *SplitPartial) { part.Node = -1 }},
+		// A split's DataNode is the job's, looked up by the partial's
+		// split id: an id no split of the plan has is refused first.
+		{"node=2^40", methodNames(), func(part *SplitPartial) { part.SplitID = 1 << 40 }},
+		{"node=-1", []string{MethodSendV}, func(part *SplitPartial) { part.SplitID = -1 }},
 		{"cpu=NaN", methodNames(), func(part *SplitPartial) { part.CPUUnits = math.NaN() }},
 		{"cpu=+Inf", []string{MethodSendV}, func(part *SplitPartial) { part.CPUUnits = math.Inf(1) }},
 		{"cpu=-1", []string{MethodSendV}, func(part *SplitPartial) { part.CPUUnits = -1 }},
@@ -274,7 +268,7 @@ func TestReduceRoundFailurePoisonsPlan(t *testing.T) {
 	bad := slices.Clone(good)
 	last := &bad[m-1]
 	at, _ := slices.BinarySearchFunc(last.Pairs, x, func(kv mapred.KV, x int64) int { return cmp.Compare(kv.Key, x) })
-	last.Pairs = slices.Insert(slices.Clone(last.Pairs), at, mapred.KV{Key: x, Val: 1, Src: int32(m - 1)})
+	last.Pairs = slices.Insert(slices.Clone(last.Pairs), at, mapred.KV{Key: x, Val: 1})
 	if err := plan.ReduceRound(ctx, 3, bad); err == nil || !strings.Contains(err.Error(), "non-candidate") {
 		t.Fatalf("round 3 with a non-candidate pair: err = %v", err)
 	}
@@ -286,21 +280,25 @@ func TestReduceRoundFailurePoisonsPlan(t *testing.T) {
 	}
 }
 
-// TestEncodeDecodePartials round-trips the wire encoding and rejects
-// corrupt payloads.
+// TestEncodeDecodePartials round-trips the wire encoding — a version
+// word, then per partial a 48-byte header and 17 bytes per pair — and
+// rejects corrupt payloads and payloads of another layout.
 func TestEncodeDecodePartials(t *testing.T) {
 	in := []SplitPartial{
 		{
-			SplitID: 3, Node: 2, RecordsRead: 100, BytesRead: 400,
+			SplitID: 3, RecordsRead: 100, BytesRead: 400,
 			InputBytes: 400, CPUUnits: 12.5,
 			Pairs: []mapred.KV{
-				{Key: 7, Val: 2, Src: 3},
-				{Key: 9, Val: -1.25, Src: 3, Tag: mapred.TagNull},
+				{Key: 7, Val: 2},
+				{Key: 9, Val: -1.25, Tag: mapred.TagNull},
 			},
 		},
-		{SplitID: 0, Node: 0, Pairs: nil},
+		{SplitID: 0, Pairs: nil},
 	}
 	b := EncodePartials(in)
+	if want := 16 + 2*48 + 2*17; len(b) != want || PartialsWireBytes(in) != want {
+		t.Fatalf("encoded %d bytes (PartialsWireBytes %d), want %d", len(b), PartialsWireBytes(in), want)
+	}
 	out, err := DecodePartials(b)
 	if err != nil {
 		t.Fatal(err)
@@ -309,8 +307,8 @@ func TestEncodeDecodePartials(t *testing.T) {
 		t.Fatalf("count: got %d, want %d", len(out), len(in))
 	}
 	for i := range in {
-		if out[i].SplitID != in[i].SplitID || out[i].CPUUnits != in[i].CPUUnits ||
-			len(out[i].Pairs) != len(in[i].Pairs) {
+		if out[i].SplitID != in[i].SplitID || out[i].RecordsRead != in[i].RecordsRead || out[i].BytesRead != in[i].BytesRead ||
+			out[i].InputBytes != in[i].InputBytes || out[i].CPUUnits != in[i].CPUUnits || len(out[i].Pairs) != len(in[i].Pairs) {
 			t.Fatalf("partial %d mismatch: %+v vs %+v", i, out[i], in[i])
 		}
 		for j := range in[i].Pairs {
@@ -319,9 +317,17 @@ func TestEncodeDecodePartials(t *testing.T) {
 			}
 		}
 	}
-	for _, bad := range [][]byte{nil, b[:4], b[:len(b)-3], append([]byte{255, 255, 255, 255, 255, 255, 255, 127}, b[8:]...)} {
+	hugeCount := slices.Concat(b[:8], []byte{255, 255, 255, 255, 255, 255, 255, 127}, b[16:])
+	for _, bad := range [][]byte{nil, b[:4], b[:12], b[:len(b)-3], hugeCount} {
 		if _, err := DecodePartials(bad); err == nil {
 			t.Errorf("decoded corrupt payload of %d bytes", len(bad))
+		}
+	}
+	// The layout before the version word opened with the partial count.
+	for _, word := range []uint64{0, 1, 2, partialsVersion - 1, partialsVersion + 1} {
+		old := slices.Concat(mapred.AppendUint64(nil, word), b[8:])
+		if parts, err := DecodePartials(old); err == nil || !strings.Contains(err.Error(), "layout word") {
+			t.Errorf("payload opening with %#x: decoded %d partials, err = %v", word, len(parts), err)
 		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"time"
 
 	"wavelethist/internal/hdfs"
@@ -21,20 +20,20 @@ import (
 // one-round method is simply a plan whose NumRounds is 1 and whose
 // Broadcast is always nil.
 //
-// A round runs one way, over one of two transports. Per round
-// r = 1..NumRounds:
+// One loop runs every build: Run(ctx, last, side) runs rounds
+// rp.round+1 … last, each as
 //
-//	blob := plan.Broadcast(r)            // nil for round 1
-//	parts := <the map side of every split, with blob>
-//	plan.ReduceRound(ctx, r, parts)
+//	blob := plan.Broadcast(r)          // nil for round 1
+//	side(ctx, r, blob, deliver)        // every split's partial, delivered
+//	<the round's reducer over the delivered partials, in split order>
 //
-// The map side is MapRoundSplits' code on some subset of splits wherever
-// it runs: in this process over the plan's own state store (RunRound, the
-// simulated cluster), or on a worker fleet that ships the partials back
-// (package dist). ReduceRound is the only reduce. Every task derives its
+// The side is MapRoundSplits' code on some subset of splits wherever it
+// runs: in this process over the plan's own state store (Algorithm.Run,
+// RunRound), on a worker fleet that ships the partials back, or a
+// checkpoint's recorded partials (package dist). Every task derives its
 // RNG from (seed, split id) and the reducer consumes splits in split
-// order, so both transports produce the same floats, the same state files
-// and the same cost accounting, whichever worker ran which split. A round
+// order, so every side produces the same floats, the same state files and
+// the same cost accounting, whichever worker ran which split. A round
 // whose reduce fails leaves the plan failed: a later round's reducer may
 // carry an earlier one's state forward (H-WTopk's candidate table), so a
 // retry could count a split twice. Not safe for concurrent use.
@@ -42,7 +41,6 @@ type RoundPlan struct {
 	spec   *methodSpec
 	p      Params
 	splits []hdfs.Split
-	nodes  int // DataNodes a split may sit on
 	stages []stage
 	state  *mapred.StateStore
 
@@ -75,7 +73,6 @@ func newRoundPlan(file *hdfs.File, method string, p Params, state *mapred.StateS
 		spec:   spec,
 		p:      p,
 		splits: file.Splits(p.SplitSize),
-		nodes:  file.Nodes(),
 		state:  state,
 		start:  time.Now(),
 	}
@@ -133,15 +130,51 @@ func (rp *RoundPlan) Broadcast(round int) []byte {
 	return blob
 }
 
-// RunRound is the fleet protocol with a zero-hop transport: the round's
-// broadcast, the map side of every split in this process (the plan's own
-// state store is the lease), then ReduceRound. As on a coordinator, the
-// round's partials stay resident until its reduce.
-func (rp *RoundPlan) RunRound(ctx context.Context, round int) error {
-	if err := rp.nextRound(round); err != nil {
-		return err
+// MapSide is the map side of one round wherever it runs. Given the round
+// and its broadcast blob (nil in round 1) it maps every split and hands
+// the partials to deliver as they arrive, from one goroutine at a time:
+// in batches of any size and order, each split exactly once. deliver
+// holds a batch to what every mapper emits and refuses it whole when one
+// partial is not (see Run), so a side may map a refused batch's splits
+// again and deliver them anew.
+type MapSide func(ctx context.Context, round int, bcast []byte, deliver func([]SplitPartial) error) error
+
+// Run runs rounds rp.round+1 … last, each as Broadcast → side → the
+// round's reduce; side is called for round r only after round r-1's
+// reduce has succeeded. A side's error stops the run at the last reduced
+// round; a reduce's error leaves the plan failed.
+//
+// Partials arrive from worker frames and checkpoint files, so deliver
+// holds each to what every mapper emits — its split is one of the plan's
+// and not yet delivered, its counters are finite and not negative, its
+// keys ascend inside the stage's key bound, its values are finite and its
+// tags are the stage's — before any reaches a reducer. A round's partials
+// stay resident until its last one arrives, and are then reduced in split
+// order.
+func (rp *RoundPlan) Run(ctx context.Context, last int, side MapSide) error {
+	for r := rp.round + 1; r <= last; r++ {
+		if err := rp.nextRound(r); err != nil {
+			return err
+		}
+		bcast := rp.Broadcast(r)
+		if err := rp.reduce(ctx, r, func(deliver func([]SplitPartial) error) error {
+			return side(ctx, r, bcast, deliver)
+		}); err != nil {
+			return err
+		}
 	}
-	rp.Broadcast(round)
+	return nil
+}
+
+// RunRound runs the plan's rounds through round in this process: Run with
+// the in-process map side.
+func (rp *RoundPlan) RunRound(ctx context.Context, round int) error {
+	return rp.Run(ctx, round, rp.local)
+}
+
+// local is the in-process map side: every split through forEachSplit,
+// with the plan's own state store as the lease.
+func (rp *RoundPlan) local(ctx context.Context, round int, _ []byte, deliver func([]SplitPartial) error) error {
 	ids := make([]int, len(rp.splits))
 	for i := range ids {
 		ids[i] = i
@@ -150,7 +183,7 @@ func (rp *RoundPlan) RunRound(ctx context.Context, round int) error {
 	if err != nil {
 		return err
 	}
-	return rp.ReduceRound(ctx, round, parts)
+	return deliver(parts)
 }
 
 // nextRound rejects running rounds out of order, or on a failed plan.
@@ -164,64 +197,79 @@ func (rp *RoundPlan) nextRound(round int) error {
 	return nil
 }
 
-// ReduceRound is a round's only reduce: it merges the round's partials —
-// which must cover every split exactly once, in any order — through the
-// round's reducer, batches consumed in split order so float accumulation
-// never depends on where or when a split was mapped. Partials arrive from
-// worker frames and checkpoint files, so each is held to what every
-// mapper emits — every pair's Src is its split id, keys ascend inside the
-// stage's key bound, values are finite and tags are the stage's; the split
-// sits on a DataNode and its counters are finite and not negative —
-// before any reaches a reducer.
+// ReduceRound reduces round from partials mapped elsewhere: they must
+// cover every split exactly once, in any order, and are held to what
+// Run's deliver holds them to.
 func (rp *RoundPlan) ReduceRound(ctx context.Context, round int, parts []SplitPartial) error {
-	method, m := rp.spec.name, len(rp.splits)
+	return rp.reduce(ctx, round, func(deliver func([]SplitPartial) error) error { return deliver(parts) })
+}
+
+// reduce is a round's only reduce: collect delivers the round's partials,
+// and the round's reducer merges them in split order, so float
+// accumulation never depends on where or when a split was mapped.
+func (rp *RoundPlan) reduce(ctx context.Context, round int, collect func(deliver func([]SplitPartial) error) error) error {
 	if err := rp.nextRound(round); err != nil {
 		return err
 	}
-	if len(parts) != m {
-		return fmt.Errorf("core: %s round %d: have %d partials, want one per split (%d)", method, round, len(parts), m)
-	}
-	ordered := make([]SplitPartial, m)
-	copy(ordered, parts)
-	sort.Slice(ordered, func(a, b int) bool { return ordered[a].SplitID < ordered[b].SplitID })
-
-	keys, tags := rp.stages[round-1].keys, rp.stages[round-1].tags
-	batches := make([][]mapred.KV, m)
-	tasks := make([]mapred.TaskMetrics, m)
-	var records, bytesRead int64
-	for i, part := range ordered {
-		if part.SplitID != i {
-			return fmt.Errorf("core: %s round %d: partials do not cover split %d exactly once", method, round, i)
-		}
-		if part.Node < 0 || part.Node >= rp.nodes || part.RecordsRead < 0 || part.BytesRead < 0 || part.InputBytes < 0 || !(part.CPUUnits >= 0 && part.CPUUnits <= math.MaxFloat64) {
-			return fmt.Errorf("core: %s round %d: split %d (node %d, records %d, bytes %d, input %d, cpu %v) is on no DataNode of %d or has a negative or non-finite counter", method, round, i, part.Node, part.RecordsRead, part.BytesRead, part.InputBytes, part.CPUUnits, rp.nodes)
-		}
-		for j, kv := range part.Pairs {
-			if int(kv.Src) != i || (j > 0 && kv.Key < part.Pairs[j-1].Key) || kv.Key < 0 || kv.Key >= keys {
-				return fmt.Errorf("core: %s round %d: split %d pair %d (key %d, src %d) is out of order, outside [0, %d) or from another split", method, round, i, j, kv.Key, kv.Src, keys)
+	m := len(rp.splits)
+	parts := make([]SplitPartial, m)
+	have := make([]bool, m)
+	got := 0
+	deliver := func(batch []SplitPartial) error {
+		for i := range batch {
+			if err := rp.admit(round, &batch[i], have); err != nil {
+				for _, part := range batch[:i] {
+					have[part.SplitID] = false
+				}
+				return err
 			}
-			if math.IsNaN(kv.Val) || math.IsInf(kv.Val, 0) || (kv.Tag != mapred.TagNone && !slices.Contains(tags, kv.Tag)) {
-				return fmt.Errorf("core: %s round %d: split %d pair %d (key %d, value %v, tag %d) is not finite or has a tag the round does not emit", method, round, i, j, kv.Key, kv.Val, kv.Tag)
-			}
+			have[batch[i].SplitID] = true
 		}
-		batches[i] = part.Pairs
-		tasks[i] = mapred.TaskMetrics{SplitID: i, Node: part.Node, InputBytes: part.InputBytes, CPUUnits: part.CPUUnits}
-		records += part.RecordsRead
-		bytesRead += part.BytesRead
+		for _, part := range batch {
+			parts[part.SplitID] = part
+		}
+		got += len(batch)
+		return nil
 	}
-	res, err := mapred.RunReduce(ctx, rp.job(round), batches)
+	if err := collect(deliver); err != nil {
+		return err
+	}
+	if got != m {
+		return fmt.Errorf("core: %s round %d: have %d partials, want one per split (%d)", rp.spec.name, round, got, m)
+	}
+	res, err := mapred.RunReduce(ctx, rp.job(round), parts)
 	if err != nil {
 		rp.err = err
 		return err
 	}
-	res.MapTasks = tasks
-	res.MapRecordsRead, res.MapBytesRead = records, bytesRead
 	rp.metrics.addRound(res, rp.pendingBroadcast)
 	rp.pendingBroadcast = 0
 	rp.round++
 	if rp.round == rp.NumRounds() {
 		rp.top = rp.stages[rp.round-1].reducer.(topReducer).top()
 		rp.metrics.WallTime = time.Since(rp.start)
+	}
+	return nil
+}
+
+// admit holds one delivered partial to what round's mappers emit (see
+// Run); have marks the splits already delivered.
+func (rp *RoundPlan) admit(round int, part *SplitPartial, have []bool) error {
+	method, i := rp.spec.name, part.SplitID
+	if i < 0 || i >= len(have) || have[i] {
+		return fmt.Errorf("core: %s round %d: partial of split %d is outside [0, %d) or delivered twice", method, round, i, len(have))
+	}
+	if part.RecordsRead < 0 || part.BytesRead < 0 || part.InputBytes < 0 || !(part.CPUUnits >= 0 && part.CPUUnits <= math.MaxFloat64) {
+		return fmt.Errorf("core: %s round %d: split %d (records %d, bytes %d, input %d, cpu %v) has a negative or non-finite counter", method, round, i, part.RecordsRead, part.BytesRead, part.InputBytes, part.CPUUnits)
+	}
+	keys, tags := rp.stages[round-1].keys, rp.stages[round-1].tags
+	for j, kv := range part.Pairs {
+		if (j > 0 && kv.Key < part.Pairs[j-1].Key) || kv.Key < 0 || kv.Key >= keys {
+			return fmt.Errorf("core: %s round %d: split %d pair %d (key %d) is out of order or outside [0, %d)", method, round, i, j, kv.Key, keys)
+		}
+		if math.IsNaN(kv.Val) || math.IsInf(kv.Val, 0) || (kv.Tag != mapred.TagNone && !slices.Contains(tags, kv.Tag)) {
+			return fmt.Errorf("core: %s round %d: split %d pair %d (key %d, value %v, tag %d) is not finite or has a tag the round does not emit", method, round, i, j, kv.Key, kv.Val, kv.Tag)
+		}
 	}
 	return nil
 }
@@ -340,8 +388,7 @@ func (rp *RoundPlan) mapSplits(ctx context.Context, round int, splitIDs []int) (
 			return nil, nil, fmt.Errorf("core: %s: split %d out of range [0, %d)", rp.spec.name, id, m)
 		}
 	}
-	// The goroutines share one job per round (its state store is set, so
-	// nothing is lazily created under them); results land in
+	// The goroutines share one job per round; results land in
 	// position-indexed slots and per-split state writes are disjoint.
 	jobs := make([]*mapred.Job, round+1)
 	for r := 1; r <= round; r++ {
@@ -355,20 +402,8 @@ func (rp *RoundPlan) mapSplits(ctx context.Context, round int, splitIDs []int) (
 		if rep[i], rerr = rp.ensureSplitState(ctx, jobs, round, id); rerr != nil {
 			return rerr
 		}
-		r, rerr := mapred.RunMapSplit(ctx, jobs[round], id)
-		if rerr != nil {
-			return rerr
-		}
-		parts[i] = SplitPartial{
-			SplitID:     id,
-			Node:        r.Metrics.Node,
-			Pairs:       r.Pairs,
-			RecordsRead: r.RecordsRead,
-			BytesRead:   r.BytesRead,
-			InputBytes:  r.Metrics.InputBytes,
-			CPUUnits:    r.Metrics.CPUUnits,
-		}
-		return nil
+		parts[i], rerr = mapred.RunMapSplit(ctx, jobs[round], id)
+		return rerr
 	})
 	if err != nil {
 		return nil, nil, err

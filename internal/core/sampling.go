@@ -57,7 +57,7 @@ func (m basicSMapper) Map(ctx *mapred.TaskContext, rec hdfs.Record, out *mapred.
 	if err := checkDomain(rec.Key, m.u); err != nil {
 		return err
 	}
-	out.Emit(mapred.KV{Key: rec.Key, Val: 1, Src: int32(ctx.SplitID)})
+	out.Emit(mapred.KV{Key: rec.Key, Val: 1})
 	return nil
 }
 
@@ -68,7 +68,7 @@ func sumCombiner(key int64, vals []mapred.KV) []mapred.KV {
 	for _, kv := range vals {
 		s += kv.Val
 	}
-	return []mapred.KV{{Key: key, Val: s, Src: vals[0].Src}}
+	return []mapred.KV{{Key: key, Val: s}}
 }
 
 // ---------- Improved-S ----------
@@ -93,7 +93,7 @@ func (m *improvedSMapper) Close(ctx *mapred.TaskContext, out *mapred.Emitter) er
 	defer splitScratchPool.Put(sc)
 	for i, x := range keys {
 		if counts[i] >= threshold {
-			out.Emit(mapred.KV{Key: x, Val: counts[i], Src: int32(ctx.SplitID)})
+			out.Emit(mapred.KV{Key: x, Val: counts[i]})
 		}
 	}
 	ctx.AddWork(float64(len(keys)))
@@ -151,9 +151,9 @@ func (t *twoLevelSMapper) Close(ctx *mapred.TaskContext, out *mapred.Emitter) er
 	for i, x := range keys {
 		s := counts[i]
 		if s >= threshold {
-			out.Emit(mapred.KV{Key: x, Val: s, Src: int32(ctx.SplitID)})
+			out.Emit(mapred.KV{Key: x, Val: s})
 		} else if ctx.RNG.Bernoulli(epsSqrtM * s) {
-			out.Emit(mapred.KV{Key: x, Src: int32(ctx.SplitID), Tag: mapred.TagNull})
+			out.Emit(mapred.KV{Key: x, Tag: mapred.TagNull})
 		}
 	}
 	ctx.AddWork(float64(len(keys)))

@@ -33,7 +33,7 @@ func (m *sendCoefMapper) Close(ctx *mapred.TaskContext, out *mapred.Emitter) err
 	defer splitScratchPool.Put(sc)
 	sc.coefs = m.tf(ctx, sc.coefs[:0], keys, counts)
 	for _, c := range sc.coefs {
-		out.Emit(mapred.KV{Key: c.Index, Val: c.Value, Src: int32(ctx.SplitID)})
+		out.Emit(mapred.KV{Key: c.Index, Val: c.Value})
 	}
 	return nil
 }

@@ -76,7 +76,7 @@ func (m *sendSketchMapper) Close(ctx *mapred.TaskContext, out *mapred.Emitter) e
 	ctx.AddWork(float64(len(sc.coefs) * g.UpdateCost()))
 	n := 0
 	g.NonZeroEntries(func(idx int64, v float64) {
-		out.Emit(mapred.KV{Key: idx, Val: v, Src: int32(ctx.SplitID)})
+		out.Emit(mapred.KV{Key: idx, Val: v})
 		n++
 	})
 	ctx.AddWork(float64(n))

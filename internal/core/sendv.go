@@ -32,7 +32,7 @@ func (m *sendVMapper) Close(ctx *mapred.TaskContext, out *mapred.Emitter) error 
 	sc, keys, counts := m.aggregate()
 	defer splitScratchPool.Put(sc)
 	for i, x := range keys {
-		out.Emit(mapred.KV{Key: x, Val: counts[i], Src: int32(ctx.SplitID)})
+		out.Emit(mapred.KV{Key: x, Val: counts[i]})
 	}
 	return nil
 }

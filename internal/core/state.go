@@ -331,16 +331,15 @@ type coordEntry struct {
 	recv *bitset
 }
 
-// add folds a split's pairs for this item into ŵ, once per split.
-func (e *coordEntry) add(vals []mapred.KV) {
-	for _, kv := range vals {
-		j := int(kv.Src)
-		if e.recv.Get(j) {
-			continue
-		}
-		e.recv.Set(j)
-		e.wHat += kv.Val
+// add folds split j's pairs for this item into ŵ, once per split. The
+// pairs are one run of equal keys from j's batch, so the first is j's
+// score (a second is the same score shipped as top-k and bottom-k).
+func (e *coordEntry) add(j int, vals []mapred.KV) {
+	if e.recv.Get(j) {
+		return
 	}
+	e.recv.Set(j)
+	e.wHat += vals[0].Val
 }
 
 // coordState is the coordinator's candidate table: built by round 1's

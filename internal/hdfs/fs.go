@@ -125,9 +125,6 @@ func (fs *FileSystem) seal(f *File) {
 // Size returns the file size in bytes.
 func (f *File) Size() int64 { return int64(len(f.data)) }
 
-// Nodes returns the number of DataNodes the file's chunks are placed on.
-func (f *File) Nodes() int { return f.fs.numNodes }
-
 // Chunks returns the chunk placement.
 func (f *File) Chunks() []Chunk { return f.chunks }
 

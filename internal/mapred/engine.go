@@ -5,43 +5,49 @@ import (
 	"fmt"
 	"sort"
 
+	"wavelethist/internal/cluster"
 	"wavelethist/internal/zipf"
 )
 
 // A round is one map task per split (RunMapSplit), run in any process and
-// in any order, then one reduce task over the collected per-split batches
-// (RunReduce). Every task derives its RNG from (job seed, split id) and
-// the reducer consumes batches in the order given, so a caller that feeds
-// them in split order gets the same floats whichever process ran which
-// split. The package starts no goroutines: fanning the map tasks out is
-// the caller's business.
+// in any order, each yielding its split's Partial, then one reduce task
+// over the collected partials (RunReduce). Every task derives its RNG from
+// (job seed, split id) and the reducer consumes partials in the order
+// given, so a caller that feeds them in split order gets the same floats
+// whichever process ran which split. The package starts no goroutines:
+// fanning the map tasks out is the caller's business.
 
-// MapSplitResult is the outcome of one map task: the split's sorted,
-// combined intermediate pairs plus its measured work profile.
-type MapSplitResult struct {
-	Pairs   []KV
-	Metrics TaskMetrics
+// Partial is what one map task measured of its split: the split's sorted,
+// combined intermediate pairs and its work profile. It is all a split
+// contributes to its round's reduce; where the split sits (its DataNode)
+// is the job's to know, not the task's to report.
+type Partial struct {
+	SplitID int
+	// Pairs are the split's sorted, combined intermediate pairs.
+	Pairs []KV
 	// RecordsRead / BytesRead are the split's input-scan counters.
 	RecordsRead int64
 	BytesRead   int64
+	// InputBytes / CPUUnits feed the cluster cost model.
+	InputBytes int64
+	CPUUnits   float64
 }
 
 // RunMapSplit executes the map task of split idx: Setup, Map per record,
 // Close, then sort + combine. Cancellation is checked before the task and
 // periodically inside the record scan.
-func RunMapSplit(ctx context.Context, job *Job, idx int) (*MapSplitResult, error) {
+func RunMapSplit(ctx context.Context, job *Job, idx int) (Partial, error) {
 	if err := job.validate(); err != nil {
-		return nil, err
+		return Partial{}, err
 	}
 	if idx < 0 || idx >= len(job.Splits) {
-		return nil, fmt.Errorf("mapred: %s: split %d out of range [0, %d)", job.Name, idx, len(job.Splits))
+		return Partial{}, fmt.Errorf("mapred: %s: split %d out of range [0, %d)", job.Name, idx, len(job.Splits))
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("mapred: %s: %w", job.Name, err)
+		return Partial{}, fmt.Errorf("mapred: %s: %w", job.Name, err)
 	}
-	job.fillDefaults()
-	fail := func(step string, err error) (*MapSplitResult, error) {
-		return nil, fmt.Errorf("mapred: %s: split %d %s: %w", job.Name, idx, step, err)
+	fail := func(step string, err error) (Partial, error) {
+		return Partial{}, fmt.Errorf("mapred: %s: split %d %s: %w", job.Name, idx, step, err)
 	}
 	split := job.Splits[idx]
 	tctx := &TaskContext{
@@ -56,7 +62,7 @@ func RunMapSplit(ctx context.Context, job *Job, idx int) (*MapSplitResult, error
 		return fail("setup", err)
 	}
 
-	res := &MapSplitResult{}
+	res := Partial{SplitID: idx}
 	if reader := job.Input.Open(split, tctx); reader != nil {
 		for {
 			rec, ok := reader.Next()
@@ -65,7 +71,7 @@ func RunMapSplit(ctx context.Context, job *Job, idx int) (*MapSplitResult, error
 			}
 			res.RecordsRead++
 			if res.RecordsRead&8191 == 0 && ctx.Err() != nil {
-				return nil, fmt.Errorf("mapred: %s: %w", job.Name, ctx.Err())
+				return Partial{}, fmt.Errorf("mapred: %s: %w", job.Name, ctx.Err())
 			}
 			if err := mapper.Map(tctx, rec, out); err != nil {
 				return fail("map", err)
@@ -83,26 +89,22 @@ func RunMapSplit(ctx context.Context, job *Job, idx int) (*MapSplitResult, error
 	// Base CPU charges: one unit per record scanned, one per emitted pair
 	// (buffer/partition/sort amortized); algorithm-specific work arrives
 	// via ctx.AddWork.
-	res.Metrics = TaskMetrics{
-		SplitID:    idx,
-		Node:       split.Node,
-		InputBytes: res.BytesRead + tctx.ioBytes,
-		CPUUnits:   tctx.cpuUnits + float64(res.RecordsRead) + float64(len(out.pairs)),
-	}
+	res.InputBytes = res.BytesRead + tctx.ioBytes
+	res.CPUUnits = tctx.cpuUnits + float64(res.RecordsRead) + float64(len(out.pairs))
 	res.Pairs = sortAndCombine(job, out.pairs)
 	return res, nil
 }
 
-// RunReduce executes the reduce task of a job over per-split pair batches,
-// each sorted by key, fed in the order given: Setup, one Reduce per run of
-// equal keys within a batch, Close. The Result carries the reduce-side and
-// shuffle costs; the map-side ones (MapTasks, MapRecordsRead,
-// MapBytesRead) are the caller's to fill from its MapSplitResults.
-func RunReduce(ctx context.Context, job *Job, batches [][]KV) (*Result, error) {
+// RunReduce executes the reduce task of a job over its map tasks'
+// partials, each sorted by key, fed in the order given: Setup, one Reduce
+// per run of equal keys within a partial (the task's SplitID is that
+// partial's split), Close. The Result carries the whole round: each map
+// task's cost on its split's node, the scan counters, the reduce-side and
+// the shuffle costs.
+func RunReduce(ctx context.Context, job *Job, parts []Partial) (*Result, error) {
 	if err := job.validate(); err != nil {
 		return nil, err
 	}
-	job.fillDefaults()
 	tctx := &TaskContext{
 		SplitID:   -1,
 		NumSplits: len(job.Splits),
@@ -112,11 +114,19 @@ func RunReduce(ctx context.Context, job *Job, batches [][]KV) (*Result, error) {
 	if err := job.Reducer.Setup(tctx); err != nil {
 		return nil, fmt.Errorf("mapred: %s: reducer setup: %w", job.Name, err)
 	}
-	res := &Result{}
-	for _, batch := range batches {
+	res := &Result{MapTasks: make([]cluster.TaskCost, 0, len(parts))}
+	for _, part := range parts {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("mapred: %s: %w", job.Name, err)
 		}
+		if part.SplitID < 0 || part.SplitID >= len(job.Splits) {
+			return nil, fmt.Errorf("mapred: %s: partial of split %d out of range [0, %d)", job.Name, part.SplitID, len(job.Splits))
+		}
+		res.MapTasks = append(res.MapTasks, cluster.TaskCost{PreferredNode: job.Splits[part.SplitID].Node, InputBytes: part.InputBytes, CPUUnits: part.CPUUnits})
+		res.MapRecordsRead += part.RecordsRead
+		res.MapBytesRead += part.BytesRead
+		tctx.SplitID = part.SplitID
+		batch := part.Pairs
 		for lo := 0; lo < len(batch); {
 			hi := lo + 1
 			for hi < len(batch) && batch[hi].Key == batch[lo].Key {
@@ -130,10 +140,11 @@ func RunReduce(ctx context.Context, job *Job, batches [][]KV) (*Result, error) {
 			lo = hi
 		}
 		for i := range batch {
-			res.ShuffleBytes += int64(job.pairBytes(batch[i]))
+			res.ShuffleBytes += int64(job.PairBytes(batch[i]))
 		}
 		res.PairsShuffled += int64(len(batch))
 	}
+	tctx.SplitID = -1
 	if err := job.Reducer.Close(tctx); err != nil {
 		return nil, fmt.Errorf("mapred: %s: reducer close: %w", job.Name, err)
 	}

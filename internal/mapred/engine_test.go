@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -15,7 +16,7 @@ type countMapper struct{}
 
 func (countMapper) Setup(*TaskContext) error { return nil }
 func (countMapper) Map(ctx *TaskContext, rec hdfs.Record, out *Emitter) error {
-	out.Emit(KV{Key: rec.Key, Val: 1, Src: int32(ctx.SplitID)})
+	out.Emit(KV{Key: rec.Key, Val: 1})
 	return nil
 }
 func (countMapper) Close(*TaskContext, *Emitter) error { return nil }
@@ -51,31 +52,21 @@ func sumCombiner(key int64, vals []KV) []KV {
 }
 
 // runJob runs a job the way every round runs: each split's map task, in
-// split order, then the reduce task over their batches, with the map
-// tasks' profiles and scan counters summed into the Result.
+// split order, then the reduce task over their partials.
 func runJob(job *Job) (*Result, error) {
 	ctx := context.Background()
-	batches := make([][]KV, len(job.Splits))
-	var tasks []TaskMetrics
-	var records, bytesRead int64
+	parts := make([]Partial, len(job.Splits))
 	for i := range job.Splits {
-		r, err := RunMapSplit(ctx, job, i)
-		if err != nil {
+		var err error
+		if parts[i], err = RunMapSplit(ctx, job, i); err != nil {
 			return nil, err
 		}
-		batches[i] = r.Pairs
-		tasks = append(tasks, r.Metrics)
-		records += r.RecordsRead
-		bytesRead += r.BytesRead
 	}
-	res, err := RunReduce(ctx, job, batches)
-	if err != nil {
-		return nil, err
-	}
-	res.MapTasks = tasks
-	res.MapRecordsRead, res.MapBytesRead = records, bytesRead
-	return res, nil
+	return RunReduce(ctx, job, parts)
 }
+
+// pairBytes12 is a 4-byte key and an 8-byte double.
+func pairBytes12(KV) int { return 12 }
 
 func makeDataset(t *testing.T, keys []int64, chunk int64) []hdfs.Split {
 	t.Helper()
@@ -108,6 +99,8 @@ func wordCountJob(t *testing.T, splits []hdfs.Split, combiner Combiner) (*Result
 		NewMapper: func(hdfs.Split) Mapper { return countMapper{} },
 		Combiner:  combiner,
 		Reducer:   red,
+		PairBytes: pairBytes12,
+		State:     NewStateStore(),
 		Seed:      1,
 	}
 	res, err := runJob(job)
@@ -173,6 +166,7 @@ func TestPairBytesAccounting(t *testing.T) {
 		NewMapper: func(hdfs.Split) Mapper { return countMapper{} },
 		Reducer:   red,
 		PairBytes: func(KV) int { return 8 }, // 4-byte key + 4-byte count
+		State:     NewStateStore(),
 		Seed:      1,
 	}
 	res, err := runJob(job)
@@ -217,12 +211,12 @@ func TestMultiRoundState(t *testing.T) {
 	round1 := &Job{
 		Name: "r1", Splits: splits, Input: SequentialInput{},
 		NewMapper: func(hdfs.Split) Mapper { return stateMapper{round: 1} },
-		Reducer:   red1, State: state, Seed: 3,
+		Reducer:   red1, PairBytes: pairBytes12, State: state, Seed: 3,
 	}
 	round2 := &Job{
 		Name: "r2", Splits: splits, Input: NoInput{},
 		NewMapper: func(hdfs.Split) Mapper { return stateMapper{round: 2} },
-		Reducer:   red2, State: state, Seed: 3,
+		Reducer:   red2, PairBytes: pairBytes12, State: state, Seed: 3,
 	}
 	var results []*Result
 	for _, j := range []*Job{round1, round2} {
@@ -254,6 +248,8 @@ func TestRandomSampleInput(t *testing.T) {
 		Input:     RandomSampleInput{P: 0.1},
 		NewMapper: func(hdfs.Split) Mapper { return countMapper{} },
 		Reducer:   red,
+		PairBytes: pairBytes12,
+		State:     NewStateStore(),
 		Seed:      11,
 	}
 	res, err := runJob(job)
@@ -292,7 +288,7 @@ func TestMapperErrorPropagates(t *testing.T) {
 	job := &Job{
 		Name: "fail", Splits: splits, Input: SequentialInput{},
 		NewMapper: func(hdfs.Split) Mapper { return failingMapper{} },
-		Reducer:   &sumReducer{}, Seed: 1,
+		Reducer:   &sumReducer{}, PairBytes: pairBytes12, State: NewStateStore(), Seed: 1,
 	}
 	if _, err := runJob(job); err == nil {
 		t.Fatal("expected error")
@@ -312,7 +308,7 @@ func TestShortReadFailsTask(t *testing.T) {
 		job := &Job{
 			Name: "short", Splits: splits, Input: input,
 			NewMapper: func(hdfs.Split) Mapper { return countMapper{} },
-			Reducer:   &sumReducer{}, Seed: 1,
+			Reducer:   &sumReducer{}, PairBytes: pairBytes12, State: NewStateStore(), Seed: 1,
 		}
 		want := fmt.Sprintf("split %d read:", len(splits)-1)
 		if _, err := runJob(job); err == nil || !strings.Contains(err.Error(), want) {
@@ -323,18 +319,66 @@ func TestShortReadFailsTask(t *testing.T) {
 
 func TestValidation(t *testing.T) {
 	splits := makeDataset(t, []int64{1}, 64)
-	bad := []*Job{
-		{Splits: splits, Input: SequentialInput{}, Reducer: &sumReducer{}},
-		{Splits: splits, Input: SequentialInput{}, NewMapper: func(hdfs.Split) Mapper { return countMapper{} }},
-		{Splits: splits, NewMapper: func(hdfs.Split) Mapper { return countMapper{} }, Reducer: &sumReducer{}},
-		{Input: SequentialInput{}, NewMapper: func(hdfs.Split) Mapper { return countMapper{} }, Reducer: &sumReducer{}},
+	mapper := func(hdfs.Split) Mapper { return countMapper{} }
+	state := NewStateStore()
+	bad := map[string]*Job{
+		"mapper factory": {Splits: splits, Input: SequentialInput{}, Reducer: &sumReducer{}, PairBytes: pairBytes12, State: state},
+		"reducer":        {Splits: splits, Input: SequentialInput{}, NewMapper: mapper, PairBytes: pairBytes12, State: state},
+		"input format":   {Splits: splits, NewMapper: mapper, Reducer: &sumReducer{}, PairBytes: pairBytes12, State: state},
+		"splits":         {Input: SequentialInput{}, NewMapper: mapper, Reducer: &sumReducer{}, PairBytes: pairBytes12, State: state},
+		"pair encoding":  {Splits: splits, Input: SequentialInput{}, NewMapper: mapper, Reducer: &sumReducer{}, State: state},
+		"state store":    {Splits: splits, Input: SequentialInput{}, NewMapper: mapper, Reducer: &sumReducer{}, PairBytes: pairBytes12},
 	}
-	for i, j := range bad {
-		if _, err := runJob(j); err == nil {
-			t.Errorf("job %d: expected validation error", i)
+	for missing, j := range bad {
+		if _, err := runJob(j); err == nil || !strings.Contains(err.Error(), "has no "+missing) {
+			t.Errorf("job without its %s: err = %v", missing, err)
+		}
+		if _, err := RunReduce(context.Background(), j, nil); err == nil {
+			t.Errorf("job without its %s: RunReduce accepted it", missing)
 		}
 	}
 }
+
+// The reduce task reads each partial's split from the partial, and its
+// node from the job: a partial naming no split of the job is refused, and
+// the reducer sees each batch's split id in TaskContext.SplitID.
+func TestReduceSplitIDs(t *testing.T) {
+	splits := makeDataset(t, repeatKeys(400, 10), 256)
+	red := &splitReducer{}
+	job := &Job{
+		Name: "ids", Splits: splits, Input: SequentialInput{},
+		NewMapper: func(hdfs.Split) Mapper { return countMapper{} },
+		Reducer:   red, PairBytes: pairBytes12, State: NewStateStore(), Seed: 1,
+	}
+	parts := []Partial{{SplitID: 2, Pairs: []KV{{Key: 1}}}, {SplitID: 0, Pairs: []KV{{Key: 1}, {Key: 2}}}}
+	res, err := RunReduce(context.Background(), job, parts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{2, 0, 0}; !slices.Equal(red.seen, want) {
+		t.Errorf("reducer saw splits %v, want %v", red.seen, want)
+	}
+	for i, tc := range res.MapTasks {
+		if want := splits[parts[i].SplitID].Node; tc.PreferredNode != want {
+			t.Errorf("task %d on node %d, want its split's %d", i, tc.PreferredNode, want)
+		}
+	}
+	for _, id := range []int{-1, len(splits)} {
+		if _, err := RunReduce(context.Background(), job, []Partial{{SplitID: id}}); err == nil || !strings.Contains(err.Error(), "out of range") {
+			t.Errorf("partial of split %d: err = %v", id, err)
+		}
+	}
+}
+
+// splitReducer records the split id of every Reduce call.
+type splitReducer struct{ seen []int }
+
+func (r *splitReducer) Setup(*TaskContext) error { return nil }
+func (r *splitReducer) Reduce(ctx *TaskContext, _ int64, _ []KV) error {
+	r.seen = append(r.seen, ctx.SplitID)
+	return nil
+}
+func (r *splitReducer) Close(*TaskContext) error { return nil }
 
 func TestCountersSanity(t *testing.T) {
 	keys := repeatKeys(2000, 100)
@@ -355,12 +399,15 @@ func TestCountersSanity(t *testing.T) {
 	if len(res.MapTasks) != len(splits) {
 		t.Errorf("task metrics = %d, want %d", len(res.MapTasks), len(splits))
 	}
-	for _, tm := range res.MapTasks {
+	for i, tm := range res.MapTasks {
 		if tm.InputBytes <= 0 {
-			t.Errorf("task %d read nothing", tm.SplitID)
+			t.Errorf("task %d read nothing", i)
 		}
 		if tm.CPUUnits <= 0 {
-			t.Errorf("task %d charged no CPU", tm.SplitID)
+			t.Errorf("task %d charged no CPU", i)
+		}
+		if tm.PreferredNode != splits[i].Node {
+			t.Errorf("task %d on node %d, want its split's %d", i, tm.PreferredNode, splits[i].Node)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package mapred
 import (
 	"fmt"
 
+	"wavelethist/internal/cluster"
 	"wavelethist/internal/hdfs"
 	"wavelethist/internal/zipf"
 )
@@ -10,7 +11,7 @@ import (
 // TaskContext is the per-task environment: persistent state, a
 // deterministic task-local RNG, and work accounting for the cost model.
 type TaskContext struct {
-	SplitID   int // split index, or -1 for the reducer
+	SplitID   int // the split a map task reads or the reduce task is consuming; -1 in the reducer's Setup and Close
 	NumSplits int
 	State     *StateStore
 	RNG       *zipf.RNG
@@ -139,11 +140,12 @@ type Job struct {
 	// r = 1 (their coordinator is necessarily one task).
 	Reducer Reducer
 
-	// PairBytes gives the wire size of one shuffled pair. Algorithms set
-	// it to the paper's encodings (4-byte keys, 4-byte counts, 8-byte
-	// doubles). Defaults to 12 bytes (4-byte key + 8-byte double).
+	// PairBytes gives the wire size of one shuffled pair: the paper's
+	// encodings (4-byte keys, 4-byte counts, 8-byte doubles). Required.
 	PairBytes func(KV) int
 
+	// State holds the per-split state files rounds hand each other.
+	// Required.
 	State *StateStore
 
 	// Seed makes the whole job deterministic; each task derives its own
@@ -151,21 +153,12 @@ type Job struct {
 	Seed uint64
 }
 
-// TaskMetrics is the deterministic work profile of one completed map task,
-// consumed by the cluster cost model.
-type TaskMetrics struct {
-	SplitID    int
-	Node       int // data-local node of the split
-	InputBytes int64
-	CPUUnits   float64
-}
-
 // Result is the outcome of one round, in the spirit of Hadoop's job
 // counters.
 type Result struct {
-	MapTasks       []TaskMetrics
-	MapRecordsRead int64 // records delivered by record readers
-	MapBytesRead   int64 // bytes pulled from DataNodes by record readers
+	MapTasks       []cluster.TaskCost // one per map task, in reduce order
+	MapRecordsRead int64              // records delivered by record readers
+	MapBytesRead   int64              // bytes pulled from DataNodes by record readers
 	ReduceCPU      float64
 	ReduceCalls    int64
 	// ShuffleBytes is the exact communication of this round: encoded
@@ -188,19 +181,11 @@ func (j *Job) validate() error {
 	if len(j.Splits) == 0 {
 		return fmt.Errorf("mapred: job %q has no splits", j.Name)
 	}
-	return nil
-}
-
-// fillDefaults lazily creates the job's state store.
-func (j *Job) fillDefaults() {
+	if j.PairBytes == nil {
+		return fmt.Errorf("mapred: job %q has no pair encoding", j.Name)
+	}
 	if j.State == nil {
-		j.State = NewStateStore()
+		return fmt.Errorf("mapred: job %q has no state store", j.Name)
 	}
-}
-
-func (j *Job) pairBytes(kv KV) int {
-	if j.PairBytes != nil {
-		return j.PairBytes(kv)
-	}
-	return 12
+	return nil
 }
