@@ -53,6 +53,8 @@ func FuzzDecodeMapResponse(f *testing.F) {
 		mut[i] ^= 0x10
 		f.Add(mut)
 	}
+	// A failed map task answers with an error and no partials.
+	f.Add(EncodeMapResponse(&MapResponse{JobID: "j", Error: "map: split 4 out of range"}))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		resp, err := DecodeMapResponse(b)
 		if err != nil {
