@@ -52,28 +52,26 @@ import (
 
 func main() {
 	var (
-		addr        = flag.String("addr", ":8080", "listen address")
-		snapshots   = flag.String("snapshots", "", "snapshot directory (persists published histograms; empty = in-memory)")
-		republish   = flag.Int("republish-every", 256, "updates between automatic maintainer republishes")
-		demo        = flag.Bool("demo", false, "register a demo Zipf dataset and publish a 'demo' histogram at startup")
-		workers     = flag.Int("workers", 0, "spawn N in-process loopback workers for distributed builds")
-		distMode    = flag.Bool("dist", false, "accept remote waveworker registrations on /dist/v1/register")
-		replicaOf   = flag.String("replica-of", "", "run as a read replica following the primary wavehistd at this base URL")
-		syncEvery   = flag.Duration("sync-every", time.Second, "replica pull interval (with -replica-of)")
-		shard       = flag.String("shard", "", "shard label reported in /v1/stats (informational)")
-		checkpoints = flag.String("checkpoints", "", "coordinator checkpoint directory: multi-round distributed builds resume at the last round barrier after a daemon restart")
-		slowQuery   = flag.Duration("slow-query", 0, "log queries slower than this threshold (0 disables the slow-query log)")
-		slowDir     = flag.String("slow-query-dir", "", "append slow queries as JSONL records (slow-queries.jsonl) into this directory")
-		traceDir    = flag.String("trace-dir", "", "dump per-build distributed trace spans as JSONL into this directory")
-		debugAddr   = flag.String("debug-addr", "", "serve net/http/pprof on this separate address (empty = off)")
+		addr      = flag.String("addr", ":8080", "listen address")
+		snapshots = flag.String("snapshots", "", "snapshot directory (persists published histograms; empty = in-memory)")
+		republish = flag.Int("republish-every", 256, "updates between automatic maintainer republishes")
+		demo      = flag.Bool("demo", false, "register a demo Zipf dataset and publish a 'demo' histogram at startup")
+		workers   = flag.Int("workers", 0, "spawn N in-process loopback workers for distributed builds")
+		distMode  = flag.Bool("dist", false, "accept remote waveworker registrations on /dist/v1/register")
+		replicaOf = flag.String("replica-of", "", "run as a read replica following the primary wavehistd at this base URL")
+		syncEvery = flag.Duration("sync-every", time.Second, "replica pull interval (with -replica-of)")
+		shard     = flag.String("shard", "", "shard label reported in /v1/stats (informational)")
+		slowQuery = flag.Duration("slow-query", 0, "log queries slower than this threshold (0 disables the slow-query log)")
+		slowDir   = flag.String("slow-query-dir", "", "append slow queries as JSONL records (slow-queries.jsonl) into this directory")
+		traceDir  = flag.String("trace-dir", "", "dump per-build distributed trace spans as JSONL into this directory")
+		debugAddr = flag.String("debug-addr", "", "serve net/http/pprof on this separate address (empty = off)")
 	)
 	flag.Parse()
 
 	srv, s, rep, err := newDaemonCfg(daemonConfig{
 		addr: *addr, snapshots: *snapshots, republish: *republish, demo: *demo,
 		workers: *workers, distMode: *distMode,
-		replicaOf: *replicaOf, syncEvery: *syncEvery,
-		shard: *shard, checkpoints: *checkpoints,
+		replicaOf: *replicaOf, syncEvery: *syncEvery, shard: *shard,
 		slowQuery: *slowQuery, slowQueryDir: *slowDir, traceDir: *traceDir,
 	})
 	if err != nil {
@@ -119,17 +117,17 @@ func main() {
 
 // daemonConfig is the resolved flag set.
 type daemonConfig struct {
-	addr, snapshots    string
-	republish          int
-	demo               bool
-	workers            int
-	distMode           bool
-	replicaOf          string
-	syncEvery          time.Duration
-	shard, checkpoints string
-	slowQuery          time.Duration
-	slowQueryDir       string
-	traceDir           string
+	addr, snapshots string
+	republish       int
+	demo            bool
+	workers         int
+	distMode        bool
+	replicaOf       string
+	syncEvery       time.Duration
+	shard           string
+	slowQuery       time.Duration
+	slowQueryDir    string
+	traceDir        string
 }
 
 // newDaemon assembles the HTTP server (split from main so tests can run
@@ -151,23 +149,23 @@ func newDaemonDist(addr, snapshots string, republish int, demo bool, workers int
 	return srv, s, err
 }
 
-// newDaemonCfg is the full assembly: coordinator (with optional
-// checkpoint directory), serving layer (optionally read-only), and — in
-// -replica-of mode — the follower that keeps the registry synced to a
-// primary. The caller starts/stops the returned replica around the HTTP
-// server's lifetime.
+// newDaemonCfg is the full assembly: coordinator (one that dies mid-build
+// fails the build, and the client retries it over the workers' partial
+// caches), serving layer (optionally read-only), and — in -replica-of
+// mode — the follower that keeps the registry synced to a primary. The
+// caller starts/stops the returned replica around the HTTP server's
+// lifetime.
 func newDaemonCfg(c daemonConfig) (*http.Server, *serve.Server, *ha.Replica, error) {
 	var coord *dist.Coordinator
 	switch {
 	case c.workers > 0:
 		// Loopback fleets don't heartbeat: leave expiry off. Remote
 		// workers can still join via the HTTP fallback transport.
-		coord, _ = dist.NewLoopbackCluster(c.workers, 0, dist.Config{CheckpointDir: c.checkpoints, TraceDir: c.traceDir})
+		coord, _ = dist.NewLoopbackCluster(c.workers, 0, dist.Config{TraceDir: c.traceDir})
 		log.Printf("wavehistd: distributed builds over %d in-process workers", c.workers)
 	case c.distMode:
 		coord = dist.NewCoordinator(dist.NewHTTPTransport(), dist.Config{
 			HeartbeatTimeout: 15 * time.Second,
-			CheckpointDir:    c.checkpoints,
 			TraceDir:         c.traceDir,
 		})
 		log.Print("wavehistd: accepting waveworker registrations on /dist/v1/register")

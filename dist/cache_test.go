@@ -6,8 +6,20 @@ import (
 	"testing"
 
 	"wavelethist/internal/core"
+	"wavelethist/internal/hdfs"
 	"wavelethist/internal/mapred"
 )
+
+// smallZipf is an 8-split Zipf dataset for fleet builds of every method.
+func smallZipf(t testing.TB) (DatasetSpec, *hdfs.File) {
+	t.Helper()
+	spec := DatasetSpec{Kind: "zipf", Domain: 1 << 10, Records: 1 << 13, Alpha: 1.1, Seed: 5, ChunkSize: 4 << 10}.Normalize()
+	file, _, err := spec.Materialize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return spec, file
+}
 
 func kvPartial(split, npairs int) core.SplitPartial {
 	p := core.SplitPartial{SplitID: split}
@@ -235,5 +247,87 @@ func TestAffinityHeals(t *testing.T) {
 	c.affMu.Unlock()
 	if n > affinityKeys {
 		t.Errorf("affinity map grew to %d entries (bound %d)", n, affinityKeys)
+	}
+}
+
+// cancelAtRound cancels the build's context on the first map request of
+// round r and fails every request of that round: the coordinator dying at
+// round r-1's barrier.
+type cancelAtRound struct {
+	Transport
+	round  int
+	cancel context.CancelFunc
+}
+
+func (c *cancelAtRound) MapSplits(ctx context.Context, addr string, req *MapRequest) (*MapResponse, int64, int64, error) {
+	if req.Round == c.round {
+		c.cancel()
+		return nil, 0, 0, context.Canceled
+	}
+	return c.Transport.MapSplits(ctx, addr, req)
+}
+
+// TestRetryAfterCoordinatorCrash: a coordinator that dies at H-WTopk's
+// round-2 barrier fails the build, and the client's retry on a new
+// coordinator over the same workers is the recovery path — coefficient
+// for coefficient a clean build, with the rounds the dead coordinator
+// finished served from the workers' partial caches.
+func TestRetryAfterCoordinatorCrash(t *testing.T) {
+	spec, file := smallZipf(t)
+	p := core.Params{U: 1 << 10, K: 25, Seed: 7}
+	ref, _ := NewLoopbackCluster(1, 2, Config{SplitsPerCall: 2})
+	want, wantStats, err := ref.Build(context.Background(), spec, file, core.MethodHWTopk, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{1, 3} {
+		t.Run(fmt.Sprintf("workers=%d", n), func(t *testing.T) {
+			lb := NewLoopback()
+			var workers []*Worker
+			for i := 0; i < n; i++ {
+				w := NewWorker(fmt.Sprintf("w%d", i), 2)
+				lb.Add(w)
+				workers = append(workers, w)
+			}
+			coordinator := func(tr Transport) *Coordinator {
+				c := NewCoordinator(tr, Config{SplitsPerCall: 2})
+				for _, w := range workers {
+					c.Register(w.ID(), LoopbackScheme+w.ID(), w.Capacity())
+				}
+				return c
+			}
+
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			if _, _, err := coordinator(&cancelAtRound{Transport: lb, round: 3, cancel: cancel}).Build(ctx, spec, file, core.MethodHWTopk, p); err == nil {
+				t.Fatal("a build whose coordinator died at the round-2 barrier succeeded")
+			}
+
+			got, stats, err := coordinator(lb).Build(context.Background(), spec, file, core.MethodHWTopk, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got.Rep.Coefs) != len(want.Rep.Coefs) {
+				t.Fatalf("coef count: got %d, want %d", len(got.Rep.Coefs), len(want.Rep.Coefs))
+			}
+			for i := range want.Rep.Coefs {
+				if got.Rep.Coefs[i] != want.Rep.Coefs[i] {
+					t.Fatalf("coef %d: got %+v, want %+v", i, got.Rep.Coefs[i], want.Rep.Coefs[i])
+				}
+			}
+			if stats.CandidateSetSize != wantStats.CandidateSetSize {
+				t.Errorf("candidate set: got %d, want %d", stats.CandidateSetSize, wantStats.CandidateSetSize)
+			}
+			if len(stats.PerRound) != 3 {
+				t.Fatalf("want 3 per-round entries, have %d", len(stats.PerRound))
+			}
+			r1, r2 := stats.PerRound[0].CachedSplits, stats.PerRound[1].CachedSplits
+			if n == 1 && (r1 != stats.Splits || r2 != stats.Splits) {
+				t.Errorf("one worker: rounds 1 and 2 cached %d and %d of %d splits, want all", r1, r2, stats.Splits)
+			}
+			if stats.CachedSplits == 0 {
+				t.Error("the retry took no split from the workers' caches")
+			}
+		})
 	}
 }

@@ -56,7 +56,7 @@ const (
 	msgReleaseResponse
 	msgReplPullRequest  // replication catch-up pull (replcodec.go)
 	msgReplPullResponse //
-	msgCheckpoint       // coordinator round-barrier checkpoint (checkpoint.go)
+	_                   // retired: coordinator checkpoint; never reuse
 	msgQueryBatch       // router→shard batch hop (querycodec.go)
 	msgResultBatch      //
 )

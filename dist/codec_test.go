@@ -102,6 +102,34 @@ func TestCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFrameTypeBytes pins every frame type's byte: a frame's type is its
+// wire identity, so a daemon of one build must read a frame of another.
+// A retired type keeps its slot.
+func TestFrameTypeBytes(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		got  byte
+		want byte
+	}{
+		{"msgMapRequest", msgMapRequest, 1},
+		{"msgMapResponse", msgMapResponse, 2},
+		{"msgRegisterRequest", msgRegisterRequest, 3},
+		{"msgRegisterResponse", msgRegisterResponse, 4},
+		{"msgHeartbeatRequest", msgHeartbeatRequest, 5},
+		{"msgHeartbeatResponse", msgHeartbeatResponse, 6},
+		{"msgReleaseRequest", msgReleaseRequest, 7},
+		{"msgReleaseResponse", msgReleaseResponse, 8},
+		{"msgReplPullRequest", msgReplPullRequest, 9},
+		{"msgReplPullResponse", msgReplPullResponse, 10},
+		{"msgQueryBatch", msgQueryBatch, 12},
+		{"msgResultBatch", msgResultBatch, 13},
+	} {
+		if tc.got != tc.want {
+			t.Errorf("%s = %d, want %d", tc.name, tc.got, tc.want)
+		}
+	}
+}
+
 // TestCodecCompression: a large, repetitive response is framed compressed
 // and still round-trips; the frame is smaller than the raw body.
 func TestCodecCompression(t *testing.T) {

@@ -43,17 +43,6 @@ type Config struct {
 	// MaxWorkerFailures is the consecutive-failure count that marks a
 	// worker dead (default 2).
 	MaxWorkerFailures int
-	// CheckpointDir, when non-empty, persists multi-round build state
-	// after each round barrier (partials via the partial codec, atomically
-	// tmp+renamed), keyed by build shape. A coordinator restarted
-	// mid-build feeds the checkpointed rounds' partials to the reducer
-	// locally — bit-identical state, with none of those rounds' map RPCs,
-	// frames or fleet fan-out — and resumes the fan-out at the first
-	// incomplete round. It does not save their map work: a fresh fleet
-	// holds no state lease, so that round's workers replay the earlier
-	// rounds' map side for every split. Checkpoints are removed when their
-	// build completes.
-	CheckpointDir string
 	// TraceDir, when non-empty, dumps every finished build's span trace
 	// as JSONL (<jobID>.jsonl) — the durable form of GET /dist/v1/trace.
 	// Best-effort: a failed dump never fails the build.
@@ -136,10 +125,6 @@ type RoundStats struct {
 	// CachedSplits counts splits served from workers' partial caches —
 	// re-shipped without recomputation.
 	CachedSplits int `json:"cached_splits,omitempty"`
-	// Restored marks a round whose partials were replayed from a
-	// checkpoint after a coordinator restart: no map RPCs were issued
-	// (RPCs and WireBytes are 0), only the local reduce re-ran.
-	Restored bool `json:"restored,omitempty"`
 }
 
 // BuildStats reports a distributed build's execution profile.
@@ -536,18 +521,19 @@ func (c *Coordinator) Build2D(ctx context.Context, spec DatasetSpec, file *hdfs.
 }
 
 // runPlan runs every distributed build through the plan's one round loop
-// (RoundPlan.Run): a checkpoint's rounds with the restore side, the rest
-// with the fleet side, which fans round r out, delivers its partials to
-// the plan's reduce on the coordinator and is then asked for round r+1 —
-// once for a one-round method, three times for H-WTopk. Splits
-// prefer the worker that served them in the last build of the same shape
-// (its partial cache holds their results, so repeat builds re-ship instead
-// of recomputing) and then stick to the worker that ran them in earlier
-// rounds (it holds their state); splits whose owner died are re-assigned,
-// and the new owner replays the earlier rounds locally. What only a
-// multi-round build has — worker state leases, released on every exit
-// path, and checkpoints at the round barriers — is skipped for one round,
-// so a one-round build is a single fan-out and nothing else.
+// (RoundPlan.Run) with the fleet side, which fans round r out, delivers
+// its partials to the plan's reduce on the coordinator and is then asked
+// for round r+1 — once for a one-round method, three times for H-WTopk.
+// A coordinator that dies mid-build fails the build; the client's retry
+// is bit-identical, and the surviving workers' partial caches serve the
+// splits they already mapped. Splits prefer the worker that served them
+// in the last build of the same shape (its partial cache holds their
+// results, so repeat builds re-ship instead of recomputing) and then
+// stick to the worker that ran them in earlier rounds (it holds their
+// state); splits whose owner died are re-assigned, and the new owner
+// replays the earlier rounds locally. What only a multi-round build has —
+// worker state leases, released on every exit path — is skipped for one
+// round, so a one-round build is a single fan-out and nothing else.
 func (c *Coordinator) runPlan(ctx context.Context, spec DatasetSpec, file *hdfs.File, method string, p core.Params, dim int) (_ *core.RoundPlan, _ *BuildStats, retErr error) {
 	if file == nil {
 		return nil, nil, fmt.Errorf("dist: nil file")
@@ -584,71 +570,12 @@ func (c *Coordinator) runPlan(ctx context.Context, spec DatasetSpec, file *hdfs.
 	owners, seeded := c.affinityOwners(affKey, m)
 	touched := make(map[string]string)
 	responded := make(map[string]bool)
-	ckDir := c.cfg.CheckpointDir
-	if rounds == 1 {
-		ckDir = "" // nothing to resume: the only barrier is the end
-	} else {
-		defer func() { c.releaseLeases(jobID, touched) }()
-	}
-
-	// Resume from a checkpoint when one matches this build shape: its
-	// rounds' partials go through the plan again — the reducer state the
-	// crashed coordinator held at the barrier, with none of the restored
-	// rounds' map RPCs or frames — and the fleet runs only the remaining
-	// rounds. Their workers hold no lease on a fresh fleet, so they replay
-	// the restored rounds' map side per split.
-	var ckRounds [][]core.SplitPartial
-	if ckDir != "" {
-		if ck := loadCheckpoint(ckDir, affKey, method, m, rounds); ck != nil {
-			restore := func(_ context.Context, r int, _ []byte, deliver func([]core.SplitPartial) error) error {
-				track.round.Store(int32(r))
-				return deliver(ck.Rounds[r-1])
-			}
-			if err := plan.Run(ctx, len(ck.Rounds), restore); err != nil {
-				// A checkpoint the plan refuses is stale or corrupt: drop
-				// it and run the build from scratch.
-				removeCheckpoint(ckDir, affKey)
-				if plan, err = core.NewRoundPlan(file, method, p); err != nil {
-					return nil, stats, err
-				}
-			} else {
-				ckRounds = ck.Rounds
-				for r := 1; r <= len(ck.Rounds); r++ {
-					stats.PerRound = append(stats.PerRound, RoundStats{Round: r, Restored: true})
-					c.recordSpan(jobID, Span{Round: r, Restored: true, StartUnixMicros: time.Now().UnixMicro()})
-				}
-			}
-		}
-	}
-
 	tmpl := MapRequest{JobID: jobID, Method: method, Params: p, Dataset: spec}
 	if rounds > 1 {
 		tmpl.Rounds = rounds
+		defer func() { c.releaseLeases(jobID, touched) }()
 	}
-	side := c.fleetSide(tmpl, owners, track, touched, responded, stats)
-	if ckDir != "" {
-		// Round r's side runs only once round r-1 has reduced: that is
-		// the barrier to persist, best-effort (a failed write only costs
-		// re-running rounds after a crash, never the build).
-		fleet, prev := side, []core.SplitPartial(nil)
-		side = func(ctx context.Context, r int, bcast []byte, deliver func([]core.SplitPartial) error) error {
-			if prev != nil {
-				ckRounds = append(ckRounds, prev)
-				_ = saveCheckpoint(ckDir, &checkpoint{Key: affKey, Method: method, Splits: m, Rounds: ckRounds})
-			}
-			prev = make([]core.SplitPartial, m)
-			return fleet(ctx, r, bcast, func(parts []core.SplitPartial) error {
-				if err := deliver(parts); err != nil {
-					return err
-				}
-				for _, part := range parts {
-					prev[part.SplitID] = part
-				}
-				return nil
-			})
-		}
-	}
-	if err := plan.Run(ctx, rounds, side); err != nil {
+	if err := plan.Run(ctx, rounds, c.fleetSide(tmpl, owners, track, touched, responded, stats)); err != nil {
 		return nil, stats, err
 	}
 	// Remember ownership only for builds that completed every round: a
@@ -658,9 +585,6 @@ func (c *Coordinator) runPlan(ctx context.Context, spec DatasetSpec, file *hdfs.
 	c.storeAffinity(affKey, owners, seeded, stats.CachedSplits)
 	stats.WorkersUsed = len(responded)
 	stats.CandidateSetSize = plan.Candidates()
-	if ckDir != "" {
-		removeCheckpoint(ckDir, affKey)
-	}
 	return plan, stats, nil
 }
 

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"os"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -623,12 +622,12 @@ func (c *countingTransport) Release(ctx context.Context, addr string, req *dist.
 
 // TestOneRoundBuildIsOneFanOut: a one-round method runs through the same
 // build loop as H-WTopk yet pays for none of the multi-round machinery —
-// no release RPC, no worker lease, no checkpoint file, no round fields in
-// its requests — and issues the map RPCs and wire bytes captured for the
-// partials layout with its version word (17-byte pairs, 48-byte partial
-// headers). (Frames are deflated and carry a random job id, so a build's
-// wire bytes wander by a byte or two per RPC; the bound is 4.)
-// H-WTopk on the same fleet is the contrast: three fan-outs, one release.
+// no release RPC, no worker lease, no round fields in its requests — and
+// issues the map RPCs and wire bytes captured for the partials layout
+// with its version word (17-byte pairs, 48-byte partial headers).
+// (Frames are deflated and carry a random job id, so a build's wire bytes
+// wander by a byte or two per RPC; the bound is 4.) H-WTopk on the same
+// fleet is the contrast: three fan-outs, one release.
 func TestOneRoundBuildIsOneFanOut(t *testing.T) {
 	ds := zipfDS(t)
 	for _, tc := range []struct {
@@ -641,10 +640,9 @@ func TestOneRoundBuildIsOneFanOut(t *testing.T) {
 		{wavelethist.HWTopk, 24, 1, 22155},
 	} {
 		t.Run(string(tc.method), func(t *testing.T) {
-			dir := t.TempDir()
 			lb := dist.NewLoopback()
 			ct := &countingTransport{Transport: lb}
-			coord := dist.NewCoordinator(ct, dist.Config{CheckpointDir: dir})
+			coord := dist.NewCoordinator(ct, dist.Config{})
 			w := dist.NewWorker("w0", 1)
 			coord.Register(w.ID(), lb.Add(w), w.Capacity())
 			got, err := wavelethist.BuildDistributed(context.Background(), ds, tc.method, wavelethist.Options{K: 25, Seed: 7}, coord)
@@ -659,9 +657,6 @@ func TestOneRoundBuildIsOneFanOut(t *testing.T) {
 			}
 			if n := ct.roundFields.Load(); (n != 0) != (tc.releases != 0) {
 				t.Errorf("%d map requests carried round fields", n)
-			}
-			if ents, _ := os.ReadDir(dir); len(ents) != 0 {
-				t.Errorf("%d checkpoint files left behind", len(ents))
 			}
 			if n := len(w.Leases()); n != 0 {
 				t.Errorf("%d worker leases left behind", n)

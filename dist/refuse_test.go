@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -107,7 +106,7 @@ func newCorruptingCluster(n int, cfg Config, corrupt func([]core.SplitPartial) (
 // never delivered twice, so an H-WTopk build lands on the coefficients of
 // a clean run.
 func TestFleetRefusedPartialReassigned(t *testing.T) {
-	spec, file := checkpointDataset(t)
+	spec, file := smallZipf(t)
 	p := core.Params{U: 1 << 10, K: 25, Seed: 7}
 	ctx := context.Background()
 	ref, _ := NewLoopbackCluster(3, 2, Config{SplitsPerCall: 2})
@@ -154,7 +153,7 @@ func TestFleetRefusedPartialReassigned(t *testing.T) {
 // first, the split's retries or the worker's failures — with an error
 // that names the split and the pair.
 func TestFleetCorruptWorkerFailsBuild(t *testing.T) {
-	spec, file := checkpointDataset(t)
+	spec, file := smallZipf(t)
 	p := core.Params{U: 1 << 10, K: 25, Seed: 7}
 	for _, method := range []string{core.MethodSendV, core.MethodHWTopk} {
 		c, _ := newCorruptingCluster(1, Config{SplitsPerCall: 2}, editLastPair(func(kv *mapred.KV) { kv.Key = int64(p.U) }), -1)
@@ -171,94 +170,20 @@ func TestFleetCorruptWorkerFailsBuild(t *testing.T) {
 }
 
 // TestOldLayoutPartialsRefused: a partials payload of the layout before
-// the version word is a decode error, never pairs — inside a map-response
-// frame and inside a checkpoint file (which then is no checkpoint).
+// the version word inside a map-response frame is a decode error, never
+// pairs.
 func TestOldLayoutPartialsRefused(t *testing.T) {
-	_, file := checkpointDataset(t)
+	_, file := smallZipf(t)
 	p := core.Params{U: 1 << 10, K: 10, Seed: 3}
 	parts, err := core.MapSplits(context.Background(), file, core.MethodSendV, p, []int{0, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	old := oldLayoutPartials(parts)
-
-	resp, err := DecodeMapResponse(EncodeMapResponse(&MapResponse{JobID: "old", Partials: old}))
+	resp, err := DecodeMapResponse(EncodeMapResponse(&MapResponse{JobID: "old", Partials: oldLayoutPartials(parts)}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got, err := core.DecodePartials(resp.Partials); err == nil {
 		t.Errorf("an old-layout map response decoded into %d partials", len(got))
-	}
-
-	body := appendStr(nil, "shape-key")
-	body = appendStr(body, core.MethodHWTopk)
-	body = appendUvarint(body, 2)
-	body = appendUvarint(body, 1)
-	body = appendBlob(body, old)
-	if _, err := decodeCheckpoint(encodeFrame(msgCheckpoint, body)); err == nil {
-		t.Error("an old-layout checkpoint decoded")
-	}
-	dir := t.TempDir()
-	if err := saveCheckpoint(dir, &checkpoint{Key: "shape-key", Method: core.MethodHWTopk, Splits: 2, Rounds: [][]core.SplitPartial{parts}}); err != nil {
-		t.Fatal(err)
-	}
-	if loadCheckpoint(dir, "shape-key", core.MethodHWTopk, 2, 3) == nil {
-		t.Fatal("the current layout's checkpoint did not load")
-	}
-	if err := os.WriteFile(checkpointPath(dir, "shape-key"), encodeFrame(msgCheckpoint, body), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if loadCheckpoint(dir, "shape-key", core.MethodHWTopk, 2, 3) != nil {
-		t.Error("an old-layout checkpoint file loaded")
-	}
-}
-
-// TestRefusedCheckpointIsNoCheckpoint: a checkpoint that decodes but
-// holds a partial the plan refuses (a key at u) is dropped, and the build
-// runs every round on the fleet and lands on a clean run's coefficients.
-func TestRefusedCheckpointIsNoCheckpoint(t *testing.T) {
-	spec, file := checkpointDataset(t)
-	p := core.Params{U: 1 << 10, K: 25, Seed: 7}
-	ctx := context.Background()
-	ref, _ := NewLoopbackCluster(3, 2, Config{SplitsPerCall: 2})
-	want, _, err := ref.Build(ctx, spec, file, core.MethodHWTopk, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := core.NumSplits(file, p)
-	ids := make([]int, m)
-	for i := range ids {
-		ids[i] = i
-	}
-	parts, _, err := core.MapRoundSplits(ctx, file, core.MethodHWTopk, p, 1, nil, ids, core.NewWorkerState())
-	if err != nil {
-		t.Fatal(err)
-	}
-	editLastPair(func(kv *mapred.KV) { kv.Key = int64(p.U) })(parts)
-	dir := t.TempDir()
-	key := partialCacheKey(spec.Fingerprint(), core.MethodHWTopk, p, 0, nil)
-	if err := saveCheckpoint(dir, &checkpoint{Key: key, Method: core.MethodHWTopk, Splits: m, Rounds: [][]core.SplitPartial{parts}}); err != nil {
-		t.Fatal(err)
-	}
-	if loadCheckpoint(dir, key, core.MethodHWTopk, m, 3) == nil {
-		t.Fatal("the corrupt checkpoint does not load: nothing to refuse")
-	}
-	c, _ := newCheckpointCluster(3, dir)
-	got, stats, err := c.Build(ctx, spec, file, core.MethodHWTopk, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, rs := range stats.PerRound {
-		if rs.Restored || rs.RPCs == 0 {
-			t.Errorf("round %d restored from a refused checkpoint: %+v", rs.Round, rs)
-		}
-	}
-	if len(stats.PerRound) != 3 || len(got.Rep.Coefs) != len(want.Rep.Coefs) {
-		t.Fatalf("%d rounds, %d coefs; want 3, %d", len(stats.PerRound), len(got.Rep.Coefs), len(want.Rep.Coefs))
-	}
-	for i := range want.Rep.Coefs {
-		if got.Rep.Coefs[i] != want.Rep.Coefs[i] {
-			t.Fatalf("coef %d: got %+v, want %+v", i, got.Rep.Coefs[i], want.Rep.Coefs[i])
-		}
 	}
 }

@@ -11,15 +11,14 @@ import (
 
 // Distributed-build traces: the coordinator records one Span per
 // split-batch RPC (worker, start/end, wire bytes, cached/replayed
-// splits, retry and restored flags) into a bounded per-build ring kept
-// for the last tracedBuilds builds. serve exposes them at
+// splits, retry flag) into a bounded per-build ring kept for the last
+// tracedBuilds builds. serve exposes them at
 // GET /v1/jobs/{id}/trace, the coordinator itself at
 // GET /dist/v1/trace/{id}; Config.TraceDir additionally dumps each
 // finished build as JSONL so a slow or skewed build can be explained
 // after the process is gone.
 
-// Span is one unit of traced work: a split-batch map RPC, or a
-// checkpoint-restored round (Restored, no RPC issued).
+// Span is one unit of traced work: a split-batch map RPC.
 type Span struct {
 	Round  int    `json:"round"`
 	Worker string `json:"worker,omitempty"`
@@ -33,10 +32,8 @@ type Span struct {
 	Cached   []int `json:"cached,omitempty"`
 	Replayed []int `json:"replayed,omitempty"`
 	// Retry marks a batch holding at least one re-dispatched split.
-	Retry bool `json:"retry,omitempty"`
-	// Restored marks a round replayed from a coordinator checkpoint.
-	Restored bool   `json:"restored,omitempty"`
-	Error    string `json:"error,omitempty"`
+	Retry bool   `json:"retry,omitempty"`
+	Error string `json:"error,omitempty"`
 }
 
 // TraceView is the JSON form of one build's trace.

@@ -9,10 +9,9 @@
 // The division of labor mirrors the paper's serving story: summaries are
 // tiny (kilobytes), so replication is cheap enough to run everywhere,
 // and the expensive part — the distributed build — stays on the
-// coordinator, which checkpoints its round barriers (dist.Config.
-// CheckpointDir) so a mid-build coordinator crash resumes at the last
-// barrier without the completed rounds' map RPCs (the fresh fleet still
-// replays their map side for every split).
+// coordinator. A coordinator crash fails the build in flight; the
+// client's retry is bit-identical, and the surviving workers' partial
+// caches serve the splits they already mapped.
 package ha
 
 import (

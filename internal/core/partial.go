@@ -83,10 +83,10 @@ func forEachSplit(ctx context.Context, p Params, n int, fn func(ctx context.Cont
 
 // ---------- wire encoding ----------
 
-// partialsVersion opens every partials payload, in worker frames and in
-// checkpoint files alike. The layout before it began with the partial
-// count, which is never this large, so an old payload is refused instead
-// of misread; an old decoder reads this word as an impossible count.
+// partialsVersion opens every partials payload a worker frame carries.
+// The layout before it began with the partial count, which is never this
+// large, so an old payload is refused instead of misread; an old decoder
+// reads this word as an impossible count.
 const partialsVersion uint64 = 0x5750_0000_0000_0002 // "WP", layout 2
 
 // EncodePartials serializes partials for the dist wire protocol:

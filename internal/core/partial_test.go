@@ -130,11 +130,11 @@ func TestMergePartialsCoverage(t *testing.T) {
 // TestReduceRoundRejectsCorruptPartials: a partial that names a split
 // outside the plan, whose pairs break key order, hold a key outside the
 // stage's domain, a non-finite value or a tag the stage does not emit, or
-// that carries a negative or non-finite counter (a corrupt worker frame or
-// checkpoint file) fails the round with an error, rather than indexing a
-// reducer's per-split state or a sketch out of range, publishing a
-// coefficient outside [0, u) or one a snapshot cannot hold, or silently
-// changing the reducer's Reduce calls or the cost model.
+// that carries a negative or non-finite counter (a corrupt worker frame)
+// fails the round with an error, rather than indexing a reducer's
+// per-split state or a sketch out of range, publishing a coefficient
+// outside [0, u) or one a snapshot cannot hold, or silently changing the
+// reducer's Reduce calls or the cost model.
 func TestReduceRoundRejectsCorruptPartials(t *testing.T) {
 	f := partialTestFile(t)
 	ctx := context.Background()
@@ -207,6 +207,52 @@ func TestReduceRoundRejectsCorruptPartials(t *testing.T) {
 			}
 			if err := plan.ReduceRound(ctx, 1, parts); err == nil {
 				t.Fatal("reduced a corrupt partial")
+			}
+		})
+	}
+}
+
+// TestOutputRefusesNonFiniteCoefficient: every pair passes deliver's
+// finite-value check, but two splits' values of one key sum past the
+// float range, so the reduce lands on ±Inf or NaN coefficients. Output
+// and Output2D refuse them, naming the method and the coefficient, so a
+// build never publishes a histogram a snapshot cannot hold.
+func TestOutputRefusesNonFiniteCoefficient(t *testing.T) {
+	f := partialTestFile(t)
+	ctx := context.Background()
+	for _, method := range []string{MethodSendV, MethodSendCoef, MethodSendV2D} {
+		t.Run(method, func(t *testing.T) {
+			p := Params{U: 1 << 10, K: 5, Seed: 5}
+			if method == MethodSendV2D {
+				p.U = 1 << 5
+			}
+			plan, err := NewRoundPlan(f, method, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			all := make([]int, plan.NumSplits())
+			for i := range all {
+				all[i] = i
+			}
+			parts, _, err := MapRoundSplits(ctx, f, method, p, 1, nil, all, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range parts {
+				for j := range parts[i].Pairs {
+					parts[i].Pairs[j].Val = 1e308
+				}
+			}
+			if err := plan.ReduceRound(ctx, 1, parts); err != nil {
+				t.Fatalf("finite pairs refused: %v", err)
+			}
+			if method == MethodSendV2D {
+				_, err = plan.Output2D()
+			} else {
+				_, err = plan.Output()
+			}
+			if err == nil || !strings.Contains(err.Error(), method) || !strings.Contains(err.Error(), "coefficient ") {
+				t.Fatalf("err = %v, want the method and a non-finite coefficient named", err)
 			}
 		})
 	}

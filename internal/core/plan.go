@@ -29,14 +29,14 @@ import (
 //
 // The side is MapRoundSplits' code on some subset of splits wherever it
 // runs: in this process over the plan's own state store (Algorithm.Run,
-// RunRound), on a worker fleet that ships the partials back, or a
-// checkpoint's recorded partials (package dist). Every task derives its
-// RNG from (seed, split id) and the reducer consumes splits in split
-// order, so every side produces the same floats, the same state files and
-// the same cost accounting, whichever worker ran which split. A round
-// whose reduce fails leaves the plan failed: a later round's reducer may
-// carry an earlier one's state forward (H-WTopk's candidate table), so a
-// retry could count a split twice. Not safe for concurrent use.
+// RunRound) or on a worker fleet that ships the partials back (package
+// dist). Every task derives its RNG from (seed, split id) and the reducer
+// consumes splits in split order, so every side produces the same floats,
+// the same state files and the same cost accounting, whichever worker ran
+// which split. A round whose reduce fails leaves the plan failed: a later
+// round's reducer may carry an earlier one's state forward (H-WTopk's
+// candidate table), so a retry could count a split twice. Not safe for
+// concurrent use.
 type RoundPlan struct {
 	spec   *methodSpec
 	p      Params
@@ -144,13 +144,12 @@ type MapSide func(ctx context.Context, round int, bcast []byte, deliver func([]S
 // reduce has succeeded. A side's error stops the run at the last reduced
 // round; a reduce's error leaves the plan failed.
 //
-// Partials arrive from worker frames and checkpoint files, so deliver
-// holds each to what every mapper emits — its split is one of the plan's
-// and not yet delivered, its counters are finite and not negative, its
-// keys ascend inside the stage's key bound, its values are finite and its
-// tags are the stage's — before any reaches a reducer. A round's partials
-// stay resident until its last one arrives, and are then reduced in split
-// order.
+// Partials arrive from worker frames, so deliver holds each to what every
+// mapper emits — its split is one of the plan's and not yet delivered, its
+// counters are finite and not negative, its keys ascend inside the
+// stage's key bound, its values are finite and its tags are the stage's —
+// before any reaches a reducer. A round's partials stay resident until
+// its last one arrives, and are then reduced in split order.
 func (rp *RoundPlan) Run(ctx context.Context, last int, side MapSide) error {
 	for r := rp.round + 1; r <= last; r++ {
 		if err := rp.nextRound(r); err != nil {
@@ -299,6 +298,13 @@ func (rp *RoundPlan) finished(dim int) error {
 	}
 	if rp.round != rp.NumRounds() {
 		return fmt.Errorf("core: %s: only %d of %d rounds reduced", rp.spec.name, rp.round, rp.NumRounds())
+	}
+	// Every delivered value is finite, but a key's values from two splits
+	// can sum past the float range: such a histogram is never published.
+	for _, c := range rp.top {
+		if math.IsNaN(c.Value) || math.IsInf(c.Value, 0) {
+			return fmt.Errorf("core: %s: coefficient %d is %v: the reduce overflowed the float range", rp.spec.name, c.Index, c.Value)
+		}
 	}
 	return nil
 }

@@ -2,10 +2,12 @@ package core
 
 import (
 	"context"
+	"math"
 	"testing"
 
 	"wavelethist/internal/datagen"
 	"wavelethist/internal/hdfs"
+	"wavelethist/internal/wavelet"
 )
 
 // fuzzReduceFile is a build input every method accepts, small enough that
@@ -32,8 +34,8 @@ func fuzzReduceParams(method string) Params {
 // FuzzReduceRound: arbitrary bytes, decoded as one round's partials and
 // reduced by every method in the table — round 1 + round%NumRounds, the
 // rounds before it run clean in this process, the rounds after it too —
-// end in an error or a histogram, never a panic. The seed corpus is every
-// method's real frames, one per round.
+// end in an error or a histogram of finite coefficients, never a panic.
+// The seed corpus is every method's real frames, one per round.
 func FuzzReduceRound(f *testing.F) {
 	file := fuzzReduceFile(f)
 	ctx := context.Background()
@@ -80,16 +82,28 @@ func FuzzReduceRound(f *testing.F) {
 			if err := plan.Run(ctx, plan.NumRounds(), plan.local); err != nil {
 				continue
 			}
+			var coefs []wavelet.Coef
 			if plan.spec.dim == 2 {
 				out, err := plan.Output2D()
 				if (out == nil) == (err == nil) {
 					t.Fatalf("%s: Output2D = %v, %v", method, out, err)
 				}
-				continue
+				if out != nil {
+					coefs = out.Rep.Coefs
+				}
+			} else {
+				out, err := plan.Output()
+				if (out == nil) == (err == nil) {
+					t.Fatalf("%s: Output = %v, %v", method, out, err)
+				}
+				if out != nil {
+					coefs = out.Rep.Coefs
+				}
 			}
-			out, err := plan.Output()
-			if (out == nil) == (err == nil) {
-				t.Fatalf("%s: Output = %v, %v", method, out, err)
+			for _, c := range coefs {
+				if math.IsNaN(c.Value) || math.IsInf(c.Value, 0) {
+					t.Fatalf("%s: output coefficient %d is %v", method, c.Index, c.Value)
+				}
 			}
 		}
 	})

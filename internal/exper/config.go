@@ -2,7 +2,8 @@
 // per figure, each running the relevant methods over scaled-down datasets
 // and reporting the same series the paper plots — communication bytes,
 // end-to-end running time (via the heterogeneous-cluster cost model), and
-// SSE. EXPERIMENTS.md records the paper-vs-measured comparison.
+// SSE. cmd/experiments runs the drivers and prints the paper-vs-measured
+// tables.
 package exper
 
 import (

@@ -89,7 +89,6 @@ type RoundView struct {
 	Retries        int   `json:"retries,omitempty"`
 	ReplayedSplits int   `json:"replayed_splits,omitempty"`
 	CachedSplits   int   `json:"cached_splits,omitempty"`
-	Restored       bool  `json:"restored,omitempty"`
 }
 
 // JobView is the JSON form of a job.
@@ -267,7 +266,6 @@ func (js *jobSet) finish(j *Job, e *Entry, k int, res *wavelethist.Result) {
 				Retries:        r.Retries,
 				ReplayedSplits: r.ReplayedSplits,
 				CachedSplits:   r.CachedSplits,
-				Restored:       r.Restored,
 			})
 		}
 		j.candidateSet = res.CandidateSetSize

@@ -950,7 +950,7 @@ func (s *Server) runBuild(ctx context.Context, cancel context.CancelFunc, job *J
 
 // handleJobTrace serves the distributed build's span trace for a serve
 // job: the coordinator records one span per split-batch RPC (worker,
-// timing, wire bytes, cached/replayed splits, retry/restored flags),
+// timing, wire bytes, cached/replayed splits, retry flag),
 // live while the build runs and retained after it finishes. Simulated
 // builds have no fan-out and therefore no trace.
 func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {

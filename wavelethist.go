@@ -195,9 +195,6 @@ type RoundStat struct {
 	// CachedSplits counts splits served from workers' partial caches —
 	// re-shipped without recomputation (distributed builds only).
 	CachedSplits int
-	// Restored marks a round whose partials came from a coordinator
-	// checkpoint after a restart — zero RPCs, nothing re-executed.
-	Restored bool
 }
 
 // Result is a build's outcome: the histogram plus the paper's two
@@ -322,7 +319,6 @@ func perRoundStats(m core.Metrics, dist []distRoundStats) []RoundStat {
 			r.Retries = d.Retries
 			r.ReplayedSplits = d.ReplayedSplits
 			r.CachedSplits = d.CachedSplits
-			r.Restored = d.Restored
 		}
 	}
 	return out
