@@ -13,7 +13,8 @@ cd "$(dirname "${BASH_SOURCE[0]}")/.."
 # 21734 -> 22017 (PR 34, +414/-131): H-WTopk's split state keeps v_j and computes single-key coefficients in closed form (hwSplitState, one-pass round 1, a StateStore of values) with the byte reader deleted (openCoefState, round 2's run copy, round 3's byte probe); ReduceRound checks tags, finite values and partial headers.
 # 22017 -> 22014: one round loop (RoundPlan.Run over a map side: in-process, fleet, checkpoint restore) and one partial type (mapred.Partial) replace runLocal, roundCall, the restore loop, MapSplitResult, TaskMetrics and fillDefaults, paying for arrival checks as a worker fault and the codec's version word.
 # 22014 -> 21812: the coordinator checkpoint (dist/checkpoint.go, runPlan's restore side and barrier wrapper, Config.CheckpointDir, wavehistd -checkpoints, the Restored fields) deleted; a crashed build is retried over the workers' partial caches, and Output refuses a non-finite coefficient.
-CEILING=21812
+# 21812 -> 21717: one GET parser (serve.ParseQuery, which the router's coalescer also calls) and one per-query estimator (Entry.estimate) replace handlePoint/handleRange, queryInt64, Entry.Point2D/Range2D, the four batch* helpers and coalesceQuery's own parsing; seven Config fields no caller set (dataset records and domain, build concurrency, retained jobs, in-flight RPCs, RPC timeout, probe timeout) and three BreakerConfig fields became constants, paying for the non-finite estimate check.
+CEILING=21717
 lines=$(find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path './.bench_build/*' | xargs cat | wc -l)
 echo "non-test source: $lines lines (ceiling $CEILING)"
 if [ "$lines" -gt "$CEILING" ]; then

@@ -18,7 +18,8 @@ import (
 	"wavelethist/internal/obs"
 )
 
-// Config tunes a Coordinator. The zero value is usable.
+// Config tunes a Coordinator. The zero value is usable. The in-flight
+// bound and the RPC timeout are constants (maxInFlight, rpcTimeout).
 type Config struct {
 	// HeartbeatEvery is the interval advertised to registering workers
 	// (default 3s).
@@ -35,11 +36,6 @@ type Config struct {
 	// batches spread load and shrink the re-assignment unit; larger ones
 	// amortize per-RPC overhead.
 	SplitsPerCall int
-	// MaxInFlight bounds concurrent map RPCs across the fleet
-	// (default 16).
-	MaxInFlight int
-	// RPCTimeout bounds one map RPC (default 5m).
-	RPCTimeout time.Duration
 	// MaxWorkerFailures is the consecutive-failure count that marks a
 	// worker dead (default 2).
 	MaxWorkerFailures int
@@ -48,6 +44,13 @@ type Config struct {
 	// Best-effort: a failed dump never fails the build.
 	TraceDir string
 }
+
+// At most maxInFlight map RPCs run at once across the fleet, and one
+// map RPC may take at most rpcTimeout.
+const (
+	maxInFlight = 16
+	rpcTimeout  = 5 * time.Minute
+)
 
 func (c Config) withDefaults() Config {
 	if c.HeartbeatEvery <= 0 {
@@ -58,12 +61,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SplitsPerCall <= 0 {
 		c.SplitsPerCall = 4
-	}
-	if c.MaxInFlight <= 0 {
-		c.MaxInFlight = 16
-	}
-	if c.RPCTimeout <= 0 {
-		c.RPCTimeout = 5 * time.Minute
 	}
 	if c.MaxWorkerFailures <= 0 {
 		c.MaxWorkerFailures = 2
@@ -652,7 +649,7 @@ func (c *Coordinator) fleetSide(tmpl MapRequest, owners []string, track *buildTr
 		inflight := 0
 		rstats := RoundStats{Round: round, BroadcastBytes: int64(len(bcast))}
 		c.bcastBytes.Add(int64(len(bcast)))
-		results := make(chan rpcResult, c.cfg.MaxInFlight)
+		results := make(chan rpcResult, maxInFlight)
 		retry := time.NewTicker(25 * time.Millisecond)
 		defer retry.Stop()
 
@@ -667,7 +664,7 @@ func (c *Coordinator) fleetSide(tmpl MapRequest, owners []string, track *buildTr
 			if req.Rounds > 1 {
 				req.Round, req.Broadcast = round, bcast
 			}
-			rctx, cancel := context.WithTimeout(ctx, c.cfg.RPCTimeout)
+			rctx, cancel := context.WithTimeout(ctx, rpcTimeout)
 			defer cancel()
 			t0 := time.Now()
 			resp, reqB, respB, err := c.tr.MapSplits(rctx, w.addr, &req)
@@ -768,7 +765,7 @@ func (c *Coordinator) fleetSide(tmpl MapRequest, owners []string, track *buildTr
 		// round returns early — the Coordinator and its workerStates outlive
 		// this build, so abandoning the results channel would leak inflight
 		// counts and permanently shrink fleet capacity. The results channel
-		// is buffered to MaxInFlight, so the dispatch goroutines never block.
+		// is buffered to maxInFlight, so the dispatch goroutines never block.
 		drain := func(n int) {
 			if n <= 0 {
 				return
@@ -796,7 +793,7 @@ func (c *Coordinator) fleetSide(tmpl MapRequest, owners []string, track *buildTr
 
 		for remaining > 0 {
 			// Dispatch as much as fleet capacity and the in-flight bound allow.
-			for inflight < c.cfg.MaxInFlight {
+			for inflight < maxInFlight {
 				w, batch := pick()
 				if w == nil {
 					break

@@ -10,42 +10,23 @@ import (
 
 // Per-target circuit breakers. A black-holed shard must cost one
 // breaker trip, not a full client timeout per request: after
-// FailThreshold consecutive failures the breaker opens and requests to
-// that target fail immediately, until a jittered exponential backoff
-// elapses and one half-open probe is let through. Success closes the
-// breaker and resets the backoff; failure re-opens it with a doubled
-// (capped) backoff. Jitter decorrelates the probe times of routers
-// sharing a recovering target.
+// breakerFailThreshold consecutive failures the breaker opens and
+// requests to that target fail immediately, until a jittered
+// exponential backoff elapses and one half-open probe is let through.
+// Success closes the breaker and resets the backoff; failure re-opens it
+// with a doubled backoff, capped at breakerMaxBackoff. Jitter
+// decorrelates the probe times of routers sharing a recovering target.
+const (
+	breakerFailThreshold = 3
+	breakerBaseBackoff   = 100 * time.Millisecond
+	breakerMaxBackoff    = 5 * time.Second
+)
 
-// BreakerConfig tunes the router's per-target circuit breakers; the
-// zero value enables them with defaults.
+// BreakerConfig seeds the router's per-target circuit breakers.
 type BreakerConfig struct {
-	// FailThreshold is how many consecutive failures open the breaker
-	// (default 3; negative disables breakers entirely).
-	FailThreshold int
-	// BaseBackoff is the first open interval (default 100ms).
-	BaseBackoff time.Duration
-	// MaxBackoff caps the exponential growth (default 5s).
-	MaxBackoff time.Duration
 	// Seed fixes the jitter stream for deterministic tests (0 = seeded
 	// from the clock).
 	Seed int64
-}
-
-func (c BreakerConfig) withDefaults() BreakerConfig {
-	if c.FailThreshold == 0 {
-		c.FailThreshold = 3
-	}
-	if c.BaseBackoff <= 0 {
-		c.BaseBackoff = 100 * time.Millisecond
-	}
-	if c.MaxBackoff <= 0 {
-		c.MaxBackoff = 5 * time.Second
-	}
-	if c.Seed == 0 {
-		c.Seed = time.Now().UnixNano()
-	}
-	return c
 }
 
 const (
@@ -63,8 +44,6 @@ type breaker struct {
 
 // breakerSet holds one breaker per upstream target URL, created lazily.
 type breakerSet struct {
-	cfg BreakerConfig
-
 	mu  sync.Mutex
 	m   map[string]*breaker
 	rng *rand.Rand
@@ -74,9 +53,10 @@ type breakerSet struct {
 }
 
 func newBreakerSet(cfg BreakerConfig) *breakerSet {
-	cfg = cfg.withDefaults()
+	if cfg.Seed == 0 {
+		cfg.Seed = time.Now().UnixNano()
+	}
 	return &breakerSet{
-		cfg: cfg,
 		m:   map[string]*breaker{},
 		rng: rand.New(rand.NewSource(cfg.Seed)),
 	}
@@ -88,9 +68,6 @@ var errBreakerOpen = fmt.Errorf("ha: circuit breaker open")
 // breaker past its backoff admits exactly one half-open probe; further
 // requests keep failing fast until that probe reports back.
 func (s *breakerSet) Allow(target string) bool {
-	if s == nil || s.cfg.FailThreshold < 0 {
-		return true
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	b := s.m[target]
@@ -116,9 +93,6 @@ func (s *breakerSet) Allow(target string) bool {
 // Success records a successful exchange: the breaker (if any) closes
 // and its backoff resets.
 func (s *breakerSet) Success(target string) {
-	if s == nil || s.cfg.FailThreshold < 0 {
-		return
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if b := s.m[target]; b != nil {
@@ -132,9 +106,6 @@ func (s *breakerSet) Success(target string) {
 // the threshold — or failing the half-open probe — opens the breaker
 // for a jittered, exponentially growing interval.
 func (s *breakerSet) Failure(target string) {
-	if s == nil || s.cfg.FailThreshold < 0 {
-		return
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	b := s.m[target]
@@ -147,7 +118,7 @@ func (s *breakerSet) Failure(target string) {
 		return
 	}
 	b.fails++
-	if b.fails >= s.cfg.FailThreshold {
+	if b.fails >= breakerFailThreshold {
 		s.open(b)
 	}
 }
@@ -156,12 +127,10 @@ func (s *breakerSet) Failure(target string) {
 // jittered ±50% so recovering targets are not probed in lockstep.
 func (s *breakerSet) open(b *breaker) {
 	if b.backoff <= 0 {
-		b.backoff = s.cfg.BaseBackoff
+		b.backoff = breakerBaseBackoff
 	} else {
 		b.backoff *= 2
-		if b.backoff > s.cfg.MaxBackoff {
-			b.backoff = s.cfg.MaxBackoff
-		}
+		b.backoff = min(b.backoff, breakerMaxBackoff)
 	}
 	jittered := b.backoff/2 + time.Duration(s.rng.Int63n(int64(b.backoff)))
 	b.state = breakerOpen

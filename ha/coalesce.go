@@ -4,7 +4,6 @@ import (
 	"context"
 	"net/http"
 	"net/url"
-	"strconv"
 	"sync"
 	"time"
 
@@ -18,9 +17,11 @@ import (
 // (crossbatch.go), so the shard answers them with its vectorized
 // shared-walk executors instead of one tree walk per request — and the
 // estimates are scattered back to the waiting
-// requests in arrival order. Responses are byte-identical to the
-// shard's own single-query endpoints (serve.AppendEstimate renders
-// both), so clients cannot tell whether their GET was coalesced.
+// requests in arrival order. A GET is parsed by serve.ParseQuery, the
+// shard's own parser, and the response is rendered by
+// serve.AppendEstimate, as the shard renders it, so responses are
+// byte-identical to the shard's own single-query endpoints and clients
+// cannot tell whether their GET was coalesced.
 //
 // Trade-off: a query waits at most CoalesceWait before its batch
 // dispatches (a full batch of CoalesceMax dispatches immediately), so
@@ -165,13 +166,13 @@ func (rt *Router) maybeCoalesce(route string, fallback http.HandlerFunc) http.Ha
 		return fallback
 	}
 	return func(w http.ResponseWriter, r *http.Request) {
-		q, fields, ok := coalesceQuery(route, r.URL.Query())
+		g, ok := coalesceQuery(route, r.URL.Query())
 		if !ok {
 			fallback(w, r)
 			return
 		}
 		name := r.PathValue("name")
-		ch := rt.coal.enqueue(name, q)
+		ch := rt.coal.enqueue(name, g.Query)
 		select {
 		case res := <-ch:
 			switch {
@@ -182,7 +183,7 @@ func (rt *Router) maybeCoalesce(route string, fallback http.HandlerFunc) http.Ha
 			case res.status != 0:
 				writeErr(w, res.status, "%s", res.errMsg)
 			default:
-				b := serve.AppendEstimate(nil, name, res.version, res.est, fields...)
+				b := serve.AppendEstimate(nil, name, res.version, res.est, g.Fields()...)
 				w.Header().Set("Content-Type", "application/json")
 				w.WriteHeader(http.StatusOK)
 				w.Write(b)
@@ -194,51 +195,29 @@ func (rt *Router) maybeCoalesce(route string, fallback http.HandlerFunc) http.Ha
 	}
 }
 
-// coalesceQuery parses a single-query GET's parameters into the batch
-// form, plus the echo fields the response renders. ok is false when the
-// parameters are not one unambiguous, fully-parsed query — those fall
-// through to the direct proxy so error responses stay byte-identical
-// with an uncoalesced router.
-func coalesceQuery(route string, vals url.Values) (serve.BatchQuery, []serve.EstimateField, bool) {
-	get := func(key string) (int64, bool) {
-		s := vals.Get(key)
-		if s == "" {
-			return 0, false
-		}
-		v, err := strconv.ParseInt(s, 10, 64)
-		return v, err == nil
+// coalesceQuery parses a single-query GET with serve.ParseQuery, taking
+// the one form whose parameters all parse while no parameter of the
+// other form is present. ok is false otherwise: those requests fall
+// through to the direct proxy, so their error responses stay
+// byte-identical with an uncoalesced router.
+func coalesceQuery(route string, vals url.Values) (serve.GetQuery, bool) {
+	one, err1 := serve.ParseQuery(route, false, vals)
+	two, err2 := serve.ParseQuery(route, true, vals)
+	switch {
+	case err1 == nil && !anyParam(vals, two.Fields()):
+		return one, true
+	case err2 == nil && !anyParam(vals, one.Fields()):
+		return two, true
 	}
-	switch route {
-	case "point":
-		key, okKey := get("key")
-		x, okX := get("x")
-		y, okY := get("y")
-		switch {
-		case okKey && !vals.Has("x") && !vals.Has("y"):
-			return serve.BatchQuery{Op: "point", Key: key},
-				[]serve.EstimateField{{Name: "key", Value: key}}, true
-		case okX && okY && !vals.Has("key"):
-			return serve.BatchQuery{Op: "point", X: x, Y: y},
-				[]serve.EstimateField{{Name: "x", Value: x}, {Name: "y", Value: y}}, true
-		}
-	case "range":
-		lo, okLo := get("lo")
-		hi, okHi := get("hi")
-		xlo, okXLo := get("xlo")
-		xhi, okXHi := get("xhi")
-		ylo, okYLo := get("ylo")
-		yhi, okYHi := get("yhi")
-		switch {
-		case okLo && okHi && !vals.Has("xlo") && !vals.Has("xhi") && !vals.Has("ylo") && !vals.Has("yhi"):
-			return serve.BatchQuery{Op: "range", Lo: lo, Hi: hi},
-				[]serve.EstimateField{{Name: "lo", Value: lo}, {Name: "hi", Value: hi}}, true
-		case okXLo && okXHi && okYLo && okYHi && !vals.Has("lo") && !vals.Has("hi"):
-			return serve.BatchQuery{Op: "range", XLo: xlo, XHi: xhi, YLo: ylo, YHi: yhi},
-				[]serve.EstimateField{
-					{Name: "xlo", Value: xlo}, {Name: "xhi", Value: xhi},
-					{Name: "ylo", Value: ylo}, {Name: "yhi", Value: yhi},
-				}, true
+	return serve.GetQuery{}, false
+}
+
+// anyParam reports whether vals holds any of the fields' parameters.
+func anyParam(vals url.Values, fields []serve.EstimateField) bool {
+	for _, f := range fields {
+		if vals.Has(f.Name) {
+			return true
 		}
 	}
-	return serve.BatchQuery{}, nil, false
+	return false
 }

@@ -78,13 +78,7 @@ type targetHealth struct {
 const ewmaAlpha = 0.3
 
 func newHealthChecker(rt *Router, cfg RouterConfig) *healthChecker {
-	timeout := cfg.ProbeTimeout
-	if timeout <= 0 {
-		timeout = cfg.ProbeInterval
-		if timeout > time.Second {
-			timeout = time.Second
-		}
-	}
+	timeout := min(cfg.ProbeInterval, time.Second)
 	failN := cfg.ProbeFailThreshold
 	if failN <= 0 {
 		failN = 3

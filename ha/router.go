@@ -105,18 +105,18 @@ type RouterConfig struct {
 	ReadTimeout     time.Duration
 	MutationTimeout time.Duration
 
-	// Breaker tunes the per-target circuit breakers (zero value =
-	// enabled with defaults; FailThreshold -1 disables).
+	// Breaker seeds the per-target circuit breakers' jitter; they are
+	// always on.
 	Breaker BreakerConfig
 
 	// ProbeInterval enables the health checker: every target's /healthz
-	// is probed on this interval, primaries are marked down after
+	// is probed on this interval, each probe taking at most
+	// min(ProbeInterval, 1s); primaries are marked down after
 	// ProbeFailThreshold consecutive failures (default 3), and — unless
 	// NoAutoFailover — the most caught-up replica is promoted with an
 	// epoch fencing token and the topology swapped. 0 disables probing
-	// (the PR-6 static behaviour).
+	// (a static topology).
 	ProbeInterval      time.Duration
-	ProbeTimeout       time.Duration // per-probe budget (default min(ProbeInterval, 1s))
 	ProbeFailThreshold int
 	NoAutoFailover     bool
 }

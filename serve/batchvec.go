@@ -1,9 +1,6 @@
 package serve
 
-import (
-	"fmt"
-	"sync"
-)
+import "sync"
 
 // The vectorized batch dispatch: above vecBatchMin queries, Entry.Batch
 // stops answering sub-queries one scalar walk at a time and instead
@@ -12,10 +9,10 @@ import (
 // Histogram2D.BatchPoints / BatchRanges), and scatters the answers back
 // in request order. Results are bit-identical to the scalar loop — the
 // executors guarantee bitwise equality with PointEstimate / RangeCount,
-// and malformed queries are validated (with the scalar path's exact
-// error strings) before anything reaches an executor. Scratch lives in
-// a pool so the steady state stays allocation-free on the handler's
-// reused slices.
+// a query no executor may run takes its error from estimate (the scalar
+// loop's own per-query code), and every answer passes the same finite
+// check. Scratch lives in a pool so the steady state stays
+// allocation-free on the handler's reused slices.
 
 // vecBatchMin is the dispatch threshold: below it, per-query sort and
 // sweep setup costs more than the scalar walks it saves. Chosen by the
@@ -52,9 +49,9 @@ func (sc *vecScratch) ensureOut(n int) []float64 {
 }
 
 // batchVectorized is Batch's body for large batches. Phase 1 validates
-// every query — reusing the scalar helpers so error strings match bit
-// for bit — and gathers the valid ones per op class; phase 2 runs one
-// shared-walk executor per class and scatters results.
+// every query — a rejected one is answered by estimate, so error strings
+// match bit for bit — and gathers the valid ones per op class; phase 2
+// runs one shared-walk executor per class and scatters results.
 func (e *Entry) batchVectorized(queries []BatchQuery, results []BatchResult) {
 	sc := vecScratchPool.Get().(*vecScratch)
 	keys, kidx := sc.keys[:0], sc.kidx[:0]
@@ -70,8 +67,7 @@ func (e *Entry) batchVectorized(queries []BatchQuery, results []BatchResult) {
 			if is2D {
 				s := e.H2D.Side()
 				if q.X < 0 || q.X >= s || q.Y < 0 || q.Y >= s {
-					_, err := e.batchPoint2D(q.X, q.Y)
-					results[i] = BatchResult{Error: err.Error()}
+					results[i] = result(e.estimate(q))
 					continue
 				}
 				x2 = append(x2, q.X)
@@ -79,8 +75,7 @@ func (e *Entry) batchVectorized(queries []BatchQuery, results []BatchResult) {
 				gidx = append(gidx, int32(i))
 			} else {
 				if q.Key < 0 || q.Key >= e.H.Domain() {
-					_, err := e.batchPoint(q.Key)
-					results[i] = BatchResult{Error: err.Error()}
+					results[i] = result(e.estimate(q))
 					continue
 				}
 				keys = append(keys, q.Key)
@@ -101,35 +96,35 @@ func (e *Entry) batchVectorized(queries []BatchQuery, results []BatchResult) {
 				ridx = append(ridx, int32(i))
 			}
 		default:
-			results[i] = BatchResult{Error: fmt.Sprintf("unknown op %q (want point or range)", q.Op)}
+			results[i] = result(e.estimate(q))
 		}
 	}
 	if len(keys) > 0 {
 		out := sc.ensureOut(len(keys))
 		e.H.BatchPoints(keys, out)
 		for m, i := range kidx {
-			results[i] = BatchResult{Estimate: out[m]}
+			results[i] = result(finite(out[m]))
 		}
 	}
 	if len(rlo) > 0 {
 		out := sc.ensureOut(len(rlo))
 		e.H.BatchRanges(rlo, rhi, out)
 		for m, i := range ridx {
-			results[i] = BatchResult{Estimate: out[m]}
+			results[i] = result(finite(out[m]))
 		}
 	}
 	if len(x2) > 0 {
 		out := sc.ensureOut(len(x2))
 		e.H2D.BatchPoints(x2, y2, out)
 		for m, i := range gidx {
-			results[i] = BatchResult{Estimate: out[m]}
+			results[i] = result(finite(out[m]))
 		}
 	}
 	if len(rx2lo) > 0 {
 		out := sc.ensureOut(len(rx2lo))
 		e.H2D.BatchRanges(rx2lo, rx2hi, ry2lo, ry2hi, out)
 		for m, i := range r2idx {
-			results[i] = BatchResult{Estimate: out[m]}
+			results[i] = result(finite(out[m]))
 		}
 	}
 	sc.keys, sc.kidx = keys, kidx

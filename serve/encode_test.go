@@ -139,9 +139,6 @@ func TestPointRangeEndpoints(t *testing.T) {
 	if rg["lo"].(float64) != 10 || rg["hi"].(float64) != 200 || rg["estimate"].(float64) != h.RangeCount(10, 200) {
 		t.Fatalf("range response: %v", rg)
 	}
-	// Error paths unchanged.
-	getJSON(t, ts.URL+"/v1/hist/p/point?key=notanint", http.StatusBadRequest)
-	getJSON(t, ts.URL+"/v1/hist/p/range?lo=1", http.StatusBadRequest)
 }
 
 // TestAppendEstimateAllocFree: steady-state single-query encoding does

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -288,5 +289,90 @@ func TestBatchPoolDoesNotLeakAcrossRequests(t *testing.T) {
 		if got := results[1].(map[string]any)["estimate"].(float64); got != want {
 			t.Fatalf("omitted key inherited a stale value: estimate %v, want %v", got, want)
 		}
+	}
+}
+
+// TestNonFiniteEstimateIsQueryError: an estimate that overflows float64
+// is a per-query error, never a served +Inf (which is not JSON). Two
+// 1e308 updates to one key keep every coefficient finite but overflow
+// the estimates that cover the key. A GET of one then answers 400, and a
+// batch on either executor (scalar below vecBatchMin, vectorized above)
+// answers each query exactly as its GET does. Every body is valid JSON.
+func TestNonFiniteEstimateIsQueryError(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	if _, err := s.Registry().Publish("h", buildHist(t, 20000, 1<<10, 30, 8)); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		postJSON(t, ts.URL+"/v1/hist/h/updates",
+			map[string]any{"updates": []KeyUpdate{{Key: 3, Delta: 1e308}}, "flush": true}, http.StatusOK)
+	}
+	fetch := func(method, path string, body []byte) (int, []byte) {
+		t.Helper()
+		req, err := http.NewRequest(method, ts.URL+path, bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, _ := io.ReadAll(resp.Body)
+		if !json.Valid(b) {
+			t.Fatalf("%s %s: HTTP %d body is not JSON: %s", method, path, resp.StatusCode, b)
+		}
+		return resp.StatusCode, b
+	}
+	for _, p := range []string{"point?key=3", "range?lo=0&hi=10"} {
+		if code, body := fetch(http.MethodGet, "/v1/hist/h/"+p, nil); code != http.StatusBadRequest {
+			t.Errorf("GET %s: HTTP %d, want 400: %s", p, code, body)
+		}
+	}
+
+	var queries []BatchQuery
+	for k := int64(0); k < 12; k++ {
+		queries = append(queries, BatchQuery{Op: "point", Key: k})
+	}
+	for _, r := range [][2]int64{{0, 10}, {3, 3}, {4, 10}, {0, 1023}, {600, 700}, {512, 1023}, {10, 0}, {-5, 2}} {
+		queries = append(queries, BatchQuery{Op: "range", Lo: r[0], Hi: r[1]})
+	}
+	if len(queries) < vecBatchMin {
+		t.Fatalf("batch of %d stays on the scalar executor", len(queries))
+	}
+	overflowed := 0
+	for _, batch := range [][]BatchQuery{queries, queries[:4]} {
+		body, _ := json.Marshal(map[string]any{"queries": batch})
+		code, raw := fetch(http.MethodPost, "/v1/hist/h/query", body)
+		if code != http.StatusOK {
+			t.Fatalf("batch of %d: HTTP %d: %s", len(batch), code, raw)
+		}
+		var got struct{ Results []BatchResult }
+		if err := json.Unmarshal(raw, &got); err != nil {
+			t.Fatal(err)
+		}
+		for i, q := range batch {
+			path := fmt.Sprintf("point?key=%d", q.Key)
+			if q.Op == "range" {
+				path = fmt.Sprintf("range?lo=%d&hi=%d", q.Lo, q.Hi)
+			}
+			code, one := fetch(http.MethodGet, "/v1/hist/h/"+path, nil)
+			var want struct {
+				Estimate float64 `json:"estimate"`
+				Error    string  `json:"error"`
+			}
+			if err := json.Unmarshal(one, &want); err != nil {
+				t.Fatal(err)
+			}
+			if code != http.StatusOK {
+				overflowed++
+			}
+			if r := got.Results[i]; r.Estimate != want.Estimate || r.Error != want.Error {
+				t.Errorf("batch of %d, query %d (%s): %+v, GET answers %d %+v", len(batch), i, path, r, code, want)
+			}
+		}
+	}
+	if overflowed == 0 {
+		t.Fatal("no query overflowed")
 	}
 }

@@ -12,7 +12,9 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -67,33 +69,21 @@ func (e *Entry) Domain() int64 {
 // Point returns the estimated frequency of key x, recording stats.
 func (e *Entry) Point(x int64) (float64, error) {
 	defer e.Stats.Point.Start()()
-	return e.batchPoint(x)
-}
-
-// Point2D returns the estimated frequency of grid cell (x, y),
-// recording stats.
-func (e *Entry) Point2D(x, y int64) (float64, error) {
-	defer e.Stats.Point.Start()()
-	return e.batchPoint2D(x, y)
+	if e.Is2D() {
+		return 0, fmt.Errorf("serve: %q is 2D; query with x and y", e.Name)
+	}
+	return e.estimate(&BatchQuery{Op: "point", Key: x})
 }
 
 // Range returns the estimated number of records with keys in [lo, hi]
-// (inclusive), recording stats. Bounds follow the library-wide clamp
-// contract (see Histogram.RangeCount): lo and hi are clamped to the
-// domain, and a range with an empty domain intersection — including
-// lo > hi — estimates 0 rather than erroring.
+// (inclusive), recording stats. lo and hi clamp to the domain, and an
+// empty intersection — lo > hi included — estimates 0, never an error.
 func (e *Entry) Range(lo, hi int64) (float64, error) {
 	defer e.Stats.Range.Start()()
-	return e.batchRange(lo, hi)
-}
-
-// Range2D returns the estimated number of records in the rectangle
-// [xlo, xhi] × [ylo, yhi], recording stats. Both axes follow the same
-// clamp contract as Range: bounds clamp to the grid, and an empty
-// intersection on either axis estimates 0 rather than erroring.
-func (e *Entry) Range2D(xlo, xhi, ylo, yhi int64) (float64, error) {
-	defer e.Stats.Range.Start()()
-	return e.batchRange2D(xlo, xhi, ylo, yhi)
+	if e.Is2D() {
+		return 0, fmt.Errorf("serve: %q is 2D; range queries need xlo/xhi/ylo/yhi", e.Name)
+	}
+	return e.estimate(&BatchQuery{Op: "range", Lo: lo, Hi: hi})
 }
 
 // BatchQuery is one query in a batch request (POST /v1/hist/{name}/query);
@@ -132,77 +122,58 @@ func (e *Entry) Batch(queries []BatchQuery, results []BatchResult) {
 // reference loop the vectorized dispatch must match bit for bit.
 func (e *Entry) batchScalar(queries []BatchQuery, results []BatchResult) {
 	for i := range queries {
-		q := &queries[i]
-		var (
-			est float64
-			err error
-		)
-		switch q.Op {
-		case "point":
-			if e.Is2D() {
-				est, err = e.batchPoint2D(q.X, q.Y)
-			} else {
-				est, err = e.batchPoint(q.Key)
-			}
-		case "range":
-			if e.Is2D() {
-				est, err = e.batchRange2D(q.XLo, q.XHi, q.YLo, q.YHi)
-			} else {
-				est, err = e.batchRange(q.Lo, q.Hi)
-			}
-		default:
-			err = fmt.Errorf("unknown op %q (want point or range)", q.Op)
+		results[i] = result(e.estimate(&queries[i]))
+	}
+}
+
+// estimate answers one query off the entry's histogram, recording no
+// stats: the per-query body of the batch loop, which the GET handler and
+// Point and Range share. The entry's dimensionality picks the query's
+// fields (a 1D point reads Key, a 2D one X and Y). A point off the
+// domain, an unknown op and an estimate that is not finite are per-query
+// errors. Ranges follow one contract at every layer (Representation.
+// RangeSum, Histogram.RangeCount, here): bounds clamp to the domain, per
+// axis in 2D, and an empty intersection — lo > hi included — estimates
+// 0, never an error.
+func (e *Entry) estimate(q *BatchQuery) (float64, error) {
+	switch {
+	case q.Op == "point" && e.Is2D():
+		if s := e.H2D.Side(); q.X < 0 || q.X >= s || q.Y < 0 || q.Y >= s {
+			return 0, fmt.Errorf("serve: cell (%d, %d) outside grid [0, %d)²", q.X, q.Y, s)
 		}
-		if err != nil {
-			results[i] = BatchResult{Error: err.Error()}
-		} else {
-			results[i] = BatchResult{Estimate: est}
+		return finite(e.H2D.PointEstimate(q.X, q.Y))
+	case q.Op == "point":
+		if q.Key < 0 || q.Key >= e.H.Domain() {
+			return 0, fmt.Errorf("serve: key %d outside domain [0, %d)", q.Key, e.H.Domain())
 		}
+		return finite(e.H.PointEstimate(q.Key))
+	case q.Op == "range" && e.Is2D():
+		return finite(e.H2D.RangeCount(q.XLo, q.XHi, q.YLo, q.YHi))
+	case q.Op == "range":
+		return finite(e.H.RangeCount(q.Lo, q.Hi))
 	}
+	return 0, fmt.Errorf("unknown op %q (want point or range)", q.Op)
 }
 
-// batchPoint / batchPoint2D / batchRange are the stats-free estimate
-// paths: batch requests record one Batch stat for the whole request
-// instead of per-query counters.
+// errNonFinite is the per-query error of an estimate that overflowed
+// float64: encoding/json refuses ±Inf and NaN, so none is ever served.
+var errNonFinite = errors.New("serve: estimate is not finite")
 
-func (e *Entry) batchPoint(x int64) (float64, error) {
-	if e.Is2D() {
-		return 0, fmt.Errorf("serve: %q is 2D; query with x and y", e.Name)
+// finite passes a finite estimate through and turns any other into
+// errNonFinite — one check for both executors.
+func finite(est float64) (float64, error) {
+	if math.IsInf(est, 0) || math.IsNaN(est) {
+		return 0, errNonFinite
 	}
-	if x < 0 || x >= e.H.Domain() {
-		return 0, fmt.Errorf("serve: key %d outside domain [0, %d)", x, e.H.Domain())
-	}
-	return e.H.PointEstimate(x), nil
+	return est, nil
 }
 
-func (e *Entry) batchPoint2D(x, y int64) (float64, error) {
-	if !e.Is2D() {
-		return 0, fmt.Errorf("serve: %q is 1D; query with key", e.Name)
+// result is one estimate's per-query outcome on the batch wire.
+func result(est float64, err error) BatchResult {
+	if err != nil {
+		return BatchResult{Error: err.Error()}
 	}
-	s := e.H2D.Side()
-	if x < 0 || x >= s || y < 0 || y >= s {
-		return 0, fmt.Errorf("serve: cell (%d, %d) outside grid [0, %d)²", x, y, s)
-	}
-	return e.H2D.PointEstimate(x, y), nil
-}
-
-func (e *Entry) batchRange(lo, hi int64) (float64, error) {
-	if e.Is2D() {
-		return 0, fmt.Errorf("serve: %q is 2D; range queries need xlo/xhi/ylo/yhi", e.Name)
-	}
-	// One contract at every layer (Representation.RangeSum, Histogram.
-	// RangeCount, this handler): bounds are clamped to the domain and an
-	// empty intersection estimates 0 — never an error.
-	return e.H.RangeCount(lo, hi), nil
-}
-
-func (e *Entry) batchRange2D(xlo, xhi, ylo, yhi int64) (float64, error) {
-	if !e.Is2D() {
-		return 0, fmt.Errorf("serve: %q is 1D; range queries need lo and hi", e.Name)
-	}
-	// Same clamp contract as batchRange, applied per axis: an empty
-	// intersection on either axis estimates 0 — never an error.
-	return e.H2D.RangeCount(xlo, xhi, ylo, yhi), nil
+	return BatchResult{Estimate: est}
 }
 
 // Snapshot is an immutable point-in-time view of the registry. Queries

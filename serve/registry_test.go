@@ -119,8 +119,10 @@ func TestRegistryPersistence(t *testing.T) {
 	if !ok || !e2.Is2D() {
 		t.Fatal("2D histogram missing after reopen")
 	}
-	if got, err := e2.Point2D(3, 3); err != nil || got != res2.Histogram.PointEstimate(3, 3) {
-		t.Fatalf("2D point after reload: %v, %v", got, err)
+	got := make([]BatchResult, 1)
+	e2.Batch([]BatchQuery{{Op: "point", X: 3, Y: 3}}, got)
+	if got[0].Error != "" || got[0].Estimate != res2.Histogram.PointEstimate(3, 3) {
+		t.Fatalf("2D point after reload: %+v", got[0])
 	}
 
 	// A corrupt snapshot file fails the open rather than loading silently.

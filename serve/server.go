@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log"
 	"net/http"
+	"net/url"
 	"slices"
 	"strconv"
 	"sync"
@@ -19,7 +21,8 @@ import (
 )
 
 // Config tunes a Server. The zero value is usable: in-memory registry,
-// default batch and body limits.
+// default batch and body limits. The dataset, build-concurrency and
+// job-retention limits are constants (see maxDatasetRecords).
 type Config struct {
 	// SnapshotDir persists published histograms (loaded at startup,
 	// written on publish). Empty = in-memory only.
@@ -33,17 +36,6 @@ type Config struct {
 	MaxBatch int
 	// MaxBodyBytes bounds request bodies (default 8 MiB).
 	MaxBodyBytes int64
-	// MaxDatasetRecords bounds synthetic dataset creation via the API
-	// (default 1<<22), keeping a hostile request from exhausting memory.
-	MaxDatasetRecords int64
-	// MaxDomain bounds dataset domain size via the API (default 1<<24).
-	MaxDomain int64
-	// MaxConcurrentBuilds bounds simultaneous build jobs (default 4);
-	// further POST /v1/build requests get 429 until a slot frees.
-	MaxConcurrentBuilds int
-	// MaxJobs bounds retained job records (default 1024); the oldest
-	// finished jobs are pruned as new ones are created.
-	MaxJobs int
 	// Coordinator enables distributed builds: POST /v1/build with
 	// "distributed": true fans the build out to the coordinator's worker
 	// fleet, and the coordinator's /dist/v1/* endpoints (worker
@@ -82,6 +74,16 @@ type Config struct {
 	SlowQueryDir string
 }
 
+// Limits no embedder tunes: the records and domain one POST /v1/datasets
+// may ask for, the build jobs that run at once (a further POST /v1/build
+// gets 429), and the job records kept (the oldest finished are pruned).
+const (
+	maxDatasetRecords   = 1 << 22
+	maxDatasetDomain    = 1 << 24
+	maxConcurrentBuilds = 4
+	maxRetainedJobs     = 1024
+)
+
 func (c Config) withDefaults() Config {
 	if c.RepublishEvery <= 0 {
 		c.RepublishEvery = 256
@@ -91,18 +93,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 8 << 20
-	}
-	if c.MaxDatasetRecords <= 0 {
-		c.MaxDatasetRecords = 1 << 22
-	}
-	if c.MaxDomain <= 0 {
-		c.MaxDomain = 1 << 24
-	}
-	if c.MaxConcurrentBuilds <= 0 {
-		c.MaxConcurrentBuilds = 4
-	}
-	if c.MaxJobs <= 0 {
-		c.MaxJobs = 1024
 	}
 	if c.MaxPendingPerWorker == 0 {
 		c.MaxPendingPerWorker = 64
@@ -189,8 +179,8 @@ func NewServer(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:        cfg,
 		reg:        reg,
-		jobs:       newJobSet(cfg.MaxJobs),
-		buildSem:   make(chan struct{}, cfg.MaxConcurrentBuilds),
+		jobs:       newJobSet(maxRetainedJobs),
+		buildSem:   make(chan struct{}, maxConcurrentBuilds),
 		mux:        http.NewServeMux(),
 		baseCtx:    baseCtx,
 		baseCancel: baseCancel,
@@ -253,8 +243,8 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 func (s *Server) routes() {
 	s.mux.HandleFunc("GET /healthz", s.handleHealth)
 	s.mux.HandleFunc("GET /v1/hist", s.handleList)
-	s.mux.HandleFunc("GET /v1/hist/{name}/point", s.handlePoint)
-	s.mux.HandleFunc("GET /v1/hist/{name}/range", s.handleRange)
+	s.mux.HandleFunc("GET /v1/hist/{name}/point", s.handleGet("point"))
+	s.mux.HandleFunc("GET /v1/hist/{name}/range", s.handleGet("range"))
 	s.mux.HandleFunc("POST /v1/hist/{name}/query", s.handleBatch)
 	s.mux.HandleFunc("POST /v1/hist/{name}/updates", s.handleUpdates)
 	s.mux.HandleFunc("POST /v1/query", s.handleQueryFrame)
@@ -296,14 +286,6 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
 		return false
 	}
 	return true
-}
-
-func queryInt64(r *http.Request, key string) (int64, error) {
-	v := r.URL.Query().Get(key)
-	if v == "" {
-		return 0, fmt.Errorf("missing query parameter %q", key)
-	}
-	return strconv.ParseInt(v, 10, 64)
 }
 
 func (s *Server) entry(w http.ResponseWriter, r *http.Request) (*Entry, bool) {
@@ -383,81 +365,99 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (s *Server) handlePoint(w http.ResponseWriter, r *http.Request) {
-	t0 := time.Now()
-	e, ok := s.entry(w, r)
-	if !ok {
-		return
-	}
-	defer func() { s.slowQuery("point", e.Name, 1, 0, time.Since(t0)) }()
-	if e.Is2D() {
-		x, errX := queryInt64(r, "x")
-		y, errY := queryInt64(r, "y")
-		if errX != nil || errY != nil {
-			writeErr(w, http.StatusBadRequest, "2D point query needs integer x and y")
-			return
-		}
-		est, err := e.Point2D(x, y)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		writeEstimate(w, e.Name, e.Version, est,
-			EstimateField{"x", x}, EstimateField{"y", y})
-		return
-	}
-	key, err := queryInt64(r, "key")
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	est, err := e.Point(key)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	writeEstimate(w, e.Name, e.Version, est, EstimateField{"key", key})
+// getForms are the single-query GET forms: each op's parameters, 1D
+// then 2D, in the order a 200 body echoes them, and the 400 a form that
+// does not parse answers.
+var getForms = [...]struct {
+	op     string
+	twoD   bool
+	params []string
+	err    error
+}{
+	{"point", false, []string{"key"}, errors.New("point query needs integer key")},
+	{"point", true, []string{"x", "y"}, errors.New("2D point query needs integer x and y")},
+	{"range", false, []string{"lo", "hi"}, errors.New("range query needs integer lo and hi")},
+	{"range", true, []string{"xlo", "xhi", "ylo", "yhi"}, errors.New("2D range query needs integer xlo, xhi, ylo and yhi")},
 }
 
-func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
-	t0 := time.Now()
-	e, ok := s.entry(w, r)
-	if !ok {
-		return
+// GetQuery is one parsed point or range GET: the query it runs and the
+// parameters its 200 body echoes.
+type GetQuery struct {
+	Query  BatchQuery
+	fields [4]EstimateField
+	n      int
+}
+
+// Fields returns the form's parameters and values in echo order.
+func (g *GetQuery) Fields() []EstimateField { return g.fields[:g.n] }
+
+// ParseQuery is the one parser of a single-query GET. It reads op's 1D
+// form (key, or lo and hi) or, with twoD, its 2D form (x and y, or xlo,
+// xhi, ylo and yhi) from vals into a query, ignoring the other form's
+// parameters. Every parameter of the form must be an integer, or the
+// error names them all. Fields names the form's parameters even then,
+// so a caller can tell whether any of them is present. The shard parses
+// in its entry's form; the router's coalescer tries both.
+func ParseQuery(op string, twoD bool, vals url.Values) (GetQuery, error) {
+	var g GetQuery
+	for _, f := range &getForms {
+		if f.op != op || f.twoD != twoD {
+			continue
+		}
+		var err error
+		for i, name := range f.params {
+			v, perr := strconv.ParseInt(vals.Get(name), 10, 64)
+			if perr != nil {
+				err = f.err
+			}
+			g.fields[i] = EstimateField{name, v}
+		}
+		g.n = len(f.params)
+		v := &g.fields
+		switch {
+		case op == "point" && !twoD:
+			g.Query = BatchQuery{Op: op, Key: v[0].Value}
+		case op == "point":
+			g.Query = BatchQuery{Op: op, X: v[0].Value, Y: v[1].Value}
+		case !twoD:
+			g.Query = BatchQuery{Op: op, Lo: v[0].Value, Hi: v[1].Value}
+		default:
+			g.Query = BatchQuery{Op: op, XLo: v[0].Value, XHi: v[1].Value, YLo: v[2].Value, YHi: v[3].Value}
+		}
+		return g, err
 	}
-	defer func() { s.slowQuery("range", e.Name, 1, 0, time.Since(t0)) }()
-	if e.Is2D() {
-		xlo, errXLo := queryInt64(r, "xlo")
-		xhi, errXHi := queryInt64(r, "xhi")
-		ylo, errYLo := queryInt64(r, "ylo")
-		yhi, errYHi := queryInt64(r, "yhi")
-		if errXLo != nil || errXHi != nil || errYLo != nil || errYHi != nil {
-			writeErr(w, http.StatusBadRequest, "2D range query needs integer xlo, xhi, ylo and yhi")
+	return g, fmt.Errorf("unknown op %q (want point or range)", op)
+}
+
+// handleGet serves GET /v1/hist/{name}/point and …/range: ParseQuery in
+// the entry's form, then the batch loop's per-query estimate, timed
+// under the op's own stats (Stats.Point or Stats.Range, not Batch).
+func (s *Server) handleGet(op string) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		t0 := time.Now()
+		e, ok := s.entry(w, r)
+		if !ok {
 			return
 		}
-		est, err := e.Range2D(xlo, xhi, ylo, yhi)
+		defer func() { s.slowQuery(op, e.Name, 1, 0, time.Since(t0)) }()
+		g, err := ParseQuery(op, e.Is2D(), r.URL.Query())
 		if err != nil {
 			writeErr(w, http.StatusBadRequest, "%v", err)
 			return
 		}
-		writeEstimate(w, e.Name, e.Version, est,
-			EstimateField{"xlo", xlo}, EstimateField{"xhi", xhi},
-			EstimateField{"ylo", ylo}, EstimateField{"yhi", yhi})
-		return
+		stats := &e.Stats.Point
+		if op == "range" {
+			stats = &e.Stats.Range
+		}
+		t1 := time.Now()
+		est, err := e.estimate(&g.Query)
+		stats.Add(1, time.Since(t1))
+		if err != nil {
+			writeErr(w, http.StatusBadRequest, "%v", err)
+			return
+		}
+		writeEstimate(w, e.Name, e.Version, est, g.Fields()...)
 	}
-	lo, errLo := queryInt64(r, "lo")
-	hi, errHi := queryInt64(r, "hi")
-	if errLo != nil || errHi != nil {
-		writeErr(w, http.StatusBadRequest, "range query needs integer lo and hi")
-		return
-	}
-	est, err := e.Range(lo, hi)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	writeEstimate(w, e.Name, e.Version, est,
-		EstimateField{"lo", lo}, EstimateField{"hi", hi})
 }
 
 // batchBuffers is one batch request's reusable state: the body, the
@@ -728,12 +728,12 @@ func (s *Server) handleCreateDataset(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if req.Records > s.cfg.MaxDatasetRecords || int64(len(req.Keys)) > s.cfg.MaxDatasetRecords {
-		writeErr(w, http.StatusBadRequest, "dataset exceeds record limit %d", s.cfg.MaxDatasetRecords)
+	if req.Records > maxDatasetRecords || int64(len(req.Keys)) > maxDatasetRecords {
+		writeErr(w, http.StatusBadRequest, "dataset exceeds record limit %d", maxDatasetRecords)
 		return
 	}
-	if req.Domain > s.cfg.MaxDomain {
-		writeErr(w, http.StatusBadRequest, "domain exceeds limit %d", s.cfg.MaxDomain)
+	if req.Domain > maxDatasetDomain {
+		writeErr(w, http.StatusBadRequest, "domain exceeds limit %d", maxDatasetDomain)
 		return
 	}
 	var (
@@ -846,7 +846,7 @@ func (s *Server) handleBuild(w http.ResponseWriter, r *http.Request) {
 	select {
 	case s.buildSem <- struct{}{}:
 	default:
-		writeErr(w, http.StatusTooManyRequests, "at build-concurrency limit %d; retry later", s.cfg.MaxConcurrentBuilds)
+		writeErr(w, http.StatusTooManyRequests, "at build-concurrency limit %d; retry later", maxConcurrentBuilds)
 		return
 	}
 	ctx, cancel := context.WithCancel(s.baseCtx)
