@@ -14,7 +14,8 @@ cd "$(dirname "${BASH_SOURCE[0]}")/.."
 # 22017 -> 22014: one round loop (RoundPlan.Run over a map side: in-process, fleet, checkpoint restore) and one partial type (mapred.Partial) replace runLocal, roundCall, the restore loop, MapSplitResult, TaskMetrics and fillDefaults, paying for arrival checks as a worker fault and the codec's version word.
 # 22014 -> 21812: the coordinator checkpoint (dist/checkpoint.go, runPlan's restore side and barrier wrapper, Config.CheckpointDir, wavehistd -checkpoints, the Restored fields) deleted; a crashed build is retried over the workers' partial caches, and Output refuses a non-finite coefficient.
 # 21812 -> 21717: one GET parser (serve.ParseQuery, which the router's coalescer also calls) and one per-query estimator (Entry.estimate) replace handlePoint/handleRange, queryInt64, Entry.Point2D/Range2D, the four batch* helpers and coalesceQuery's own parsing; seven Config fields no caller set (dataset records and domain, build concurrency, retained jobs, in-flight RPCs, RPC timeout, probe timeout) and three BreakerConfig fields became constants, paying for the non-finite estimate check.
-CEILING=21717
+# 21717 -> 21927 (+380/-170): a map task reads key batches (RecordReader.ReadKeys and a decode-in-place keyAt; readers keep Next), partials layout 3 (varint deltas and small-integer values, its bounds-checked reader) in never-deflated map responses, a file's split tables computed once, one-read radix counting, the update-delta bound; PartialsWireBytes and the readers' buffers deleted.
+CEILING=21927
 lines=$(find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path './.bench_build/*' | xargs cat | wc -l)
 echo "non-test source: $lines lines (ceiling $CEILING)"
 if [ "$lines" -gt "$CEILING" ]; then

@@ -25,12 +25,14 @@ import (
 //	10      4     uncompressed length (present iff compressed)
 //	14/10   n     payload (message body, possibly deflated)
 //
-// Message bodies use the same little-endian fixed-width scalars as the
-// partial codec (internal/core), with uvarint length prefixes for strings,
-// byte blobs and lists. Bodies at or above compressMin bytes are deflated
-// when that actually shrinks them — partial payloads are highly
-// compressible (sorted keys, small-integer floats), which is what pulls
-// measured wire bytes down to the modeled communication.
+// Message bodies use little-endian fixed-width scalars, with uvarint
+// length prefixes for strings, byte blobs and lists. A map response and
+// the query frames (querycodec.go) are never deflated: a map response's
+// bulk is its partials payload, which the partial codec (internal/core)
+// already writes compactly — sorted keys as varint deltas, small-integer
+// counts as one or two bytes — so a deflate pass on each side would cost
+// more CPU than the bytes it saves. Every other body at or above
+// compressMin bytes is deflated when that actually shrinks it.
 //
 // The POST routes that carry these frames take ContentTypeBinary and
 // nothing else: any other Content-Type is answered 415.
@@ -62,8 +64,9 @@ const (
 )
 
 const (
-	// compressMin is the smallest body worth deflating: a map response
-	// of a few dozen pairs (0.5–1 KiB) already deflates to about half.
+	// compressMin is the smallest body encodeFrame tries to deflate
+	// (map requests carrying a key list, replication pulls); smaller
+	// bodies go as they are.
 	compressMin = 1 << 9
 	// maxFramePayload bounds both the compressed and the declared
 	// uncompressed payload size — a corrupt or hostile length prefix must
@@ -120,8 +123,8 @@ const frameHeaderLen = 10
 // beginFrame appends the header of an uncompressed frame to dst, its
 // length field still zero; the caller appends the body and hands the
 // result to endFrame with the offset beginFrame was called at. This is
-// the append-in-place form for small latency-bound messages, which
-// never take encodeFrame's deflate pass.
+// the append-in-place form for the message types that never take
+// encodeFrame's deflate pass (map responses and query frames).
 func beginFrame(dst []byte, msg byte) []byte {
 	dst = append(dst, frameMagic...)
 	return append(dst, msg, 0, 0, 0, 0, 0)
@@ -131,6 +134,16 @@ func beginFrame(dst []byte, msg byte) []byte {
 func endFrame(dst []byte, start int) []byte {
 	binary.LittleEndian.PutUint32(dst[start+6:], uint32(len(dst)-start-frameHeaderLen))
 	return dst
+}
+
+// decodePlainFrame is decodeFrame for the never-deflated message types:
+// a set deflate flag is an error, so the body is always the frame's own
+// bytes and its size bounds everything decoded from it.
+func decodePlainFrame(frame []byte, wantMsg byte) ([]byte, error) {
+	if len(frame) >= frameHeaderLen && frame[5]&flagDeflate != 0 {
+		return nil, fmt.Errorf("dist: message type %d frames are never deflated", frame[4])
+	}
+	return decodeFrame(frame, wantMsg)
 }
 
 // decodeFrame validates a frame and returns its (decompressed) body.
@@ -463,19 +476,23 @@ func DecodeMapRequest(frame []byte) (*MapRequest, error) {
 	return req, nil
 }
 
-// EncodeMapResponse frames a map response in the binary wire format.
+// EncodeMapResponse frames a map response in the binary wire format, in
+// one buffer of its final size and never deflated.
 func EncodeMapResponse(resp *MapResponse) []byte {
-	b := appendStr(nil, resp.JobID)
+	n := frameHeaderLen + 5*binary.MaxVarintLen64 + len(resp.JobID) + len(resp.Partials) + 8*(len(resp.Replayed)+len(resp.Cached)) + len(resp.Error)
+	b := beginFrame(make([]byte, 0, n), msgMapResponse)
+	b = appendStr(b, resp.JobID)
 	b = appendBlob(b, resp.Partials)
 	b = appendInts(b, resp.Replayed)
 	b = appendInts(b, resp.Cached)
 	b = appendStr(b, resp.Error)
-	return encodeFrame(msgMapResponse, b)
+	return endFrame(b, 0)
 }
 
-// DecodeMapResponse is the inverse of EncodeMapResponse.
+// DecodeMapResponse is the inverse of EncodeMapResponse; a deflated map
+// response is refused.
 func DecodeMapResponse(frame []byte) (*MapResponse, error) {
-	body, err := decodeFrame(frame, msgMapResponse)
+	body, err := decodePlainFrame(frame, msgMapResponse)
 	if err != nil {
 		return nil, err
 	}

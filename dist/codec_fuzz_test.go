@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"strings"
 	"testing"
 
 	"wavelethist/internal/core"
@@ -43,7 +44,14 @@ func FuzzDecodeMapRequest(f *testing.F) {
 
 func FuzzDecodeMapResponse(f *testing.F) {
 	f.Add([]byte{})
-	parts := []core.SplitPartial{{SplitID: 1, Pairs: []mapred.KV{{Key: 3, Val: 1.5}}}}
+	// Layout 3's pair forms: key deltas of one and two bytes, small
+	// integer values, raw floats, and tags.
+	parts := []core.SplitPartial{
+		{SplitID: 1, RecordsRead: 100, BytesRead: 400, InputBytes: 400, CPUUnits: 12.5, Pairs: []mapred.KV{
+			{Key: 3, Val: 1.5}, {Key: 7, Val: 2}, {Key: 9, Val: -0.25, Tag: mapred.TagNull}, {Key: 300, Val: 70000},
+		}},
+		{SplitID: 2, Pairs: []mapred.KV{{Key: 0, Val: 1}, {Key: 1024, Val: 3, Tag: mapred.TagMarkHigh}, {Key: 1025, Val: -7.5, Tag: mapred.TagMarkLow}}},
+	}
 	good := EncodeMapResponse(&MapResponse{
 		JobID: "j", Partials: core.EncodePartials(parts), Replayed: []int{1}, Cached: []int{2},
 	})
@@ -55,6 +63,12 @@ func FuzzDecodeMapResponse(f *testing.F) {
 	}
 	// A failed map task answers with an error and no partials.
 	f.Add(EncodeMapResponse(&MapResponse{JobID: "j", Error: "map: split 4 out of range"}))
+	// Map responses are never deflated; a deflated one is refused.
+	body, err := decodeFrame(EncodeMapResponse(&MapResponse{JobID: "j", Error: strings.Repeat("x", compressMin)}), msgMapResponse)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(encodeFrame(msgMapResponse, body))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		resp, err := DecodeMapResponse(b)
 		if err != nil {

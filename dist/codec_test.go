@@ -1,9 +1,9 @@
 package dist
 
 import (
-	"bytes"
 	"encoding/binary"
 	"reflect"
+	"strings"
 	"testing"
 
 	"wavelethist/internal/core"
@@ -130,30 +130,58 @@ func TestFrameTypeBytes(t *testing.T) {
 	}
 }
 
-// TestCodecCompression: a large, repetitive response is framed compressed
-// and still round-trips; the frame is smaller than the raw body.
+// bigReplPull is a replication pull response whose histogram blob is
+// large and repetitive: a frame type that is still deflated.
+func bigReplPull(n int) *ReplPullResponse {
+	blob := make([]byte, 0, 8*n)
+	for i := 0; i < n; i++ {
+		blob = binary.LittleEndian.AppendUint64(blob, uint64(i%7))
+	}
+	return &ReplPullResponse{Version: 9, Names: []string{"big"}, Entries: []ReplEntry{{Name: "big", Kind: ReplKind1D, Version: 9, Blob: blob}}}
+}
+
+// TestCodecCompression: a large, repetitive replication pull response is
+// framed compressed and still round-trips; the frame is smaller than the
+// raw body. A map response of the same bulk is never deflated, and a
+// deflated one is refused.
 func TestCodecCompression(t *testing.T) {
-	var pairs []mapred.KV
-	for i := 0; i < 10000; i++ {
-		pairs = append(pairs, mapred.KV{Key: int64(i), Val: float64(i % 7)})
-	}
-	resp := &MapResponse{
-		JobID:    "big",
-		Partials: core.EncodePartials([]core.SplitPartial{{SplitID: 3, Pairs: pairs}}),
-	}
-	frame := EncodeMapResponse(resp)
-	if len(frame) >= len(resp.Partials) {
-		t.Errorf("frame %d bytes not smaller than raw partials %d", len(frame), len(resp.Partials))
+	resp := bigReplPull(10000)
+	frame := EncodeReplPullResponse(resp)
+	if blob := resp.Entries[0].Blob; len(frame) >= len(blob) {
+		t.Errorf("frame %d bytes not smaller than raw blob %d", len(frame), len(blob))
 	}
 	if frame[5]&flagDeflate == 0 {
 		t.Error("large frame not compressed")
 	}
-	got, err := DecodeMapResponse(frame)
+	got, err := DecodeReplPullResponse(frame)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got.Partials, resp.Partials) {
-		t.Error("compressed round trip corrupted partials")
+	if !reflect.DeepEqual(got, resp) {
+		t.Error("compressed round trip corrupted the response")
+	}
+
+	var pairs []mapred.KV
+	for i := 0; i < 10000; i++ {
+		pairs = append(pairs, mapred.KV{Key: int64(i), Val: float64(i % 7)})
+	}
+	mframe := EncodeMapResponse(&MapResponse{
+		JobID:    "big",
+		Partials: core.EncodePartials([]core.SplitPartial{{SplitID: 3, Pairs: pairs}}),
+	})
+	if mframe[5] != 0 {
+		t.Fatalf("map response frame has flags %#x, want 0", mframe[5])
+	}
+	body, err := decodeFrame(mframe, msgMapResponse)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deflated := encodeFrame(msgMapResponse, body)
+	if deflated[5]&flagDeflate == 0 {
+		t.Fatal("encodeFrame did not deflate a compressible map response body")
+	}
+	if _, err := DecodeMapResponse(deflated); err == nil || !strings.Contains(err.Error(), "never deflated") {
+		t.Errorf("a deflated map response: err = %v, want a refusal", err)
 	}
 }
 
@@ -199,14 +227,7 @@ func TestCodecFrameErrors(t *testing.T) {
 // TestCodecCorruptCompressed: flipping bytes inside a compressed payload
 // must fail the decode, and an uncompressed-length lie is caught.
 func TestCodecCorruptCompressed(t *testing.T) {
-	var pairs []mapred.KV
-	for i := 0; i < 5000; i++ {
-		pairs = append(pairs, mapred.KV{Key: int64(i), Val: 1})
-	}
-	frame := EncodeMapResponse(&MapResponse{
-		JobID:    "z",
-		Partials: core.EncodePartials([]core.SplitPartial{{SplitID: 0, Pairs: pairs}}),
-	})
+	frame := EncodeReplPullResponse(bigReplPull(5000))
 	if frame[5]&flagDeflate == 0 {
 		t.Fatal("test frame not compressed")
 	}
@@ -215,13 +236,13 @@ func TestCodecCorruptCompressed(t *testing.T) {
 	for i := 20; i < len(bad); i += 37 {
 		bad[i] ^= 0xff
 	}
-	if _, err := DecodeMapResponse(bad); err == nil {
+	if _, err := DecodeReplPullResponse(bad); err == nil {
 		t.Error("corrupt deflate stream accepted")
 	}
 	// Lie about the uncompressed size.
 	bad = append([]byte{}, frame...)
 	binary.LittleEndian.PutUint32(bad[10:14], 7)
-	if _, err := DecodeMapResponse(bad); err == nil {
+	if _, err := DecodeReplPullResponse(bad); err == nil {
 		t.Error("wrong uncompressed length accepted")
 	}
 }

@@ -623,11 +623,11 @@ func (c *countingTransport) Release(ctx context.Context, addr string, req *dist.
 // TestOneRoundBuildIsOneFanOut: a one-round method runs through the same
 // build loop as H-WTopk yet pays for none of the multi-round machinery —
 // no release RPC, no worker lease, no round fields in its requests — and
-// issues the map RPCs and wire bytes captured for the partials layout
-// with its version word (17-byte pairs, 48-byte partial headers).
-// (Frames are deflated and carry a random job id, so a build's wire bytes
-// wander by a byte or two per RPC; the bound is 4.) H-WTopk on the same
-// fleet is the contrast: three fan-outs, one release.
+// issues the map RPCs and wire bytes captured for partials layout 3
+// (varint key deltas and small-integer values, raw floats otherwise) in
+// never-deflated map responses. (Frames carry a random job id, so a
+// build's wire bytes wander by a byte or two per RPC; the bound is 4.)
+// H-WTopk on the same fleet is the contrast: three fan-outs, one release.
 func TestOneRoundBuildIsOneFanOut(t *testing.T) {
 	ds := zipfDS(t)
 	for _, tc := range []struct {
@@ -635,9 +635,9 @@ func TestOneRoundBuildIsOneFanOut(t *testing.T) {
 		maps, releases int64
 		wire           int64
 	}{
-		{wavelethist.SendV, 8, 0, 65869},
-		{wavelethist.TwoLevelS, 8, 0, 4435},
-		{wavelethist.HWTopk, 24, 1, 22155},
+		{wavelethist.SendV, 8, 0, 62131},
+		{wavelethist.TwoLevelS, 8, 0, 4260},
+		{wavelethist.HWTopk, 24, 1, 26580},
 	} {
 		t.Run(string(tc.method), func(t *testing.T) {
 			lb := dist.NewLoopback()

@@ -93,16 +93,6 @@ const (
 	minResultGroupBytes = 4
 )
 
-// decodePlainFrame is decodeFrame for these never-deflated messages: a
-// set deflate flag is an error, so the body is always the frame's own
-// bytes and its size bounds everything decoded from it.
-func decodePlainFrame(frame []byte, wantMsg byte) ([]byte, error) {
-	if len(frame) >= frameHeaderLen && frame[5]&flagDeflate != 0 {
-		return nil, fmt.Errorf("dist: message type %d frames are never deflated", frame[4])
-	}
-	return decodeFrame(frame, wantMsg)
-}
-
 // AppendQueryFrame appends one query-batch frame to dst.
 func AppendQueryFrame(dst []byte, groups []QueryGroup) []byte {
 	start := len(dst)

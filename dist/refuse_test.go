@@ -88,6 +88,28 @@ func oldLayoutPartials(parts []core.SplitPartial) []byte {
 	return b
 }
 
+// layout2Partials encodes partials in layout 2, the fixed-width layout
+// before varints: [version 2][count], per partial [splitID][recordsRead]
+// [bytesRead][inputBytes][cpuUnits][npairs], per pair [key][val][tag:1].
+func layout2Partials(parts []core.SplitPartial) []byte {
+	b := mapred.AppendUint64(nil, 0x5750_0000_0000_0002)
+	b = mapred.AppendInt64(b, int64(len(parts)))
+	for _, part := range parts {
+		b = mapred.AppendInt64(b, int64(part.SplitID))
+		b = mapred.AppendInt64(b, part.RecordsRead)
+		b = mapred.AppendInt64(b, part.BytesRead)
+		b = mapred.AppendInt64(b, part.InputBytes)
+		b = mapred.AppendFloat64(b, part.CPUUnits)
+		b = mapred.AppendInt64(b, int64(len(part.Pairs)))
+		for _, kv := range part.Pairs {
+			b = mapred.AppendInt64(b, kv.Key)
+			b = mapred.AppendFloat64(b, kv.Val)
+			b = append(b, kv.Tag)
+		}
+	}
+	return b
+}
+
 func newCorruptingCluster(n int, cfg Config, corrupt func([]core.SplitPartial) ([]byte, bool), left int) (*Coordinator, *corruptingTransport) {
 	lb := NewLoopback()
 	ct := &corruptingTransport{Transport: lb, corrupt: corrupt, left: left}
@@ -170,8 +192,8 @@ func TestFleetCorruptWorkerFailsBuild(t *testing.T) {
 }
 
 // TestOldLayoutPartialsRefused: a partials payload of the layout before
-// the version word inside a map-response frame is a decode error, never
-// pairs.
+// the version word, or of layout 2, inside a map-response frame is a
+// decode error, never pairs.
 func TestOldLayoutPartialsRefused(t *testing.T) {
 	_, file := smallZipf(t)
 	p := core.Params{U: 1 << 10, K: 10, Seed: 3}
@@ -179,11 +201,13 @@ func TestOldLayoutPartialsRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := DecodeMapResponse(EncodeMapResponse(&MapResponse{JobID: "old", Partials: oldLayoutPartials(parts)}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, err := core.DecodePartials(resp.Partials); err == nil {
-		t.Errorf("an old-layout map response decoded into %d partials", len(got))
+	for name, payload := range map[string][]byte{"unversioned": oldLayoutPartials(parts), "layout 2": layout2Partials(parts)} {
+		resp, err := DecodeMapResponse(EncodeMapResponse(&MapResponse{JobID: "old", Partials: payload}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := core.DecodePartials(resp.Partials); err == nil {
+			t.Errorf("a %s map response decoded into %d partials", name, len(got))
+		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"slices"
 	"sync"
 
-	"wavelethist/internal/hdfs"
 	"wavelethist/internal/mapred"
 	"wavelethist/internal/wavelet"
 )
@@ -23,7 +22,7 @@ type splitScratch struct {
 var splitScratchPool = sync.Pool{New: func() any { return new(splitScratch) }}
 
 // splitCollector is the record side of every mapper that needs its
-// split's frequency vector v_j: Map validates and keeps the key, and
+// split's frequency vector v_j: Map validates and keeps the keys, and
 // Close starts with aggregate. Mappers embed it and add only their Close.
 type splitCollector struct {
 	domain int64 // key-domain bound (u in 1D, u² packed in 2D)
@@ -36,11 +35,13 @@ func (c *splitCollector) Setup(*mapred.TaskContext) error {
 	return nil
 }
 
-func (c *splitCollector) Map(_ *mapred.TaskContext, rec hdfs.Record, _ *mapred.Emitter) error {
-	if err := checkDomain(rec.Key, c.domain); err != nil {
-		return err
+func (c *splitCollector) Map(_ *mapred.TaskContext, keys []int64, _ *mapred.Emitter) error {
+	for _, k := range keys {
+		if err := checkDomain(k, c.domain); err != nil {
+			return err
+		}
 	}
-	c.sc.keys = append(c.sc.keys, rec.Key)
+	c.sc.keys = append(c.sc.keys, keys...)
 	return nil
 }
 
@@ -83,15 +84,25 @@ func sortKeys(keys, tmp []int64) (sorted, spare []int64) {
 		slices.Sort(keys)
 		return keys, tmp
 	}
-	var used int64
+	// One read finds the bits in use and counts the two low digits, all
+	// a 2^22 domain has; a wider key's higher digits are counted per pass.
+	var (
+		used  int64
+		count [2][radixMask + 1]int // per digit value: its count, then its next output slot
+	)
 	for _, k := range keys {
 		used |= k
+		count[0][k&radixMask]++
+		count[1][(k>>radixBits)&radixMask]++
 	}
 	tmp = slices.Grow(tmp[:0], len(keys))[:len(keys)]
-	for shift := 0; used>>shift != 0; shift += radixBits {
-		var next [radixMask + 1]int // per digit: its count, then its next output slot
-		for _, k := range keys {
-			next[(k>>shift)&radixMask]++
+	for pass, shift := 0, 0; used>>shift != 0; pass, shift = pass+1, shift+radixBits {
+		next := &count[min(pass, 1)]
+		if pass > 1 {
+			*next = [radixMask + 1]int{}
+			for _, k := range keys {
+				next[(k>>shift)&radixMask]++
+			}
 		}
 		pos := 0
 		for d, n := range next {

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"testing"
 
-	"wavelethist/internal/hdfs"
 	"wavelethist/internal/zipf"
 )
 
@@ -124,7 +123,7 @@ func TestAggregateBuffersNotShared(t *testing.T) {
 				for i := 0; i < n; i++ {
 					k := rng.Int63n(64) * (u / 64)
 					want[k]++
-					if err := c.Map(nil, hdfs.Record{Key: k}, nil); err != nil {
+					if err := c.Map(nil, []int64{k}, nil); err != nil {
 						t.Error(err)
 						return
 					}

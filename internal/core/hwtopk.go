@@ -5,7 +5,6 @@ import (
 	"math"
 	"slices"
 
-	"wavelethist/internal/hdfs"
 	"wavelethist/internal/heap"
 	"wavelethist/internal/mapred"
 	"wavelethist/internal/topk"
@@ -315,7 +314,7 @@ func (r *hwRound1Reducer) Close(ctx *mapred.TaskContext) error {
 type hwRound2Mapper struct{ thresh float64 }
 
 func (hwRound2Mapper) Setup(*mapred.TaskContext) error { return nil }
-func (hwRound2Mapper) Map(*mapred.TaskContext, hdfs.Record, *mapred.Emitter) error {
+func (hwRound2Mapper) Map(*mapred.TaskContext, []int64, *mapred.Emitter) error {
 	return nil
 }
 
@@ -405,7 +404,7 @@ func (r *hwRound2Reducer) Close(ctx *mapred.TaskContext) error {
 type hwRound3Mapper struct{ r []int64 }
 
 func (hwRound3Mapper) Setup(*mapred.TaskContext) error { return nil }
-func (hwRound3Mapper) Map(*mapred.TaskContext, hdfs.Record, *mapred.Emitter) error {
+func (hwRound3Mapper) Map(*mapred.TaskContext, []int64, *mapred.Emitter) error {
 	return nil
 }
 

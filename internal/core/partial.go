@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -83,98 +85,177 @@ func forEachSplit(ctx context.Context, p Params, n int, fn func(ctx context.Cont
 
 // ---------- wire encoding ----------
 
-// partialsVersion opens every partials payload a worker frame carries.
-// The layout before it began with the partial count, which is never this
+// partialsVersion opens every partials payload a worker frame carries, as
+// 8 raw bytes. Layout 1 began with the partial count, which is never this
 // large, so an old payload is refused instead of misread; an old decoder
 // reads this word as an impossible count.
-const partialsVersion uint64 = 0x5750_0000_0000_0002 // "WP", layout 2
+const partialsVersion uint64 = 0x5750_0000_0000_0003 // "WP", layout 3
 
-// EncodePartials serializes partials for the dist wire protocol:
-// [version][count] then per partial [splitID][recordsRead][bytesRead]
-// [inputBytes][cpuUnits][npairs] and per pair [key][val][tag:1]. A pair's
-// split is its partial's, and a split's node is the receiver's to know.
-// The output buffer is allocated once at its exact final size (the layout
-// is fixed-width), so encoding never re-grows or over-allocates — the hot
-// path of every map RPC response.
+// Layout 3's smallest encodings, for bounding counts before allocating:
+// a partial header is five one-byte varints and the 8 CPUUnits bytes, a
+// pair a one-byte key delta, its tag and a one-byte value.
+const (
+	minPartialBytes = 13
+	minPairBytes    = 3
+	// maxPairBytes is a pair's largest encoding: a 10-byte key delta,
+	// the tag, and a raw value behind its 0 marker.
+	maxPairBytes = 20
+)
+
+// EncodePartials serializes partials for the dist wire protocol (layout
+// 3): [version][count] then per partial [splitID][recordsRead][bytesRead]
+// [inputBytes][cpuUnits][npairs] and per pair [key delta][tag:1][value].
+// Integers are zig-zag varints except cpuUnits (8 raw bytes); a pair's key
+// is its difference from the previous key in its partial (from 0, with
+// wraparound), so sorted keys cost a byte or two; a value v that is an
+// integer in [0, 2^53) and not -0 is uvarint(v+1), any other float a 0
+// byte and its 8 raw bytes. A pair's split is its partial's, and a split's
+// node is the receiver's to know. The buffer is allocated once at the
+// payload's largest possible size, so encoding never re-grows.
 func EncodePartials(parts []SplitPartial) []byte {
-	b := make([]byte, 0, PartialsWireBytes(parts))
+	n := 8 + binary.MaxVarintLen64
+	for i := range parts {
+		n += 5*binary.MaxVarintLen64 + 8 + len(parts[i].Pairs)*maxPairBytes
+	}
+	b := make([]byte, 0, n)
 	b = mapred.AppendUint64(b, partialsVersion)
-	b = mapred.AppendInt64(b, int64(len(parts)))
+	b = binary.AppendVarint(b, int64(len(parts)))
 	for i := range parts {
 		b = appendPartial(b, &parts[i])
 	}
 	return b
 }
 
-// PartialsWireBytes returns the exact encoded size of EncodePartials'
-// output without encoding.
-func PartialsWireBytes(parts []SplitPartial) int {
-	n := 16
-	for i := range parts {
-		n += partialHeaderBytes + len(parts[i].Pairs)*pairWireBytes
-	}
-	return n
-}
-
-const partialHeaderBytes = 48 // 4 int64 + 1 float64 + npairs
-
 func appendPartial(b []byte, part *SplitPartial) []byte {
-	b = mapred.AppendInt64(b, int64(part.SplitID))
-	b = mapred.AppendInt64(b, part.RecordsRead)
-	b = mapred.AppendInt64(b, part.BytesRead)
-	b = mapred.AppendInt64(b, part.InputBytes)
+	b = binary.AppendVarint(b, int64(part.SplitID))
+	b = binary.AppendVarint(b, part.RecordsRead)
+	b = binary.AppendVarint(b, part.BytesRead)
+	b = binary.AppendVarint(b, part.InputBytes)
 	b = mapred.AppendFloat64(b, part.CPUUnits)
-	b = mapred.AppendInt64(b, int64(len(part.Pairs)))
+	b = binary.AppendVarint(b, int64(len(part.Pairs)))
+	var prev int64
 	for _, kv := range part.Pairs {
-		b = mapred.AppendInt64(b, kv.Key)
-		b = mapred.AppendFloat64(b, kv.Val)
+		b = binary.AppendVarint(b, kv.Key-prev)
+		prev = kv.Key
 		b = append(b, kv.Tag)
+		if v := kv.Val; v >= 0 && v < 1<<53 && float64(uint64(v)) == v && !math.Signbit(v) {
+			b = binary.AppendUvarint(b, uint64(v)+1)
+		} else {
+			b = mapred.AppendFloat64(append(b, 0), v)
+		}
 	}
 	return b
 }
-
-const pairWireBytes = 17 // 8 key + 8 val + 1 tag
 
 // DecodePartials is the inverse of EncodePartials, with bounds checks
 // against truncated or corrupt payloads and a version check against
 // payloads of another layout.
 func DecodePartials(b []byte) ([]SplitPartial, error) {
-	if len(b) < 16 {
+	if len(b) < 8 {
 		return nil, fmt.Errorf("core: truncated partials payload")
 	}
 	if v, _ := mapred.ReadUint64(b, 0); v != partialsVersion {
 		return nil, fmt.Errorf("core: partials payload has layout word %#x, want %#x", v, partialsVersion)
 	}
-	n, off := mapred.ReadInt64(b, 8)
-	if n < 0 || n > int64(len(b))/partialHeaderBytes {
+	r := partialReader{b: b, off: 8}
+	n := r.varint()
+	if r.err != nil || n < 0 || n > int64(len(b)-r.off)/minPartialBytes {
 		return nil, fmt.Errorf("core: corrupt partials payload (n=%d)", n)
 	}
-	parts := make([]SplitPartial, 0, n)
-	for i := int64(0); i < n; i++ {
-		if len(b)-off < partialHeaderBytes {
+	parts := make([]SplitPartial, n)
+	for i := range parts {
+		part := &parts[i]
+		part.SplitID = int(r.varint())
+		part.RecordsRead = r.varint()
+		part.BytesRead = r.varint()
+		part.InputBytes = r.varint()
+		part.CPUUnits = r.float()
+		np := r.varint()
+		if r.err != nil {
 			return nil, fmt.Errorf("core: truncated partial %d", i)
 		}
-		var part SplitPartial
-		var v int64
-		v, off = mapred.ReadInt64(b, off)
-		part.SplitID = int(v)
-		part.RecordsRead, off = mapred.ReadInt64(b, off)
-		part.BytesRead, off = mapred.ReadInt64(b, off)
-		part.InputBytes, off = mapred.ReadInt64(b, off)
-		part.CPUUnits, off = mapred.ReadFloat64(b, off)
-		var np int64
-		np, off = mapred.ReadInt64(b, off)
-		if np < 0 || np > int64(len(b)-off)/pairWireBytes {
+		if np < 0 || np > int64(len(b)-r.off)/minPairBytes {
 			return nil, fmt.Errorf("core: corrupt partial %d (pairs=%d)", i, np)
 		}
 		part.Pairs = make([]mapred.KV, np)
+		var key int64
 		for j := range part.Pairs {
-			part.Pairs[j].Key, off = mapred.ReadInt64(b, off)
-			part.Pairs[j].Val, off = mapred.ReadFloat64(b, off)
-			part.Pairs[j].Tag = b[off]
-			off++
+			key += r.varint()
+			kv := &part.Pairs[j]
+			kv.Key = key
+			kv.Tag = r.tag()
+			kv.Val = r.value()
 		}
-		parts = append(parts, part)
+		if r.err != nil {
+			return nil, fmt.Errorf("core: partial %d: %w", i, r.err)
+		}
+	}
+	if r.off != len(b) {
+		return nil, fmt.Errorf("core: %d trailing bytes after %d partials", len(b)-r.off, n)
 	}
 	return parts, nil
+}
+
+// partialReader reads layout 3's fields; the first failure latches err
+// and every later read returns zero.
+type partialReader struct {
+	b   []byte
+	off int
+	err error
+}
+
+func (r *partialReader) fail(what string) {
+	if r.err == nil {
+		r.err = fmt.Errorf("truncated or corrupt %s at offset %d", what, r.off)
+	}
+	r.off = len(r.b)
+}
+
+func (r *partialReader) uvarint() uint64 {
+	v, n := binary.Uvarint(r.b[r.off:])
+	if n <= 0 {
+		r.fail("varint")
+		return 0
+	}
+	r.off += n
+	return v
+}
+
+// varint reads a zig-zag signed varint (binary.AppendVarint's encoding).
+func (r *partialReader) varint() int64 {
+	v := r.uvarint()
+	return int64(v>>1) ^ -int64(v&1)
+}
+
+func (r *partialReader) tag() byte {
+	if r.off >= len(r.b) {
+		r.fail("tag")
+		return 0
+	}
+	r.off++
+	return r.b[r.off-1]
+}
+
+func (r *partialReader) float() float64 {
+	if len(r.b)-r.off < 8 {
+		r.fail("float")
+		return 0
+	}
+	v, _ := mapred.ReadFloat64(r.b, r.off)
+	r.off += 8
+	return v
+}
+
+// value reads a pair's value: uvarint(v+1) for a small integer, else a 0
+// and the raw float.
+func (r *partialReader) value() float64 {
+	switch u := r.uvarint(); {
+	case u == 0:
+		return r.float()
+	case u > 1<<53:
+		r.fail("value")
+		return 0
+	default:
+		return float64(u - 1)
+	}
 }

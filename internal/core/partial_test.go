@@ -326,9 +326,10 @@ func TestReduceRoundFailurePoisonsPlan(t *testing.T) {
 	}
 }
 
-// TestEncodeDecodePartials round-trips the wire encoding — a version
-// word, then per partial a 48-byte header and 17 bytes per pair — and
-// rejects corrupt payloads and payloads of another layout.
+// TestEncodeDecodePartials round-trips the wire encoding — layout 3: a
+// version word and a varint count, then per partial varint counters, raw
+// CPUUnits and a varint pair count, and per pair a key delta, the tag and
+// a value — and rejects corrupt payloads and payloads of another layout.
 func TestEncodeDecodePartials(t *testing.T) {
 	in := []SplitPartial{
 		{
@@ -342,8 +343,11 @@ func TestEncodeDecodePartials(t *testing.T) {
 		{SplitID: 0, Pairs: nil},
 	}
 	b := EncodePartials(in)
-	if want := 16 + 2*48 + 2*17; len(b) != want || PartialsWireBytes(in) != want {
-		t.Fatalf("encoded %d bytes (PartialsWireBytes %d), want %d", len(b), PartialsWireBytes(in), want)
+	// 8 version + 1 count; split 3: 1+2+2+2 counters, 8 CPU, 1 pairs,
+	// then (1 delta, 1 tag, 1 value) and (1, 1, 0 marker + 8 raw bytes);
+	// split 0: 4 one-byte counters, 8 CPU, 1 pairs.
+	if want := 9 + (16 + 3 + 11) + 13; len(b) != want {
+		t.Fatalf("encoded %d bytes, want %d", len(b), want)
 	}
 	out, err := DecodePartials(b)
 	if err != nil {

@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 
-	"wavelethist/internal/hdfs"
 	"wavelethist/internal/mapred"
 )
 
@@ -53,11 +52,13 @@ type basicSMapper struct {
 
 func (m basicSMapper) Setup(*mapred.TaskContext) error { return nil }
 
-func (m basicSMapper) Map(ctx *mapred.TaskContext, rec hdfs.Record, out *mapred.Emitter) error {
-	if err := checkDomain(rec.Key, m.u); err != nil {
-		return err
+func (m basicSMapper) Map(ctx *mapred.TaskContext, keys []int64, out *mapred.Emitter) error {
+	for _, k := range keys {
+		if err := checkDomain(k, m.u); err != nil {
+			return err
+		}
+		out.Emit(mapred.KV{Key: k, Val: 1})
 	}
-	out.Emit(mapred.KV{Key: rec.Key, Val: 1})
 	return nil
 }
 

@@ -115,6 +115,7 @@ func GenerateZipfVar(fs *hdfs.FileSystem, name string, spec ZipfSpec, maxPayload
 // algorithms, uses this.)
 func ExactFrequencies(f *hdfs.File) map[int64]float64 {
 	freq := make(map[int64]float64)
+	var keys []int64
 	for _, split := range f.Splits(0) {
 		var r hdfs.RecordReader
 		if f.RecordSize == 0 {
@@ -122,12 +123,10 @@ func ExactFrequencies(f *hdfs.File) map[int64]float64 {
 		} else {
 			r = hdfs.NewSequentialReader(split)
 		}
-		for {
-			rec, ok := r.Next()
-			if !ok {
-				break
+		for keys = r.ReadKeys(keys[:0], 8192); len(keys) > 0; keys = r.ReadKeys(keys[:0], 8192) {
+			for _, k := range keys {
+				freq[k]++
 			}
-			freq[rec.Key]++
 		}
 	}
 	return freq

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"sync"
 )
 
 // DefaultChunkSize is the default chunk (and split) size. The paper's
@@ -54,6 +55,9 @@ type File struct {
 	data       []byte
 	chunks     []Chunk
 	fs         *FileSystem
+
+	splitsMu sync.Mutex
+	splits   map[int64][]Split // by aligned split size: a sealed file's split tables
 }
 
 // Chunk records the placement of one chunk.
@@ -100,7 +104,7 @@ func (fs *FileSystem) Remove(name string) { delete(fs.files, name) }
 // DataNodes round-robin, which matches the balanced placement a healthy
 // HDFS converges to and keeps experiments deterministic.
 func (fs *FileSystem) seal(f *File) {
-	f.chunks = f.chunks[:0]
+	f.chunks, f.splits = f.chunks[:0], nil
 	size := int64(len(f.data))
 	for off := int64(0); off < size; off += fs.chunkSize {
 		length := fs.chunkSize
@@ -131,13 +135,31 @@ func (f *File) Chunks() []Chunk { return f.chunks }
 // ReadAt copies len(p) bytes at offset off. It is the DataNode read path.
 func (f *File) ReadAt(p []byte, off int64) (int, error) {
 	if off < 0 || off >= int64(len(f.data)) {
-		return 0, fmt.Errorf("hdfs: read at %d beyond EOF %d", off, len(f.data))
+		return 0, f.readErr(off)
 	}
 	n := copy(p, f.data[off:])
 	if n < len(p) {
-		return n, fmt.Errorf("hdfs: short read at %d", off)
+		return n, f.readErr(off)
 	}
 	return n, nil
+}
+
+// keyAt decodes the key of the fixed-size record at offset off straight
+// from the payload, with ReadAt's bounds checks and errors.
+func (f *File) keyAt(off int64) (int64, error) {
+	if off < 0 || off > int64(len(f.data))-int64(f.RecordSize) {
+		return 0, f.readErr(off)
+	}
+	return decodeKey(f.data[off:], f.RecordSize), nil
+}
+
+// readErr is ReadAt's error for a record-sized read at off that does not
+// fit in the payload.
+func (f *File) readErr(off int64) error {
+	if off < 0 || off >= int64(len(f.data)) {
+		return fmt.Errorf("hdfs: read at %d beyond EOF %d", off, len(f.data))
+	}
+	return fmt.Errorf("hdfs: short read at %d", off)
 }
 
 // Split is a logical input split handed to one Mapper. With DefaultChunk
@@ -162,7 +184,8 @@ func (s Split) NumRecords() int64 {
 // Splits partitions the file into splits of splitSize bytes, aligned to
 // record boundaries for fixed-size records. splitSize <= 0 uses the chunk
 // size. Each split inherits the locality of the chunk containing its first
-// byte.
+// byte. A file computes each split size's table once (a worker plans a
+// build per map RPC); every call returns its own copy.
 func (f *File) Splits(splitSize int64) []Split {
 	if splitSize <= 0 {
 		splitSize = f.fs.chunkSize
@@ -175,6 +198,21 @@ func (f *File) Splits(splitSize int64) []Split {
 			splitSize = rs
 		}
 	}
+	f.splitsMu.Lock()
+	defer f.splitsMu.Unlock()
+	splits, ok := f.splits[splitSize]
+	if !ok {
+		splits = f.split(splitSize)
+		if f.splits == nil {
+			f.splits = make(map[int64][]Split)
+		}
+		f.splits[splitSize] = splits
+	}
+	return slices.Clone(splits)
+}
+
+// split computes the table of splits of splitSize bytes.
+func (f *File) split(splitSize int64) []Split {
 	var splits []Split
 	size := int64(len(f.data))
 	for off := int64(0); off < size; off += splitSize {

@@ -1,7 +1,10 @@
 package hdfs
 
 import (
+	"fmt"
+	"slices"
 	"sort"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -114,6 +117,34 @@ func TestSplitLocalityMatchesChunks(t *testing.T) {
 			t.Errorf("split %d node %d, want %d", s.Index, s.Node, want)
 		}
 	}
+}
+
+// TestSplitsMemoized: a file computes each split size's table once, and
+// every caller — from any goroutine — gets the same table in a copy of
+// its own, so a caller that edits its splits cannot change another's.
+func TestSplitsMemoized(t *testing.T) {
+	fs := NewFileSystem(3, 64)
+	f := writeFixed(t, fs, "memo", 4, make([]int64, 300))
+	// Asked split sizes and what they align to: 0 is the chunk size, and
+	// a size aligns down to whole 4-byte records.
+	sizes := []struct{ asked, aligned int64 }{{0, 64}, {64, 64}, {102, 100}, {256, 256}}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for r := 0; r < 50; r++ {
+				sz := sizes[(g+r)%len(sizes)]
+				got, want := f.Splits(sz.asked), f.split(sz.aligned)
+				if !slices.Equal(got, want) {
+					t.Errorf("Splits(%d) = %v, want %v", sz.asked, got, want)
+					return
+				}
+				got[0].File, got[0].Length = nil, -1
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 func TestOpenMissing(t *testing.T) {
@@ -470,7 +501,11 @@ func TestReadersReportShortReads(t *testing.T) {
 		vw.Append(i, 5)
 	}
 	variable := vw.Close()
-	drain := func(r RecordReader) (n int) {
+	type nextReader interface {
+		Next() (Record, bool)
+		Err() error
+	}
+	drain := func(r nextReader) (n int) {
 		for {
 			if _, ok := r.Next(); !ok {
 				return n
@@ -481,7 +516,7 @@ func TestReadersReportShortReads(t *testing.T) {
 	for _, over := range []int64{0, 16} {
 		fsplit := Split{File: fixed, Length: fixed.Size() + over}
 		vsplit := Split{File: variable, Length: variable.Size() + over}
-		readers := map[string]RecordReader{
+		readers := map[string]nextReader{
 			"sequential":     NewSequentialReader(fsplit),
 			"random":         NewRandomReader(fsplit, fsplit.NumRecords(), zipf.NewRNG(1)),
 			"sequential-var": NewSequentialVarReader(vsplit),
@@ -502,5 +537,85 @@ func TestReadersReportShortReads(t *testing.T) {
 	r := NewSequentialVarReader(Split{File: variable, Length: variable.Size()})
 	if n := drain(r); n != 7 || r.Err() == nil {
 		t.Errorf("truncated var file: read %d records, err %v; want 7 and an error", n, r.Err())
+	}
+}
+
+// TestReadKeysMatchesNext: for each reader, batch size and split —
+// including a split overrunning its file and a variable-length file cut
+// mid-record — ReadKeys delivers exactly the keys Next does, in batches
+// of at most the asked size, then the same BytesRead and Err.
+func TestReadKeysMatchesNext(t *testing.T) {
+	fs := NewFileSystem(3, 256)
+	keys := make([]int64, 500)
+	for i := range keys {
+		keys[i] = int64(i) * 7919 % 1000
+	}
+	varFile := func(name string) *File {
+		w, err := fs.CreateVar(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, k := range keys {
+			w.Append(k, i%13)
+		}
+		return w.Close()
+	}
+	cut := varFile("cut")
+	cut.data = cut.data[:len(cut.data)-3]
+	type reader interface {
+		RecordReader
+		Next() (Record, bool)
+	}
+	fixed := map[string]func(Split) reader{
+		"sequential": func(s Split) reader { return NewSequentialReader(s) },
+		"random":     func(s Split) reader { return NewRandomReader(s, s.NumRecords()/3+1, zipf.NewRNG(uint64(s.Index))) },
+	}
+	variable := map[string]func(Split) reader{
+		"sequential-var": func(s Split) reader { return NewSequentialVarReader(s) },
+		"random-var":     func(s Split) reader { return NewRandomVarReader(s, 20, zipf.NewRNG(uint64(s.Index))) },
+	}
+	for _, tc := range []struct {
+		file    *File
+		readers map[string]func(Split) reader
+	}{
+		{writeFixed(t, fs, "f4", 4, keys), fixed},
+		{writeFixed(t, fs, "f16", 16, keys), fixed},
+		{varFile("var"), variable},
+		{cut, variable},
+	} {
+		splits := tc.file.Splits(0)
+		over := splits[len(splits)-1]
+		over.Length += 64
+		splits = append(splits, over)
+		for name, open := range tc.readers {
+			for _, s := range splits {
+				want := open(s)
+				var wantKeys []int64
+				for rec, ok := want.Next(); ok; rec, ok = want.Next() {
+					wantKeys = append(wantKeys, rec.Key)
+				}
+				for _, size := range []int{1, 7, 8192} {
+					got := open(s)
+					var gotKeys, batch []int64
+					for batch = got.ReadKeys(batch[:0], size); len(batch) > 0; batch = got.ReadKeys(batch[:0], size) {
+						if len(batch) > size {
+							t.Fatalf("%s %s split %d: batch of %d keys, asked for %d", tc.file.Name, name, s.Index, len(batch), size)
+						}
+						gotKeys = append(gotKeys, batch...)
+					}
+					at := fmt.Sprintf("%s %s split %d (length %d) batch %d", tc.file.Name, name, s.Index, s.Length, size)
+					if !slices.Equal(gotKeys, wantKeys) {
+						t.Errorf("%s: ReadKeys delivered %d keys, Next %d", at, len(gotKeys), len(wantKeys))
+					}
+					if got.BytesRead() != want.BytesRead() || fmt.Sprint(got.Err()) != fmt.Sprint(want.Err()) {
+						t.Errorf("%s: ReadKeys read %d bytes (err %v), Next %d (err %v)", at, got.BytesRead(), got.Err(), want.BytesRead(), want.Err())
+					}
+				}
+			}
+		}
+	}
+	// The overrun splits and the cut file must have exercised the error path.
+	if r := NewSequentialVarReader(cut.Splits(0)[len(cut.Splits(0))-1]); len(r.ReadKeys(nil, 8192)) == 0 || r.Err() == nil {
+		t.Errorf("cut file's last split: err %v, want an unterminated record", r.Err())
 	}
 }

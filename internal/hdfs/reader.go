@@ -6,19 +6,22 @@ import (
 	"wavelethist/internal/zipf"
 )
 
-// Record is one input record as seen by a RecordReader.
+// Record is one input record as seen by a reader's Next.
 type Record struct {
 	Pos  int64 // byte offset of the record within the file
 	Key  int64
 	Size int // total record size in bytes (for IO accounting)
 }
 
-// RecordReader iterates over a split's records. It mirrors the Hadoop
-// RecordReader contract: Next returns false at end of split — or at a
-// failed read, which Err then reports; callers check it once after the
-// loop, so a truncated split fails its task instead of shortening it.
+// RecordReader delivers a split's keys to a map task in batches — a
+// mapper sees keys, never record positions or sizes. ReadKeys appends up
+// to max more keys to dst and returns it; it appends none at end of split
+// or at a failed read, which Err then reports: callers check it once after
+// the loop, so a truncated split fails its task instead of shortening it.
+// Every reader also has Next, the one-record form over the same cursor,
+// for callers that want a record's position.
 type RecordReader interface {
-	Next() (Record, bool)
+	ReadKeys(dst []int64, max int) []int64
 	Err() error
 	// BytesRead reports the bytes this reader has pulled from the split's
 	// DataNode so far (IO accounting for the cost model).
@@ -31,7 +34,6 @@ type SequentialReader struct {
 	split Split
 	pos   int64
 	read  int64
-	buf   []byte
 	err   error
 }
 
@@ -41,28 +43,39 @@ func NewSequentialReader(split Split) *SequentialReader {
 	if split.File.RecordSize == 0 {
 		panic("hdfs: sequential fixed reader on variable-length file")
 	}
-	return &SequentialReader{
-		split: split,
-		pos:   split.Offset,
-		buf:   make([]byte, split.File.RecordSize),
+	return &SequentialReader{split: split, pos: split.Offset}
+}
+
+// ReadKeys implements RecordReader.
+func (r *SequentialReader) ReadKeys(dst []int64, max int) []int64 {
+	f := r.split.File
+	rs := int64(f.RecordSize)
+	for n := min(int64(max), (r.split.Offset+r.split.Length-r.pos)/rs); n > 0; n-- {
+		key, err := f.keyAt(r.pos)
+		if err != nil {
+			r.err = err
+			break
+		}
+		dst = append(dst, key)
+		r.pos += rs
+		r.read += rs
 	}
+	return dst
 }
 
 // Next returns the next record.
 func (r *SequentialReader) Next() (Record, bool) {
-	rs := int64(r.split.File.RecordSize)
+	f := r.split.File
+	rs := int64(f.RecordSize)
 	if r.pos+rs > r.split.Offset+r.split.Length {
 		return Record{}, false
 	}
-	if _, err := r.split.File.ReadAt(r.buf, r.pos); err != nil {
+	key, err := f.keyAt(r.pos)
+	if err != nil {
 		r.err = err
 		return Record{}, false
 	}
-	rec := Record{
-		Pos:  r.pos,
-		Key:  decodeKey(r.buf, r.split.File.RecordSize),
-		Size: r.split.File.RecordSize,
-	}
+	rec := Record{Pos: r.pos, Key: key, Size: f.RecordSize}
 	r.pos += rs
 	r.read += rs
 	return rec, true
@@ -86,9 +99,9 @@ type RandomReader struct {
 	split  Split
 	sample []uint64 // bit i set: record i of the split is sampled and unread
 	word   int      // sample[:word] is exhausted
+	pos    int64    // the last sampled record's offset
 	size   int64
 	read   int64
-	buf    []byte
 	err    error
 }
 
@@ -120,35 +133,44 @@ func NewRandomReader(split Split, sampleCount int64, rng *zipf.RNG) *RandomReade
 		split:  split,
 		sample: sample,
 		size:   sampleCount,
-		buf:    make([]byte, split.File.RecordSize),
 	}
 }
 
 // SampleSize returns the number of records this reader will deliver.
 func (r *RandomReader) SampleSize() int64 { return r.size }
 
+// ReadKeys implements RecordReader: the sampled records' keys in
+// ascending file position.
+func (r *RandomReader) ReadKeys(dst []int64, max int) []int64 {
+	f := r.split.File
+	for ; max > 0 && r.err == nil; max-- {
+		for r.word < len(r.sample) && r.sample[r.word] == 0 {
+			r.word++
+		}
+		if r.word == len(r.sample) {
+			break
+		}
+		w := r.sample[r.word]
+		r.sample[r.word] = w & (w - 1)
+		r.pos = r.split.Offset + int64(r.word<<6+bits.TrailingZeros64(w))*int64(f.RecordSize)
+		key, err := f.keyAt(r.pos)
+		if err != nil {
+			r.err = err
+			break
+		}
+		dst = append(dst, key)
+		r.read += int64(f.RecordSize)
+	}
+	return dst
+}
+
 // Next returns the next sampled record (ascending file position).
 func (r *RandomReader) Next() (Record, bool) {
-	for r.word < len(r.sample) && r.sample[r.word] == 0 {
-		r.word++
-	}
-	if r.word == len(r.sample) {
+	var key [1]int64
+	if len(r.ReadKeys(key[:0], 1)) == 0 {
 		return Record{}, false
 	}
-	w := r.sample[r.word]
-	r.sample[r.word] = w & (w - 1)
-	rs := int64(r.split.File.RecordSize)
-	pos := r.split.Offset + int64(r.word<<6+bits.TrailingZeros64(w))*rs
-	if _, err := r.split.File.ReadAt(r.buf, pos); err != nil {
-		r.err = err
-		return Record{}, false
-	}
-	r.read += rs
-	return Record{
-		Pos:  pos,
-		Key:  decodeKey(r.buf, r.split.File.RecordSize),
-		Size: r.split.File.RecordSize,
-	}, true
+	return Record{Pos: r.pos, Key: key[0], Size: r.split.File.RecordSize}, true
 }
 
 // BytesRead implements RecordReader.

@@ -139,6 +139,23 @@ func (r *SequentialVarReader) Next() (Record, bool) {
 	return rec, true
 }
 
+// ReadKeys implements RecordReader.
+func (r *SequentialVarReader) ReadKeys(dst []int64, max int) []int64 {
+	return readKeys(r.Next, dst, max)
+}
+
+// readKeys is ReadKeys over a variable-length reader's Next.
+func readKeys(next func() (Record, bool), dst []int64, max int) []int64 {
+	for ; max > 0; max-- {
+		rec, ok := next()
+		if !ok {
+			break
+		}
+		dst = append(dst, rec.Key)
+	}
+	return dst
+}
+
 // BytesRead implements RecordReader.
 func (r *SequentialVarReader) BytesRead() int64 { return r.read }
 
@@ -256,6 +273,11 @@ func NewRandomVarReader(split Split, sampleCount int64, rng *zipf.RNG) *RandomVa
 
 // SampleSize returns the number of sampled records.
 func (r *RandomVarReader) SampleSize() int64 { return int64(len(r.records)) }
+
+// ReadKeys implements RecordReader.
+func (r *RandomVarReader) ReadKeys(dst []int64, max int) []int64 {
+	return readKeys(r.Next, dst, max)
+}
 
 // Next returns the next sampled record in ascending file order.
 func (r *RandomVarReader) Next() (Record, bool) {

@@ -1,9 +1,11 @@
 package mapred
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
+	"sync"
 
 	"wavelethist/internal/cluster"
 	"wavelethist/internal/zipf"
@@ -33,9 +35,15 @@ type Partial struct {
 	CPUUnits   float64
 }
 
-// RunMapSplit executes the map task of split idx: Setup, Map per record,
-// Close, then sort + combine. Cancellation is checked before the task and
-// periodically inside the record scan.
+// mapBatch is how many keys a map task reads per ReadKeys call, and so
+// per Map call: cancellation is checked once per batch.
+const mapBatch = 8192
+
+var keyBatches = sync.Pool{New: func() any { return new([]int64) }}
+
+// RunMapSplit executes the map task of split idx: Setup, Map per batch of
+// at most mapBatch keys, Close, then sort + combine. Cancellation is
+// checked before the task and before every batch.
 func RunMapSplit(ctx context.Context, job *Job, idx int) (Partial, error) {
 	if err := job.validate(); err != nil {
 		return Partial{}, err
@@ -64,16 +72,19 @@ func RunMapSplit(ctx context.Context, job *Job, idx int) (Partial, error) {
 
 	res := Partial{SplitID: idx}
 	if reader := job.Input.Open(split, tctx); reader != nil {
+		batch := keyBatches.Get().(*[]int64)
+		defer keyBatches.Put(batch)
 		for {
-			rec, ok := reader.Next()
-			if !ok {
+			keys := reader.ReadKeys((*batch)[:0], mapBatch)
+			*batch = keys
+			if len(keys) == 0 {
 				break
 			}
-			res.RecordsRead++
-			if res.RecordsRead&8191 == 0 && ctx.Err() != nil {
-				return Partial{}, fmt.Errorf("mapred: %s: %w", job.Name, ctx.Err())
+			if err := ctx.Err(); err != nil {
+				return Partial{}, fmt.Errorf("mapred: %s: %w", job.Name, err)
 			}
-			if err := mapper.Map(tctx, rec, out); err != nil {
+			res.RecordsRead += int64(len(keys))
+			if err := mapper.Map(tctx, keys, out); err != nil {
 				return fail("map", err)
 			}
 		}
@@ -159,8 +170,12 @@ func taskRNG(seed uint64, splitID int) *zipf.RNG {
 
 // sortAndCombine sorts a mapper's emissions by key (stable, preserving
 // emission order within a key) and applies the job's Combiner per key.
+// Most mappers emit in key order already, which one pass confirms.
 func sortAndCombine(job *Job, pairs []KV) []KV {
-	sort.SliceStable(pairs, func(a, b int) bool { return pairs[a].Key < pairs[b].Key })
+	byKey := func(a, b KV) int { return cmp.Compare(a.Key, b.Key) }
+	if !slices.IsSortedFunc(pairs, byKey) {
+		slices.SortStableFunc(pairs, byKey)
+	}
 	if job.Combiner == nil {
 		return pairs
 	}

@@ -15,8 +15,10 @@ import (
 type countMapper struct{}
 
 func (countMapper) Setup(*TaskContext) error { return nil }
-func (countMapper) Map(ctx *TaskContext, rec hdfs.Record, out *Emitter) error {
-	out.Emit(KV{Key: rec.Key, Val: 1})
+func (countMapper) Map(ctx *TaskContext, keys []int64, out *Emitter) error {
+	for _, k := range keys {
+		out.Emit(KV{Key: k, Val: 1})
+	}
 	return nil
 }
 func (countMapper) Close(*TaskContext, *Emitter) error { return nil }
@@ -183,7 +185,7 @@ func TestPairBytesAccounting(t *testing.T) {
 type stateMapper struct{ round int }
 
 func (sm stateMapper) Setup(*TaskContext) error { return nil }
-func (sm stateMapper) Map(ctx *TaskContext, rec hdfs.Record, out *Emitter) error {
+func (sm stateMapper) Map(ctx *TaskContext, keys []int64, out *Emitter) error {
 	return nil
 }
 func (sm stateMapper) Close(ctx *TaskContext, out *Emitter) error {
@@ -275,7 +277,7 @@ func TestRandomSampleInput(t *testing.T) {
 type failingMapper struct{}
 
 func (failingMapper) Setup(*TaskContext) error { return nil }
-func (failingMapper) Map(ctx *TaskContext, rec hdfs.Record, out *Emitter) error {
+func (failingMapper) Map(ctx *TaskContext, keys []int64, out *Emitter) error {
 	if ctx.SplitID == 2 {
 		return fmt.Errorf("boom")
 	}

@@ -43,15 +43,18 @@ func (e *Emitter) Emit(kv KV) {
 	e.pairs = append(e.pairs, kv)
 }
 
-// Mapper is the Hadoop mapper contract: Map is invoked per record, Close
-// once at the end of the split (where the paper's mappers do their real
-// work: building v_j, the local transform, local top-k).
+// Mapper is the Hadoop mapper contract over batched input: Map is invoked
+// per batch of the split's keys in split order (a record is its key; no
+// mapper needs its position or size), Close once at the end of the split
+// (where the paper's mappers do their real work: building v_j, the local
+// transform, local top-k).
 type Mapper interface {
-	// Setup runs before the first record.
+	// Setup runs before the first batch.
 	Setup(ctx *TaskContext) error
-	// Map handles one input record.
-	Map(ctx *TaskContext, rec hdfs.Record, out *Emitter) error
-	// Close runs after the last record.
+	// Map handles one batch of input keys; keys is only valid during
+	// the call.
+	Map(ctx *TaskContext, keys []int64, out *Emitter) error
+	// Close runs after the last batch.
 	Close(ctx *TaskContext, out *Emitter) error
 }
 

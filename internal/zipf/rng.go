@@ -64,13 +64,15 @@ func (r *RNG) Int63n(n int64) int64 {
 	if n <= 0 {
 		panic("zipf: Int63n with n <= 0")
 	}
-	// Lemire's nearly-divisionless bounded generation would be fine, but a
-	// simple rejection loop on the top 63 bits is plenty for our workloads.
+	// A rejection loop on the top 63 bits: v is accepted iff it is below
+	// limit = 2^63 - 2^63 mod n, the largest multiple of n that fits. Since
+	// limit > 2^63 - n, every v below 2^63 - n is accepted without the
+	// division that computes limit; only the n values above pay for it.
+	// The accept decisions, and so the draws consumed, are the same.
 	maxv := uint64(n)
-	limit := (1 << 63) - (1<<63)%maxv // v < 2^63, so a zero remainder accepts all
 	for {
 		v := r.Uint64() >> 1
-		if v < limit {
+		if v < 1<<63-maxv || v < 1<<63-(1<<63)%maxv {
 			return int64(v % maxv)
 		}
 	}

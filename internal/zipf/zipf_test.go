@@ -55,6 +55,38 @@ func TestRNGInt63nRange(t *testing.T) {
 	}
 }
 
+// int63nTwoDivisions is Int63n as first written: the rejection limit
+// computed on every draw.
+func int63nTwoDivisions(r *RNG, n int64) int64 {
+	maxv := uint64(n)
+	limit := (1 << 63) - (1<<63)%maxv
+	for {
+		v := r.Uint64() >> 1
+		if v < limit {
+			return int64(v % maxv)
+		}
+	}
+}
+
+// TestInt63nMatchesTwoDivisions: Int63n's early accept changes no value
+// and no accept decision, so two streams drawing the same bounds stay in
+// lockstep, including at bounds where most draws take the slow path.
+func TestInt63nMatchesTwoDivisions(t *testing.T) {
+	bounds := []int64{1, 2, 3, 1<<62 + 1, math.MaxInt64, 4096, 16384, 65536, 1 << 20, 3<<40 + 7}
+	for seed := uint64(0); seed < 64; seed++ {
+		got, want := NewRNG(seed), NewRNG(seed)
+		for i := 0; i < 200; i++ {
+			n := bounds[(int(seed)+i)%len(bounds)]
+			if g, w := got.Int63n(n), int63nTwoDivisions(want, n); g != w {
+				t.Fatalf("seed %d draw %d: Int63n(%d) = %d, two-division form %d", seed, i, n, g, w)
+			}
+		}
+		if got.s != want.s {
+			t.Fatalf("seed %d: streams diverged after the draws", seed)
+		}
+	}
+}
+
 func TestRNGFork(t *testing.T) {
 	base := NewRNG(5)
 	a := base.Fork(1)

@@ -2,13 +2,21 @@ package serve
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
+
+	"wavelethist"
 )
 
 // TestEntryBatchAllocationFree pins the batch serving path's steady-state
@@ -292,20 +300,42 @@ func TestBatchPoolDoesNotLeakAcrossRequests(t *testing.T) {
 	}
 }
 
-// TestNonFiniteEstimateIsQueryError: an estimate that overflows float64
-// is a per-query error, never a served +Inf (which is not JSON). Two
-// 1e308 updates to one key keep every coefficient finite but overflow
-// the estimates that cover the key. A GET of one then answers 400, and a
-// batch on either executor (scalar below vecBatchMin, vectorized above)
-// answers each query exactly as its GET does. Every body is valid JSON.
-func TestNonFiniteEstimateIsQueryError(t *testing.T) {
-	s, ts := newTestServer(t, Config{})
-	if _, err := s.Registry().Publish("h", buildHist(t, 20000, 1<<10, 30, 8)); err != nil {
+// overflowingHist is a histogram over [0, 1024) whose coefficients are
+// all finite but whose estimates over a few low keys overflow: three
+// coefficients of magnitude MaxFloat64 whose supports nest around key 3
+// (w_64 over [0, 16), w_256 over [0, 4), w_513 over [2, 4)) all add to
+// v̂(3) and w_64 alone overflows the sum over [0, 10]. Keys from 16 up
+// estimate 0.
+func overflowingHist(t *testing.T) *wavelethist.Histogram {
+	t.Helper()
+	b := binary.LittleEndian.AppendUint32(nil, 0x57485354) // "WHST"
+	b = binary.LittleEndian.AppendUint32(b, 3)
+	b = binary.LittleEndian.AppendUint64(b, 1<<10)
+	for _, c := range []struct {
+		index uint32
+		value float64
+	}{{64, -math.MaxFloat64}, {256, math.MaxFloat64}, {513, math.MaxFloat64}} {
+		b = binary.LittleEndian.AppendUint32(b, c.index)
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(c.value))
+	}
+	h, err := wavelethist.UnmarshalHistogram(b)
+	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 2; i++ {
-		postJSON(t, ts.URL+"/v1/hist/h/updates",
-			map[string]any{"updates": []KeyUpdate{{Key: 3, Delta: 1e308}}, "flush": true}, http.StatusOK)
+	return h
+}
+
+// TestNonFiniteEstimateIsQueryError: an estimate that overflows float64
+// is a per-query error, never a served +Inf (which is not JSON). A
+// histogram whose coefficients are finite but whose estimates over some
+// keys overflow (updates can no longer make one: a delta past 2^53 is
+// refused) answers a GET of one with 400, and a batch on either executor
+// (scalar below vecBatchMin, vectorized above) answers each query exactly
+// as its GET does. Every body is valid JSON.
+func TestNonFiniteEstimateIsQueryError(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	if _, err := s.Registry().Publish("h", overflowingHist(t)); err != nil {
+		t.Fatal(err)
 	}
 	fetch := func(method, path string, body []byte) (int, []byte) {
 		t.Helper()
@@ -375,4 +405,55 @@ func TestNonFiniteEstimateIsQueryError(t *testing.T) {
 	if overflowed == 0 {
 		t.Fatal("no query overflowed")
 	}
+}
+
+// TestOverflowingUpdateBatchRefused: an update batch holding a delta past
+// 2^53 in magnitude is refused whole with 400 naming the first such
+// update, and leaves the maintainer bit-identical — its WMNT encoding and
+// the .wmnt file on disk. A delta of exactly 2^53 is accepted.
+func TestOverflowingUpdateBatchRefused(t *testing.T) {
+	dir := t.TempDir()
+	s, ts := newTestServer(t, Config{SnapshotDir: dir})
+	if _, err := s.Registry().Publish("h", buildHist(t, 20000, 1<<10, 30, 8)); err != nil {
+		t.Fatal(err)
+	}
+	url := ts.URL + "/v1/hist/h/updates"
+	postJSON(t, url, map[string]any{"updates": []KeyUpdate{{Key: 3, Delta: 5}}, "flush": true}, http.StatusOK)
+	digests := func() (live, disk [32]byte) {
+		t.Helper()
+		s.mu.Lock()
+		m := s.maints["h"]
+		s.mu.Unlock()
+		m.mu.Lock()
+		b, err := m.mh.MarshalBinary()
+		m.mu.Unlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := os.ReadFile(filepath.Join(dir, "h"+extMaint))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sha256.Sum256(b), sha256.Sum256(f)
+	}
+	live, disk := digests()
+	for _, tc := range []struct {
+		updates []KeyUpdate
+		want    string
+	}{
+		{[]KeyUpdate{{Key: 3, Delta: 1e308}}, "update 0 (key 3)"},
+		{[]KeyUpdate{{Key: 1, Delta: 2}, {Key: 7, Delta: -(1<<53 + 2)}, {Key: 4, Delta: 1e300}}, "update 1 (key 7)"},
+		{[]KeyUpdate{{Key: 9, Delta: 1}, {Key: 2, Delta: 1 << 54}}, "update 1 (key 2)"},
+	} {
+		for _, flush := range []bool{false, true} {
+			out := postJSON(t, url, map[string]any{"updates": tc.updates, "flush": flush}, http.StatusBadRequest)
+			if msg, _ := out["error"].(string); !strings.Contains(msg, tc.want) {
+				t.Errorf("%+v: error %q does not name %q", tc.updates, msg, tc.want)
+			}
+		}
+		if l, d := digests(); l != live || d != disk {
+			t.Fatalf("%+v: a refused batch changed the maintainer (live %v, .wmnt %v)", tc.updates, l != live, d != disk)
+		}
+	}
+	postJSON(t, url, map[string]any{"updates": []KeyUpdate{{Key: 3, Delta: 1 << 53}, {Key: 3, Delta: -(1 << 53)}}, "flush": true}, http.StatusOK)
 }

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"math"
 	"net/http"
 	"net/url"
 	"slices"
@@ -552,11 +553,20 @@ func (s *Server) handleUpdates(w http.ResponseWriter, r *http.Request) {
 	// newer) registry entry's: a concurrent rebuild may have published a
 	// different-domain histogram, and keys valid there would panic the
 	// old maintainer.
+	// A delta past 2^53 in magnitude (or not finite) is refused with the
+	// whole batch before any update applies: counts past 2^53 are no
+	// longer exact, and two deltas near the float range overflow every
+	// estimate over their key.
 	dom := m.mh.Domain()
-	for _, u := range req.Updates {
+	for i, u := range req.Updates {
 		if u.Key < 0 || u.Key >= dom {
 			m.mu.Unlock()
 			writeErr(w, http.StatusBadRequest, "update key %d outside domain [0, %d)", u.Key, dom)
+			return
+		}
+		if !(math.Abs(u.Delta) <= 1<<53) {
+			m.mu.Unlock()
+			writeErr(w, http.StatusBadRequest, "update %d (key %d): delta %v is not finite or exceeds 2^53 in magnitude", i, u.Key, u.Delta)
 			return
 		}
 	}
