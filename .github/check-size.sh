@@ -15,7 +15,8 @@ cd "$(dirname "${BASH_SOURCE[0]}")/.."
 # 22014 -> 21812: the coordinator checkpoint (dist/checkpoint.go, runPlan's restore side and barrier wrapper, Config.CheckpointDir, wavehistd -checkpoints, the Restored fields) deleted; a crashed build is retried over the workers' partial caches, and Output refuses a non-finite coefficient.
 # 21812 -> 21717: one GET parser (serve.ParseQuery, which the router's coalescer also calls) and one per-query estimator (Entry.estimate) replace handlePoint/handleRange, queryInt64, Entry.Point2D/Range2D, the four batch* helpers and coalesceQuery's own parsing; seven Config fields no caller set (dataset records and domain, build concurrency, retained jobs, in-flight RPCs, RPC timeout, probe timeout) and three BreakerConfig fields became constants, paying for the non-finite estimate check.
 # 21717 -> 21927 (+380/-170): a map task reads key batches (RecordReader.ReadKeys and a decode-in-place keyAt; readers keep Next), partials layout 3 (varint deltas and small-integer values, its bounds-checked reader) in never-deflated map responses, a file's split tables computed once, one-read radix counting, the update-delta bound; PartialsWireBytes and the readers' buffers deleted.
-CEILING=21927
+# 21927 -> 22044 (+117): the Zipf sampler's certified head table (table, guide, lookup, and the exactness argument on buildHead, +108) and datagen's per-kind key streams with the head-rank permutation memo, less cmd/wavegen's copied generator loops (-27).
+CEILING=22044
 lines=$(find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path './.bench_build/*' | xargs cat | wc -l)
 echo "non-test source: $lines lines (ceiling $CEILING)"
 if [ "$lines" -gt "$CEILING" ]; then

@@ -15,7 +15,7 @@ import (
 	"fmt"
 	"os"
 
-	"wavelethist/internal/zipf"
+	"wavelethist/internal/datagen"
 )
 
 func main() {
@@ -45,20 +45,30 @@ func main() {
 
 func run(out, kind string, n, u int64, alpha float64, seed uint64,
 	recordSize int, clientBits, objectBits uint, permute bool) error {
-	if n < 1 {
-		return fmt.Errorf("need at least one record")
-	}
 	if recordSize < 4 {
 		return fmt.Errorf("record size must be >= 4")
 	}
-	f, err := os.Create(out)
-	if err != nil {
-		return err
+	// The keys are datagen's, so a file written here holds the dataset
+	// the library and the daemons generate from the same recipe.
+	var (
+		next   func() int64
+		domain int64
+		err    error
+	)
+	switch kind {
+	case "zipf":
+		domain = u
+		next, err = datagen.ZipfKeys(datagen.ZipfSpec{
+			N: n, U: u, Alpha: alpha, RecordSize: recordSize, Seed: seed, PermuteKeys: permute,
+		})
+	case "worldcup":
+		spec := datagen.NewWorldCupSpec(n, seed)
+		spec.ClientBits, spec.ObjectBits = clientBits, objectBits
+		domain = spec.U()
+		next, err = datagen.WorldCupKeys(spec)
+	default:
+		err = fmt.Errorf("unknown kind %q (zipf | worldcup)", kind)
 	}
-	defer f.Close()
-	w := bufio.NewWriterSize(f, 1<<20)
-
-	keyGen, domain, err := generator(kind, u, alpha, seed, clientBits, objectBits, permute)
 	if err != nil {
 		return err
 	}
@@ -69,16 +79,18 @@ func run(out, kind string, n, u int64, alpha float64, seed uint64,
 	if domain > 1<<32 && keyWidth == 4 {
 		return fmt.Errorf("domain %d needs -record-size >= 8", domain)
 	}
+	f, err := os.Create(out)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	w := bufio.NewWriterSize(f, 1<<20)
 	rec := make([]byte, recordSize)
 	for i := int64(0); i < n; i++ {
-		key := keyGen()
-		for j := range rec {
-			rec[j] = 0
-		}
 		if keyWidth == 8 {
-			binary.LittleEndian.PutUint64(rec, uint64(key))
+			binary.LittleEndian.PutUint64(rec, uint64(next()))
 		} else {
-			binary.LittleEndian.PutUint32(rec, uint32(key))
+			binary.LittleEndian.PutUint32(rec, uint32(next()))
 		}
 		if _, err := w.Write(rec); err != nil {
 			return err
@@ -89,43 +101,4 @@ func run(out, kind string, n, u int64, alpha float64, seed uint64,
 	}
 	fmt.Printf("wrote %d records (%d bytes each, domain %d) to %s\n", n, recordSize, domain, out)
 	return nil
-}
-
-// generator returns a key-drawing closure and the key domain size.
-func generator(kind string, u int64, alpha float64, seed uint64,
-	clientBits, objectBits uint, permute bool) (func() int64, int64, error) {
-	rng := zipf.NewRNG(seed)
-	switch kind {
-	case "zipf":
-		if u&(u-1) != 0 || u < 1 {
-			return nil, 0, fmt.Errorf("domain %d is not a power of two", u)
-		}
-		z := zipf.NewZipf(u, alpha)
-		var perm *zipf.Perm
-		if permute {
-			perm = zipf.NewPerm(u, seed^0xabcdef)
-		}
-		return func() int64 {
-			k := z.Sample(rng) - 1
-			if perm != nil {
-				k = perm.Apply(k)
-			}
-			return k
-		}, u, nil
-	case "worldcup":
-		numClients := int64(1) << clientBits
-		numObjects := int64(1) << objectBits
-		domain := numClients * numObjects
-		clients := zipf.NewZipf(numClients, 1.2)
-		objects := zipf.NewZipf(numObjects, 1.1)
-		cPerm := zipf.NewPerm(numClients, seed^0x11)
-		oPerm := zipf.NewPerm(numObjects, seed^0x22)
-		return func() int64 {
-			c := cPerm.Apply(clients.Sample(rng) - 1)
-			o := oPerm.Apply(objects.Sample(rng) - 1)
-			return c<<objectBits | o
-		}, domain, nil
-	default:
-		return nil, 0, fmt.Errorf("unknown kind %q (zipf | worldcup)", kind)
-	}
 }

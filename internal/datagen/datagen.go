@@ -10,6 +10,7 @@ package datagen
 
 import (
 	"fmt"
+	"math"
 
 	"wavelethist/internal/hdfs"
 	"wavelethist/internal/wavelet"
@@ -45,10 +46,53 @@ func (s ZipfSpec) validate() error {
 	if s.RecordSize < 4 {
 		return fmt.Errorf("datagen: record size %d < 4", s.RecordSize)
 	}
-	if s.Alpha <= 0 {
-		return fmt.Errorf("datagen: alpha must be positive")
+	if !(s.Alpha > 0) || math.IsInf(s.Alpha, 1) {
+		return fmt.Errorf("datagen: alpha %v is not finite and positive", s.Alpha)
 	}
 	return nil
+}
+
+// ZipfKeys returns the keys GenerateZipf writes for spec, in file order,
+// one per call, without holding them (cmd/wavegen streams them to a
+// local file).
+func ZipfKeys(spec ZipfSpec) (func() int64, error) {
+	if err := spec.validate(); err != nil {
+		return nil, err
+	}
+	return zipfKeys(spec, zipf.NewRNG(spec.Seed)), nil
+}
+
+// zipfKeys draws spec's keys from rng, which GenerateZipfVar shares with
+// its payload lengths.
+func zipfKeys(spec ZipfSpec, rng *zipf.RNG) func() int64 {
+	z := zipf.NewZipf(spec.U, spec.Alpha)
+	if !spec.PermuteKeys {
+		return func() int64 { return z.Sample(rng) - 1 }
+	}
+	perm := newPermuted(spec.U, spec.Seed^0xabcdef)
+	return func() int64 { return perm.apply(z.Sample(rng) - 1) }
+}
+
+// permuted is a key permutation with its images of the head ranks —
+// most draws, the ranks the sampler's table answers — memoized.
+type permuted struct {
+	perm *zipf.Perm
+	head []int64
+}
+
+func newPermuted(n int64, seed uint64) permuted {
+	p := permuted{perm: zipf.NewPerm(n, seed), head: make([]int64, min(n, zipf.HeadRanks))}
+	for r := range p.head {
+		p.head[r] = p.perm.Apply(int64(r))
+	}
+	return p
+}
+
+func (p permuted) apply(rank int64) int64 {
+	if rank < int64(len(p.head)) {
+		return p.head[rank]
+	}
+	return p.perm.Apply(rank)
 }
 
 // GenerateZipf writes a Zipfian dataset to the file system. Records are
@@ -63,19 +107,9 @@ func GenerateZipf(fs *hdfs.FileSystem, name string, spec ZipfSpec) (*hdfs.File, 
 		return nil, err
 	}
 	w.Reserve(spec.N)
-	z := zipf.NewZipf(spec.U, spec.Alpha)
-	rng := zipf.NewRNG(spec.Seed)
-	var perm *zipf.Perm
-	if spec.PermuteKeys {
-		perm = zipf.NewPerm(spec.U, spec.Seed^0xabcdef)
-	}
+	next := zipfKeys(spec, zipf.NewRNG(spec.Seed))
 	for i := int64(0); i < spec.N; i++ {
-		rank := z.Sample(rng) - 1 // 0-based
-		key := rank
-		if perm != nil {
-			key = perm.Apply(rank)
-		}
-		w.Append(key)
+		w.Append(next())
 	}
 	return w.Close(), nil
 }
@@ -93,19 +127,10 @@ func GenerateZipfVar(fs *hdfs.FileSystem, name string, spec ZipfSpec, maxPayload
 	if err != nil {
 		return nil, err
 	}
-	z := zipf.NewZipf(spec.U, spec.Alpha)
 	rng := zipf.NewRNG(spec.Seed)
-	var perm *zipf.Perm
-	if spec.PermuteKeys {
-		perm = zipf.NewPerm(spec.U, spec.Seed^0xabcdef)
-	}
+	next := zipfKeys(spec, rng)
 	for i := int64(0); i < spec.N; i++ {
-		rank := z.Sample(rng) - 1
-		key := rank
-		if perm != nil {
-			key = perm.Apply(rank)
-		}
-		w.Append(key, int(rng.Int63n(int64(maxPayload))))
+		w.Append(next(), int(rng.Int63n(int64(maxPayload))))
 	}
 	return w.Close(), nil
 }

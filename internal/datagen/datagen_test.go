@@ -4,6 +4,7 @@ import (
 	"math"
 	"sort"
 	"testing"
+	"time"
 
 	"wavelethist/internal/hdfs"
 )
@@ -119,6 +120,33 @@ func TestGenerateZipfValidation(t *testing.T) {
 	for i, s := range bad {
 		if _, err := GenerateZipf(fs, "bad", s); err == nil {
 			t.Errorf("spec %d accepted", i)
+		}
+	}
+}
+
+// TestNonFiniteAlphaRefused: a NaN or infinite skew is an error from
+// every Zipf entry point, returned at once — the sampler would never
+// accept a draw, so generation would not return.
+func TestNonFiniteAlphaRefused(t *testing.T) {
+	for _, alpha := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		spec := NewZipfSpec(10, 16, alpha, 1)
+		errs := make(chan [3]error, 1)
+		go func() {
+			fs := hdfs.NewFileSystem(2, 1<<20)
+			_, errZipf := GenerateZipf(fs, "z", spec)
+			_, errVar := GenerateZipfVar(fs, "v", spec, 8)
+			_, errKeys := ZipfKeys(spec)
+			errs <- [3]error{errZipf, errVar, errKeys}
+		}()
+		select {
+		case got := <-errs:
+			for i, err := range got {
+				if err == nil {
+					t.Errorf("alpha %v: entry point %d accepted it", alpha, i)
+				}
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("alpha %v: generation still running after 5s", alpha)
 		}
 	}
 }
@@ -264,4 +292,18 @@ func TestWorldCupWideDomain(t *testing.T) {
 			t.Fatalf("key %d out of 2^34 domain", x)
 		}
 	}
+}
+
+// BenchmarkGenerateZipf: the benchmark's dataset shape, 2^22 records over
+// u = 2^20 at α = 1.1, the generation every worker repeats to
+// materialize its copy.
+func BenchmarkGenerateZipf(b *testing.B) {
+	const n = 1 << 22
+	spec := NewZipfSpec(n, 1<<20, 1.1, 42)
+	for i := 0; i < b.N; i++ {
+		if _, err := GenerateZipf(hdfs.NewFileSystem(15, 64<<10), "z", spec); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mrec/s")
 }

@@ -47,18 +47,12 @@ func (s WorldCupSpec) U() int64 { return int64(1) << (s.ClientBits + s.ObjectBit
 // GenerateWorldCup writes the access-log dataset. Keys are packed
 // clientobject ids: client·2^ObjectBits + object.
 func GenerateWorldCup(fs *hdfs.FileSystem, name string, spec WorldCupSpec) (*hdfs.File, error) {
-	if spec.N < 1 {
-		return nil, fmt.Errorf("datagen: need at least one record")
-	}
-	if spec.Days < 1 {
-		spec.Days = 1
+	next, err := WorldCupKeys(spec)
+	if err != nil {
+		return nil, err
 	}
 	if spec.RecordSize < 4 {
 		spec.RecordSize = 4
-	}
-	u := spec.U()
-	if !wavelet.IsPowerOfTwo(u) {
-		return nil, fmt.Errorf("datagen: worldcup domain must be a power of two")
 	}
 	if spec.ClientBits+spec.ObjectBits > 32 && spec.RecordSize < 8 {
 		return nil, fmt.Errorf("datagen: domain needs 8-byte records")
@@ -66,6 +60,25 @@ func GenerateWorldCup(fs *hdfs.FileSystem, name string, spec WorldCupSpec) (*hdf
 	w, err := fs.Create(name, spec.RecordSize)
 	if err != nil {
 		return nil, err
+	}
+	for i := int64(0); i < spec.N; i++ {
+		w.Append(next())
+	}
+	return w.Close(), nil
+}
+
+// WorldCupKeys returns the keys GenerateWorldCup writes for spec, in file
+// order, one per call, without holding them (cmd/wavegen streams them to
+// a local file).
+func WorldCupKeys(spec WorldCupSpec) (func() int64, error) {
+	if spec.N < 1 {
+		return nil, fmt.Errorf("datagen: need at least one record")
+	}
+	if spec.Days < 1 {
+		spec.Days = 1
+	}
+	if !wavelet.IsPowerOfTwo(spec.U()) {
+		return nil, fmt.Errorf("datagen: worldcup domain must be a power of two")
 	}
 
 	rng := zipf.NewRNG(spec.Seed)
@@ -78,8 +91,8 @@ func GenerateWorldCup(fs *hdfs.FileSystem, name string, spec WorldCupSpec) (*hdf
 	// heavy clientobject pairs stable across splits.
 	objects := zipf.NewZipf(numObjects, 1.1)
 	// Scatter rank->id so popular clients/objects are not clustered.
-	clientPerm := zipf.NewPerm(numClients, spec.Seed^0x11)
-	objectPerm := zipf.NewPerm(numObjects, spec.Seed^0x22)
+	clientPerm := newPermuted(numClients, spec.Seed^0x11)
+	objectPerm := newPermuted(numObjects, spec.Seed^0x22)
 
 	// Per-day hot-set: a day's matches concentrate accesses on a small
 	// rotating subset of objects.
@@ -93,12 +106,11 @@ func GenerateWorldCup(fs *hdfs.FileSystem, name string, spec WorldCupSpec) (*hdf
 	if perDay < 1 {
 		perDay = 1
 	}
-	for i := int64(0); i < spec.N; i++ {
-		day := i / perDay
-		if day >= int64(spec.Days) {
-			day = int64(spec.Days) - 1
-		}
-		client := clientPerm.Apply(clients.Sample(rng) - 1)
+	var i int64
+	return func() int64 {
+		day := min(i/perDay, int64(spec.Days)-1)
+		i++
+		client := clientPerm.apply(clients.Sample(rng) - 1)
 		var object int64
 		if rng.Bernoulli(0.35) {
 			// Hot-set access (match-day pages): the hot window drifts a
@@ -106,11 +118,10 @@ func GenerateWorldCup(fs *hdfs.FileSystem, name string, spec WorldCupSpec) (*hdf
 			// 75% — popular content decays over a few days rather than
 			// vanishing overnight.
 			off := hot.Sample(rng) - 1
-			object = objectPerm.Apply((day*hotSize/4 + off) % numObjects)
+			object = objectPerm.apply((day*hotSize/4 + off) % numObjects)
 		} else {
-			object = objectPerm.Apply(objects.Sample(rng) - 1)
+			object = objectPerm.apply(objects.Sample(rng) - 1)
 		}
-		w.Append(client<<spec.ObjectBits | object)
-	}
-	return w.Close(), nil
+		return client<<spec.ObjectBits | object
+	}, nil
 }

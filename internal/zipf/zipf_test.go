@@ -1,6 +1,7 @@
 package zipf
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -208,7 +209,107 @@ func TestZipfPanics(t *testing.T) {
 	}
 	mustPanic(func() { NewZipf(0, 1) })
 	mustPanic(func() { NewZipf(10, 0) })
+	mustPanic(func() { NewZipf(10, math.NaN()) })
+	mustPanic(func() { NewZipf(10, math.Inf(1)) })
 	mustPanic(func() { NewRNG(0).Int63n(0) })
+}
+
+// sampleExact is Sample without the head table: every draw inverted.
+func sampleExact(z *Zipf, r *RNG) int64 {
+	for {
+		if k, ok := z.invert(r.Uint64() >> 11); ok {
+			return k
+		}
+	}
+}
+
+// checkHeadDraw fails unless the head table's answer for draw m, when it
+// has one, is the exact path's accepted rank. It reports whether the
+// table answered.
+func checkHeadDraw(t *testing.T, z *Zipf, m uint64) bool {
+	k := z.fromHead(m)
+	if k == 0 {
+		return false
+	}
+	if e, ok := z.invert(m); !ok || e != k {
+		t.Fatalf("n=%d alpha=%v m=%d: table says %d, exact path (%d, accepted %v)", z.n, z.exponent, m, k, e, ok)
+	}
+	return true
+}
+
+// TestSampleFastPathMatchesExact: wherever the head table answers, the
+// exact path accepts the same rank from the same draw — on random draws,
+// at both edges of every interval, and just outside them (where the
+// table must not answer) — so Sample's ranks and RNG states are the
+// exact sampler's.
+func TestSampleFastPathMatchesExact(t *testing.T) {
+	for _, alpha := range []float64{0.5, 0.8, 1.0, 1.1, 1.2, 1.4, 1.5} {
+		for _, n := range []int64{1, 7, 1 << 10, 1 << 16, 1 << 20, 1 << 29} {
+			alpha, n := alpha, n
+			t.Run(fmt.Sprintf("alpha=%v/n=%d", alpha, n), func(t *testing.T) {
+				t.Parallel()
+				z := NewZipf(n, alpha)
+				if want := min(n, HeadRanks); int64(len(z.head)) != want {
+					t.Fatalf("table holds %d ranks, want %d", len(z.head), want)
+				}
+				for i, s := range z.head {
+					for _, m := range []uint64{s.lo, s.hi} {
+						if !checkHeadDraw(t, z, m) || z.fromHead(m) != int64(i)+1 {
+							t.Fatalf("rank %d: edge %d not answered by its own interval", i+1, m)
+						}
+					}
+					if z.fromHead(s.lo-1) != 0 || (s.hi+1 < 1<<53 && z.fromHead(s.hi+1) != 0) {
+						t.Fatalf("rank %d: the table answers just outside [%d, %d]", i+1, s.lo, s.hi)
+					}
+				}
+				r := NewRNG(uint64(n) ^ math.Float64bits(alpha))
+				hits := 0
+				const draws = 1 << 22
+				for i := 0; i < draws; i++ {
+					if checkHeadDraw(t, z, r.Uint64()>>11) {
+						hits++
+					}
+				}
+				if alpha == 1.1 && n == 1<<20 && hits < draws*8/10 {
+					t.Errorf("the table answers %d of %d draws, want most", hits, draws)
+				}
+				fast, exact := NewRNG(7), NewRNG(7)
+				for i := 0; i < 1<<14; i++ {
+					if f, e := z.Sample(fast), sampleExact(z, exact); f != e {
+						t.Fatalf("draw %d: Sample %d, exact sampler %d", i, f, e)
+					}
+				}
+				if fast.s != exact.s {
+					t.Fatal("RNG states diverged")
+				}
+			})
+		}
+	}
+}
+
+// FuzzZipfFastPath: for any sampler and draw, an answer from the head
+// table is the exact path's decision, and so are the answers at the
+// edges of the interval the draw picks.
+func FuzzZipfFastPath(f *testing.F) {
+	f.Add(uint64(0), 1.1, int64(1<<20))
+	f.Add(uint64(1<<64-1), 0.8, int64(1<<29))
+	f.Add(uint64(1)<<63, 1.0, int64(7))
+	f.Add(uint64(12345), 1.5, int64(1))
+	f.Add(uint64(987654321)<<20, 0.5, int64(1<<16))
+	f.Add(uint64(42), 3.0, int64(1<<40))
+	f.Fuzz(func(t *testing.T, m uint64, alpha float64, n int64) {
+		if !(alpha > 0) || math.IsInf(alpha, 1) || n < 1 {
+			t.Skip()
+		}
+		z := NewZipf(n, alpha)
+		m >>= 11
+		checkHeadDraw(t, z, m)
+		if len(z.head) > 0 {
+			s := z.head[m%uint64(len(z.head))]
+			checkHeadDraw(t, z, s.lo)
+			checkHeadDraw(t, z, s.hi)
+		}
+	})
 }
 
 func TestPermIsBijection(t *testing.T) {
