@@ -16,7 +16,8 @@ cd "$(dirname "${BASH_SOURCE[0]}")/.."
 # 21812 -> 21717: one GET parser (serve.ParseQuery, which the router's coalescer also calls) and one per-query estimator (Entry.estimate) replace handlePoint/handleRange, queryInt64, Entry.Point2D/Range2D, the four batch* helpers and coalesceQuery's own parsing; seven Config fields no caller set (dataset records and domain, build concurrency, retained jobs, in-flight RPCs, RPC timeout, probe timeout) and three BreakerConfig fields became constants, paying for the non-finite estimate check.
 # 21717 -> 21927 (+380/-170): a map task reads key batches (RecordReader.ReadKeys and a decode-in-place keyAt; readers keep Next), partials layout 3 (varint deltas and small-integer values, its bounds-checked reader) in never-deflated map responses, a file's split tables computed once, one-read radix counting, the update-delta bound; PartialsWireBytes and the readers' buffers deleted.
 # 21927 -> 22044 (+117): the Zipf sampler's certified head table (table, guide, lookup, and the exactness argument on buildHead, +108) and datagen's per-kind key streams with the head-rank permutation memo, less cmd/wavegen's copied generator loops (-27).
-CEILING=22044
+# 22044 -> 21977 (-67): one entry file per name, its kind read from the blob's magic (Registry.Install, wavelethist.Unmarshal); serve/maintpersist.go (93 lines), the .wh2d extension, the replication kind byte and the kind switches deleted, paying for the legacy-file upgrade at open.
+CEILING=21977
 lines=$(find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path './.bench_build/*' | xargs cat | wc -l)
 echo "non-test source: $lines lines (ceiling $CEILING)"
 if [ "$lines" -gt "$CEILING" ]; then

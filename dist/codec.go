@@ -57,10 +57,11 @@ const (
 	msgReleaseRequest
 	msgReleaseResponse
 	msgReplPullRequest  // replication catch-up pull (replcodec.go)
-	msgReplPullResponse //
+	_                   // retired: pull response with a per-entry kind byte; never reuse
 	_                   // retired: coordinator checkpoint; never reuse
 	msgQueryBatch       // router→shard batch hop (querycodec.go)
 	msgResultBatch      //
+	msgReplPullResponse // replication catch-up reply (replcodec.go)
 )
 
 const (

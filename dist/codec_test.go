@@ -104,7 +104,9 @@ func TestCodecRoundTrip(t *testing.T) {
 
 // TestFrameTypeBytes pins every frame type's byte: a frame's type is its
 // wire identity, so a daemon of one build must read a frame of another.
-// A retired type keeps its slot.
+// A retired type keeps its slot: 10 was the pull response whose entries
+// spelled their kind out in a byte, 11 the coordinator checkpoint. A pull
+// response from an older build, type 10, is refused by its type.
 func TestFrameTypeBytes(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -120,13 +122,30 @@ func TestFrameTypeBytes(t *testing.T) {
 		{"msgReleaseRequest", msgReleaseRequest, 7},
 		{"msgReleaseResponse", msgReleaseResponse, 8},
 		{"msgReplPullRequest", msgReplPullRequest, 9},
-		{"msgReplPullResponse", msgReplPullResponse, 10},
 		{"msgQueryBatch", msgQueryBatch, 12},
 		{"msgResultBatch", msgResultBatch, 13},
+		{"msgReplPullResponse", msgReplPullResponse, 14},
 	} {
 		if tc.got != tc.want {
 			t.Errorf("%s = %d, want %d", tc.name, tc.got, tc.want)
 		}
+	}
+
+	// An older build's pull response: one entry with its kind byte (1,
+	// a WHST blob) between the name and the version.
+	b := appendUvarint(nil, 9)
+	b = appendUvarint(b, 1)
+	b = appendStr(b, "a")
+	b = appendUvarint(b, 1)
+	b = appendStr(b, "a")
+	b = append(b, 1)
+	b = appendUvarint(b, 9)
+	b = appendBlob(b, []byte("TSHW"))
+	b = appendUvarint(b, 3)
+	b = appendUvarint(b, 0)
+	const retired = 10
+	if resp, err := DecodeReplPullResponse(encodeFrame(retired, b)); err == nil || !strings.Contains(err.Error(), "message type 10") {
+		t.Errorf("type-10 pull response: %+v, %v; want refused by type", resp, err)
 	}
 }
 
@@ -137,7 +156,7 @@ func bigReplPull(n int) *ReplPullResponse {
 	for i := 0; i < n; i++ {
 		blob = binary.LittleEndian.AppendUint64(blob, uint64(i%7))
 	}
-	return &ReplPullResponse{Version: 9, Names: []string{"big"}, Entries: []ReplEntry{{Name: "big", Kind: ReplKind1D, Version: 9, Blob: blob}}}
+	return &ReplPullResponse{Version: 9, Names: []string{"big"}, Entries: []ReplEntry{{Name: "big", Version: 9, Blob: blob}}}
 }
 
 // TestCodecCompression: a large, repetitive replication pull response is

@@ -12,13 +12,10 @@ package dist
 //
 // The frames ride the same WDF1 envelope as the job wire (deflate over
 // threshold, crc-free length-prefixed body). Both carry the fencing
-// epoch; a frame that ends before it is malformed.
-
-// Replication entry kinds.
-const (
-	ReplKind1D byte = 1 // blob is a "WHST" 1D histogram
-	ReplKind2D byte = 2 // blob is a "WH2D" 2D histogram
-)
+// epoch; a frame that ends before it is malformed. A response entry's
+// blob names its own kind by its magic (WHST or WH2D); the response of
+// older builds, which spelled the kind out in a byte, was message type
+// 10 and is refused by type.
 
 // ReplPullRequest asks a primary for all registry changes after Since
 // (0 = full snapshot). Epoch is the primary epoch the replica last
@@ -31,10 +28,10 @@ type ReplPullRequest struct {
 }
 
 // ReplEntry is one histogram the replica must (re)install: the wire-format
-// blob plus the registry version to advance the cursor to.
+// blob, whose magic names its kind, plus the registry version to advance
+// the cursor to.
 type ReplEntry struct {
 	Name    string
-	Kind    byte // ReplKind1D | ReplKind2D
 	Version uint64
 	Blob    []byte
 }
@@ -88,7 +85,6 @@ func EncodeReplPullResponse(resp *ReplPullResponse) []byte {
 	for i := range resp.Entries {
 		e := &resp.Entries[i]
 		b = appendStr(b, e.Name)
-		b = append(b, e.Kind)
 		b = appendUvarint(b, e.Version)
 		b = appendBlob(b, e.Blob)
 	}
@@ -111,15 +107,8 @@ func DecodeReplPullResponse(frame []byte) (*ReplPullResponse, error) {
 	}
 	nEnts := r.length(4)
 	for i := 0; i < nEnts && r.err == nil; i++ {
-		e := ReplEntry{Name: r.str()}
-		e.Kind = r.u8()
-		e.Version = r.uvarint()
-		e.Blob = r.blob()
+		e := ReplEntry{Name: r.str(), Version: r.uvarint(), Blob: r.blob()}
 		if r.err != nil {
-			break
-		}
-		if e.Kind != ReplKind1D && e.Kind != ReplKind2D {
-			r.fail("repl entry %q: unknown kind %d", e.Name, e.Kind)
 			break
 		}
 		resp.Entries = append(resp.Entries, e)

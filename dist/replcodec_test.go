@@ -24,8 +24,8 @@ func TestReplCodecEpochRoundTrip(t *testing.T) {
 		Since:   42,
 		Names:   []string{"a", "b"},
 		Entries: []ReplEntry{
-			{Name: "a", Kind: ReplKind1D, Version: 98, Blob: []byte{1, 2, 3}},
-			{Name: "b", Kind: ReplKind2D, Version: 99, Blob: bytes.Repeat([]byte{9}, 2048)},
+			{Name: "a", Version: 98, Blob: []byte{1, 2, 3}},
+			{Name: "b", Version: 99, Blob: bytes.Repeat([]byte{9}, 2048)},
 		},
 	}
 	gotResp, err := DecodeReplPullResponse(EncodeReplPullResponse(resp))
@@ -74,7 +74,6 @@ func TestReplCodecPreEpochFramesRejected(t *testing.T) {
 	b = appendStr(b, "a")              //
 	b = appendUvarint(b, 1)            // 1 entry
 	b = appendStr(b, "a")              //
-	b = append(b, ReplKind1D)          //
 	b = appendUvarint(b, 9)            // entry version
 	b = appendBlob(b, []byte{4, 5, 6}) //
 	preEpoch := len(b)

@@ -8,10 +8,13 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"wavelethist"
+	"wavelethist/dist"
 	"wavelethist/serve"
 )
 
@@ -213,6 +216,52 @@ func (c *cluster) waitFor(t *testing.T, desc string, cond func() bool) {
 			t.Fatalf("timed out waiting for %s", desc)
 		}
 		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// TestReplicaRefusesUnknownBlob: a replicated entry's blob names its kind
+// by its magic, and the replica refuses a blob whose magic it does not
+// know. The sync fails with an error naming the entry, and the replica
+// keeps its last good state: the entry it served and its cursor.
+func TestReplicaRefusesUnknownBlob(t *testing.T) {
+	h := buildTestHist(t, 1)
+	good, err := h.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reply atomic.Pointer[dist.ReplPullResponse]
+	primary := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", dist.ContentTypeBinary)
+		w.Write(dist.EncodeReplPullResponse(reply.Load()))
+	}))
+	t.Cleanup(primary.Close)
+	rSrv, _ := newNode(t, serve.Config{ReadOnly: true})
+	rep := NewReplica(rSrv, primary.URL, time.Second)
+	ctx := context.Background()
+
+	reply.Store(&dist.ReplPullResponse{Version: 1, Epoch: 5, Names: []string{"a"},
+		Entries: []dist.ReplEntry{{Name: "a", Version: 1, Blob: good}}})
+	if err := rep.SyncOnce(ctx); err != nil {
+		t.Fatal(err)
+	}
+	unknown := append([]byte("WHAT"), good[4:]...)
+	reply.Store(&dist.ReplPullResponse{Version: 2, Epoch: 5, Since: 1, Names: []string{"a"},
+		Entries: []dist.ReplEntry{{Name: "a", Version: 2, Blob: unknown}}})
+	err = rep.SyncOnce(ctx)
+	if err == nil || !strings.Contains(err.Error(), `"a"`) || !strings.Contains(err.Error(), "magic") {
+		t.Fatalf("sync of an unknown blob: %v; want an error naming \"a\" and its magic", err)
+	}
+	if rep.Version() != 1 {
+		t.Errorf("cursor advanced to %d past the refused entry", rep.Version())
+	}
+	e, ok := rSrv.Registry().Lookup("a")
+	if !ok {
+		t.Fatal("refused entry dropped its last good state")
+	}
+	for _, key := range []int64{0, 17, 512, 4095} {
+		if e.H.PointEstimate(key) != h.PointEstimate(key) {
+			t.Fatalf("key %d: the replica no longer serves its last good state", key)
+		}
 	}
 }
 

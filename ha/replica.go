@@ -11,7 +11,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"wavelethist"
 	"wavelethist/dist"
 	"wavelethist/serve"
 )
@@ -175,25 +174,8 @@ func (r *Replica) pull(ctx context.Context, since, epoch uint64) (*dist.ReplPull
 func (r *Replica) apply(resp *dist.ReplPullResponse) error {
 	reg := r.srv.Registry()
 	for _, e := range resp.Entries {
-		switch e.Kind {
-		case dist.ReplKind1D:
-			h, err := wavelethist.UnmarshalHistogram(e.Blob)
-			if err != nil {
-				return fmt.Errorf("ha: replicate %q: %w", e.Name, err)
-			}
-			if _, err := reg.Publish(e.Name, h); err != nil {
-				return fmt.Errorf("ha: replicate %q: %w", e.Name, err)
-			}
-		case dist.ReplKind2D:
-			h, err := wavelethist.UnmarshalHistogram2D(e.Blob)
-			if err != nil {
-				return fmt.Errorf("ha: replicate %q: %w", e.Name, err)
-			}
-			if _, err := reg.Publish2D(e.Name, h); err != nil {
-				return fmt.Errorf("ha: replicate %q: %w", e.Name, err)
-			}
-		default:
-			return fmt.Errorf("ha: replicate %q: unknown kind %d", e.Name, e.Kind)
+		if _, err := reg.Install(e.Name, e.Blob); err != nil {
+			return fmt.Errorf("ha: replicate %q: %w", e.Name, err)
 		}
 	}
 	live := make(map[string]bool, len(resp.Names))

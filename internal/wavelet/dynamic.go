@@ -15,10 +15,14 @@ import (
 // whichever tracked coefficients it touches; promote shadow coefficients
 // the moment they outgrow retained ones.
 //
-// The maintained histogram is exact on every tracked coefficient; error
-// creeps in only when an untracked coefficient grows past the shadow
-// threshold between rebuilds, which the shadow margin makes unlikely for
-// skewed workloads (the same argument as [27]).
+// A tracked value is not in general the coefficient's true value. A
+// coefficient tracked since the seed carries its seed value plus every
+// update since; one adopted later carries only the contributions of the
+// updates since its adoption (the [27] rule, see Update), so it misses
+// its true value at adoption, and one that compaction drops loses what it
+// had gathered. The retained set is the top-k of these tracked values,
+// which can differ from the data's true top-k; nothing here bounds or
+// reports the error.
 //
 // The retained/shadow partition is maintained *incrementally*: tracked
 // coefficients are nodes in a slab behind one index map, the retained set
@@ -32,7 +36,7 @@ import (
 
 // node is one tracked coefficient.
 type node struct {
-	Coef       // index and exact tracked value, never 0
+	Coef       // index and tracked value (see the header on adoption), never 0
 	pos  int32 // position in its heap
 	slot int32 // position in rep.Coefs as of the last rebuild (retained nodes)
 	ret  bool  // in the retained heap (else the shadow heap)

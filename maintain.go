@@ -10,8 +10,11 @@ import (
 // under record insertions and deletions — the paper's closing-remarks
 // open problem, implemented with the shadow-coefficient scheme of Matias,
 // Vitter, Wang (VLDB 2000, the paper's [27]): the top-k set plus a larger
-// shadow set is kept exactly up to date in O(log u) per update, and the
-// reported top-k adapts as coefficients grow or shrink.
+// shadow set is updated in O(log u) per update, and the reported top-k
+// adapts as coefficients grow or shrink. The tracked values are not
+// exact: a coefficient adopted after the seed carries only the updates
+// since its adoption (the [27] rule), so values and the reported top-k
+// can drift from the data's true transform.
 type MaintainedHistogram struct {
 	m *wavelet.Maintainer
 }

@@ -22,6 +22,25 @@ const (
 	maintMagic  = uint32(0x574D4E54) // "WMNT"
 )
 
+// Unmarshal decodes any blob this package writes, choosing the decoder by
+// the blob's 4-byte magic: it returns a *Histogram ("WHST"), a
+// *Histogram2D ("WH2D") or a *MaintainedHistogram ("WMNT").
+func Unmarshal(b []byte) (any, error) {
+	if len(b) < 4 {
+		return nil, fmt.Errorf("wavelethist: truncated blob (%d bytes)", len(b))
+	}
+	switch magic := binary.LittleEndian.Uint32(b); magic {
+	case histMagic:
+		return UnmarshalHistogram(b)
+	case histMagic2D:
+		return UnmarshalHistogram2D(b)
+	case maintMagic:
+		return UnmarshalMaintainedHistogram(b)
+	default:
+		return nil, fmt.Errorf("wavelethist: unknown blob magic %#08x", magic)
+	}
+}
+
 // MarshalBinary implements encoding.BinaryMarshaler.
 func (h *Histogram) MarshalBinary() ([]byte, error) {
 	if h.rep.U > math.MaxUint32 {

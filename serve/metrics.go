@@ -23,7 +23,7 @@ func (s *Server) initMetrics() {
 	s.buildDur = m.Histogram("wavehist_build_duration_seconds", "Wall time of finished build jobs (all outcomes).")
 	s.slowQueries = m.Counter("wavehist_slow_queries_total", "Queries over Config.SlowQueryThreshold.")
 	s.batchDecoded = NewBatchDecodeCounter(m)
-	const seedHelp = "Maintainers created, by seed: build = a fresh build, snapshot = a .wmnt file, published = the published top-k (shadow set lost: promoted replica, restart without -snapshots, superseded lineage)."
+	const seedHelp = "Maintainers created, by seed: build = a fresh build, snapshot = the entry file's maintainer state, published = the published top-k (shadow set lost: promoted replica, restart without -snapshots, superseded lineage)."
 	for _, src := range []string{"build", "snapshot", "published"} {
 		s.seeds[src] = m.Counter("wavehist_maintainer_seeds_total", seedHelp, obs.L("source", src))
 	}

@@ -410,7 +410,8 @@ func TestNonFiniteEstimateIsQueryError(t *testing.T) {
 // TestOverflowingUpdateBatchRefused: an update batch holding a delta past
 // 2^53 in magnitude is refused whole with 400 naming the first such
 // update, and leaves the maintainer bit-identical — its WMNT encoding and
-// the .wmnt file on disk. A delta of exactly 2^53 is accepted.
+// the entry file on disk, which holds it. A delta of exactly 2^53 is
+// accepted.
 func TestOverflowingUpdateBatchRefused(t *testing.T) {
 	dir := t.TempDir()
 	s, ts := newTestServer(t, Config{SnapshotDir: dir})
@@ -430,13 +431,16 @@ func TestOverflowingUpdateBatchRefused(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		f, err := os.ReadFile(filepath.Join(dir, "h"+extMaint))
+		f, err := os.ReadFile(filepath.Join(dir, "h"+fileExt))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return sha256.Sum256(b), sha256.Sum256(f)
 	}
 	live, disk := digests()
+	if live != disk {
+		t.Fatal("the entry file does not hold the live maintainer's state")
+	}
 	for _, tc := range []struct {
 		updates []KeyUpdate
 		want    string
@@ -452,7 +456,7 @@ func TestOverflowingUpdateBatchRefused(t *testing.T) {
 			}
 		}
 		if l, d := digests(); l != live || d != disk {
-			t.Fatalf("%+v: a refused batch changed the maintainer (live %v, .wmnt %v)", tc.updates, l != live, d != disk)
+			t.Fatalf("%+v: a refused batch changed the maintainer (live %v, entry file %v)", tc.updates, l != live, d != disk)
 		}
 	}
 	postJSON(t, url, map[string]any{"updates": []KeyUpdate{{Key: 3, Delta: 1 << 53}, {Key: 3, Delta: -(1 << 53)}}, "flush": true}, http.StatusOK)

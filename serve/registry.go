@@ -12,8 +12,10 @@
 package serve
 
 import (
+	"encoding"
 	"errors"
 	"fmt"
+	"log"
 	"math"
 	"os"
 	"path/filepath"
@@ -28,23 +30,25 @@ import (
 	"wavelethist/internal/atomicfile"
 )
 
-// Snapshot file extensions, matching the two wire formats of the
-// wavelethist serialize layer.
-const (
-	ext1D = ".whst"
-	ext2D = ".wh2d"
-)
+// fileExt names every entry file, whatever its kind: the blob's magic
+// says which (see Install).
+const fileExt = ".whst"
 
 // Entry is one published histogram: an immutable (name, version, summary)
 // triple plus its accumulated serving stats. Exactly one of H and H2D is
 // non-nil. Entries are never mutated after publication — a republish
-// installs a fresh Entry carrying the same *Stats.
+// installs a fresh Entry carrying the same *Stats — except that the
+// name's first maintainer claims seed.
 type Entry struct {
 	Name    string
 	Version uint64 // registry version at which this entry was installed
 	H       *wavelethist.Histogram
 	H2D     *wavelethist.Histogram2D
 	Stats   *Stats
+
+	// seed is the maintainer state a WMNT blob installed with H, until
+	// Server.maintainer claims it.
+	seed atomic.Pointer[wavelethist.MaintainedHistogram]
 }
 
 // Is2D reports whether the entry holds a 2D histogram.
@@ -223,10 +227,11 @@ func (s *Snapshot) EntriesSince(since uint64) []*Entry {
 // lock-free; writes (Publish, Drop) serialize on an internal mutex,
 // copy the entry map, and swap in the new snapshot atomically.
 //
-// With a snapshot directory, every publish persists the histogram
-// through the binary wire format (atomic tmp+rename), and OpenRegistry
-// reloads the directory at startup — a restart serves the same summaries
-// it served before.
+// With a snapshot directory, every publish writes the name's one entry
+// file, <name>.whst (atomic tmp+rename), and OpenRegistry reloads the
+// directory at startup — a restart serves the same summaries it served
+// before, and a maintained name resumes from the state published with
+// them.
 type Registry struct {
 	mu   sync.Mutex // serializes writers
 	snap atomic.Pointer[Snapshot]
@@ -240,16 +245,20 @@ func NewRegistry() *Registry {
 	return r
 }
 
-// OpenRegistry returns a registry persisted under dir, loading every
-// *.whst / *.wh2d snapshot already there. The directory is created if
-// missing. A corrupt snapshot file fails the open: refusing to start is
-// safer than silently serving a poisoned registry.
+// OpenRegistry returns a registry persisted under dir, installing every
+// <name>.whst entry file there in one scan. The directory is created if
+// missing. Files of older builds are upgraded in the same scan: a
+// <name>.wh2d, already a WH2D blob, is renamed to <name>.whst; a
+// <name>.wmnt maintainer sidecar is removed with a log line, because
+// nothing tied it to its snapshot's version, so that name's next update
+// reseeds from the published top-k. A corrupt entry file fails the open:
+// refusing to start is safer than silently serving a poisoned registry.
 func OpenRegistry(dir string) (*Registry, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("serve: snapshot dir: %w", err)
 	}
-	// r.dir stays unset during the load loop so reloading a snapshot
-	// doesn't immediately re-marshal and rewrite the file it came from.
+	// r.dir stays unset during the load loop so installing an entry file
+	// doesn't rewrite the file it came from.
 	r := NewRegistry()
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -259,39 +268,36 @@ func OpenRegistry(dir string) (*Registry, error) {
 		if de.IsDir() {
 			continue
 		}
+		path := filepath.Join(dir, de.Name())
 		ext := filepath.Ext(de.Name())
-		if ext != ext1D && ext != ext2D {
+		name := strings.TrimSuffix(de.Name(), ext)
+		switch ext {
+		case fileExt:
+		case ".wh2d":
+			if err := os.Rename(path, filepath.Join(dir, name+fileExt)); err != nil {
+				return nil, fmt.Errorf("serve: snapshot %s: %w", de.Name(), err)
+			}
+			path = filepath.Join(dir, name+fileExt)
+		case ".wmnt":
+			log.Printf("serve: removed %s: a maintainer sidecar is not tied to its snapshot's version; %q reseeds from the published histogram", de.Name(), name)
+			os.Remove(path)
+			continue
+		default:
 			// Clear tmp files orphaned by a crash mid-persist.
 			if strings.Contains(de.Name(), ".tmp") {
-				os.Remove(filepath.Join(dir, de.Name()))
+				os.Remove(path)
 			}
 			continue
 		}
-		name := strings.TrimSuffix(de.Name(), ext)
 		if err := ValidName(name); err != nil {
 			return nil, fmt.Errorf("serve: snapshot %s: %w", de.Name(), err)
 		}
-		b, err := os.ReadFile(filepath.Join(dir, de.Name()))
+		b, err := os.ReadFile(path)
 		if err != nil {
 			return nil, fmt.Errorf("serve: snapshot %s: %w", de.Name(), err)
 		}
-		switch ext {
-		case ext1D:
-			h, err := wavelethist.UnmarshalHistogram(b)
-			if err != nil {
-				return nil, fmt.Errorf("serve: snapshot %s: %w", de.Name(), err)
-			}
-			if _, err := r.Publish(name, h); err != nil {
-				return nil, err
-			}
-		case ext2D:
-			h, err := wavelethist.UnmarshalHistogram2D(b)
-			if err != nil {
-				return nil, fmt.Errorf("serve: snapshot %s: %w", de.Name(), err)
-			}
-			if _, err := r.Publish2D(name, h); err != nil {
-				return nil, err
-			}
+		if _, err := r.Install(name, b); err != nil {
+			return nil, fmt.Errorf("serve: snapshot %s: %w", de.Name(), err)
 		}
 	}
 	r.dir = dir
@@ -337,7 +343,7 @@ func (r *Registry) Publish(name string, h *wavelethist.Histogram) (*Entry, error
 	if h == nil {
 		return nil, fmt.Errorf("serve: nil histogram")
 	}
-	return r.publish(name, &Entry{Name: name, H: h})
+	return r.publishAs(&Entry{Name: name, H: h}, h)
 }
 
 // Publish2D installs (or replaces) the named 2D histogram.
@@ -345,18 +351,66 @@ func (r *Registry) Publish2D(name string, h *wavelethist.Histogram2D) (*Entry, e
 	if h == nil {
 		return nil, fmt.Errorf("serve: nil histogram")
 	}
-	return r.publish(name, &Entry{Name: name, H2D: h})
+	return r.publishAs(&Entry{Name: name, H2D: h}, h)
 }
 
-func (r *Registry) publish(name string, e *Entry) (*Entry, error) {
-	if err := ValidName(name); err != nil {
+// Install publishes an encoded blob under name, decoded by its magic: a
+// WHST or WH2D blob is the histogram; a WMNT blob is a maintainer's state,
+// whose histogram is served and whose state seeds the name's maintainer.
+// With a snapshot dir the blob itself becomes the entry file.
+func (r *Registry) Install(name string, blob []byte) (*Entry, error) {
+	v, err := wavelethist.Unmarshal(blob)
+	if err != nil {
+		return nil, err
+	}
+	e := &Entry{Name: name}
+	switch v := v.(type) {
+	case *wavelethist.Histogram:
+		e.H = v
+	case *wavelethist.Histogram2D:
+		e.H2D = v
+	case *wavelethist.MaintainedHistogram:
+		e.H = v.Histogram()
+		e.seed.Store(v)
+	}
+	return r.publish(e, blob)
+}
+
+// publishAs publishes e with state's encoding as its entry file.
+func (r *Registry) publishAs(e *Entry, state encoding.BinaryMarshaler) (*Entry, error) {
+	file, err := r.encode(e.Name, state)
+	if err != nil {
+		return nil, err
+	}
+	return r.publish(e, file)
+}
+
+// encode returns state's encoding — the entry file a publish of name
+// writes — or nil when r has no snapshot dir. It runs before r.mu is
+// taken: a maintainer's state takes milliseconds to marshal.
+func (r *Registry) encode(name string, state encoding.BinaryMarshaler) ([]byte, error) {
+	if r.dir == "" {
+		return nil, nil
+	}
+	b, err := state.MarshalBinary()
+	if err != nil {
+		return nil, fmt.Errorf("serve: marshal %q: %w", name, err)
+	}
+	return b, nil
+}
+
+// publish installs e under e.Name. With a snapshot dir it first replaces
+// the name's entry file with file (atomic tmp+rename, so a crash
+// mid-write never leaves a torn file); a failed write publishes nothing.
+func (r *Registry) publish(e *Entry, file []byte) (*Entry, error) {
+	if err := ValidName(e.Name); err != nil {
 		return nil, err
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.dir != "" {
-		if err := r.persist(e); err != nil {
-			return nil, err
+		if err := atomicfile.WriteFile(atomicfile.OS, filepath.Join(r.dir, e.Name+fileExt), file); err != nil {
+			return nil, fmt.Errorf("serve: persist %q: %w", e.Name, err)
 		}
 	}
 	old := r.snap.Load()
@@ -367,16 +421,13 @@ func (r *Registry) publish(name string, e *Entry) (*Entry, error) {
 	for n, oe := range old.entries {
 		next.entries[n] = oe
 	}
-	if prev, ok := old.entries[name]; ok {
+	if prev, ok := old.entries[e.Name]; ok {
 		e.Stats = prev.Stats // serving counters survive republish
-		if r.dir != "" && entryExt(prev) != entryExt(e) {
-			os.Remove(filepath.Join(r.dir, name+entryExt(prev)))
-		}
 	} else {
 		e.Stats = NewStats()
 	}
 	e.Version = next.version
-	next.entries[name] = e
+	next.entries[e.Name] = e
 	r.snap.Store(next)
 	return e, nil
 }
@@ -387,12 +438,11 @@ func (r *Registry) Drop(name string) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	old := r.snap.Load()
-	e, ok := old.entries[name]
-	if !ok {
+	if _, ok := old.entries[name]; !ok {
 		return false
 	}
 	if r.dir != "" {
-		os.Remove(filepath.Join(r.dir, name+entryExt(e)))
+		os.Remove(filepath.Join(r.dir, name+fileExt))
 	}
 	next := &Snapshot{
 		version: old.version + 1,
@@ -405,32 +455,4 @@ func (r *Registry) Drop(name string) bool {
 	}
 	r.snap.Store(next)
 	return true
-}
-
-func entryExt(e *Entry) string {
-	if e.Is2D() {
-		return ext2D
-	}
-	return ext1D
-}
-
-// persist writes the entry's wire-format blob under the snapshot dir with
-// an atomic tmp+rename, so a crash mid-write never leaves a torn file.
-func (r *Registry) persist(e *Entry) error {
-	var (
-		b   []byte
-		err error
-	)
-	if e.Is2D() {
-		b, err = e.H2D.MarshalBinary()
-	} else {
-		b, err = e.H.MarshalBinary()
-	}
-	if err != nil {
-		return fmt.Errorf("serve: marshal %q: %w", e.Name, err)
-	}
-	if err := atomicfile.WriteFile(atomicfile.OS, filepath.Join(r.dir, e.Name+entryExt(e)), b); err != nil {
-		return fmt.Errorf("serve: persist %q: %w", e.Name, err)
-	}
-	return nil
 }

@@ -1,8 +1,13 @@
 package serve
 
 import (
+	"bytes"
+	"encoding"
+	"log"
+	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -131,6 +136,157 @@ func TestRegistryPersistence(t *testing.T) {
 	}
 	if _, err := OpenRegistry(dir); err == nil {
 		t.Fatal("OpenRegistry accepted a corrupt snapshot")
+	}
+}
+
+// TestRegistryLegacyFiles: a file an older build left in the snapshot dir
+// follows one rule at open. A <name>.wh2d, already a WH2D blob, is renamed
+// once to <name>.whst. A <name>.wmnt maintainer sidecar is removed with
+// one log line naming it, and the name's next update reseeds from the
+// published top-k, counted as source="published". A corrupt maintained
+// entry file fails the open like any corrupt snapshot.
+func TestRegistryLegacyFiles(t *testing.T) {
+	var logged bytes.Buffer
+	log.SetOutput(&logged)
+	t.Cleanup(func() { log.SetOutput(os.Stderr) })
+
+	blob := func(m encoding.BinaryMarshaler) []byte {
+		t.Helper()
+		b, err := m.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	h := buildHist(t, 20000, 1<<12, 30, 5)
+	grid := blob(buildHist2D(t, 64, 20, 3))
+	seeded, err := wavelethist.MaintainHistogram(h, h.K(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromPublished := blob(seeded)
+	seeded.Update(42, 500) // the sidecar's state is not the published top-k
+	sidecar := blob(seeded)
+	gone := func(t *testing.T, path string) {
+		t.Helper()
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Errorf("%s still there (%v)", filepath.Base(path), err)
+		}
+	}
+
+	for _, tc := range []struct {
+		name  string
+		files map[string][]byte
+		check func(t *testing.T, dir string, s *Server) // nil: the open fails
+	}{
+		{"wh2d renamed", map[string][]byte{"g.wh2d": grid}, func(t *testing.T, dir string, s *Server) {
+			if e, ok := s.Registry().Lookup("g"); !ok || !e.Is2D() {
+				t.Fatal("2D entry not served")
+			}
+			gone(t, filepath.Join(dir, "g.wh2d"))
+			if b, err := os.ReadFile(filepath.Join(dir, "g"+fileExt)); err != nil || !bytes.Equal(b, grid) {
+				t.Fatalf("g.whst is not the renamed WH2D blob (%v)", err)
+			}
+			r, err := OpenRegistry(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if e, ok := r.Lookup("g"); !ok || !e.Is2D() {
+				t.Fatal("2D entry not served after a second open")
+			}
+		}},
+		{"wmnt removed", map[string][]byte{"m" + fileExt: blob(h), "m.wmnt": sidecar}, func(t *testing.T, dir string, s *Server) {
+			gone(t, filepath.Join(dir, "m.wmnt"))
+			if n := strings.Count(logged.String(), "m.wmnt"); n != 1 {
+				t.Errorf("removal logged %d times, want once naming m.wmnt:\n%s", n, logged.String())
+			}
+			e, _ := s.Registry().Lookup("m")
+			m, err := s.maintainer(e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(blob(m.mh), fromPublished) {
+				t.Error("maintainer not reseeded from the published top-k")
+			}
+			if p, sn := s.seeds["published"].Value(), s.seeds["snapshot"].Value(); p != 1 || sn != 0 {
+				t.Errorf("seeds published=%d snapshot=%d, want 1 and 0", p, sn)
+			}
+		}},
+		{"corrupt maintained entry", map[string][]byte{"m" + fileExt: append(sidecar[:len(sidecar):len(sidecar)], 0)}, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			for name, b := range tc.files {
+				if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			logged.Reset()
+			s, err := NewServer(Config{SnapshotDir: dir})
+			if tc.check == nil {
+				if err == nil {
+					t.Fatal("open accepted a corrupt maintained entry file")
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.check(t, dir, s)
+		})
+	}
+}
+
+// TestMaintainedEntryFileServesBuiltHistogram: a "maintain" build writes
+// its maintainer's state as the entry file, and a restart serves that
+// state's histogram. For every method below it answers every point and a
+// sweep of ranges bit for bit as the built histogram did.
+func TestMaintainedEntryFileServesBuiltHistogram(t *testing.T) {
+	const u = 1 << 12
+	ds, err := wavelethist.NewZipfDataset(wavelethist.ZipfOptions{Records: 20000, Domain: u, Alpha: 1.1, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, method := range []wavelethist.Method{wavelethist.SendV, wavelethist.HWTopk, wavelethist.TwoLevelS, wavelethist.SendCoef} {
+		t.Run(string(method), func(t *testing.T) {
+			res, err := wavelethist.Build(ds, method, wavelethist.Options{K: 30, Seed: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := res.Histogram
+			mh, err := wavelethist.MaintainHistogram(h, h.K(), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dir := t.TempDir()
+			r, err := OpenRegistry(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := r.publishAs(&Entry{Name: "m", H: h}, mh); err != nil {
+				t.Fatal(err)
+			}
+			r2, err := OpenRegistry(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e, _ := r2.Lookup("m")
+			if e.seed.Load() == nil {
+				t.Fatal("the entry file restored no maintainer state")
+			}
+			for x := int64(0); x < u; x++ {
+				if got, want := e.H.PointEstimate(x), h.PointEstimate(x); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("point %d: %v after restart, %v built", x, got, want)
+				}
+			}
+			for lo := int64(0); lo < u; lo += 37 {
+				for _, hi := range []int64{lo, lo + 100, u - 1} {
+					if got, want := e.H.RangeCount(lo, hi), h.RangeCount(lo, hi); math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("range [%d, %d]: %v after restart, %v built", lo, hi, got, want)
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"encoding"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -111,26 +112,19 @@ func (s *Server) pullResponse(since, reqEpoch uint64) *dist.ReplPullResponse {
 	snap := s.reg.Snapshot()
 	resp := &dist.ReplPullResponse{Version: snap.Version(), Epoch: epoch, Since: since, Names: snap.Names()}
 	for _, e := range snap.EntriesSince(since) {
-		var (
-			blob []byte
-			err  error
-			kind byte
-		)
+		// The served histogram ships, a maintained entry's included: its
+		// blob's magic names its kind.
+		var h encoding.BinaryMarshaler = e.H
 		if e.Is2D() {
-			blob, err = e.H2D.MarshalBinary()
-			kind = dist.ReplKind2D
-		} else {
-			blob, err = e.H.MarshalBinary()
-			kind = dist.ReplKind1D
+			h = e.H2D
 		}
+		blob, err := h.MarshalBinary()
 		if err != nil {
 			// A published histogram always marshals (it was validated on
 			// the way in); skip defensively rather than torn-replicate.
 			continue
 		}
-		resp.Entries = append(resp.Entries, dist.ReplEntry{
-			Name: e.Name, Kind: kind, Version: e.Version, Blob: blob,
-		})
+		resp.Entries = append(resp.Entries, dist.ReplEntry{Name: e.Name, Version: e.Version, Blob: blob})
 	}
 	return resp
 }

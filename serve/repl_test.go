@@ -2,8 +2,14 @@ package serve
 
 import (
 	"bytes"
+	"fmt"
 	"io"
+	"math"
 	"net/http"
+	"os"
+	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -119,66 +125,136 @@ func TestReadOnlyReplicaMode(t *testing.T) {
 }
 
 // TestMaintainerPersistence: maintainer state (the full tracked set, not
-// just the published top-k) survives a server restart through the .wmnt
-// snapshot written at each republish.
+// just the published top-k) survives a server restart. Every acknowledged
+// republish — flushed or every RepublishEvery updates — writes the state
+// as the name's entry file, and a server restarted on the directory after
+// any of them resumes a maintainer whose WMNT encoding is the live one's,
+// byte for byte, at the entry's version.
 func TestMaintainerPersistence(t *testing.T) {
 	dir := t.TempDir()
 	s1, ts1 := newTestServer(t, Config{SnapshotDir: dir, RepublishEvery: 4})
 	if _, err := s1.Registry().Publish("m", buildHist(t, 20000, 1<<12, 30, 5)); err != nil {
 		t.Fatal(err)
 	}
-	// Apply updates; the flush forces a republish, which persists .wmnt.
-	postJSON(t, ts1.URL+"/v1/hist/m/updates", map[string]any{
-		"updates": []map[string]any{
-			{"key": 42, "delta": 500}, {"key": 99, "delta": -3}, {"key": 7, "delta": 12},
-		},
-		"flush": true,
-	}, http.StatusOK)
-
-	s1.mu.Lock()
-	m1 := s1.maints["m"]
-	s1.mu.Unlock()
-	if m1 == nil {
-		t.Fatal("no live maintainer after updates")
+	marshal := func(m *maintained) []byte {
+		t.Helper()
+		b, err := m.mh.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
 	}
-	want, err := m1.mh.MarshalBinary()
-	if err != nil {
+	for i, batch := range []struct {
+		updates []KeyUpdate
+		flush   bool
+	}{
+		{[]KeyUpdate{{Key: 42, Delta: 500}, {Key: 99, Delta: -3}, {Key: 7, Delta: 12}}, true},
+		{[]KeyUpdate{{Key: 1000, Delta: 40}, {Key: 3, Delta: 2}, {Key: 42, Delta: -7}, {Key: 4000, Delta: 9}}, false},
+		{[]KeyUpdate{{Key: 2048, Delta: 300}}, true},
+	} {
+		out := postJSON(t, ts1.URL+"/v1/hist/m/updates", map[string]any{"updates": batch.updates, "flush": batch.flush}, http.StatusOK)
+		if out["republished"] != true {
+			t.Fatalf("batch %d was not republished: %v", i, out)
+		}
+		s1.mu.Lock()
+		want := marshal(s1.maints["m"])
+		s1.mu.Unlock()
+
+		s2, _ := newTestServer(t, Config{SnapshotDir: dir, RepublishEvery: 4})
+		e, ok := s2.Registry().Lookup("m")
+		if !ok {
+			t.Fatal("entry missing after restart")
+		}
+		m2, err := s2.maintainer(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(marshal(m2), want) {
+			t.Fatalf("after republish %d: restored maintainer state differs from the live one", i)
+		}
+		if m2.base != e.Version {
+			t.Fatal("restored maintainer base does not match registry entry version")
+		}
+		s2.Close()
+	}
+
+	// The restored lineage keeps accepting updates and republishing, from
+	// several clients at once: exactly one of them claims the saved state.
+	s3, ts3 := newTestServer(t, Config{SnapshotDir: dir, RepublishEvery: 4})
+	var wg sync.WaitGroup
+	for key := 40; key < 44; key++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			body := fmt.Sprintf(`{"updates":[{"key":%d,"delta":1}],"flush":true}`, key)
+			resp, err := http.Post(ts3.URL+"/v1/hist/m/updates", "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("update of key %d after restart: HTTP %d", key, resp.StatusCode)
+			}
+		}()
+	}
+	wg.Wait()
+	if sn, p := s3.seeds["snapshot"].Value(), s3.seeds["published"].Value(); sn != 1 || p != 0 {
+		t.Errorf("seeds snapshot=%d published=%d after concurrent updates, want 1 and 0", sn, p)
+	}
+}
+
+// TestAcknowledgedUpdateSurvivesRestart: a restart never rolls back an
+// acknowledged republish. The histogram and the maintainer state it came
+// from are one entry file written in one atomic step, so no failed second
+// write can leave an older state behind for the restarted daemon to
+// resume from and republish. (A directory at m.wmnt.tmp once failed such
+// a write silently, and the first unrelated update after a restart erased
+// key 42's acknowledged delta.)
+func TestAcknowledgedUpdateSurvivesRestart(t *testing.T) {
+	dir := t.TempDir()
+	s1, ts1 := newTestServer(t, Config{SnapshotDir: dir})
+	if _, err := s1.Registry().Publish("m", buildHist(t, 20000, 1<<12, 30, 5)); err != nil {
 		t.Fatal(err)
 	}
-
-	// Restart on the same directory: the maintainer is re-seeded from
-	// disk with byte-identical state (deterministic WMNT encoding).
-	s2, ts2 := newTestServer(t, Config{SnapshotDir: dir, RepublishEvery: 4})
-	s2.mu.Lock()
-	m2 := s2.maints["m"]
-	s2.mu.Unlock()
-	if m2 == nil {
-		t.Fatal("maintainer not restored from snapshot dir")
+	update := func(base string, key int64, delta float64) {
+		t.Helper()
+		postJSON(t, base+"/v1/hist/m/updates", map[string]any{
+			"updates": []KeyUpdate{{Key: key, Delta: delta}}, "flush": true,
+		}, http.StatusOK)
 	}
-	got, err := m2.mh.MarshalBinary()
-	if err != nil {
+	estimate := func(base string) float64 {
+		t.Helper()
+		est, _ := getJSON(t, base+"/v1/hist/m/point?key=42", http.StatusOK)["estimate"].(float64)
+		return est
+	}
+	update(ts1.URL, 42, 500)
+	if err := os.Mkdir(filepath.Join(dir, "m.wmnt.tmp"), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, want) {
-		t.Fatal("restored maintainer state differs from saved state")
-	}
-	if m2.base != func() uint64 { e, _ := s2.Registry().Lookup("m"); return e.Version }() {
-		t.Fatal("restored maintainer base does not match registry entry version")
+	update(ts1.URL, 42, 100_000)
+	want := estimate(ts1.URL)
+	if want < 100_000 {
+		t.Fatalf("key 42 = %v before the restart, want the acknowledged +100000 in it", want)
 	}
 
-	// The restored lineage keeps accepting updates and republishing.
-	postJSON(t, ts2.URL+"/v1/hist/m/updates", map[string]any{
-		"updates": []map[string]any{{"key": 42, "delta": 1}},
-		"flush":   true,
-	}, http.StatusOK)
+	_, ts2 := newTestServer(t, Config{SnapshotDir: dir})
+	if got := estimate(ts2.URL); got != want {
+		t.Fatalf("key 42 = %v after the restart, want %v", got, want)
+	}
+	update(ts2.URL, 7, 1)
+	if got := estimate(ts2.URL); math.Abs(got-want) > 1 {
+		t.Fatalf("key 42 = %v after one update of key 7 on the restarted daemon, want %v ± 1", got, want)
+	}
 }
 
 // TestMaintainerSeedsCounted: wavehist_maintainer_seeds_total says what
-// every live maintainer was seeded from. A promoted replica has no .wmnt
-// state, so its first update seeds from the published top-k and loses the
-// shadow set (published +1); a restart over a snapshot dir reloads the
-// saved tracked set instead (snapshot +1, published 0); a build with
-// "maintain" seeds from the build (build +1).
+// every live maintainer was seeded from. A promoted replica was shipped
+// the histogram only, so its first update seeds from the published top-k
+// and loses the shadow set (published +1); after a restart over a
+// snapshot dir, the first update resumes the tracked set saved in the
+// entry file instead (snapshot +1, published 0); a build with "maintain"
+// seeds from the build (build +1).
 func TestMaintainerSeedsCounted(t *testing.T) {
 	seeds := func(base string) map[string]float64 {
 		t.Helper()
@@ -216,7 +292,7 @@ func TestMaintainerSeedsCounted(t *testing.T) {
 	if _, err := s1.Registry().Publish("m", h); err != nil {
 		t.Fatal(err)
 	}
-	update(ts1.URL) // seeds from the published top-k, then persists .wmnt
+	update(ts1.URL) // seeds from the published top-k; the republish writes the state
 	_, ts2 := newTestServer(t, Config{SnapshotDir: dir})
 	update(ts2.URL)
 	if got := seeds(ts2.URL); got["snapshot"] != 1 || got["published"] != 0 || got["build"] != 0 {

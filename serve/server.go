@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -25,8 +26,9 @@ import (
 // default batch and body limits. The dataset, build-concurrency and
 // job-retention limits are constants (see maxDatasetRecords).
 type Config struct {
-	// SnapshotDir persists published histograms (loaded at startup,
-	// written on publish). Empty = in-memory only.
+	// SnapshotDir persists each published histogram as one entry file,
+	// <name>.whst (loaded at startup, written on publish; a maintained
+	// name's file holds its maintainer's state). Empty = in-memory only.
 	SnapshotDir string
 	// RepublishEvery is how many applied updates trigger an automatic
 	// atomic republish of a maintained histogram's adapted top-k
@@ -155,10 +157,6 @@ type Server struct {
 	mu       sync.Mutex
 	datasets map[string]*wavelethist.Dataset
 	maints   map[string]*maintained
-
-	// persistWarned holds the names whose maintainer snapshot failure
-	// has been logged (persistMaint runs under differing locks).
-	persistWarned sync.Map
 }
 
 // NewServer builds a Server, loading SnapshotDir if configured.
@@ -197,7 +195,6 @@ func NewServer(cfg Config) (*Server, error) {
 		s.slowLog = newSlowLogSink(cfg.SlowQueryDir)
 	}
 	s.initMetrics()
-	s.loadMaints()
 	s.routes()
 	return s, nil
 }
@@ -581,11 +578,20 @@ func (s *Server) handleUpdates(w http.ResponseWriter, r *http.Request) {
 	)
 	if republish {
 		// Publish the adapted top-k atomically; in-flight queries keep
-		// the old snapshot, new ones see the fresh coefficients. Under
+		// the old snapshot, new ones see the fresh coefficients. The
+		// entry file is the maintainer's state, so histogram and state
+		// land in one write; it is encoded here, under m.mu alone. Under
 		// s.mu, verify this maintainer is still the registered one AND
 		// its base version still matches the registry — a concurrent
 		// rebuild invalidates both, and a stale maintainer must never
 		// overwrite a freshly built histogram.
+		h := m.mh.Histogram()
+		file, err := s.reg.encode(e.Name, m.mh)
+		if err != nil {
+			m.mu.Unlock()
+			writeErr(w, http.StatusInternalServerError, "republish: %v", err)
+			return
+		}
 		s.mu.Lock()
 		cur, ok := s.reg.Lookup(e.Name)
 		if s.maints[e.Name] != m || !ok || cur.Version != m.base {
@@ -597,7 +603,7 @@ func (s *Server) handleUpdates(w http.ResponseWriter, r *http.Request) {
 			writeErr(w, http.StatusConflict, "histogram %q was rebuilt concurrently; re-send updates", e.Name)
 			return
 		}
-		ne, perr := s.reg.Publish(e.Name, m.mh.Histogram())
+		ne, perr := s.reg.publish(&Entry{Name: e.Name, H: h}, file)
 		s.mu.Unlock()
 		if perr != nil {
 			m.mu.Unlock()
@@ -607,10 +613,6 @@ func (s *Server) handleUpdates(w http.ResponseWriter, r *http.Request) {
 		version = ne.Version
 		m.base = ne.Version
 		m.pending = 0
-		// The published histogram and the saved maintainer state now
-		// describe the same lineage point; persist them together so a
-		// restart resumes exactly here.
-		s.persistMaint(e.Name, m.mh)
 	} else {
 		version = s.reg.Version()
 	}
@@ -628,13 +630,15 @@ func (s *Server) handleUpdates(w http.ResponseWriter, r *http.Request) {
 }
 
 // maintainer returns (creating on first use) the live maintainer for a
-// published 1D histogram, seeded from its current coefficients. The
-// registry entry is re-resolved under s.mu: the caller's entry may be
-// stale if a rebuild published (and invalidated the old maintainer)
-// between the caller's lookup and this call — seeding from it would
-// let a later republish silently overwrite the fresh build. The seed is
-// the top-k only, without the shadow set a .wmnt would have kept, and is
-// counted as wavehist_maintainer_seeds_total{source="published"}.
+// published 1D histogram. The registry entry is re-resolved under s.mu:
+// the caller's entry may be stale if a rebuild published (and
+// invalidated the old maintainer) between the caller's lookup and this
+// call — seeding from it would let a later republish silently overwrite
+// the fresh build. An entry installed from a maintainer's state (a
+// restart over a maintained name's entry file) hands over that state,
+// counted as wavehist_maintainer_seeds_total{source="snapshot"}; any
+// other seed is the top-k only, without a shadow set, and is counted as
+// source="published".
 func (s *Server) maintainer(e *Entry) (*maintained, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -645,14 +649,17 @@ func (s *Server) maintainer(e *Entry) (*maintained, error) {
 	if !ok || cur.Is2D() {
 		return nil, fmt.Errorf("serve: %q no longer maintainable", e.Name)
 	}
-	mh, err := wavelethist.MaintainHistogram(cur.H, cur.K(), 0)
-	if err != nil {
-		return nil, err
+	src, mh := "snapshot", cur.seed.Swap(nil)
+	if mh == nil {
+		var err error
+		if mh, err = wavelethist.MaintainHistogram(cur.H, cur.K(), 0); err != nil {
+			return nil, err
+		}
+		src = "published"
 	}
 	m := &maintained{mh: mh, base: cur.Version}
 	s.maints[e.Name] = m
-	s.seeds["published"].Inc()
-	s.persistMaint(e.Name, mh)
+	s.seeds[src].Inc()
 	return m, nil
 }
 
@@ -934,28 +941,33 @@ func (s *Server) runBuild(ctx context.Context, cancel context.CancelFunc, job *J
 	s.mu.Lock()
 	delete(s.maints, req.Name)
 	s.mu.Unlock()
-	s.removeMaintFile(req.Name)
-	e, err := s.reg.Publish(req.Name, res.Histogram)
+	// A maintained build's entry file is its maintainer's state.
+	var (
+		mh    *wavelethist.MaintainedHistogram
+		state encoding.BinaryMarshaler = res.Histogram
+	)
+	if req.Maintain {
+		if mh, err = wavelethist.MaintainHistogram(res.Histogram, res.Histogram.K(), req.Shadow); err != nil {
+			s.jobs.fail(job, fmt.Errorf("maintainer setup failed: %w", err))
+			s.buildsFailed.Inc()
+			return
+		}
+		state = mh
+	}
+	e, err := s.reg.publishAs(&Entry{Name: req.Name, H: res.Histogram}, state)
 	if err != nil {
 		s.jobs.fail(job, err)
 		s.buildsFailed.Inc()
 		return
 	}
-	if req.Maintain {
-		mh, merr := wavelethist.MaintainHistogram(res.Histogram, res.Histogram.K(), req.Shadow)
-		if merr != nil {
-			s.jobs.fail(job, fmt.Errorf("histogram published at version %d, but maintainer setup failed: %w", e.Version, merr))
-			s.buildsFailed.Inc()
-			return
-		}
+	if mh != nil {
 		s.mu.Lock()
 		s.maints[req.Name] = &maintained{mh: mh, base: e.Version}
 		s.mu.Unlock()
 		s.seeds["build"].Inc()
-		s.persistMaint(req.Name, mh)
 	}
+	s.buildsDone.Inc() // before finish: a waiter on the job sees it counted
 	s.jobs.finish(job, e, res.Histogram.K(), res)
-	s.buildsDone.Inc()
 }
 
 // handleJobTrace serves the distributed build's span trace for a serve
