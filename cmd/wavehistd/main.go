@@ -54,12 +54,10 @@ func main() {
 	var (
 		addr      = flag.String("addr", ":8080", "listen address")
 		snapshots = flag.String("snapshots", "", "snapshot directory (persists published histograms; empty = in-memory)")
-		republish = flag.Int("republish-every", 256, "updates between automatic maintainer republishes")
 		demo      = flag.Bool("demo", false, "register a demo Zipf dataset and publish a 'demo' histogram at startup")
 		workers   = flag.Int("workers", 0, "spawn N in-process loopback workers for distributed builds")
 		distMode  = flag.Bool("dist", false, "accept remote waveworker registrations on /dist/v1/register")
 		replicaOf = flag.String("replica-of", "", "run as a read replica following the primary wavehistd at this base URL")
-		syncEvery = flag.Duration("sync-every", time.Second, "replica pull interval (with -replica-of)")
 		shard     = flag.String("shard", "", "shard label reported in /v1/stats (informational)")
 		slowQuery = flag.Duration("slow-query", 0, "log queries slower than this threshold (0 disables the slow-query log)")
 		slowDir   = flag.String("slow-query-dir", "", "append slow queries as JSONL records (slow-queries.jsonl) into this directory")
@@ -69,9 +67,9 @@ func main() {
 	flag.Parse()
 
 	srv, s, rep, err := newDaemonCfg(daemonConfig{
-		addr: *addr, snapshots: *snapshots, republish: *republish, demo: *demo,
+		addr: *addr, snapshots: *snapshots, demo: *demo,
 		workers: *workers, distMode: *distMode,
-		replicaOf: *replicaOf, syncEvery: *syncEvery, shard: *shard,
+		replicaOf: *replicaOf, shard: *shard,
 		slowQuery: *slowQuery, slowQueryDir: *slowDir, traceDir: *traceDir,
 	})
 	if err != nil {
@@ -81,7 +79,7 @@ func main() {
 	obs.ServeDebug(*debugAddr, log.Printf)
 	if rep != nil {
 		rep.Start()
-		log.Printf("wavehistd: read replica following %s (pull every %s)", *replicaOf, *syncEvery)
+		log.Printf("wavehistd: read replica following %s (pull every %s)", *replicaOf, replicaSyncEvery)
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -118,22 +116,23 @@ func main() {
 // daemonConfig is the resolved flag set.
 type daemonConfig struct {
 	addr, snapshots string
-	republish       int
 	demo            bool
 	workers         int
 	distMode        bool
 	replicaOf       string
-	syncEvery       time.Duration
 	shard           string
 	slowQuery       time.Duration
 	slowQueryDir    string
 	traceDir        string
 }
 
+// replicaSyncEvery is how often a -replica-of daemon pulls its primary.
+const replicaSyncEvery = time.Second
+
 // newDaemon assembles the HTTP server (split from main so tests can run
 // it on a loopback listener).
-func newDaemon(addr, snapshots string, republish int, demo bool) (*http.Server, error) {
-	srv, _, err := newDaemonDist(addr, snapshots, republish, demo, 0, false)
+func newDaemon(addr, snapshots string, demo bool) (*http.Server, error) {
+	srv, _, err := newDaemonDist(addr, snapshots, demo, 0, false)
 	return srv, err
 }
 
@@ -141,9 +140,9 @@ func newDaemon(addr, snapshots string, republish int, demo bool) (*http.Server, 
 // coordinator: workers > 0 spawns an in-process loopback fleet; distMode
 // accepts remote waveworker registrations. Either enables
 // "distributed": true builds and the /dist/v1/* endpoints.
-func newDaemonDist(addr, snapshots string, republish int, demo bool, workers int, distMode bool) (*http.Server, *serve.Server, error) {
+func newDaemonDist(addr, snapshots string, demo bool, workers int, distMode bool) (*http.Server, *serve.Server, error) {
 	srv, s, _, err := newDaemonCfg(daemonConfig{
-		addr: addr, snapshots: snapshots, republish: republish, demo: demo,
+		addr: addr, snapshots: snapshots, demo: demo,
 		workers: workers, distMode: distMode,
 	})
 	return srv, s, err
@@ -159,20 +158,16 @@ func newDaemonCfg(c daemonConfig) (*http.Server, *serve.Server, *ha.Replica, err
 	var coord *dist.Coordinator
 	switch {
 	case c.workers > 0:
-		// Loopback fleets don't heartbeat: leave expiry off. Remote
-		// workers can still join via the HTTP fallback transport.
+		// Remote workers can still join via the HTTP fallback transport;
+		// they expire when they stop heartbeating, the loopback ones never.
 		coord, _ = dist.NewLoopbackCluster(c.workers, 0, dist.Config{TraceDir: c.traceDir})
 		log.Printf("wavehistd: distributed builds over %d in-process workers", c.workers)
 	case c.distMode:
-		coord = dist.NewCoordinator(dist.NewHTTPTransport(), dist.Config{
-			HeartbeatTimeout: 15 * time.Second,
-			TraceDir:         c.traceDir,
-		})
+		coord = dist.NewCoordinator(dist.NewHTTPTransport(), dist.Config{TraceDir: c.traceDir})
 		log.Print("wavehistd: accepting waveworker registrations on /dist/v1/register")
 	}
 	s, err := serve.NewServer(serve.Config{
 		SnapshotDir:        c.snapshots,
-		RepublishEvery:     c.republish,
 		Coordinator:        coord,
 		ReadOnly:           c.replicaOf != "",
 		Shard:              c.shard,
@@ -189,7 +184,7 @@ func newDaemonCfg(c daemonConfig) (*http.Server, *serve.Server, *ha.Replica, err
 	}
 	var rep *ha.Replica
 	if c.replicaOf != "" {
-		rep = ha.NewReplica(s, c.replicaOf, c.syncEvery)
+		rep = ha.NewReplica(s, c.replicaOf, replicaSyncEvery)
 	}
 	return &http.Server{
 		Addr:              c.addr,

@@ -17,7 +17,7 @@ import (
 // TestDaemonServesDemo boots the daemon on a loopback listener with the
 // demo bootstrap and checks the full query surface end to end.
 func TestDaemonServesDemo(t *testing.T) {
-	srv, err := newDaemon("127.0.0.1:0", "", 256, true)
+	srv, err := newDaemon("127.0.0.1:0", "", true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestDaemonServesDemo(t *testing.T) {
 // TestDaemonDistributedBuild boots the daemon with -workers 2 and runs a
 // distributed build end to end through the HTTP API.
 func TestDaemonDistributedBuild(t *testing.T) {
-	srv, s, err := newDaemonDist("127.0.0.1:0", "", 256, false, 2, false)
+	srv, s, err := newDaemonDist("127.0.0.1:0", "", false, 2, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestDaemonRejectsBadSnapshotDir(t *testing.T) {
 	if err := writeFile(f); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := newDaemon("127.0.0.1:0", f, 0, false); err == nil {
+	if _, err := newDaemon("127.0.0.1:0", f, false); err == nil {
 		t.Fatal("newDaemon accepted a file as snapshot dir")
 	}
 }
@@ -180,7 +180,7 @@ func writeFile(path string) error {
 // serves a lint-clean exposition covering query, build, cache, and
 // replication families.
 func TestDaemonMetricsEndpoint(t *testing.T) {
-	srv, s, err := newDaemonDist("127.0.0.1:0", "", 256, true, 2, false)
+	srv, s, err := newDaemonDist("127.0.0.1:0", "", true, 2, false)
 	if err != nil {
 		t.Fatal(err)
 	}

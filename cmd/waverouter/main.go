@@ -24,10 +24,11 @@
 //	curl localhost:8080/v1/router                        # topology + failover counters
 //
 // With -probe-every the router becomes self-healing: it probes every
-// target's /healthz, marks primaries down after -probe-fails consecutive
+// target's /healthz, marks primaries down after three consecutive
 // failures, auto-promotes the most caught-up replica with an epoch
 // fencing token, and demotes a resurrected old primary read-only before
-// it can split the write lineage.
+// it can split the write lineage. Proxied reads time out after 2s,
+// mutations after 60s.
 package main
 
 import (
@@ -52,24 +53,14 @@ func main() {
 		addr         = flag.String("addr", ":8080", "listen address")
 		shards       = flag.String("shards", "", "cluster topology: shards separated by ';', URLs within a shard by ',' (first = primary, rest = replicas)")
 		debugAddr    = flag.String("debug-addr", "", "serve net/http/pprof on this separate address (empty = off)")
-		coalesceWait = flag.Duration("coalesce-wait", 250*time.Microsecond, "merge single-query GETs for the same histogram arriving within this window into one vectorized shard batch (0 = off)")
-		coalesceMax  = flag.Int("coalesce-max", 256, "dispatch a coalesced batch immediately once it holds this many queries")
-		readTimeout  = flag.Duration("read-timeout", 2*time.Second, "deadline for proxied reads (point/range/batch/stats/metrics)")
-		writeTimeout = flag.Duration("write-timeout", 60*time.Second, "deadline for proxied mutations (updates/datasets/build)")
+		coalesceWait = flag.Duration("coalesce-wait", 250*time.Microsecond, "merge single-query GETs for the same histogram arriving within this window into one vectorized shard batch of at most 256 (0 = off)")
 		probeEvery   = flag.Duration("probe-every", 0, "health-probe every shard target on this interval and auto-promote the most caught-up replica when a primary dies (0 = static topology, no probing)")
-		probeFails   = flag.Int("probe-fails", 3, "consecutive probe failures before a target is marked down")
-		noFailover   = flag.Bool("no-auto-failover", false, "probe and report health (with -probe-every) but never promote or demote")
 	)
 	flag.Parse()
 
 	rt, err := newRouter(*shards, ha.RouterConfig{
-		CoalesceWait:       *coalesceWait,
-		CoalesceMax:        *coalesceMax,
-		ReadTimeout:        *readTimeout,
-		MutationTimeout:    *writeTimeout,
-		ProbeInterval:      *probeEvery,
-		ProbeFailThreshold: *probeFails,
-		NoAutoFailover:     *noFailover,
+		CoalesceWait:  *coalesceWait,
+		ProbeInterval: *probeEvery,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "waverouter:", err)

@@ -14,7 +14,8 @@
 // mergeable partial summaries. Multi-round builds (H-WTopk) additionally
 // persist per-job state leases between rounds — inspect them with
 // GET /dist/v1/state; they are dropped on the coordinator's release RPC
-// or after -lease-ttl of idleness. Kill a worker mid-build: the
+// or after five idle minutes. Computed partials are kept in a 128 MiB
+// cache, so a repeat build re-ships them. Kill a worker mid-build: the
 // coordinator re-assigns its splits (replaying earlier rounds on the new
 // owner when state was lost) and the build completes unchanged.
 package main
@@ -45,8 +46,6 @@ func main() {
 		advertise   = flag.String("advertise", "", "URL the coordinator should dial back (default http://<local-ip>:<port>)")
 		capacity    = flag.Int("capacity", 2, "concurrent map assignments served")
 		id          = flag.String("id", "", "worker id (default derived from the advertised address)")
-		leaseTTL    = flag.Duration("lease-ttl", dist.DefaultLeaseTTL, "idle multi-round state leases expire after this long")
-		cacheBytes  = flag.Int64("cache-bytes", dist.DefaultPartialCacheBytes, "partial-cache size bound (0 disables caching)")
 		debugAddr   = flag.String("debug-addr", "", "serve net/http/pprof on this separate address (empty = off)")
 	)
 	flag.Parse()
@@ -67,8 +66,6 @@ func main() {
 	}
 
 	w := dist.NewWorker(wid, *capacity)
-	w.SetLeaseTTL(*leaseTTL)
-	w.SetPartialCacheBytes(*cacheBytes)
 	srv := &http.Server{Handler: w.Handler(), ReadHeaderTimeout: 5 * time.Second}
 	go func() {
 		log.Printf("waveworker %s: serving on %s (advertised %s)", wid, ln.Addr(), self)

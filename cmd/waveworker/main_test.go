@@ -13,10 +13,24 @@ import (
 )
 
 // TestKeepRegistered exercises the register → heartbeat → forgotten →
-// re-register lifecycle against a real coordinator handler.
+// re-register lifecycle against a stub coordinator that asks for 10 ms
+// heartbeats and forgets the worker at its first one.
 func TestKeepRegistered(t *testing.T) {
-	coord := dist.NewCoordinator(dist.NewHTTPTransport(), dist.Config{HeartbeatEvery: 10 * time.Millisecond})
-	srv := httptest.NewServer(coord.Handler())
+	var registrations, heartbeats atomic.Int64
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST "+dist.PathRegister, func(w http.ResponseWriter, r *http.Request) {
+		registrations.Add(1)
+		w.Write(dist.EncodeRegisterResponse(&dist.RegisterResponse{OK: true, HeartbeatMillis: 10}))
+	})
+	mux.HandleFunc("POST "+dist.PathHeartbeat, func(w http.ResponseWriter, r *http.Request) {
+		if heartbeats.Add(1) == 1 {
+			w.WriteHeader(http.StatusNotFound)
+			w.Write(dist.EncodeHeartbeatResponse(&dist.HeartbeatResponse{}))
+			return
+		}
+		w.Write(dist.EncodeHeartbeatResponse(&dist.HeartbeatResponse{OK: true}))
+	})
+	srv := httptest.NewServer(mux)
 	defer srv.Close()
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -26,9 +40,10 @@ func TestKeepRegistered(t *testing.T) {
 	}()
 
 	deadline := time.Now().Add(5 * time.Second)
-	for coord.AliveWorkers() != 1 {
+	for registrations.Load() < 2 {
 		if time.Now().After(deadline) {
-			t.Fatal("worker never registered")
+			t.Fatalf("no re-registration after the coordinator forgot the worker: %d registrations, %d heartbeats",
+				registrations.Load(), heartbeats.Load())
 		}
 		time.Sleep(5 * time.Millisecond)
 	}

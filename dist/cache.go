@@ -20,9 +20,8 @@ import (
 // surfaced through GET /dist/v1/state and, per build, via
 // MapResponse.Cached → RoundStats.CachedSplits.
 
-// DefaultPartialCacheBytes bounds a worker's partial cache (Worker
-// SetPartialCacheBytes overrides; waveworker exposes -cache-bytes).
-const DefaultPartialCacheBytes int64 = 128 << 20
+// defaultPartialCacheBytes bounds a worker's partial cache.
+const defaultPartialCacheBytes int64 = 128 << 20
 
 // partialCacheKey canonicalizes the build-shape half of a cache key.
 // Params are defaulted first so logically equal requests collide, and the
@@ -68,9 +67,6 @@ type partialCache struct {
 }
 
 func newPartialCache(maxBytes int64) *partialCache {
-	if maxBytes < 0 {
-		maxBytes = 0
-	}
 	return &partialCache{
 		max:     maxBytes,
 		entries: make(map[string]*list.Element),
@@ -115,7 +111,7 @@ func (c *partialCache) put(base string, split int, part core.SplitPartial) {
 	key := splitKey(base, split)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.max == 0 || size > c.max {
+	if size > c.max {
 		return
 	}
 	if el, ok := c.entries[key]; ok {
@@ -138,32 +134,6 @@ func (c *partialCache) put(base string, split int, part core.SplitPartial) {
 		delete(c.entries, e.key)
 		c.bytes -= e.bytes
 		c.evictions++
-	}
-}
-
-// setMax re-bounds the cache, evicting as needed.
-func (c *partialCache) setMax(maxBytes int64) {
-	if maxBytes < 0 {
-		maxBytes = 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.max = maxBytes
-	for c.bytes > c.max {
-		back := c.lru.Back()
-		if back == nil {
-			break
-		}
-		e := back.Value.(*cacheEntry)
-		c.lru.Remove(back)
-		delete(c.entries, e.key)
-		c.bytes -= e.bytes
-		c.evictions++
-	}
-	if c.max == 0 && c.lru.Len() > 0 {
-		c.entries = make(map[string]*list.Element)
-		c.lru.Init()
-		c.bytes = 0
 	}
 }
 

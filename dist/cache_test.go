@@ -67,17 +67,6 @@ func TestPartialCacheLRU(t *testing.T) {
 	if _, ok := c.get("k", 9); ok {
 		t.Error("oversized entry cached")
 	}
-	// Shrinking the bound evicts down to it.
-	c.setMax(entryBytes)
-	if st := c.stats(); st.Entries != 1 || st.Bytes > entryBytes {
-		t.Errorf("after shrink: %v", st)
-	}
-	// 0 disables: nothing stored, existing entries dropped.
-	c.setMax(0)
-	c.put("k", 0, kvPartial(0, 1))
-	if st := c.stats(); st.Entries != 0 {
-		t.Errorf("disabled cache holds entries: %v", st)
-	}
 }
 
 // TestPartialCacheKey: the key must separate every result-affecting input
@@ -161,17 +150,6 @@ func TestWorkerWarmMap(t *testing.T) {
 	if len(inval.Cached) != 0 {
 		t.Fatalf("changed params still hit the cache: %v", inval.Cached)
 	}
-
-	// A disabled cache never reports hits.
-	w.SetPartialCacheBytes(0)
-	req.JobID = "j4"
-	off, err := w.HandleMap(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(off.Cached) != 0 {
-		t.Fatalf("disabled cache reported hits: %v", off.Cached)
-	}
 }
 
 // TestWorkerCacheEviction: a byte bound smaller than the working set
@@ -188,12 +166,16 @@ func TestWorkerCacheEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Shrink the bound so only part of the working set fits.
+	// A second worker whose bound holds only part of the working set.
 	full := w.CacheStats().Bytes
-	w.SetPartialCacheBytes(full * 2 / 3)
+	w = NewWorker("w1", 2)
+	w.cache = newPartialCache(full * 2 / 3)
+	if _, err := w.HandleMap(context.Background(), req); err != nil {
+		t.Fatal(err)
+	}
 	st := w.CacheStats()
 	if st.Evictions == 0 || st.Bytes > full*2/3 {
-		t.Fatalf("shrink did not evict: %v (was %d bytes)", st, full)
+		t.Fatalf("bound did not evict: %v (working set %d bytes)", st, full)
 	}
 	req.JobID = "j2"
 	warm, err := w.HandleMap(context.Background(), req)
@@ -275,7 +257,7 @@ func (c *cancelAtRound) MapSplits(ctx context.Context, addr string, req *MapRequ
 func TestRetryAfterCoordinatorCrash(t *testing.T) {
 	spec, file := smallZipf(t)
 	p := core.Params{U: 1 << 10, K: 25, Seed: 7}
-	ref, _ := NewLoopbackCluster(1, 2, Config{SplitsPerCall: 2})
+	ref, _ := NewLoopbackCluster(1, 2, Config{})
 	want, wantStats, err := ref.Build(context.Background(), spec, file, core.MethodHWTopk, p)
 	if err != nil {
 		t.Fatal(err)
@@ -290,7 +272,7 @@ func TestRetryAfterCoordinatorCrash(t *testing.T) {
 				workers = append(workers, w)
 			}
 			coordinator := func(tr Transport) *Coordinator {
-				c := NewCoordinator(tr, Config{SplitsPerCall: 2})
+				c := NewCoordinator(tr, Config{})
 				for _, w := range workers {
 					c.Register(w.ID(), LoopbackScheme+w.ID(), w.Capacity())
 				}

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"os"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -18,61 +19,35 @@ import (
 	"wavelethist/internal/obs"
 )
 
-// Config tunes a Coordinator. The zero value is usable. The in-flight
-// bound and the RPC timeout are constants (maxInFlight, rpcTimeout).
+// Config tunes a Coordinator. The zero value is usable; the fleet's
+// limits are constants (below).
 type Config struct {
-	// HeartbeatEvery is the interval advertised to registering workers
-	// (default 3s).
-	HeartbeatEvery time.Duration
-	// HeartbeatTimeout marks a worker dead when neither a heartbeat nor a
-	// successful RPC has been seen for this long. 0 disables expiry —
-	// the right setting for in-process loopback fleets, which do not
-	// heartbeat.
-	HeartbeatTimeout time.Duration
-	// MaxRetries bounds re-assignments per split per round before the
-	// build fails (default 3).
-	MaxRetries int
-	// SplitsPerCall is the assignment batch size (default 4). Smaller
-	// batches spread load and shrink the re-assignment unit; larger ones
-	// amortize per-RPC overhead.
-	SplitsPerCall int
-	// MaxWorkerFailures is the consecutive-failure count that marks a
-	// worker dead (default 2).
-	MaxWorkerFailures int
 	// TraceDir, when non-empty, dumps every finished build's span trace
 	// as JSONL (<jobID>.jsonl) — the durable form of GET /dist/v1/trace.
 	// Best-effort: a failed dump never fails the build.
 	TraceDir string
 }
 
-// At most maxInFlight map RPCs run at once across the fleet, and one
-// map RPC may take at most rpcTimeout.
+// Fleet limits. At most maxInFlight map RPCs run at once across the
+// fleet, one map RPC may take at most rpcTimeout, and one carries at most
+// splitsPerCall splits. Registering workers are told to heartbeat every
+// heartbeatEvery; a worker at any address but a loopback:// one (the
+// in-process fleet, which does not heartbeat) is dead after
+// heartbeatTimeout without a heartbeat or a successful RPC, and any
+// worker is dead after maxWorkerFailures failed RPCs in a row. A split is
+// re-assigned at most maxRetries times per round before the build fails;
+// the budget outlives a dying worker, which stays dispatchable until its
+// maxWorkerFailures-th failure and so can burn that many of a split's
+// retries first.
 const (
-	maxInFlight = 16
-	rpcTimeout  = 5 * time.Minute
+	maxInFlight       = 16
+	rpcTimeout        = 5 * time.Minute
+	splitsPerCall     = 4
+	heartbeatEvery    = 3 * time.Second
+	heartbeatTimeout  = 15 * time.Second
+	maxWorkerFailures = 2
+	maxRetries        = maxWorkerFailures + 1
 )
-
-func (c Config) withDefaults() Config {
-	if c.HeartbeatEvery <= 0 {
-		c.HeartbeatEvery = 3 * time.Second
-	}
-	if c.MaxRetries <= 0 {
-		c.MaxRetries = 3
-	}
-	if c.SplitsPerCall <= 0 {
-		c.SplitsPerCall = 4
-	}
-	if c.MaxWorkerFailures <= 0 {
-		c.MaxWorkerFailures = 2
-	}
-	// A split's retry budget must outlive a dying worker: until a worker
-	// accrues MaxWorkerFailures it stays dispatchable, so a split can burn
-	// up to that many retries on it before re-assignment sticks elsewhere.
-	if c.MaxRetries < c.MaxWorkerFailures+1 {
-		c.MaxRetries = c.MaxWorkerFailures + 1
-	}
-	return c
-}
 
 // rpcEWMAAlpha weights the newest map-RPC latency sample in the
 // per-worker EWMA: high enough to track load shifts within a few RPCs,
@@ -247,9 +222,9 @@ func (c *Coordinator) affinityOwners(key string, m int) ([]string, bool) {
 
 // storeAffinity remembers a finished build's split→worker map. A repeat
 // build that got ZERO cache hits despite being routed by affinity proves
-// the owners' caches are cold (evicted, disabled, or the worker
-// restarted) — the entry is dropped instead, so the next build
-// load-balances freely rather than staying pinned to cold owners.
+// the owners' caches are cold (evicted, or the worker restarted) — the
+// entry is dropped instead, so the next build load-balances freely
+// rather than staying pinned to cold owners.
 func (c *Coordinator) storeAffinity(key string, owners []string, seeded bool, cacheHits int) {
 	c.affMu.Lock()
 	defer c.affMu.Unlock()
@@ -291,7 +266,7 @@ func NewCoordinator(tr Transport, cfg Config) *Coordinator {
 		binary.LittleEndian.PutUint64(buf[:], uint64(time.Now().UnixNano())^uint64(os.Getpid())<<32)
 	}
 	return &Coordinator{
-		cfg:      cfg.withDefaults(),
+		cfg:      cfg,
 		tr:       tr,
 		instance: hex.EncodeToString(buf[:]),
 		workers:  make(map[string]*workerState),
@@ -342,10 +317,7 @@ func (c *Coordinator) alive(w *workerState, now time.Time) bool {
 	if w.dead {
 		return false
 	}
-	if c.cfg.HeartbeatTimeout > 0 && now.Sub(w.lastSeen) > c.cfg.HeartbeatTimeout {
-		return false
-	}
-	return true
+	return strings.HasPrefix(w.addr, LoopbackScheme) || now.Sub(w.lastSeen) <= heartbeatTimeout
 }
 
 // Workers lists the fleet, alive first then by id.
@@ -459,7 +431,7 @@ func (c *Coordinator) release(w *workerState, outcome rpcOutcome, latency time.D
 		w.lastSeen = time.Now()
 	case relFailed:
 		w.failures++
-		if w.failures >= c.cfg.MaxWorkerFailures {
+		if w.failures >= maxWorkerFailures {
 			w.dead = true
 		}
 	}
@@ -619,7 +591,7 @@ func (c *Coordinator) releaseLeases(jobID string, touched map[string]string) {
 // from round 2 on the round and its broadcast — re-assigned on worker
 // failure, and each response's partials are delivered as it arrives. A
 // response that does not decode, does not cover its batch or that deliver
-// refuses is a worker fault: its splits are re-assigned under MaxRetries,
+// refuses is a worker fault: its splits are re-assigned under maxRetries,
 // never delivered twice.
 //
 // owners is the split→worker stickiness map: for multi-round builds it
@@ -681,10 +653,7 @@ func (c *Coordinator) fleetSide(tmpl MapRequest, owners []string, track *buildTr
 			defer c.mu.Unlock()
 			now := time.Now()
 			take := func(w *workerState, ids []int) (*workerState, []int) {
-				n := c.cfg.SplitsPerCall
-				if n > len(ids) {
-					n = len(ids)
-				}
+				n := min(splitsPerCall, len(ids))
 				batch := append([]int(nil), ids[:n]...)
 				inBatch := make(map[int]bool, n)
 				for _, id := range batch {
@@ -753,7 +722,7 @@ func (c *Coordinator) fleetSide(tmpl MapRequest, owners []string, track *buildTr
 				stats.Retries++
 				rstats.Retries++
 				c.retriesTotal.Inc()
-				if retries[id] > c.cfg.MaxRetries {
+				if retries[id] > maxRetries {
 					return fmt.Errorf("dist: round %d: split %d failed %d times; giving up", round, id, retries[id])
 				}
 				pending = append(pending, id)
@@ -838,7 +807,7 @@ func (c *Coordinator) fleetSide(tmpl MapRequest, owners []string, track *buildTr
 					// Orphan the failed splits this worker owned: a failed RPC
 					// makes its state suspect, and keeping them sticky would
 					// burn every per-split retry on the same worker before it
-					// accrues MaxWorkerFailures (the two limits must not be
+					// accrues maxWorkerFailures (the two limits must not be
 					// coupled). Orphans go to any live worker, which replays.
 					for _, id := range r.splits {
 						if owners[id] == r.w.id {
@@ -954,7 +923,7 @@ func (c *Coordinator) Handler() http.Handler {
 		c.Register(req.ID, req.Addr, req.Capacity)
 		writeFrame(rw, http.StatusOK, EncodeRegisterResponse(&RegisterResponse{
 			OK:              true,
-			HeartbeatMillis: c.cfg.HeartbeatEvery.Milliseconds(),
+			HeartbeatMillis: heartbeatEvery.Milliseconds(),
 		}))
 	})
 	mux.HandleFunc("POST "+PathHeartbeat, func(rw http.ResponseWriter, r *http.Request) {

@@ -94,7 +94,7 @@ func TestWorkerCrashMidBuild(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			coord, lb := dist.NewLoopbackCluster(3, 1, dist.Config{SplitsPerCall: 2, MaxWorkerFailures: 1})
+			coord, lb := dist.NewLoopbackCluster(3, 1, dist.Config{})
 			// First build: every worker serves at least one batch (the
 			// initial dispatch hands each idle worker a batch).
 			if _, err := wavelethist.BuildDistributed(context.Background(), ds, m, opts, coord); err != nil {
@@ -230,7 +230,7 @@ func TestHWTopk2DParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coord, _ := dist.NewLoopbackCluster(2, 2, dist.Config{SplitsPerCall: 2})
+	coord, _ := dist.NewLoopbackCluster(2, 2, dist.Config{})
 	got, err := wavelethist.BuildDistributed2D(context.Background(), ds, wavelethist.HWTopk2D, opts, coord)
 	if err != nil {
 		t.Fatal(err)
@@ -308,7 +308,7 @@ func TestHWTopkWorkerCrashMidRound(t *testing.T) {
 	}
 	for _, crashRound := range []int{2, 3} {
 		t.Run(fmt.Sprintf("round-%d", crashRound), func(t *testing.T) {
-			coord, lb := dist.NewLoopbackCluster(3, 1, dist.Config{SplitsPerCall: 2, MaxWorkerFailures: 1})
+			coord, lb := dist.NewLoopbackCluster(3, 1, dist.Config{})
 			lb.CrashWhen(dist.LoopbackScheme+"local-0", func(req *dist.MapRequest) bool {
 				return req.Round == crashRound
 			})
@@ -338,30 +338,6 @@ func TestHWTopkWorkerCrashMidRound(t *testing.T) {
 	}
 }
 
-// TestHWTopkCrashSlowDeathDetection: with a high MaxWorkerFailures the
-// crashed worker stays "alive" (and owner-sticky) for many failed RPCs;
-// orphaning-on-failure plus the retry-budget clamp must still let the
-// build finish on the survivors.
-func TestHWTopkCrashSlowDeathDetection(t *testing.T) {
-	ds := zipfDS(t)
-	opts := wavelethist.Options{K: 25, Seed: 7}
-	want, err := wavelethist.Build(ds, wavelethist.HWTopk, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	coord, lb := dist.NewLoopbackCluster(3, 1, dist.Config{
-		SplitsPerCall: 2, MaxWorkerFailures: 5, MaxRetries: 1, // clamped to 6
-	})
-	lb.CrashWhen(dist.LoopbackScheme+"local-0", func(req *dist.MapRequest) bool {
-		return req.Round == 2
-	})
-	got, err := wavelethist.BuildDistributed(context.Background(), ds, wavelethist.HWTopk, opts, coord)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameHistogram(t, want, got)
-}
-
 // TestLeaseExpiry: a worker whose coordinator went silent expires its
 // state lease after the TTL (the worker-side analogue of a heartbeat
 // timeout); a later round for those splits must replay rather than read
@@ -384,7 +360,7 @@ func TestLeaseExpiry(t *testing.T) {
 	}
 
 	w := dist.NewWorker("w0", 2)
-	w.SetLeaseTTL(300 * time.Millisecond)
+	dist.SetWorkerLeaseTTL(w, 300*time.Millisecond)
 	ctx := context.Background()
 	round := func(r int, bcast []byte) *dist.MapResponse {
 		t.Helper()
@@ -422,7 +398,7 @@ func TestLeaseExpiry(t *testing.T) {
 	// Expiry is proven; widen the TTL so the rest of the test (including
 	// a full simulated comparison build) can't idle the lease out again
 	// on a slow or contended machine.
-	w.SetLeaseTTL(time.Hour)
+	dist.SetWorkerLeaseTTL(w, time.Hour)
 	parts2, err := core.DecodePartials(r2.Partials)
 	if err != nil {
 		t.Fatal(err)
@@ -504,7 +480,7 @@ func TestFleetStats(t *testing.T) {
 // leaked in-flight slots, no workers blamed for the cancellation.
 func TestBuildCancel(t *testing.T) {
 	ds := zipfDS(t)
-	coord, _ := dist.NewLoopbackCluster(2, 1, dist.Config{MaxWorkerFailures: 1})
+	coord, _ := dist.NewLoopbackCluster(2, 1, dist.Config{})
 	opts := wavelethist.Options{K: 10, Seed: 1}
 
 	for i := 0; i < 3; i++ {

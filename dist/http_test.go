@@ -61,7 +61,7 @@ func heartbeatWorker(t *testing.T, coordURL, id string) (int, *dist.HeartbeatRes
 // HTTP servers register with a coordinator HTTP endpoint, heartbeat, and
 // serve map RPCs via the HTTP transport.
 func TestHTTPFleet(t *testing.T) {
-	coord := dist.NewCoordinator(dist.NewHTTPTransport(), dist.Config{SplitsPerCall: 4})
+	coord := dist.NewCoordinator(dist.NewHTTPTransport(), dist.Config{})
 	coordSrv := httptest.NewServer(coord.Handler())
 	defer coordSrv.Close()
 
@@ -263,7 +263,7 @@ func TestHTTPPostRoutesRejectBadBodies(t *testing.T) {
 // workers' partial caches — zero splits recomputed — and the binary wire
 // bytes stay within 1.2× of the modeled communication.
 func TestHTTPWarmBuild(t *testing.T) {
-	coord := dist.NewCoordinator(dist.NewHTTPTransport(), dist.Config{SplitsPerCall: 2})
+	coord := dist.NewCoordinator(dist.NewHTTPTransport(), dist.Config{})
 	coordSrv := httptest.NewServer(coord.Handler())
 	defer coordSrv.Close()
 	for _, id := range []string{"w0", "w1"} {
@@ -304,7 +304,7 @@ func TestHTTPWarmBuild(t *testing.T) {
 // round broadcasts, state leases and the release RPC all cross HTTP, and
 // the result matches the simulated build bit-for-bit.
 func TestHTTPFleetMultiRound(t *testing.T) {
-	coord := dist.NewCoordinator(dist.NewHTTPTransport(), dist.Config{SplitsPerCall: 4})
+	coord := dist.NewCoordinator(dist.NewHTTPTransport(), dist.Config{})
 	coordSrv := httptest.NewServer(coord.Handler())
 	defer coordSrv.Close()
 

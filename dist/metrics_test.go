@@ -38,7 +38,7 @@ func scrapeMetrics(t *testing.T, url string) map[string]*obs.Family {
 // counters (requests, splits by source, wire bytes, cache posture) at
 // GET /metrics in lint-clean exposition format.
 func TestWorkerMetricsEndpoint(t *testing.T) {
-	coord := dist.NewCoordinator(dist.NewHTTPTransport(), dist.Config{SplitsPerCall: 4})
+	coord := dist.NewCoordinator(dist.NewHTTPTransport(), dist.Config{})
 	w := dist.NewWorker("w0", 2)
 	wsrv := httptest.NewServer(w.Handler())
 	defer wsrv.Close()
@@ -93,7 +93,7 @@ func TestWorkerMetricsEndpoint(t *testing.T) {
 // GET /dist/v1/trace/{id} and dumped as JSONL into Config.TraceDir.
 func TestCoordinatorTraceEndpointAndDump(t *testing.T) {
 	traceDir := t.TempDir()
-	coord, _ := dist.NewLoopbackCluster(2, 0, dist.Config{SplitsPerCall: 2, TraceDir: traceDir})
+	coord, _ := dist.NewLoopbackCluster(2, 0, dist.Config{TraceDir: traceDir})
 	coordSrv := httptest.NewServer(coord.Handler())
 	defer coordSrv.Close()
 

@@ -110,10 +110,10 @@ func layout2Partials(parts []core.SplitPartial) []byte {
 	return b
 }
 
-func newCorruptingCluster(n int, cfg Config, corrupt func([]core.SplitPartial) ([]byte, bool), left int) (*Coordinator, *corruptingTransport) {
+func newCorruptingCluster(n int, corrupt func([]core.SplitPartial) ([]byte, bool), left int) (*Coordinator, *corruptingTransport) {
 	lb := NewLoopback()
 	ct := &corruptingTransport{Transport: lb, corrupt: corrupt, left: left}
-	c := NewCoordinator(ct, cfg)
+	c := NewCoordinator(ct, Config{})
 	for i := 0; i < n; i++ {
 		w := NewWorker(fmt.Sprintf("cw-%d", i), 2)
 		c.Register(w.ID(), lb.Add(w), w.Capacity())
@@ -131,7 +131,7 @@ func TestFleetRefusedPartialReassigned(t *testing.T) {
 	spec, file := smallZipf(t)
 	p := core.Params{U: 1 << 10, K: 25, Seed: 7}
 	ctx := context.Background()
-	ref, _ := NewLoopbackCluster(3, 2, Config{SplitsPerCall: 2})
+	ref, _ := NewLoopbackCluster(3, 2, Config{})
 	want, wantStats, err := ref.Build(ctx, spec, file, core.MethodHWTopk, p)
 	if err != nil {
 		t.Fatal(err)
@@ -144,7 +144,7 @@ func TestFleetRefusedPartialReassigned(t *testing.T) {
 		},
 	} {
 		t.Run(name, func(t *testing.T) {
-			c, ct := newCorruptingCluster(3, Config{SplitsPerCall: 2}, corrupt, 1)
+			c, ct := newCorruptingCluster(3, corrupt, 1)
 			got, stats, err := c.Build(ctx, spec, file, core.MethodHWTopk, p)
 			if err != nil {
 				t.Fatal(err)
@@ -178,7 +178,7 @@ func TestFleetCorruptWorkerFailsBuild(t *testing.T) {
 	spec, file := smallZipf(t)
 	p := core.Params{U: 1 << 10, K: 25, Seed: 7}
 	for _, method := range []string{core.MethodSendV, core.MethodHWTopk} {
-		c, _ := newCorruptingCluster(1, Config{SplitsPerCall: 2}, editLastPair(func(kv *mapred.KV) { kv.Key = int64(p.U) }), -1)
+		c, _ := newCorruptingCluster(1, editLastPair(func(kv *mapred.KV) { kv.Key = int64(p.U) }), -1)
 		_, _, err := c.Build(context.Background(), spec, file, method, p)
 		if err == nil {
 			t.Fatalf("%s: a worker corrupting every response did not fail the build", method)

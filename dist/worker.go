@@ -21,12 +21,12 @@ import (
 // grow without bound.
 const datasetCacheSize = 4
 
-// DefaultLeaseTTL is how long an idle per-job state lease survives before
+// defaultLeaseTTL is how long an idle per-job state lease survives before
 // the worker garbage-collects it. Multi-round builds refresh the lease on
 // every assignment; a coordinator that crashed (or partitioned away — the
 // worker-side analogue of a heartbeat timeout) stops refreshing, and the
 // orphaned state is dropped rather than pinned forever.
-const DefaultLeaseTTL = 5 * time.Minute
+const defaultLeaseTTL = 5 * time.Minute
 
 // Worker executes map assignments: it materializes the dataset named by
 // the request's recipe (cached across requests), runs the method's map
@@ -50,7 +50,7 @@ type Worker struct {
 	files  map[string]*dsEntry
 	order  []string
 	leases map[string]*jobLease
-	ttl    time.Duration
+	ttl    time.Duration // defaultLeaseTTL; tests shorten it
 
 	// Observability (GET /metrics on the waveworker daemon).
 	metrics        *obs.Registry
@@ -94,10 +94,10 @@ func NewWorker(id string, capacity int) *Worker {
 		id:       id,
 		capacity: capacity,
 		sem:      make(chan struct{}, capacity),
-		cache:    newPartialCache(DefaultPartialCacheBytes),
+		cache:    newPartialCache(defaultPartialCacheBytes),
 		files:    make(map[string]*dsEntry),
 		leases:   make(map[string]*jobLease),
-		ttl:      DefaultLeaseTTL,
+		ttl:      defaultLeaseTTL,
 	}
 	w.initMetrics()
 	return w
@@ -136,10 +136,6 @@ func (w *Worker) initMetrics() {
 // by Handler; the waveworker daemon adds nothing on top).
 func (w *Worker) Metrics() *obs.Registry { return w.metrics }
 
-// SetPartialCacheBytes re-bounds the worker's partial cache (0 disables
-// it).
-func (w *Worker) SetPartialCacheBytes(n int64) { w.cache.setMax(n) }
-
 // CacheStats reports the partial cache's occupancy and hit/miss counters.
 func (w *Worker) CacheStats() CacheStatsView { return w.cache.stats() }
 
@@ -148,16 +144,6 @@ func (w *Worker) ID() string { return w.id }
 
 // Capacity returns the concurrent-RPC bound.
 func (w *Worker) Capacity() int { return w.capacity }
-
-// SetLeaseTTL overrides the state-lease expiry (0 restores the default).
-func (w *Worker) SetLeaseTTL(d time.Duration) {
-	if d <= 0 {
-		d = DefaultLeaseTTL
-	}
-	w.mu.Lock()
-	w.ttl = d
-	w.mu.Unlock()
-}
 
 // HandleMap serves one map assignment. Assigned splits whose result is
 // already in the partial cache are re-shipped without recomputation (and
@@ -234,7 +220,7 @@ func (w *Worker) handleMap(ctx context.Context, req *MapRequest) (*MapResponse, 
 		// would be rejected (or silently wrap) on the coordinator as a
 		// corrupt frame. Fail loudly with the actual cause instead —
 		// it's deterministic, so the coordinator won't retry it.
-		return nil, fmt.Errorf("dist: encoded partials (%d bytes) exceed the %d-byte frame limit; lower SplitsPerCall or use smaller splits", len(resp.Partials), maxPartialsPayload)
+		return nil, fmt.Errorf("dist: encoded partials (%d bytes) exceed the %d-byte frame limit; use smaller splits", len(resp.Partials), maxPartialsPayload)
 	}
 	return resp, nil
 }

@@ -30,7 +30,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	s, err := serve.NewServer(serve.Config{RepublishEvery: 128})
+	s, err := serve.NewServer(serve.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -55,8 +55,9 @@ func main() {
 	}}
 	fmt.Println("batch:         ", post(ts.URL+"/v1/hist/clicks/query", batch))
 
-	// Stream updates; the maintainer republishes the adapted top-k.
-	ups := make([]map[string]any, 200)
+	// Stream updates; every 256th makes the maintainer republish the
+	// adapted top-k.
+	ups := make([]map[string]any, 256)
 	for i := range ups {
 		ups[i] = map[string]any{"key": i % 16, "delta": 50}
 	}

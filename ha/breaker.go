@@ -22,13 +22,6 @@ const (
 	breakerMaxBackoff    = 5 * time.Second
 )
 
-// BreakerConfig seeds the router's per-target circuit breakers.
-type BreakerConfig struct {
-	// Seed fixes the jitter stream for deterministic tests (0 = seeded
-	// from the clock).
-	Seed int64
-}
-
 const (
 	breakerClosed = iota
 	breakerOpen
@@ -52,13 +45,12 @@ type breakerSet struct {
 	skips atomic.Uint64 // requests refused while open (waverouter_breaker_skips_total)
 }
 
-func newBreakerSet(cfg BreakerConfig) *breakerSet {
-	if cfg.Seed == 0 {
-		cfg.Seed = time.Now().UnixNano()
-	}
+// newBreakerSet seeds the jitter stream (the router seeds it from the
+// clock; tests fix it).
+func newBreakerSet(seed int64) *breakerSet {
 	return &breakerSet{
 		m:   map[string]*breaker{},
-		rng: rand.New(rand.NewSource(cfg.Seed)),
+		rng: rand.New(rand.NewSource(seed)),
 	}
 }
 

@@ -103,16 +103,13 @@ func TestChaosFailoverPromoteResurrect(t *testing.T) {
 
 	router, err := NewRouterConfig([]Shard{{
 		ID: "s0", Primary: pFront.URL, Replicas: []string{rFront.URL},
-	}}, RouterConfig{
-		ProbeInterval:      20 * time.Millisecond,
-		ProbeFailThreshold: 3,
-		ReadTimeout:        time.Second,
-		Breaker:            BreakerConfig{Seed: 5},
-	})
+	}}, RouterConfig{ProbeInterval: 20 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer router.Close()
+	router.readTimeout = time.Second // the checker never reads these two
+	router.breakers = newBreakerSet(5)
 	routerTS := httptest.NewServer(router)
 	defer routerTS.Close()
 	base := routerTS.URL
@@ -260,14 +257,13 @@ func TestChaosFaultyPrimaryReadsStayCorrect(t *testing.T) {
 
 	router, err := NewRouterConfig([]Shard{{
 		ID: "s0", Primary: pFront.URL, Replicas: []string{rTS.URL},
-	}}, RouterConfig{
-		ReadTimeout: time.Second,
-		Breaker:     BreakerConfig{Seed: 7},
-	})
+	}}, RouterConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer router.Close()
+	router.readTimeout = time.Second
+	router.breakers = newBreakerSet(7)
 	routerTS := httptest.NewServer(router)
 	defer routerTS.Close()
 

@@ -51,10 +51,10 @@ func postCrossBatch(t *testing.T, base string, queries []NamedQuery) (int, cross
 // batch endpoint uses, and everything else in the batch is answered
 // bit-identically to a direct read.
 func TestCrossBatchErrorContract(t *testing.T) {
-	const maxBatch = 8
-	p0, p0TS := newNode(t, serve.Config{Shard: "s0", MaxBatch: maxBatch})
-	r0, r0TS := newNode(t, serve.Config{Shard: "s0", MaxBatch: maxBatch, ReadOnly: true})
-	p1, p1TS := newNode(t, serve.Config{Shard: "s1", MaxBatch: maxBatch})
+	const maxBatch = 4096 // a shard's per-request query limit
+	p0, p0TS := newNode(t, serve.Config{Shard: "s0"})
+	r0, r0TS := newNode(t, serve.Config{Shard: "s0", ReadOnly: true})
+	p1, p1TS := newNode(t, serve.Config{Shard: "s1"})
 	rt, err := NewRouter([]Shard{
 		{ID: "s0", Primary: p0TS.URL, Replicas: []string{r0TS.URL}},
 		{ID: "s1", Primary: p1TS.URL},

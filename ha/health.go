@@ -17,7 +17,7 @@ import (
 // answers liveness, role (read_only), registry epoch, and replication
 // progress (applied version + the epoch it was synced under). Verdicts
 // are EWMA-smoothed for reporting, but state transitions are discrete:
-// a target is marked down after ProbeFailThreshold consecutive
+// a target is marked down after probeFailThreshold consecutive
 // failures (one flaky probe must not trigger failover) and up again on
 // the first success.
 //
@@ -40,11 +40,9 @@ import (
 //     operator promoted by hand) is adopted as primary without any
 //     RPC — the router re-learns the cluster instead of fighting it.
 type healthChecker struct {
-	rt           *Router
-	interval     time.Duration
-	timeout      time.Duration
-	failN        int
-	autoFailover bool
+	rt       *Router
+	interval time.Duration
+	timeout  time.Duration
 
 	mu      sync.Mutex
 	targets map[string]*targetHealth
@@ -77,20 +75,17 @@ type targetHealth struct {
 // either way, responsive without flapping on one blip.
 const ewmaAlpha = 0.3
 
-func newHealthChecker(rt *Router, cfg RouterConfig) *healthChecker {
-	timeout := min(cfg.ProbeInterval, time.Second)
-	failN := cfg.ProbeFailThreshold
-	if failN <= 0 {
-		failN = 3
-	}
+// probeFailThreshold is the consecutive probe failures that mark a
+// target down.
+const probeFailThreshold = 3
+
+func newHealthChecker(rt *Router, interval time.Duration) *healthChecker {
 	return &healthChecker{
-		rt:           rt,
-		interval:     cfg.ProbeInterval,
-		timeout:      timeout,
-		failN:        failN,
-		autoFailover: !cfg.NoAutoFailover,
-		targets:      map[string]*targetHealth{},
-		fences:       map[string]uint64{},
+		rt:       rt,
+		interval: interval,
+		timeout:  min(interval, time.Second),
+		targets:  map[string]*targetHealth{},
+		fences:   map[string]uint64{},
 	}
 }
 
@@ -171,7 +166,7 @@ func (h *healthChecker) sweep() {
 			th.ConsecFails++
 			th.EWMA *= 1 - ewmaAlpha
 			th.LastErr = res.err.Error()
-			if th.ConsecFails >= h.failN {
+			if th.ConsecFails >= probeFailThreshold {
 				th.Up = false
 			}
 			continue
@@ -285,7 +280,7 @@ func (h *healthChecker) reconcile(sh *Shard) {
 			}
 		}
 		token = maxEpoch + 1
-	case h.autoFailover && primary != nil && !primary.Up && primary.ConsecFails >= h.failN:
+	case primary != nil && !primary.Up && primary.ConsecFails >= probeFailThreshold:
 		// Primary down, no acceptable writable: elect the most
 		// caught-up replica, fencing with a token above every epoch
 		// this shard has ever shown us.

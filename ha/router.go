@@ -55,11 +55,9 @@ type Router struct {
 
 	maxBody int64
 
-	// Per-request-class timeouts: reads must fail fast (a stuck shard
-	// should cost milliseconds, not the mutation ceiling), mutations —
-	// builds, dataset creation — may legitimately run long.
+	// readTimeout bounds proxied reads (readTimeoutDefault; the chaos
+	// tests shorten it).
 	readTimeout time.Duration
-	mutTimeout  time.Duration
 
 	breakers *breakerSet
 	health   *healthChecker // nil unless ProbeInterval > 0
@@ -99,27 +97,22 @@ type RouterConfig struct {
 	// window. 0 = default (256).
 	CoalesceMax int
 
-	// ReadTimeout bounds proxied reads (point/range/batch/stats/
-	// metrics); default 2s. MutationTimeout bounds proxied mutations
-	// (updates, datasets, build); default 60s.
-	ReadTimeout     time.Duration
-	MutationTimeout time.Duration
-
-	// Breaker seeds the per-target circuit breakers' jitter; they are
-	// always on.
-	Breaker BreakerConfig
-
 	// ProbeInterval enables the health checker: every target's /healthz
 	// is probed on this interval, each probe taking at most
 	// min(ProbeInterval, 1s); primaries are marked down after
-	// ProbeFailThreshold consecutive failures (default 3), and — unless
-	// NoAutoFailover — the most caught-up replica is promoted with an
-	// epoch fencing token and the topology swapped. 0 disables probing
-	// (a static topology).
-	ProbeInterval      time.Duration
-	ProbeFailThreshold int
-	NoAutoFailover     bool
+	// probeFailThreshold consecutive failures, and the most caught-up
+	// replica is promoted with an epoch fencing token and the topology
+	// swapped. 0 disables probing (a static topology).
+	ProbeInterval time.Duration
 }
+
+// Per-request-class deadlines: reads must fail fast (a stuck shard
+// should cost milliseconds, not the mutation ceiling); mutations —
+// builds, dataset creation — may legitimately run long.
+const (
+	readTimeoutDefault = 2 * time.Second
+	mutationTimeout    = 60 * time.Second
+)
 
 // NewRouter builds a router over the given shards (at least one, unique
 // IDs, each with a primary) with default configuration.
@@ -147,12 +140,6 @@ func NewRouterConfig(shards []Shard, cfg RouterConfig) (*Router, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.ReadTimeout <= 0 {
-		cfg.ReadTimeout = 2 * time.Second
-	}
-	if cfg.MutationTimeout <= 0 {
-		cfg.MutationTimeout = 60 * time.Second
-	}
 	rt := &Router{
 		ring: ring,
 		// No client-level timeout: deadlines are per request class via
@@ -161,13 +148,12 @@ func NewRouterConfig(shards []Shard, cfg RouterConfig) (*Router, error) {
 		client:      &http.Client{Transport: newUpstreamTransport()},
 		mux:         http.NewServeMux(),
 		maxBody:     8 << 20,
-		readTimeout: cfg.ReadTimeout,
-		mutTimeout:  cfg.MutationTimeout,
-		breakers:    newBreakerSet(cfg.Breaker),
+		readTimeout: readTimeoutDefault,
+		breakers:    newBreakerSet(time.Now().UnixNano()),
 	}
 	rt.topo.Store(&topology{version: 1, shards: byID})
 	if cfg.ProbeInterval > 0 {
-		rt.health = newHealthChecker(rt, cfg)
+		rt.health = newHealthChecker(rt, cfg.ProbeInterval)
 	}
 	rt.initMetrics()
 	if cfg.CoalesceWait > 0 {
@@ -288,7 +274,7 @@ const (
 
 func (rt *Router) timeoutFor(class reqClass) time.Duration {
 	if class == classMut {
-		return rt.mutTimeout
+		return mutationTimeout
 	}
 	return rt.readTimeout
 }

@@ -340,25 +340,27 @@ func (s *stallTransport) MapSplits(ctx context.Context, addr string, req *dist.M
 func (s *stallTransport) Release(context.Context, string, *dist.ReleaseRequest) error { return nil }
 
 // TestBuildBackpressure: distributed POST /v1/build is shed with 429 +
-// Retry-After once pending splits per alive worker cross the threshold.
+// Retry-After once pending splits per alive worker reach
+// maxPendingPerWorker. One worker of capacity 1 takes one call's splits;
+// 128 splits leave the rest well past the threshold.
 func TestBuildBackpressure(t *testing.T) {
 	tr := &stallTransport{release: make(chan struct{})}
-	coord := dist.NewCoordinator(tr, dist.Config{SplitsPerCall: 1})
+	coord := dist.NewCoordinator(tr, dist.Config{})
 	coord.Register("w0", "fake://w0", 1)
-	s, err := NewServer(Config{Coordinator: coord, MaxPendingPerWorker: 2})
+	s, err := NewServer(Config{Coordinator: coord})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
 	defer close(tr.release)
 	ds, err := wavelethist.NewZipfDataset(wavelethist.ZipfOptions{
-		Records: 1 << 15, Domain: 1 << 10, Alpha: 1.1, Seed: 9, ChunkSize: 4 << 10,
+		Records: 1 << 17, Domain: 1 << 10, Alpha: 1.1, Seed: 9, ChunkSize: 4 << 10,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ds.NumSplits(0) < 4 {
-		t.Fatalf("want >= 4 splits, have %d", ds.NumSplits(0))
+	if ds.NumSplits(0) < 2*maxPendingPerWorker {
+		t.Fatalf("want >= %d splits, have %d", 2*maxPendingPerWorker, ds.NumSplits(0))
 	}
 	s.RegisterDataset("z", ds)
 	srv := httptest.NewServer(s)
@@ -367,7 +369,7 @@ func TestBuildBackpressure(t *testing.T) {
 	// First build is admitted and stalls with most splits pending.
 	postBuild(t, srv.URL, `{"name":"h1","dataset":"z","method":"Send-V","distributed":true}`)
 	deadline := time.Now().Add(10 * time.Second)
-	for coord.FleetStats().PendingSplits/1 < 2 {
+	for coord.FleetStats().PendingSplits/1 < maxPendingPerWorker {
 		if time.Now().After(deadline) {
 			t.Fatalf("fleet never saturated: %+v", coord.FleetStats())
 		}

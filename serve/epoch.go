@@ -40,17 +40,9 @@ var ErrNotReplica = errors.New("serve: server is writable; refusing to apply rep
 // Epoch returns the server's current registry epoch.
 func (s *Server) Epoch() uint64 { return s.epoch.Load() }
 
-// initEpoch resolves the server's starting epoch: explicit Config.Epoch
-// wins (tests and embedders), else the persisted counter + 1, else a
-// random draw for in-memory servers.
+// initEpoch resolves the server's starting epoch: the persisted counter
+// + 1, or a random draw for in-memory servers.
 func (s *Server) initEpoch() error {
-	if s.cfg.Epoch != 0 {
-		s.epoch.Store(s.cfg.Epoch)
-		if s.cfg.SnapshotDir != "" {
-			return writeEpochFile(s.cfg.SnapshotDir, s.cfg.Epoch)
-		}
-		return nil
-	}
 	if s.cfg.SnapshotDir == "" {
 		s.epoch.Store(randomEpoch())
 		return nil

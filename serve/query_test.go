@@ -146,7 +146,7 @@ func TestRange2DEndpoint(t *testing.T) {
 // snapshot) while an updater streams key updates through the incremental
 // maintainer, forcing frequent republishes of patched snapshots.
 func TestConcurrentQueriesUnderUpdateLoad(t *testing.T) {
-	srv, err := NewServer(Config{RepublishEvery: 16})
+	srv, err := NewServer(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,9 +204,9 @@ func TestConcurrentQueriesUnderUpdateLoad(t *testing.T) {
 		}(g)
 	}
 	for i := 0; i < updates; i++ {
-		ups := make([]KeyUpdate, 8)
+		ups := make([]KeyUpdate, republishEvery/2) // a republish every second batch
 		for j := range ups {
-			ups[j] = KeyUpdate{Key: int64((i*8 + j) % (1 << 12)), Delta: 2}
+			ups[j] = KeyUpdate{Key: int64((i*len(ups) + j) % (1 << 12)), Delta: 2}
 		}
 		body, _ := json.Marshal(map[string]any{"updates": ups})
 		resp, err := http.Post(ts.URL+"/v1/hist/hot/updates", "application/json", bytes.NewReader(body))

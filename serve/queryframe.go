@@ -39,7 +39,7 @@ func (s *Server) handleQueryFrame(w http.ResponseWriter, r *http.Request) {
 	fb := framePool.Get().(*frameBuffers)
 	defer framePool.Put(fb)
 	fb.body.Reset()
-	_, err := fb.body.ReadFrom(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	_, err := fb.body.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err == nil {
 		fb.groups, fb.queries, err = dist.DecodeQueryFrame(fb.body.Bytes(), fb.groups, fb.queries)
 	}

@@ -35,7 +35,7 @@ func postFrame(t *testing.T, base string, groups []dist.QueryGroup) (int, []byte
 // and a refused group does not disturb its neighbours. Sent twice so the
 // second pass runs on recycled buffers.
 func TestQueryFrameGroups(t *testing.T) {
-	s, ts := newTestServer(t, Config{MaxBatch: 40})
+	s, ts := newTestServer(t, Config{})
 	e1, err := s.Registry().Publish("one", buildHist(t, 20000, 1<<10, 30, 3))
 	if err != nil {
 		t.Fatal(err)
@@ -63,7 +63,7 @@ func TestQueryFrameGroups(t *testing.T) {
 		{Name: "ghost", Queries: q2},
 		{Name: "grid", Queries: q2},
 		{Name: "one"},
-		{Name: "one", Queries: make([]BatchQuery, 41)},
+		{Name: "one", Queries: make([]BatchQuery, maxBatch+1)},
 	}
 	want1 := make([]BatchResult, len(q1))
 	e1.Batch(q1, want1)
@@ -113,7 +113,7 @@ func TestQueryFrameGroups(t *testing.T) {
 // under the body limit is refused as a whole, with the JSON error body
 // every other endpoint sends.
 func TestQueryFrameRequestErrors(t *testing.T) {
-	_, ts := newTestServer(t, Config{MaxBodyBytes: 512})
+	_, ts := newTestServer(t, Config{})
 	post := func(contentType string, body []byte) (int, string) {
 		resp, err := http.Post(ts.URL+"/v1/query", contentType, bytes.NewReader(body))
 		if err != nil {
@@ -133,9 +133,14 @@ func TestQueryFrameRequestErrors(t *testing.T) {
 	if code, msg := post(dist.ContentTypeBinary, frame[:len(frame)-2]); code != http.StatusBadRequest || !strings.HasPrefix(msg, "bad request body:") {
 		t.Errorf("truncated frame: HTTP %d %q", code, msg)
 	}
-	big := dist.AppendQueryFrame(nil, []dist.QueryGroup{{Name: "h", Queries: make([]BatchQuery, 100)}})
-	if code, msg := post(dist.ContentTypeBinary, big); code != http.StatusBadRequest || !strings.Contains(msg, "too large") {
-		t.Errorf("frame over MaxBodyBytes: HTTP %d %q", code, msg)
+	// A well-formed frame padded to the body limit is read and refused
+	// as malformed; one byte more is refused unread.
+	atLimit := append(frame[:len(frame):len(frame)], make([]byte, maxBodyBytes-len(frame))...)
+	if code, msg := post(dist.ContentTypeBinary, atLimit); code != http.StatusBadRequest || strings.Contains(msg, "too large") {
+		t.Errorf("frame at maxBodyBytes: HTTP %d %q", code, msg)
+	}
+	if code, msg := post(dist.ContentTypeBinary, append(atLimit, 0)); code != http.StatusBadRequest || !strings.Contains(msg, "too large") {
+		t.Errorf("frame over maxBodyBytes: HTTP %d %q", code, msg)
 	}
 }
 

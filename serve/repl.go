@@ -134,7 +134,7 @@ func (s *Server) handleReplPull(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusUnsupportedMediaType, "POST /v1/repl/pull takes %s pull frames", dist.ContentTypeBinary)
 		return
 	}
-	frame, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	frame, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "read body: %v", err)
 		return

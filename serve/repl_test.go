@@ -126,13 +126,13 @@ func TestReadOnlyReplicaMode(t *testing.T) {
 
 // TestMaintainerPersistence: maintainer state (the full tracked set, not
 // just the published top-k) survives a server restart. Every acknowledged
-// republish — flushed or every RepublishEvery updates — writes the state
+// republish — flushed or every republishEvery updates — writes the state
 // as the name's entry file, and a server restarted on the directory after
 // any of them resumes a maintainer whose WMNT encoding is the live one's,
 // byte for byte, at the entry's version.
 func TestMaintainerPersistence(t *testing.T) {
 	dir := t.TempDir()
-	s1, ts1 := newTestServer(t, Config{SnapshotDir: dir, RepublishEvery: 4})
+	s1, ts1 := newTestServer(t, Config{SnapshotDir: dir})
 	if _, err := s1.Registry().Publish("m", buildHist(t, 20000, 1<<12, 30, 5)); err != nil {
 		t.Fatal(err)
 	}
@@ -144,12 +144,17 @@ func TestMaintainerPersistence(t *testing.T) {
 		}
 		return b
 	}
+	unflushed := make([]KeyUpdate, republishEvery) // republishes on count alone
+	for i := range unflushed {
+		unflushed[i] = KeyUpdate{Key: int64(i * 15 % (1 << 12)), Delta: float64(i%7 - 3)}
+	}
+	unflushed[0] = KeyUpdate{Key: 1000, Delta: 40}
 	for i, batch := range []struct {
 		updates []KeyUpdate
 		flush   bool
 	}{
 		{[]KeyUpdate{{Key: 42, Delta: 500}, {Key: 99, Delta: -3}, {Key: 7, Delta: 12}}, true},
-		{[]KeyUpdate{{Key: 1000, Delta: 40}, {Key: 3, Delta: 2}, {Key: 42, Delta: -7}, {Key: 4000, Delta: 9}}, false},
+		{unflushed, false},
 		{[]KeyUpdate{{Key: 2048, Delta: 300}}, true},
 	} {
 		out := postJSON(t, ts1.URL+"/v1/hist/m/updates", map[string]any{"updates": batch.updates, "flush": batch.flush}, http.StatusOK)
@@ -160,7 +165,7 @@ func TestMaintainerPersistence(t *testing.T) {
 		want := marshal(s1.maints["m"])
 		s1.mu.Unlock()
 
-		s2, _ := newTestServer(t, Config{SnapshotDir: dir, RepublishEvery: 4})
+		s2, _ := newTestServer(t, Config{SnapshotDir: dir})
 		e, ok := s2.Registry().Lookup("m")
 		if !ok {
 			t.Fatal("entry missing after restart")
@@ -180,7 +185,7 @@ func TestMaintainerPersistence(t *testing.T) {
 
 	// The restored lineage keeps accepting updates and republishing, from
 	// several clients at once: exactly one of them claims the saved state.
-	s3, ts3 := newTestServer(t, Config{SnapshotDir: dir, RepublishEvery: 4})
+	s3, ts3 := newTestServer(t, Config{SnapshotDir: dir})
 	var wg sync.WaitGroup
 	for key := 40; key < 44; key++ {
 		wg.Add(1)

@@ -22,44 +22,26 @@ import (
 	"wavelethist/internal/obs"
 )
 
-// Config tunes a Server. The zero value is usable: in-memory registry,
-// default batch and body limits. The dataset, build-concurrency and
-// job-retention limits are constants (see maxDatasetRecords).
+// Config tunes a Server. The zero value is usable: an in-memory
+// registry. The republish cadence, the batch, body and shedding limits,
+// and the dataset, build-concurrency and job-retention limits are
+// constants (see maxDatasetRecords).
 type Config struct {
 	// SnapshotDir persists each published histogram as one entry file,
 	// <name>.whst (loaded at startup, written on publish; a maintained
 	// name's file holds its maintainer's state). Empty = in-memory only.
 	SnapshotDir string
-	// RepublishEvery is how many applied updates trigger an automatic
-	// atomic republish of a maintained histogram's adapted top-k
-	// (default 256). Clients can force one with "flush": true.
-	RepublishEvery int
-	// MaxBatch bounds queries per batch request and updates per update
-	// request (default 4096).
-	MaxBatch int
-	// MaxBodyBytes bounds request bodies (default 8 MiB).
-	MaxBodyBytes int64
 	// Coordinator enables distributed builds: POST /v1/build with
 	// "distributed": true fans the build out to the coordinator's worker
 	// fleet, and the coordinator's /dist/v1/* endpoints (worker
 	// registration, heartbeats, fleet listing) are mounted on the server.
 	// Nil keeps every build on the in-process simulated cluster.
 	Coordinator *dist.Coordinator
-	// MaxPendingPerWorker sheds distributed POST /v1/build requests with
-	// 429 + Retry-After while the fleet's pending splits per alive worker
-	// are at or above this threshold — backpressure so a saturated fleet
-	// queues at the clients, not in the coordinator. 0 = default (64);
-	// negative disables shedding.
-	MaxPendingPerWorker int
 	// ReadOnly starts the server as a read replica: every mutating
 	// endpoint (builds, updates, dataset creation) answers 403 until
 	// POST /v1/promote flips it writable. The ha.Replica sync loop keeps
 	// a read-only server's registry following a primary.
 	ReadOnly bool
-	// Epoch pins the server's starting registry epoch (tests and
-	// embedders). 0 = automatic: the persisted SnapshotDir counter + 1,
-	// or a random draw for in-memory servers. See epoch.go.
-	Epoch uint64
 	// Shard is an informational label ("" = unsharded) reported in
 	// /v1/stats and /healthz so operators and the router can tell which
 	// shard a process serves.
@@ -80,28 +62,23 @@ type Config struct {
 // Limits no embedder tunes: the records and domain one POST /v1/datasets
 // may ask for, the build jobs that run at once (a further POST /v1/build
 // gets 429), and the job records kept (the oldest finished are pruned).
+// republishEvery applied updates trigger an automatic republish of a
+// maintained histogram's adapted top-k (clients force one with "flush":
+// true); maxBatch bounds queries per batch request and updates per
+// update request, maxBodyBytes every request body. Distributed builds
+// are shed with 429 + Retry-After while the fleet's pending splits per
+// alive worker are at or above maxPendingPerWorker, so a saturated
+// fleet queues at the clients, not in the coordinator.
 const (
 	maxDatasetRecords   = 1 << 22
 	maxDatasetDomain    = 1 << 24
 	maxConcurrentBuilds = 4
 	maxRetainedJobs     = 1024
+	republishEvery      = 256
+	maxBatch            = 4096
+	maxBodyBytes        = 8 << 20
+	maxPendingPerWorker = 64
 )
-
-func (c Config) withDefaults() Config {
-	if c.RepublishEvery <= 0 {
-		c.RepublishEvery = 256
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 4096
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 8 << 20
-	}
-	if c.MaxPendingPerWorker == 0 {
-		c.MaxPendingPerWorker = 64
-	}
-	return c
-}
 
 // maintained pairs a published name with its live maintainer. The
 // maintainer itself is single-writer; mu serializes update batches while
@@ -161,7 +138,6 @@ type Server struct {
 
 // NewServer builds a Server, loading SnapshotDir if configured.
 func NewServer(cfg Config) (*Server, error) {
-	cfg = cfg.withDefaults()
 	var (
 		reg *Registry
 		err error
@@ -279,7 +255,7 @@ func writeErr(w http.ResponseWriter, code int, format string, args ...any) {
 }
 
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
-	if err := dist.DecodeJSONStrict(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), v); err != nil {
+	if err := dist.DecodeJSONStrict(http.MaxBytesReader(w, r.Body, maxBodyBytes), v); err != nil {
 		writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
 		return false
 	}
@@ -305,8 +281,8 @@ func (s *Server) batchSizeErr(n int) string {
 	switch {
 	case n == 0:
 		return "empty batch"
-	case n > s.cfg.MaxBatch:
-		return fmt.Sprintf("batch of %d exceeds limit %d", n, s.cfg.MaxBatch)
+	case n > maxBatch:
+		return fmt.Sprintf("batch of %d exceeds limit %d", n, maxBatch)
 	}
 	return ""
 }
@@ -480,7 +456,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	bb := batchPool.Get().(*batchBuffers)
 	defer batchPool.Put(bb)
 	bb.body.Reset()
-	_, err := bb.body.ReadFrom(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	_, err := bb.body.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err == nil {
 		var scanned bool
 		scanned, err = bb.in.DecodeJSON(bb.body.Bytes(), false)
@@ -534,8 +510,8 @@ func (s *Server) handleUpdates(w http.ResponseWriter, r *http.Request) {
 	if !s.decode(w, r, &req) {
 		return
 	}
-	if len(req.Updates) > s.cfg.MaxBatch {
-		writeErr(w, http.StatusBadRequest, "update batch of %d exceeds limit %d", len(req.Updates), s.cfg.MaxBatch)
+	if len(req.Updates) > maxBatch {
+		writeErr(w, http.StatusBadRequest, "update batch of %d exceeds limit %d", len(req.Updates), maxBatch)
 		return
 	}
 	m, err := s.maintainer(e)
@@ -571,7 +547,7 @@ func (s *Server) handleUpdates(w http.ResponseWriter, r *http.Request) {
 		m.mh.Update(u.Key, u.Delta)
 	}
 	m.pending += len(req.Updates)
-	republish := req.Flush || m.pending >= s.cfg.RepublishEvery
+	republish := req.Flush || m.pending >= republishEvery
 	var (
 		version uint64
 		tracked = m.mh.Tracked()
@@ -855,7 +831,7 @@ func (s *Server) handleBuild(w http.ResponseWriter, r *http.Request) {
 		if retryAfter, shed := s.fleetSaturated(); shed {
 			w.Header().Set("Retry-After", retryAfter)
 			writeErr(w, http.StatusTooManyRequests,
-				"fleet saturated (pending splits per alive worker >= %d); retry later", s.cfg.MaxPendingPerWorker)
+				"fleet saturated (pending splits per alive worker >= %d); retry later", maxPendingPerWorker)
 			return
 		}
 		mode = ModeDistributed
@@ -877,13 +853,10 @@ func (s *Server) handleBuild(w http.ResponseWriter, r *http.Request) {
 }
 
 // fleetSaturated applies the distributed-build admission check: shed when
-// the queue depth per alive worker crosses the configured threshold. The
+// the queue depth per alive worker reaches maxPendingPerWorker. The
 // Retry-After hint scales with how deep the backlog already is, capped so
-// clients re-probe within a minute.
+// clients re-probe within a minute. Called only with a Coordinator.
 func (s *Server) fleetSaturated() (retryAfter string, shed bool) {
-	if s.cfg.MaxPendingPerWorker < 0 || s.cfg.Coordinator == nil {
-		return "", false
-	}
 	fs := s.cfg.Coordinator.FleetStats()
 	if fs.AliveWorkers == 0 {
 		// No workers at all is reported by the build itself (or the
@@ -892,17 +865,10 @@ func (s *Server) fleetSaturated() (retryAfter string, shed bool) {
 		return "", false
 	}
 	perWorker := fs.PendingSplits / fs.AliveWorkers
-	if perWorker < s.cfg.MaxPendingPerWorker {
+	if perWorker < maxPendingPerWorker {
 		return "", false
 	}
-	wait := perWorker / s.cfg.MaxPendingPerWorker
-	if wait < 1 {
-		wait = 1
-	}
-	if wait > 60 {
-		wait = 60
-	}
-	return strconv.Itoa(wait), true
+	return strconv.Itoa(min(perWorker/maxPendingPerWorker, 60)), true
 }
 
 func (s *Server) runBuild(ctx context.Context, cancel context.CancelFunc, job *Job, ds *wavelethist.Dataset, req BuildRequest) {

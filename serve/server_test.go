@@ -86,7 +86,7 @@ func waitForJob(t *testing.T, base, jobURL string) map[string]any {
 // stream updates until the maintainer republishes, and watch the
 // registry version advance.
 func TestWavehistdEndToEnd(t *testing.T) {
-	_, ts := newTestServer(t, Config{RepublishEvery: 500})
+	_, ts := newTestServer(t, Config{})
 	base := ts.URL
 
 	// Health before anything is published.
@@ -159,7 +159,7 @@ func TestWavehistdEndToEnd(t *testing.T) {
 	}
 
 	// Stream updates: below the republish threshold nothing republishes...
-	ups := make([]KeyUpdate, 100)
+	ups := make([]KeyUpdate, 100) // < republishEvery
 	for i := range ups {
 		ups[i] = KeyUpdate{Key: int64(i % 50), Delta: 3}
 	}

@@ -80,8 +80,6 @@ type Options struct {
 	SplitSize int64
 	// Seed makes randomized methods deterministic.
 	Seed uint64
-	// Parallelism bounds concurrent simulated mappers (0 = GOMAXPROCS).
-	Parallelism int
 	// SketchBytes overrides Send-Sketch's per-split budget
 	// (0 = 20KB·log2(u), the paper's recommendation).
 	SketchBytes int64
@@ -96,7 +94,6 @@ func (o Options) toParams(u int64) core.Params {
 		Epsilon:        o.Epsilon,
 		SplitSize:      o.SplitSize,
 		Seed:           o.Seed,
-		Parallelism:    o.Parallelism,
 		SketchBytes:    o.SketchBytes,
 		CombineEnabled: !o.DisableCombine,
 	}.Defaults()
