@@ -190,11 +190,10 @@ func register(ctx context.Context, c *http.Client, coordinator string, req dist.
 	if !resp.OK {
 		return 0, fmt.Errorf("register rejected")
 	}
-	interval := time.Duration(resp.HeartbeatMillis) * time.Millisecond
-	if interval <= 0 {
-		interval = 3 * time.Second
+	if resp.HeartbeatMillis <= 0 {
+		return 0, fmt.Errorf("register: coordinator advertised heartbeat interval %d ms", resp.HeartbeatMillis)
 	}
-	return interval, nil
+	return time.Duration(resp.HeartbeatMillis) * time.Millisecond, nil
 }
 
 func heartbeat(ctx context.Context, c *http.Client, coordinator, id string) (known bool, err error) {

@@ -430,6 +430,7 @@ func (c *Coordinator) release(w *workerState, outcome rpcOutcome, latency time.D
 		w.failures = 0
 		w.lastSeen = time.Now()
 	case relFailed:
+		c.failuresTotal.Inc()
 		w.failures++
 		if w.failures >= maxWorkerFailures {
 			w.dead = true
@@ -802,7 +803,6 @@ func (c *Coordinator) fleetSide(tmpl MapRequest, owners []string, track *buildTr
 				fail := func(err error) error {
 					lastErr = err
 					stats.WorkerFailures++
-					c.failuresTotal.Inc()
 					c.release(r.w, relFailed, r.latency)
 					// Orphan the failed splits this worker owned: a failed RPC
 					// makes its state suspect, and keeping them sticky would
@@ -975,7 +975,7 @@ func (c *Coordinator) Collect(w *obs.Writer) {
 		float64(c.buildsFailed.Value()), obs.L("state", "failed"))
 	w.Counter("wavehist_dist_map_rpcs_total", "Successful map RPCs.", float64(c.rpcsTotal.Value()))
 	w.Counter("wavehist_dist_retries_total", "Split re-assignments after failures.", float64(c.retriesTotal.Value()))
-	w.Counter("wavehist_dist_worker_failures_total", "Failed map RPCs.", float64(c.failuresTotal.Value()))
+	w.Counter("wavehist_dist_worker_failures_total", "Map RPCs whose failure was blamed on the worker.", float64(c.failuresTotal.Value()))
 	w.Counter("wavehist_dist_wire_bytes_total", "Measured map RPC request+response bytes.", float64(c.wireBytes.Value()))
 	w.Counter("wavehist_dist_broadcast_bytes_total", "Coordinator broadcast blob bytes per round.", float64(c.bcastBytes.Value()))
 	w.Counter("wavehist_dist_cached_splits_total", "Split results served from worker partial caches.", float64(c.cachedSplits.Load()))

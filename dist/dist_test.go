@@ -529,6 +529,12 @@ func TestBuildCancel(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+	// Every RPC is settled now, drained ones included. The alive count
+	// above only sees blame that reached the death threshold; the counter
+	// sees any.
+	if got := dist.WorkerFailuresTotal(coord); got != 0 {
+		t.Fatalf("worker failures after cancellations: got %d, want 0 (cancel must not count as worker failure)", got)
+	}
 }
 
 // TestHeartbeatRevivesDeadWorker: a worker marked dead after failures

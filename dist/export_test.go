@@ -9,3 +9,7 @@ func SetWorkerLeaseTTL(w *Worker, d time.Duration) {
 	w.ttl = d
 	w.mu.Unlock()
 }
+
+// WorkerFailuresTotal reads wavehist_dist_worker_failures_total: every
+// map RPC failure the coordinator blamed on a worker, drained ones too.
+func WorkerFailuresTotal(c *Coordinator) int64 { return c.failuresTotal.Value() }

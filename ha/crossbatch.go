@@ -111,7 +111,7 @@ func (rt *Router) handleCrossBatch(w http.ResponseWriter, r *http.Request) {
 	cb := crossBatchPool.Get().(*crossBatch)
 	defer crossBatchPool.Put(cb)
 	cb.body.Reset()
-	if _, err := cb.body.ReadFrom(http.MaxBytesReader(w, r.Body, rt.maxBody)); err != nil {
+	if _, err := cb.body.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes)); err != nil {
 		writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}

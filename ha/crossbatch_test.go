@@ -138,7 +138,6 @@ func TestBatchBodyStrictnessSharedByRouterAndShard(t *testing.T) {
 		}
 		return rec.Code, reply.Error
 	}
-	const maxBody = 8 << 20 // the router's and serve.Config's default
 	// N stands for the element's `"name":"h",` member.
 	rows := []struct {
 		why, body string
@@ -165,7 +164,7 @@ func TestBatchBodyStrictnessSharedByRouterAndShard(t *testing.T) {
 		{"not an object", `[{N"op":"point","key":1}]`, 400, false},
 		// Over both tiers' 8 MiB body limit: refused while reading, so
 		// neither decoder counts it.
-		{"oversize", `{"queries":[{N"op":"point","key":1}]}` + strings.Repeat(" ", maxBody), 400, false},
+		{"oversize", `{"queries":[{N"op":"point","key":1}]}` + strings.Repeat(" ", maxBodyBytes), 400, false},
 	}
 	var scans, stds int64
 	for _, row := range rows {
@@ -185,7 +184,7 @@ func TestBatchBodyStrictnessSharedByRouterAndShard(t *testing.T) {
 			t.Errorf("%s: error %q", row.why, sMsg)
 		}
 		switch {
-		case len(row.body) > maxBody:
+		case len(row.body) > maxBodyBytes:
 		case row.scanned:
 			scans++
 		default:

@@ -53,8 +53,6 @@ type Router struct {
 	client *http.Client
 	mux    *http.ServeMux
 
-	maxBody int64
-
 	// readTimeout bounds proxied reads (readTimeoutDefault; the chaos
 	// tests shorten it).
 	readTimeout time.Duration
@@ -114,6 +112,10 @@ const (
 	mutationTimeout    = 60 * time.Second
 )
 
+// maxBodyBytes bounds every request body the router reads and every
+// upstream response it buffers, matching serve's limit of the same name.
+const maxBodyBytes = 8 << 20
+
 // NewRouter builds a router over the given shards (at least one, unique
 // IDs, each with a primary) with default configuration.
 func NewRouter(shards []Shard) (*Router, error) {
@@ -147,7 +149,6 @@ func NewRouterConfig(shards []Shard, cfg RouterConfig) (*Router, error) {
 		// a read ceiling nor a read stalled for the mutation one.
 		client:      &http.Client{Transport: newUpstreamTransport()},
 		mux:         http.NewServeMux(),
-		maxBody:     8 << 20,
 		readTimeout: readTimeoutDefault,
 		breakers:    newBreakerSet(time.Now().UnixNano()),
 	}
@@ -307,7 +308,7 @@ func (rt *Router) doMethod(ctx context.Context, class reqClass, method, target, 
 	// to see EOF without growing), not io.ReadAll's doubling. A length
 	// over the request-body limit is not trusted with a preallocation.
 	var buf bytes.Buffer
-	if n := res.ContentLength; n > 0 && n <= rt.maxBody {
+	if n := res.ContentLength; n > 0 && n <= maxBodyBytes {
 		buf.Grow(int(n) + bytes.MinRead)
 	}
 	if _, err := buf.ReadFrom(res.Body); err != nil {
@@ -380,7 +381,7 @@ func writeErr(w http.ResponseWriter, code int, format string, args ...any) {
 }
 
 func (rt *Router) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	b, err := io.ReadAll(http.MaxBytesReader(w, r.Body, rt.maxBody))
+	b, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
 		return nil, false
