@@ -53,7 +53,7 @@ func main() {
 		addr         = flag.String("addr", ":8080", "listen address")
 		shards       = flag.String("shards", "", "cluster topology: shards separated by ';', URLs within a shard by ',' (first = primary, rest = replicas)")
 		debugAddr    = flag.String("debug-addr", "", "serve net/http/pprof on this separate address (empty = off)")
-		coalesceWait = flag.Duration("coalesce-wait", 250*time.Microsecond, "merge single-query GETs for the same histogram arriving within this window into one vectorized shard batch of at most 256 (0 = off)")
+		coalesceWait = flag.Duration("coalesce-wait", 250*time.Microsecond, "merge single-query GETs for the same histogram arriving within this window into one shard batch of at most 256 (0 = off)")
 		probeEvery   = flag.Duration("probe-every", 0, "health-probe every shard target on this interval and auto-promote the most caught-up replica when a primary dies (0 = static topology, no probing)")
 	)
 	flag.Parse()

@@ -14,9 +14,8 @@ import (
 // Router-side query coalescing: single-query GETs (point, range) that
 // arrive for the same histogram within a short window are merged into
 // one batch — a single-group query frame on the router's batch hop
-// (crossbatch.go), so the shard answers them with its vectorized
-// shared-walk executors instead of one tree walk per request — and the
-// estimates are scattered back to the waiting
+// (crossbatch.go), so the shard answers them in one request instead of
+// one request each — and the estimates are scattered back to the waiting
 // requests in arrival order. A GET is parsed by serve.ParseQuery, the
 // shard's own parser, and the response is rendered by
 // serve.AppendEstimate, as the shard renders it, so responses are

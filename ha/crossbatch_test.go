@@ -14,10 +14,9 @@ import (
 )
 
 // TestCrossBatchStraddlesShardsVectorized: one POST /v1/query whose
-// queries straddle shard boundaries — per-shard groups large enough that
-// every shard answers through the vectorized batch executor — comes back
-// reassembled in request order with every estimate bit-identical to the
-// owning entry's scalar answer.
+// queries straddle shard boundaries — several names per shard, one
+// batch per shard — comes back reassembled in request order with every
+// estimate bit-identical to the owning entry's own answer.
 func TestCrossBatchStraddlesShardsVectorized(t *testing.T) {
 	s0, ts0 := newNode(t, serve.Config{Shard: "s0"})
 	s1, ts1 := newNode(t, serve.Config{Shard: "s1"})
@@ -51,9 +50,9 @@ func TestCrossBatchStraddlesShardsVectorized(t *testing.T) {
 	rtSrv := httptest.NewServer(rt)
 	defer rtSrv.Close()
 
-	// 30 queries per name (well past the vectorized threshold per shard
-	// group), interleaved round-robin so adjacent request indexes land on
-	// different shards — reassembly order is actually exercised.
+	// 30 queries per name, interleaved round-robin so adjacent request
+	// indexes land on different shards — reassembly order is actually
+	// exercised.
 	const perName = 30
 	var queries []NamedQuery
 	for j := 0; j < perName; j++ {
@@ -69,9 +68,6 @@ func TestCrossBatchStraddlesShardsVectorized(t *testing.T) {
 			}
 			queries = append(queries, q)
 		}
-	}
-	if perName < vecMinForTest {
-		t.Fatalf("per-name groups of %d are under the vectorized threshold", perName)
 	}
 
 	out := postJSON(t, rtSrv.URL+"/v1/query", map[string]any{"queries": queries}, 200)
@@ -104,10 +100,6 @@ func TestCrossBatchStraddlesShardsVectorized(t *testing.T) {
 		}
 	}
 }
-
-// vecMinForTest mirrors serve.vecBatchMin (unexported) so this test
-// fails loudly if the threshold ever outgrows the per-shard group size.
-const vecMinForTest = 16
 
 // TestBatchBodyStrictnessSharedByRouterAndShard: the router's POST
 // /v1/query and the shard's POST /v1/hist/{name}/query agree on what a

@@ -87,7 +87,7 @@ type topology struct {
 type RouterConfig struct {
 	// CoalesceWait enables router-side query coalescing: single-query
 	// GETs (point, range) arriving for the same histogram within this
-	// window are merged into one vectorized shard batch and scattered
+	// window are merged into one shard batch and scattered
 	// back in arrival order. 0 disables coalescing.
 	CoalesceWait time.Duration
 	// CoalesceMax caps how many queries one coalesced batch may carry; a

@@ -6,50 +6,42 @@ import (
 	"sync"
 )
 
-// The vectorized batch executor.
+// The 2D batch executor.
 //
-// A scalar point estimate walks the query key's root-to-leaf ancestor
-// path, binary-searching each error-tree level for the one coefficient
-// index that can contribute — O(log u · log k) data-dependent loads per
-// query. For a batch of n queries that search repeats per query, even
-// though at level j the batch's n ancestor targets are a monotone
-// function of the sorted keys and level j's coefficient indices are
-// already stored sorted (errTree.ord / errTree.idxs).
+// A scalar 2D point estimate walks the cell's (log2(u)+1)² ancestor pairs,
+// binary-searching the row-group table for each — data-dependent loads
+// per query. For a batch of n cells that search repeats per query, even
+// though for a fixed x-level the batch's row targets are a monotone
+// function of the sorted x keys and the row table is already sorted
+// (errTree2D.gkey / errTree2D.idxs).
 //
-// The batch executor exploits that: sort the query keys once, then sweep
-// every level exactly once with a merge join — one forward cursor over
-// the level's sorted index array, advanced monotonically as the sorted
-// queries' ancestor targets increase. Each level costs O(n + k_level)
-// sequential comparisons instead of n binary searches, ancestor targets
-// come from shifts instead of divisions, and adjacent queries sharing an
-// ancestor (the common case in the dense top levels) reuse the matched
-// run without rescanning. Range queries walk the same sweep with two
-// sorted boundary walkers per query (2n walkers), mirroring rangeSum's
-// kLo/kHi probes including its "probe kHi only when it differs" dedup.
-// 2D ranges sweep the row-group table with the same walker scheme on the
-// x axis and probe each matched row's y-axis boundary candidates.
-//
-// Every level sweep parks its cursor with one binary search at the first
-// query's target instead of scanning from the level start, so a sweep
-// costs only the share of the level its queries span — also what lets
-// the measured-only fan-out in parallel.go sweep contiguous segments of
-// the sorted batch independently.
+// The batch executor exploits that: sort the cells once by (x, y), then
+// sweep the row table with one forward cursor per x-level, and within a
+// matched row group merge-join each y-level's ascending targets — cells
+// sharing an x run compute its ancestor path once. 2D ranges sweep the
+// row-group table with two sorted boundary walkers per query (2n walkers)
+// on the x axis, mirroring rangeSum's kLo/kHi probes including its "probe
+// kHi only when it differs" dedup, and probe each matched row's y-axis
+// boundary candidates. Every sweep parks its cursor with one binary
+// search at the first query's target instead of scanning from the table
+// start. (1D batches need none of this: a piece-table lookup is one binary
+// search, so Representation.BatchPoints / BatchRanges loop the scalar
+// estimates.)
 //
 // # Bit-identical to the scalar path
 //
 // PointEstimate / RangeSum stay the oracle. Per query the sweep matches
-// exactly the term multiset the scalar walk matches (same levels, same
-// targets, same duplicate runs) and computes each term with the same
-// arithmetic — precomputed ±1/sqrt and /sqrt factors that are bitwise
-// equal to the scalar path's per-query derivations (math.Sqrt is
-// correctly rounded, so caching a root changes nothing). Matched terms
-// are collected in a flat structure-of-arrays arena (parallel tq/terms
-// columns), grouped per query with one counting-sort scatter, and each
-// query's group is finished with the same sumByPos the scalar path uses;
-// a query's matched coefficient positions are distinct, so the
-// position-sorted summation order — and therefore every partial sum's
-// rounding — is identical no matter what order the sweep discovered the
-// terms in.
+// exactly the term multiset the scalar walk matches (same targets, same
+// duplicate runs) and computes each term with the same arithmetic —
+// precomputed ±1/sqrt and /sqrt factors that are bitwise equal to the
+// scalar path's per-query derivations (math.Sqrt is correctly rounded, so
+// caching a root changes nothing). Matched terms are collected in a flat
+// structure-of-arrays arena (parallel tq/terms columns), grouped per query
+// with one counting-sort scatter, and each query's group is finished with
+// the same sumByPos the scalar path uses; a query's matched coefficient
+// positions are distinct, so the position-sorted summation order — and
+// therefore every partial sum's rounding — is identical no matter what
+// order the sweep discovered the terms in.
 //
 // All scratch state lives in a pooled arena, so steady-state batches
 // allocate nothing.
@@ -58,17 +50,17 @@ import (
 // the flat term arena and its per-query offset table, and clamped range
 // bounds. Pooled; every slice is length-reset per use.
 type batchScratch struct {
-	qord  []int32   // in-domain query indexes, sorted by key
+	qord  []int32   // active query indexes: cells sorted by (x, y), ranges in input order
 	word  []int32   // range boundary walkers (query<<1 | isHi), sorted by boundary
 	pk    []int64   // packed key<<shift|index sort buffer (comparator-free sort)
 	tq    []int32   // arena column: owning query index per term
 	terms []posTerm // arena column: the matched terms, sweep order
 	qoff  []int32   // counting-sort offsets, len n+1
 	flat  []posTerm // terms scattered contiguously per query
-	klo   []int64   // clamped range lows (x axis in 2D), indexed by query
-	khi   []int64   // clamped range highs (x axis in 2D), indexed by query
-	kylo  []int64   // clamped 2D range lows, y axis
-	kyhi  []int64   // clamped 2D range highs, y axis
+	klo   []int64   // clamped range lows, x axis, indexed by query
+	khi   []int64   // clamped range highs, x axis, indexed by query
+	kylo  []int64   // clamped range lows, y axis
+	kyhi  []int64   // clamped range highs, y axis
 }
 
 var batchScratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
@@ -126,171 +118,6 @@ func (sc *batchScratch) finishFlat(active []int32, out []float64) {
 	}
 }
 
-// sortPointQueries zeroes out, drops out-of-domain keys, and returns the
-// surviving query indexes sorted by key (stored in sc.qord).
-func (t *errTree) sortPointQueries(sc *batchScratch, xs []int64, out []float64) []int32 {
-	qord := sc.qord[:0]
-	if t.u <= 1<<31 {
-		// Comparator-free sort: pack key<<31|index into one int64 so
-		// slices.Sort runs without closure calls. Equal keys tie-break
-		// by index; per-query sums are order-independent (sumByPos
-		// canonicalizes), so the result is still bit-identical.
-		pk := sc.pk[:0]
-		for i, x := range xs {
-			out[i] = 0
-			if x >= 0 && x < t.u {
-				pk = append(pk, x<<31|int64(i))
-			}
-		}
-		slices.Sort(pk)
-		for _, v := range pk {
-			qord = append(qord, int32(v&(1<<31-1)))
-		}
-		sc.pk = pk
-	} else {
-		for i, x := range xs {
-			out[i] = 0
-			if x >= 0 && x < t.u {
-				qord = append(qord, int32(i))
-			}
-		}
-		slices.SortFunc(qord, func(a, b int32) int {
-			xa, xb := xs[a], xs[b]
-			switch {
-			case xa < xb:
-				return -1
-			case xa > xb:
-				return 1
-			}
-			return 0
-		})
-	}
-	sc.qord = qord
-	return qord
-}
-
-// sweepPoints runs the per-level merge joins for a key-sorted slice of
-// point queries, pushing every matched term into sc's arena. qord may be
-// any contiguous segment of a sorted batch: each level's cursor is
-// binary-searched to the segment's first target, which parks it exactly
-// where a linear advance from the level start would — later targets are
-// monotone, so every walker still lands on its full duplicate run.
-func (t *errTree) sweepPoints(sc *batchScratch, coefs []Coef, xs []int64, qord []int32) {
-	if len(qord) == 0 {
-		return
-	}
-	// Level 0: every in-domain query matches the average coefficient(s).
-	if s0, e0 := int(t.off[0]), int(t.off[1]); s0 < e0 {
-		b := t.invSqrtU // == 1/math.Sqrt(float64(t.u)), the scalar factor
-		for _, qi := range qord {
-			for i := s0; i < e0; i++ {
-				p := t.ord[i]
-				sc.push(qi, p, coefs[p].Value*b)
-			}
-		}
-	}
-
-	// Detail levels: one merge join per level. A query's ancestor target
-	// at detail level j is 2^j + x>>(logu-j) — non-decreasing in sorted
-	// key order — so a single forward cursor replaces per-query searches.
-	for j := uint(0); j < t.logu; j++ {
-		s, e := int(t.off[j+1]), int(t.off[j+2])
-		if s == e {
-			continue
-		}
-		shift := t.logu - j // rangeLen = 1<<shift
-		base := int64(1) << j
-		val := t.invSqrtLen[j]
-		first := base + xs[qord[0]]>>shift
-		cur := s + sort.Search(e-s, func(i int) bool { return t.idxs[s+i] >= first })
-		for _, qi := range qord {
-			x := xs[qi]
-			target := base + x>>shift
-			for cur < e && t.idxs[cur] < target {
-				cur++
-			}
-			if cur == e {
-				break // later queries have even larger targets
-			}
-			if t.idxs[cur] != target {
-				continue
-			}
-			// basisAtLevel's sign: negative iff x mod rangeLen lands in
-			// the first half, i.e. bit shift-1 of x is clear.
-			b := val
-			if x>>(shift-1)&1 == 0 {
-				b = -val
-			}
-			// The cursor stays at the run start so a following query with
-			// the same ancestor rematches it without rescanning.
-			for m := cur; m < e && t.idxs[m] == target; m++ {
-				p := t.ord[m]
-				sc.push(qi, p, coefs[p].Value*b)
-			}
-		}
-	}
-}
-
-// BatchPoints answers n point queries at once: out[i] = PointEstimate
-// of xs[i], bit for bit. len(out) must equal len(xs). Keys may repeat
-// and arrive in any order; keys outside [0, u) estimate 0, exactly as
-// the scalar path does. Steady-state calls are allocation-free.
-func (r *Representation) BatchPoints(xs []int64, out []float64) {
-	if len(out) != len(xs) {
-		panic("wavelet: BatchPoints slice length mismatch")
-	}
-	if r.tree == nil {
-		for i, x := range xs {
-			out[i] = r.PointEstimate(x)
-		}
-		return
-	}
-	r.tree.batchPoints(r.Coefs, xs, out)
-}
-
-func (t *errTree) batchPoints(coefs []Coef, xs []int64, out []float64) {
-	n := len(xs)
-	if n == 0 {
-		return
-	}
-	sc := batchScratchPool.Get().(*batchScratch)
-	qord := t.sortPointQueries(sc, xs, out)
-	sc.resetArena(n)
-	t.sweepPoints(sc, coefs, xs, qord)
-	sc.finishFlat(qord, out)
-	batchScratchPool.Put(sc)
-}
-
-// clampRangeQueries zeroes out, clamps each [los[i], his[i]] to [0, u)
-// into sc.klo/sc.khi, and returns the non-empty query indexes in input
-// order (stored in sc.qord).
-func clampRangeQueries(sc *batchScratch, u int64, los, his []int64, out []float64) []int32 {
-	n := len(los)
-	if cap(sc.klo) < n {
-		sc.klo = make([]int64, n)
-		sc.khi = make([]int64, n)
-	}
-	sc.klo, sc.khi = sc.klo[:n], sc.khi[:n]
-	qis := sc.qord[:0]
-	for i := 0; i < n; i++ {
-		out[i] = 0
-		lo, hi := los[i], his[i]
-		if lo < 0 {
-			lo = 0
-		}
-		if hi >= u {
-			hi = u - 1
-		}
-		if lo > hi {
-			continue
-		}
-		sc.klo[i], sc.khi[i] = lo, hi
-		qis = append(qis, int32(i))
-	}
-	sc.qord = qis
-	return qis
-}
-
 // buildBoundaryWalkers packs each listed query's two boundary walkers
 // (query<<1 for lo, query<<1|1 for hi) and sorts them by boundary key so
 // each level's walker targets are monotone. packed selects the
@@ -331,115 +158,6 @@ func buildBoundaryWalkers(sc *batchScratch, qis []int32, klo, khi []int64, packe
 	}
 	sc.word = word
 	return word
-}
-
-// sweepRangeLevels runs the per-level merge joins for a set of clamped
-// range queries (qis) and their sorted boundary walkers (word), pushing
-// every matched term into sc's arena. Each level's cursor is
-// binary-searched to the first walker's target.
-func (t *errTree) sweepRangeLevels(sc *batchScratch, coefs []Coef, qis, word []int32, klo, khi []int64) {
-	if len(word) == 0 {
-		return
-	}
-	// Level 0: every active query matches the average coefficient(s) with
-	// the scalar factor (hi-lo+1)/sqrt(u).
-	if s0, e0 := int(t.off[0]), int(t.off[1]); s0 < e0 {
-		for _, qi := range qis {
-			b := float64(khi[qi]-klo[qi]+1) / t.sqrtU
-			for i := s0; i < e0; i++ {
-				p := t.ord[i]
-				sc.push(qi, p, coefs[p].Value*b)
-			}
-		}
-	}
-
-	// Detail levels: merge join of sorted boundary walkers against the
-	// level's index array, mirroring rangeSum — the lo walker always
-	// probes its dyadic cell, the hi walker only when it differs (the
-	// scalar path's double-count guard).
-	for j := uint(0); j < t.logu; j++ {
-		s, e := int(t.off[j+1]), int(t.off[j+2])
-		if s == e {
-			continue
-		}
-		shift := t.logu - j
-		base := int64(1) << j
-		rangeLen := t.u >> j
-		sq := t.sqrtLen[j]
-		w0 := word[0]
-		k0 := klo[w0>>1] >> shift
-		if w0&1 != 0 {
-			k0 = khi[w0>>1] >> shift
-		}
-		first := base + k0
-		cur := s + sort.Search(e-s, func(i int) bool { return t.idxs[s+i] >= first })
-		for _, w := range word {
-			qi := w >> 1
-			lo, hi := klo[qi], khi[qi]
-			var k int64
-			if w&1 != 0 {
-				k = hi >> shift
-				if k == lo>>shift {
-					continue
-				}
-			} else {
-				k = lo >> shift
-			}
-			target := base + k
-			for cur < e && t.idxs[cur] < target {
-				cur++
-			}
-			if cur == e {
-				break
-			}
-			if t.idxs[cur] != target {
-				continue
-			}
-			// appendRangeTerms' arithmetic, with the cached level root.
-			start := k << shift
-			mid := start + rangeLen/2
-			end := start + rangeLen
-			neg := overlap(lo, hi+1, start, mid)
-			pos := overlap(lo, hi+1, mid, end)
-			b := float64(pos-neg) / sq
-			for m := cur; m < e && t.idxs[m] == target; m++ {
-				p := t.ord[m]
-				sc.push(qi, p, coefs[p].Value*b)
-			}
-		}
-	}
-}
-
-// BatchRanges answers n range-sum queries at once: out[i] = RangeSum of
-// [los[i], his[i]], bit for bit, with the scalar path's clamp contract
-// (bounds clamped to the domain, empty intersection estimates 0).
-// len(los), len(his) and len(out) must match. Steady-state calls are
-// allocation-free.
-func (r *Representation) BatchRanges(los, his []int64, out []float64) {
-	if len(his) != len(los) || len(out) != len(los) {
-		panic("wavelet: BatchRanges slice length mismatch")
-	}
-	if r.tree == nil {
-		for i := range los {
-			out[i] = r.RangeSum(los[i], his[i])
-		}
-		return
-	}
-	r.tree.batchRanges(r.Coefs, los, his, out)
-}
-
-func (t *errTree) batchRanges(coefs []Coef, los, his []int64, out []float64) {
-	n := len(los)
-	if n == 0 {
-		return
-	}
-	sc := batchScratchPool.Get().(*batchScratch)
-	qis := clampRangeQueries(sc, t.u, los, his, out)
-	sc.resetArena(n)
-	word := buildBoundaryWalkers(sc, qis, sc.klo, sc.khi, t.u <= 1<<31)
-	t.sweepRangeLevels(sc, coefs, qis, word, sc.klo, sc.khi)
-	sc.finishFlat(qis, out)
-	batchScratchPool.Put(sc)
 }
 
 // sortPointQueries2D zeroes out, drops off-grid cells, and returns the

@@ -7,10 +7,9 @@ import (
 	"wavelethist/internal/zipf"
 )
 
-// TestBatchPointsMatchesScalar is the tentpole equivalence property: for
-// every domain/k shape (including k=0), a batch of keys — duplicated,
-// unsorted, and partly out-of-domain — must answer bit-identically to
-// per-key PointEstimate calls.
+// TestBatchPointsMatchesScalar: for every domain/k shape (including
+// k=0), a batch of keys — duplicated, unsorted, and partly out-of-domain
+// — must answer bit-identically to the per-key linear scan.
 func TestBatchPointsMatchesScalar(t *testing.T) {
 	r := zipf.NewRNG(21)
 	for _, u := range []int64{1, 2, 4, 64, 1 << 12, 1 << 20} {
@@ -31,8 +30,8 @@ func TestBatchPointsMatchesScalar(t *testing.T) {
 				out := make([]float64, n)
 				rep.BatchPoints(xs, out)
 				for i, x := range xs {
-					if want := rep.PointEstimate(x); !bitEq(out[i], want) {
-						t.Fatalf("u=%d k=%d n=%d: BatchPoints[%d] key %d = %x, scalar %x",
+					if want := rep.ScanPointEstimate(x); !bitEq(out[i], want) {
+						t.Fatalf("u=%d k=%d n=%d: BatchPoints[%d] key %d = %x, scan %x",
 							u, k, n, i, x, math.Float64bits(out[i]), math.Float64bits(want))
 					}
 				}
@@ -41,9 +40,9 @@ func TestBatchPointsMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestBatchRangesMatchesScalar covers the two-walker range sweep against
-// scalar RangeSum, including inverted, clamped, and fully off-domain
-// bounds and ranges that share one dyadic cell at deep levels.
+// TestBatchRangesMatchesScalar covers batch ranges against the linear
+// scan, including inverted, clamped, and fully off-domain bounds and
+// ranges whose bounds share one piece.
 func TestBatchRangesMatchesScalar(t *testing.T) {
 	r := zipf.NewRNG(22)
 	for _, u := range []int64{1, 2, 64, 1 << 12, 1 << 20} {
@@ -72,8 +71,8 @@ func TestBatchRangesMatchesScalar(t *testing.T) {
 			out := make([]float64, n)
 			rep.BatchRanges(los, his, out)
 			for i := range los {
-				if want := rep.RangeSum(los[i], his[i]); !bitEq(out[i], want) {
-					t.Fatalf("u=%d k=%d: BatchRanges[%d] (%d, %d) = %x, scalar %x",
+				if want := rep.ScanRangeSum(los[i], his[i]); !bitEq(out[i], want) {
+					t.Fatalf("u=%d k=%d: BatchRanges[%d] (%d, %d) = %x, scan %x",
 						u, k, i, los[i], his[i], math.Float64bits(out[i]), math.Float64bits(want))
 				}
 			}
@@ -124,8 +123,8 @@ func TestBatchPoints2DMatchesScalar(t *testing.T) {
 }
 
 // TestBatchScalarFallback pins the hand-rolled-literal path: a
-// Representation without an error tree still answers batches (via the
-// scalar loop), bit-identical to per-key calls.
+// Representation without a query index still answers batches (via the
+// scan), bit-identical to per-key calls.
 func TestBatchScalarFallback(t *testing.T) {
 	rep := &Representation{U: 8, Coefs: []Coef{{Index: 0, Value: 4}, {Index: 3, Value: -2}}}
 	xs := []int64{-1, 0, 3, 7, 8}
@@ -155,13 +154,9 @@ func TestBatchScalarFallback(t *testing.T) {
 	}
 }
 
-// TestBatchAllocationFree pins the steady-state serving property the
-// pooled scratch arena exists for: batch queries allocate nothing once
-// the pool is warm.
+// TestBatchAllocationFree pins the steady-state serving property: 1D
+// batch queries allocate nothing.
 func TestBatchAllocationFree(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation makes sync.Pool allocate")
-	}
 	r := zipf.NewRNG(24)
 	const u = 1 << 20
 	rep := randomRep(r, u, 2048)
@@ -175,19 +170,16 @@ func TestBatchAllocationFree(t *testing.T) {
 		his[i] = los[i] + r.Int63n(u/4)
 	}
 	out := make([]float64, n)
-	rep.BatchPoints(xs, out) // warm the pool
 	if a := testing.AllocsPerRun(100, func() { rep.BatchPoints(xs, out) }); a != 0 {
 		t.Errorf("BatchPoints allocates %v per call, want 0", a)
 	}
-	rep.BatchRanges(los, his, out)
 	if a := testing.AllocsPerRun(100, func() { rep.BatchRanges(los, his, out) }); a != 0 {
 		t.Errorf("BatchRanges allocates %v per call, want 0", a)
 	}
 }
 
-// FuzzBatchPoints feeds arbitrary key bytes through the batch executor
-// and demands bit-identical agreement with scalar PointEstimate — the
-// fuzz half of the tentpole's equivalence contract.
+// FuzzBatchPoints feeds arbitrary key bytes through BatchPoints and
+// demands bit-identical agreement with the linear scan.
 func FuzzBatchPoints(f *testing.F) {
 	const u = 1 << 16
 	r := zipf.NewRNG(25)
@@ -214,15 +206,15 @@ func FuzzBatchPoints(f *testing.F) {
 		out := make([]float64, n)
 		rep.BatchPoints(xs, out)
 		for i, x := range xs {
-			if want := rep.PointEstimate(x); !bitEq(out[i], want) {
-				t.Fatalf("BatchPoints[%d] key %d = %x, scalar %x", i, x,
+			if want := rep.ScanPointEstimate(x); !bitEq(out[i], want) {
+				t.Fatalf("BatchPoints[%d] key %d = %x, scan %x", i, x,
 					math.Float64bits(out[i]), math.Float64bits(want))
 			}
 		}
 	})
 }
 
-// FuzzBatchRanges is FuzzBatchPoints for the two-walker range sweep.
+// FuzzBatchRanges is FuzzBatchPoints for BatchRanges.
 func FuzzBatchRanges(f *testing.F) {
 	const u = 1 << 16
 	r := zipf.NewRNG(26)
@@ -251,8 +243,8 @@ func FuzzBatchRanges(f *testing.F) {
 		out := make([]float64, n)
 		rep.BatchRanges(los, his, out)
 		for i := range los {
-			if want := rep.RangeSum(los[i], his[i]); !bitEq(out[i], want) {
-				t.Fatalf("BatchRanges[%d] (%d, %d) = %x, scalar %x", i, los[i], his[i],
+			if want := rep.ScanRangeSum(los[i], his[i]); !bitEq(out[i], want) {
+				t.Fatalf("BatchRanges[%d] (%d, %d) = %x, scan %x", i, los[i], his[i],
 					math.Float64bits(out[i]), math.Float64bits(want))
 			}
 		}
@@ -273,24 +265,6 @@ func BenchmarkBatchPoints(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rep.BatchPoints(xs, out)
-	}
-}
-
-func BenchmarkBatchPointsScalarLoop(b *testing.B) {
-	rep := benchRep(b, 1<<20, 2048)
-	r := zipf.NewRNG(27)
-	n := 256
-	xs := make([]int64, n)
-	for i := range xs {
-		xs[i] = r.Int63n(1 << 20)
-	}
-	out := make([]float64, n)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j, x := range xs {
-			out[j] = rep.PointEstimate(x)
-		}
 	}
 }
 

@@ -32,7 +32,7 @@ import (
 // ≤ log2(u)+1 coefficients (O(log u · log(k+shadow)) heap moves). While
 // retained membership is unchanged, a read copies the previous snapshot's
 // coefficient array, patches the values that moved, and shares its
-// error-tree index.
+// piece table.
 
 // node is one tracked coefficient.
 type node struct {
@@ -102,7 +102,7 @@ type Maintainer struct {
 	// immutable from then on (registry snapshots may hold it forever). The
 	// next read patches the slots of the nodes listed in dirty (of every
 	// retained node once the list would outgrow k) into a copy sharing
-	// rep's error-tree index, which stores positions, not values; a
+	// rep's piece table, which stores positions, not values; a
 	// membership change forces a full rebuild instead.
 	rep         *Representation
 	dirty       []int32 // retained nodes whose values moved
@@ -488,7 +488,7 @@ func (m *Maintainer) siftDown(s *side, i int) bool {
 // Representation returns the current k-term representation (the retained
 // set). The returned value is immutable and safe to publish; the result
 // is cached until the next Update. After value-only changes the snapshot
-// is a copy-and-patch of the previous one sharing its error-tree index;
+// is a copy-and-patch of the previous one sharing its piece table;
 // only a retained-membership change rebuilds the array and index.
 func (m *Maintainer) Representation() *Representation {
 	if m.rep == nil || m.memberDirty {
@@ -507,7 +507,7 @@ func (m *Maintainer) rebuildRep() {
 		cs[i] = r.Coef
 		m.nodes[r.n].slot = int32(i)
 	}
-	m.rep = &Representation{U: m.u, Coefs: cs, tree: newErrTree(m.u, cs)}
+	m.rep = &Representation{U: m.u, Coefs: cs, pieces: newPieceTable(m.u, cs)}
 	m.memberDirty, m.dirty, m.patchAll = false, m.dirty[:0], false
 }
 
@@ -520,6 +520,6 @@ func (m *Maintainer) patchRep() {
 	for _, n := range moved {
 		cs[m.nodes[n].slot].Value = m.nodes[n].Value
 	}
-	m.rep = &Representation{U: m.u, Coefs: cs, tree: m.rep.tree}
+	m.rep = &Representation{U: m.u, Coefs: cs, pieces: m.rep.pieces}
 	m.dirty, m.patchAll = m.dirty[:0], false
 }

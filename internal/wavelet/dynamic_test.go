@@ -2,6 +2,7 @@ package wavelet
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"wavelethist/internal/zipf"
@@ -206,6 +207,7 @@ func TestMaintainerSnapshotsImmutable(t *testing.T) {
 	frozen := make([]Coef, len(rep1.Coefs))
 	copy(frozen, rep1.Coefs)
 	est1 := rep1.PointEstimate(123)
+	pieces1 := rep1.pieces
 	for i := 0; i < 2000; i++ {
 		m.Update(r.Int63n(u), 2)
 		if i%100 == 0 {
@@ -220,14 +222,83 @@ func TestMaintainerSnapshotsImmutable(t *testing.T) {
 	if got := rep1.PointEstimate(123); math.Float64bits(got) != math.Float64bits(est1) {
 		t.Fatalf("snapshot estimate drifted: %v -> %v", est1, got)
 	}
+	// The old snapshot still answers from its own piece table.
+	if rep1.pieces != pieces1 {
+		t.Fatal("snapshot's piece table was replaced")
+	}
+	requireMatchesScan(t, "old snapshot", rep1, r)
 	rep2 := m.Representation()
 	if rep2 == rep1 {
 		t.Fatal("maintainer returned a stale snapshot after updates")
 	}
 }
 
+// requireMatchesScan checks every point of rep's domain, two off-domain
+// points on each side, and random, inverted, clamped and full-domain
+// ranges against the linear scan, bit for bit.
+func requireMatchesScan(t *testing.T, what string, rep *Representation, r *zipf.RNG) {
+	t.Helper()
+	u := rep.U
+	for x := int64(-2); x < u+2; x++ {
+		if g, w := rep.PointEstimate(x), rep.ScanPointEstimate(x); math.Float64bits(g) != math.Float64bits(w) {
+			t.Fatalf("%s: PointEstimate(%d) = %v, scan %v", what, x, g, w)
+		}
+	}
+	ranges := [][2]int64{{0, u - 1}, {-3, u + 3}, {u - 1, 0}, {math.MinInt64, math.MaxInt64}}
+	for i := 0; i < 200; i++ {
+		ranges = append(ranges, [2]int64{r.Int63n(u+6) - 3, r.Int63n(u+6) - 3})
+	}
+	for _, b := range ranges {
+		if g, w := rep.RangeSum(b[0], b[1]), rep.ScanRangeSum(b[0], b[1]); math.Float64bits(g) != math.Float64bits(w) {
+			t.Fatalf("%s: RangeSum(%d, %d) = %v, scan %v", what, b[0], b[1], g, w)
+		}
+	}
+}
+
+// TestMaintainerSnapshotsSharePieceTable: a value-patched snapshot reuses
+// the previous snapshot's piece table (the same pointer) and still
+// matches the scan to the bit; a retained-membership change builds a new
+// table; and every older snapshot keeps answering from its own.
+func TestMaintainerSnapshotsSharePieceTable(t *testing.T) {
+	const u = 1 << 10
+	r := zipf.NewRNG(25)
+	m := NewMaintainer(u, nil, 16, 64)
+	for i := 0; i < 2000; i++ {
+		m.Update(r.Int63n(u), 1)
+	}
+	const hot = 700
+	m.Update(hot, 1000) // hot's path coefficients dominate the retained set
+	rep1 := m.Representation()
+
+	m.Update(hot, 1)
+	if m.memberDirty {
+		t.Fatal("a small update to the dominant key changed retained membership")
+	}
+	rep2 := m.Representation()
+	if rep2 == rep1 || rep2.pieces != rep1.pieces {
+		t.Fatalf("value-patched snapshot: rep %p -> %p, table %p -> %p; want a new rep sharing the table",
+			rep1, rep2, rep1.pieces, rep2.pieces)
+	}
+	if slices.Equal(rep1.Coefs, rep2.Coefs) {
+		t.Fatal("the update moved no retained value")
+	}
+	requireMatchesScan(t, "patched snapshot", rep2, r)
+
+	m.Update(40, 5000) // a new key far from hot: its leaf coefficients enter
+	if !m.memberDirty {
+		t.Fatal("a dominant new key left retained membership unchanged")
+	}
+	rep3 := m.Representation()
+	if rep3.pieces == rep2.pieces {
+		t.Fatal("membership change reused the old piece table")
+	}
+	requireMatchesScan(t, "rebuilt snapshot", rep3, r)
+	requireMatchesScan(t, "first snapshot", rep1, r)
+	requireMatchesScan(t, "patched snapshot after rebuild", rep2, r)
+}
+
 // TestMaintainerPatchedSnapshotEquivalence: copy-and-patch snapshots share
-// the previous snapshot's error-tree index; their indexed estimates must
+// the previous snapshot's piece table; their indexed estimates must
 // stay bit-identical to the linear scan through arbitrary interleavings.
 func TestMaintainerPatchedSnapshotEquivalence(t *testing.T) {
 	const u = 1 << 14

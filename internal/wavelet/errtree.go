@@ -1,28 +1,42 @@
 package wavelet
 
 import (
-	"cmp"
 	"math"
-	"slices"
+	"math/bits"
 	"sort"
 )
 
-// The error-tree query engine.
+// The query indexes.
 //
 // A k-term representation answers queries as v̂(x) = Σ w_i ψ_i(x), and the
 // naive evaluation scans all k retained coefficients even though ψ_i(x) is
-// non-zero only for the ≤ log2(u)+1 coefficients on x's root-to-leaf path
-// in the Haar error tree (Matias, Vitter, Wang's query model — the reason
-// wavelet histograms answer point and range queries fast). errTree is the
-// per-representation index that makes those ancestor lookups cheap: the
-// coefficient positions of the representation's Coefs slice, sorted by
-// coefficient index and bucketed by error-tree level, so an ancestor is
-// found with one binary search inside its level — per-level offset tables
-// over an index-sorted position array, no hashing on the read path.
+// non-zero only for the coefficients whose support contains x — at most
+// log2(u)+1 distinct indices, x's root-to-leaf path in the Haar error tree
+// (Matias, Vitter, Wang's query model, the reason wavelet histograms
+// answer point and range queries fast).
 //
-// The index is structural: it stores positions into Coefs, never values,
+// The 1D index, pieceTable, lists those coefficients ahead of time. Cut
+// the domain at the start and end of every retained in-domain
+// coefficient's dyadic support: each piece between two consecutive cuts
+// then lies wholly inside or wholly outside every support, and stores the
+// positions in Coefs of the coefficients whose support contains it,
+// ascending. A point query is one binary search for its piece and one
+// pass over that list. A range query merges the lists of the pieces
+// holding its two bounds: a coefficient whose support holds neither bound
+// lies inside the range, where its ψ halves cancel exactly, or outside it.
+//
+// Size: the ≤ 2k cuts make ≤ 2k+1 pieces. A coefficient is listed once
+// per piece inside its support, 1 + the cuts strictly inside it, and each
+// of those is an end of one of its retained descendants (≤ 2 each); summed
+// over the coefficients that is ≤ k·(2·log2(u)+1) list entries for
+// distinct indices, since a coefficient has at most log2(u) ancestors. At
+// k = u the finest supports are two keys wide, so every pair of keys is a
+// piece and every list a full root-to-leaf path: u/2 pieces and
+// (u/2)·(log2(u)+1) entries.
+//
+// The table is structural: it stores positions into Coefs, never values,
 // so a caller that patches coefficient values in place (the incremental
-// Maintainer's snapshot path) can share one errTree across snapshots whose
+// Maintainer's snapshot path) shares one table across snapshots whose
 // index multiset is unchanged.
 //
 // # Bit-identical results
@@ -34,103 +48,41 @@ import (
 //     basis factor is 0), and adding ±0 never changes a running float64
 //     sum that started at +0 — a finite sum can never round to -0, so
 //     s + ±0 == s at every step.
-//  2. The matched ancestor terms are accumulated in coefficient-position
-//     order — exactly the order the scan visits them — using the same
-//     basis arithmetic (basisAtLevel / basisRangeSum), so every partial
-//     sum rounds identically.
+//  2. A piece's list (and the merge of two, which takes a position found
+//     in both once) is in coefficient-position order — exactly the order
+//     the scan visits them — and each term uses the scan's arithmetic
+//     (BasisAt / basisRangeSum) with cached roots: math.Sqrt is correctly
+//     rounded, so a cached root or its reciprocal is the value the scan
+//     derives per term, and every partial sum rounds identically.
 //
-// Invalid coefficient indices (negative, or outside the domain) are
-// parked in a trailing overflow bucket no query target can reach; the
-// scan path gives such coefficients an exact zero basis factor too, with
-// one divergence: the scan panics on negative indices (coefLevel), the
-// index silently ignores them. Serialized histograms reject them before
-// either path runs.
-type errTree struct {
-	u    int64
-	logu uint
-	ord  []int32 // positions into Coefs, sorted by (level, index, position)
-	off  []int32 // level L entries are ord[off[L]:off[L+1]]; L=0 is the
-	// average coefficient, L=j+1 is detail level j, L=logu+1 is
-	// the overflow bucket for out-of-domain indices.
+// Invalid coefficient indices (negative, or outside the domain) cut
+// nothing and are listed in no piece; the scan gives such coefficients an
+// exact zero basis factor too, with one divergence: the scan panics on
+// negative indices (coefLevel), the table silently ignores them.
+// Serialized histograms reject them before either path runs.
+type pieceTable struct {
+	u     int64
+	logu  uint
+	start []int64 // piece i is [start[i], start[i+1]), the last one ends at u; start[0] = 0
+	off   []int32 // piece i lists pos[off[i]:off[i+1]]
+	pos   []int32 // positions into Coefs, ascending within each piece
 
-	// idxs[i] == coefs[ord[i]].Index, materialized at build time so the
-	// batch executor's per-level merge joins compare against one flat
-	// sorted array instead of chasing ord into Coefs. Indices never change
-	// across value-patched snapshots (only values do), so caching them is
-	// as safe as caching ord itself.
-	idxs []int64
-
-	// Precomputed basis factors, bit-identical to what the scalar path
-	// derives per query: sqrtU = math.Sqrt(float64(u)); sqrtLen[j] =
-	// math.Sqrt(float64(u>>j)) and invSqrtLen[j] = 1/sqrtLen[j] for detail
-	// level j. math.Sqrt is correctly rounded, so dividing by (or negating)
-	// a cached root gives the same bits as recomputing it per term.
+	// Cached basis factors: sqrtU = math.Sqrt(float64(u)), invSqrtU =
+	// 1/sqrtU; sqrtLen[j] = math.Sqrt(float64(u>>j)) and invSqrtLen[j] =
+	// 1/sqrtLen[j] for detail level j.
 	sqrtU      float64
 	invSqrtU   float64
 	sqrtLen    []float64
 	invSqrtLen []float64
 }
 
-// posTerm is one matched ancestor's contribution, tagged with its position
-// in the representation's Coefs slice so terms can be summed in scan order.
-type posTerm struct {
-	pos  int32
-	term float64
-}
-
-// errTreeLevel buckets a coefficient index: 0 for the overall average,
-// 1+j for detail level j, logu+1 for anything outside the domain.
-func errTreeLevel(idx, u int64, logu uint) int {
-	if idx == 0 {
-		return 0
-	}
-	if idx < 0 || idx >= u {
-		return int(logu) + 1
-	}
-	return int(coefLevel(idx)) + 1
-}
-
-// newErrTree indexes coefs (a Representation's Coefs slice) over domain u.
-// O(k log k) build; the result is immutable and safe for concurrent reads.
-func newErrTree(u int64, coefs []Coef) *errTree {
+// newPieceTable indexes coefs (a Representation's Coefs slice) over
+// domain u: one radix sort of the ≤ 2k cut records, one sweep that
+// numbers the pieces, and one write per list entry — O(k·log2(u)/8 + the
+// entries). The result is immutable and safe for concurrent reads.
+func newPieceTable(u int64, coefs []Coef) *pieceTable {
 	logu := Log2(u)
-	t := &errTree{u: u, logu: logu}
-	n := len(coefs)
-	type entry struct {
-		index int64
-		level int32
-		pos   int32
-	}
-	es := make([]entry, n)
-	for i, c := range coefs {
-		es[i] = entry{c.Index, int32(errTreeLevel(c.Index, u, logu)), int32(i)}
-	}
-	slices.SortFunc(es, func(a, b entry) int {
-		if c := cmp.Compare(a.level, b.level); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(a.index, b.index); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.pos, b.pos)
-	})
-	t.ord = make([]int32, n)
-	t.idxs = make([]int64, n)
-	t.off = make([]int32, int(logu)+3)
-	for i := range t.off {
-		t.off[i] = int32(n)
-	}
-	cur := -1
-	for i, e := range es {
-		t.ord[i], t.idxs[i] = e.pos, e.index
-		if l := int(e.level); l != cur {
-			for j := cur + 1; j <= l; j++ {
-				t.off[j] = int32(i)
-			}
-			cur = l
-		}
-	}
-	t.sqrtU = math.Sqrt(float64(u))
+	t := &pieceTable{u: u, logu: logu, sqrtU: math.Sqrt(float64(u))}
 	t.invSqrtU = 1 / t.sqrtU
 	t.sqrtLen = make([]float64, logu)
 	t.invSqrtLen = make([]float64, logu)
@@ -138,27 +90,198 @@ func newErrTree(u int64, coefs []Coef) *errTree {
 		t.sqrtLen[j] = math.Sqrt(float64(u >> j))
 		t.invSqrtLen[j] = 1 / t.sqrtLen[j]
 	}
+
+	// One cut record per support start and per support end short of u,
+	// sorted by where it cuts; numbering the distinct cuts in that order
+	// gives each coefficient the piece range [a, b) it is listed in —
+	// span[2i:2i+2], empty for an invalid index.
+	recs := make([]cutRec, 0, 2*len(coefs))
+	span := make([]int32, 2*len(coefs))
+	for i, c := range coefs {
+		switch {
+		case c.Index == 0:
+			span[2*i+1] = -1 // to the last piece
+		case c.Index > 0 && c.Index < u:
+			_, s, e := t.support(c.Index)
+			recs = append(recs, cutRec{s, int32(2 * i)})
+			if e < u {
+				recs = append(recs, cutRec{e, int32(2*i + 1)})
+			} else {
+				span[2*i+1] = -1
+			}
+		}
+	}
+	recs = radixSortCuts(recs, make([]cutRec, len(recs)), logu)
+	t.start = make([]int64, 1, len(recs)+1) // start[0] = 0
+	for _, r := range recs {
+		if r.at != t.start[len(t.start)-1] {
+			t.start = append(t.start, r.at)
+		}
+		span[r.slot] = int32(len(t.start) - 1)
+	}
+	np := int32(len(t.start))
+
+	// cnt is first a difference array over the pieces, then each piece's
+	// fill cursor.
+	cnt := make([]int32, np+1)
+	for i := 0; i < len(span); i += 2 {
+		if span[i+1] < 0 {
+			span[i+1] = np
+		}
+		cnt[span[i]]++
+		cnt[span[i+1]]--
+	}
+	t.off = make([]int32, np+1)
+	var run int32
+	for p := int32(0); p < np; p++ {
+		run += cnt[p]
+		t.off[p+1] = t.off[p] + run
+	}
+	copy(cnt, t.off[:np])
+	t.pos = make([]int32, t.off[np])
+	for i := range coefs {
+		for p := span[2*i]; p < span[2*i+1]; p++ {
+			t.pos[cnt[p]] = int32(i)
+			cnt[p]++
+		}
+	}
 	return t
 }
 
-// find returns the half-open range of positions in level L whose
-// coefficient index equals target (duplicates are adjacent).
-func (t *errTree) find(coefs []Coef, level int, target int64) (int, int) {
-	lo, hi := int(t.off[level]), int(t.off[level+1])
-	end := hi
-	for lo < hi {
+// cutRec is one cut of the domain at key at, made by the support start
+// (slot 2i) or end (slot 2i+1) of coefficient i.
+type cutRec struct {
+	at   int64
+	slot int32
+}
+
+// radixSortCuts sorts recs by at, every at below 2^bits, with a stable
+// least-significant-digit radix sort of 8-bit digits; tmp is scratch of
+// the same length. It returns whichever of the two holds the result.
+func radixSortCuts(recs, tmp []cutRec, bits uint) []cutRec {
+	for shift := uint(0); shift < bits; shift += 8 {
+		var cnt [257]int32
+		for _, r := range recs {
+			cnt[r.at>>shift&255+1]++
+		}
+		for d := 1; d < len(cnt); d++ {
+			cnt[d] += cnt[d-1]
+		}
+		for _, r := range recs {
+			d := r.at >> shift & 255
+			tmp[cnt[d]] = r
+			cnt[d]++
+		}
+		recs, tmp = tmp, recs
+	}
+	return recs
+}
+
+// support returns the detail level j and the dyadic support [s, e) of an
+// in-domain detail coefficient index i (1 <= i < u).
+func (t *pieceTable) support(i int64) (j uint, s, e int64) {
+	j = uint(bits.Len64(uint64(i))) - 1
+	shift := t.logu - j
+	s = (i - int64(1)<<j) << shift
+	return j, s, s + int64(1)<<shift
+}
+
+// piece returns the index of the piece holding x, 0 <= x < u: the last
+// piece starting at or before x.
+func (t *pieceTable) piece(x int64) int {
+	lo, hi := 0, len(t.start) // start[lo] <= x < start[hi]
+	for hi-lo > 1 {
 		mid := int(uint(lo+hi) >> 1)
-		if coefs[t.ord[mid]].Index < target {
-			lo = mid + 1
+		if t.start[mid] <= x {
+			lo = mid
 		} else {
 			hi = mid
 		}
 	}
-	hi = lo
-	for hi < end && coefs[t.ord[hi]].Index == target {
-		hi++
+	return lo
+}
+
+// list returns piece i's coefficient positions.
+func (t *pieceTable) list(i int) []int32 { return t.pos[t.off[i]:t.off[i+1]] }
+
+// point evaluates v̂(x) over x's piece list: one binary search and ≤
+// log2(u)+1 terms for distinct indices. Allocation-free.
+func (t *pieceTable) point(coefs []Coef, x int64) float64 {
+	if x < 0 || x >= t.u {
+		return 0 // every basis factor is zero off-domain, as in the scan
 	}
-	return lo, hi
+	var s float64
+	for _, p := range t.list(t.piece(x)) {
+		c := &coefs[p]
+		b := t.invSqrtU
+		if c.Index != 0 {
+			j := uint(bits.Len64(uint64(c.Index))) - 1
+			b = t.invSqrtLen[j]
+			// BasisAt's sign: negative iff x lies in the first half of
+			// the support, i.e. bit log2(u)-j-1 of x is clear.
+			if x>>(t.logu-j-1)&1 == 0 {
+				b = -b
+			}
+		}
+		s += c.Value * b
+	}
+	return s
+}
+
+// rangeSum evaluates Σ_{x=lo..hi} v̂(x) over the merged piece lists of the
+// two bounds: two binary searches and ≤ 2·log2(u)+1 terms for distinct
+// indices. Bounds are clamped to the domain; an empty intersection
+// returns 0. Allocation-free.
+func (t *pieceTable) rangeSum(coefs []Coef, lo, hi int64) float64 {
+	if lo < 0 {
+		lo = 0
+	}
+	if hi >= t.u {
+		hi = t.u - 1
+	}
+	if lo > hi {
+		return 0
+	}
+	pa, pb := t.piece(lo), t.piece(hi)
+	a, b := t.list(pa), t.list(pb)
+	if pa == pb {
+		b = nil
+	}
+	var s float64
+	for len(a) > 0 || len(b) > 0 {
+		var p int32
+		switch {
+		case len(b) == 0 || len(a) > 0 && a[0] < b[0]:
+			p, a = a[0], a[1:]
+		case len(a) == 0 || b[0] < a[0]:
+			p, b = b[0], b[1:]
+		default: // a position in both lists counts once
+			p, a, b = a[0], a[1:], b[1:]
+		}
+		s += coefs[p].Value * t.rangeFactor(coefs[p].Index, lo, hi)
+	}
+	return s
+}
+
+// rangeFactor is basisRangeSum(i, lo, hi, u) for a coefficient whose
+// support holds lo or hi, with the cached roots.
+func (t *pieceTable) rangeFactor(i, lo, hi int64) float64 {
+	if i == 0 {
+		return float64(hi-lo+1) / t.sqrtU
+	}
+	j, start, end := t.support(i)
+	mid := start + (end-start)/2
+	neg := overlap(lo, hi+1, start, mid)
+	pos := overlap(lo, hi+1, mid, end)
+	return float64(pos-neg) / t.sqrtLen[j]
+}
+
+// posTerm is one matched ancestor's contribution to a 2D estimate, tagged
+// with its position in the representation's Coefs slice so terms can be
+// summed in scan order.
+type posTerm struct {
+	pos  int32
+	term float64
 }
 
 // basisAtLevel is BasisAt for a coefficient known to live at detail level
@@ -193,98 +316,6 @@ func sumByPos(terms []posTerm) float64 {
 	return s
 }
 
-// pointEstimate evaluates v̂(x) touching only x's ≤ log2(u)+1 error-tree
-// ancestors: O(log u · log k) with the per-level binary searches.
-// Allocation-free for representations without pathological duplicate
-// runs (the term buffer spills to the heap past 80 matches).
-func (t *errTree) pointEstimate(coefs []Coef, x int64) float64 {
-	if x < 0 || x >= t.u {
-		return 0 // every basis factor is zero off-domain, as in the scan
-	}
-	var stack [80]posTerm
-	terms := stack[:0]
-	lo, hi := t.find(coefs, 0, 0)
-	if lo < hi {
-		b := 1 / math.Sqrt(float64(t.u))
-		for i := lo; i < hi; i++ {
-			p := t.ord[i]
-			terms = append(terms, posTerm{p, coefs[p].Value * b})
-		}
-	}
-	for j := uint(0); j < t.logu; j++ {
-		rangeLen := t.u >> j
-		k := x / rangeLen
-		lo, hi := t.find(coefs, int(j)+1, int64(1)<<j+k)
-		if lo == hi {
-			continue
-		}
-		b := basisAtLevel(j, k, x, t.u)
-		for i := lo; i < hi; i++ {
-			p := t.ord[i]
-			terms = append(terms, posTerm{p, coefs[p].Value * b})
-		}
-	}
-	return sumByPos(terms)
-}
-
-// rangeSum evaluates Σ_{x=lo..hi} v̂(x) touching only the ancestors of the
-// two range boundaries — every strictly interior coefficient's positive
-// and negative ψ halves cancel exactly, so only boundary-straddling
-// coefficients (plus the average) contribute: O(log u · log k).
-// Bounds are clamped to the domain; an empty intersection returns 0.
-func (t *errTree) rangeSum(coefs []Coef, lo, hi int64) float64 {
-	if lo < 0 {
-		lo = 0
-	}
-	if hi >= t.u {
-		hi = t.u - 1
-	}
-	if lo > hi {
-		return 0
-	}
-	var stack [160]posTerm
-	terms := stack[:0]
-	s, e := t.find(coefs, 0, 0)
-	if s < e {
-		b := float64(hi-lo+1) / math.Sqrt(float64(t.u))
-		for i := s; i < e; i++ {
-			p := t.ord[i]
-			terms = append(terms, posTerm{p, coefs[p].Value * b})
-		}
-	}
-	for j := uint(0); j < t.logu; j++ {
-		rangeLen := t.u >> j
-		kLo, kHi := lo/rangeLen, hi/rangeLen
-		terms = t.appendRangeTerms(coefs, terms, j, kLo, lo, hi)
-		if kHi != kLo {
-			terms = t.appendRangeTerms(coefs, terms, j, kHi, lo, hi)
-		}
-	}
-	return sumByPos(terms)
-}
-
-// appendRangeTerms adds the contributions of the (possibly duplicated)
-// coefficient at detail level j, dyadic position k, to a clamped [lo, hi]
-// range query, using basisRangeSum's exact arithmetic.
-func (t *errTree) appendRangeTerms(coefs []Coef, terms []posTerm, j uint, k, lo, hi int64) []posTerm {
-	s, e := t.find(coefs, int(j)+1, int64(1)<<j+k)
-	if s == e {
-		return terms
-	}
-	rangeLen := t.u >> j
-	start := k * rangeLen
-	mid := start + rangeLen/2
-	end := start + rangeLen
-	neg := overlap(lo, hi+1, start, mid)
-	pos := overlap(lo, hi+1, mid, end)
-	b := float64(pos-neg) / math.Sqrt(float64(rangeLen))
-	for i := s; i < e; i++ {
-		p := t.ord[i]
-		terms = append(terms, posTerm{p, coefs[p].Value * b})
-	}
-	return terms
-}
-
 // errTree2D indexes a 2D representation's packed coefficients: positions
 // sorted by packed index, with an offset table over the distinct row
 // indices i (the x-axis ψ component), so the ≤ (log2(u)+1)² ancestor
@@ -299,10 +330,10 @@ type errTree2D struct {
 	goff []int32 // group g entries are ord[goff[g]:goff[g+1]]
 
 	// idxs[i] == coefs[ord[i]].Index — flat packed-index mirror for the
-	// batch executor's merge joins (see errTree.idxs).
+	// batch executor's merge joins.
 	idxs []int64
 
-	// Precomputed basis factors (see errTree): invSqrtU matches
+	// Precomputed basis factors: invSqrtU matches
 	// ancestorPaths' 1/math.Sqrt(float64(u)); invSqrtLen[j] matches
 	// basisAtLevel's 1/math.Sqrt(float64(u>>j)), bit for bit. sqrtU and
 	// sqrtLen are the roots themselves for the range path's divisions —

@@ -26,8 +26,8 @@ func randomRep(r *zipf.RNG, u int64, k int) *Representation {
 	return NewRepresentation(u, coefs)
 }
 
-// bitEq demands bit-level equality, the property the error-tree index
-// guarantees against the linear scan.
+// bitEq demands bit-level equality, the property the query indexes
+// guarantee against the linear scan.
 func bitEq(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
 func TestErrTreePointEquivalence(t *testing.T) {
@@ -180,9 +180,98 @@ func FuzzRangeSumBounds(f *testing.F) {
 	})
 }
 
+// FuzzPieceTable is the piece table's oracle: over a domain of 2^0 to
+// 2^12 keys and fuzzed coefficients — duplicate indices, indices at or
+// past u, negative ones, zeros, k = 0 — every in-domain point, two
+// off-domain points on each side, and random, inverted, clamped and
+// full-domain ranges must equal the linear scan bit for bit. The scan
+// panics on a negative index, which the table ignores, so the oracle is
+// the scan of the representation with those coefficients left out.
+func FuzzPieceTable(f *testing.F) {
+	f.Add(uint8(0), uint64(1), []byte{})
+	f.Add(uint8(3), uint64(2), []byte{0, 5, 2, 1, 0, 7, 0, 5, 2, 255, 0, 9})
+	f.Add(uint8(12), uint64(3), []byte{0, 0, 2, 0, 10, 3, 16, 1, 0, 1, 1, 0, 4, 0, 1, 200, 0, 40, 0, 3, 3, 9, 9, 9})
+	f.Add(uint8(5), uint64(4), []byte{0, 40, 0, 1, 2, 3, 0, 40, 1, 4, 5, 6, 0, 1, 3, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, lg uint8, seed uint64, data []byte) {
+		u := int64(1) << (lg % 13)
+		var coefs []Coef
+		for len(data) >= 6 && len(coefs) < 256 {
+			b := data[:6]
+			data = data[6:]
+			raw := int64(b[0])<<8 | int64(b[1])
+			idx := raw % u
+			switch b[2] % 8 {
+			case 0:
+				idx = raw // often at or past u
+			case 1:
+				idx = -raw - 1
+			case 2:
+				if len(coefs) > 0 {
+					idx = coefs[int(b[3])%len(coefs)].Index // duplicate
+				}
+			}
+			v := math.Ldexp(float64(int16(uint16(b[3])<<8|uint16(b[4]))), int(b[5]%64)-32)
+			coefs = append(coefs, Coef{Index: idx, Value: v})
+		}
+		rep := NewRepresentation(u, coefs)
+		if np := len(rep.pieces.start); np > 2*len(coefs)+1 {
+			t.Fatalf("%d pieces for k = %d", np, len(coefs))
+		}
+		oracle := &Representation{U: u}
+		for _, c := range rep.Coefs {
+			if c.Index >= 0 {
+				oracle.Coefs = append(oracle.Coefs, c)
+			}
+		}
+		for x := int64(-2); x < u+2; x++ {
+			if g, w := rep.PointEstimate(x), oracle.ScanPointEstimate(x); !bitEq(g, w) {
+				t.Fatalf("u=%d PointEstimate(%d) = %x, scan %x", u, x, math.Float64bits(g), math.Float64bits(w))
+			}
+		}
+		r := zipf.NewRNG(seed)
+		ranges := [][2]int64{{0, u - 1}, {-5, u + 5}, {u - 1, 0}, {math.MinInt64, math.MaxInt64}, {u, u + 3}}
+		for i := 0; i < 64; i++ {
+			ranges = append(ranges, [2]int64{r.Int63n(u+8) - 4, r.Int63n(u+8) - 4})
+		}
+		for _, b := range ranges {
+			if g, w := rep.RangeSum(b[0], b[1]), oracle.ScanRangeSum(b[0], b[1]); !bitEq(g, w) {
+				t.Fatalf("u=%d RangeSum(%d, %d) = %x, scan %x", u, b[0], b[1], math.Float64bits(g), math.Float64bits(w))
+			}
+		}
+	})
+}
+
+// TestPieceTableSize pins the table's size at its two extremes: k = u
+// (every pair of keys a piece, every list a full root-to-leaf path) and
+// the distinct-index bound of ≤ 2k+1 pieces and ≤ k·(2·log2(u)+1)
+// entries.
+func TestPieceTableSize(t *testing.T) {
+	const u = 1 << 10
+	dense := make([]Coef, u)
+	for i := range dense {
+		dense[i] = Coef{Index: int64(i), Value: float64(i + 1)}
+	}
+	pt := NewRepresentation(u, dense).pieces
+	if len(pt.start) != u/2 || len(pt.pos) != u/2*11 {
+		t.Fatalf("k = u = %d: %d pieces, %d entries; want %d and %d", u, len(pt.start), len(pt.pos), u/2, u/2*11)
+	}
+	r := zipf.NewRNG(13)
+	for _, k := range []int{1, 7, 64, 300} {
+		rep := benchRepRNG(r, 1<<20, k)
+		pt := rep.pieces
+		if len(pt.start) > 2*k+1 || len(pt.pos) > k*(2*20+1) {
+			t.Fatalf("k = %d: %d pieces, %d entries; bounds %d and %d", k, len(pt.start), len(pt.pos), 2*k+1, k*41)
+		}
+	}
+}
+
 func benchRep(b *testing.B, u int64, k int) *Representation {
 	b.Helper()
-	r := zipf.NewRNG(12)
+	return benchRepRNG(zipf.NewRNG(12), u, k)
+}
+
+// benchRepRNG draws k distinct coefficient indices from [0, u).
+func benchRepRNG(r *zipf.RNG, u int64, k int) *Representation {
 	coefs := make([]Coef, k)
 	seen := map[int64]bool{}
 	for i := range coefs {
@@ -196,6 +285,17 @@ func benchRep(b *testing.B, u int64, k int) *Representation {
 	return NewRepresentation(u, coefs)
 }
 
+// BenchmarkPieceTableBuild times the eager index build NewRepresentation
+// pays once per representation.
+func BenchmarkPieceTableBuild(b *testing.B) {
+	rep := benchRep(b, 1<<20, 2048)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		newPieceTable(rep.U, rep.Coefs)
+	}
+}
+
 func BenchmarkQueryPoint(b *testing.B) {
 	rep := benchRep(b, 1<<20, 2048)
 	b.Run("scan", func(b *testing.B) {
@@ -204,7 +304,7 @@ func BenchmarkQueryPoint(b *testing.B) {
 			_ = rep.ScanPointEstimate(int64(i) & (1<<20 - 1))
 		}
 	})
-	b.Run("errtree", func(b *testing.B) {
+	b.Run("pieces", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			_ = rep.PointEstimate(int64(i) & (1<<20 - 1))
@@ -221,7 +321,7 @@ func BenchmarkQueryRange(b *testing.B) {
 			_ = rep.ScanRangeSum(lo, lo+1<<18)
 		}
 	})
-	b.Run("errtree", func(b *testing.B) {
+	b.Run("pieces", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			lo := int64(i) & (1<<19 - 1)

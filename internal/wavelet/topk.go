@@ -68,22 +68,22 @@ func SortCoefsByMagnitude(coefs []Coef) {
 }
 
 // Representation is a k-term wavelet representation: a small set of
-// retained coefficients over domain [0, u), plus an immutable error-tree
-// index (built once, shared by snapshot copies) that answers point and
-// range queries in O(log u) coefficient touches instead of O(k).
+// retained coefficients over domain [0, u), plus an immutable piece table
+// (built once, shared by snapshot copies) that answers point and range
+// queries in O(log k + log u) instead of O(k).
 type Representation struct {
 	U     int64
 	Coefs []Coef
 
-	// tree is the error-tree index over Coefs. It stores positions, not
-	// values, so snapshots that patch values in place (the incremental
-	// Maintainer) share one tree. Nil only for hand-rolled struct
-	// literals, which fall back to the linear scan.
-	tree *errTree
+	// pieces is the piece-table index over Coefs (errtree.go). It stores
+	// positions, not values, so snapshots that patch values in place (the
+	// incremental Maintainer) share one table. Nil only for hand-rolled
+	// struct literals, which fall back to the linear scan.
+	pieces *pieceTable
 }
 
 // NewRepresentation validates and wraps a coefficient set, building its
-// error-tree query index.
+// piece-table query index.
 func NewRepresentation(u int64, coefs []Coef) *Representation {
 	if !IsPowerOfTwo(u) {
 		panic("wavelet: representation domain must be a power of two")
@@ -91,7 +91,7 @@ func NewRepresentation(u int64, coefs []Coef) *Representation {
 	cs := make([]Coef, len(coefs))
 	copy(cs, coefs)
 	SortCoefsByMagnitude(cs)
-	return &Representation{U: u, Coefs: cs, tree: newErrTree(u, cs)}
+	return &Representation{U: u, Coefs: cs, pieces: newPieceTable(u, cs)}
 }
 
 // K returns the number of retained coefficients.
@@ -107,8 +107,12 @@ func (r *Representation) Reconstruct() []float64 {
 	return v
 }
 
-// addBasis adds c.Value·ψ_{c.Index} into v.
+// addBasis adds c.Value·ψ_{c.Index} into v; an index at or past u adds
+// nothing, as in BasisAt.
 func addBasis(v []float64, c Coef, u int64) {
+	if c.Index >= u {
+		return
+	}
 	if c.Index == 0 {
 		val := c.Value / math.Sqrt(float64(u))
 		for x := range v {
@@ -131,13 +135,24 @@ func addBasis(v []float64, c Coef, u int64) {
 }
 
 // PointEstimate returns v̂(x), touching only the ≤ log2(u)+1 error-tree
-// ancestors of x — O(log u) coefficient visits via the index, bit-identical
-// to ScanPointEstimate. Keys outside [0, u) estimate 0.
+// ancestors of x, which the piece table lists for x's piece —
+// bit-identical to ScanPointEstimate. Keys outside [0, u) estimate 0.
 func (r *Representation) PointEstimate(x int64) float64 {
-	if r.tree == nil {
+	if r.pieces == nil {
 		return r.ScanPointEstimate(x)
 	}
-	return r.tree.pointEstimate(r.Coefs, x)
+	return r.pieces.point(r.Coefs, x)
+}
+
+// BatchPoints answers n point queries: out[i] = PointEstimate(xs[i]), in
+// request order. len(out) must equal len(xs). Allocation-free.
+func (r *Representation) BatchPoints(xs []int64, out []float64) {
+	if len(out) != len(xs) {
+		panic("wavelet: BatchPoints slice length mismatch")
+	}
+	for i, x := range xs {
+		out[i] = r.PointEstimate(x)
+	}
 }
 
 // ScanPointEstimate is the O(k) linear-scan reference evaluation of v̂(x),
@@ -152,16 +167,29 @@ func (r *Representation) ScanPointEstimate(x int64) float64 {
 
 // RangeSum estimates Σ_{x=lo..hi} v(x) (inclusive bounds), touching only
 // the error-tree ancestors of the two boundaries — interior ψ terms cancel
-// exactly — so O(log u) coefficient visits, bit-identical to ScanRangeSum.
+// exactly — through the merged piece lists of the two bounds,
+// bit-identical to ScanRangeSum.
 //
 // Bound contract (shared by the serving layer): lo and hi are clamped to
 // [0, u-1]; a range whose intersection with the domain is empty (lo > hi,
 // or the whole range off-domain) estimates 0. Never an error.
 func (r *Representation) RangeSum(lo, hi int64) float64 {
-	if r.tree == nil {
+	if r.pieces == nil {
 		return r.ScanRangeSum(lo, hi)
 	}
-	return r.tree.rangeSum(r.Coefs, lo, hi)
+	return r.pieces.rangeSum(r.Coefs, lo, hi)
+}
+
+// BatchRanges answers n range-sum queries: out[i] = RangeSum(los[i],
+// his[i]), in request order, with its clamp contract. len(los), len(his)
+// and len(out) must match. Allocation-free.
+func (r *Representation) BatchRanges(los, his []int64, out []float64) {
+	if len(his) != len(los) || len(out) != len(los) {
+		panic("wavelet: BatchRanges slice length mismatch")
+	}
+	for i := range los {
+		out[i] = r.RangeSum(los[i], his[i])
+	}
 }
 
 // ScanRangeSum is the O(k) linear-scan reference evaluation of RangeSum
@@ -184,8 +212,12 @@ func (r *Representation) ScanRangeSum(lo, hi int64) float64 {
 	return s
 }
 
-// basisRangeSum returns Σ_{x=lo..hi} ψ_i(x) in O(1).
+// basisRangeSum returns Σ_{x=lo..hi} ψ_i(x) in O(1); 0 for an index at
+// or past u, as in BasisAt.
 func basisRangeSum(i, lo, hi, u int64) float64 {
+	if i >= u {
+		return 0
+	}
 	if i == 0 {
 		return float64(hi-lo+1) / math.Sqrt(float64(u))
 	}

@@ -114,9 +114,10 @@ func coefLevel(i int64) uint {
 }
 
 // BasisAt evaluates ψ_i(x) for coefficient index i over domain size u.
-// O(1). Used by point queries and tests against the definition.
+// O(1). Used by point queries and tests against the definition. An index
+// at or past u names no basis function and evaluates to 0 everywhere.
 func BasisAt(i, x, u int64) float64 {
-	if x < 0 || x >= u {
+	if x < 0 || x >= u || i >= u {
 		return 0
 	}
 	if i == 0 {

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"wavelethist"
+	"wavelethist/internal/wavelet"
 )
 
 func buildHist2D(t testing.TB, side int64, k int, seed uint64) *wavelethist.Histogram2D {
@@ -31,18 +32,46 @@ func buildHist2D(t testing.TB, side int64, k int, seed uint64) *wavelethist.Hist
 	return res.Histogram
 }
 
-// requireBatchEq runs the same queries through the scalar reference loop
-// and the public Batch dispatch and demands bit-identical results —
-// estimates AND error strings.
+// requireBatchEq runs queries through the public Batch dispatch and
+// demands bit-identical results — estimates AND error strings — against
+// an oracle: the O(k) linear scan for a 1D entry (every 1D batch runs
+// through estimate, so comparing it with the scalar loop would compare
+// the executor with itself), the scalar walks for a 2D entry.
 func requireBatchEq(t *testing.T, e *Entry, queries []BatchQuery) {
 	t.Helper()
 	want := make([]BatchResult, len(queries))
-	e.batchScalar(queries, want)
+	if e.Is2D() {
+		e.batchScalar(queries, want)
+	} else {
+		scanResults(e, queries, want)
+	}
 	got := make([]BatchResult, len(queries))
 	e.Batch(queries, got)
 	for i := range queries {
 		if got[i] != want[i] {
-			t.Fatalf("query %d (%+v): vectorized %+v, scalar %+v", i, queries[i], got[i], want[i])
+			t.Fatalf("query %d (%+v): Batch %+v, oracle %+v", i, queries[i], got[i], want[i])
+		}
+	}
+}
+
+// scanResults answers a 1D entry's queries off the linear scan of its
+// coefficients, taking an invalid query's error from estimate.
+func scanResults(e *Entry, queries []BatchQuery, out []BatchResult) {
+	cs := e.H.Coefficients()
+	coefs := make([]wavelet.Coef, len(cs))
+	for i, c := range cs {
+		coefs[i] = wavelet.Coef{Index: c.Index, Value: c.Value}
+	}
+	scan := &wavelet.Representation{U: e.H.Domain(), Coefs: coefs}
+	for i := range queries {
+		q := &queries[i]
+		switch {
+		case q.Op == "point" && q.Key >= 0 && q.Key < scan.U:
+			out[i] = result(finite(scan.ScanPointEstimate(q.Key)))
+		case q.Op == "range":
+			out[i] = result(finite(scan.ScanRangeSum(q.Lo, q.Hi)))
+		default:
+			out[i] = result(e.estimate(q))
 		}
 	}
 }
@@ -50,7 +79,7 @@ func requireBatchEq(t *testing.T, e *Entry, queries []BatchQuery) {
 // batchSizes are the batch sizes the dispatch-equivalence tests run at: a
 // few hundred (what the routed workloads send) and the sizes around 1024
 // and at 4096 where a parallel fan-out once took over, so the whole range
-// a client can send stays pinned to the scalar loop. batchMixes cross
+// a client can send stays pinned to the oracle. batchMixes cross
 // them with query-class mixes — classes 0, 2 and 4 are point queries, 1
 // and 3 ranges — so each executor also sees those sizes alone.
 var (
@@ -65,12 +94,10 @@ var (
 	}
 )
 
-// TestBatchVectorizedMatchesScalar pins the serve-layer dispatch contract:
-// above the vecBatchMin threshold, Entry.Batch routes through the
-// shared-walk executors and every result — estimate or error string —
-// is bit-identical to the scalar per-query loop, across mixed op
-// classes, duplicates, out-of-domain keys, degenerate ranges, and
-// malformed ops.
+// TestBatchVectorizedMatchesScalar pins the serve-layer batch contract on
+// a 1D entry: every result of Entry.Batch — estimate or error string —
+// is bit-identical to the linear-scan oracle, across mixed op classes,
+// duplicates, out-of-domain keys, degenerate ranges, and malformed ops.
 func TestBatchVectorizedMatchesScalar(t *testing.T) {
 	r := NewRegistry()
 	h := buildHist(t, 150000, 1<<13, 192, 11)
@@ -176,16 +203,28 @@ func TestBatchVectorizedMatchesScalar2D(t *testing.T) {
 	}
 }
 
-// TestConcurrentVectorBatchUnderUpdateLoad is the vectorized-path race
-// smoke CI runs with -race: querier goroutines drive large (vectorized)
-// batches straight through Entry.Batch and the registry's snapshot
-// reads while a writer republishes patched histograms, so the detector
-// sees the pooled scratch and snapshot swaps interleaving.
+// TestConcurrentVectorBatchUnderUpdateLoad is the batch-path race smoke
+// CI runs with -race: querier goroutines drive large batches straight
+// through Entry.Batch and the registry's snapshot reads — 1D batches on
+// the shared piece tables, 2D ones on the pooled shared-walk scratch —
+// while a writer republishes the 1D histogram, so the detector sees the
+// pooled scratch and snapshot swaps interleaving.
 func TestConcurrentVectorBatchUnderUpdateLoad(t *testing.T) {
 	r := NewRegistry()
 	base := buildHist(t, 100000, 1<<12, 128, 17)
 	if _, err := r.Publish("hot", base); err != nil {
 		t.Fatal(err)
+	}
+	if _, err := r.Publish2D("grid", buildHist2D(t, 64, 128, 17)); err != nil {
+		t.Fatal(err)
+	}
+	grid := make([]BatchQuery, 128)
+	for i := range grid {
+		if i%3 == 0 {
+			grid[i] = BatchQuery{Op: "range", XLo: int64(i % 64), XHi: 63, YLo: 0, YHi: int64(i % 64)}
+		} else {
+			grid[i] = BatchQuery{Op: "point", X: int64(i % 64), Y: int64(i * 7 % 64)}
+		}
 	}
 
 	queriers := runtime.GOMAXPROCS(0)
@@ -214,16 +253,22 @@ func TestConcurrentVectorBatchUnderUpdateLoad(t *testing.T) {
 					return
 				default:
 				}
-				e, ok := r.Lookup("hot")
-				if !ok {
-					t.Error("entry vanished mid-run")
-					return
-				}
-				e.Batch(queries, results)
-				for i := range results {
-					if results[i].Error != "" {
-						t.Errorf("query %d errored: %s", i, results[i].Error)
+				for _, name := range []string{"hot", "grid"} {
+					e, ok := r.Lookup(name)
+					if !ok {
+						t.Errorf("entry %q vanished mid-run", name)
 						return
+					}
+					qs := queries
+					if name == "grid" {
+						qs = grid
+					}
+					e.Batch(qs, results)
+					for i := range results {
+						if results[i].Error != "" {
+							t.Errorf("%s query %d errored: %s", name, i, results[i].Error)
+							return
+						}
 					}
 				}
 			}
@@ -237,8 +282,8 @@ func TestConcurrentVectorBatchUnderUpdateLoad(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-	if v := r.Version(); v != republishes+1 {
-		t.Fatalf("registry version = %d, want %d", v, republishes+1)
+	if v := r.Version(); v != republishes+2 {
+		t.Fatalf("registry version = %d, want %d", v, republishes+2)
 	}
 }
 

@@ -142,7 +142,7 @@ func TestRange2DEndpoint(t *testing.T) {
 
 // TestConcurrentQueriesUnderUpdateLoad is the query-plane race smoke CI
 // promotes to a dedicated step: many goroutines hammer point/range/batch
-// queries (exercising the shared error-tree index of each published
+// queries (exercising the shared piece table of each published
 // snapshot) while an updater streams key updates through the incremental
 // maintainer, forcing frequent republishes of patched snapshots.
 func TestConcurrentQueriesUnderUpdateLoad(t *testing.T) {
@@ -329,9 +329,8 @@ func overflowingHist(t *testing.T) *wavelethist.Histogram {
 // is a per-query error, never a served +Inf (which is not JSON). A
 // histogram whose coefficients are finite but whose estimates over some
 // keys overflow (updates can no longer make one: a delta past 2^53 is
-// refused) answers a GET of one with 400, and a batch on either executor
-// (scalar below vecBatchMin, vectorized above) answers each query exactly
-// as its GET does. Every body is valid JSON.
+// refused) answers a GET of one with 400, and a batch, large or small,
+// answers each query exactly as its GET does. Every body is valid JSON.
 func TestNonFiniteEstimateIsQueryError(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	if _, err := s.Registry().Publish("h", overflowingHist(t)); err != nil {
@@ -366,9 +365,6 @@ func TestNonFiniteEstimateIsQueryError(t *testing.T) {
 	}
 	for _, r := range [][2]int64{{0, 10}, {3, 3}, {4, 10}, {0, 1023}, {600, 700}, {512, 1023}, {10, 0}, {-5, 2}} {
 		queries = append(queries, BatchQuery{Op: "range", Lo: r[0], Hi: r[1]})
-	}
-	if len(queries) < vecBatchMin {
-		t.Fatalf("batch of %d stays on the scalar executor", len(queries))
 	}
 	overflowed := 0
 	for _, batch := range [][]BatchQuery{queries, queries[:4]} {

@@ -45,7 +45,7 @@ func TestQueryFrameGroups(t *testing.T) {
 		t.Fatal(err)
 	}
 	var q1 []BatchQuery
-	for i := 0; i < 30; i++ { // over the vectorize threshold
+	for i := 0; i < 30; i++ {
 		q1 = append(q1,
 			BatchQuery{Op: "point", Key: int64(i * 41 % (1 << 10))},
 			BatchQuery{Op: "range", Lo: int64(i), Hi: int64(i + 200)})

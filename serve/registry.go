@@ -100,11 +100,13 @@ type (
 
 // Batch answers queries[i] into results[i] (the slices must have equal
 // length), recording one Batch stat for the whole call. Every sub-query
-// resolves against this entry's immutable histogram snapshot, off its
-// shared error-tree index. Batches of vecBatchMin or more dispatch to
-// the vectorized shared-walk executor (batchvec.go) — one sorted sweep
-// per tree level instead of one walk per query, bit-identical results —
-// and smaller ones run the scalar loop. Either way the steady state
+// resolves against this entry's immutable histogram snapshot. A 1D
+// entry answers each query through estimate, in request order: a
+// piece-table lookup is one binary search, so there is nothing for a
+// shared walk to share. A 2D batch of vecBatchMin or more dispatches to
+// the shared-walk executors (batchvec.go) — one sorted sweep of the row
+// table instead of one walk per query, bit-identical results — and a
+// smaller one runs the scalar loop. Either way the steady state
 // (well-formed queries) performs no allocations, so callers that reuse
 // their slices — the HTTP batch handler's pooled buffers, benchmark
 // loops — serve batches allocation-free.
@@ -113,7 +115,7 @@ func (e *Entry) Batch(queries []BatchQuery, results []BatchResult) {
 		panic("serve: Batch slice length mismatch")
 	}
 	t0 := time.Now()
-	if len(queries) >= vecBatchMin {
+	if e.Is2D() && len(queries) >= vecBatchMin {
 		e.batchVectorized(queries, results)
 	} else {
 		e.batchScalar(queries, results)
@@ -122,8 +124,9 @@ func (e *Entry) Batch(queries []BatchQuery, results []BatchResult) {
 	e.Stats.BatchQueries.Add(int64(len(queries)), 0)
 }
 
-// batchScalar answers each query with an independent tree walk — the
-// reference loop the vectorized dispatch must match bit for bit.
+// batchScalar answers each query with its own estimate — the 1D batch
+// path, and the reference loop the 2D shared walk must match bit for
+// bit.
 func (e *Entry) batchScalar(queries []BatchQuery, results []BatchResult) {
 	for i := range queries {
 		results[i] = result(e.estimate(&queries[i]))

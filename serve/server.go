@@ -475,7 +475,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// One snapshot resolution, one timestamp pair, and zero per-query
 	// allocations for the whole batch — the amortization the endpoint
 	// exists for. Every sub-query resolves off the entry's shared
-	// error-tree index.
+	// query index.
 	e.Batch(bb.in.Queries, bb.results)
 	bb.reply = appendBatchResponse(bb.reply[:0], e.Name, e.Version, bb.results)
 	w.Header().Set("Content-Type", "application/json")

@@ -130,32 +130,20 @@ func (h *Histogram) Coefficients() []Coefficient {
 	return out
 }
 
-// PointEstimate returns the estimated frequency of key x in O(log u):
-// only the error-tree ancestors of x are touched. Keys outside [0, u)
-// estimate 0.
+// PointEstimate returns the estimated frequency of key x in O(log k +
+// log u): one binary search for x's piece of the domain, then only the
+// error-tree ancestors of x are touched. Keys outside [0, u) estimate 0.
 func (h *Histogram) PointEstimate(x int64) float64 { return h.rep.PointEstimate(x) }
 
 // RangeCount estimates the number of records with keys in [lo, hi]
-// (inclusive) in O(log u) — range-selectivity estimation, the histogram's
-// primary application; only the error-tree ancestors of the two bounds
-// contribute.
+// (inclusive) in O(log k + log u) — range-selectivity estimation, the
+// histogram's primary application; only the error-tree ancestors of the
+// two bounds contribute.
 //
 // Bound contract (shared with the serve layer): lo and hi are clamped to
 // the domain, and a range with an empty domain intersection — including
 // lo > hi — estimates 0. Never an error.
 func (h *Histogram) RangeCount(lo, hi int64) float64 { return h.rep.RangeSum(lo, hi) }
-
-// BatchPoints answers n point queries in one shared walk of the error
-// tree — the keys are sorted and every tree level swept exactly once, so
-// a large batch costs far less than n independent PointEstimate calls.
-// out[i] is bit-identical to PointEstimate(xs[i]); len(out) must equal
-// len(xs). Steady-state calls are allocation-free.
-func (h *Histogram) BatchPoints(xs []int64, out []float64) { h.rep.BatchPoints(xs, out) }
-
-// BatchRanges answers n range queries in one shared walk (see
-// BatchPoints): out[i] is bit-identical to RangeCount(los[i], his[i]),
-// including the bound-clamp contract. Slice lengths must match.
-func (h *Histogram) BatchRanges(los, his []int64, out []float64) { h.rep.BatchRanges(los, his, out) }
 
 // Reconstruct materializes the full estimated frequency vector (O(k·u)).
 func (h *Histogram) Reconstruct() []float64 { return h.rep.Reconstruct() }
