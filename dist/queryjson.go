@@ -7,11 +7,13 @@ import (
 	"io"
 )
 
-// The JSON spelling of Query: the {"queries":[{…},…]} body of the shard's
-// POST /v1/hist/{name}/query and, with a "name" per element, of the
-// router's POST /v1/query. Both decode it here: a hand-written scanner
-// for the bodies clients actually send, one strict encoding/json call
-// for everything else. The scanner's grammar is deliberately narrow:
+// Two request bodies decode here: the JSON spelling of Query — the
+// {"queries":[{…},…]} body of the shard's POST /v1/hist/{name}/query and,
+// with a "name" per element, of the router's POST /v1/query — and the
+// {"updates":[{"key":K,"delta":D},…],"flush":B} body of the shard's POST
+// /v1/hist/{name}/updates. Each has a hand-written scanner for the bodies
+// clients actually send and one strict encoding/json call for everything
+// else. The scanners share one deliberately narrow grammar:
 //
 //	body    = '{' "queries" ':' '[' [ element { ',' element } ] ']' '}'
 //	element = '{' [ key ':' value { ',' key ':' value } ] '}'
@@ -20,13 +22,22 @@ import (
 //	string  = '"' printable ASCII without '"' or '\' '"'
 //	integer = [ '-' ] ( '0' | [1-9][0-9]{0,17} )
 //
+//	updates = '{' [ member { ',' member } ] '}'
+//	member  = "updates" ':' '[' [ update { ',' update } ] ']'
+//	        | "flush" ':' ( "true" | "false" ), each member at most once
+//	update  = '{' [ ukey { ',' ukey } ] '}'
+//	ukey    = "key" ':' integer | "delta" ':' integer, each at most once;
+//	          a delta is at most 2^53 in magnitude and not -0, so float64
+//	          holds it with the bits strconv.ParseFloat gives
+//
 // with JSON whitespace between tokens and nothing after the closing
 // brace. Anything else — escapes, duplicate or case-variant keys, null,
 // 1.0, 1e3, 19+ digits, unknown keys, wrong types, truncation — is
 // declined, never rejected: DecodeJSON then runs DecodeJSONStrict on the
 // same bytes, so what is a bad body, and the error its sender reads, are
-// encoding/json's alone, and a body the scanner accepts decodes to
-// exactly what encoding/json makes of it (FuzzDecodeQueriesJSON).
+// encoding/json's alone, and a body a scanner accepts decodes to exactly
+// what encoding/json makes of it (FuzzDecodeQueriesJSON,
+// FuzzDecodeUpdatesJSON).
 
 // QueryBatch is one decoded batch body in caller-owned storage: a pooled
 // value decodes canonical bodies without allocating.
@@ -120,20 +131,10 @@ func (qb *QueryBatch) scan(body []byte, withNames bool) bool {
 	if !s.token('{') {
 		return false
 	}
-	if key, ok := s.str(); !ok || string(key) != "queries" || !s.token(':') || !s.token('[') {
+	if key, ok := s.str(); !ok || string(key) != "queries" || !s.token(':') {
 		return false
 	}
-	if !s.token(']') {
-		for more := true; more; more = s.token(',') {
-			if !qb.scanQuery(&s, withNames) {
-				return false
-			}
-		}
-		if !s.token(']') {
-			return false
-		}
-	}
-	return s.token('}') && s.peek() == 0 && s.i == len(s.b)
+	return s.array(func() bool { return qb.scanQuery(&s, withNames) }) && s.token('}') && s.end()
 }
 
 // queryKeys are an element's members: name, op, then the nine bounds in
@@ -143,47 +144,25 @@ var queryKeys = [...]string{"name", "op", "key", "x", "y", "lo", "hi", "xlo", "x
 // scanQuery appends one element. The slot may be a pooled one, so it is
 // zeroed before the members present are filled in.
 func (qb *QueryBatch) scanQuery(s *jsonScanner, withNames bool) bool {
-	if !s.token('{') {
-		return false
-	}
 	qb.Queries = append(qb.Queries, Query{})
 	q := &qb.Queries[len(qb.Queries)-1]
 	bounds := q.bounds()
 	name := ""
-	if !s.token('}') {
-		seen := 0 // bit k: queryKeys[k] has appeared
-		for more := true; more; more = s.token(',') {
-			key, ok := s.str()
-			k := 0
-			for k < len(queryKeys) && queryKeys[k] != string(key) {
-				k++
-			}
-			if !ok || k == len(queryKeys) || seen&(1<<k) != 0 || !s.token(':') {
-				return false
-			}
-			seen |= 1 << k
-			switch {
-			case k >= 2:
-				*bounds[k-2], ok = s.integer()
-			case k == 1:
-				q.Op, ok = qb.internStr(s)
-			case withNames:
-				name, ok = qb.internStr(s)
-			default: // "name" is an unknown field to the shard
-				ok = false
-			}
-			if !ok {
-				return false
-			}
-		}
-		if !s.token('}') {
-			return false
-		}
-	}
+	ok := s.object(queryKeys[:], func(k int) (ok bool) {
+		switch {
+		case k >= 2:
+			*bounds[k-2], ok = s.integer()
+		case k == 1:
+			q.Op, ok = qb.internStr(s)
+		case withNames:
+			name, ok = qb.internStr(s)
+		} // else "name" is an unknown field to the shard
+		return ok
+	})
 	if withNames {
 		qb.Names = append(qb.Names, name)
 	}
-	return true
+	return ok
 }
 
 // internStr consumes a string value: the one an earlier body held, when
@@ -206,6 +185,72 @@ func (qb *QueryBatch) internStr(s *jsonScanner) (string, bool) {
 	return v, true
 }
 
+// KeyUpdate is one insertion/deletion in POST /v1/hist/{name}/updates.
+type KeyUpdate struct {
+	Key   int64   `json:"key"`
+	Delta float64 `json:"delta"` // negative = deletions
+}
+
+// UpdateBatch is one decoded updates body in caller-owned storage: a
+// pooled value decodes canonical bodies without allocating.
+type UpdateBatch struct {
+	Updates []KeyUpdate
+	Flush   bool
+}
+
+// DecodeJSON decodes body into ub, replacing what it held; scanned and
+// err are QueryBatch.DecodeJSON's.
+func (ub *UpdateBatch) DecodeJSON(body []byte) (scanned bool, err error) {
+	if ub.scan(body) {
+		return true, nil
+	}
+	return false, ub.decodeStd(body)
+}
+
+func (ub *UpdateBatch) decodeStd(body []byte) error {
+	// As in QueryBatch.decodeStd: a reused element must not keep an
+	// omitted field.
+	clear(ub.Updates[:cap(ub.Updates)])
+	req := struct {
+		Updates []KeyUpdate `json:"updates"`
+		Flush   bool        `json:"flush,omitempty"`
+	}{Updates: ub.Updates[:0]}
+	err := DecodeJSONStrict(bytes.NewReader(body), &req)
+	ub.Updates, ub.Flush = req.Updates, req.Flush
+	return err
+}
+
+// updatesKeys are the updates body's members, updateKeys an update's.
+var (
+	updatesKeys = [...]string{"updates", "flush"}
+	updateKeys  = [...]string{"key", "delta"}
+)
+
+// scan is the updates body's fast decoder; false means declined, as for
+// QueryBatch.scan.
+func (ub *UpdateBatch) scan(body []byte) bool {
+	ub.Updates, ub.Flush = ub.Updates[:0], false
+	s := jsonScanner{b: body}
+	return s.object(updatesKeys[:], func(k int) (ok bool) {
+		if k == 1 {
+			ub.Flush, ok = s.boolean()
+			return ok
+		}
+		return s.array(func() bool {
+			ub.Updates = append(ub.Updates, KeyUpdate{})
+			u := &ub.Updates[len(ub.Updates)-1]
+			return s.object(updateKeys[:], func(k int) (ok bool) {
+				if k == 0 {
+					u.Key, ok = s.integer()
+				} else {
+					u.Delta, ok = s.exactFloat()
+				}
+				return ok
+			})
+		})
+	}) && s.end()
+}
+
 // jsonScanner is a cursor over a body. Every method that fails leaves
 // the scan to be abandoned, so none restores the cursor.
 type jsonScanner struct {
@@ -222,6 +267,51 @@ func (s *jsonScanner) peek() byte {
 		}
 	}
 	return 0
+}
+
+// end reports whether only whitespace is left.
+func (s *jsonScanner) end() bool { return s.peek() == 0 && s.i == len(s.b) }
+
+// object consumes '{' [ key ':' value { ',' key ':' value } ] '}' whose
+// every key is one of keys, at most once; member(k) consumes the value
+// of keys[k], returning false to decline it.
+func (s *jsonScanner) object(keys []string, member func(k int) bool) bool {
+	if !s.token('{') {
+		return false
+	}
+	if s.token('}') {
+		return true
+	}
+	seen := 0 // bit k: keys[k] has appeared
+	for more := true; more; more = s.token(',') {
+		key, ok := s.str()
+		k := 0
+		for k < len(keys) && keys[k] != string(key) {
+			k++
+		}
+		if !ok || k == len(keys) || seen&(1<<k) != 0 || !s.token(':') || !member(k) {
+			return false
+		}
+		seen |= 1 << k
+	}
+	return s.token('}')
+}
+
+// array consumes '[' [ element { ',' element } ] ']', each element
+// consumed by elem, which returns false to decline it.
+func (s *jsonScanner) array(elem func() bool) bool {
+	if !s.token('[') {
+		return false
+	}
+	if s.token(']') {
+		return true
+	}
+	for more := true; more; more = s.token(',') {
+		if !elem() {
+			return false
+		}
+	}
+	return s.token(']')
 }
 
 // token consumes the punctuation byte c if it is the next token.
@@ -271,4 +361,28 @@ func (s *jsonScanner) integer() (int64, bool) {
 		v = -v
 	}
 	return v, true
+}
+
+// exactFloat consumes an integer that float64 holds exactly, |v| ≤ 2^53,
+// other than -0 (which integer reads as 0, where strconv.ParseFloat keeps
+// the sign).
+func (s *jsonScanner) exactFloat() (float64, bool) {
+	neg := s.peek() == '-'
+	v, ok := s.integer()
+	if !ok || v > 1<<53 || v < -(1<<53) || (neg && v == 0) {
+		return 0, false
+	}
+	return float64(v), true
+}
+
+// boolean consumes a true or false literal.
+func (s *jsonScanner) boolean() (bool, bool) {
+	s.peek()
+	for _, lit := range [...]string{"false", "true"} {
+		if bytes.HasPrefix(s.b[s.i:], []byte(lit)) {
+			s.i += len(lit)
+			return lit == "true", true
+		}
+	}
+	return false, false
 }

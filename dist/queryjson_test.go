@@ -372,3 +372,206 @@ func BenchmarkDecodeQueriesJSON(b *testing.B) {
 		}
 	})
 }
+
+// updatesBody is the benchmark's serve_mixed write body: json.Marshal of
+// n uniform keys over 2^20, three insertions to one deletion (a map, so
+// "flush" comes first).
+func updatesBody(tb testing.TB, n int) []byte {
+	tb.Helper()
+	updates := make([]KeyUpdate, n)
+	for i := range updates {
+		updates[i] = KeyUpdate{Key: int64(i) * 786433 % (1 << 20), Delta: 1}
+		if i%4 == 3 {
+			updates[i].Delta = -1
+		}
+	}
+	body, err := json.Marshal(map[string]any{"updates": updates, "flush": false})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return body
+}
+
+// declinedUpdateBodies are outside the updates grammar, one per rule.
+var declinedUpdateBodies = []string{
+	`{"updates":[{"key":1,"delta":-0}]}`,               // -0: ParseFloat keeps the sign
+	`{"updates":[{"key":1,"delta":9007199254740993}]}`, // 2^53+1
+	`{"updates":[{"key":1,"delta":-9007199254740993}]}`,
+	`{"updates":[{"key":1234567890123456789,"delta":1}]}`, // 19 digits
+	`{"updates":[{"key":1,"delta":1.0}]}`,
+	`{"updates":[{"key":1,"delta":0.5}]}`,
+	`{"updates":[{"key":1,"delta":1e3}]}`,
+	`{"updates":[{"key":1.0,"delta":1}]}`,
+	`{"updates":[{"Key":1,"delta":1}]}`, // case variant
+	`{"Updates":[{"key":1,"delta":1}]}`,
+	`{"updates":[{"key":1,"delta":1}],"Flush":true}`,
+	`{"updates":[{"key":1,"key":2,"delta":1}]}`, // duplicate members
+	`{"updates":[{"key":1,"delta":1,"delta":2}]}`,
+	`{"updates":[],"updates":[{"key":1}]}`,
+	`{"flush":true,"flush":false}`,
+	`{"updates":[{"key":1,"delta":1,"bogus":1}]}`, // unknown members
+	`{"updates":[],"bogus":1}`,
+	`{"updates":null}`, // null
+	`{"updates":[null]}`,
+	`{"updates":[{"key":null}]}`,
+	`{"flush":null}`,
+	`{"updates":[{"key":1,"delta":1}]}}`, // trailing bytes
+	`{"updates":[]} x`,
+	"{\"updates\":[]}\x00",
+	`{"updates":[]}{}`,
+	`{"updates":[{"key":"1","delta":1}]}`, // wrong types
+	`{"updates":[{"key":1,"delta":true}]}`,
+	`{"flush":1}`,
+	`{"flush":"true"}`,
+	`{"flush":truex}`,
+	`{"flush":tru}`,
+	`{"updates":{"key":1}}`,
+	`[{"key":1,"delta":1}]`,
+	`{"updates":[{"key":1,"delta":1},]}`, // trailing commas
+	`{"updates":[{"key":1,"delta":1,}]}`,
+	`{"updates":[],}`,
+	`{"updates":[{"key":1,"delta":1}]`, // truncated
+	`{"updates":[{"key":1,"delta":`,
+	``,
+	`{"updates":[{"key":01,"delta":1}]}`,
+	`{"updates":[{"key":1,"delta":+1}]}`,
+	`{"updates":[{"key":1,"delta":1}]` + "\v" + `}`, // not JSON whitespace
+}
+
+// acceptedUpdateBodies are inside the updates grammar.
+var acceptedUpdateBodies = []string{
+	`{}`,
+	`{"updates":[]}`,
+	`{"flush":true}`,
+	`{"updates":[{}]}`,
+	`{"updates":[{"key":-0,"delta":0}]}`,
+	`{"updates":[{"key":-5,"delta":-3}]}`, // the handler refuses the key, not the decoder
+	`{"updates":[{"key":1,"delta":9007199254740992},{"key":2,"delta":-9007199254740992}]}`, // ±2^53
+	`{"updates":[{"delta":7,"key":999999999999999999}],"flush":false}`,                     // 18 digits
+	`{"flush":true,"updates":[{"key":3,"delta":1}]}`,
+	" \t\r\n{ \"updates\" :\n[ {\n\t\"key\" : 1 ,\n\t\"delta\" : -2\n} , { } ] ,\r\n\"flush\" : true }\n\n",
+}
+
+// checkUpdatesAgainstStd is the updates decoder's contract on one body:
+// a scan that accepts has decoded what strict encoding/json decodes, key
+// for key, delta bits for delta bits and flush for flush.
+func checkUpdatesAgainstStd(t *testing.T, body []byte) (scanned bool) {
+	t.Helper()
+	var fast, std UpdateBatch
+	scanned = fast.scan(body)
+	err := std.decodeStd(body)
+	if !scanned {
+		return false
+	}
+	if err != nil {
+		t.Fatalf("scanner accepted %q, encoding/json rejects it: %v", body, err)
+	}
+	if len(fast.Updates) != len(std.Updates) || fast.Flush != std.Flush {
+		t.Fatalf("%q: scan %d updates flush %v, std %d flush %v", body, len(fast.Updates), fast.Flush, len(std.Updates), std.Flush)
+	}
+	for i, u := range fast.Updates {
+		if w := std.Updates[i]; u.Key != w.Key || math.Float64bits(u.Delta) != math.Float64bits(w.Delta) {
+			t.Fatalf("%q: update %d scan %+v, std %+v", body, i, u, w)
+		}
+	}
+	return true
+}
+
+func TestDecodeUpdatesJSONGrammar(t *testing.T) {
+	canonical := updatesBody(t, 64)
+	for _, body := range [][]byte{canonical, prettyBody(t, canonical)} {
+		if !checkUpdatesAgainstStd(t, body) {
+			t.Fatalf("canonical body declined: %.80q", body)
+		}
+	}
+	for _, body := range acceptedUpdateBodies {
+		if !checkUpdatesAgainstStd(t, []byte(body)) {
+			t.Errorf("declined %q", body)
+		}
+	}
+	for _, body := range declinedUpdateBodies {
+		if checkUpdatesAgainstStd(t, []byte(body)) {
+			t.Errorf("accepted %q", body)
+		}
+	}
+	for n := range len(canonical) {
+		if checkUpdatesAgainstStd(t, canonical[:n]) {
+			t.Errorf("accepted a truncation to %d bytes", n)
+		}
+	}
+}
+
+// TestDecodeUpdatesJSONPooledSlots: a pooled UpdateBatch reused for a
+// declined body that omits a member must not keep an earlier body's value
+// there, and one reused for a scanned body must not keep the flush.
+func TestDecodeUpdatesJSONPooledSlots(t *testing.T) {
+	var ub UpdateBatch
+	if scanned, err := ub.DecodeJSON([]byte(`{"updates":[{"key":4,"delta":9}],"flush":true}`)); !scanned || err != nil {
+		t.Fatalf("scanned %v, err %v", scanned, err)
+	}
+	if scanned, err := ub.DecodeJSON([]byte(`{"updates":[{"key":5,"delta":0.5},{"key":6}]}`)); scanned || err != nil {
+		t.Fatalf("scanned %v, err %v", scanned, err)
+	}
+	if want := []KeyUpdate{{Key: 5, Delta: 0.5}, {Key: 6}}; !reflect.DeepEqual(ub.Updates, want) || ub.Flush {
+		t.Fatalf("std decode over a pooled batch: %+v flush %v, want %+v", ub.Updates, ub.Flush, want)
+	}
+	ub.Flush = true
+	if scanned, err := ub.DecodeJSON([]byte(`{"updates":[{"delta":2}]}`)); !scanned || err != nil {
+		t.Fatalf("scanned %v, err %v", scanned, err)
+	}
+	if want := []KeyUpdate{{Delta: 2}}; !reflect.DeepEqual(ub.Updates, want) || ub.Flush {
+		t.Fatalf("scan over a pooled batch: %+v flush %v, want %+v", ub.Updates, ub.Flush, want)
+	}
+	body := updatesBody(t, 64)
+	if allocs := testing.AllocsPerRun(20, func() { ub.DecodeJSON(body) }); allocs != 0 {
+		t.Errorf("scanning a 64-update body into a pooled batch allocates %.0f times", allocs)
+	}
+}
+
+// FuzzDecodeUpdatesJSON: wherever the updates scanner accepts a body, it
+// decodes what strict encoding/json decodes.
+func FuzzDecodeUpdatesJSON(f *testing.F) {
+	canonical := updatesBody(f, 8)
+	f.Add(canonical)
+	f.Add(prettyBody(f, canonical))
+	for _, body := range declinedUpdateBodies {
+		f.Add([]byte(body))
+	}
+	for _, body := range acceptedUpdateBodies {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		checkUpdatesAgainstStd(t, body)
+	})
+}
+
+// BenchmarkDecodeUpdatesJSON is the shard's decode of serve_mixed's
+// 64-update body, scanner against the encoding/json call it replaced.
+func BenchmarkDecodeUpdatesJSON(b *testing.B) {
+	body := updatesBody(b, 64)
+	b.Run("scan", func(b *testing.B) {
+		var ub UpdateBatch
+		b.ReportAllocs()
+		b.SetBytes(int64(len(body)))
+		for i := 0; i < b.N; i++ {
+			if !ub.scan(body) {
+				b.Fatal("declined")
+			}
+			sinkQueries += len(ub.Updates)
+		}
+	})
+	b.Run("std", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(body)))
+		for i := 0; i < b.N; i++ {
+			var req struct {
+				Updates []KeyUpdate `json:"updates"`
+				Flush   bool        `json:"flush,omitempty"`
+			}
+			if err := DecodeJSONStrict(bytes.NewReader(body), &req); err != nil {
+				b.Fatal(err)
+			}
+			sinkQueries += len(req.Updates)
+		}
+	})
+}

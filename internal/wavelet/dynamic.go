@@ -25,10 +25,10 @@ import (
 // reports the error.
 //
 // The retained/shadow partition is maintained *incrementally*: tracked
-// coefficients are nodes in a slab behind one index map, the retained set
-// a weakest-at-root heap of node numbers and the shadow set a
-// strongest-at-root one, whose sifts write positions into the nodes. An
-// update costs one map lookup per path coefficient and repairs only those
+// coefficients are nodes in a slab behind one flat hash index (coefIndex),
+// the retained set a weakest-at-root heap of node numbers and the shadow
+// set a strongest-at-root one, whose sifts write positions into the nodes.
+// An update costs one index probe per path coefficient and repairs only those
 // ≤ log2(u)+1 coefficients (O(log u · log(k+shadow)) heap moves). While
 // retained membership is unchanged, a read copies the previous snapshot's
 // coefficient array, patches the values that moved, and shares its
@@ -90,7 +90,7 @@ type Maintainer struct {
 	// top-min(k, tracked) coefficients under the `stronger` order, sha
 	// holds the rest, and every retained coefficient is stronger than
 	// every shadow one — so sha is non-empty only while ret is full.
-	index map[int64]int32 // coefficient index -> node
+	index coefIndex // coefficient index -> node; sized for compact's bound
 	nodes []node
 	free  []int32 // node numbers released by drops and compaction
 	ret   side
@@ -127,10 +127,12 @@ func NewMaintainer(u int64, initial []Coef, k, shadow int) *Maintainer {
 		logu:        Log2(u),
 		k:           k,
 		shadow:      shadow,
-		index:       make(map[int64]int32),
 		ret:         side{weak: true},
 		memberDirty: true,
 	}
+	// Tracked coefficients peak just past compact's trigger, at 2(k+shadow)
+	// plus the log2(u)+1 that one update adopts, and never exceed u.
+	m.index = newCoefIndex(int(min(int64(2*(k+shadow))+int64(m.logu)+1, u, maxPresized)))
 	for j := uint(0); j <= m.logu; j++ {
 		m.sqrtLen = append(m.sqrtLen, math.Sqrt(float64(u>>j)))
 	}
@@ -157,7 +159,7 @@ func RestoreMaintainer(u int64, tracked []Coef, k, shadow int) *Maintainer {
 // partition: the first k retained, the rest shadow.
 func (m *Maintainer) seed(coefs []Coef) {
 	for _, c := range coefs {
-		if _, dup := m.index[c.Index]; !dup && c.Value != 0 {
+		if _, dup := m.index.get(c.Index); !dup && c.Value != 0 {
 			m.adopt(m.track(c.Index, c.Value))
 		}
 	}
@@ -173,13 +175,13 @@ func (m *Maintainer) Domain() int64 { return m.u }
 func (m *Maintainer) Shadow() int { return m.shadow }
 
 // Tracked returns the number of tracked (retained + shadow) coefficients.
-func (m *Maintainer) Tracked() int { return len(m.index) }
+func (m *Maintainer) Tracked() int { return m.index.n }
 
 // TrackedCoefs returns a copy of the tracked coefficient set (retained
 // and shadow, unspecified order) — the state a caller would persist or
 // re-seed a maintainer from.
 func (m *Maintainer) TrackedCoefs() []Coef {
-	out := make([]Coef, 0, len(m.index))
+	out := make([]Coef, 0, m.index.n)
 	for _, h := range [2][]int32{m.ret.at, m.sha.at} {
 		for _, n := range h {
 			out = append(out, m.nodes[n].Coef)
@@ -220,7 +222,7 @@ func (m *Maintainer) Update(x int64, delta float64) {
 	}
 	// Bound memory: when tracking grows well past k+shadow, drop the
 	// weakest shadow tail.
-	if len(m.index) > 2*(m.k+m.shadow) {
+	if m.index.n > 2*(m.k+m.shadow) {
 		m.compact()
 	}
 }
@@ -228,7 +230,7 @@ func (m *Maintainer) Update(x int64, delta float64) {
 // applyCoef adds contrib to one tracked-or-adopted coefficient and
 // repairs the retained/shadow partition around it.
 func (m *Maintainer) applyCoef(idx int64, contrib float64) {
-	n, tracked := m.index[idx]
+	n, tracked := m.index.get(idx)
 	if !tracked {
 		if contrib != 0 {
 			m.adopt(m.track(idx, contrib))
@@ -302,13 +304,13 @@ func (m *Maintainer) track(idx int64, v float64) int32 {
 		n = int32(len(m.nodes))
 		m.nodes = append(m.nodes, node{Coef: Coef{Index: idx, Value: v}})
 	}
-	m.index[idx] = n
+	m.index.put(idx, n)
 	return n
 }
 
 // release untracks a node that is in no heap.
 func (m *Maintainer) release(n int32) {
-	delete(m.index, m.nodes[n].Index)
+	m.index.del(m.nodes[n].Index)
 	m.free = append(m.free, n)
 }
 

@@ -317,3 +317,50 @@ func TestRegistryReadYourWrites(t *testing.T) {
 		t.Fatalf("Version after drop = %d, want 6", got)
 	}
 }
+
+// BenchmarkBatch2DDispatch times a 2D batch of n random cells, of n
+// random rectangles, and of half of each, on the 64×64 grid the tests
+// use, through both executors: scalar (one walk per query) and shared
+// (gather, one sorted sweep per op class, scatter). vecBatchMin is where
+// shared overtakes scalar; ns/query compares sizes.
+func BenchmarkBatch2DDispatch(b *testing.B) {
+	h := buildHist2D(b, 64, 128, 29)
+	e, err := NewRegistry().Publish2D("grid", h)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s := h.Side()
+	rng := rand.New(rand.NewSource(29))
+	mk := map[string]func() BatchQuery{
+		"points": func() BatchQuery { return BatchQuery{Op: "point", X: rng.Int63n(s), Y: rng.Int63n(s)} },
+		"ranges": func() BatchQuery {
+			x, y := rng.Int63n(s), rng.Int63n(s)
+			return BatchQuery{Op: "range", XLo: x, XHi: x + rng.Int63n(s-x), YLo: y, YHi: y + rng.Int63n(s-y)}
+		},
+	}
+	for _, mix := range []string{"points", "ranges", "mixed"} {
+		for _, n := range []int{8, 16, 32, 64, 256} {
+			queries := make([]BatchQuery, n)
+			for i := range queries {
+				class := mix
+				if mix == "mixed" {
+					class = [2]string{"points", "ranges"}[i%2]
+				}
+				queries[i] = mk[class]()
+			}
+			results := make([]BatchResult, n)
+			for _, ex := range []struct {
+				name string
+				run  func([]BatchQuery, []BatchResult)
+			}{{"scalar", e.batchScalar}, {"shared", e.batchVectorized}} {
+				b.Run(fmt.Sprintf("%s/n=%d/%s", mix, n, ex.name), func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						ex.run(queries, results)
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/query")
+				})
+			}
+		}
+	}
+}

@@ -35,12 +35,12 @@ func (s *Server) initMetrics() {
 
 // NewBatchDecodeCounter registers wavehist_batch_decode_total, one family
 // on the shard and on the router, and returns the function that counts
-// one JSON batch body by the decoder that served it. A client whose
-// bodies keep landing on "std" — escaped strings, floats, unknown or
+// one JSON batch or updates body by the decoder that served it. A client
+// whose bodies keep landing on "std" — escaped strings, floats, unknown or
 // duplicate keys — pays several times the parse cost of one the scanner
 // takes (dist/queryjson.go).
 func NewBatchDecodeCounter(m *obs.Registry) func(scanned bool) {
-	const help = "JSON batch bodies decoded, by decoder: scan = the canonical-body scanner, std = encoding/json (everything the scanner declines, rejected bodies included)."
+	const help = "JSON batch and updates bodies decoded, by decoder: scan = the canonical-body scanner, std = encoding/json (everything the scanner declines, rejected bodies included)."
 	scan := m.Counter("wavehist_batch_decode_total", help, obs.L("decoder", "scan"))
 	std := m.Counter("wavehist_batch_decode_total", help, obs.L("decoder", "std"))
 	return func(scanned bool) {

@@ -12,6 +12,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -456,4 +457,101 @@ func TestOverflowingUpdateBatchRefused(t *testing.T) {
 		}
 	}
 	postJSON(t, url, map[string]any{"updates": []KeyUpdate{{Key: 3, Delta: 1 << 53}, {Key: 3, Delta: -(1 << 53)}}, "flush": true}, http.StatusOK)
+}
+
+// TestUpdatesBodyDecoders: a canonical updates body takes the scanner; a
+// valid body the scanner declines (fractional and exponent deltas, a
+// case-variant member) takes encoding/json and is applied all the same,
+// as an in-process maintainer replay of the same updates shows; a bad
+// body's 400 carries encoding/json's own text. The family
+// wavehist_batch_decode_total counts each body by its decoder, and the
+// reply's bytes are those of the map[string]any the handler once encoded.
+func TestUpdatesBodyDecoders(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	h := buildHist(t, 20000, 1<<10, 30, 8)
+	if _, err := s.Registry().Publish("h", h); err != nil {
+		t.Fatal(err)
+	}
+	ref, err := wavelethist.MaintainHistogram(h, h.K(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := func(body string) (int, []byte) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/v1/hist/h/updates", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		out, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, out
+	}
+	decoded := func() (scan, std float64) {
+		t.Helper()
+		for _, smp := range scrape(t, ts.URL)["wavehist_batch_decode_total"].Samples {
+			if smp.Labels["decoder"] == "scan" {
+				scan = smp.Value
+			} else {
+				std = smp.Value
+			}
+		}
+		return scan, std
+	}
+	for i, tc := range []struct {
+		body    string
+		updates []KeyUpdate
+		scanned bool
+	}{
+		{`{"updates":[{"key":3,"delta":5},{"key":700,"delta":-1}],"flush":true}`, []KeyUpdate{{Key: 3, Delta: 5}, {Key: 700, Delta: -1}}, true},
+		{`{"updates":[{"key":3,"delta":0.5},{"key":9,"delta":2e1}],"flush":true}`, []KeyUpdate{{Key: 3, Delta: 0.5}, {Key: 9, Delta: 20}}, false},
+		{`{"Updates":[{"Key":12,"delta":-0}],"flush":true}`, []KeyUpdate{{Key: 12, Delta: math.Copysign(0, -1)}}, false},
+	} {
+		scan0, std0 := decoded()
+		code, out := post(tc.body)
+		if code != http.StatusOK {
+			t.Fatalf("%s: HTTP %d %s", tc.body, code, out)
+		}
+		if scan, std := decoded(); (scan-scan0 == 1) != tc.scanned || scan+std != scan0+std0+1 {
+			t.Errorf("%s: decode counts scan %v→%v std %v→%v, want scanned %v", tc.body, scan0, scan, std0, std, tc.scanned)
+		}
+		var reply struct {
+			Applied     int
+			Name        string
+			Republished bool
+			Tracked     int
+			Version     uint64
+		}
+		if err := json.Unmarshal(out, &reply); err != nil {
+			t.Fatal(err)
+		}
+		var want bytes.Buffer
+		json.NewEncoder(&want).Encode(map[string]any{
+			"name": reply.Name, "applied": reply.Applied, "republished": reply.Republished,
+			"version": reply.Version, "tracked": reply.Tracked,
+		})
+		if !bytes.Equal(out, want.Bytes()) || reply.Applied != len(tc.updates) || !reply.Republished || reply.Name != "h" {
+			t.Errorf("reply %q, want the map encoding %q with %d applied", out, want.Bytes(), len(tc.updates))
+		}
+		for _, u := range tc.updates {
+			ref.Update(u.Key, u.Delta)
+		}
+		e, _ := s.Registry().Lookup("h")
+		if !slices.Equal(e.H.Coefficients(), ref.Histogram().Coefficients()) {
+			t.Fatalf("body %d: served coefficients differ from the in-process replay", i)
+		}
+	}
+	for _, tc := range []struct{ body, want string }{
+		{`{"updates":[{"key":"3"}]}`, "bad request body: json: cannot unmarshal string into Go struct field KeyUpdate.updates.key of type int64"},
+		{`{"updates":[{"key":3,"weight":1}]}`, `bad request body: json: unknown field "weight"`},
+		{`{"updates":[],"flush":1}`, "bad request body: json: cannot unmarshal number into Go struct field .flush of type bool"},
+		{`{"updates":[{"key":1e400}]}`, "bad request body: json: cannot unmarshal number 1e400 into Go struct field KeyUpdate.updates.key of type int64"},
+		{`{"updates":[]} {}`, "bad request body: invalid token { after top-level value"},
+		{`{"updates":[{"key":1}`, "bad request body: unexpected EOF"},
+	} {
+		code, out := post(tc.body)
+		var got apiError
+		if err := json.Unmarshal(out, &got); code != http.StatusBadRequest || err != nil || got.Error != tc.want {
+			t.Errorf("%s: HTTP %d %q, want 400 %q", tc.body, code, got.Error, tc.want)
+		}
+	}
 }

@@ -254,6 +254,24 @@ func writeErr(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, apiError{Error: fmt.Sprintf(format, args...)})
 }
 
+// decodeBody reads r's body, at most maxBodyBytes, into buf and decodes
+// it with decode (a dist scanner with its strict fallback), counting the
+// decoder that served it. On an error it writes the 400 and returns false.
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, buf *bytes.Buffer, decode func([]byte) (bool, error)) bool {
+	buf.Reset()
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if err == nil {
+		var scanned bool
+		scanned, err = decode(buf.Bytes())
+		s.batchDecoded(scanned)
+	}
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
+		return false
+	}
+	return true
+}
+
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
 	if err := dist.DecodeJSONStrict(http.MaxBytesReader(w, r.Body, maxBodyBytes), v); err != nil {
 		writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
@@ -434,13 +452,15 @@ func (s *Server) handleGet(op string) http.HandlerFunc {
 	}
 }
 
-// batchBuffers is one batch request's reusable state: the body, the
-// decoded queries, the result slice and the encoded reply. Pooled so the
-// steady-state batch path — the server's hottest endpoint — re-serves
-// requests out of recycled buffers instead of per-request garbage.
+// batchBuffers is one batch or updates request's reusable state: the
+// body, the decoded queries or updates, the result slice and the encoded
+// reply. Pooled so the steady-state batch path — the server's hottest
+// endpoint — re-serves requests out of recycled buffers instead of
+// per-request garbage.
 type batchBuffers struct {
 	body    bytes.Buffer
 	in      dist.QueryBatch
+	updates dist.UpdateBatch
 	results []BatchResult
 	reply   []byte
 }
@@ -455,15 +475,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	bb := batchPool.Get().(*batchBuffers)
 	defer batchPool.Put(bb)
-	bb.body.Reset()
-	_, err := bb.body.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err == nil {
-		var scanned bool
-		scanned, err = bb.in.DecodeJSON(bb.body.Bytes(), false)
-		s.batchDecoded(scanned)
-	}
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !s.decodeBody(w, r, &bb.body, func(b []byte) (bool, error) { return bb.in.DecodeJSON(b, false) }) {
 		return
 	}
 	n := len(bb.in.Queries)
@@ -486,9 +498,16 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 }
 
 // KeyUpdate is one insertion/deletion in POST /v1/hist/{name}/updates.
-type KeyUpdate struct {
-	Key   int64   `json:"key"`
-	Delta float64 `json:"delta"` // negative = deletions
+type KeyUpdate = dist.KeyUpdate
+
+// updateReply is the updates endpoint's answer, its fields in name order
+// (the order a map would encode them in).
+type updateReply struct {
+	Applied     int    `json:"applied"`
+	Name        string `json:"name"`
+	Republished bool   `json:"republished"`
+	Tracked     int    `json:"tracked"`
+	Version     uint64 `json:"version"`
 }
 
 func (s *Server) handleUpdates(w http.ResponseWriter, r *http.Request) {
@@ -503,13 +522,12 @@ func (s *Server) handleUpdates(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "updates are 1D-only")
 		return
 	}
-	var req struct {
-		Updates []KeyUpdate `json:"updates"`
-		Flush   bool        `json:"flush,omitempty"`
-	}
-	if !s.decode(w, r, &req) {
+	bb := batchPool.Get().(*batchBuffers)
+	defer batchPool.Put(bb)
+	if !s.decodeBody(w, r, &bb.body, bb.updates.DecodeJSON) {
 		return
 	}
+	req := &bb.updates
 	if len(req.Updates) > maxBatch {
 		writeErr(w, http.StatusBadRequest, "update batch of %d exceeds limit %d", len(req.Updates), maxBatch)
 		return
@@ -596,12 +614,12 @@ func (s *Server) handleUpdates(w http.ResponseWriter, r *http.Request) {
 	e.Stats.Update.Add(int64(len(req.Updates)), time.Since(t0))
 	s.slowQuery("updates", e.Name, len(req.Updates), 0, time.Since(t0))
 
-	writeJSON(w, http.StatusOK, map[string]any{
-		"name":        e.Name,
-		"applied":     len(req.Updates),
-		"republished": republish,
-		"version":     version,
-		"tracked":     tracked,
+	writeJSON(w, http.StatusOK, updateReply{
+		Applied:     len(req.Updates),
+		Name:        e.Name,
+		Republished: republish,
+		Tracked:     tracked,
+		Version:     version,
 	})
 }
 
