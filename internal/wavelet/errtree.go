@@ -20,10 +20,20 @@ import (
 // coefficient's dyadic support: each piece between two consecutive cuts
 // then lies wholly inside or wholly outside every support, and stores the
 // positions in Coefs of the coefficients whose support contains it,
-// ascending. A point query is one binary search for its piece and one
-// pass over that list. A range query merges the lists of the pieces
+// ascending. A point query finds its piece through a guide table and makes
+// one pass over that list. A range query merges the lists of the pieces
 // holding its two bounds: a coefficient whose support holds neither bound
 // lies inside the range, where its ψ halves cancel exactly, or outside it.
+//
+// The guide cuts the domain into 2^g equal buckets, 2^g the least power
+// of two ≥ the piece count (never past u: every piece holds a key), and
+// guide[b] is the piece holding the bucket's first key b<<gshift;
+// guide[2^g] is the last piece. The piece holding x lies between
+// guide[x>>gshift] and guide[x>>gshift+1], both included, so a lookup
+// reads two guide slots and binary-searches only the starts between
+// them: none on most lookups when the cuts spread out, a short search
+// where they cluster (deep coefficients under one key), instead of the
+// ≈ log2(2k+1) data-dependent steps of a search over every start.
 //
 // Size: the ≤ 2k cuts make ≤ 2k+1 pieces. A coefficient is listed once
 // per piece inside its support, 1 + the cuts strictly inside it, and each
@@ -32,7 +42,8 @@ import (
 // distinct indices, since a coefficient has at most log2(u) ancestors. At
 // k = u the finest supports are two keys wide, so every pair of keys is a
 // piece and every list a full root-to-leaf path: u/2 pieces and
-// (u/2)·(log2(u)+1) entries.
+// (u/2)·(log2(u)+1) entries. The guide adds 2^g+1 slots, fewer than twice
+// the pieces plus one: u/2+1 at k = u.
 //
 // The table is structural: it stores positions into Coefs, never values,
 // so a caller that patches coefficient values in place (the incremental
@@ -61,11 +72,13 @@ import (
 // negative indices (coefLevel), the table silently ignores them.
 // Serialized histograms reject them before either path runs.
 type pieceTable struct {
-	u     int64
-	logu  uint
-	start []int64 // piece i is [start[i], start[i+1]), the last one ends at u; start[0] = 0
-	off   []int32 // piece i lists pos[off[i]:off[i+1]]
-	pos   []int32 // positions into Coefs, ascending within each piece
+	u      int64
+	logu   uint
+	start  []int64 // piece i is [start[i], start[i+1]), the last one ends at u; start[0] = 0
+	off    []int32 // piece i lists pos[off[i]:off[i+1]]
+	pos    []int32 // positions into Coefs, ascending within each piece
+	guide  []int32 // guide[b] is the piece holding b<<gshift, 2^g+1 entries
+	gshift uint    // log2(u) - g
 
 	// Cached basis factors: sqrtU = math.Sqrt(float64(u)), invSqrtU =
 	// 1/sqrtU; sqrtLen[j] = math.Sqrt(float64(u>>j)) and invSqrtLen[j] =
@@ -78,8 +91,9 @@ type pieceTable struct {
 
 // newPieceTable indexes coefs (a Representation's Coefs slice) over
 // domain u: one radix sort of the ≤ 2k cut records, one sweep that
-// numbers the pieces, and one write per list entry — O(k·log2(u)/8 + the
-// entries). The result is immutable and safe for concurrent reads.
+// numbers the pieces, one pass that fills the guide, and one write per
+// list entry — O(k·log2(u)/8 + the entries). The result is immutable and
+// safe for concurrent reads.
 func newPieceTable(u int64, coefs []Coef) *pieceTable {
 	logu := Log2(u)
 	t := &pieceTable{u: u, logu: logu, sqrtU: math.Sqrt(float64(u))}
@@ -120,6 +134,17 @@ func newPieceTable(u int64, coefs []Coef) *pieceTable {
 		span[r.slot] = int32(len(t.start) - 1)
 	}
 	np := int32(len(t.start))
+
+	g := uint(bits.Len32(uint32(np - 1))) // the least g with 2^g ≥ np
+	t.gshift = logu - g
+	t.guide = make([]int32, 1<<g+1)
+	var p int32
+	for b := range t.guide {
+		for p+1 < np && t.start[p+1] <= int64(b)<<t.gshift {
+			p++
+		}
+		t.guide[b] = p
+	}
 
 	// cnt is first a difference array over the pieces, then each piece's
 	// fill cursor.
@@ -187,9 +212,11 @@ func (t *pieceTable) support(i int64) (j uint, s, e int64) {
 }
 
 // piece returns the index of the piece holding x, 0 <= x < u: the last
-// piece starting at or before x.
+// piece starting at or before x, searched for between the guide's pieces
+// for x's bucket and the next.
 func (t *pieceTable) piece(x int64) int {
-	lo, hi := 0, len(t.start) // start[lo] <= x < start[hi]
+	b := x >> t.gshift
+	lo, hi := int(t.guide[b]), int(t.guide[b+1])+1 // start[lo] <= x < start[hi]
 	for hi-lo > 1 {
 		mid := int(uint(lo+hi) >> 1)
 		if t.start[mid] <= x {
@@ -204,7 +231,7 @@ func (t *pieceTable) piece(x int64) int {
 // list returns piece i's coefficient positions.
 func (t *pieceTable) list(i int) []int32 { return t.pos[t.off[i]:t.off[i+1]] }
 
-// point evaluates v̂(x) over x's piece list: one binary search and ≤
+// point evaluates v̂(x) over x's piece list: one guided lookup and ≤
 // log2(u)+1 terms for distinct indices. Allocation-free.
 func (t *pieceTable) point(coefs []Coef, x int64) float64 {
 	if x < 0 || x >= t.u {
@@ -229,7 +256,7 @@ func (t *pieceTable) point(coefs []Coef, x int64) float64 {
 }
 
 // rangeSum evaluates Σ_{x=lo..hi} v̂(x) over the merged piece lists of the
-// two bounds: two binary searches and ≤ 2·log2(u)+1 terms for distinct
+// two bounds: two guided lookups and ≤ 2·log2(u)+1 terms for distinct
 // indices. Bounds are clamped to the domain; an empty intersection
 // returns 0. Allocation-free.
 func (t *pieceTable) rangeSum(coefs []Coef, lo, hi int64) float64 {

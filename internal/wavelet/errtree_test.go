@@ -2,6 +2,7 @@ package wavelet
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"wavelethist/internal/zipf"
@@ -192,6 +193,10 @@ func FuzzPieceTable(f *testing.F) {
 	f.Add(uint8(3), uint64(2), []byte{0, 5, 2, 1, 0, 7, 0, 5, 2, 255, 0, 9})
 	f.Add(uint8(12), uint64(3), []byte{0, 0, 2, 0, 10, 3, 16, 1, 0, 1, 1, 0, 4, 0, 1, 200, 0, 40, 0, 3, 3, 9, 9, 9})
 	f.Add(uint8(5), uint64(4), []byte{0, 40, 0, 1, 2, 3, 0, 40, 1, 4, 5, 6, 0, 1, 3, 0, 0, 0})
+	// Clustered deep supports: every cut inside one 64-key window, then
+	// a key's whole root-to-leaf path with the finest subtree under it.
+	f.Add(uint8(12), uint64(5), fuzzCoefBytes(subtreeIndices(1<<12, 200, 6)))
+	f.Add(uint8(12), uint64(6), fuzzCoefBytes(append(pathIndices(1<<12, 1000), subtreeIndices(1<<12, 1000, 3)...)))
 	f.Fuzz(func(t *testing.T, lg uint8, seed uint64, data []byte) {
 		u := int64(1) << (lg % 13)
 		var coefs []Coef
@@ -241,8 +246,123 @@ func FuzzPieceTable(f *testing.F) {
 	})
 }
 
+// fuzzCoefBytes encodes in-domain coefficient indices below 2^16 as
+// FuzzPieceTable records that keep the index as is, with distinct small
+// values.
+func fuzzCoefBytes(idx []int64) []byte {
+	var data []byte
+	for i, x := range idx {
+		data = append(data, byte(x>>8), byte(x), 3, 1, byte(i), 32)
+	}
+	return data
+}
+
+// subtreeIndices returns the detail coefficients whose supports lie in
+// the aligned window of 2^depth keys holding key x, domain u: their cuts
+// are every even key of the window and its end.
+func subtreeIndices(u, x int64, depth uint) []int64 {
+	logu := Log2(u)
+	var idx []int64
+	for j := logu - depth; j < logu; j++ {
+		first := x >> depth << (depth - (logu - j)) // x's window at level j
+		for i := int64(0); i < 1<<(depth-(logu-j)); i++ {
+			idx = append(idx, 1<<j+first+i)
+		}
+	}
+	return idx
+}
+
+// pathIndices returns key x's root-to-leaf path: the average and one
+// detail coefficient per level.
+func pathIndices(u, x int64) []int64 {
+	logu := Log2(u)
+	idx := []int64{0}
+	for j := uint(0); j < logu; j++ {
+		idx = append(idx, 1<<j+x>>(logu-j))
+	}
+	return idx
+}
+
+// searchPiece is the lookup without a guide, the oracle for
+// pieceTable.piece: a binary search over every piece start for the last
+// one at or before x.
+func searchPiece(start []int64, x int64) int {
+	lo, hi := 0, len(start) // start[lo] <= x < start[hi]
+	for hi-lo > 1 {
+		mid := int(uint(lo+hi) >> 1)
+		if start[mid] <= x {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// TestPieceLocate checks the guided lookup against searchPiece at every
+// boundary it could get wrong: both domain ends, one key either side of
+// every piece start and every bucket edge. It covers domains of 1 to
+// 2^20 keys, k from 0 to u, and a table whose cuts all fall in one
+// bucket, and pins the guide itself: the least power of two ≥ the piece
+// count plus one slots, each the piece holding its bucket's first key.
+func TestPieceLocate(t *testing.T) {
+	r := zipf.NewRNG(14)
+	type table struct {
+		name string
+		rep  *Representation
+	}
+	var tables []table
+	for _, u := range []int64{1, 2, 1 << 10, 1 << 20} {
+		for _, k := range []int{0, 1, 2048} {
+			tables = append(tables, table{"random", randomRep(r, u, k)})
+		}
+	}
+	dense := make([]Coef, 1<<10)
+	for i := range dense {
+		dense[i] = Coef{Index: int64(i), Value: 1}
+	}
+	tables = append(tables, table{"k = u", NewRepresentation(1<<10, dense)})
+	var clustered []Coef
+	for _, i := range append(subtreeIndices(1<<20, 5<<12+300, 8), 0) {
+		clustered = append(clustered, Coef{Index: i, Value: 1})
+	}
+	tables = append(tables, table{"clustered", NewRepresentation(1<<20, clustered)})
+
+	for _, tc := range tables {
+		pt := tc.rep.pieces
+		np := len(pt.start)
+		g := pt.logu - pt.gshift
+		if len(pt.guide) != 1<<g+1 || 1<<g < np || g > 0 && 1<<(g-1) >= np {
+			t.Fatalf("%s u=%d k=%d: guide of %d entries for %d pieces", tc.name, pt.u, len(tc.rep.Coefs), len(pt.guide), np)
+		}
+		if tc.name == "clustered" && (np < 100 || pt.guide[(5<<12+300)>>pt.gshift+1] != int32(np-1)) {
+			t.Fatalf("clustered: %d pieces, guide %v: cuts not in one bucket", np, pt.guide)
+		}
+		xs := []int64{0, pt.u - 1}
+		for _, s := range pt.start {
+			xs = append(xs, s-1, s, s+1)
+		}
+		for b := range pt.guide {
+			e := int64(b) << pt.gshift
+			if want := searchPiece(pt.start, min(e, pt.u-1)); int(pt.guide[b]) != want {
+				t.Fatalf("%s u=%d k=%d: guide[%d] = %d, want the piece holding key %d, %d", tc.name, pt.u, len(tc.rep.Coefs), b, pt.guide[b], e, want)
+			}
+			xs = append(xs, e-1, e, e+1)
+		}
+		for _, x := range xs {
+			if x < 0 || x >= pt.u {
+				continue
+			}
+			if got, want := pt.piece(x), searchPiece(pt.start, x); got != want {
+				t.Fatalf("%s u=%d k=%d: piece(%d) = %d, search %d", tc.name, pt.u, len(tc.rep.Coefs), x, got, want)
+			}
+		}
+	}
+}
+
 // TestPieceTableSize pins the table's size at its two extremes: k = u
-// (every pair of keys a piece, every list a full root-to-leaf path) and
+// (every pair of keys a piece, every list a full root-to-leaf path, a
+// guide slot per piece plus one) and
 // the distinct-index bound of ≤ 2k+1 pieces and ≤ k·(2·log2(u)+1)
 // entries.
 func TestPieceTableSize(t *testing.T) {
@@ -252,8 +372,9 @@ func TestPieceTableSize(t *testing.T) {
 		dense[i] = Coef{Index: int64(i), Value: float64(i + 1)}
 	}
 	pt := NewRepresentation(u, dense).pieces
-	if len(pt.start) != u/2 || len(pt.pos) != u/2*11 {
-		t.Fatalf("k = u = %d: %d pieces, %d entries; want %d and %d", u, len(pt.start), len(pt.pos), u/2, u/2*11)
+	if len(pt.start) != u/2 || len(pt.pos) != u/2*11 || len(pt.guide) != u/2+1 {
+		t.Fatalf("k = u = %d: %d pieces, %d entries, %d guide slots; want %d, %d and %d",
+			u, len(pt.start), len(pt.pos), len(pt.guide), u/2, u/2*11, u/2+1)
 	}
 	r := zipf.NewRNG(13)
 	for _, k := range []int{1, 7, 64, 300} {
@@ -328,4 +449,65 @@ func BenchmarkQueryRange(b *testing.B) {
 			_ = rep.RangeSum(lo, lo+1<<18)
 		}
 	})
+}
+
+// zipfRep is the serving histogram's shape: 2^18 Zipf(1.1) records over
+// u = 2^20 permuted keys, the k = 2048 largest coefficients. keys draws
+// more keys from the same distribution: the hot keys, under which the
+// retained coefficients and so the cuts cluster.
+func zipfRep(seed uint64) (rep *Representation, keys func() int64) {
+	const u = 1 << 20
+	z := zipf.NewZipf(u, 1.1)
+	perm := zipf.NewPerm(u, seed)
+	r := zipf.NewRNG(seed)
+	keys = func() int64 { return perm.Apply(z.Sample(r) - 1) }
+	freq := map[int64]float64{}
+	for i := 0; i < 1<<18; i++ {
+		freq[keys()]++
+	}
+	ks := make([]int64, 0, len(freq))
+	for k := range freq {
+		ks = append(ks, k)
+	}
+	slices.Sort(ks)
+	counts := make([]float64, len(ks))
+	for i, k := range ks {
+		counts[i] = freq[k]
+	}
+	return NewRepresentation(u, SelectTopK(SparseTransformSorted(ks, counts, u), 2048)), keys
+}
+
+// BenchmarkPieceLocate times the piece lookup alone, on the serving
+// histogram's shape (zipfRep): a point's one lookup and a range's two
+// (width 4096, clamped), for keys drawn uniformly and keys drawn from the
+// data, where the cuts cluster.
+func BenchmarkPieceLocate(b *testing.B) {
+	rep, hot := zipfRep(15)
+	pt := rep.pieces
+	r := zipf.NewRNG(16)
+	const n = 4096
+	for _, keys := range []struct {
+		name string
+		next func() int64
+	}{{"uniform", func() int64 { return r.Int63n(pt.u) }}, {"data", hot}} {
+		xs := make([]int64, n)
+		for i := range xs {
+			xs[i] = keys.next()
+		}
+		b.Run("point/"+keys.name, func(b *testing.B) {
+			sink := 0
+			for i := 0; i < b.N; i++ {
+				sink += pt.piece(xs[i%n])
+			}
+			_ = sink
+		})
+		b.Run("range/"+keys.name, func(b *testing.B) {
+			sink := 0
+			for i := 0; i < b.N; i++ {
+				lo := xs[i%n]
+				sink += pt.piece(lo) + pt.piece(min(lo+4095, pt.u-1))
+			}
+			_ = sink
+		})
+	}
 }

@@ -104,9 +104,10 @@ func TestBatch2DRangeSumMatchesScan(t *testing.T) {
 	}
 }
 
-// TestBatch2DRangesMatchesScalar covers the vectorized 2D range sweep
-// (x-axis walkers over the row table, y candidates per matched row)
-// against the scalar engine.
+// TestBatch2DRangesMatchesScalar pins the path a 2D batch's rectangles
+// take, one scalar RangeSum each (there is no shared rectangle walk), to
+// the scan bit for bit on a batch's mix: wide, clamped and inverted
+// rectangles and narrow ones inside one cell pair.
 func TestBatch2DRangesMatchesScalar(t *testing.T) {
 	r := zipf.NewRNG(34)
 	for _, u := range []int64{1, 2, 16, 256, 1 << 10} {
@@ -129,20 +130,20 @@ func TestBatch2DRangesMatchesScalar(t *testing.T) {
 					yhis[i] = ylos[i] + r.Int63n(3)
 				}
 			}
-			out := make([]float64, n)
-			rep.BatchRanges(xlos, xhis, ylos, yhis, out)
 			for i := range xlos {
-				if want := rep.RangeSum(xlos[i], xhis[i], ylos[i], yhis[i]); !bitEq(out[i], want) {
-					t.Fatalf("u=%d k=%d: BatchRanges[%d] = %x, scalar %x",
-						u, k, i, math.Float64bits(out[i]), math.Float64bits(want))
+				got := rep.RangeSum(xlos[i], xhis[i], ylos[i], yhis[i])
+				if want := rep.ScanRangeSum(xlos[i], xhis[i], ylos[i], yhis[i]); !bitEq(got, want) {
+					t.Fatalf("u=%d k=%d: RangeSum[%d] = %x, scan %x",
+						u, k, i, math.Float64bits(got), math.Float64bits(want))
 				}
 			}
 		}
 	}
 }
 
-// TestBatch2DAllocationFree extends the steady-state pool property to
-// the new 2D range executor.
+// TestBatch2DAllocationFree pins the steady state of a 2D batch's two
+// paths: the pooled cell sweep and the scalar rectangle walks allocate
+// nothing.
 func TestBatch2DAllocationFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation makes sync.Pool allocate")
@@ -162,9 +163,16 @@ func TestBatch2DAllocationFree(t *testing.T) {
 		yhis[i] = ylos[i] + r.Int63n(u/4)
 	}
 	out := make([]float64, n)
-	rep.BatchRanges(xlos, xhis, ylos, yhis, out) // warm the pool
-	if a := testing.AllocsPerRun(100, func() { rep.BatchRanges(xlos, xhis, ylos, yhis, out) }); a != 0 {
-		t.Errorf("2D BatchRanges allocates %v per call, want 0", a)
+	rep.BatchPoints(xlos, ylos, out) // warm the pool
+	if a := testing.AllocsPerRun(100, func() { rep.BatchPoints(xlos, ylos, out) }); a != 0 {
+		t.Errorf("2D BatchPoints allocates %v per call, want 0", a)
+	}
+	if a := testing.AllocsPerRun(100, func() {
+		for i := range out {
+			out[i] = rep.RangeSum(xlos[i], xhis[i], ylos[i], yhis[i])
+		}
+	}); a != 0 {
+		t.Errorf("%d 2D RangeSums allocate %v, want 0", n, a)
 	}
 }
 
@@ -204,8 +212,8 @@ func FuzzBatchPointsParallel(f *testing.F) {
 	})
 }
 
-// FuzzBatch2DRanges fuzzes rectangle bounds through the 2D batch
-// executor against the scalar engine (itself pinned to the scan).
+// FuzzBatch2DRanges fuzzes the rectangle bounds of a 2D batch, each
+// answered by the scalar RangeSum, against the scan.
 func FuzzBatch2DRanges(f *testing.F) {
 	const u = 1 << 8
 	r := zipf.NewRNG(39)
@@ -228,12 +236,11 @@ func FuzzBatch2DRanges(f *testing.F) {
 			ylos[i] = int64(uint64(b[4])<<8|uint64(b[5]))%(3*u) - u
 			yhis[i] = int64(uint64(b[6])<<8|uint64(b[7]))%(3*u) - u
 		}
-		out := make([]float64, n)
-		rep.BatchRanges(xlos, xhis, ylos, yhis, out)
 		for i := range xlos {
-			if want := rep.RangeSum(xlos[i], xhis[i], ylos[i], yhis[i]); !bitEq(out[i], want) {
-				t.Fatalf("BatchRanges[%d] = %x, scalar %x", i,
-					math.Float64bits(out[i]), math.Float64bits(want))
+			got := rep.RangeSum(xlos[i], xhis[i], ylos[i], yhis[i])
+			if want := rep.ScanRangeSum(xlos[i], xhis[i], ylos[i], yhis[i]); !bitEq(got, want) {
+				t.Fatalf("RangeSum[%d] = %x, scan %x", i,
+					math.Float64bits(got), math.Float64bits(want))
 			}
 		}
 	})

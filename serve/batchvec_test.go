@@ -159,9 +159,10 @@ func TestBatchVectorizedMatchesScalar(t *testing.T) {
 }
 
 // TestBatchVectorizedMatchesScalar2D is the 2D analogue: cell batches
-// with shared-x runs, duplicates, off-grid cells, and rectangle ranges
+// with shared-x runs, duplicates and off-grid cells, rectangle ranges
 // (including inverted and off-grid bounds, which clamp rather than
-// error).
+// error), and batches of vecBatchMin queries or more holding fewer than
+// vecBatchMin cells, whose cells stay on the scalar walks.
 func TestBatchVectorizedMatchesScalar2D(t *testing.T) {
 	r := NewRegistry()
 	h := buildHist2D(t, 64, 128, 13)
@@ -201,12 +202,19 @@ func TestBatchVectorizedMatchesScalar2D(t *testing.T) {
 			})
 		}
 	}
+	t.Run("few-cells", func(t *testing.T) {
+		queries := make([]BatchQuery, 2*vecBatchMin)
+		for i := range queries {
+			queries[i] = mk([]int{1, 3, 4, 1, 0, 3}[i%6], i)
+		}
+		requireBatchEq(t, e, queries)
+	})
 }
 
 // TestConcurrentVectorBatchUnderUpdateLoad is the batch-path race smoke
 // CI runs with -race: querier goroutines drive large batches straight
 // through Entry.Batch and the registry's snapshot reads — 1D batches on
-// the shared piece tables, 2D ones on the pooled shared-walk scratch —
+// the shared piece tables, 2D cells on the pooled shared-walk scratch —
 // while a writer republishes the 1D histogram, so the detector sees the
 // pooled scratch and snapshot swaps interleaving.
 func TestConcurrentVectorBatchUnderUpdateLoad(t *testing.T) {
@@ -321,8 +329,10 @@ func TestRegistryReadYourWrites(t *testing.T) {
 // BenchmarkBatch2DDispatch times a 2D batch of n random cells, of n
 // random rectangles, and of half of each, on the 64×64 grid the tests
 // use, through both executors: scalar (one walk per query) and shared
-// (gather, one sorted sweep per op class, scatter). vecBatchMin is where
-// shared overtakes scalar; ns/query compares sizes.
+// (rectangles answered in place, the cells gathered into one sorted
+// sweep when there are vecBatchMin of them, scattered back).
+// vecBatchMin is where shared overtakes scalar on cells; ns/query
+// compares sizes.
 func BenchmarkBatch2DDispatch(b *testing.B) {
 	h := buildHist2D(b, 64, 128, 29)
 	e, err := NewRegistry().Publish2D("grid", h)

@@ -102,11 +102,12 @@ type (
 // length), recording one Batch stat for the whole call. Every sub-query
 // resolves against this entry's immutable histogram snapshot. A 1D
 // entry answers each query through estimate, in request order: a
-// piece-table lookup is one binary search, so there is nothing for a
-// shared walk to share. A 2D batch of vecBatchMin or more dispatches to
-// the shared-walk executors (batchvec.go) — one sorted sweep of the row
-// table instead of one walk per query, bit-identical results — and a
-// smaller one runs the scalar loop. Either way the steady state
+// piece-table lookup is one guided search, so there is nothing for a
+// shared walk to share. A 2D batch of vecBatchMin or more sends its cells
+// to the shared walk (batchvec.go) — one sorted sweep of the row table
+// instead of one walk per cell, bit-identical results — when it holds
+// vecBatchMin of them, and every rectangle to estimate; a smaller batch
+// runs the scalar loop. Either way the steady state
 // (well-formed queries) performs no allocations, so callers that reuse
 // their slices — the HTTP batch handler's pooled buffers, benchmark
 // loops — serve batches allocation-free.

@@ -177,14 +177,6 @@ func (h *Histogram2D) RangeCount(xlo, xhi, ylo, yhi int64) float64 {
 	return h.rep.RangeSum(xlo, xhi, ylo, yhi)
 }
 
-// BatchRanges answers n rectangle queries in one shared walk of the 2D
-// error tree: out[i] is bit-identical to RangeCount(xlos[i], xhis[i],
-// ylos[i], yhis[i]), including the clamp contract. All five slice
-// lengths must match.
-func (h *Histogram2D) BatchRanges(xlos, xhis, ylos, yhis []int64, out []float64) {
-	h.rep.BatchRanges(xlos, xhis, ylos, yhis, out)
-}
-
 // Reconstruct materializes the estimated grid (O(k·u²)).
 func (h *Histogram2D) Reconstruct() [][]float64 { return h.rep.Reconstruct() }
 
