@@ -78,12 +78,6 @@ func TestPartialCacheKey(t *testing.T) {
 	if base != same {
 		t.Error("equal inputs produced different keys")
 	}
-	// Parallelism does not affect results and must not affect the key.
-	pp := p
-	pp.Parallelism = 8
-	if partialCacheKey("fp", "Send-V", pp, 0, nil) != base {
-		t.Error("parallelism changed the cache key")
-	}
 	// Defaulted and explicit-default params collide (K: 0 → 30).
 	if partialCacheKey("fp", "Send-V", core.Params{U: 1 << 10, Seed: 7}, 0, nil) != base {
 		t.Error("defaulted params missed the explicit-default key")

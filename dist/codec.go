@@ -390,7 +390,6 @@ func appendParams(b []byte, p core.Params) []byte {
 	b = appendF64(b, p.Epsilon)
 	b = appendI64(b, p.SplitSize)
 	b = appendI64(b, int64(p.Seed))
-	b = appendI64(b, int64(p.Parallelism))
 	b = appendBool(b, p.CombineEnabled)
 	b = appendI64(b, p.SketchBytes)
 	b = appendI64(b, int64(p.SketchDegree))
@@ -404,7 +403,6 @@ func (r *breader) params() core.Params {
 	p.Epsilon = r.f64()
 	p.SplitSize = r.i64()
 	p.Seed = uint64(r.i64())
-	p.Parallelism = int(r.i64())
 	p.CombineEnabled = r.boolean()
 	p.SketchBytes = r.i64()
 	p.SketchDegree = int(r.i64())

@@ -16,7 +16,7 @@ func testMapRequest() *MapRequest {
 		Method: "H-WTopk",
 		Params: core.Params{
 			U: 1 << 14, K: 30, Epsilon: 0.001, SplitSize: 4096, Seed: 42,
-			Parallelism: 2, CombineEnabled: true, SketchBytes: 12345, SketchDegree: 8,
+			CombineEnabled: true, SketchBytes: 12345, SketchDegree: 8,
 		},
 		Dataset: DatasetSpec{
 			Kind: "keys", Records: 9, Domain: 1 << 14, Alpha: 1.1, RecordSize: 4,

@@ -617,9 +617,9 @@ func TestOneRoundBuildIsOneFanOut(t *testing.T) {
 		maps, releases int64
 		wire           int64
 	}{
-		{wavelethist.SendV, 8, 0, 62131},
-		{wavelethist.TwoLevelS, 8, 0, 4260},
-		{wavelethist.HWTopk, 24, 1, 26580},
+		{wavelethist.SendV, 8, 0, 62067},
+		{wavelethist.TwoLevelS, 8, 0, 4196},
+		{wavelethist.HWTopk, 24, 1, 26388},
 	} {
 		t.Run(string(tc.method), func(t *testing.T) {
 			lb := dist.NewLoopback()

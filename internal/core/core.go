@@ -46,8 +46,6 @@ type Params struct {
 	SplitSize int64
 	// Seed drives all randomized choices deterministically.
 	Seed uint64
-	// Parallelism bounds concurrent simulated mappers (0 = GOMAXPROCS).
-	Parallelism int
 
 	// CombineEnabled toggles the Combine function for Basic-S (the
 	// paper's "straightforward improvement"); default true via Defaults.

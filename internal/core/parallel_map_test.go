@@ -3,13 +3,23 @@ package core
 import (
 	"context"
 	"errors"
+	"runtime"
 	"testing"
 )
 
+// setProcs returns a function that sets GOMAXPROCS — the split fan-out's
+// worker count — for the rest of t, restoring the original when t ends.
+func setProcs(t *testing.T) func(n int) {
+	prev := runtime.GOMAXPROCS(0)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	return func(n int) { runtime.GOMAXPROCS(n) }
+}
+
 // MapSplits fans splits across goroutines; the partials must be
-// bit-identical to a serial (Parallelism=1) pass, in the same order, for
+// bit-identical to a serial (GOMAXPROCS=1) pass, in the same order, for
 // every method family. This is the race-enabled smoke CI runs.
 func TestMapSplitsParallelDeterminism(t *testing.T) {
+	procs := setProcs(t)
 	f, _ := testDataset(t, 30000, 1<<10, 1.1, 1024, 7)
 	p := Params{U: 1 << 10, K: 10, Epsilon: 0.01, Seed: 44, SplitSize: 2048}
 	m := NumSplits(f, p)
@@ -21,15 +31,13 @@ func TestMapSplitsParallelDeterminism(t *testing.T) {
 		ids[i] = i
 	}
 	for _, method := range []string{"Send-V", "TwoLevel-S", "Send-Sketch"} {
-		serial := p
-		serial.Parallelism = 1
-		want, err := MapSplits(context.Background(), f, method, serial, ids)
+		procs(1)
+		want, err := MapSplits(context.Background(), f, method, p, ids)
 		if err != nil {
 			t.Fatal(err)
 		}
-		par := p
-		par.Parallelism = 4
-		got, err := MapSplits(context.Background(), f, method, par, ids)
+		procs(4)
+		got, err := MapSplits(context.Background(), f, method, p, ids)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -53,6 +61,7 @@ func TestMapSplitsParallelDeterminism(t *testing.T) {
 // MapRoundSplits must stay deterministic under the same fan-out,
 // including the state files later rounds read.
 func TestMapRoundSplitsParallelDeterminism(t *testing.T) {
+	procs := setProcs(t)
 	f, _ := testDataset(t, 30000, 1<<10, 1.1, 1024, 7)
 	p := Params{U: 1 << 10, K: 10, Seed: 44, SplitSize: 2048}
 	m := NumSplits(f, p)
@@ -62,10 +71,9 @@ func TestMapRoundSplitsParallelDeterminism(t *testing.T) {
 	}
 	run := func(parallelism int) ([]SplitPartial, *WorkerState) {
 		t.Helper()
-		pp := p
-		pp.Parallelism = parallelism
+		procs(parallelism)
 		ws := NewWorkerState()
-		parts, replayed, err := MapRoundSplits(context.Background(), f, MethodHWTopk, pp, 1, nil, ids, ws)
+		parts, replayed, err := MapRoundSplits(context.Background(), f, MethodHWTopk, p, 1, nil, ids, ws)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,7 +104,8 @@ func TestMapRoundSplitsParallelDeterminism(t *testing.T) {
 // or return partial results.
 func TestMapSplitsParallelError(t *testing.T) {
 	f, _ := testDataset(t, 30000, 1<<10, 1.1, 1024, 7)
-	p := Params{U: 1 << 10, K: 10, Seed: 44, SplitSize: 2048, Parallelism: 4}
+	setProcs(t)(4)
+	p := Params{U: 1 << 10, K: 10, Seed: 44, SplitSize: 2048}
 	if _, err := MapSplits(context.Background(), f, "Send-V", p, []int{0, 1, 99999}); err == nil {
 		t.Fatal("out-of-range split accepted")
 	}

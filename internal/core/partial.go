@@ -31,15 +31,11 @@ import (
 type SplitPartial = mapred.Partial
 
 // forEachSplit fans fn(i) for i in [0, n) out across a bounded goroutine
-// pool: p.Parallelism workers (0 = GOMAXPROCS), context-cancellable, first
-// error wins and cancels the siblings. Callers write results into
-// position-indexed slots, so merge order is deterministic regardless of
-// scheduling.
-func forEachSplit(ctx context.Context, p Params, n int, fn func(ctx context.Context, i int) error) error {
-	workers := p.Parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+// pool: GOMAXPROCS workers, context-cancellable, first error wins and
+// cancels the siblings. Callers write results into position-indexed
+// slots, so merge order is deterministic regardless of scheduling.
+func forEachSplit(ctx context.Context, n int, fn func(ctx context.Context, i int) error) error {
+	workers := runtime.GOMAXPROCS(0)
 	if workers > n {
 		workers = n
 	}

@@ -384,9 +384,8 @@ func MapRoundSplits(ctx context.Context, file *hdfs.File, method string, p Param
 
 // mapSplits runs round's map side over splitIDs once the round's
 // broadcast is installed, reading and writing split state in rp.state.
-// Splits are mapped concurrently across up to p.Parallelism goroutines
-// (0 = GOMAXPROCS) and every per-split output is bit-identical to a
-// serial run.
+// Splits are mapped concurrently across up to GOMAXPROCS goroutines and
+// every per-split output is bit-identical to a serial run.
 func (rp *RoundPlan) mapSplits(ctx context.Context, round int, splitIDs []int) (parts []SplitPartial, replayed []int, err error) {
 	m := len(rp.splits)
 	for _, id := range splitIDs {
@@ -402,7 +401,7 @@ func (rp *RoundPlan) mapSplits(ctx context.Context, round int, splitIDs []int) (
 	}
 	parts = make([]SplitPartial, len(splitIDs))
 	rep := make([]bool, len(splitIDs))
-	err = forEachSplit(ctx, rp.p, len(splitIDs), func(ctx context.Context, i int) error {
+	err = forEachSplit(ctx, len(splitIDs), func(ctx context.Context, i int) error {
 		id := splitIDs[i]
 		var rerr error
 		if rep[i], rerr = rp.ensureSplitState(ctx, jobs, round, id); rerr != nil {

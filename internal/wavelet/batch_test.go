@@ -80,48 +80,6 @@ func TestBatchRangesMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestBatchPoints2DMatchesScalar checks the 2D shared walk: sorted
-// (x, y) runs, per-x ancestor reuse, and the row-group merge joins must
-// reproduce scalar PointEstimate bit for bit.
-func TestBatchPoints2DMatchesScalar(t *testing.T) {
-	r := zipf.NewRNG(23)
-	for _, u := range []int64{1, 2, 16, 256, 1 << 10} {
-		for _, k := range []int{0, 1, 40, 300} {
-			coefs := make([]Coef, 0, k)
-			for i := 0; i < k; i++ {
-				idx := r.Int63n(u * u)
-				if i > 0 && r.Bernoulli(0.15) {
-					idx = coefs[r.Int63n(int64(len(coefs)))].Index
-				}
-				coefs = append(coefs, Coef{Index: idx, Value: (r.Float64() - 0.5) * 1000})
-			}
-			rep := NewRepresentation2D(u, coefs)
-			n := 220
-			xs := make([]int64, n)
-			ys := make([]int64, n)
-			for i := 0; i < n; i++ {
-				xs[i] = r.Int63n(3*u) - u
-				ys[i] = r.Int63n(3*u) - u
-				if i > 0 && r.Bernoulli(0.25) {
-					xs[i] = xs[r.Int63n(int64(i))] // shared x runs
-				}
-				if i > 0 && r.Bernoulli(0.1) {
-					j := r.Int63n(int64(i))
-					xs[i], ys[i] = xs[j], ys[j] // exact duplicates
-				}
-			}
-			out := make([]float64, n)
-			rep.BatchPoints(xs, ys, out)
-			for i := range xs {
-				if want := rep.PointEstimate(xs[i], ys[i]); !bitEq(out[i], want) {
-					t.Fatalf("u=%d k=%d: BatchPoints[%d] (%d, %d) = %x, scalar %x",
-						u, k, i, xs[i], ys[i], math.Float64bits(out[i]), math.Float64bits(want))
-				}
-			}
-		}
-	}
-}
-
 // TestBatchScalarFallback pins the hand-rolled-literal path: a
 // Representation without a query index still answers batches (via the
 // scan), bit-identical to per-key calls.
@@ -141,15 +99,6 @@ func TestBatchScalarFallback(t *testing.T) {
 	for i := range los {
 		if want := rep.RangeSum(los[i], his[i]); !bitEq(rout[i], want) {
 			t.Fatalf("fallback BatchRanges[%d] = %v, want %v", i, rout[i], want)
-		}
-	}
-	rep2 := &Representation2D{U: 4, Coefs: []Coef{{Index: 5, Value: 3}}}
-	xs2, ys2 := []int64{0, 1, 3}, []int64{2, 1, 0}
-	out2 := make([]float64, len(xs2))
-	rep2.BatchPoints(xs2, ys2, out2)
-	for i := range xs2 {
-		if want := rep2.PointEstimate(xs2[i], ys2[i]); !bitEq(out2[i], want) {
-			t.Fatalf("fallback 2D BatchPoints[%d] = %v, want %v", i, out2[i], want)
 		}
 	}
 }

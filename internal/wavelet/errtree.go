@@ -356,21 +356,16 @@ type errTree2D struct {
 	gkey []int64 // distinct row index i per group, ascending
 	goff []int32 // group g entries are ord[goff[g]:goff[g+1]]
 
-	// idxs[i] == coefs[ord[i]].Index — flat packed-index mirror for the
-	// batch executor's merge joins.
+	// idxs[i] == coefs[ord[i]].Index — the flat packed-index column that
+	// append2DTarget binary-searches for both point and range estimates.
 	idxs []int64
 
-	// Precomputed basis factors: invSqrtU matches
-	// ancestorPaths' 1/math.Sqrt(float64(u)); invSqrtLen[j] matches
-	// basisAtLevel's 1/math.Sqrt(float64(u>>j)), bit for bit. sqrtU and
-	// sqrtLen are the roots themselves for the range path's divisions —
-	// dividing by a cached correctly-rounded root gives the same bits as
-	// recomputing math.Sqrt per term (and is NOT the same as multiplying
-	// by the cached inverse, which rounds differently).
-	sqrtU      float64
-	invSqrtU   float64
-	sqrtLen    []float64
-	invSqrtLen []float64
+	// sqrtU and sqrtLen[j] are the roots of u and u>>j for the range
+	// path's divisions — dividing by a cached correctly-rounded root gives
+	// the same bits as recomputing math.Sqrt per term (and is NOT the same
+	// as multiplying by a cached inverse, which rounds differently).
+	sqrtU   float64
+	sqrtLen []float64
 }
 
 // newErrTree2D indexes coefs (packed 2D indices) over the u×u grid.
@@ -404,12 +399,9 @@ func newErrTree2D(u int64, coefs []Coef) *errTree2D {
 		t.idxs[i] = coefs[p].Index
 	}
 	t.sqrtU = math.Sqrt(float64(t.u))
-	t.invSqrtU = 1 / t.sqrtU
 	t.sqrtLen = make([]float64, t.logu)
-	t.invSqrtLen = make([]float64, t.logu)
 	for j := uint(0); j < t.logu; j++ {
 		t.sqrtLen[j] = math.Sqrt(float64(t.u >> j))
-		t.invSqrtLen[j] = 1 / t.sqrtLen[j]
 	}
 	return t
 }
@@ -450,22 +442,7 @@ func (t *errTree2D) pointEstimate(coefs []Coef, x, y int64) float64 {
 		glo, ghi := int(t.goff[g]), int(t.goff[g+1])
 		base := xi[a] * t.u
 		for b := 0; b < ny; b++ {
-			target := base + yi[b]
-			lo, hi := glo, ghi
-			for lo < hi {
-				mid := int(uint(lo+hi) >> 1)
-				if coefs[t.ord[mid]].Index < target {
-					lo = mid + 1
-				} else {
-					hi = mid
-				}
-			}
-			bv := xb[a] * yb[b]
-			for lo < ghi && coefs[t.ord[lo]].Index == target {
-				p := t.ord[lo]
-				terms = append(terms, posTerm{p, coefs[p].Value * bv})
-				lo++
-			}
+			terms = t.append2DTarget(coefs, terms, glo, ghi, base+yi[b], xb[a]*yb[b])
 		}
 	}
 	return sumByPos(terms)

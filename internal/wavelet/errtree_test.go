@@ -108,6 +108,18 @@ func TestErrTree2DPointEquivalence(t *testing.T) {
 			for i := 0; i < 150; i++ {
 				cells = append(cells, cell{r.Int63n(u), r.Int63n(u)})
 			}
+			// A batch's shapes: cells often off the grid, runs sharing
+			// one x, and exact duplicates.
+			for i := 0; i < 220; i++ {
+				c := cell{r.Int63n(3*u) - u, r.Int63n(3*u) - u}
+				if r.Bernoulli(0.25) {
+					c.x = cells[r.Int63n(int64(len(cells)))].x
+				}
+				if r.Bernoulli(0.1) {
+					c = cells[r.Int63n(int64(len(cells)))]
+				}
+				cells = append(cells, c)
+			}
 			for _, c := range cells {
 				got, want := rep.PointEstimate(c.x, c.y), rep.ScanPointEstimate(c.x, c.y)
 				if !bitEq(got, want) {

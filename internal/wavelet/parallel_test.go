@@ -141,13 +141,10 @@ func TestBatch2DRangesMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestBatch2DAllocationFree pins the steady state of a 2D batch's two
-// paths: the pooled cell sweep and the scalar rectangle walks allocate
-// nothing.
+// TestBatch2DAllocationFree pins the steady state of a 2D batch, one
+// scalar walk per query: a loop of cell PointEstimates and a loop of
+// rectangle RangeSums allocate nothing.
 func TestBatch2DAllocationFree(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation makes sync.Pool allocate")
-	}
 	r := zipf.NewRNG(37)
 	const u = 1 << 10
 	rep := randomRep2D(r, u, 512)
@@ -163,9 +160,12 @@ func TestBatch2DAllocationFree(t *testing.T) {
 		yhis[i] = ylos[i] + r.Int63n(u/4)
 	}
 	out := make([]float64, n)
-	rep.BatchPoints(xlos, ylos, out) // warm the pool
-	if a := testing.AllocsPerRun(100, func() { rep.BatchPoints(xlos, ylos, out) }); a != 0 {
-		t.Errorf("2D BatchPoints allocates %v per call, want 0", a)
+	if a := testing.AllocsPerRun(100, func() {
+		for i := range out {
+			out[i] = rep.PointEstimate(xlos[i], ylos[i])
+		}
+	}); a != 0 {
+		t.Errorf("%d 2D PointEstimates allocate %v, want 0", n, a)
 	}
 	if a := testing.AllocsPerRun(100, func() {
 		for i := range out {
@@ -213,7 +213,10 @@ func FuzzBatchPointsParallel(f *testing.F) {
 }
 
 // FuzzBatch2DRanges fuzzes the rectangle bounds of a 2D batch, each
-// answered by the scalar RangeSum, against the scan.
+// answered by the scalar RangeSum, against the scan, and takes each
+// rectangle's corners (xlo, ylo) and (xhi, yhi) as cells, answered by
+// PointEstimate, against the scan too: off-grid corners, shared
+// coordinates and duplicates included.
 func FuzzBatch2DRanges(f *testing.F) {
 	const u = 1 << 8
 	r := zipf.NewRNG(39)
@@ -241,6 +244,13 @@ func FuzzBatch2DRanges(f *testing.F) {
 			if want := rep.ScanRangeSum(xlos[i], xhis[i], ylos[i], yhis[i]); !bitEq(got, want) {
 				t.Fatalf("RangeSum[%d] = %x, scan %x", i,
 					math.Float64bits(got), math.Float64bits(want))
+			}
+			for _, c := range [2][2]int64{{xlos[i], ylos[i]}, {xhis[i], yhis[i]}} {
+				got := rep.PointEstimate(c[0], c[1])
+				if want := rep.ScanPointEstimate(c[0], c[1]); !bitEq(got, want) {
+					t.Fatalf("PointEstimate(%d, %d) = %x, scan %x", c[0], c[1],
+						math.Float64bits(got), math.Float64bits(want))
+				}
 			}
 		}
 	})

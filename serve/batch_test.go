@@ -32,19 +32,15 @@ func buildHist2D(t testing.TB, side int64, k int, seed uint64) *wavelethist.Hist
 	return res.Histogram
 }
 
-// requireBatchEq runs queries through the public Batch dispatch and
-// demands bit-identical results — estimates AND error strings — against
-// an oracle: the O(k) linear scan for a 1D entry (every 1D batch runs
-// through estimate, so comparing it with the scalar loop would compare
-// the executor with itself), the scalar walks for a 2D entry.
+// requireBatchEq runs queries through the public Batch and demands
+// bit-identical results — estimates AND error strings — against the O(k)
+// linear scan of the entry's coefficients (every batch runs through
+// estimate, so comparing it with a loop of estimate would compare the
+// executor with itself).
 func requireBatchEq(t *testing.T, e *Entry, queries []BatchQuery) {
 	t.Helper()
 	want := make([]BatchResult, len(queries))
-	if e.Is2D() {
-		e.batchScalar(queries, want)
-	} else {
-		scanResults(e, queries, want)
-	}
+	scanResults(e, queries, want)
 	got := make([]BatchResult, len(queries))
 	e.Batch(queries, got)
 	for i := range queries {
@@ -54,15 +50,26 @@ func requireBatchEq(t *testing.T, e *Entry, queries []BatchQuery) {
 	}
 }
 
-// scanResults answers a 1D entry's queries off the linear scan of its
-// coefficients, taking an invalid query's error from estimate.
+// scanResults answers an entry's queries off the linear scan of its
+// coefficients — a Representation or Representation2D literal, which has
+// no query index — taking an invalid query's error from estimate.
 func scanResults(e *Entry, queries []BatchQuery, out []BatchResult) {
-	cs := e.H.Coefficients()
-	coefs := make([]wavelet.Coef, len(cs))
-	for i, c := range cs {
-		coefs[i] = wavelet.Coef{Index: c.Index, Value: c.Value}
+	if e.Is2D() {
+		scan := &wavelet.Representation2D{U: e.H2D.Side(), Coefs: coefs(e.H2D.Coefficients())}
+		for i := range queries {
+			q := &queries[i]
+			switch {
+			case q.Op == "point" && q.X >= 0 && q.X < scan.U && q.Y >= 0 && q.Y < scan.U:
+				out[i] = result(finite(scan.ScanPointEstimate(q.X, q.Y)))
+			case q.Op == "range":
+				out[i] = result(finite(scan.ScanRangeSum(q.XLo, q.XHi, q.YLo, q.YHi)))
+			default:
+				out[i] = result(e.estimate(q))
+			}
+		}
+		return
 	}
-	scan := &wavelet.Representation{U: e.H.Domain(), Coefs: coefs}
+	scan := &wavelet.Representation{U: e.H.Domain(), Coefs: coefs(e.H.Coefficients())}
 	for i := range queries {
 		q := &queries[i]
 		switch {
@@ -74,6 +81,16 @@ func scanResults(e *Entry, queries []BatchQuery, out []BatchResult) {
 			out[i] = result(e.estimate(q))
 		}
 	}
+}
+
+// coefs converts a histogram's public coefficients, largest magnitude
+// first (the order its representation sums them in), to wavelet.Coefs.
+func coefs(cs []wavelethist.Coefficient) []wavelet.Coef {
+	out := make([]wavelet.Coef, len(cs))
+	for i, c := range cs {
+		out[i] = wavelet.Coef{Index: c.Index, Value: c.Value}
+	}
+	return out
 }
 
 // batchSizes are the batch sizes the dispatch-equivalence tests run at: a
@@ -138,7 +155,7 @@ func TestBatchVectorizedMatchesScalar(t *testing.T) {
 	})
 
 	t.Run("errors", func(t *testing.T) {
-		queries := make([]BatchQuery, vecBatchMin+4)
+		queries := make([]BatchQuery, 20)
 		for i := range queries {
 			queries[i] = BatchQuery{Op: "point", Key: int64(i)}
 		}
@@ -150,7 +167,7 @@ func TestBatchVectorizedMatchesScalar(t *testing.T) {
 	})
 
 	t.Run("all-invalid", func(t *testing.T) {
-		queries := make([]BatchQuery, vecBatchMin)
+		queries := make([]BatchQuery, 16)
 		for i := range queries {
 			queries[i] = BatchQuery{Op: "nope", Key: int64(i)}
 		}
@@ -158,11 +175,11 @@ func TestBatchVectorizedMatchesScalar(t *testing.T) {
 	})
 }
 
-// TestBatchVectorizedMatchesScalar2D is the 2D analogue: cell batches
-// with shared-x runs, duplicates and off-grid cells, rectangle ranges
-// (including inverted and off-grid bounds, which clamp rather than
-// error), and batches of vecBatchMin queries or more holding fewer than
-// vecBatchMin cells, whose cells stay on the scalar walks.
+// TestBatchVectorizedMatchesScalar2D is the 2D analogue, against the
+// scan of the grid's coefficients: cell batches with shared-x runs,
+// duplicates and off-grid cells, rectangle ranges (including inverted
+// and off-grid bounds, which clamp rather than error), and one more mix
+// that holds few cells among many rectangles.
 func TestBatchVectorizedMatchesScalar2D(t *testing.T) {
 	r := NewRegistry()
 	h := buildHist2D(t, 64, 128, 13)
@@ -203,7 +220,7 @@ func TestBatchVectorizedMatchesScalar2D(t *testing.T) {
 		}
 	}
 	t.Run("few-cells", func(t *testing.T) {
-		queries := make([]BatchQuery, 2*vecBatchMin)
+		queries := make([]BatchQuery, 32)
 		for i := range queries {
 			queries[i] = mk([]int{1, 3, 4, 1, 0, 3}[i%6], i)
 		}
@@ -214,9 +231,9 @@ func TestBatchVectorizedMatchesScalar2D(t *testing.T) {
 // TestConcurrentVectorBatchUnderUpdateLoad is the batch-path race smoke
 // CI runs with -race: querier goroutines drive large batches straight
 // through Entry.Batch and the registry's snapshot reads — 1D batches on
-// the shared piece tables, 2D cells on the pooled shared-walk scratch —
-// while a writer republishes the 1D histogram, so the detector sees the
-// pooled scratch and snapshot swaps interleaving.
+// the shared piece tables, 2D batches on one grid's error tree — while a
+// writer republishes the 1D histogram, so the detector sees concurrent
+// readers of the shared indexes and snapshot swaps interleaving.
 func TestConcurrentVectorBatchUnderUpdateLoad(t *testing.T) {
 	r := NewRegistry()
 	base := buildHist(t, 100000, 1<<12, 128, 17)
@@ -323,54 +340,5 @@ func TestRegistryReadYourWrites(t *testing.T) {
 	}
 	if got := r.Version(); got != 6 {
 		t.Fatalf("Version after drop = %d, want 6", got)
-	}
-}
-
-// BenchmarkBatch2DDispatch times a 2D batch of n random cells, of n
-// random rectangles, and of half of each, on the 64×64 grid the tests
-// use, through both executors: scalar (one walk per query) and shared
-// (rectangles answered in place, the cells gathered into one sorted
-// sweep when there are vecBatchMin of them, scattered back).
-// vecBatchMin is where shared overtakes scalar on cells; ns/query
-// compares sizes.
-func BenchmarkBatch2DDispatch(b *testing.B) {
-	h := buildHist2D(b, 64, 128, 29)
-	e, err := NewRegistry().Publish2D("grid", h)
-	if err != nil {
-		b.Fatal(err)
-	}
-	s := h.Side()
-	rng := rand.New(rand.NewSource(29))
-	mk := map[string]func() BatchQuery{
-		"points": func() BatchQuery { return BatchQuery{Op: "point", X: rng.Int63n(s), Y: rng.Int63n(s)} },
-		"ranges": func() BatchQuery {
-			x, y := rng.Int63n(s), rng.Int63n(s)
-			return BatchQuery{Op: "range", XLo: x, XHi: x + rng.Int63n(s-x), YLo: y, YHi: y + rng.Int63n(s-y)}
-		},
-	}
-	for _, mix := range []string{"points", "ranges", "mixed"} {
-		for _, n := range []int{8, 16, 32, 64, 256} {
-			queries := make([]BatchQuery, n)
-			for i := range queries {
-				class := mix
-				if mix == "mixed" {
-					class = [2]string{"points", "ranges"}[i%2]
-				}
-				queries[i] = mk[class]()
-			}
-			results := make([]BatchResult, n)
-			for _, ex := range []struct {
-				name string
-				run  func([]BatchQuery, []BatchResult)
-			}{{"scalar", e.batchScalar}, {"shared", e.batchVectorized}} {
-				b.Run(fmt.Sprintf("%s/n=%d/%s", mix, n, ex.name), func(b *testing.B) {
-					b.ReportAllocs()
-					for i := 0; i < b.N; i++ {
-						ex.run(queries, results)
-					}
-					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/query")
-				})
-			}
-		}
 	}
 }

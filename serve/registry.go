@@ -100,38 +100,24 @@ type (
 
 // Batch answers queries[i] into results[i] (the slices must have equal
 // length), recording one Batch stat for the whole call. Every sub-query
-// resolves against this entry's immutable histogram snapshot. A 1D
-// entry answers each query through estimate, in request order: a
-// piece-table lookup is one guided search, so there is nothing for a
-// shared walk to share. A 2D batch of vecBatchMin or more sends its cells
-// to the shared walk (batchvec.go) — one sorted sweep of the row table
-// instead of one walk per cell, bit-identical results — when it holds
-// vecBatchMin of them, and every rectangle to estimate; a smaller batch
-// runs the scalar loop. Either way the steady state
-// (well-formed queries) performs no allocations, so callers that reuse
-// their slices — the HTTP batch handler's pooled buffers, benchmark
-// loops — serve batches allocation-free.
+// resolves against this entry's immutable histogram snapshot and is
+// answered through estimate, in request order, for 1D and 2D entries
+// alike: a 1D lookup is one guided piece-table search and a 2D one walks
+// the cell's or rectangle's ancestor pairs, so there is no walk for a
+// batch to share. The steady state (well-formed queries) performs no
+// allocations, so callers that reuse their slices — the HTTP batch
+// handler's pooled buffers, benchmark loops — serve batches
+// allocation-free.
 func (e *Entry) Batch(queries []BatchQuery, results []BatchResult) {
 	if len(results) != len(queries) {
 		panic("serve: Batch slice length mismatch")
 	}
 	t0 := time.Now()
-	if e.Is2D() && len(queries) >= vecBatchMin {
-		e.batchVectorized(queries, results)
-	} else {
-		e.batchScalar(queries, results)
-	}
-	e.Stats.Batch.Add(1, time.Since(t0))
-	e.Stats.BatchQueries.Add(int64(len(queries)), 0)
-}
-
-// batchScalar answers each query with its own estimate — the 1D batch
-// path, and the reference loop the 2D shared walk must match bit for
-// bit.
-func (e *Entry) batchScalar(queries []BatchQuery, results []BatchResult) {
 	for i := range queries {
 		results[i] = result(e.estimate(&queries[i]))
 	}
+	e.Stats.Batch.Add(1, time.Since(t0))
+	e.Stats.BatchQueries.Add(int64(len(queries)), 0)
 }
 
 // estimate answers one query off the entry's histogram, recording no
@@ -168,7 +154,7 @@ func (e *Entry) estimate(q *BatchQuery) (float64, error) {
 var errNonFinite = errors.New("serve: estimate is not finite")
 
 // finite passes a finite estimate through and turns any other into
-// errNonFinite — one check for both executors.
+// errNonFinite.
 func finite(est float64) (float64, error) {
 	if math.IsInf(est, 0) || math.IsNaN(est) {
 		return 0, errNonFinite

@@ -162,13 +162,6 @@ func (h *Histogram2D) Coefficients() []Coefficient {
 // Off-grid cells estimate 0.
 func (h *Histogram2D) PointEstimate(x, y int64) float64 { return h.rep.PointEstimate(x, y) }
 
-// BatchPoints answers n cell queries in one shared walk of the 2D error
-// tree: queries are sorted by (x, y), each distinct x computes its
-// ancestor path once, and every row group is merge-joined instead of
-// binary-searched per query. out[i] is bit-identical to
-// PointEstimate(xs[i], ys[i]); slice lengths must match.
-func (h *Histogram2D) BatchPoints(xs, ys []int64, out []float64) { h.rep.BatchPoints(xs, ys, out) }
-
 // RangeCount estimates the number of records in the rectangle
 // [xlo, xhi] × [ylo, yhi] (inclusive) in O(log²u): only the tensor
 // products of the two axes' boundary candidates contribute. Bounds are
