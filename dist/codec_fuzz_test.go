@@ -21,6 +21,16 @@ func FuzzDecodeMapRequest(f *testing.F) {
 		Dataset:   DatasetSpec{Kind: "keys", Domain: 16, Keys: []int64{1, 2, 3}},
 		Splits:    []int{5, 6},
 	}))
+	// Every field of the params block set, so the fuzzer starts from its
+	// full layout rather than only the zero values.
+	f.Add(EncodeMapRequest(&MapRequest{
+		JobID: "p", Method: "H-WTopk",
+		Params: core.Params{
+			U: 1 << 12, K: 20, Epsilon: 0.01, SplitSize: 512, Seed: 7,
+			CombineEnabled: true, SketchBytes: 4096, SketchDegree: 4,
+		},
+		Splits: []int{0},
+	}))
 	seed := EncodeMapRequest(&MapRequest{JobID: "t", Method: "Send-V", Splits: []int{1, 2, 3}})
 	for i := 0; i < len(seed); i += 7 {
 		mut := append([]byte{}, seed...)
