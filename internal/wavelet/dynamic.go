@@ -1,6 +1,7 @@
 package wavelet
 
 import (
+	"cmp"
 	"math"
 	"math/bits"
 	"slices"
@@ -32,7 +33,9 @@ import (
 // ≤ log2(u)+1 coefficients (O(log u · log(k+shadow)) heap moves). While
 // retained membership is unchanged, a read copies the previous snapshot's
 // coefficient array, patches the values that moved, and shares its
-// piece table.
+// piece table; a membership change re-sorts the retained set, starting
+// from the previous snapshot's order. Snapshots store no per-piece
+// estimates, so a point read makes its piece's list pass.
 
 // node is one tracked coefficient.
 type node struct {
@@ -53,22 +56,24 @@ func stronger(a, b Coef) bool {
 	return a.Index < b.Index
 }
 
-// ranked is a node's coefficient copied beside its number, so sorting and
-// selection compare contiguous values instead of chasing node numbers.
+// ranked is a node's coefficient and magnitude copied beside its number,
+// so sorting and selection compare contiguous values instead of chasing
+// node numbers.
 type ranked struct {
 	Coef
-	n int32
+	mag float64 // |Value|
+	n   int32
 }
 
 // byStrength is `stronger` as a three-way comparison, strongest first.
 func byStrength(a, b ranked) int {
-	switch {
-	case a.Index == b.Index:
-		return 0
-	case stronger(a.Coef, b.Coef):
-		return -1
+	if a.mag != b.mag {
+		if a.mag > b.mag {
+			return -1
+		}
+		return 1
 	}
-	return 1
+	return cmp.Compare(a.Index, b.Index)
 }
 
 // side is one heap of the partition: node numbers, the weakest member at
@@ -357,9 +362,14 @@ func (m *Maintainer) compact() {
 func (m *Maintainer) rank(ns []int32) []ranked {
 	m.order = m.order[:0]
 	for _, n := range ns {
-		m.order = append(m.order, ranked{m.nodes[n].Coef, n})
+		m.order = append(m.order, m.ranked(n))
 	}
 	return m.order
+}
+
+func (m *Maintainer) ranked(n int32) ranked {
+	c := m.nodes[n].Coef
+	return ranked{c, math.Abs(c.Value), n}
 }
 
 // selectStrongest reorders rs so that its first keep entries are the keep
@@ -387,9 +397,9 @@ func selectStrongest(rs []ranked, keep int) {
 func partition(rs []ranked) int {
 	last := len(rs) - 1
 	rs[len(rs)/2], rs[last] = rs[last], rs[len(rs)/2]
-	pivot, p := rs[last].Coef, 0
+	pivot, p := rs[last], 0
 	for j := range rs[:last] {
-		if stronger(rs[j].Coef, pivot) {
+		if byStrength(rs[j], pivot) < 0 {
 			rs[p], rs[j] = rs[j], rs[p]
 			p++
 		}
@@ -501,8 +511,32 @@ func (m *Maintainer) Representation() *Representation {
 	return m.rep
 }
 
+// rebuildRep sorts the retained nodes into a new snapshot, starting from
+// the previous snapshot's order, which a membership change disturbs
+// little: the nodes still at their last-rebuild slot, in slot order, then
+// the new members. `stronger` is a strict total order, so where the sort
+// starts does not change its result.
 func (m *Maintainer) rebuildRep() {
-	ord := m.rank(m.ret.at)
+	var prev []Coef
+	if m.rep != nil {
+		prev = m.rep.Coefs
+	}
+	ord := slices.Grow(m.order[:0], len(prev)+len(m.ret.at))[:len(prev)]
+	for i := range ord {
+		ord[i].n = -1
+	}
+	for _, n := range m.ret.at {
+		r := m.ranked(n)
+		// A coefficient is tracked by one node at a time, so at most one
+		// node claims each slot.
+		if s := m.nodes[n].slot; int(s) < len(prev) && prev[s].Index == r.Index {
+			ord[s] = r
+		} else {
+			ord = append(ord, r)
+		}
+	}
+	ord = slices.DeleteFunc(ord, func(r ranked) bool { return r.n < 0 })
+	m.order = ord
 	slices.SortFunc(ord, byStrength)
 	cs := make([]Coef, len(ord))
 	for i, r := range ord {

@@ -258,7 +258,9 @@ func requireMatchesScan(t *testing.T, what string, rep *Representation, r *zipf.
 // TestMaintainerSnapshotsSharePieceTable: a value-patched snapshot reuses
 // the previous snapshot's piece table (the same pointer) and still
 // matches the scan to the bit; a retained-membership change builds a new
-// table; and every older snapshot keeps answering from its own.
+// table; and every older snapshot keeps answering from its own. No
+// snapshot stores per-piece estimates: a patched one would share them
+// with a snapshot whose values differ.
 func TestMaintainerSnapshotsSharePieceTable(t *testing.T) {
 	const u = 1 << 10
 	r := zipf.NewRNG(25)
@@ -295,6 +297,11 @@ func TestMaintainerSnapshotsSharePieceTable(t *testing.T) {
 	requireMatchesScan(t, "rebuilt snapshot", rep3, r)
 	requireMatchesScan(t, "first snapshot", rep1, r)
 	requireMatchesScan(t, "patched snapshot after rebuild", rep2, r)
+	for i, rep := range []*Representation{rep1, rep2, rep3} {
+		if rep.est != nil {
+			t.Fatalf("snapshot %d stores %d estimates", i+1, len(rep.est))
+		}
+	}
 }
 
 // TestMaintainerPatchedSnapshotEquivalence: copy-and-patch snapshots share

@@ -16,14 +16,20 @@ import (
 // answer point and range queries fast).
 //
 // The 1D index, pieceTable, lists those coefficients ahead of time. Cut
-// the domain at the start and end of every retained in-domain
-// coefficient's dyadic support: each piece between two consecutive cuts
-// then lies wholly inside or wholly outside every support, and stores the
-// positions in Coefs of the coefficients whose support contains it,
-// ascending. A point query finds its piece through a guide table and makes
-// one pass over that list. A range query merges the lists of the pieces
-// holding its two bounds: a coefficient whose support holds neither bound
-// lies inside the range, where its ψ halves cancel exactly, or outside it.
+// the domain at the start, the midpoint and the end of every retained
+// in-domain coefficient's dyadic support: each piece between two
+// consecutive cuts then lies wholly inside or wholly outside every
+// support, and wholly inside one half of each support it lies in, and
+// stores the positions in Coefs of the coefficients whose support
+// contains it, ascending. Every ψ in a piece's list has one sign over the
+// whole piece, so v̂ is constant on it: a k-term synopsis is a histogram
+// of ≤ 3k+1 buckets. A point query finds its piece through a guide table
+// and reads the piece's estimate where the representation stores one
+// (NewRepresentation), or makes one pass over the list (the Maintainer's
+// snapshots, whose values change under a shared table). A range query
+// merges the lists of the pieces holding its two bounds: a coefficient
+// whose support holds neither bound lies inside the range, where its ψ
+// halves cancel exactly, or outside it.
 //
 // The guide cuts the domain into 2^g equal buckets, 2^g the least power
 // of two ≥ the piece count (never past u: every piece holds a key), and
@@ -33,22 +39,24 @@ import (
 // reads two guide slots and binary-searches only the starts between
 // them: none on most lookups when the cuts spread out, a short search
 // where they cluster (deep coefficients under one key), instead of the
-// ≈ log2(2k+1) data-dependent steps of a search over every start.
+// ≈ log2(3k+1) data-dependent steps of a search over every start.
 //
-// Size: the ≤ 2k cuts make ≤ 2k+1 pieces. A coefficient is listed once
-// per piece inside its support, 1 + the cuts strictly inside it, and each
-// of those is an end of one of its retained descendants (≤ 2 each); summed
-// over the coefficients that is ≤ k·(2·log2(u)+1) list entries for
-// distinct indices, since a coefficient has at most log2(u) ancestors. At
-// k = u the finest supports are two keys wide, so every pair of keys is a
-// piece and every list a full root-to-leaf path: u/2 pieces and
-// (u/2)·(log2(u)+1) entries. The guide adds 2^g+1 slots, fewer than twice
-// the pieces plus one: u/2+1 at k = u.
+// Size: the ≤ 3k cuts make ≤ 3k+1 pieces. A coefficient is listed once
+// per piece inside its support, 1 + the cuts strictly inside it: its own
+// midpoint, and a start, midpoint or end of one of its retained
+// descendants (≤ 3 each); summed over the coefficients that is
+// ≤ k·(3·log2(u)+2) list entries for distinct indices, since a
+// coefficient has at most log2(u) ancestors. At k = u the finest
+// supports are two keys wide and cut at their midpoints, so every key is
+// a piece and every list a full root-to-leaf path: u pieces and
+// u·(log2(u)+1) entries. The guide adds 2^g+1 slots, fewer than twice the
+// pieces plus one: u+1 at k = u. A stored estimate adds 8 bytes a piece.
 //
 // The table is structural: it stores positions into Coefs, never values,
 // so a caller that patches coefficient values in place (the incremental
 // Maintainer's snapshot path) shares one table across snapshots whose
-// index multiset is unchanged.
+// index multiset is unchanged. Stored estimates are values, so they live
+// in the Representation beside the table, never in it.
 //
 // # Bit-identical results
 //
@@ -65,6 +73,11 @@ import (
 //     (BasisAt / basisRangeSum) with cached roots: math.Sqrt is correctly
 //     rounded, so a cached root or its reciprocal is the value the scan
 //     derives per term, and every partial sum rounds identically.
+//  3. A stored estimate is the list pass at the piece's first key, and
+//     any other key of the piece gives that pass the same terms: the same
+//     coefficients in the same order, each with the same factor, since no
+//     support's start, midpoint or end falls strictly inside the piece,
+//     so no ψ changes value across it.
 //
 // Invalid coefficient indices (negative, or outside the domain) cut
 // nothing and are listed in no piece; the scan gives such coefficients an
@@ -90,7 +103,7 @@ type pieceTable struct {
 }
 
 // newPieceTable indexes coefs (a Representation's Coefs slice) over
-// domain u: one radix sort of the ≤ 2k cut records, one sweep that
+// domain u: one radix sort of the ≤ 3k cut records, one sweep that
 // numbers the pieces, one pass that fills the guide, and one write per
 // list entry — O(k·log2(u)/8 + the entries). The result is immutable and
 // safe for concurrent reads.
@@ -105,11 +118,11 @@ func newPieceTable(u int64, coefs []Coef) *pieceTable {
 		t.invSqrtLen[j] = 1 / t.sqrtLen[j]
 	}
 
-	// One cut record per support start and per support end short of u,
+	// One cut record per support start, midpoint and end short of u,
 	// sorted by where it cuts; numbering the distinct cuts in that order
 	// gives each coefficient the piece range [a, b) it is listed in —
-	// span[2i:2i+2], empty for an invalid index.
-	recs := make([]cutRec, 0, 2*len(coefs))
+	// span[2i:2i+2], empty for an invalid index. A midpoint only cuts.
+	recs := make([]cutRec, 0, 3*len(coefs))
 	span := make([]int32, 2*len(coefs))
 	for i, c := range coefs {
 		switch {
@@ -117,7 +130,7 @@ func newPieceTable(u int64, coefs []Coef) *pieceTable {
 			span[2*i+1] = -1 // to the last piece
 		case c.Index > 0 && c.Index < u:
 			_, s, e := t.support(c.Index)
-			recs = append(recs, cutRec{s, int32(2 * i)})
+			recs = append(recs, cutRec{s, int32(2 * i)}, cutRec{s + (e-s)/2, -1})
 			if e < u {
 				recs = append(recs, cutRec{e, int32(2*i + 1)})
 			} else {
@@ -131,7 +144,9 @@ func newPieceTable(u int64, coefs []Coef) *pieceTable {
 		if r.at != t.start[len(t.start)-1] {
 			t.start = append(t.start, r.at)
 		}
-		span[r.slot] = int32(len(t.start) - 1)
+		if r.slot >= 0 {
+			span[r.slot] = int32(len(t.start) - 1)
+		}
 	}
 	np := int32(len(t.start))
 
@@ -174,7 +189,7 @@ func newPieceTable(u int64, coefs []Coef) *pieceTable {
 }
 
 // cutRec is one cut of the domain at key at, made by the support start
-// (slot 2i) or end (slot 2i+1) of coefficient i.
+// (slot 2i), end (slot 2i+1) or midpoint (slot -1) of coefficient i.
 type cutRec struct {
 	at   int64
 	slot int32
@@ -237,18 +252,33 @@ func (t *pieceTable) point(coefs []Coef, x int64) float64 {
 	if x < 0 || x >= t.u {
 		return 0 // every basis factor is zero off-domain, as in the scan
 	}
+	return t.listSum(coefs, t.piece(x), x)
+}
+
+// estimates returns v̂ on each piece, the list pass at its first key,
+// which every key of the piece shares.
+func (t *pieceTable) estimates(coefs []Coef) []float64 {
+	est := make([]float64, len(t.start))
+	for i, x := range t.start {
+		est[i] = t.listSum(coefs, i, x)
+	}
+	return est
+}
+
+// listSum evaluates v̂(x) for a key x of piece i: one pass over its list.
+func (t *pieceTable) listSum(coefs []Coef, i int, x int64) float64 {
 	var s float64
-	for _, p := range t.list(t.piece(x)) {
+	for _, p := range t.list(i) {
 		c := &coefs[p]
 		b := t.invSqrtU
 		if c.Index != 0 {
 			j := uint(bits.Len64(uint64(c.Index))) - 1
-			b = t.invSqrtLen[j]
 			// BasisAt's sign: negative iff x lies in the first half of
-			// the support, i.e. bit log2(u)-j-1 of x is clear.
-			if x>>(t.logu-j-1)&1 == 0 {
-				b = -b
-			}
+			// the support, i.e. bit log2(u)-j-1 of x is clear. Flipping
+			// the sign bit is exact negation, and spares a branch that
+			// the lists' mixed signs would mispredict.
+			neg := ^uint64(x>>(t.logu-j-1)) & 1
+			b = math.Float64frombits(math.Float64bits(t.invSqrtLen[j]) ^ neg<<63)
 		}
 		s += c.Value * b
 	}

@@ -197,9 +197,11 @@ func FuzzRangeSumBounds(f *testing.F) {
 // 2^12 keys and fuzzed coefficients — duplicate indices, indices at or
 // past u, negative ones, zeros, k = 0 — every in-domain point, two
 // off-domain points on each side, and random, inverted, clamped and
-// full-domain ranges must equal the linear scan bit for bit. The scan
-// panics on a negative index, which the table ignores, so the oracle is
-// the scan of the representation with those coefficients left out.
+// full-domain ranges must equal the linear scan bit for bit. A point is
+// checked both ways it can be answered: the piece's stored estimate and
+// the list pass a Maintainer snapshot makes. The scan panics on a
+// negative index, which the table ignores, so the oracle is the scan of
+// the representation with those coefficients left out.
 func FuzzPieceTable(f *testing.F) {
 	f.Add(uint8(0), uint64(1), []byte{})
 	f.Add(uint8(3), uint64(2), []byte{0, 5, 2, 1, 0, 7, 0, 5, 2, 255, 0, 9})
@@ -231,8 +233,8 @@ func FuzzPieceTable(f *testing.F) {
 			coefs = append(coefs, Coef{Index: idx, Value: v})
 		}
 		rep := NewRepresentation(u, coefs)
-		if np := len(rep.pieces.start); np > 2*len(coefs)+1 {
-			t.Fatalf("%d pieces for k = %d", np, len(coefs))
+		if np := len(rep.pieces.start); np > 3*len(coefs)+1 || len(rep.est) != np {
+			t.Fatalf("%d pieces and %d estimates for k = %d", np, len(rep.est), len(coefs))
 		}
 		oracle := &Representation{U: u}
 		for _, c := range rep.Coefs {
@@ -241,8 +243,12 @@ func FuzzPieceTable(f *testing.F) {
 			}
 		}
 		for x := int64(-2); x < u+2; x++ {
-			if g, w := rep.PointEstimate(x), oracle.ScanPointEstimate(x); !bitEq(g, w) {
+			w := oracle.ScanPointEstimate(x)
+			if g := rep.PointEstimate(x); !bitEq(g, w) {
 				t.Fatalf("u=%d PointEstimate(%d) = %x, scan %x", u, x, math.Float64bits(g), math.Float64bits(w))
+			}
+			if g := rep.pieces.point(rep.Coefs, x); !bitEq(g, w) {
+				t.Fatalf("u=%d list pass at %d = %x, scan %x", u, x, math.Float64bits(g), math.Float64bits(w))
 			}
 		}
 		r := zipf.NewRNG(seed)
@@ -317,6 +323,9 @@ func searchPiece(start []int64, x int64) int {
 // 2^20 keys, k from 0 to u, and a table whose cuts all fall in one
 // bucket, and pins the guide itself: the least power of two ≥ the piece
 // count plus one slots, each the piece holding its bucket's first key.
+// It also pins the cuts: every in-domain detail coefficient's support
+// start, midpoint and end short of u starts a piece, so no ψ changes
+// sign inside one.
 func TestPieceLocate(t *testing.T) {
 	r := zipf.NewRNG(14)
 	type table struct {
@@ -350,6 +359,17 @@ func TestPieceLocate(t *testing.T) {
 		if tc.name == "clustered" && (np < 100 || pt.guide[(5<<12+300)>>pt.gshift+1] != int32(np-1)) {
 			t.Fatalf("clustered: %d pieces, guide %v: cuts not in one bucket", np, pt.guide)
 		}
+		for _, c := range tc.rep.Coefs {
+			if c.Index <= 0 || c.Index >= pt.u {
+				continue
+			}
+			_, s, e := pt.support(c.Index)
+			for _, cut := range []int64{s, s + (e-s)/2, e} {
+				if _, ok := slices.BinarySearch(pt.start, cut); !ok && cut < pt.u {
+					t.Fatalf("%s u=%d k=%d: coefficient %d's cut at %d starts no piece", tc.name, pt.u, len(tc.rep.Coefs), c.Index, cut)
+				}
+			}
+		}
 		xs := []int64{0, pt.u - 1}
 		for _, s := range pt.start {
 			xs = append(xs, s-1, s, s+1)
@@ -373,27 +393,27 @@ func TestPieceLocate(t *testing.T) {
 }
 
 // TestPieceTableSize pins the table's size at its two extremes: k = u
-// (every pair of keys a piece, every list a full root-to-leaf path, a
-// guide slot per piece plus one) and
-// the distinct-index bound of ≤ 2k+1 pieces and ≤ k·(2·log2(u)+1)
-// entries.
+// (every key a piece, every list a full root-to-leaf path, a guide slot
+// per piece plus one, an estimate per piece) and the distinct-index bound
+// of ≤ 3k+1 pieces and ≤ k·(3·log2(u)+2) entries.
 func TestPieceTableSize(t *testing.T) {
 	const u = 1 << 10
 	dense := make([]Coef, u)
 	for i := range dense {
 		dense[i] = Coef{Index: int64(i), Value: float64(i + 1)}
 	}
-	pt := NewRepresentation(u, dense).pieces
-	if len(pt.start) != u/2 || len(pt.pos) != u/2*11 || len(pt.guide) != u/2+1 {
-		t.Fatalf("k = u = %d: %d pieces, %d entries, %d guide slots; want %d, %d and %d",
-			u, len(pt.start), len(pt.pos), len(pt.guide), u/2, u/2*11, u/2+1)
+	rep := NewRepresentation(u, dense)
+	pt := rep.pieces
+	if len(pt.start) != u || len(pt.pos) != u*11 || len(pt.guide) != u+1 || len(rep.est) != u {
+		t.Fatalf("k = u = %d: %d pieces, %d entries, %d guide slots, %d estimates; want %d, %d, %d and %d",
+			u, len(pt.start), len(pt.pos), len(pt.guide), len(rep.est), u, u*11, u+1, u)
 	}
 	r := zipf.NewRNG(13)
 	for _, k := range []int{1, 7, 64, 300} {
 		rep := benchRepRNG(r, 1<<20, k)
 		pt := rep.pieces
-		if len(pt.start) > 2*k+1 || len(pt.pos) > k*(2*20+1) {
-			t.Fatalf("k = %d: %d pieces, %d entries; bounds %d and %d", k, len(pt.start), len(pt.pos), 2*k+1, k*41)
+		if len(pt.start) > 3*k+1 || len(pt.pos) > k*(3*20+2) {
+			t.Fatalf("k = %d: %d pieces, %d entries; bounds %d and %d", k, len(pt.start), len(pt.pos), 3*k+1, k*62)
 		}
 	}
 }
@@ -419,16 +439,47 @@ func benchRepRNG(r *zipf.RNG, u int64, k int) *Representation {
 }
 
 // BenchmarkPieceTableBuild times the eager index build NewRepresentation
-// pays once per representation.
+// pays once per representation, on random coefficients and on the serving
+// histogram's shape (zipfRep): the table, which a Maintainer rebuild also
+// pays, and the piece estimates, which only NewRepresentation does.
 func BenchmarkPieceTableBuild(b *testing.B) {
-	rep := benchRep(b, 1<<20, 2048)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		newPieceTable(rep.U, rep.Coefs)
+	zrep, _ := zipfRep(15)
+	for _, rep := range []struct {
+		name string
+		*Representation
+	}{{"random", benchRep(b, 1<<20, 2048)}, {"zipf", zrep}} {
+		b.Run("table/"+rep.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				newPieceTable(rep.U, rep.Coefs)
+			}
+		})
+		b.Run("estimates/"+rep.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				rep.pieces.estimates(rep.Coefs)
+			}
+		})
 	}
 }
 
+// sinkEstimate keeps the benchmarks' estimates live.
+var sinkEstimate float64
+
+// uniformKeys draws n keys uniformly from [0, u).
+func uniformKeys(seed uint64, u int64, n int) []int64 {
+	r := zipf.NewRNG(seed)
+	xs := make([]int64, n)
+	for i := range xs {
+		xs[i] = r.Int63n(u)
+	}
+	return xs
+}
+
+// BenchmarkQueryPoint times one point estimate: the scan and the table
+// on random coefficients at sequential keys, and the table on the
+// serving histogram's shape (zipfRep) at uniform keys, which reach
+// pieces all over the domain as a served batch does.
 func BenchmarkQueryPoint(b *testing.B) {
 	rep := benchRep(b, 1<<20, 2048)
 	b.Run("scan", func(b *testing.B) {
@@ -443,8 +494,19 @@ func BenchmarkQueryPoint(b *testing.B) {
 			_ = rep.PointEstimate(int64(i) & (1<<20 - 1))
 		}
 	})
+	zrep, _ := zipfRep(15)
+	xs := uniformKeys(17, zrep.U, 4096)
+	b.Run("zipf/uniform", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sinkEstimate += zrep.PointEstimate(xs[i%len(xs)])
+		}
+	})
 }
 
+// BenchmarkQueryRange times one range sum on BenchmarkQueryPoint's
+// representations; on the serving shape the ranges are 4096 keys wide
+// from uniform starts, as embed_batch's are.
 func BenchmarkQueryRange(b *testing.B) {
 	rep := benchRep(b, 1<<20, 2048)
 	b.Run("scan", func(b *testing.B) {
@@ -459,6 +521,15 @@ func BenchmarkQueryRange(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			lo := int64(i) & (1<<19 - 1)
 			_ = rep.RangeSum(lo, lo+1<<18)
+		}
+	})
+	zrep, _ := zipfRep(15)
+	xs := uniformKeys(18, zrep.U, 4096)
+	b.Run("zipf/uniform", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			lo := xs[i%len(xs)]
+			sinkEstimate += zrep.RangeSum(lo, lo+4095)
 		}
 	})
 }

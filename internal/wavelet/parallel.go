@@ -6,11 +6,11 @@ import (
 )
 
 // BatchPointsParallel is measured-only: no serving code reaches it, so
-// Entry.Batch answers every 1D batch serially. On a 2-core VM it ran 92
-// ns per query at n=4096 against 130 ns for the serial BatchPoints
-// (wavelet.batch_points_par_ns_per_q.n4096 vs batch_points_ns_per_q.n4096,
-// one traced embed_batch run), but only on cores the serving load leaves
-// idle, and embed_batch's two clients already keep both busy. The method
+// Entry.Batch answers every 1D batch serially. Since a point reads its
+// piece's stored estimate, the fan-out costs more than the lookups: on a
+// 2-core VM it ran 9.6 ns per query at n=4096 against 4.5 ns for the
+// serial BatchPoints (wavelet.batch_points_par_ns_per_q.n4096 vs
+// batch_points_ns_per_q.n4096, one traced embed_batch run). The method
 // stays because benchmark/layers_serve.go calls it for that row; the row
 // and the method go together.
 //
